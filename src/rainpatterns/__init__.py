@@ -12,8 +12,7 @@ from .data import (RainfallDataset, SpatialWeights, SyntheticSpec,
                    generate_synthetic, load_dataset, save_dataset)
 from .errors import NumericError, ParseError, ValidationError
 from .inference import (PosteriorSummary, SamplerConfig, refit_frozen,
-                        run_gibbs, sample_u_day, sample_v_location,
-                        sample_z_cell, update_params_ml)
+                        run_gibbs, update_params_ml)
 from .model import (HIGH, LOW, LatentState, ModelParams, PatternSet,
                     extract_patterns, joint_log_density)
 
@@ -25,6 +24,5 @@ __all__ = [
     "SpatialWeights", "SyntheticSpec", "ValidationError",
     "compute_spatial_weights", "discretize_by_mean", "extract_patterns",
     "generate_synthetic", "joint_log_density", "load_dataset", "refit_frozen",
-    "run_gibbs", "sample_u_day", "sample_v_location", "sample_z_cell",
-    "save_dataset", "update_params_ml",
+    "run_gibbs", "save_dataset", "update_params_ml",
 ]

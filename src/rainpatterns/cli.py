@@ -18,10 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, svgplot
-from .data import (RainfallDataset, SyntheticSpec, compute_spatial_weights,
-                   discretize_by_mean, generate_synthetic, load_dataset,
-                   save_dataset, write_ground_truth)
-from .errors import NumericError, ValidationError
+from .data import (RainfallDataset, SyntheticSpec, _read_rows,
+                   compute_spatial_weights, discretize_by_mean,
+                   generate_synthetic, load_dataset, save_dataset,
+                   write_ground_truth)
+from .errors import NumericError, ParseError, ValidationError
 from .inference import SamplerConfig, refit_frozen, run_gibbs
 from .metrics import (MetricsReport, build_report, distance_report,
                       read_metrics_csv, spatial_coherence)
@@ -32,13 +33,17 @@ EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
+PATTERNS_SPATIAL_HEADER = ["cluster_id", "loc_id", "crp_value", "cdp_state"]
+PATTERNS_TEMPORAL_HEADER = ["cluster_id", "day_index", "cts_value",
+                            "cds_state"]
+CLUSTER_SUMMARY_HEADER = ["cluster_id", "n_days", "n_years", "aggregate_mm"]
+
 DEFAULT_CONFIG = {
     "paths": {"locations": "locations.csv", "rainfall": "rainfall.csv",
               "out": "out"},
     "model": {"gamma": 1.0, "lambda": 1.0, "f": 2.0, "eta": 9.0, "zeta": 3.0,
               "sigma": None},
-    "sampler": {"burnin": 200, "samples": 300, "seed": 0,
-                "schedule": "checkerboard", "init": "data"},
+    "sampler": {"burnin": 200, "samples": 300, "seed": 0, "init": "data"},
     "baseline": {"k": 10, "tau": None, "lasso_reg": 1.0},
     "metrics": {"min_years": 5},
     "synth": {"S": 64, "T": 400, "K": 4, "L": 6, "wet_shape": 8.0,
@@ -108,8 +113,7 @@ def _model_params(cfg: dict, data: RainfallDataset) -> ModelParams:
 def _sampler_config(cfg: dict) -> SamplerConfig:
     s = cfg["sampler"]
     return SamplerConfig(n_burnin=int(s["burnin"]), n_samples=int(s["samples"]),
-                         seed=int(s["seed"]), schedule=s["schedule"],
-                         init=s["init"])
+                         seed=int(s["seed"]), init=s["init"])
 
 
 def _dump_config(cfg: dict, out: Path, extra: dict | None = None) -> None:
@@ -123,14 +127,11 @@ def _dump_config(cfg: dict, out: Path, extra: dict | None = None) -> None:
 
 def _write_patterns(out: Path, patterns: PatternSet) -> None:
     spatial, temporal, summary = patterns_to_rows(patterns)
-    _write_csv(out / "patterns_spatial.csv",
-               ["cluster_id", "loc_id", "crp_value", "cdp_state"],
+    _write_csv(out / "patterns_spatial.csv", PATTERNS_SPATIAL_HEADER,
                ([u, s, repr(v), z] for u, s, v, z in spatial))
-    _write_csv(out / "patterns_temporal.csv",
-               ["cluster_id", "day_index", "cts_value", "cds_state"],
+    _write_csv(out / "patterns_temporal.csv", PATTERNS_TEMPORAL_HEADER,
                ([v, t, repr(x), z] for v, t, x, z in temporal))
-    _write_csv(out / "cluster_summary.csv",
-               ["cluster_id", "n_days", "n_years", "aggregate_mm"],
+    _write_csv(out / "cluster_summary.csv", CLUSTER_SUMMARY_HEADER,
                ([u, n, y, repr(a)] for u, n, y, a in summary))
 
 
@@ -161,58 +162,81 @@ def _write_params(out: Path, params: ModelParams) -> None:
         fh.write("\n")
 
 
-def _load_params(path) -> tuple[ModelParams, np.ndarray]:
+def _load_params(path) -> ModelParams:
     with open(path) as fh:
-        doc = json.load(fh)
-    params = ModelParams(day_concentration=doc["gamma"],
-                         loc_concentration=doc["lambda"],
-                         temporal_factor=doc["f"],
-                         day_align=doc["eta"],
-                         loc_align=doc["zeta"],
-                         aggregate_sd=doc["sigma"],
-                         gamma_shape=np.array(doc["gamma_shape"]),
-                         gamma_rate=np.array(doc["gamma_rate"]),
-                         aggregate_mean=np.array(doc["aggregate_mean"]))
-    return params, np.array(doc["aggregate_mean"])
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
+    try:
+        return ModelParams(day_concentration=doc["gamma"],
+                           loc_concentration=doc["lambda"],
+                           temporal_factor=doc["f"],
+                           day_align=doc["eta"],
+                           loc_align=doc["zeta"],
+                           aggregate_sd=doc["sigma"],
+                           gamma_shape=np.array(doc["gamma_shape"]),
+                           gamma_rate=np.array(doc["gamma_rate"]),
+                           aggregate_mean=np.array(doc["aggregate_mean"]))
+    except KeyError as exc:
+        raise ValidationError(f"{path}: missing key {exc}") from None
+
+
+def _read_typed_rows(path, header: list[str], types) -> list[list]:
+    rows = []
+    for lineno, row in _read_rows(path, header):
+        try:
+            rows.append([conv(v) for conv, v in zip(types, row)])
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: malformed field") from None
+    return rows
+
+
+def _load_cluster_table(path, header: list[str]):
+    """A per-cluster pattern CSV as (K, n) value and state arrays.
+
+    Cluster ids must run 1..K and every cluster must list the same indices
+    0..n-1, so a truncated file is rejected rather than padded.
+    """
+    cells: dict[int, dict[int, tuple[float, int]]] = {}
+    for u, i, value, state in _read_typed_rows(path, header,
+                                               (int, int, float, int)):
+        cells.setdefault(u, {})[i] = (value, state)
+    K = len(cells)
+    if K == 0:
+        raise ValidationError(f"{path}: no pattern rows")
+    if sorted(cells) != list(range(1, K + 1)):
+        raise ValidationError(f"{path}: cluster_id must be dense from 1")
+    n = len(cells[1])
+    for u, row in cells.items():
+        if sorted(row) != list(range(n)):
+            raise ValidationError(f"{path}: cluster {u} does not list "
+                                  f"indices 0..{n - 1}")
+    values = np.array([[cells[u][i][0] for i in range(n)]
+                       for u in range(1, K + 1)])
+    states = np.array([[cells[u][i][1] for i in range(n)]
+                       for u in range(1, K + 1)], dtype=np.int8)
+    return values, states
 
 
 def _load_patterns(run_dir: Path) -> PatternSet:
-    spatial: dict[int, dict[int, tuple[float, int]]] = {}
-    with open(run_dir / "patterns_spatial.csv", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for u, s, v, z in reader:
-            spatial.setdefault(int(u), {})[int(s)] = (float(v), int(z))
-    temporal: dict[int, dict[int, tuple[float, int]]] = {}
-    with open(run_dir / "patterns_temporal.csv", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for v, t, x, z in reader:
-            temporal.setdefault(int(v), {})[int(t)] = (float(x), int(z))
-    summary = {}
-    with open(run_dir / "cluster_summary.csv", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for u, n, y, a in reader:
-            summary[int(u)] = (int(n), int(y), float(a))
-    K = len(spatial)
-    S = len(spatial[1])
-    L = len(temporal)
-    T = len(temporal[1])
-    crp = np.array([[spatial[u][s][0] for s in range(S)]
-                    for u in range(1, K + 1)])
-    cdp = np.array([[spatial[u][s][1] for s in range(S)]
-                    for u in range(1, K + 1)], dtype=np.int8)
-    cts = np.array([[temporal[v][t][0] for t in range(T)]
-                    for v in range(1, L + 1)])
-    cds = np.array([[temporal[v][t][1] for t in range(T)]
-                    for v in range(1, L + 1)], dtype=np.int8)
+    crp, cdp = _load_cluster_table(run_dir / "patterns_spatial.csv",
+                                   PATTERNS_SPATIAL_HEADER)
+    cts, cds = _load_cluster_table(run_dir / "patterns_temporal.csv",
+                                   PATTERNS_TEMPORAL_HEADER)
+    path = run_dir / "cluster_summary.csv"
+    summary = {u: (n, y, a) for u, n, y, a in _read_typed_rows(
+        path, CLUSTER_SUMMARY_HEADER, (int, int, int, float))}
+    K = len(crp)
+    missing = set(range(1, K + 1)) - set(summary)
+    if missing:
+        raise ValidationError(f"{path}: no row for cluster {min(missing)}")
     return PatternSet(
         rain_patterns=crp, state_patterns=cdp, rain_series=cts,
         state_series=cds,
         day_counts=np.array([summary[u][0] for u in range(1, K + 1)]),
         year_counts=np.array([summary[u][1] for u in range(1, K + 1)]),
-        loc_counts=np.zeros(L, dtype=np.int64),
+        loc_counts=np.zeros(len(cts), dtype=np.int64),
         pattern_volume=np.array([summary[u][2] for u in range(1, K + 1)]))
 
 
@@ -471,7 +495,7 @@ def _load_coords(path) -> np.ndarray:
 def cmd_refit(cfg: dict, frozen_dir: str) -> int:
     frozen = Path(frozen_dir)
     patterns = _load_patterns(frozen)
-    params, _ = _load_params(frozen / "params.json")
+    params = _load_params(frozen / "params.json")
     data = load_dataset(cfg["paths"]["locations"], cfg["paths"]["rainfall"])
     weights = compute_spatial_weights(data)
     sampler = _sampler_config(cfg)
@@ -503,8 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--seed", type=int, help="override the run seed")
     common.add_argument("--out", help="override the output directory")
-    common.add_argument("--threads", type=int, default=0,
-                        help="worker hint for array libraries (0 = auto)")
 
     parser = argparse.ArgumentParser(
         prog="rainpatterns",
@@ -530,13 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads:
-        os.environ.setdefault("OMP_NUM_THREADS", str(args.threads))
-        try:
-            import threadpoolctl
-            threadpoolctl.threadpool_limits(args.threads)
-        except ImportError:
-            pass
     try:
         cfg = load_config(args.config, args.seed, args.out)
         if args.command == "synth":

@@ -5,13 +5,19 @@ location label, then refreshes the canonical patterns and the estimated
 parameters from the current assignment.  The posterior point estimate is the
 per-variable mode over the retained sweeps.
 
-Two sweep schedules are provided.  ``sequential`` visits cells in raster
-order with scalar updates; ``checkerboard`` partitions the space-time lattice
-into eight colour classes of mutually non-adjacent cells and updates each
-class with one vectorised draw.  Updating a class at once is an ordinary
-Gibbs scan in a different visit order, because cells of one class are
-conditionally independent given the rest, so both schedules target the same
-distribution.
+Cell states are visited in one scan order: the space-time lattice is split
+into eight colour classes of mutually non-adjacent cells (both grid
+coordinate parities and the day parity), and each class is updated with one
+vectorised draw.  Cells of one class are conditionally independent given the
+rest, so updating a class at once is an ordinary Gibbs scan in a different
+visit order and targets the same distribution (Gonzalez et al., AISTATS 2011,
+"Parallel Gibbs Sampling: From Colored Fields to Thin Junction Trees").
+
+Every conditional has one implementation on the engine:
+``cell_log_weights``, ``day_log_weights`` and ``loc_log_weights``.  The
+sweeps draw from them and the exactness tests check them.  A frozen refit
+differs only in its candidate labels: the frozen patterns stay enterable while
+empty and one overflow label collects what fits none of them.
 """
 
 from __future__ import annotations
@@ -24,25 +30,19 @@ from scipy.special import gammaln
 
 from .errors import NumericError, ValidationError
 from .model import (HIGH, LOW, RAIN_EPS, VAR_FLOOR, LatentState, ModelParams,
-                    PatternSet, crp_log_prior_days, crp_log_weights_days,
-                    crp_log_weights_locations, extract_patterns,
-                    joint_log_density, log_gamma_density,
-                    log_potential_aggregate, log_potential_day_align,
-                    log_potential_loc_align, log_potential_spatial,
-                    log_potential_temporal)
+                    PatternSet, crp_log_prior_days, extract_patterns,
+                    joint_log_density)
 
-SCHEDULES = ("sequential", "checkerboard")
 INIT_STRATEGIES = ("data", "pattern", "random")
 
 
 @dataclass
 class SamplerConfig:
-    """Sweep counts, seed, schedule and initialisation strategy."""
+    """Sweep counts, seed and initialisation strategy."""
 
     n_burnin: int = 200
     n_samples: int = 300
     seed: int = 0
-    schedule: str = "checkerboard"
     init: str = "data"
 
     def validate(self) -> None:
@@ -50,8 +50,6 @@ class SamplerConfig:
             raise ValidationError("need at least one retained sweep")
         if self.n_burnin < 0:
             raise ValidationError("burn-in must be non-negative")
-        if self.schedule not in SCHEDULES:
-            raise ValidationError(f"schedule must be one of {SCHEDULES}")
         if self.init not in INIT_STRATEGIES:
             raise ValidationError(f"init must be one of {INIT_STRATEGIES}")
 
@@ -78,6 +76,21 @@ def _sample_from_log_weights(logw: np.ndarray, rng) -> int:
     return int(np.searchsorted(c, rng.random() * c[-1], side="right"))
 
 
+def _draw_cell_states(w: np.ndarray, rng) -> np.ndarray:
+    """Draw one state per column of (2, n) log-weights, one uniform each."""
+    p_low = 1.0 / (1.0 + np.exp(w[0] - w[1]))
+    return np.where(rng.random(w.shape[1]) < p_low, LOW, HIGH).astype(np.int8)
+
+
+def _row_map(n_labels: int, n_rows: int, n_aligned: int) -> np.ndarray:
+    """Label -> pattern row, -1 where a label has no aligned pattern row.
+
+    Covers every current label and one label past the pattern rows.
+    """
+    return np.array([i if i < n_aligned else -1
+                     for i in range(max(n_labels, n_rows + 1))], dtype=np.intp)
+
+
 def _leader_init(states: np.ndarray, cap: int) -> np.ndarray:
     """Group days by state-vector similarity: greedy leader clustering.
 
@@ -102,100 +115,6 @@ def _leader_init(states: np.ndarray, cap: int) -> np.ndarray:
             leaders.append(col.copy())
             labels[t] = len(leaders)
     return labels
-
-
-def sample_z_cell(s: int, t: int, state: LatentState, params: ModelParams,
-                  weights, patterns: PatternSet, data, rng) -> int:
-    """Draw a cell state from its exact conditional distribution.
-
-    Reference implementation assembled from the individual potentials; the
-    sweep engines must agree with it.
-    """
-    z = state.states
-    T = z.shape[1]
-    x = float(data.rain[s, t])
-    logw = np.zeros(2)
-    for i, cand in enumerate((HIGH, LOW)):
-        w = 0.0
-        for t2 in (t - 1, t + 1):
-            if 0 <= t2 < T:
-                w += log_potential_temporal(cand, int(z[s, t2]),
-                                            params.temporal_factor)
-        nb = data.neighborhoods[s]
-        for k in range(len(nb)):
-            w += log_potential_spatial(cand, int(z[nb[k], t]),
-                                       float(weights.values[s][k]))
-        w += log_potential_day_align(cand, int(state.day_labels[t]), s,
-                                     patterns, params.day_align)
-        w += log_potential_loc_align(cand, int(state.loc_labels[s]), t,
-                                     patterns, params.loc_align)
-        w += log_gamma_density(x, float(params.gamma_shape[s, cand - 1]),
-                               float(params.gamma_rate[s, cand - 1]))
-        logw[i] = w
-    return (HIGH, LOW)[_sample_from_log_weights(logw, rng)]
-
-
-def _day_candidates(t: int, state: LatentState, params: ModelParams,
-                    patterns: PatternSet, data):
-    """Candidate labels and log-weights for reassigning day t.
-
-    Labels currently in use elsewhere get the clustering prior weight plus
-    alignment and aggregate terms; the fresh label is neutral beyond its
-    concentration weight, even if a stale pattern row exists at its index.
-    """
-    crp = crp_log_weights_days(t, state.day_labels, data.year_of_day,
-                               params.day_concentration)
-    others = np.delete(state.day_labels, t)
-    existing = set(int(u) for u in np.unique(others))
-    y_t = float(data.rain[:, t].sum())
-    z_col = state.states[:, t]
-    labels = sorted(crp)
-    logw = np.empty(len(labels))
-    for i, u in enumerate(labels):
-        w = crp[u]
-        if u in existing:
-            row = u - 1
-            if row < patterns.n_day_patterns:
-                matches = int((patterns.state_patterns[row] == z_col).sum())
-                w += params.day_align * matches
-            w += log_potential_aggregate(u, y_t, params.aggregate_mean,
-                                         params.aggregate_sd)
-        logw[i] = w
-    return labels, logw
-
-
-def sample_u_day(t: int, state: LatentState, params: ModelParams,
-                 patterns: PatternSet, data, rng) -> int:
-    """Draw a day's cluster label from its conditional distribution."""
-    labels, logw = _day_candidates(t, state, params, patterns, data)
-    return labels[_sample_from_log_weights(logw, rng)]
-
-
-def _loc_candidates(s: int, state: LatentState, params: ModelParams,
-                    patterns: PatternSet, data):
-    crp = crp_log_weights_locations(s, state.loc_labels,
-                                    params.loc_concentration)
-    others = np.delete(state.loc_labels, s)
-    existing = set(int(v) for v in np.unique(others))
-    z_row = state.states[s, :]
-    labels = sorted(crp)
-    logw = np.empty(len(labels))
-    for i, v in enumerate(labels):
-        w = crp[v]
-        if v in existing:
-            row = v - 1
-            if row < patterns.n_loc_series:
-                matches = int((patterns.state_series[row] == z_row).sum())
-                w += params.loc_align * matches
-        logw[i] = w
-    return labels, logw
-
-
-def sample_v_location(s: int, state: LatentState, params: ModelParams,
-                      patterns: PatternSet, data, rng) -> int:
-    """Draw a location's cluster label from its conditional distribution."""
-    labels, logw = _loc_candidates(s, state, params, patterns, data)
-    return labels[_sample_from_log_weights(logw, rng)]
 
 
 def update_params_ml(data, state: LatentState):
@@ -369,8 +288,8 @@ class _GibbsEngine:
 
     # -------------------------------------------------------------- Z sweep
 
-    def _z_local_log_weights(self, s_arr, t_arr):
-        """Vectorised conditional log-weights for both states of given cells."""
+    def cell_log_weights(self, s_arr, t_arr):
+        """Conditional log-weights of both states of the given cells, (2, n)."""
         z = self.state.states
         p = self.params
         n = len(s_arr)
@@ -407,48 +326,23 @@ class _GibbsEngine:
         return w
 
     def _set_rowmaps(self) -> None:
-        """Label -> pattern-row maps (-1 where a label has no pattern)."""
-        K = self.state.n_day_clusters
-        L = self.state.n_loc_clusters
-        if self.frozen:
-            ku = self.patterns.n_day_patterns
-            kv = self.patterns.n_loc_series
-            if self.patterns.state_series.shape[1] != self.T:
-                kv = 0
-            self._rowmap_u = np.array(
-                [i if i < ku else -1 for i in range(max(K, ku + 1))], dtype=np.intp)
-            self._rowmap_v = np.array(
-                [i if i < kv else -1 for i in range(max(L, kv + 1))], dtype=np.intp)
-        else:
-            ku = self.patterns.n_day_patterns
-            kv = self.patterns.n_loc_series
-            self._rowmap_u = np.array(
-                [i if i < ku else -1 for i in range(K)], dtype=np.intp)
-            self._rowmap_v = np.array(
-                [i if i < kv else -1 for i in range(L)], dtype=np.intp)
+        """Label -> pattern-row maps for the current labels and patterns.
+
+        Series extracted from a record of another length align with nothing.
+        """
+        ku = self.patterns.n_day_patterns
+        kv = self.patterns.n_loc_series
+        kv_aligned = kv if self.patterns.state_series.shape[1] == self.T else 0
+        self._rowmap_u = _row_map(self.state.n_day_clusters, ku, ku)
+        self._rowmap_v = _row_map(self.state.n_loc_clusters, kv, kv_aligned)
 
     def z_sweep(self) -> None:
         self._set_rowmaps()
-        if self.config.schedule == "checkerboard":
-            for s_arr, t_arr in self.color_cells:
-                if len(s_arr) == 0:
-                    continue
-                w = self._z_local_log_weights(s_arr, t_arr)
-                p_low = 1.0 / (1.0 + np.exp(w[0] - w[1]))
-                draws = self.rng.random(len(s_arr))
-                self.state.states[s_arr, t_arr] = np.where(
-                    draws < p_low, LOW, HIGH).astype(np.int8)
-        else:
-            s_one = np.empty(1, dtype=np.intp)
-            t_one = np.empty(1, dtype=np.intp)
-            for t in range(self.T):
-                t_one[0] = t
-                for s in range(self.S):
-                    s_one[0] = s
-                    w = self._z_local_log_weights(s_one, t_one)
-                    p_low = 1.0 / (1.0 + math.exp(w[0, 0] - w[1, 0]))
-                    self.state.states[s, t] = LOW if self.rng.random() < p_low \
-                        else HIGH
+        for s_arr, t_arr in self.color_cells:
+            if len(s_arr) == 0:
+                continue
+            w = self.cell_log_weights(s_arr, t_arr)
+            self.state.states[s_arr, t_arr] = _draw_cell_states(w, self.rng)
 
     # -------------------------------------------------------- label sweeps
 
@@ -464,144 +358,113 @@ class _GibbsEngine:
         z1 = (self.state.states == HIGH).astype(np.float64)
         return c1 @ z1.T + (1.0 - c1) @ (1.0 - z1.T)  # (L_pat, S)
 
-    def u_sweep(self) -> None:
-        if self.frozen:
-            self._u_sweep_frozen()
-            return
-        p = self.params
-        align = self._day_align_matrix()
+    def day_log_weights(self, t: int, align=None, rows=None):
+        """Candidate labels of day t and their conditional log-weights.
+
+        Day t itself is left out of the cluster counts.  ``align`` (the
+        day-pattern match matrix) and ``rows`` (label -> pattern row) default
+        to their values for the current state.
+        """
+        if align is None:
+            align = self._day_align_matrix()
+        if rows is None:
+            self._set_rowmaps()
+            rows = self._rowmap_u.tolist()
         labels = self.state.day_labels
-        rows = list(range(self.patterns.n_day_patterns))
         ny = self.n_years
-        for t in range(self.T):
-            old = int(labels[t])
-            labels[t] = 0
-            counts = np.bincount(labels, minlength=len(rows) + 2)[1:]
-            pair = labels * ny + self.year_idx
-            year_tab = np.bincount(pair, minlength=(len(rows) + 2) * ny)
-            year_tab = year_tab.reshape(-1, ny)[1:]
-            m = (year_tab > 0).sum(axis=1)
+        own = labels[t]
+        labels[t] = 0
+        counts = np.bincount(labels, minlength=len(rows) + 1)[1:]
+        year_tab = np.bincount(labels * ny + self.year_idx,
+                               minlength=(len(rows) + 1) * ny)
+        labels[t] = own
+        years = (year_tab.reshape(-1, ny)[1:] > 0).sum(axis=1)
+        dev = (self.y[t] - self.mu) / self.params.aggregate_sd
+        return self._label_log_weights(
+            counts * years, rows, self.patterns.n_day_patterns,
+            self.params.day_align, align[:, t],
+            self.params.day_concentration, aggregate=-0.5 * dev * dev)
 
-            cand: list[int] = []
-            logw: list[float] = []
-            top = 0
-            for u in range(1, len(counts) + 1):
-                c = counts[u - 1]
-                if c == 0:
-                    continue
-                top = u
-                w = math.log(c * m[u - 1])
-                row = rows[u - 1]
-                if row >= 0:
-                    w += p.day_align * self.align_scale * align[row, t]
-                    w += log_potential_aggregate(row + 1, self.y[t], self.mu,
-                                                 p.aggregate_sd)
-                cand.append(u)
-                logw.append(w)
-            fresh = top + 1
-            cand.append(fresh)
-            logw.append(math.log(p.day_concentration))
+    def loc_log_weights(self, s: int, align=None, rows=None):
+        """Candidate labels of location s and their conditional log-weights.
 
-            pick = cand[_sample_from_log_weights(np.array(logw), self.rng)]
-            labels[t] = pick
-            if pick == fresh:
-                while len(rows) < fresh:
-                    rows.append(-1)
-            if old != pick and old != 0 and counts[old - 1] == 0 \
-                    and old <= len(rows):
+        Mirror of :meth:`day_log_weights` without the aggregate term.
+        """
+        if align is None:
+            align = self._loc_align_matrix()
+        if rows is None:
+            self._set_rowmaps()
+            rows = self._rowmap_v.tolist()
+        labels = self.state.loc_labels
+        own = labels[s]
+        labels[s] = 0
+        counts = np.bincount(labels, minlength=len(rows) + 1)[1:]
+        labels[s] = own
+        return self._label_log_weights(
+            counts, rows, self.patterns.n_loc_series, self.params.loc_align,
+            align[:, s], self.params.loc_concentration)
+
+    def _label_log_weights(self, mass, rows, n_frozen, strength, align,
+                           concentration, aggregate=None):
+        """The candidate policy shared by day and location labels.
+
+        An occupied label weighs log(mass) plus the alignment term of its
+        pattern row and, for days, the aggregate term.  One extra label past
+        the occupied ones weighs ``concentration`` while it is empty.  In a
+        frozen run labels 1..``n_frozen`` stay enterable while empty (mass
+        floored at one) and the extra label is the single overflow label
+        ``n_frozen + 1``, an ordinary label while it is occupied.
+        """
+        if not self.frozen:
+            n_frozen = 0
+        cand: list[int] = []
+        logw: list[float] = []
+        for u in range(1, len(mass) + 1):
+            c = mass[u - 1]
+            if c == 0 and u > n_frozen:
+                continue
+            w = math.log(max(c, 1))
+            row = rows[u - 1]
+            if row >= 0:
+                w += strength * self.align_scale * align[row]
+                if aggregate is not None:
+                    w += aggregate[row]
+            cand.append(u)
+            logw.append(w)
+        top = cand[-1] if cand else 0
+        if not self.frozen or top == n_frozen:
+            cand.append(top + 1)
+            logw.append(math.log(concentration))
+        return cand, np.array(logw)
+
+    def _label_sweep(self, labels, log_weights, align, rows) -> None:
+        """Redraw each label in turn from ``log_weights(i, align, rows)``.
+
+        Unless frozen, a label born in the sweep maps to no pattern row and an
+        emptied label is removed so that labels stay dense.
+        """
+        for i in range(len(labels)):
+            old = int(labels[i])
+            cand, logw = log_weights(i, align, rows)
+            pick = cand[_sample_from_log_weights(logw, self.rng)]
+            labels[i] = pick
+            if self.frozen:
+                continue
+            while len(rows) < pick:
+                rows.append(-1)
+            if old != pick and not (labels == old).any():
                 labels[labels > old] -= 1
                 del rows[old - 1]
 
-    def _u_sweep_frozen(self) -> None:
-        """Frozen-pattern day sweep: fixed labels 1..K plus one overflow.
-
-        Frozen patterns stay enterable even when currently empty (their count
-        is floored at one); the overflow label acts as a fresh cluster while
-        empty and as an ordinary one while occupied.
-        """
-        p = self.params
-        align = self._day_align_matrix()
-        labels = self.state.day_labels
-        K = self.patterns.n_day_patterns
-        ny = self.n_years
-        for t in range(self.T):
-            labels[t] = 0
-            counts = np.bincount(labels, minlength=K + 2)[1:K + 2]
-            pair = labels * ny + self.year_idx
-            year_tab = np.bincount(pair, minlength=(K + 2) * ny)
-            year_tab = year_tab.reshape(-1, ny)[1:K + 2]
-            m = (year_tab > 0).sum(axis=1)
-
-            logw = np.empty(K + 1)
-            for u in range(1, K + 1):
-                nm = max(int(counts[u - 1]) * int(m[u - 1]), 1)
-                logw[u - 1] = (math.log(nm) + p.day_align * align[u - 1, t]
-                               + log_potential_aggregate(u, self.y[t], self.mu,
-                                                         p.aggregate_sd))
-            if counts[K] > 0:
-                logw[K] = math.log(int(counts[K]) * int(m[K]))
-            else:
-                logw[K] = math.log(p.day_concentration)
-            labels[t] = 1 + _sample_from_log_weights(logw, self.rng)
+    def u_sweep(self) -> None:
+        self._set_rowmaps()
+        self._label_sweep(self.state.day_labels, self.day_log_weights,
+                          self._day_align_matrix(), self._rowmap_u.tolist())
 
     def v_sweep(self) -> None:
-        if self.frozen:
-            self._v_sweep_frozen()
-            return
-        p = self.params
-        align = self._loc_align_matrix()
-        labels = self.state.loc_labels
-        rows = list(range(self.patterns.n_loc_series))
-        for s in range(self.S):
-            old = int(labels[s])
-            labels[s] = 0
-            counts = np.bincount(labels, minlength=len(rows) + 2)[1:]
-
-            cand: list[int] = []
-            logw: list[float] = []
-            top = 0
-            for v in range(1, len(counts) + 1):
-                c = counts[v - 1]
-                if c == 0:
-                    continue
-                top = v
-                w = math.log(c)
-                row = rows[v - 1]
-                if row >= 0:
-                    w += p.loc_align * self.align_scale * align[row, s]
-                cand.append(v)
-                logw.append(w)
-            fresh = top + 1
-            cand.append(fresh)
-            logw.append(math.log(p.loc_concentration))
-
-            pick = cand[_sample_from_log_weights(np.array(logw), self.rng)]
-            labels[s] = pick
-            if pick == fresh:
-                while len(rows) < fresh:
-                    rows.append(-1)
-            if old != pick and old != 0 and counts[old - 1] == 0 \
-                    and old <= len(rows):
-                labels[labels > old] -= 1
-                del rows[old - 1]
-
-    def _v_sweep_frozen(self) -> None:
-        p = self.params
-        align = self._loc_align_matrix()
-        labels = self.state.loc_labels
-        L = self.patterns.n_loc_series
-        for s in range(self.S):
-            labels[s] = 0
-            counts = np.bincount(labels, minlength=L + 2)[1:L + 2]
-            logw = np.empty(L + 1)
-            for v in range(1, L + 1):
-                logw[v - 1] = (math.log(max(int(counts[v - 1]), 1))
-                               + p.loc_align * align[v - 1, s])
-            if counts[L] > 0:
-                logw[L] = math.log(int(counts[L]))
-            else:
-                logw[L] = math.log(p.loc_concentration)
-            labels[s] = 1 + _sample_from_log_weights(logw, self.rng)
+        self._set_rowmaps()
+        self._label_sweep(self.state.loc_labels, self.loc_log_weights,
+                          self._loc_align_matrix(), self._rowmap_v.tolist())
 
     # --------------------------------------------------------------- merges
 

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from rainpatterns import (ModelParams, SyntheticSpec, compute_spatial_weights,
+from rainpatterns import (ModelParams, SamplerConfig, SyntheticSpec,
+                          compute_spatial_weights, extract_patterns,
                           generate_synthetic)
-from rainpatterns.data import make_dataset
+from rainpatterns.data import SpatialWeights, make_dataset
+from rainpatterns.inference import _GibbsEngine
 
 
 @pytest.fixture(scope="session")
@@ -40,3 +42,27 @@ def fitted_params(data, state, **kw):
     base.update(kw)
     return ModelParams(gamma_shape=shape, gamma_rate=rate, aggregate_mean=mu,
                        **base)
+
+
+def engine_at(data, state, params, patterns=None, weights=None):
+    """A sampling engine placed at a given state, patterns and parameters.
+
+    The conditionals it computes are those the sweeps draw from.  Patterns
+    default to those of ``state``; without ``weights`` every spatial pair
+    weighs zero.
+    """
+    if weights is None:
+        weights = SpatialWeights(
+            tuple(np.zeros(len(nb)) for nb in data.neighborhoods),
+            data.neighborhoods)
+    cfg = SamplerConfig(n_burnin=0, n_samples=1)
+    engine = _GibbsEngine(data, weights, params, cfg)
+    engine.state = state.copy()
+    engine.patterns = (extract_patterns(data, state) if patterns is None
+                       else patterns)
+    engine.alpha = params.gamma_shape
+    engine.beta = params.gamma_rate
+    engine.mu = params.aggregate_mean
+    engine._refresh_logdens()
+    engine._set_rowmaps()
+    return engine

@@ -14,16 +14,16 @@ import pytest
 from rainpatterns import (HIGH, LOW, LatentState, ModelParams, SamplerConfig,
                           SyntheticSpec, compute_spatial_weights,
                           extract_patterns, generate_synthetic,
-                          joint_log_density, refit_frozen, run_gibbs,
-                          sample_u_day, sample_v_location, sample_z_cell)
+                          joint_log_density, refit_frozen, run_gibbs)
 from rainpatterns import baselines
 from rainpatterns.cli import baseline_patterns, main
 from rainpatterns.data import discretize_by_mean, make_dataset
-from rainpatterns.inference import _GibbsEngine
+from rainpatterns.inference import (_GibbsEngine, _draw_cell_states,
+                                    _sample_from_log_weights)
 from rainpatterns.metrics import (adjusted_rand_index, distance_report,
                                   prominent_clusters, spatial_coherence,
                                   spell_stats, wet_fraction)
-from conftest import fitted_params
+from conftest import engine_at, fitted_params
 
 
 def report(criterion, detail):
@@ -36,13 +36,16 @@ def fit_synth(spec, eta=5.0, burnin=80, samples=40, fit_seed=0):
     params = ModelParams(day_align=eta, loc_align=2.0,
                          aggregate_sd=float(data.aggregate.std()))
     cfg = SamplerConfig(n_burnin=burnin, n_samples=samples, seed=fit_seed,
-                        schedule="checkerboard", init="pattern")
+                        init="pattern")
     summary, patterns, fitted = run_gibbs(data, weights, params, cfg)
     return data, truth, weights, summary, patterns, fitted
 
 
 def test_c1_gibbs_exactness():
-    """Empirical single-site conditionals match enumeration, TV <= 0.02."""
+    """Empirical single-site conditionals match enumeration, TV <= 0.02.
+
+    The draws come from the engine's conditionals, the ones its sweeps use.
+    """
     start = time.time()
     rng_data = np.random.default_rng(0)
     coords = np.array([[0, 0], [1, 0], [0, 1], [1, 1]])
@@ -57,6 +60,7 @@ def test_c1_gibbs_exactness():
     patterns = extract_patterns(data, state)
     params = fitted_params(data, state, day_align=1.5, loc_align=1.0,
                            temporal_factor=2.0, aggregate_sd=10.0)
+    engine = engine_at(data, state, params, patterns, weights)
     n = 50_000
     worst = 0.0
 
@@ -73,9 +77,8 @@ def test_c1_gibbs_exactness():
         exact = np.exp(logp - logp.max())
         exact /= exact.sum()
         rng = np.random.default_rng(100 + s * 3 + t)
-        draws = np.array([sample_z_cell(s, t, state, params, weights,
-                                        patterns, data, rng)
-                          for _ in range(n)])
+        w = engine.cell_log_weights(np.array([s]), np.array([t]))
+        draws = _draw_cell_states(np.repeat(w, n, axis=1), rng)
         emp = np.array([(draws == HIGH).mean(), (draws == LOW).mean()])
         worst = max(worst, tv(emp, exact))
 
@@ -91,7 +94,8 @@ def test_c1_gibbs_exactness():
     exact = np.exp(logp - logp.max())
     exact /= exact.sum()
     rng = np.random.default_rng(7)
-    draws = np.array([sample_u_day(t, state, params, patterns, data, rng)
+    labels, logw = engine.day_log_weights(t)
+    draws = np.array([labels[_sample_from_log_weights(logw, rng)]
                       for _ in range(n)])
     emp = np.array([(draws == u).mean() for u in cands])
     worst = max(worst, tv(emp, exact))
@@ -107,8 +111,8 @@ def test_c1_gibbs_exactness():
     exact = np.exp(logp - logp.max())
     exact /= exact.sum()
     rng = np.random.default_rng(8)
-    draws = np.array([sample_v_location(s, state, params, patterns, data,
-                                        rng)
+    labels, logw = engine.loc_log_weights(s)
+    draws = np.array([labels[_sample_from_log_weights(logw, rng)]
                       for _ in range(n)])
     emp = np.array([(draws == v).mean() for v in cands])
     worst = max(worst, tv(emp, exact))
@@ -423,13 +427,12 @@ def test_c9_metric_oracles():
 
 
 def test_c10_fit_determinism(tmp_path):
-    """Sequential-schedule fits are byte-identical given the same seed."""
+    """Fits are byte-identical given the same seed."""
     cfg = {
         "paths": {"locations": str(tmp_path / "d" / "locations.csv"),
                   "rainfall": str(tmp_path / "d" / "rainfall.csv")},
         "model": {"eta": 5.0, "zeta": 2.0},
-        "sampler": {"burnin": 10, "samples": 5, "seed": 3,
-                    "schedule": "sequential", "init": "pattern"},
+        "sampler": {"burnin": 10, "samples": 5, "seed": 3, "init": "pattern"},
         "synth": {"S": 16, "T": 60, "K": 2, "L": 3, "noise": 0.05,
                   "seed": 1, "years": 4},
     }
@@ -460,8 +463,7 @@ def test_c11_performance_at_paper_scale():
     weights = compute_spatial_weights(data)
     params = ModelParams(day_align=7.0, loc_align=2.0,
                          aggregate_sd=float(data.aggregate.std()))
-    cfg = SamplerConfig(n_burnin=10, n_samples=5, seed=0,
-                        schedule="checkerboard")
+    cfg = SamplerConfig(n_burnin=10, n_samples=5, seed=0)
     engine = _GibbsEngine(data, weights, params, cfg)
     engine.sweep()  # warm-up: first sweep pays numpy setup costs
     times = []

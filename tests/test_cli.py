@@ -1,14 +1,18 @@
 """Command-line pipeline: file outputs, determinism, exit codes."""
 
 import csv
+import hashlib
 import json
+import shutil
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rainpatterns import SyntheticSpec, generate_synthetic, save_dataset
 from rainpatterns.cli import main
+from rainpatterns.data import make_dataset
 from rainpatterns.metrics import adjusted_rand_index, read_metrics_csv
 
 
@@ -21,6 +25,7 @@ def write_config(tmp_path, **overrides):
         "paths": {"locations": str(tmp_path / "data" / "locations.csv"),
                   "rainfall": str(tmp_path / "data" / "rainfall.csv")},
         "model": {"eta": 5.0, "zeta": 2.0},
+        # "schedule" is a key of an older config format: it must still load
         "sampler": {"burnin": 20, "samples": 10, "seed": 0,
                     "schedule": "checkerboard", "init": "pattern"},
         "baseline": {"k": 3},
@@ -40,6 +45,31 @@ def synth_dir(tmp_path):
     cfg = write_config(tmp_path)
     assert run(["synth", "--config", cfg, "--out", tmp_path / "data"]) == 0
     return tmp_path, cfg
+
+
+@pytest.fixture(scope="module")
+def fit_run(tmp_path_factory):
+    """A synthetic dataset and one fit of it, shared read-only."""
+    tmp_path = tmp_path_factory.mktemp("fit_run")
+    cfg = write_config(tmp_path)
+    assert run(["synth", "--config", cfg, "--out", tmp_path / "data"]) == 0
+    assert run(["fit", "--config", cfg, "--out", tmp_path / "fit"]) == 0
+    return tmp_path, cfg
+
+
+def edit_lines(edit):
+    def damage(path):
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(edit(lines)))
+    return damage
+
+
+def drop_key(key):
+    def damage(path):
+        doc = json.loads(path.read_text())
+        del doc[key]
+        path.write_text(json.dumps(doc))
+    return damage
 
 
 def read_rows(path):
@@ -211,6 +241,68 @@ class TestRefit:
             <= max(0.05 * 25, 0.05 * g_fit["mean_hamming"] + 1.0)
 
 
+class TestFixedSeedDigests:
+    """The fixed-seed assignments, pinned across versions of the code.
+
+    C10 compares two runs of the same code, so a change that reorders the
+    sampler's random draws still passes it.  These sha256 digests pin the
+    draws themselves: a change that alters the draw order must update them
+    and say so in CHANGES.md.
+    """
+
+    NAMES = ("assign_u.csv", "assign_v.csv", "assign_z.csv")
+    FIT = {
+        "assign_u.csv":
+            "02720704d0f69ea57214f7527bb2b06b0f2c8c5b19dd9e19cd3ffa1dc2d5bca7",
+        "assign_v.csv":
+            "73e34c8dab4be87b830e30533deacb623432335d32c595ccf24806d531a1b2fb",
+        "assign_z.csv":
+            "ecc606a92d2ef9e891c807c8a74ddd51445dd07c4323b5cadb3d944b36d4f1df",
+    }
+    REFIT = {
+        "assign_u.csv":
+            "cb8b04030e3b58560f9ce5910f98522941407222c59dfa297a8904ab1a3041dc",
+        "assign_v.csv":
+            "73e34c8dab4be87b830e30533deacb623432335d32c595ccf24806d531a1b2fb",
+        "assign_z.csv":
+            "99fde3cee148ec54b8e3831279b7043259c0bd32710f71418a26f921e5b911e4",
+    }
+
+    def digests(self, run_dir):
+        return {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+                for name in self.NAMES}
+
+    def test_fit_and_overflow_refit(self, synth_dir):
+        tmp_path, cfg = synth_dir
+        fit = tmp_path / "fit"
+        assert run(["fit", "--config", cfg, "--out", fit]) == 0
+        assert self.digests(fit) == self.FIT
+
+        # a foreign record with a quarter of the days' rain scaled x4 and the
+        # aggregate width quartered, so days spill into the overflow label
+        other = tmp_path / "other"
+        data, _ = generate_synthetic(SyntheticSpec(
+            n_locations=25, n_days=96, n_day_patterns=3, n_loc_groups=4,
+            n_years=4, flip_noise=0.05, seed=6))
+        rain = data.rain.copy()
+        rain[:, ::4] *= 4.0
+        (other / "data").mkdir(parents=True)
+        save_dataset(make_dataset(rain, data.grid_coords, data.year_of_day),
+                     other / "data" / "locations.csv",
+                     other / "data" / "rainfall.csv")
+        frozen = shutil.copytree(fit, other / "frozen")
+        params = json.loads((frozen / "params.json").read_text())
+        params["sigma"] /= 4
+        (frozen / "params.json").write_text(json.dumps(params))
+        refit = other / "refit"
+        assert run(["refit", "--frozen", frozen,
+                    "--config", write_config(other), "--out", refit]) == 0
+        n_patterns = len(read_rows(fit / "cluster_summary.csv")) - 1
+        u_mode = [int(r[1]) for r in read_rows(refit / "assign_u.csv")[1:]]
+        assert max(u_mode) == n_patterns + 1
+        assert self.digests(refit) == self.REFIT
+
+
 class TestExitCodes:
     def test_missing_file_is_io_error(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -220,3 +312,28 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run(["synth", "--config", bad, "--out", tmp_path / "x"]) == 2
+
+    @pytest.mark.parametrize("command,name,damage", [
+        pytest.param("refit", "patterns_spatial.csv",
+                     edit_lines(lambda lines: lines[:1]), id="header-only"),
+        pytest.param("refit", "patterns_spatial.csv",
+                     edit_lines(lambda lines: lines[:-10]),
+                     id="cut-inside-cluster"),
+        pytest.param("refit", "patterns_spatial.csv",
+                     edit_lines(lambda lines: lines[:1] + ["1,0\n"]
+                                + lines[2:]), id="two-field-row"),
+        pytest.param("refit", "params.json", drop_key("lambda"),
+                     id="no-lambda"),
+        pytest.param("compare", "patterns_spatial.csv",
+                     edit_lines(lambda lines: lines[:1]),
+                     id="compare-header-only"),
+    ])
+    def test_damaged_run_directory_is_validation_error(
+            self, fit_run, tmp_path, capsys, command, name, damage):
+        base, cfg = fit_run
+        run_dir = shutil.copytree(base / "fit", tmp_path / "run")
+        damage(run_dir / name)
+        args = (["refit", "--frozen", run_dir] if command == "refit"
+                else ["compare", run_dir])
+        assert run(args + ["--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert name in capsys.readouterr().err

@@ -9,13 +9,13 @@ from rainpatterns import (HIGH, LOW, LatentState, ModelParams, SamplerConfig,
                           SyntheticSpec, ValidationError,
                           compute_spatial_weights, extract_patterns,
                           generate_synthetic, joint_log_density, refit_frozen,
-                          run_gibbs, sample_u_day, sample_v_location,
-                          sample_z_cell)
+                          run_gibbs)
 from rainpatterns.data import make_dataset
-from rainpatterns.inference import _GibbsEngine, _leader_init
+from rainpatterns.inference import (_GibbsEngine, _draw_cell_states,
+                                    _leader_init, _sample_from_log_weights)
 from rainpatterns.metrics import adjusted_rand_index
 from rainpatterns.model import crp_log_weights_days
-from conftest import fitted_params
+from conftest import engine_at, fitted_params
 
 
 def random_instance(seed, S=4, T=3, n_years=2):
@@ -47,6 +47,18 @@ def z_conditional_by_enumeration(data, weights, state, params, pats, s, t):
     return p / p.sum()
 
 
+def draw_cells(engine, s, t, n, rng):
+    """n draws of cell (s, t) from the engine's conditional."""
+    w = engine.cell_log_weights(np.array([s]), np.array([t]))
+    return _draw_cell_states(np.repeat(w, n, axis=1), rng)
+
+
+def draw_labels(labels, logw, n, rng):
+    """n draws from a label conditional, as the label sweeps draw."""
+    return np.array([labels[_sample_from_log_weights(logw, rng)]
+                     for _ in range(n)])
+
+
 class TestZConditional:
     def test_symmetric_case_is_half(self):
         # single cell, no neighbours, identical Gamma for both states,
@@ -62,24 +74,21 @@ class TestZConditional:
                              gamma_shape=np.array([[2.0, 2.0]]),
                              gamma_rate=np.array([[1.0, 1.0]]),
                              aggregate_mean=np.array([2.0]))
-        rng = np.random.default_rng(0)
-        draws = [sample_z_cell(0, 0, state, params, weights, pats, data, rng)
-                 for _ in range(4000)]
-        frac = np.mean(np.array(draws) == HIGH)
+        engine = engine_at(data, state, params, pats, weights)
+        draws = draw_cells(engine, 0, 0, 4000, np.random.default_rng(0))
+        frac = np.mean(draws == HIGH)
         assert abs(frac - 0.5) < 0.03
 
     def test_matches_enumeration(self):
         data, weights, state = random_instance(3, S=4, T=2)
         pats = extract_patterns(data, state)
         params = fitted_params(data, state)
+        engine = engine_at(data, state, params, pats, weights)
         rng = np.random.default_rng(1)
         for (s, t) in [(0, 0), (3, 1), (2, 0)]:
             expect = z_conditional_by_enumeration(data, weights, state,
                                                   params, pats, s, t)
-            n = 20000
-            draws = np.array([sample_z_cell(s, t, state, params, weights,
-                                            pats, data, rng)
-                              for _ in range(n)])
+            draws = draw_cells(engine, s, t, 20000, rng)
             emp = np.array([(draws == HIGH).mean(), (draws == LOW).mean()])
             assert np.abs(emp - expect).sum() / 2 < 0.02
 
@@ -97,10 +106,9 @@ class TestZConditional:
                              gamma_shape=np.array([[2.0, 2.0]]),
                              gamma_rate=np.array([[1.0, 1.0]]),
                              aggregate_mean=np.array([1.0]))
-        rng = np.random.default_rng(2)
-        draws = [sample_z_cell(0, 1, state, params, weights, pats, data, rng)
-                 for _ in range(2000)]
-        assert np.mean(np.array(draws) == HIGH) > 1 - 1e-6
+        engine = engine_at(data, state, params, pats, weights)
+        draws = draw_cells(engine, 0, 1, 2000, np.random.default_rng(2))
+        assert np.mean(draws == HIGH) > 1 - 1e-6
 
     def test_engine_weights_match_reference_op(self):
         # the vectorised sweep path must encode the same conditional
@@ -117,7 +125,7 @@ class TestZConditional:
                                 aggregate_mean=engine.mu)
         for s in range(9):
             for t in range(4):
-                w = engine._z_local_log_weights(np.array([s]), np.array([t]))
+                w = engine.cell_log_weights(np.array([s]), np.array([t]))
                 # rebuild the same two log-weights from the public primitives
                 from rainpatterns.model import (log_gamma_density,
                                                 log_potential_day_align,
@@ -185,11 +193,9 @@ class TestUDayConditional:
                             np.array([0]))
         state = LatentState(np.full((4, 1), HIGH, dtype=np.int8),
                             np.array([1]), np.array([1, 1, 1, 1]))
-        pats = extract_patterns(data, state)
         params = fitted_params(data, state)
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            assert sample_u_day(0, state, params, pats, data, rng) == 1
+        labels, _ = engine_at(data, state, params).day_log_weights(0)
+        assert labels == [1]
 
     def test_neutral_terms_reduce_to_crp(self, small_synth):
         data, truth = small_synth
@@ -200,14 +206,9 @@ class TestUDayConditional:
         t = 10
         crp = crp_log_weights_days(t, state.day_labels, data.year_of_day,
                                    params.day_concentration)
-        total = sum(math.exp(v) for v in crp.values())
-        expect = {u: math.exp(v) / total for u, v in crp.items()}
-        rng = np.random.default_rng(5)
-        n = 30000
-        draws = np.array([sample_u_day(t, state, params, pats, data, rng)
-                          for _ in range(n)])
-        for u, p in expect.items():
-            assert abs((draws == u).mean() - p) < 0.02
+        labels, logw = engine_at(data, state, params, pats).day_log_weights(t)
+        assert labels == sorted(crp)
+        assert logw == pytest.approx([crp[u] for u in labels], rel=1e-12)
 
     def test_matching_pattern_dominates(self, small_synth):
         data, truth = small_synth
@@ -217,9 +218,8 @@ class TestUDayConditional:
         # craft a day whose states equal cluster 2's pattern exactly
         t = 0
         state.states[:, t] = pats.state_patterns[1]
-        rng = np.random.default_rng(8)
-        draws = np.array([sample_u_day(t, state, params, pats, data, rng)
-                          for _ in range(300)])
+        labels, logw = engine_at(data, state, params, pats).day_log_weights(t)
+        draws = draw_labels(labels, logw, 300, np.random.default_rng(8))
         assert (draws == 2).mean() >= 0.99
 
 
@@ -229,10 +229,9 @@ class TestVLocationConditional:
                             np.array([0, 0]))
         state = LatentState(np.array([[HIGH, LOW]], dtype=np.int8),
                             np.array([1, 1]), np.array([1]))
-        pats = extract_patterns(data, state)
         params = fitted_params(data, state)
-        rng = np.random.default_rng(0)
-        assert sample_v_location(0, state, params, pats, data, rng) == 1
+        labels, _ = engine_at(data, state, params).loc_log_weights(0)
+        assert labels == [1]
 
     def test_matching_series_dominates(self, small_synth):
         data, truth = small_synth
@@ -241,9 +240,8 @@ class TestVLocationConditional:
         params = fitted_params(data, state, loc_align=50.0)
         s = 0
         state.states[s, :] = pats.state_series[1]
-        rng = np.random.default_rng(3)
-        draws = np.array([sample_v_location(s, state, params, pats, data, rng)
-                          for _ in range(300)])
+        labels, logw = engine_at(data, state, params, pats).loc_log_weights(s)
+        draws = draw_labels(labels, logw, 300, np.random.default_rng(3))
         assert (draws == 2).mean() >= 0.99
 
 
@@ -274,25 +272,22 @@ class TestRunGibbs:
         params = ModelParams(day_align=5.0, loc_align=2.0,
                              aggregate_sd=float(data.aggregate.std()))
         cfg = SamplerConfig(n_burnin=60, n_samples=30, seed=0,
-                            schedule="checkerboard", init="pattern")
+                            init="pattern")
         summary, pats, fitted = run_gibbs(data, weights, params, cfg)
         assert adjusted_rand_index(summary.u_mode, truth.day_labels) == 1.0
         assert np.isfinite(summary.log_density_trace).all()
 
-    def test_determinism_both_schedules(self, small_synth, small_weights):
+    def test_determinism(self, small_synth, small_weights):
         data, _ = small_synth
         params = ModelParams(day_align=4.0, loc_align=2.0,
                              aggregate_sd=float(data.aggregate.std()))
-        for schedule in ("sequential", "checkerboard"):
-            cfg = SamplerConfig(n_burnin=8, n_samples=4, seed=11,
-                                schedule=schedule)
-            a = run_gibbs(data, small_weights, params, cfg)
-            b = run_gibbs(data, small_weights, params, cfg)
-            assert np.array_equal(a[0].z_mode, b[0].z_mode)
-            assert np.array_equal(a[0].u_mode, b[0].u_mode)
-            assert np.array_equal(a[0].v_mode, b[0].v_mode)
-            assert np.array_equal(a[0].log_density_trace,
-                                  b[0].log_density_trace)
+        cfg = SamplerConfig(n_burnin=8, n_samples=4, seed=11)
+        a = run_gibbs(data, small_weights, params, cfg)
+        b = run_gibbs(data, small_weights, params, cfg)
+        assert np.array_equal(a[0].z_mode, b[0].z_mode)
+        assert np.array_equal(a[0].u_mode, b[0].u_mode)
+        assert np.array_equal(a[0].v_mode, b[0].v_mode)
+        assert np.array_equal(a[0].log_density_trace, b[0].log_density_trace)
 
     def test_labels_stay_dense_every_sweep(self, small_synth, small_weights):
         data, _ = small_synth
