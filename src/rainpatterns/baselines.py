@@ -192,32 +192,17 @@ def eof_decompose(drvs: np.ndarray) -> EofBasis:
                     mean=mean)
 
 
-def lasso_fit(target: np.ndarray, basis: EofBasis, reg: float,
-              max_iter: int = 1000, tol: float = 1e-8) -> np.ndarray:
-    """L1-regularised regression of one daily vector on the EOF modes.
+def lasso_fit(target: np.ndarray, basis: EofBasis, reg: float) -> np.ndarray:
+    """L1-regularised regression of daily vectors on the EOF modes.
 
-    Cyclic coordinate descent with soft thresholding on the mean-removed
-    target; with an orthonormal basis each pass lands on the closed-form
-    soft-thresholded projections.
+    Minimises ||r - Φc||² + reg·||c||₁ for the mean-removed target r.  The
+    basis Φ is orthonormal, so the solution is the soft-thresholded
+    projection Φᵀr at reg/2 (Tibshirani, JRSS-B 1996).  ``target`` is one
+    (S,) vector or an (S, n) matrix of n days, one column each; the
+    coefficients come back in the same layout.
     """
     if reg < 0:
         raise ValidationError("regularisation weight must be non-negative")
-    phi = basis.vectors
-    r = np.asarray(target, dtype=float) - basis.mean
-    d = phi.shape[1]
-    coef = np.zeros(d)
-    resid = r.copy()
-    thresh = reg / 2.0
-    for _ in range(max_iter):
-        max_change = 0.0
-        for j in range(d):
-            old = coef[j]
-            raw = old + phi[:, j] @ resid
-            new = np.sign(raw) * max(abs(raw) - thresh, 0.0)
-            if new != old:
-                resid += phi[:, j] * (old - new)
-                coef[j] = new
-                max_change = max(max_change, abs(new - old))
-        if max_change < tol:
-            break
-    return coef
+    target = np.asarray(target, dtype=float)
+    proj = basis.vectors.T @ (target.T - basis.mean).T
+    return np.sign(proj) * np.maximum(np.abs(proj) - reg / 2.0, 0.0)

@@ -91,10 +91,6 @@ def _write_csv(path, header: list[str], rows) -> None:
             w.writerow(row)
 
 
-def _fmt_cell(v):
-    return repr(float(v)) if isinstance(v, float) else v
-
-
 def _model_params(cfg: dict, data: RainfallDataset) -> ModelParams:
     m = cfg["model"]
     sigma = m.get("sigma")
@@ -145,14 +141,19 @@ def _write_assignments(out: Path, states, day_labels, loc_labels) -> None:
                ([s, t, int(states[s, t])] for s in range(S) for t in range(T)))
 
 
+def _model_section(params: ModelParams) -> dict:
+    """The config's ``model`` section that gives ``params``' scalars."""
+    return {"gamma": params.day_concentration,
+            "lambda": params.loc_concentration,
+            "f": params.temporal_factor,
+            "eta": params.day_align,
+            "zeta": params.loc_align,
+            "sigma": params.aggregate_sd}
+
+
 def _write_params(out: Path, params: ModelParams) -> None:
     doc = {
-        "gamma": params.day_concentration,
-        "lambda": params.loc_concentration,
-        "f": params.temporal_factor,
-        "eta": params.day_align,
-        "zeta": params.loc_align,
-        "sigma": params.aggregate_sd,
+        **_model_section(params),
         "gamma_shape": params.gamma_shape.tolist(),
         "gamma_rate": params.gamma_rate.tolist(),
         "aggregate_mean": params.aggregate_mean.tolist(),
@@ -370,13 +371,9 @@ def _cmd_baseline_eof(cfg: dict, data: RainfallDataset, out: Path) -> int:
     _write_csv(out / "eof_mean.csv", ["loc_id", "mean_mm"],
                ([s, repr(float(basis.mean[s]))] for s in range(S)))
 
-    coefs = np.empty((data.n_days, S))
-    resid = np.empty(data.n_days)
-    for t in range(data.n_days):
-        c = baselines.lasso_fit(data.rain[:, t], basis, reg)
-        coefs[t] = c
-        resid[t] = float(np.linalg.norm(
-            data.rain[:, t] - basis.mean - basis.vectors @ c))
+    coefs = baselines.lasso_fit(data.rain, basis, reg).T  # (days, modes)
+    resid = np.linalg.norm(data.rain - basis.mean[:, None]
+                           - basis.vectors @ coefs.T, axis=0)
     _write_csv(out / "lasso_coefs.csv", ["day_index", "mode_id", "coef"],
                ([t, j, repr(float(coefs[t, j]))]
                 for t in range(data.n_days) for j in range(S)
@@ -515,7 +512,9 @@ def cmd_refit(cfg: dict, frozen_dir: str) -> int:
         "n_overflow_days": float(overflow),
     }
     _write_report(out, report)
-    _dump_config(cfg, out, {"method": "refit", "frozen_run": str(frozen)})
+    # the model parameters are the frozen run's, whatever the config says
+    _dump_config({**cfg, "model": _model_section(params)}, out,
+                 {"method": "refit", "frozen_run": str(frozen)})
     print(f"refit: {dist.n_days_scored} days scored against "
           f"{patterns.n_day_patterns} frozen patterns, {overflow} overflow; "
           f"outputs in {out}")

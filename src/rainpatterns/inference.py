@@ -6,12 +6,14 @@ parameters from the current assignment.  The posterior point estimate is the
 per-variable mode over the retained sweeps.
 
 Cell states are visited in one scan order: the space-time lattice is split
-into eight colour classes of mutually non-adjacent cells (both grid
-coordinate parities and the day parity), and each class is updated with one
-vectorised draw.  Cells of one class are conditionally independent given the
-rest, so updating a class at once is an ordinary Gibbs scan in a different
-visit order and targets the same distribution (Gonzalez et al., AISTATS 2011,
-"Parallel Gibbs Sampling: From Colored Fields to Thin Junction Trees").
+into eight colour classes of mutually non-adjacent cells.  A class is one of
+the four location-parity classes (both grid coordinate parities) crossed
+with one day parity, so it is a dense block of locations × every other day,
+and each block is updated with one vectorised draw.  Cells of one class are
+conditionally independent given the rest, so updating a class at once is an
+ordinary Gibbs scan in a different visit order and targets the same
+distribution (Gonzalez et al., AISTATS 2011, "Parallel Gibbs Sampling: From
+Colored Fields to Thin Junction Trees").
 
 Every conditional has one implementation on the engine:
 ``cell_log_weights``, ``day_log_weights`` and ``loc_log_weights``.  The
@@ -152,6 +154,58 @@ def update_params_ml(data, state: LatentState):
     return shape, rate, mu
 
 
+class _LabelTables:
+    """Member counts per label and year, kept up to date across moves.
+
+    A label's mass is its member count times the number of distinct years
+    its members span (locations all share year 0, so their mass is the
+    count); ``log_mass`` holds log(max(mass, 1)).  ``rows`` maps labels to
+    pattern rows; a label born here maps to none.  ``align`` and
+    ``aggregate`` hold each item's alignment and aggregate term per pattern
+    row, as Python floats.
+    """
+
+    def __init__(self, labels, rows, align, years, aggregate=None):
+        self.labels = labels
+        self.rows = rows
+        self.align = align.T.tolist()
+        self.aggregate = None if aggregate is None else aggregate.tolist()
+        self.years = years.tolist()
+        self.n_years = max(self.years) + 1
+        self.counts = [0] * len(rows)
+        self.log_mass = [0.0] * len(rows)
+        self.per_year = [[0] * self.n_years for _ in rows]
+        for i, u in enumerate(labels.tolist()):
+            self._count(i, u, 1)
+
+    def _count(self, i: int, label: int, step: int) -> None:
+        per_year = self.per_year[label - 1]
+        per_year[self.years[i]] += step
+        n = self.counts[label - 1] = sum(per_year)
+        span = self.n_years - per_year.count(0)
+        self.log_mass[label - 1] = math.log(max(n * span, 1))
+
+    def take_out(self, i: int) -> None:
+        """Leave item i out of the counts; its label stays as it is."""
+        self._count(i, int(self.labels[i]), -1)
+
+    def put(self, i: int, label: int) -> None:
+        """Give item i ``label``, extending the tables for a new label."""
+        if label > len(self.rows):
+            self.rows.append(-1)
+            self.counts.append(0)
+            self.log_mass.append(0.0)
+            self.per_year.append([0] * self.n_years)
+        self.labels[i] = label
+        self._count(i, label, 1)
+
+    def drop(self, label: int) -> None:
+        """Remove an empty label; the labels above it move down by one."""
+        self.labels[self.labels > label] -= 1
+        k = label - 1
+        del self.rows[k], self.counts[k], self.log_mass[k], self.per_year[k]
+
+
 class _GibbsEngine:
     """Owns the mutable sampling state for one run.
 
@@ -178,9 +232,7 @@ class _GibbsEngine:
         self.y = rain.sum(axis=0)
         self.logx = np.log(np.maximum(rain, RAIN_EPS))
         self.log_tf = math.log(params.temporal_factor)
-        self.year_vals, self.year_idx = np.unique(data.year_of_day,
-                                                  return_inverse=True)
-        self.n_years = len(self.year_vals)
+        self.year_idx = np.unique(data.year_of_day, return_inverse=True)[1]
 
         # padded neighbour tables for the vectorised spatial term
         max_deg = max((len(nb) for nb in data.neighborhoods), default=0)
@@ -191,13 +243,13 @@ class _GibbsEngine:
             self.nbr_pad[s, :len(nb)] = nb
             self.w_pad[s, :len(nb)] = np.maximum(weights.values[s], 0.0)
 
-        # eight-colour partition of the space-time lattice: cells sharing a
-        # colour agree in both coordinate parities and day parity, so they are
-        # never spatial or temporal neighbours of one another
-        gx = data.grid_coords[:, 0] % 2
-        gy = data.grid_coords[:, 1] % 2
-        cell_color = ((gx * 2 + gy)[:, None] * 2 + (np.arange(self.T) % 2)[None, :])
-        self.color_cells = [np.nonzero(cell_color == c) for c in range(8)]
+        # eight-colour partition of the space-time lattice: a colour is a
+        # location-parity class (both coordinate parities) and a day parity,
+        # so two cells of one colour are never spatial or temporal neighbours
+        parity = data.grid_coords[:, 0] % 2 * 2 + data.grid_coords[:, 1] % 2
+        self.color_blocks = [(np.flatnonzero(parity == c),
+                              np.arange(d, self.T, 2))
+                             for c in range(4) for d in range(2)]
 
         self._init_state(frozen)
         if self.frozen:
@@ -288,124 +340,133 @@ class _GibbsEngine:
 
     # -------------------------------------------------------------- Z sweep
 
-    def cell_log_weights(self, s_arr, t_arr):
-        """Conditional log-weights of both states of the given cells, (2, n)."""
+    def cell_log_weights(self, s_idx, t_idx):
+        """Conditional log-weights of both states of the block s_idx × t_idx.
+
+        Returns (2, len(s_idx) · len(t_idx)), the cells in row-major
+        (location, day) order.  A missing temporal neighbour and a label
+        without a pattern row each add an exact 0.0.
+        """
         z = self.state.states
         p = self.params
-        n = len(s_arr)
-        w = np.zeros((2, n))
+        shape = (len(s_idx), len(t_idx))
+        w = np.empty((2,) + shape)
 
+        # temporal edges: log f per agreeing neighbour day
+        z_s = z[s_idx]
+        n_high = np.zeros(shape, dtype=np.int8)
+        n_inside = np.zeros(len(t_idx), dtype=np.int8)
         for dt in (-1, 1):
-            t2 = t_arr + dt
-            ok = (t2 >= 0) & (t2 < self.T)
-            znb = z[s_arr[ok], t2[ok]]
-            w[0][ok] += self.log_tf * (znb == HIGH)
-            w[1][ok] += self.log_tf * (znb == LOW)
+            t2 = t_idx + dt
+            inside = (t2 >= 0) & (t2 < self.T)
+            n_high += (z_s[:, np.clip(t2, 0, self.T - 1)] == HIGH) & inside
+            n_inside += inside
+        np.multiply(self.log_tf, n_high, out=w[0])
+        np.multiply(self.log_tf, n_inside - n_high, out=w[1])
 
-        znb = z[self.nbr_pad[s_arr], t_arr[:, None]]
-        wgt = self.w_pad[s_arr]
-        w[0] += (wgt * (znb == HIGH)).sum(axis=1)
-        w[1] += (wgt * (znb == LOW)).sum(axis=1)
+        # spatial edges: every neighbour is high or low, so the low state
+        # earns the location's total weight less what the high state earns
+        high = np.zeros(shape)
+        for j in range(self.nbr_pad.shape[1]):
+            high += self.w_pad[s_idx, j][:, None] * (
+                z[self.nbr_pad[s_idx, j]][:, t_idx] == HIGH)
+        w[0] += high
+        w[1] += self.w_pad[s_idx].sum(axis=1)[:, None] - high
 
         eta = p.day_align * self.align_scale
         zeta = p.loc_align * self.align_scale
-        rows_u = self._rowmap_u[self.state.day_labels[t_arr] - 1]
-        ok = rows_u >= 0
-        pat = self.patterns.state_patterns[rows_u[ok], s_arr[ok]]
-        w[0][ok] += eta * (pat == HIGH)
-        w[1][ok] += eta * (pat == LOW)
-
-        rows_v = self._rowmap_v[self.state.loc_labels[s_arr] - 1]
-        ok = rows_v >= 0
-        ser = self.patterns.state_series[rows_v[ok], t_arr[ok]]
-        w[0][ok] += zeta * (ser == HIGH)
-        w[1][ok] += zeta * (ser == LOW)
-
-        w[0] += self.logdens[0, s_arr, t_arr]
-        w[1] += self.logdens[1, s_arr, t_arr]
-        return w
+        rows_u = self._rowmap_u[self.state.day_labels[t_idx] - 1]
+        pat = self._pattern_cols[s_idx][:, rows_u]
+        rows_v = self._rowmap_v[self.state.loc_labels[s_idx] - 1]
+        ser = self._series_rows[rows_v][:, t_idx]
+        for k, code in enumerate((HIGH, LOW)):
+            w[k] += eta * (pat == code)
+            w[k] += zeta * (ser == code)
+            w[k] += self.logdens[k][s_idx][:, t_idx]
+        return w.reshape(2, -1)
 
     def _set_rowmaps(self) -> None:
         """Label -> pattern-row maps for the current labels and patterns.
 
-        Series extracted from a record of another length align with nothing.
+        Row -1 (no pattern row) picks a sentinel row of zeros, which matches
+        neither state.  Series extracted from a record of another length
+        align with nothing.
         """
         ku = self.patterns.n_day_patterns
         kv = self.patterns.n_loc_series
-        kv_aligned = kv if self.patterns.state_series.shape[1] == self.T else 0
+        aligned = self.patterns.state_series.shape[1] == self.T
         self._rowmap_u = _row_map(self.state.n_day_clusters, ku, ku)
-        self._rowmap_v = _row_map(self.state.n_loc_clusters, kv, kv_aligned)
+        self._rowmap_v = _row_map(self.state.n_loc_clusters, kv,
+                                  kv if aligned else 0)
+        self._pattern_cols = np.vstack([self.patterns.state_patterns,
+                                        np.zeros((1, self.S))]).T
+        series = (self.patterns.state_series if aligned
+                  else np.zeros((0, self.T)))
+        self._series_rows = np.vstack([series, np.zeros((1, self.T))])
 
     def z_sweep(self) -> None:
         self._set_rowmaps()
-        for s_arr, t_arr in self.color_cells:
-            if len(s_arr) == 0:
+        for s_idx, t_idx in self.color_blocks:
+            if len(s_idx) == 0 or len(t_idx) == 0:
                 continue
-            w = self.cell_log_weights(s_arr, t_arr)
-            self.state.states[s_arr, t_arr] = _draw_cell_states(w, self.rng)
+            w = self.cell_log_weights(s_idx, t_idx)
+            self.state.states[s_idx[:, None], t_idx] = _draw_cell_states(
+                w, self.rng).reshape(len(s_idx), len(t_idx))
 
     # -------------------------------------------------------- label sweeps
 
-    def _day_align_matrix(self) -> np.ndarray:
-        p1 = (self.patterns.state_patterns == HIGH).astype(np.float64)
-        z1 = (self.state.states == HIGH).astype(np.float64)
-        return p1 @ z1 + (1.0 - p1) @ (1.0 - z1)  # (K_pat, T)
+    @staticmethod
+    def _matches(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Agreeing states of every state row with every column, (R, C)."""
+        r1 = (rows == HIGH).astype(np.float64)
+        c1 = (cols == HIGH).astype(np.float64)
+        return r1 @ c1 + (1.0 - r1) @ (1.0 - c1)
 
-    def _loc_align_matrix(self) -> np.ndarray:
-        if self.patterns.state_series.shape[1] != self.T:
-            return np.zeros((self.patterns.n_loc_series, self.S))
-        c1 = (self.patterns.state_series == HIGH).astype(np.float64)
-        z1 = (self.state.states == HIGH).astype(np.float64)
-        return c1 @ z1.T + (1.0 - c1) @ (1.0 - z1.T)  # (L_pat, S)
+    def _day_tables(self) -> _LabelTables:
+        self._set_rowmaps()
+        dev = (self.y[:, None] - self.mu[None, :]) / self.params.aggregate_sd
+        return _LabelTables(self.state.day_labels, self._rowmap_u.tolist(),
+                            self._matches(self.patterns.state_patterns,
+                                          self.state.states), self.year_idx,
+                            aggregate=-0.5 * dev * dev)
 
-    def day_log_weights(self, t: int, align=None, rows=None):
+    def _loc_tables(self) -> _LabelTables:
+        self._set_rowmaps()
+        # series of a record of another length align with no location
+        align = (self._matches(self.patterns.state_series, self.state.states.T)
+                 if self.patterns.state_series.shape[1] == self.T
+                 else np.zeros((self.patterns.n_loc_series, self.S)))
+        return _LabelTables(self.state.loc_labels, self._rowmap_v.tolist(),
+                            align, np.zeros(self.S, dtype=np.intp))
+
+    def day_log_weights(self, t: int, tables=None):
         """Candidate labels of day t and their conditional log-weights.
 
-        Day t itself is left out of the cluster counts.  ``align`` (the
-        day-pattern match matrix) and ``rows`` (label -> pattern row) default
-        to their values for the current state.
+        Day t itself is left out of the cluster counts.  ``tables`` (the
+        label tables with day t taken out) defaults to those of the current
+        state.
         """
-        if align is None:
-            align = self._day_align_matrix()
-        if rows is None:
-            self._set_rowmaps()
-            rows = self._rowmap_u.tolist()
-        labels = self.state.day_labels
-        ny = self.n_years
-        own = labels[t]
-        labels[t] = 0
-        counts = np.bincount(labels, minlength=len(rows) + 1)[1:]
-        year_tab = np.bincount(labels * ny + self.year_idx,
-                               minlength=(len(rows) + 1) * ny)
-        labels[t] = own
-        years = (year_tab.reshape(-1, ny)[1:] > 0).sum(axis=1)
-        dev = (self.y[t] - self.mu) / self.params.aggregate_sd
+        if tables is None:
+            tables = self._day_tables()
+            tables.take_out(t)
         return self._label_log_weights(
-            counts * years, rows, self.patterns.n_day_patterns,
-            self.params.day_align, align[:, t],
-            self.params.day_concentration, aggregate=-0.5 * dev * dev)
+            tables, t, self.patterns.n_day_patterns, self.params.day_align,
+            self.params.day_concentration)
 
-    def loc_log_weights(self, s: int, align=None, rows=None):
+    def loc_log_weights(self, s: int, tables=None):
         """Candidate labels of location s and their conditional log-weights.
 
         Mirror of :meth:`day_log_weights` without the aggregate term.
         """
-        if align is None:
-            align = self._loc_align_matrix()
-        if rows is None:
-            self._set_rowmaps()
-            rows = self._rowmap_v.tolist()
-        labels = self.state.loc_labels
-        own = labels[s]
-        labels[s] = 0
-        counts = np.bincount(labels, minlength=len(rows) + 1)[1:]
-        labels[s] = own
+        if tables is None:
+            tables = self._loc_tables()
+            tables.take_out(s)
         return self._label_log_weights(
-            counts, rows, self.patterns.n_loc_series, self.params.loc_align,
-            align[:, s], self.params.loc_concentration)
+            tables, s, self.patterns.n_loc_series, self.params.loc_align,
+            self.params.loc_concentration)
 
-    def _label_log_weights(self, mass, rows, n_frozen, strength, align,
-                           concentration, aggregate=None):
+    def _label_log_weights(self, tables, i, n_frozen, strength,
+                           concentration):
         """The candidate policy shared by day and location labels.
 
         An occupied label weighs log(mass) plus the alignment term of its
@@ -417,16 +478,17 @@ class _GibbsEngine:
         """
         if not self.frozen:
             n_frozen = 0
+        align = tables.align[i]
+        aggregate = None if tables.aggregate is None else tables.aggregate[i]
+        scale = strength * self.align_scale
         cand: list[int] = []
         logw: list[float] = []
-        for u in range(1, len(mass) + 1):
-            c = mass[u - 1]
+        for u, (c, w, row) in enumerate(
+                zip(tables.counts, tables.log_mass, tables.rows), 1):
             if c == 0 and u > n_frozen:
                 continue
-            w = math.log(max(c, 1))
-            row = rows[u - 1]
             if row >= 0:
-                w += strength * self.align_scale * align[row]
+                w += scale * align[row]
                 if aggregate is not None:
                     w += aggregate[row]
             cand.append(u)
@@ -437,34 +499,26 @@ class _GibbsEngine:
             logw.append(math.log(concentration))
         return cand, np.array(logw)
 
-    def _label_sweep(self, labels, log_weights, align, rows) -> None:
-        """Redraw each label in turn from ``log_weights(i, align, rows)``.
+    def _label_sweep(self, tables, log_weights) -> None:
+        """Redraw each label in turn from ``log_weights(i, tables)``.
 
-        Unless frozen, a label born in the sweep maps to no pattern row and an
-        emptied label is removed so that labels stay dense.
+        Unless frozen, an emptied label is removed so that labels stay dense.
         """
+        labels = tables.labels
         for i in range(len(labels)):
             old = int(labels[i])
-            cand, logw = log_weights(i, align, rows)
+            tables.take_out(i)
+            cand, logw = log_weights(i, tables)
             pick = cand[_sample_from_log_weights(logw, self.rng)]
-            labels[i] = pick
-            if self.frozen:
-                continue
-            while len(rows) < pick:
-                rows.append(-1)
-            if old != pick and not (labels == old).any():
-                labels[labels > old] -= 1
-                del rows[old - 1]
+            tables.put(i, pick)
+            if not self.frozen and pick != old and tables.counts[old - 1] == 0:
+                tables.drop(old)
 
     def u_sweep(self) -> None:
-        self._set_rowmaps()
-        self._label_sweep(self.state.day_labels, self.day_log_weights,
-                          self._day_align_matrix(), self._rowmap_u.tolist())
+        self._label_sweep(self._day_tables(), self.day_log_weights)
 
     def v_sweep(self) -> None:
-        self._set_rowmaps()
-        self._label_sweep(self.state.loc_labels, self.loc_log_weights,
-                          self._loc_align_matrix(), self._rowmap_v.tolist())
+        self._label_sweep(self._loc_tables(), self.loc_log_weights)
 
     # --------------------------------------------------------------- merges
 
@@ -480,10 +534,10 @@ class _GibbsEngine:
         syy = onehot @ (self.y * self.y)
         return K, n, wet, sy, syy
 
-    def _align_sum(self, wet: np.ndarray, n: float, cdp: np.ndarray) -> float:
-        """Sum of member matches against one state map, from wet counts."""
-        high = cdp == HIGH
-        return float(wet[high].sum() + (n - wet[~high]).sum())
+    @staticmethod
+    def _align_sum(wet: np.ndarray, n: float) -> float:
+        """Sum of member matches against the members' modal state map."""
+        return float(np.maximum(wet, n - wet).sum())
 
     def _agg_sum(self, n: float, sy: float, syy: float) -> float:
         """Aggregate log-kernel total for a cluster at its own mean."""
@@ -502,47 +556,48 @@ class _GibbsEngine:
         joint density (clustering prior, alignment, and aggregate terms; the
         cell states and data terms are untouched).
         """
-        p = self.params
         for _ in range(int(self.state.day_labels.max())):
-            labels = self.state.day_labels
-            K, n, wet, sy, syy = self._merge_stats()
-            if K < 2:
+            if not self._merge_pass():
                 return
-            cdp = np.where(2 * wet > n[:, None], HIGH, LOW).astype(np.int8)
-            dist = (cdp[:, None, :] != cdp[None, :, :]).sum(axis=2)
-            np.fill_diagonal(dist, self.S + 1)
-            merged = False
-            for u in range(1, K + 1):
-                if int(self.state.day_labels.max()) < u:
-                    break
-                v = int(dist[u - 1].argmin()) + 1
-                a, b = min(u, v), max(u, v)
-                cand = labels.copy()
-                cand[cand == b] = a
-                cand[cand > b] -= 1
 
-                d_crp = (crp_log_prior_days(cand, self.data.year_of_day,
-                                            p.day_concentration)
-                         - crp_log_prior_days(labels, self.data.year_of_day,
-                                              p.day_concentration))
-                wet_ab = wet[a - 1] + wet[b - 1]
-                n_ab = n[a - 1] + n[b - 1]
-                cdp_ab = np.where(2 * wet_ab > n_ab, HIGH, LOW).astype(np.int8)
-                d_align = p.day_align * self.align_scale * (
-                    self._align_sum(wet_ab, n_ab, cdp_ab)
-                    - self._align_sum(wet[a - 1], n[a - 1], cdp[a - 1])
-                    - self._align_sum(wet[b - 1], n[b - 1], cdp[b - 1]))
-                d_agg = (self._agg_sum(n_ab, sy[a - 1] + sy[b - 1],
-                                       syy[a - 1] + syy[b - 1])
-                         - self._agg_sum(n[a - 1], sy[a - 1], syy[a - 1])
-                         - self._agg_sum(n[b - 1], sy[b - 1], syy[b - 1]))
-                delta = d_crp + d_align + d_agg
-                if delta >= 0 or self.rng.random() < math.exp(delta):
-                    self.state.day_labels = cand
-                    merged = True
-                    break
-            if not merged:
-                return
+    def _merge_pass(self) -> bool:
+        """Propose each cluster's merge in turn; stop at the first accepted.
+
+        The clustering prior of the current labelling is scored once.
+        """
+        p = self.params
+        labels = self.state.day_labels
+        K, n, wet, sy, syy = self._merge_stats()
+        if K < 2:
+            return False
+        cdp = np.where(2 * wet > n[:, None], HIGH, LOW).astype(np.int8)
+        dist = (cdp[:, None, :] != cdp[None, :, :]).sum(axis=2)
+        np.fill_diagonal(dist, self.S + 1)
+        crp_now = crp_log_prior_days(labels, self.data.year_of_day,
+                                     p.day_concentration)
+        for u in range(1, K + 1):
+            v = int(dist[u - 1].argmin()) + 1
+            a, b = min(u, v), max(u, v)
+            cand = labels.copy()
+            cand[cand == b] = a
+            cand[cand > b] -= 1
+
+            d_crp = crp_log_prior_days(cand, self.data.year_of_day,
+                                       p.day_concentration) - crp_now
+            n_ab = n[a - 1] + n[b - 1]
+            d_align = p.day_align * self.align_scale * (
+                self._align_sum(wet[a - 1] + wet[b - 1], n_ab)
+                - self._align_sum(wet[a - 1], n[a - 1])
+                - self._align_sum(wet[b - 1], n[b - 1]))
+            d_agg = (self._agg_sum(n_ab, sy[a - 1] + sy[b - 1],
+                                   syy[a - 1] + syy[b - 1])
+                     - self._agg_sum(n[a - 1], sy[a - 1], syy[a - 1])
+                     - self._agg_sum(n[b - 1], sy[b - 1], syy[b - 1]))
+            delta = d_crp + d_align + d_agg
+            if delta >= 0 or self.rng.random() < math.exp(delta):
+                self.state.day_labels = cand
+                return True
+        return False
 
     # ----------------------------------------------------------------- run
 

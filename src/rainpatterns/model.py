@@ -306,49 +306,54 @@ def crp_log_prior_days(day_labels: np.ndarray, years: np.ndarray,
                        concentration: float) -> float:
     """Log-mass of a day labelling under the year-weighted sequential prior.
 
-    Labels are canonicalised by first appearance so any dense labelling of
-    the same partition scores identically.
+    Days arrive in order.  Day t joins a cluster k met before it with weight
+    n_k(t)·m_k(t), where n_k(t) counts the cluster's earlier days and m_k(t)
+    the distinct years they span, or opens a new cluster with weight
+    ``concentration``; the normaliser is concentration + Σ_k n_k(t)·m_k(t).
+    The first day opens the first cluster with mass one.  Both counts are
+    running counts within each cluster, so any labelling of the same
+    partition scores identically.
     """
-    T = day_labels.size
-    canon: dict[int, int] = {}
-    n: list[int] = []
-    year_sets: list[set] = []
-    logp = 0.0
-    for t in range(T):
-        u = int(day_labels[t])
-        norm = concentration + sum(n[k] * len(year_sets[k]) for k in range(len(n)))
-        if u in canon:
-            k = canon[u]
-            logp += math.log(n[k] * len(year_sets[k])) - math.log(norm)
-            n[k] += 1
-            year_sets[k].add(int(years[t]))
-        else:
-            if t > 0:  # first customer sits at the first table with mass 1
-                logp += math.log(concentration) - math.log(norm)
-            canon[u] = len(n)
-            n.append(1)
-            year_sets.append({int(years[t])})
-    return logp
+    labels = np.unique(day_labels, return_inverse=True)[1]
+    T = labels.size
+    if T < 2:
+        return 0.0
+    year_idx = np.unique(years, return_inverse=True)[1]
+    # the days of each cluster in time order, one cluster after another
+    order = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.r_[True, np.diff(labels[order]) != 0])
+    start_of = np.repeat(starts, np.diff(np.r_[starts, T]))
+    # 1 where a day is the first of its cluster in its year
+    pair = labels * (int(year_idx.max()) + 1) + year_idx
+    first = np.zeros(T, dtype=np.int64)
+    first[np.unique(pair, return_index=True)[1]] = 1
+    seen = np.cumsum(first[order]) - first[order]
+    n = np.empty(T, dtype=np.int64)
+    m = np.empty(T, dtype=np.int64)
+    n[order] = np.arange(T) - start_of
+    m[order] = seen - seen[start_of]
+    # day t raises its cluster's mass n·m to (n + 1)·(m + first)
+    grow = (n + 1) * (m + first) - n * m
+    norm = concentration + (np.cumsum(grow) - grow)
+    mass = n * m
+    num = np.where(mass > 0, np.log(np.maximum(mass, 1)),
+                   math.log(concentration))
+    return float((num[1:] - np.log(norm[1:])).sum())
 
 
 def crp_log_prior_locations(loc_labels: np.ndarray, concentration: float) -> float:
-    """Log-mass of a location labelling under the plain sequential prior."""
-    canon: dict[int, int] = {}
-    n: list[int] = []
-    logp = 0.0
-    for s in range(loc_labels.size):
-        v = int(loc_labels[s])
-        norm = concentration + sum(n)
-        if v in canon:
-            k = canon[v]
-            logp += math.log(n[k]) - math.log(norm)
-            n[k] += 1
-        else:
-            if s > 0:
-                logp += math.log(concentration) - math.log(norm)
-            canon[v] = len(n)
-            n.append(1)
-    return logp
+    """Log-mass of a location labelling under the plain sequential prior.
+
+    The first location opens a cluster with mass one; each later location
+    opens a new cluster with weight ``concentration`` or joins one with
+    weight its size, over concentration + the number of locations before
+    it.  The product over the sequence has this closed form.
+    """
+    sizes = np.unique(loc_labels, return_counts=True)[1]
+    n = int(sizes.sum())
+    return float((len(sizes) - 1) * math.log(concentration)
+                 + gammaln(sizes).sum()
+                 - np.log(concentration + np.arange(1, n)).sum())
 
 
 def joint_log_density(data, weights, state: LatentState, params: ModelParams,
@@ -376,7 +381,7 @@ def joint_log_density(data, weights, state: LatentState, params: ModelParams,
     # spatial edges, one per unordered neighbour pair
     ei, ej, w = weights.edge_arrays()
     pos = np.maximum(w, 0.0)
-    logp += float((pos[:, None] * (z[ei, :] == z[ej, :])).sum())
+    logp += float(pos @ (z[ei, :] == z[ej, :]).sum(axis=1))
 
     # pattern alignment (day clusters)
     rows_u = state.day_labels - 1
@@ -393,12 +398,17 @@ def joint_log_density(data, weights, state: LatentState, params: ModelParams,
         ser = patterns.state_series[rows_v[has_v]]  # (s', T)
         logp += params.loc_align * int((ser == z[has_v, :]).sum())
 
-    # data terms
-    idx = (z - 1).astype(np.intp)
-    a = np.take_along_axis(params.gamma_shape, idx, axis=1)
-    b = np.take_along_axis(params.gamma_rate, idx, axis=1)
+    # data terms, from each location's count, sum of log x and sum of x per
+    # state
     xc = np.maximum(rain, RAIN_EPS)
-    logp += float((a * np.log(b) + (a - 1.0) * np.log(xc) - b * xc - gammaln(a)).sum())
+    logx = np.log(xc)
+    for k, code in enumerate((HIGH, LOW)):
+        member = z == code
+        a = params.gamma_shape[:, k]
+        b = params.gamma_rate[:, k]
+        logp += float((member.sum(axis=1) * (a * np.log(b) - gammaln(a))
+                       + (a - 1.0) * (logx * member).sum(axis=1)
+                       - b * (xc * member).sum(axis=1)).sum())
 
     # aggregate-rainfall terms
     mu = params.aggregate_mean

@@ -240,6 +240,26 @@ class TestRefit:
         assert abs(g["mean_hamming"] - g_fit["mean_hamming"]) \
             <= max(0.05 * 25, 0.05 * g_fit["mean_hamming"] + 1.0)
 
+    def test_model_values_come_from_frozen_run(self, fit_run, tmp_path):
+        base, cfg = fit_run
+        doc = json.loads(Path(cfg).read_text())
+        outs = []
+        for model in ({}, {"sigma": 0.01, "eta": 50.0, "gamma": 100.0}):
+            doc["model"] = model
+            path = tmp_path / f"config{len(outs)}.json"
+            path.write_text(json.dumps(doc))
+            outs.append(tmp_path / f"refit{len(outs)}")
+            assert run(["refit", "--frozen", base / "fit", "--config", path,
+                        "--out", outs[-1]]) == 0
+        frozen = json.loads((base / "fit" / "params.json").read_text())
+        used = {k: frozen[k]
+                for k in ("gamma", "lambda", "f", "eta", "zeta", "sigma")}
+        for out in outs:
+            assert json.loads((out / "config.json").read_text())["model"] \
+                == used
+        for name in ("assign_u.csv", "assign_v.csv", "assign_z.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
 
 class TestFixedSeedDigests:
     """The fixed-seed assignments, pinned across versions of the code.

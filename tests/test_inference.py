@@ -10,11 +10,12 @@ from rainpatterns import (HIGH, LOW, LatentState, ModelParams, SamplerConfig,
                           compute_spatial_weights, extract_patterns,
                           generate_synthetic, joint_log_density, refit_frozen,
                           run_gibbs)
+from rainpatterns import inference
 from rainpatterns.data import make_dataset
 from rainpatterns.inference import (_GibbsEngine, _draw_cell_states,
                                     _leader_init, _sample_from_log_weights)
 from rainpatterns.metrics import adjusted_rand_index
-from rainpatterns.model import crp_log_weights_days
+from rainpatterns.model import crp_log_prior_days, crp_log_weights_days
 from conftest import engine_at, fitted_params
 
 
@@ -118,7 +119,11 @@ class TestZConditional:
         engine = _GibbsEngine(data, weights, params, cfg)
         engine.state = state.copy()
         engine.refresh()
+        # a day and a location whose labels have no pattern row
+        engine.state.day_labels[1] = engine.state.n_day_clusters + 1
+        engine.state.loc_labels[2] = engine.state.n_loc_clusters + 1
         engine._set_rowmaps()
+        state = engine.state
         pats = engine.patterns
         params = params.replace(gamma_shape=engine.alpha,
                                 gamma_rate=engine.beta,
@@ -154,6 +159,21 @@ class TestZConditional:
                         float(params.gamma_shape[s, z - 1]),
                         float(params.gamma_rate[s, z - 1]))
                     assert w[i, 0] == pytest.approx(ref, rel=1e-9)
+
+    def test_block_matches_single_cells(self, small_synth, small_weights):
+        data, truth = small_synth
+        params = fitted_params(data, truth)
+        engine = engine_at(data, truth, params, weights=small_weights)
+        # labels without a pattern row, as after a birth in a label sweep
+        engine.state.day_labels[::7] = truth.n_day_clusters + 1
+        engine.state.loc_labels[::5] = truth.n_loc_clusters + 1
+        engine._set_rowmaps()
+        for s_idx, t_idx in engine.color_blocks:
+            block = engine.cell_log_weights(s_idx, t_idx)
+            single = np.hstack([
+                engine.cell_log_weights(np.array([s]), np.array([t]))
+                for s in s_idx for t in t_idx])
+            np.testing.assert_allclose(block, single, rtol=1e-12)
 
     def test_coherence_only_marginal(self):
         # neutral alignment and identical Gammas: the conditional must come
@@ -309,12 +329,35 @@ class TestRunGibbs:
         params = ModelParams(aggregate_sd=1.0)
         cfg = SamplerConfig(n_burnin=0, n_samples=1, seed=0)
         engine = _GibbsEngine(data, small_weights, params, cfg)
-        for s_arr, t_arr in engine.color_cells:
-            cells = set(zip(s_arr.tolist(), t_arr.tolist()))
+        covered = np.zeros(data.rain.shape, dtype=int)
+        for s_idx, t_idx in engine.color_blocks:
+            covered[np.ix_(s_idx, t_idx)] += 1
+            cells = {(s, t) for s in s_idx.tolist() for t in t_idx.tolist()}
             for s, t in list(cells)[:200]:
                 assert (s, t - 1) not in cells and (s, t + 1) not in cells
                 for s2 in data.neighborhoods[s]:
                     assert (int(s2), t) not in cells
+        # the eight blocks partition the lattice
+        assert (covered == 1).all()
+
+    def test_merge_pass_scores_prior_at_most_k_plus_one_times(
+            self, small_synth, small_weights, monkeypatch):
+        data, _ = small_synth
+        params = ModelParams(day_align=4.0, loc_align=2.0,
+                             aggregate_sd=float(data.aggregate.std()))
+        cfg = SamplerConfig(n_burnin=0, n_samples=1, seed=0)
+        engine = _GibbsEngine(data, small_weights, params, cfg)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return crp_log_prior_days(*args)
+
+        monkeypatch.setattr(inference, "crp_log_prior_days", counted)
+        K = engine.state.n_day_clusters
+        assert K >= 2
+        engine._merge_pass()
+        assert 2 <= len(calls) <= K + 1
 
     def test_mode_patterns_consistent(self, small_synth, small_weights):
         data, _ = small_synth

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rainpatterns import (HIGH, LOW, LatentState, ModelParams,
@@ -20,6 +20,34 @@ from rainpatterns.model import (PatternSet, crp_log_prior_days,
                                 log_potential_loc_align, log_potential_spatial,
                                 log_potential_temporal)
 from conftest import fitted_params
+
+
+def sequential_crp_log_prior_days(day_labels, years, concentration):
+    """Reference for crp_log_prior_days: the prior's sequential definition.
+
+    Walks the days in order, with clusters canonicalised by first appearance
+    and the normaliser re-added from every cluster's mass at each day.
+    """
+    canon: dict[int, int] = {}
+    n: list[int] = []
+    year_sets: list[set] = []
+    logp = 0.0
+    for t in range(day_labels.size):
+        u = int(day_labels[t])
+        norm = concentration + sum(n[k] * len(year_sets[k])
+                                   for k in range(len(n)))
+        if u in canon:
+            k = canon[u]
+            logp += math.log(n[k] * len(year_sets[k])) - math.log(norm)
+            n[k] += 1
+            year_sets[k].add(int(years[t]))
+        else:
+            if t > 0:  # first customer sits at the first table with mass 1
+                logp += math.log(concentration) - math.log(norm)
+            canon[u] = len(n)
+            n.append(1)
+            year_sets.append({int(years[t])})
+    return logp
 
 
 def one_series_patterns(state_row, rain_row=None):
@@ -170,6 +198,22 @@ class TestSequentialPriorMass:
     def test_single_item_mass_one(self):
         assert crp_log_prior_days(np.array([1]), np.array([0]), 5.0) == 0.0
         assert crp_log_prior_locations(np.array([1]), 5.0) == 0.0
+
+    @given(st.lists(st.tuples(st.integers(1, 5), st.integers(1950, 1960)),
+                    min_size=1, max_size=60),
+           st.sampled_from([1, 7]), st.floats(0.05, 20.0))
+    @example([(3, 1990)], 1, 1.0)  # a single day
+    @example([(2, 1990)] * 9, 7, 0.5)  # one cluster
+    @example([(1, 1961), (2, 1950), (1, 1955), (2, 1961), (1, 1950)], 7,
+             2.0)  # years not contiguous
+    @settings(max_examples=200, deadline=None)
+    def test_days_prior_matches_sequential_definition(self, days, stretch,
+                                                      conc):
+        # stretch 7 spaces the labels out: 7, 14, ... are not dense
+        labels = np.array([u * stretch for u, _ in days])
+        years = np.array([y for _, y in days])
+        assert crp_log_prior_days(labels, years, conc) == pytest.approx(
+            sequential_crp_log_prior_days(labels, years, conc), rel=1e-12)
 
 
 class TestExtractPatterns:
