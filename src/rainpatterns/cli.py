@@ -18,10 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, svgplot
-from .data import (RainfallDataset, SyntheticSpec, _read_rows,
-                   compute_spatial_weights, discretize_by_mean,
-                   generate_synthetic, load_dataset, save_dataset,
-                   write_ground_truth)
+from .data import (RainfallDataset, SyntheticSpec, _load_locations,
+                   _read_rows, _write_csv, compute_spatial_weights,
+                   discretize_by_mean, generate_synthetic, load_dataset,
+                   save_dataset, write_ground_truth)
 from .errors import NumericError, ParseError, ValidationError
 from .inference import SamplerConfig, refit_frozen, run_gibbs
 from .metrics import (MetricsReport, build_report, distance_report,
@@ -83,14 +83,6 @@ def _out_dir(cfg: dict) -> Path:
     return out
 
 
-def _write_csv(path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow(row)
-
-
 def _model_params(cfg: dict, data: RainfallDataset) -> ModelParams:
     m = cfg["model"]
     sigma = m.get("sigma")
@@ -124,21 +116,21 @@ def _dump_config(cfg: dict, out: Path, extra: dict | None = None) -> None:
 def _write_patterns(out: Path, patterns: PatternSet) -> None:
     spatial, temporal, summary = patterns_to_rows(patterns)
     _write_csv(out / "patterns_spatial.csv", PATTERNS_SPATIAL_HEADER,
-               ([u, s, repr(v), z] for u, s, v, z in spatial))
+               *zip(*spatial))
     _write_csv(out / "patterns_temporal.csv", PATTERNS_TEMPORAL_HEADER,
-               ([v, t, repr(x), z] for v, t, x, z in temporal))
+               *zip(*temporal))
     _write_csv(out / "cluster_summary.csv", CLUSTER_SUMMARY_HEADER,
-               ([u, n, y, repr(a)] for u, n, y, a in summary))
+               *zip(*summary))
 
 
 def _write_assignments(out: Path, states, day_labels, loc_labels) -> None:
     _write_csv(out / "assign_u.csv", ["day_index", "u_mode"],
-               ([t, int(u)] for t, u in enumerate(day_labels)))
+               np.arange(len(day_labels)), day_labels)
     _write_csv(out / "assign_v.csv", ["loc_id", "v_mode"],
-               ([s, int(v)] for s, v in enumerate(loc_labels)))
-    S, T = states.shape
+               np.arange(len(loc_labels)), loc_labels)
+    s, t = np.indices(states.shape).reshape(2, -1)
     _write_csv(out / "assign_z.csv", ["loc_id", "day_index", "z_mode"],
-               ([s, t, int(states[s, t])] for s in range(S) for t in range(T)))
+               s, t, states.ravel())
 
 
 def _model_section(params: ModelParams) -> dict:
@@ -279,9 +271,9 @@ def cmd_fit(cfg: dict) -> int:
     _write_assignments(out, summary.z_mode, summary.u_mode, summary.v_mode)
     _write_patterns(out, patterns)
     _write_params(out, fitted)
-    _write_csv(out / "trace.csv", ["sweep", "logp"],
-               ([i, repr(float(v))] for i, v in
-                enumerate(summary.log_density_trace)))
+    trace = summary.log_density_trace
+    _write_csv(out / "trace.csv", ["sweep", "logp"], np.arange(len(trace)),
+               trace)
     report = build_report(data, summary.z_mode, summary.u_mode, patterns,
                           method="mrf",
                           min_years=int(cfg["metrics"]["min_years"]))
@@ -345,7 +337,7 @@ def cmd_baseline(cfg: dict, method: str) -> int:
     result = _baseline_clustering(cfg, data, method)
     patterns = baseline_patterns(data, result)
     _write_csv(out / "assign_u.csv", ["day_index", "u_mode"],
-               ([t, int(u)] for t, u in enumerate(result.labels)))
+               np.arange(len(result.labels)), result.labels)
     _write_patterns(out, patterns)
     report = build_report(data, discretize_by_mean(data), result.labels,
                           patterns, method=method,
@@ -364,20 +356,19 @@ def _cmd_baseline_eof(cfg: dict, data: RainfallDataset, out: Path) -> int:
     reg = float(cfg["baseline"]["lasso_reg"])
     S = data.n_locations
     _write_csv(out / "eof_eigenvalues.csv", ["mode_id", "eigenvalue"],
-               ([j, repr(float(basis.eigenvalues[j]))] for j in range(S)))
+               np.arange(S), basis.eigenvalues)
+    j, s = np.indices((S, S)).reshape(2, -1)
     _write_csv(out / "eof_vectors.csv", ["mode_id", "loc_id", "value"],
-               ([j, s, repr(float(basis.vectors[s, j]))]
-                for j in range(S) for s in range(S)))
-    _write_csv(out / "eof_mean.csv", ["loc_id", "mean_mm"],
-               ([s, repr(float(basis.mean[s]))] for s in range(S)))
+               j, s, basis.vectors.T.ravel())
+    _write_csv(out / "eof_mean.csv", ["loc_id", "mean_mm"], np.arange(S),
+               basis.mean)
 
     coefs = baselines.lasso_fit(data.rain, basis, reg).T  # (days, modes)
     resid = np.linalg.norm(data.rain - basis.mean[:, None]
                            - basis.vectors @ coefs.T, axis=0)
+    t, j = np.nonzero(coefs)
     _write_csv(out / "lasso_coefs.csv", ["day_index", "mode_id", "coef"],
-               ([t, j, repr(float(coefs[t, j]))]
-                for t in range(data.n_days) for j in range(S)
-                if coefs[t, j] != 0.0))
+               t, j, coefs[t, j])
 
     # leading modes, binarised by sign, stand in as the method's patterns
     lead = basis.vectors[:, :k].T
@@ -435,7 +426,9 @@ def cmd_compare(cfg: dict, run_dirs: list[str]) -> int:
         for g, _ in reports:
             row.append(repr(g[name]) if name in g else "")
         rows.append(row)
-    _write_csv(out / "comparison.csv", ["metric"] + methods, rows)
+    # run directory names may need csv quoting
+    with open(out / "comparison.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([["metric"] + methods] + rows)
     with open(out / "comparison.txt", "w") as fh:
         widths = [max(len(r[0]) for r in rows)] + [18] * len(methods)
         fh.write("  ".join(["metric".ljust(widths[0])]
@@ -466,7 +459,7 @@ def cmd_compare(cfg: dict, run_dirs: list[str]) -> int:
 
     locations = cfg["paths"].get("locations")
     if locations and os.path.exists(locations):
-        coords = _load_coords(locations)
+        coords = _load_locations(locations)
         for method, pat in zip(methods, patterns):
             if pat is None:
                 continue
@@ -479,14 +472,6 @@ def cmd_compare(cfg: dict, run_dirs: list[str]) -> int:
                                  pat.rain_patterns, "rain", ann)
     print(f"compared {len(methods)} runs into {out}")
     return 0
-
-
-def _load_coords(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        rows = sorted((int(r[0]), int(r[1]), int(r[2])) for r in reader)
-    return np.array([[gx, gy] for _, gx, gy in rows])
 
 
 def cmd_refit(cfg: dict, frozen_dir: str) -> int:

@@ -9,8 +9,11 @@ contiguous.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +25,11 @@ _NEIGHBOR_OFFSETS = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)
 
 LOCATIONS_HEADER = ["loc_id", "grid_x", "grid_y"]
 RAINFALL_HEADER = ["loc_id", "day_index", "year", "rain_mm"]
+_LOCATIONS_DTYPE = np.dtype([(name, np.int64) for name in LOCATIONS_HEADER])
+_RAINFALL_DTYPE = np.dtype([("loc_id", np.int64), ("day_index", np.int64),
+                            ("year", np.int64), ("rain_mm", np.float64)])
+# rows formatted per block when writing, which bounds the Python objects alive
+_WRITE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -73,17 +81,15 @@ class SpatialWeights:
             raise KeyError(f"{s2} is not a neighbour of {s}")
         return float(self.values[s][pos])
 
+    @cached_property
     def edge_arrays(self):
         """Unordered neighbour pairs (i < j) and their weights, as arrays."""
-        ei, ej, w = [], [], []
-        for s, nb in enumerate(self.neighborhoods):
-            for k, s2 in enumerate(nb):
-                if s < s2:
-                    ei.append(s)
-                    ej.append(s2)
-                    w.append(self.values[s][k])
-        return (np.asarray(ei, dtype=np.intp), np.asarray(ej, dtype=np.intp),
-                np.asarray(w, dtype=float))
+        sizes = [len(nb) for nb in self.neighborhoods]
+        ei = np.repeat(np.arange(len(sizes), dtype=np.intp), sizes)
+        ej = np.concatenate(self.neighborhoods).astype(np.intp)
+        w = np.concatenate(self.values).astype(float)
+        keep = ei < ej
+        return ei[keep], ej[keep], w[keep]
 
 
 @dataclass(frozen=True)
@@ -188,8 +194,125 @@ def _read_rows(path, header: list[str]):
             yield lineno, row
 
 
+def _int64(text: str) -> int:
+    value = int(text)
+    if not -2**63 <= value < 2**63:
+        raise ValueError(f"{text} is outside the int64 range")
+    return value
+
+
+def _parse_rows(path, header: list[str], dtype: np.dtype):
+    """Rows converted one at a time up to the first that fails.
+
+    Returns the rows before it as a table and that row's ParseError (None
+    when every row converts).  An all-integer table reports a
+    "non-integer field", any other a "malformed field".
+    """
+    convs = [float if dtype[name].kind == "f" else _int64
+             for name in dtype.names]
+    message = "malformed field" if float in convs else "non-integer field"
+    rows, error = [], None
+    try:
+        for lineno, row in _read_rows(path, header):
+            try:
+                rows.append(tuple(conv(v) for conv, v in zip(convs, row)))
+            except ValueError:
+                error = ParseError(f"{path}:{lineno}: {message}")
+                break
+    except ParseError as exc:  # a wrong field count
+        error = exc
+    return np.array(rows, dtype=dtype), error
+
+
+def _read_table(path, header: list[str], dtype: np.dtype, first_fault):
+    """Parse a header-checked numeric CSV into a structured array.
+
+    ``first_fault(table)`` returns the first invalid row of a parsed table as
+    (row, message), or None.  An error names the first faulty line in file
+    order: a parse fault, or a row ``first_fault`` rejects before it.
+    """
+    with open(path) as fh:
+        first = fh.readline()
+        if not first:
+            raise ParseError(f"{path}: empty file")
+        if next(csv.reader([first]), []) != header:
+            raise ParseError(f"{path}:1: expected header {','.join(header)}")
+        try:
+            with warnings.catch_warnings():
+                # a table without rows is reported by the caller
+                warnings.simplefilter("ignore", UserWarning)
+                # numpy 1.x reads "1.0" into an integer field with a warning
+                warnings.simplefilter("error", DeprecationWarning)
+                table = np.loadtxt(fh, delimiter=",", dtype=dtype,
+                                   comments=None, ndmin=1)
+            error = None
+        except (ValueError, DeprecationWarning) as exc:
+            table, error = _parse_rows(path, header, dtype)
+            if error is None:  # a field Python reads but numpy does not
+                raise ParseError(f"{path}: {exc}") from None
+    fault = first_fault(table)
+    if fault is not None:
+        row, message = fault
+        # blank lines are not rows, so count lines to name this one
+        lineno, _ = next(itertools.islice(_read_rows(path, header), row, None))
+        raise ValidationError(f"{path}:{lineno}: {message}")
+    if error is not None:
+        raise error
+    return table
+
+
+def _earliest_fault(n: int, checks):
+    """The first faulty row of n rows as (row, message), or None.
+
+    ``checks`` are (check, message) pairs in the order the checks apply to
+    one row: ``check(m)`` flags each of the first m rows and ``message(i)``
+    describes row i.  Each check sees only the rows before the earliest
+    fault found so far, so a row with several faults reports the first.
+    """
+    fault = None
+    for check, message in checks:
+        hits = np.flatnonzero(check(n))
+        if hits.size:
+            n = int(hits[0])
+            fault = (n, message(n))
+    return fault
+
+
+def _repeats(values: np.ndarray) -> np.ndarray:
+    """Flags each value that already occurred earlier in the array."""
+    _, first = np.unique(values, return_index=True)
+    seen = np.ones(len(values), dtype=bool)
+    seen[first] = False
+    return seen
+
+
+def _load_locations(path) -> np.ndarray:
+    """Validated grid coordinates, shape (S, 2), from a locations CSV."""
+    def first_fault(t):
+        loc = t["loc_id"]
+        return _earliest_fault(len(t), [
+            (lambda m: _repeats(loc[:m]),
+             lambda i: f"duplicate loc_id {loc[i]}")])
+
+    table = _read_table(path, LOCATIONS_HEADER, _LOCATIONS_DTYPE, first_fault)
+    S = len(table)
+    if S == 0:
+        raise ValidationError(f"{path}: no locations")
+    loc = table["loc_id"]
+    if loc.min() != 0 or loc.max() != S - 1:
+        raise ValidationError(f"{path}: loc_id must be dense from 0")
+    grid_coords = np.empty((S, 2), dtype=np.int64)
+    grid_coords[loc, 0] = table["grid_x"]
+    grid_coords[loc, 1] = table["grid_y"]
+    return grid_coords
+
+
 def load_dataset(locations_file, rain_file) -> RainfallDataset:
     """Load and validate a dataset from the locations and rainfall CSVs.
+
+    Both files are comma-separated with a header line, unquoted numeric
+    fields and LF or CRLF line ends; blank lines are skipped.  An error
+    names the file and the line (``file:line``) of the first fault.
 
     Parameters
     ----------
@@ -199,66 +322,66 @@ def load_dataset(locations_file, rain_file) -> RainfallDataset:
         CSV with header ``loc_id,day_index,year,rain_mm``; one row per
         (location, day) pair, day_index dense from 0.
     """
-    coords: dict[int, tuple[int, int]] = {}
-    for lineno, row in _read_rows(locations_file, LOCATIONS_HEADER):
-        try:
-            loc, gx, gy = (int(v) for v in row)
-        except ValueError:
-            raise ParseError(f"{locations_file}:{lineno}: non-integer field") from None
-        if loc in coords:
-            raise ValidationError(f"{locations_file}:{lineno}: duplicate loc_id {loc}")
-        coords[loc] = (gx, gy)
-    S = len(coords)
-    if S == 0:
-        raise ValidationError(f"{locations_file}: no locations")
-    if sorted(coords) != list(range(S)):
-        raise ValidationError(f"{locations_file}: loc_id must be dense from 0")
-    grid_coords = np.array([coords[s] for s in range(S)], dtype=np.int64)
+    grid_coords = _load_locations(locations_file)
+    S = len(grid_coords)
 
-    cells: dict[tuple[int, int], float] = {}
-    day_year: dict[int, int] = {}
-    for lineno, row in _read_rows(rain_file, RAINFALL_HEADER):
-        try:
-            loc, day, year = int(row[0]), int(row[1]), int(row[2])
-            mm = float(row[3])
-        except ValueError:
-            raise ParseError(f"{rain_file}:{lineno}: malformed field") from None
-        if not 0 <= loc < S:
-            raise ValidationError(f"{rain_file}:{lineno}: unknown loc_id {loc}")
-        if mm < 0:
-            raise ValidationError(f"{rain_file}:{lineno}: negative rainfall")
-        if (loc, day) in cells:
-            raise ValidationError(f"{rain_file}:{lineno}: duplicate cell ({loc}, {day})")
-        if day_year.setdefault(day, year) != year:
-            raise ValidationError(f"{rain_file}:{lineno}: conflicting year for day {day}")
-        cells[(loc, day)] = mm
-    T = len(day_year)
-    if T == 0:
+    def first_fault(t):
+        loc, day, year, mm = (t[name] for name in RAINFALL_HEADER)
+        days, first, rank = np.unique(day, return_index=True,
+                                      return_inverse=True)
+        return _earliest_fault(len(t), [
+            (lambda m: (loc[:m] < 0) | (loc[:m] >= S),
+             lambda i: f"unknown loc_id {loc[i]}"),
+            (lambda m: mm[:m] < 0, lambda i: "negative rainfall"),
+            # locations are known here, so each cell has its own key
+            (lambda m: _repeats(loc[:m] * len(days) + rank[:m]),
+             lambda i: f"duplicate cell ({loc[i]}, {day[i]})"),
+            (lambda m: year[:m] != year[first[rank[:m]]],
+             lambda i: f"conflicting year for day {day[i]}")])
+
+    table = _read_table(rain_file, RAINFALL_HEADER, _RAINFALL_DTYPE,
+                        first_fault)
+    if len(table) == 0:
         raise ValidationError(f"{rain_file}: no rainfall rows")
-    if sorted(day_year) != list(range(T)):
+    day = table["day_index"]
+    T = int(day.max()) + 1
+    if (day.min() != 0 or T > len(table)
+            or not np.bincount(day, minlength=T).all()):
         raise ValidationError(f"{rain_file}: day_index must be dense from 0")
-    if len(cells) != S * T:
-        raise ValidationError(f"{rain_file}: expected {S * T} cells, got {len(cells)}")
+    if len(table) != S * T:
+        raise ValidationError(
+            f"{rain_file}: expected {S * T} cells, got {len(table)}")
     rain = np.empty((S, T))
-    for (loc, day), mm in cells.items():
-        rain[loc, day] = mm
-    years = np.array([day_year[t] for t in range(T)], dtype=np.int64)
+    rain[table["loc_id"], day] = table["rain_mm"]
+    years = np.empty(T, dtype=np.int64)
+    years[day] = table["year"]  # every row of a day carries the same year
     return make_dataset(rain, grid_coords, years)
+
+
+def _write_csv(path, header: list[str], *columns) -> None:
+    """Write a numeric CSV from whole columns, one line per index.
+
+    Integers are written in decimal and floats as their ``repr``, with the
+    header in csv quoting and csv's ``\\r\\n`` line ends.
+    """
+    columns = [np.asarray(c) for c in columns]
+    line = ",".join(["%r"] * len(columns)) + "\r\n"
+    n = len(columns[0]) if columns else 0
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        for i in range(0, n, _WRITE_BLOCK):
+            block = [c[i:i + _WRITE_BLOCK].tolist() for c in columns]
+            fh.writelines(line % row for row in zip(*block))
 
 
 def save_dataset(d: RainfallDataset, locations_file, rain_file) -> None:
     """Write a dataset back out in the load_dataset CSV formats."""
-    with open(locations_file, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(LOCATIONS_HEADER)
-        for s in range(d.n_locations):
-            w.writerow([s, int(d.grid_coords[s, 0]), int(d.grid_coords[s, 1])])
-    with open(rain_file, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(RAINFALL_HEADER)
-        for s in range(d.n_locations):
-            for t in range(d.n_days):
-                w.writerow([s, t, int(d.year_of_day[t]), repr(float(d.rain[s, t]))])
+    S, T = d.rain.shape
+    _write_csv(locations_file, LOCATIONS_HEADER, np.arange(S),
+               d.grid_coords[:, 0], d.grid_coords[:, 1])
+    s, t = np.indices((S, T)).reshape(2, -1)
+    _write_csv(rain_file, RAINFALL_HEADER, s, t, d.year_of_day[t],
+               d.rain.ravel())
 
 
 def compute_spatial_weights(d: RainfallDataset) -> SpatialWeights:
@@ -366,20 +489,10 @@ def generate_synthetic(spec: SyntheticSpec):
 
 def write_ground_truth(truth: LatentState, u_file, v_file, z_file) -> None:
     """Write the synthetic ground truth in the three CSV layouts."""
-    with open(u_file, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["day_index", "u_true"])
-        for t, u in enumerate(truth.day_labels):
-            w.writerow([t, int(u)])
-    with open(v_file, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["loc_id", "v_true"])
-        for s, v in enumerate(truth.loc_labels):
-            w.writerow([s, int(v)])
-    with open(z_file, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["loc_id", "day_index", "z_true"])
-        S, T = truth.states.shape
-        for s in range(S):
-            for t in range(T):
-                w.writerow([s, t, int(truth.states[s, t])])
+    _write_csv(u_file, ["day_index", "u_true"],
+               np.arange(len(truth.day_labels)), truth.day_labels)
+    _write_csv(v_file, ["loc_id", "v_true"],
+               np.arange(len(truth.loc_labels)), truth.loc_labels)
+    s, t = np.indices(truth.states.shape).reshape(2, -1)
+    _write_csv(z_file, ["loc_id", "day_index", "z_true"], s, t,
+               truth.states.ravel())

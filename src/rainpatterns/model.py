@@ -379,7 +379,7 @@ def joint_log_density(data, weights, state: LatentState, params: ModelParams,
     logp += math.log(params.temporal_factor) * int((z[:, 1:] == z[:, :-1]).sum())
 
     # spatial edges, one per unordered neighbour pair
-    ei, ej, w = weights.edge_arrays()
+    ei, ej, w = weights.edge_arrays
     pos = np.maximum(w, 0.0)
     logp += float(pos @ (z[ei, :] == z[ej, :]).sum(axis=1))
 

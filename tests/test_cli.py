@@ -288,9 +288,35 @@ class TestFixedSeedDigests:
             "99fde3cee148ec54b8e3831279b7043259c0bd32710f71418a26f921e5b911e4",
     }
 
-    def digests(self, run_dir):
+    # the bytes of the large tables, which the column writer formats
+    SYNTH = {
+        "locations.csv":
+            "4d88261de25cde507e27037c41f0bc1724652ea9b62c1795b76b677dd4a66074",
+        "rainfall.csv":
+            "e1eab11b1f46c6a52e4e9cdd34295b650d04772f5ac007db6ad5f50c854c7b56",
+        "truth_z.csv":
+            "4fe9f109346fea4d1c5a61f5b1cbe5611a56779c8cc0b94173736e5c4d5d1762",
+    }
+    EOF = {
+        "eof_vectors.csv":
+            "953512a33aef6eaf9451d519835083b6b652fe8e77b0e0a205deee6e16fa25bc",
+        "lasso_coefs.csv":
+            "55ca63ecd39f4228ecacf0e7f66097204aa68295eeb44de318506e7f695c919f",
+    }
+
+    def digests(self, run_dir, names=NAMES):
         return {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
-                for name in self.NAMES}
+                for name in names}
+
+    def test_synth_and_eof_baseline(self, synth_dir):
+        # the EOF vectors come from LAPACK, so their last bits (and this pin)
+        # can differ on another BLAS build
+        tmp_path, cfg = synth_dir
+        assert self.digests(tmp_path / "data", self.SYNTH) == self.SYNTH
+        eof = tmp_path / "eof"
+        assert run(["baseline", "--method", "eof", "--config", cfg,
+                    "--out", eof]) == 0
+        assert self.digests(eof, self.EOF) == self.EOF
 
     def test_fit_and_overflow_refit(self, synth_dir):
         tmp_path, cfg = synth_dir
@@ -357,3 +383,18 @@ class TestExitCodes:
                 else ["compare", run_dir])
         assert run(args + ["--config", cfg, "--out", tmp_path / "out"]) == 2
         assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", [
+        pytest.param(edit_lines(lambda lines: lines[:1] + ["0,1\n"]
+                                + lines[2:]), id="two-field-row"),
+        pytest.param(edit_lines(lambda lines: []), id="empty"),
+    ])
+    def test_compare_damaged_locations_is_validation_error(
+            self, fit_run, tmp_path, capsys, damage):
+        base, _ = fit_run
+        data = shutil.copytree(base / "data", tmp_path / "data")
+        damage(data / "locations.csv")
+        cfg = write_config(tmp_path)
+        assert run(["compare", base / "fit", "--config", cfg,
+                    "--out", tmp_path / "out"]) == 2
+        assert "locations.csv" in capsys.readouterr().err

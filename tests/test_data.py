@@ -1,11 +1,15 @@
 """Dataset loading, neighbourhoods, weights, discretization, synthesis."""
 
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rainpatterns import (HIGH, LOW, ParseError, SyntheticSpec,
                           ValidationError, compute_spatial_weights,
@@ -81,6 +85,105 @@ class TestLoadDataset:
                       "0,0,0,1.0\n1,0,1,1.0\n")
         with pytest.raises(ValidationError, match="conflicting year"):
             load_dataset(loc, rn)
+
+    # each case: locations body, rainfall body, error type, message; the
+    # headers are prepended, and {loc}/{rain} stand for the two paths
+    @pytest.mark.parametrize("locations,rainfall,error,message", [
+        pytest.param("0,0,0\n", "0,0,0,1.0\n5,0,0,1.0\n", ValidationError,
+                     "{rain}:3: unknown loc_id 5", id="unknown-loc"),
+        pytest.param("0,0,0\n", "0,0,0,1.0\n0,0,0,2.0\n", ValidationError,
+                     "{rain}:3: duplicate cell (0, 0)", id="duplicate-cell"),
+        pytest.param("0,0,0\n0,1,0\n", "0,0,0,1.0\n", ValidationError,
+                     "{loc}:3: duplicate loc_id 0", id="duplicate-loc"),
+        pytest.param("0,0,0\n2,1,0\n", "0,0,0,1.0\n", ValidationError,
+                     "{loc}: loc_id must be dense from 0", id="sparse-loc"),
+        pytest.param("0,0,a\n", "0,0,0,1.0\n", ParseError,
+                     "{loc}:2: non-integer field", id="non-integer-coord"),
+        pytest.param("", "0,0,0,1.0\n", ValidationError,
+                     "{loc}: no locations", id="no-locations"),
+        pytest.param("0,0,0\n", "0,0,0,1.0\n0,2,0,1.0\n", ValidationError,
+                     "{rain}: day_index must be dense from 0",
+                     id="sparse-day"),
+        pytest.param("0,0,0\n", "0,0,0,1.0\n0,1,0\n", ParseError,
+                     "{rain}:3: expected 4 fields", id="field-count"),
+        pytest.param("0,0,0\n", "", ValidationError,
+                     "{rain}: no rainfall rows", id="header-only"),
+        pytest.param("0,0,0\n", "0,0,0,1.0\n\n0,1,0,oops\n", ParseError,
+                     "{rain}:4: malformed field", id="blank-line-counts"),
+        # one row with two faults reports the check that runs first
+        pytest.param("0,0,0\n", "5,0,0,oops\n", ParseError,
+                     "{rain}:2: malformed field", id="parse-before-unknown"),
+        pytest.param("0,0,0\n", "5,0,0,-1.0\n", ValidationError,
+                     "{rain}:2: unknown loc_id 5",
+                     id="unknown-before-negative"),
+        pytest.param("0,0,0\n", "0,0,0,1.0\n0,0,0,-1.0\n", ValidationError,
+                     "{rain}:3: negative rainfall",
+                     id="negative-before-duplicate"),
+        pytest.param("0,0,0\n", "0,0,0,1.0\n0,0,1,1.0\n", ValidationError,
+                     "{rain}:3: duplicate cell (0, 0)",
+                     id="duplicate-before-conflicting-year"),
+        # faults on two lines: the earlier line wins, whatever its check
+        pytest.param("0,0,0\n", "0,0,0,-1.0\n7,1,0,1.0\n", ValidationError,
+                     "{rain}:2: negative rainfall",
+                     id="negative-then-unknown"),
+        pytest.param("0,0,0\n1,1,0\n", "0,0,0,1.0\n0,1,0,1.0\n1,1,1,1.0\n"
+                     "0,2,0,oops\n", ValidationError,
+                     "{rain}:4: conflicting year for day 1",
+                     id="conflicting-year-then-malformed"),
+        pytest.param("0,0,0\n", "0,0,0,1.0\n0,0,0,1.0\n\n0,1\n",
+                     ValidationError, "{rain}:3: duplicate cell (0, 0)",
+                     id="duplicate-then-field-count"),
+        pytest.param("0,0,0\n1,1,0\n1,2,0\n0,x,0\n", "0,0,0,1.0\n",
+                     ValidationError, "{loc}:4: duplicate loc_id 1",
+                     id="duplicate-loc-then-non-integer"),
+    ])
+    def test_error_names_first_faulty_line(self, tmp_path, locations,
+                                           rainfall, error, message):
+        loc = tmp_path / "l.csv"
+        rn = tmp_path / "r.csv"
+        loc.write_text("loc_id,grid_x,grid_y\n" + locations)
+        rn.write_text("loc_id,day_index,year,rain_mm\n" + rainfall)
+        with pytest.raises(error) as info:
+            load_dataset(loc, rn)
+        assert str(info.value) == message.format(loc=loc, rain=rn)
+
+    @pytest.mark.parametrize("header", ["loc_id,day,year,rain_mm\n", "\n"])
+    def test_bad_header_rejected(self, tmp_path, header):
+        loc, rn = write_files(tmp_path, [(0, 0)], [[1.0]], [0])
+        rn.write_text(header + "0,0,0,1.0\n")
+        with pytest.raises(ParseError, match=re.escape(
+                f"{rn}:1: expected header loc_id,day_index,year,rain_mm")):
+            load_dataset(loc, rn)
+
+    def test_crlf_and_trailing_blank_lines_accepted(self, tmp_path):
+        loc = tmp_path / "l.csv"
+        rn = tmp_path / "r.csv"
+        loc.write_bytes(b"loc_id,grid_x,grid_y\r\n1,4,0\r\n0,3,0\r\n\r\n")
+        rn.write_bytes(b"loc_id,day_index,year,rain_mm\r\n0,1,7,2.5\r\n"
+                       b"1,0,7,0\r\n1,1,7,1e-3\r\n\r\n0,0,7,4\r\n\r\n")
+        d = load_dataset(loc, rn)
+        assert d.grid_coords.tolist() == [[3, 0], [4, 0]]
+        assert d.rain.tolist() == [[4.0, 2.5], [0.0, 1e-3]]
+        assert d.year_of_day.tolist() == [7, 7]
+
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                   max_side=4),
+                      elements=st.floats(min_value=0.0, allow_nan=False,
+                                         allow_infinity=False)))
+    @example(np.array([[5e-324, 2.2250738585072014e-308 / 3, 0.0, 1e300]]))
+    @example(np.array([[0.0], [np.nextafter(0.0, 1.0)], [1e300]]))
+    @settings(max_examples=60, deadline=None)
+    def test_save_load_round_trip_is_bit_identical(self, rain):
+        S, T = rain.shape
+        data = make_dataset(rain, np.array([[s, 0] for s in range(S)]),
+                            np.arange(T) // 2)
+        with tempfile.TemporaryDirectory() as tmp:
+            loc, rn = Path(tmp) / "l.csv", Path(tmp) / "r.csv"
+            save_dataset(data, loc, rn)
+            loaded = load_dataset(loc, rn)
+        assert loaded.rain.tobytes() == rain.tobytes()
+        assert np.array_equal(loaded.year_of_day, data.year_of_day)
+        assert np.array_equal(loaded.grid_coords, data.grid_coords)
 
     def test_noncontiguous_years_rejected(self):
         with pytest.raises(ValidationError, match="contiguous"):
@@ -161,6 +264,22 @@ class TestSpatialWeights:
                 g = w.get(s, int(s2))
                 assert -1.0 <= g <= 1.0
                 assert g == pytest.approx(w.get(int(s2), s))
+
+    def test_edge_arrays_match_get_on_ragged_lattice(self):
+        # rows of unequal width and a hole: up to 8 neighbours per location
+        coords = np.array([(x, y) for y, width in enumerate([6, 3, 5, 1, 6])
+                           for x in range(width) if (x, y) != (4, 4)])
+        rain = np.random.default_rng(3).gamma(1.5, 2.0, (len(coords), 12))
+        d = make_dataset(rain, coords, np.zeros(12, dtype=int))
+        w = compute_spatial_weights(d)
+        ei, ej, vals = w.edge_arrays
+        pairs = [(s, int(s2)) for s, nb in enumerate(d.neighborhoods)
+                 for s2 in nb if s < s2]
+        assert list(zip(ei.tolist(), ej.tolist())) == sorted(pairs)
+        assert max(map(len, d.neighborhoods)) == 8
+        for i, j, v in zip(ei, ej, vals):
+            assert v == w.get(int(i), int(j)) == w.get(int(j), int(i))
+        assert w.edge_arrays is w.edge_arrays  # built once per object
 
     def test_needs_two_days(self):
         d = self.make([[1.0], [2.0]])
