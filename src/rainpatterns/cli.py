@@ -18,11 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, svgplot
-from .data import (RainfallDataset, SyntheticSpec, _load_locations,
-                   _read_rows, _write_csv, compute_spatial_weights,
-                   discretize_by_mean, generate_synthetic, load_dataset,
-                   save_dataset, write_ground_truth)
-from .errors import NumericError, ParseError, ValidationError
+from .data import (RainfallDataset, SyntheticSpec, _earliest_fault,
+                   _load_locations, _read_table, _repeats, _write_csv,
+                   compute_spatial_weights, discretize_by_mean,
+                   generate_synthetic, load_dataset, save_dataset,
+                   write_ground_truth)
+from .errors import NumericError, ValidationError
 from .inference import SamplerConfig, refit_frozen, run_gibbs
 from .metrics import (MetricsReport, build_report, distance_report,
                       read_metrics_csv, spatial_coherence)
@@ -37,6 +38,12 @@ PATTERNS_SPATIAL_HEADER = ["cluster_id", "loc_id", "crp_value", "cdp_state"]
 PATTERNS_TEMPORAL_HEADER = ["cluster_id", "day_index", "cts_value",
                             "cds_state"]
 CLUSTER_SUMMARY_HEADER = ["cluster_id", "n_days", "n_years", "aggregate_mm"]
+
+# params.json holds the config's ``model`` keys and the estimated arrays
+MODEL_KEYS = {"gamma": "day_concentration", "lambda": "loc_concentration",
+              "f": "temporal_factor", "eta": "day_align", "zeta": "loc_align",
+              "sigma": "aggregate_sd"}
+PARAM_ARRAYS = ("gamma_shape", "gamma_rate", "aggregate_mean")
 
 DEFAULT_CONFIG = {
     "paths": {"locations": "locations.csv", "rainfall": "rainfall.csv",
@@ -62,14 +69,22 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _read_json(path) -> dict:
+    """A JSON object from a file; anything else is an error naming the file."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # invalid JSON or invalid UTF-8
+            raise ValidationError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: expected a JSON object")
+    return doc
+
+
 def load_config(path: str | None, seed: int | None, out: str | None) -> dict:
     cfg = DEFAULT_CONFIG
     if path is not None:
-        with open(path) as fh:
-            try:
-                cfg = _merge(cfg, json.load(fh))
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
+        cfg = _merge(cfg, _read_json(path))
     if seed is not None:
         cfg = _merge(cfg, {"sampler": {"seed": seed}, "synth": {"seed": seed}})
     if out is not None:
@@ -85,17 +100,10 @@ def _out_dir(cfg: dict) -> Path:
 
 def _model_params(cfg: dict, data: RainfallDataset) -> ModelParams:
     m = cfg["model"]
-    sigma = m.get("sigma")
-    if sigma is None:
-        sigma = float(data.aggregate.std())
-        if sigma <= 0:
-            sigma = 1.0
-    return ModelParams(day_concentration=float(m["gamma"]),
-                       loc_concentration=float(m["lambda"]),
-                       temporal_factor=float(m["f"]),
-                       day_align=float(m["eta"]),
-                       loc_align=float(m["zeta"]),
-                       aggregate_sd=float(sigma))
+    # a null value keeps its default, for sigma the sd of the daily totals
+    return ModelParams(**{"aggregate_sd": float(data.aggregate.std()) or 1.0,
+                          **{f: float(m[k]) for k, f in MODEL_KEYS.items()
+                             if m[k] is not None}})
 
 
 def _sampler_config(cfg: dict) -> SamplerConfig:
@@ -104,13 +112,14 @@ def _sampler_config(cfg: dict) -> SamplerConfig:
                          seed=int(s["seed"]), init=s["init"])
 
 
-def _dump_config(cfg: dict, out: Path, extra: dict | None = None) -> None:
-    resolved = dict(cfg)
-    if extra:
-        resolved = _merge(resolved, extra)
-    with open(out / "config.json", "w") as fh:
-        json.dump(resolved, fh, indent=2, sort_keys=True)
+def _write_json(path, doc: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _dump_config(cfg: dict, out: Path, extra: dict | None = None) -> None:
+    _write_json(out / "config.json", _merge(cfg, extra or {}))
 
 
 def _write_patterns(out: Path, patterns: PatternSet) -> None:
@@ -135,81 +144,61 @@ def _write_assignments(out: Path, states, day_labels, loc_labels) -> None:
 
 def _model_section(params: ModelParams) -> dict:
     """The config's ``model`` section that gives ``params``' scalars."""
-    return {"gamma": params.day_concentration,
-            "lambda": params.loc_concentration,
-            "f": params.temporal_factor,
-            "eta": params.day_align,
-            "zeta": params.loc_align,
-            "sigma": params.aggregate_sd}
+    return {k: getattr(params, f) for k, f in MODEL_KEYS.items()}
 
 
 def _write_params(out: Path, params: ModelParams) -> None:
-    doc = {
+    _write_json(out / "params.json", {
         **_model_section(params),
-        "gamma_shape": params.gamma_shape.tolist(),
-        "gamma_rate": params.gamma_rate.tolist(),
-        "aggregate_mean": params.aggregate_mean.tolist(),
-    }
-    with open(out / "params.json", "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        **{f: getattr(params, f).tolist() for f in PARAM_ARRAYS}})
 
 
-def _load_params(path) -> ModelParams:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
+def _load_params(path, patterns: PatternSet) -> ModelParams:
+    """The frozen run's parameters, shaped to its locations and patterns."""
+    doc = _read_json(path)
     try:
-        return ModelParams(day_concentration=doc["gamma"],
-                           loc_concentration=doc["lambda"],
-                           temporal_factor=doc["f"],
-                           day_align=doc["eta"],
-                           loc_align=doc["zeta"],
-                           aggregate_sd=doc["sigma"],
-                           gamma_shape=np.array(doc["gamma_shape"]),
-                           gamma_rate=np.array(doc["gamma_rate"]),
-                           aggregate_mean=np.array(doc["aggregate_mean"]))
+        params = ModelParams(
+            **{f: float(doc[k]) for k, f in MODEL_KEYS.items()},
+            **{f: np.array(doc[f], dtype=float) for f in PARAM_ARRAYS})
     except KeyError as exc:
         raise ValidationError(f"{path}: missing key {exc}") from None
-
-
-def _read_typed_rows(path, header: list[str], types) -> list[list]:
-    rows = []
-    for lineno, row in _read_rows(path, header):
-        try:
-            rows.append([conv(v) for conv, v in zip(types, row)])
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: malformed field") from None
-    return rows
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: malformed value ({exc})") from None
+    S, K = patterns.rain_patterns.shape[1], patterns.n_day_patterns
+    for f, shape in zip(PARAM_ARRAYS, [(S, 2), (S, 2), (K,)]):
+        if getattr(params, f).shape != shape:
+            raise ValidationError(f"{path}: {f} must have shape {shape}")
+    return params
 
 
 def _load_cluster_table(path, header: list[str]):
     """A per-cluster pattern CSV as (K, n) value and state arrays.
 
-    Cluster ids must run 1..K and every cluster must list the same indices
-    0..n-1, so a truncated file is rejected rather than padded.
+    Clusters 1..K must each list every index 0..n-1 once, with state 1 or
+    2, so a truncated or edited file is rejected rather than padded.
     """
-    cells: dict[int, dict[int, tuple[float, int]]] = {}
-    for u, i, value, state in _read_typed_rows(path, header,
-                                               (int, int, float, int)):
-        cells.setdefault(u, {})[i] = (value, state)
-    K = len(cells)
-    if K == 0:
+    def first_fault(t):
+        u, i, state = t[header[0]], t[header[1]], t[header[3]]
+        return _earliest_fault(len(t), [
+            (lambda m: _repeats(np.unique(u[:m], return_inverse=True)[1] * m
+                                + np.unique(i[:m], return_inverse=True)[1]),
+             lambda r: f"repeated cluster {u[r]}, {header[1]} {i[r]}"),
+            (lambda m: (state[:m] != HIGH) & (state[:m] != LOW),
+             lambda r: f"state {state[r]} is not 1 or 2")])
+
+    dtype = np.dtype(list(zip(header, (np.int64, np.int64, float, np.int64))))
+    table = _read_table(path, header, dtype, first_fault)
+    if len(table) == 0:
         raise ValidationError(f"{path}: no pattern rows")
-    if sorted(cells) != list(range(1, K + 1)):
-        raise ValidationError(f"{path}: cluster_id must be dense from 1")
-    n = len(cells[1])
-    for u, row in cells.items():
-        if sorted(row) != list(range(n)):
-            raise ValidationError(f"{path}: cluster {u} does not list "
-                                  f"indices 0..{n - 1}")
-    values = np.array([[cells[u][i][0] for i in range(n)]
-                       for u in range(1, K + 1)])
-    states = np.array([[cells[u][i][1] for i in range(n)]
-                       for u in range(1, K + 1)], dtype=np.int8)
-    return values, states
+    u, i = table[header[0]], table[header[1]]
+    K, n = int(u.max()), int(i.max()) + 1
+    # distinct (cluster, index) pairs fill 1..K x 0..n-1 only if K·n of them
+    if u.min() < 1 or i.min() < 0 or len(table) != K * n:
+        raise ValidationError(f"{path}: expected clusters 1..{K} each listing "
+                              f"{header[1]} 0..{n - 1}")
+    cells = np.empty((K, n), dtype=table.dtype)
+    cells[u - 1, i] = table
+    return cells[header[2]].copy(), cells[header[3]].astype(np.int8)
 
 
 def _load_patterns(run_dir: Path) -> PatternSet:
@@ -218,19 +207,28 @@ def _load_patterns(run_dir: Path) -> PatternSet:
     cts, cds = _load_cluster_table(run_dir / "patterns_temporal.csv",
                                    PATTERNS_TEMPORAL_HEADER)
     path = run_dir / "cluster_summary.csv"
-    summary = {u: (n, y, a) for u, n, y, a in _read_typed_rows(
-        path, CLUSTER_SUMMARY_HEADER, (int, int, int, float))}
-    K = len(crp)
-    missing = set(range(1, K + 1)) - set(summary)
-    if missing:
-        raise ValidationError(f"{path}: no row for cluster {min(missing)}")
+
+    def first_fault(t):
+        u = t["cluster_id"]
+        return _earliest_fault(len(t), [
+            (lambda m: _repeats(u[:m]), lambda r: f"repeated cluster {u[r]}")])
+
+    dtype = np.dtype(list(zip(CLUSTER_SUMMARY_HEADER,
+                              (np.int64, np.int64, np.int64, float))))
+    table = _read_table(path, CLUSTER_SUMMARY_HEADER, dtype, first_fault)
+    u, K = table["cluster_id"], len(crp)
+    # distinct cluster ids are exactly 1..K only if K of them lie in 1..K
+    if len(u) != K or u.min() < 1 or u.max() > K:
+        raise ValidationError(f"{path}: expected one row for each cluster "
+                              f"1..{K}")
+    summary = np.empty_like(table)
+    summary[u - 1] = table
     return PatternSet(
         rain_patterns=crp, state_patterns=cdp, rain_series=cts,
-        state_series=cds,
-        day_counts=np.array([summary[u][0] for u in range(1, K + 1)]),
-        year_counts=np.array([summary[u][1] for u in range(1, K + 1)]),
+        state_series=cds, day_counts=summary["n_days"],
+        year_counts=summary["n_years"],
         loc_counts=np.zeros(len(cts), dtype=np.int64),
-        pattern_volume=np.array([summary[u][2] for u in range(1, K + 1)]))
+        pattern_volume=summary["aggregate_mm"])
 
 
 def _write_report(out: Path, report: MetricsReport) -> None:
@@ -278,8 +276,7 @@ def cmd_fit(cfg: dict) -> int:
                           method="mrf",
                           min_years=int(cfg["metrics"]["min_years"]))
     _write_report(out, report)
-    _dump_config(cfg, out, {"method": "mrf",
-                            "model": {"sigma": params.aggregate_sd}})
+    _dump_config(cfg, out, {"method": "mrf", "model": _model_section(params)})
     print(f"fit: {patterns.n_day_patterns} day clusters, "
           f"{int(report.global_values['n_prominent'])} prominent; "
           f"outputs in {out}")
@@ -407,12 +404,11 @@ def cmd_compare(cfg: dict, run_dirs: list[str]) -> int:
     for rd in run_dirs:
         rdp = Path(rd)
         try:
-            with open(rdp / "config.json") as fh:
-                method = json.load(fh).get("method", rdp.name)
+            method = _read_json(rdp / "config.json").get("method", rdp.name)
         except FileNotFoundError:
             method = rdp.name
         g, per = read_metrics_csv(rdp / "metrics.csv")
-        methods.append(method)
+        methods.append(str(method))
         reports.append((g, per))
         if (rdp / "patterns_spatial.csv").exists():
             patterns.append(_load_patterns(rdp))
@@ -463,6 +459,10 @@ def cmd_compare(cfg: dict, run_dirs: list[str]) -> int:
         for method, pat in zip(methods, patterns):
             if pat is None:
                 continue
+            if pat.rain_patterns.shape[1] != len(coords):
+                raise ValidationError(f"{locations}: {len(coords)} locations, "
+                                      f"but {method}'s patterns have "
+                                      f"{pat.rain_patterns.shape[1]}")
             ann = [f"{v:.1f} mm/day" for v in pat.pattern_volume]
             svgplot.pattern_grid(out / f"cdp_{method}.svg",
                                  f"state patterns: {method}", coords,
@@ -477,7 +477,7 @@ def cmd_compare(cfg: dict, run_dirs: list[str]) -> int:
 def cmd_refit(cfg: dict, frozen_dir: str) -> int:
     frozen = Path(frozen_dir)
     patterns = _load_patterns(frozen)
-    params = _load_params(frozen / "params.json")
+    params = _load_params(frozen / "params.json", patterns)
     data = load_dataset(cfg["paths"]["locations"], cfg["paths"]["rainfall"])
     weights = compute_spatial_weights(data)
     sampler = _sampler_config(cfg)

@@ -25,7 +25,7 @@ empty and one overflow label collects what fits none of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import gammaln
@@ -84,12 +84,12 @@ def _draw_cell_states(w: np.ndarray, rng) -> np.ndarray:
     return np.where(rng.random(w.shape[1]) < p_low, LOW, HIGH).astype(np.int8)
 
 
-def _row_map(n_labels: int, n_rows: int, n_aligned: int) -> np.ndarray:
-    """Label -> pattern row, -1 where a label has no aligned pattern row.
+def _row_map(n_labels: int, n_rows: int) -> np.ndarray:
+    """Label -> pattern row, -1 where a label has no pattern row.
 
     Covers every current label and one label past the pattern rows.
     """
-    return np.array([i if i < n_aligned else -1
+    return np.array([i if i < n_rows else -1
                      for i in range(max(n_labels, n_rows + 1))], dtype=np.intp)
 
 
@@ -211,7 +211,9 @@ class _GibbsEngine:
 
     With ``frozen`` set, patterns and parameters are never refreshed, day
     labels are restricted to the frozen patterns plus one overflow label, and
-    location labels to the frozen series plus one overflow label.
+    location labels to the frozen series plus one overflow label.  Frozen
+    series are indexed by the training days, so on a record of another
+    length no series is frozen and every location stays in label 1.
     """
 
     def __init__(self, data, weights, params: ModelParams,
@@ -251,6 +253,11 @@ class _GibbsEngine:
                               np.arange(d, self.T, 2))
                              for c in range(4) for d in range(2)]
 
+        if self.frozen and frozen.state_series.shape[1] != self.T:
+            frozen = replace(
+                frozen, rain_series=np.zeros((0, self.T)),
+                state_series=np.zeros((0, self.T), dtype=np.int8),
+                loc_counts=np.zeros(0, dtype=np.int64))
         self._init_state(frozen)
         if self.frozen:
             self.patterns = frozen
@@ -284,35 +291,26 @@ class _GibbsEngine:
         else:
             states = discretize_by_mean(self.data)
 
+        loc_labels = np.ones(self.S, dtype=np.int64)
         if frozen is not None:
             # start every day and location at its best-matching frozen pattern
-            p1 = (frozen.state_patterns == HIGH).astype(float)
-            z1 = (states == HIGH).astype(float)
-            match_u = p1 @ z1 + (1.0 - p1) @ (1.0 - z1)
-            day_labels = match_u.argmax(axis=0) + 1
-            if frozen.state_series.shape[1] == self.T:
-                c1 = (frozen.state_series == HIGH).astype(float)
-                match_v = c1 @ z1.T + (1.0 - c1) @ (1.0 - z1.T)
-                loc_labels = match_v.argmax(axis=0) + 1
-            else:
-                # frozen series are indexed by the training days and cannot
-                # align with a different record length
-                loc_labels = np.ones(self.S, dtype=np.int64)
+            day_labels = self._matches(frozen.state_patterns,
+                                       states).argmax(axis=0) + 1
+            if frozen.n_loc_series:
+                loc_labels = self._matches(frozen.state_series,
+                                           states.T).argmax(axis=0) + 1
         elif self.config.init == "random":
             k0 = math.isqrt(self.T - 1) + 1
             day_labels = self.rng.integers(1, k0 + 1, size=self.T)
             day_labels = np.unique(day_labels, return_inverse=True)[1] + 1
-            loc_labels = np.ones(self.S, dtype=np.int64)
         elif self.config.init == "pattern":
             day_labels = _leader_init(states, math.isqrt(self.T - 1) + 1)
-            loc_labels = np.ones(self.S, dtype=np.int64)
         else:
             # quantile-bin days on total rainfall into ~sqrt(T) starting bins
             k0 = math.isqrt(self.T - 1) + 1
             ranks = np.empty(self.T, dtype=np.int64)
             ranks[np.argsort(self.y, kind="stable")] = np.arange(self.T)
             day_labels = 1 + (ranks * k0) // self.T
-            loc_labels = np.ones(self.S, dtype=np.int64)
 
         self.state = LatentState(states,
                                  np.asarray(day_labels, dtype=np.int64),
@@ -389,20 +387,16 @@ class _GibbsEngine:
         """Label -> pattern-row maps for the current labels and patterns.
 
         Row -1 (no pattern row) picks a sentinel row of zeros, which matches
-        neither state.  Series extracted from a record of another length
-        align with nothing.
+        neither state.
         """
-        ku = self.patterns.n_day_patterns
-        kv = self.patterns.n_loc_series
-        aligned = self.patterns.state_series.shape[1] == self.T
-        self._rowmap_u = _row_map(self.state.n_day_clusters, ku, ku)
-        self._rowmap_v = _row_map(self.state.n_loc_clusters, kv,
-                                  kv if aligned else 0)
+        self._rowmap_u = _row_map(self.state.n_day_clusters,
+                                  self.patterns.n_day_patterns)
+        self._rowmap_v = _row_map(self.state.n_loc_clusters,
+                                  self.patterns.n_loc_series)
         self._pattern_cols = np.vstack([self.patterns.state_patterns,
                                         np.zeros((1, self.S))]).T
-        series = (self.patterns.state_series if aligned
-                  else np.zeros((0, self.T)))
-        self._series_rows = np.vstack([series, np.zeros((1, self.T))])
+        self._series_rows = np.vstack([self.patterns.state_series,
+                                       np.zeros((1, self.T))])
 
     def z_sweep(self) -> None:
         self._set_rowmaps()
@@ -432,12 +426,10 @@ class _GibbsEngine:
 
     def _loc_tables(self) -> _LabelTables:
         self._set_rowmaps()
-        # series of a record of another length align with no location
-        align = (self._matches(self.patterns.state_series, self.state.states.T)
-                 if self.patterns.state_series.shape[1] == self.T
-                 else np.zeros((self.patterns.n_loc_series, self.S)))
         return _LabelTables(self.state.loc_labels, self._rowmap_v.tolist(),
-                            align, np.zeros(self.S, dtype=np.intp))
+                            self._matches(self.patterns.state_series,
+                                          self.state.states.T),
+                            np.zeros(self.S, dtype=np.intp))
 
     def day_log_weights(self, t: int, tables=None):
         """Candidate labels of day t and their conditional log-weights.
@@ -688,9 +680,12 @@ def refit_frozen(data_new, weights_new, patterns: PatternSet,
     """
     if patterns.n_day_patterns < 1:
         raise ValidationError("refit needs at least one frozen pattern")
-    if data_new.rain.shape[0] != patterns.rain_patterns.shape[1]:
+    if data_new.n_locations != patterns.rain_patterns.shape[1]:
         raise ValidationError("new data has a different number of locations "
                               "than the frozen patterns")
+    if any(a is not None and np.shape(a)[:1] != (data_new.n_locations,)
+           for a in (params.gamma_shape, params.gamma_rate)):
+        raise ValidationError("gamma_shape/gamma_rate need one row per location")
     engine = _GibbsEngine(data_new, weights_new, params, config,
                           frozen=patterns)
     return engine.run(on_sweep=on_sweep)

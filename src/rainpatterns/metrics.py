@@ -13,8 +13,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .data import _read_rows
+from .errors import ParseError, ValidationError
 from .model import HIGH, RAIN_EPS, PatternSet
+
+METRICS_HEADER = ["metric", "cluster_id", "value"]
 
 
 class DistanceReport(NamedTuple):
@@ -82,15 +85,11 @@ def spatial_coherence(patterns: PatternSet, neighborhoods) -> tuple[float, float
     binary patterns score about 0.5.  Rain-pattern terms whose reference value
     is below the rainfall floor are skipped (counted as zero).
     """
-    ei, ej = [], []
-    for s, nb in enumerate(neighborhoods):
-        for s2 in nb:
-            ei.append(s)
-            ej.append(int(s2))
-    if not ei:
+    sizes = [len(nb) for nb in neighborhoods]
+    ei = np.repeat(np.arange(len(sizes), dtype=np.intp), sizes)
+    if not ei.size:
         return 0.0, 0.0
-    ei = np.asarray(ei, dtype=np.intp)
-    ej = np.asarray(ej, dtype=np.intp)
+    ej = np.concatenate(neighborhoods).astype(np.intp)
     K = patterns.n_day_patterns
     total = K * len(ei)
 
@@ -195,7 +194,7 @@ class MetricsReport:
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["metric", "cluster_id", "value"])
+            w.writerow(METRICS_HEADER)
             for name, cid, val in self.to_rows():
                 w.writerow([name, cid, repr(float(val))])
 
@@ -214,19 +213,23 @@ class MetricsReport:
 
 
 def read_metrics_csv(path):
-    """Load a metrics CSV back into (global_values, per_cluster) dicts."""
+    """Load a metrics CSV back into (global_values, per_cluster) dicts.
+
+    An empty table, a repeated (metric, cluster_id) or a non-number fails.
+    """
     global_values: dict[str, float] = {}
     per_cluster: dict[str, dict[int, float]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["metric", "cluster_id", "value"]:
-            raise ValidationError(f"{path}: not a metrics CSV")
-        for name, cid, val in reader:
-            if cid == "":
-                global_values[name] = float(val)
-            else:
-                per_cluster.setdefault(name, {})[int(cid)] = float(val)
+    for lineno, (name, cid, val) in _read_rows(path, METRICS_HEADER):
+        values = global_values if cid == "" else per_cluster.setdefault(name, {})
+        try:
+            key, value = (name if cid == "" else int(cid)), float(val)
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: malformed field") from None
+        if key in values:
+            raise ValidationError(f"{path}:{lineno}: repeated row")
+        values[key] = value
+    if not (global_values or per_cluster):
+        raise ValidationError(f"{path}: no metric rows")
     return global_values, per_cluster
 
 

@@ -368,7 +368,6 @@ def joint_log_density(data, weights, state: LatentState, params: ModelParams,
     if params.gamma_shape is None or params.gamma_rate is None:
         raise ValidationError("joint density requires estimated Gamma parameters")
     rain = data.rain
-    S, T = rain.shape
     z = state.states
 
     logp = crp_log_prior_days(state.day_labels, data.year_of_day,
@@ -390,11 +389,10 @@ def joint_log_density(data, weights, state: LatentState, params: ModelParams,
         pat = patterns.state_patterns[rows_u[has_u]]  # (t', S)
         logp += params.day_align * int((pat == z[:, has_u].T).sum())
 
-    # series alignment (location clusters); skipped when the patterns were
-    # extracted from a record of a different length (frozen refits)
+    # series alignment (location clusters)
     rows_v = state.loc_labels - 1
     has_v = rows_v < patterns.n_loc_series
-    if has_v.any() and patterns.state_series.shape[1] == T:
+    if has_v.any():
         ser = patterns.state_series[rows_v[has_v]]  # (s', T)
         logp += params.loc_align * int((ser == z[has_v, :]).sum())
 

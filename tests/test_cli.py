@@ -72,6 +72,63 @@ def drop_key(key):
     return damage
 
 
+def edit_json(edit):
+    def damage(path):
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+    return damage
+
+
+def first_row(edit):
+    """Damage the first data row of a CSV with ``edit(row_text)``."""
+    return edit_lines(lambda lines: lines[:1] + [edit(lines[1].rstrip())
+                                                 + "\n"] + lines[2:])
+
+
+CSV_DAMAGES = [
+    ("header-only", edit_lines(lambda lines: lines[:1])),
+    ("repeated-row", edit_lines(lambda lines: lines[:2] + lines[1:])),
+    ("x-in-field", first_row(lambda row: row.rsplit(",", 1)[0] + ",x")),
+    ("dropped-field", first_row(lambda row: row.rsplit(",", 1)[0])),
+]
+PARAMS_DAMAGES = [
+    ("invalid-json", lambda path: path.write_text("{\"gamma\": 1.0,")),
+    ("not-an-object", lambda path: path.write_text("[]")),
+    ("x-in-field", edit_json(lambda doc: doc.update(gamma="x"))),
+    ("dropped-field", drop_key("sigma")),
+    ("gamma-shape-row-short", edit_json(lambda doc: doc["gamma_shape"].pop())),
+    ("gamma-rate-ragged", edit_json(lambda doc: doc["gamma_rate"][0].pop())),
+    ("aggregate-mean-short",
+     edit_json(lambda doc: doc["aggregate_mean"].pop())),
+]
+
+
+def run_dir_damages():
+    """(command, file, damage, exit code) for every file refit or compare
+    reads from a run directory."""
+    tables = ["patterns_spatial.csv", "patterns_temporal.csv",
+              "cluster_summary.csv"]
+    beyond_k = edit_lines(lambda lines: lines + [f"{len(lines)},1,1,1.0\n"])
+    cases = [(cmd, name, label, damage, 2) for cmd in ("refit", "compare")
+             for name in tables for label, damage in CSV_DAMAGES]
+    cases += [(cmd, "cluster_summary.csv", "cluster-k-plus-1", beyond_k, 2)
+              for cmd in ("refit", "compare")]
+    cases += [("refit", "params.json", label, damage, 2)
+              for label, damage in PARAMS_DAMAGES]
+    cases += [("compare", "metrics.csv", label, damage, 2)
+              for label, damage in CSV_DAMAGES]
+    cases += [("compare", "config.json", label, damage, 2)
+              for label, damage in PARAMS_DAMAGES[:2]]
+    # compare reads patterns_spatial.csv and config.json only if present
+    cases += [(cmd, name, "missing", lambda path: path.unlink(), 4)
+              for cmd, names in (("refit", tables + ["params.json"]),
+                                 ("compare", tables[1:] + ["metrics.csv"]))
+              for name in names]
+    return [pytest.param(cmd, name, damage, code, id=f"{cmd}-{name}-{label}")
+            for cmd, name, label, damage, code in cases]
+
+
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -384,10 +441,26 @@ class TestExitCodes:
         assert run(args + ["--config", cfg, "--out", tmp_path / "out"]) == 2
         assert name in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,name,damage,code", run_dir_damages())
+    def test_every_damaged_run_file_exits_with_a_message(
+            self, fit_run, tmp_path, capsys, command, name, damage, code):
+        base, cfg = fit_run
+        run_dir = shutil.copytree(base / "fit", tmp_path / "run")
+        damage(run_dir / name)
+        args = (["refit", "--frozen", run_dir] if command == "refit"
+                else ["compare", run_dir])
+        # an uncaught exception would propagate out of main
+        assert run(args + ["--config", cfg, "--out", tmp_path / "out"]) \
+            == code
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err
+
     @pytest.mark.parametrize("damage", [
         pytest.param(edit_lines(lambda lines: lines[:1] + ["0,1\n"]
                                 + lines[2:]), id="two-field-row"),
         pytest.param(edit_lines(lambda lines: []), id="empty"),
+        pytest.param(edit_lines(lambda lines: lines[:4]),
+                     id="fewer-locations-than-the-patterns"),
     ])
     def test_compare_damaged_locations_is_validation_error(
             self, fit_run, tmp_path, capsys, damage):

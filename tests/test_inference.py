@@ -427,6 +427,32 @@ class TestRefitFrozen:
             refit_frozen(other, compute_spatial_weights(other), pats, fitted,
                          cfg)
 
+    def test_gamma_row_count_mismatch_rejected(self):
+        data, weights, summary, pats, fitted = self.fit_small()
+        cfg = SamplerConfig(n_burnin=2, n_samples=2, seed=0)
+        for name in ("gamma_shape", "gamma_rate"):
+            short = fitted.replace(**{name: getattr(fitted, name)[:-1]})
+            with pytest.raises(ValidationError, match="one row per location"):
+                refit_frozen(data, weights, pats, short, cfg)
+
+    def test_other_length_keeps_every_location_in_label_one(self):
+        # frozen series are indexed by the training days, so a record of
+        # another length has none to align with or to enter
+        data, weights, summary, pats, fitted = self.fit_small(seed=11)
+        half = data.n_days // 2
+        sub = make_dataset(data.rain[:, :half], data.grid_coords,
+                           data.year_of_day[:half])
+        cfg = SamplerConfig(n_burnin=15, n_samples=10, seed=5)
+        labels = []
+        refit = refit_frozen(
+            sub, compute_spatial_weights(sub), pats,
+            fitted.replace(loc_concentration=20.0), cfg,
+            on_sweep=lambda engine, i: labels.append(
+                engine.state.loc_labels.copy()))
+        assert len(labels) == 25
+        assert all((v == 1).all() for v in labels)
+        assert (refit.v_mode == 1).all()
+
     def test_labels_not_compacted(self):
         # refit labels index the frozen patterns even when some go unused
         data, weights, summary, pats, fitted = self.fit_small(seed=11)

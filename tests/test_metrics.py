@@ -143,6 +143,26 @@ class TestSpatialCoherence:
         # only the 5 -> 0 direction evaluates; 0 -> 5 is guarded out
         assert spch_rain == pytest.approx((5.0 / 5.0) / 2)
 
+    def test_matches_loop_over_neighbours(self, small_synth):
+        # directed pairs in the order of a loop over each location's
+        # neighbours, so both sums are bit-equal to that loop's; the last
+        # location has no neighbours
+        data, truth = small_synth
+        nbs = data.neighborhoods[:-1] + (np.array([], dtype=np.intp),)
+        pats = extract_patterns(data, truth)
+        ei = np.array([s for s, nb in enumerate(nbs) for _ in nb])
+        ej = np.array([s2 for nb in nbs for s2 in nb])
+        cdp, crp = pats.state_patterns, pats.rain_patterns
+        total = cdp.shape[0] * len(ei)
+        ref = np.abs(crp[:, ei])
+        rel = np.where(ref >= 0.01, np.abs(crp[:, ej] - crp[:, ei])
+                       / np.maximum(ref, 0.01), 0.0)
+        assert spatial_coherence(pats, nbs) == (
+            float((cdp[:, ej] != cdp[:, ei]).sum() / total),
+            float(rel.sum() / total))
+        assert spatial_coherence(pats, (np.array([], dtype=np.intp),)) \
+            == (0.0, 0.0)
+
     def test_in_unit_interval(self):
         rng = np.random.default_rng(1)
         nbs = self.line_neighborhoods(12)
