@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -92,24 +93,44 @@ def load_config(path: str | None, seed: int | None, out: str | None) -> dict:
     return cfg
 
 
+def _value(cfg: dict, section: str, key: str, kind=float, null_ok=False):
+    """``cfg[section][key]`` converted by ``kind``; errors name both keys."""
+    sec = cfg.get(section)
+    if not isinstance(sec, dict):
+        raise ValidationError(f"config: {section}: expected an object")
+    value = sec.get(key)
+    if value is None and null_ok:
+        return None
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"config: {section}.{key}: cannot use "
+                              f"{value!r}") from None
+
+
 def _out_dir(cfg: dict) -> Path:
-    out = Path(cfg["paths"]["out"])
+    out = Path(_value(cfg, "paths", "out", os.fspath))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
+def _load_data(cfg: dict) -> RainfallDataset:
+    return load_dataset(_value(cfg, "paths", "locations", os.fspath),
+                        _value(cfg, "paths", "rainfall", os.fspath))
+
+
 def _model_params(cfg: dict, data: RainfallDataset) -> ModelParams:
-    m = cfg["model"]
+    given = {f: _value(cfg, "model", k, float, null_ok=True)
+             for k, f in MODEL_KEYS.items()}
     # a null value keeps its default, for sigma the sd of the daily totals
     return ModelParams(**{"aggregate_sd": float(data.aggregate.std()) or 1.0,
-                          **{f: float(m[k]) for k, f in MODEL_KEYS.items()
-                             if m[k] is not None}})
+                          **{f: v for f, v in given.items() if v is not None}})
 
 
 def _sampler_config(cfg: dict) -> SamplerConfig:
-    s = cfg["sampler"]
-    return SamplerConfig(n_burnin=int(s["burnin"]), n_samples=int(s["samples"]),
-                         seed=int(s["seed"]), init=s["init"])
+    sa = partial(_value, cfg, "sampler")
+    return SamplerConfig(sa("burnin", int), sa("samples", int),
+                         sa("seed", int), sa("init", str))
 
 
 def _write_json(path, doc: dict) -> None:
@@ -226,9 +247,7 @@ def _load_patterns(run_dir: Path) -> PatternSet:
     return PatternSet(
         rain_patterns=crp, state_patterns=cdp, rain_series=cts,
         state_series=cds, day_counts=summary["n_days"],
-        year_counts=summary["n_years"],
-        loc_counts=np.zeros(len(cts), dtype=np.int64),
-        pattern_volume=summary["aggregate_mm"])
+        year_counts=summary["n_years"], pattern_volume=summary["aggregate_mm"])
 
 
 def _write_report(out: Path, report: MetricsReport) -> None:
@@ -238,15 +257,13 @@ def _write_report(out: Path, report: MetricsReport) -> None:
 
 
 def cmd_synth(cfg: dict) -> int:
-    sy = cfg["synth"]
-    spec = SyntheticSpec(n_locations=int(sy["S"]), n_days=int(sy["T"]),
-                         n_day_patterns=int(sy["K"]), n_loc_groups=int(sy["L"]),
-                         wet_shape=float(sy["wet_shape"]),
-                         wet_rate=float(sy["wet_rate"]),
-                         dry_shape=float(sy["dry_shape"]),
-                         dry_rate=float(sy["dry_rate"]),
-                         flip_noise=float(sy["noise"]), seed=int(sy["seed"]),
-                         n_years=int(sy["years"]))
+    sy = partial(_value, cfg, "synth")
+    spec = SyntheticSpec(n_locations=sy("S", int), n_days=sy("T", int),
+                         n_day_patterns=sy("K", int), seed=sy("seed", int),
+                         n_loc_groups=sy("L", int), n_years=sy("years", int),
+                         wet_shape=sy("wet_shape"), wet_rate=sy("wet_rate"),
+                         dry_shape=sy("dry_shape"), dry_rate=sy("dry_rate"),
+                         flip_noise=sy("noise"))
     data, truth = generate_synthetic(spec)
     out = _out_dir(cfg)
     save_dataset(data, out / "locations.csv", out / "rainfall.csv")
@@ -259,7 +276,7 @@ def cmd_synth(cfg: dict) -> int:
 
 
 def cmd_fit(cfg: dict) -> int:
-    data = load_dataset(cfg["paths"]["locations"], cfg["paths"]["rainfall"])
+    data = _load_data(cfg)
     weights = compute_spatial_weights(data)
     params = _model_params(cfg, data)
     sampler = _sampler_config(cfg)
@@ -274,7 +291,7 @@ def cmd_fit(cfg: dict) -> int:
                trace)
     report = build_report(data, summary.z_mode, summary.u_mode, patterns,
                           method="mrf",
-                          min_years=int(cfg["metrics"]["min_years"]))
+                          min_years=_value(cfg, "metrics", "min_years", int))
     _write_report(out, report)
     _dump_config(cfg, out, {"method": "mrf", "model": _model_section(params)})
     print(f"fit: {patterns.n_day_patterns} day clusters, "
@@ -284,17 +301,16 @@ def cmd_fit(cfg: dict) -> int:
 
 
 def _baseline_clustering(cfg: dict, data: RainfallDataset, method: str):
-    k = int(cfg["baseline"]["k"])
+    k = _value(cfg, "baseline", "k", int)
     if k > data.n_days:
         raise ValidationError(f"k={k} exceeds the number of days {data.n_days}")
-    seed = int(cfg["sampler"]["seed"])
+    seed = _value(cfg, "sampler", "seed", int)
     drvs = data.rain.T  # (T, S)
     if method == "kmeans":
         result = baselines.kmeans(drvs, k, seed=seed)
     elif method == "spect1":
-        tau = cfg["baseline"]["tau"]
         sim = baselines.similarity_euclidean(
-            drvs, None if tau is None else float(tau))
+            drvs, _value(cfg, "baseline", "tau", float, null_ok=True))
         result = baselines.spectral_cluster(sim, k, seed=seed)
     elif method == "spect2":
         sim = baselines.similarity_hamming(discretize_by_mean(data).T)
@@ -322,12 +338,11 @@ def baseline_patterns(data: RainfallDataset,
                       state_series=patterns.state_series,
                       day_counts=patterns.day_counts,
                       year_counts=patterns.year_counts,
-                      loc_counts=patterns.loc_counts,
                       pattern_volume=result.centers.sum(axis=1))
 
 
 def cmd_baseline(cfg: dict, method: str) -> int:
-    data = load_dataset(cfg["paths"]["locations"], cfg["paths"]["rainfall"])
+    data = _load_data(cfg)
     out = _out_dir(cfg)
     if method == "eof":
         return _cmd_baseline_eof(cfg, data, out)
@@ -338,7 +353,7 @@ def cmd_baseline(cfg: dict, method: str) -> int:
     _write_patterns(out, patterns)
     report = build_report(data, discretize_by_mean(data), result.labels,
                           patterns, method=method,
-                          min_years=int(cfg["metrics"]["min_years"]))
+                          min_years=_value(cfg, "metrics", "min_years", int))
     _write_report(out, report)
     _dump_config(cfg, out, {"method": method})
     print(f"{method}: {patterns.n_day_patterns} clusters, "
@@ -349,8 +364,8 @@ def cmd_baseline(cfg: dict, method: str) -> int:
 
 def _cmd_baseline_eof(cfg: dict, data: RainfallDataset, out: Path) -> int:
     basis = baselines.eof_decompose(data.rain)
-    k = int(cfg["baseline"]["k"])
-    reg = float(cfg["baseline"]["lasso_reg"])
+    k = _value(cfg, "baseline", "k", int)
+    reg = _value(cfg, "baseline", "lasso_reg", float)
     S = data.n_locations
     _write_csv(out / "eof_eigenvalues.csv", ["mode_id", "eigenvalue"],
                np.arange(S), basis.eigenvalues)
@@ -375,7 +390,6 @@ def _cmd_baseline_eof(cfg: dict, data: RainfallDataset, out: Path) -> int:
                      state_series=np.full((1, data.n_days), LOW, dtype=np.int8),
                      day_counts=np.zeros(k, dtype=np.int64),
                      year_counts=np.zeros(k, dtype=np.int64),
-                     loc_counts=np.array([S]),
                      pattern_volume=lead.sum(axis=1))
     spch_state, spch_rain = spatial_coherence(pat, data.neighborhoods)
     explained = (float(basis.eigenvalues[:k].sum() / basis.eigenvalues.sum())
@@ -408,7 +422,12 @@ def cmd_compare(cfg: dict, run_dirs: list[str]) -> int:
         except FileNotFoundError:
             method = rdp.name
         g, per = read_metrics_csv(rdp / "metrics.csv")
-        methods.append(str(method))
+        # a repeated method is labelled mrf-2, mrf-3, ... in columns and maps
+        label, n = str(method), 1
+        while label in methods:
+            n += 1
+            label = f"{method}-{n}"
+        methods.append(label)
         reports.append((g, per))
         if (rdp / "patterns_spatial.csv").exists():
             patterns.append(_load_patterns(rdp))
@@ -453,7 +472,7 @@ def cmd_compare(cfg: dict, run_dirs: list[str]) -> int:
                                       [str(u + 1) for u in range(n_max)],
                                       series)
 
-    locations = cfg["paths"].get("locations")
+    locations = _value(cfg, "paths", "locations", os.fspath, null_ok=True)
     if locations and os.path.exists(locations):
         coords = _load_locations(locations)
         for method, pat in zip(methods, patterns):
@@ -478,7 +497,7 @@ def cmd_refit(cfg: dict, frozen_dir: str) -> int:
     frozen = Path(frozen_dir)
     patterns = _load_patterns(frozen)
     params = _load_params(frozen / "params.json", patterns)
-    data = load_dataset(cfg["paths"]["locations"], cfg["paths"]["rainfall"])
+    data = _load_data(cfg)
     weights = compute_spatial_weights(data)
     sampler = _sampler_config(cfg)
     summary = refit_frozen(data, weights, patterns, params, sampler)

@@ -74,13 +74,6 @@ class SpatialWeights:
     values: tuple          # per-location array aligned with neighborhoods
     neighborhoods: tuple
 
-    def get(self, s: int, s2: int) -> float:
-        nb = self.neighborhoods[s]
-        pos = np.searchsorted(nb, s2)
-        if pos >= len(nb) or nb[pos] != s2:
-            raise KeyError(f"{s2} is not a neighbour of {s}")
-        return float(self.values[s][pos])
-
     @cached_property
     def edge_arrays(self):
         """Unordered neighbour pairs (i < j) and their weights, as arrays."""

@@ -256,8 +256,7 @@ class _GibbsEngine:
         if self.frozen and frozen.state_series.shape[1] != self.T:
             frozen = replace(
                 frozen, rain_series=np.zeros((0, self.T)),
-                state_series=np.zeros((0, self.T), dtype=np.int8),
-                loc_counts=np.zeros(0, dtype=np.int64))
+                state_series=np.zeros((0, self.T), dtype=np.int8))
         self._init_state(frozen)
         if self.frozen:
             self.patterns = frozen

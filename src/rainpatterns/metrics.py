@@ -135,19 +135,9 @@ def wet_fraction(patterns: PatternSet) -> np.ndarray:
     return (patterns.state_patterns == HIGH).mean(axis=1)
 
 
-def aic(n_clusters: int, mean_distance: float, kind: str,
-        align_strength: float = 1.0) -> float:
-    """Akaike information criterion, 2k - 2 log(likelihood).
-
-    The ``gaussian`` kind treats the mean Euclidean distance as the negative
-    log-likelihood; the ``hamming`` kind weights the mean Hamming distance by
-    the alignment strength.
-    """
-    if kind == "gaussian":
-        return 2.0 * n_clusters + 2.0 * mean_distance
-    if kind == "hamming":
-        return 2.0 * n_clusters + 2.0 * align_strength * mean_distance
-    raise ValidationError(f"unknown AIC kind {kind!r}")
+def aic(n_clusters: int, mean_distance: float) -> float:
+    """AIC, 2k + 2d, with the mean distance d standing in for -log(L)."""
+    return 2.0 * n_clusters + 2.0 * mean_distance
 
 
 def adjusted_rand_index(a: np.ndarray, b: np.ndarray) -> float:
@@ -287,7 +277,7 @@ def build_report(data, states: np.ndarray, day_labels: np.ndarray,
         "pooled_std_y": pooled,
         "spch_cdp": spch_state,
         "spch_crp": spch_rain,
-        "aic_gaussian": aic(K, dist.mean_l2, "gaussian"),
-        "aic_hamming": aic(K, dist.mean_hamming, "hamming"),
+        "aic_gaussian": aic(K, dist.mean_l2),
+        "aic_hamming": aic(K, dist.mean_hamming),
     }
     return report

@@ -5,6 +5,11 @@ every location carries a label selecting a canonical time series.  Grid cells
 hold a binary state (1 = high rainfall, 2 = low rainfall) coupled to its
 spatio-temporal neighbours, to the cluster patterns, and to the observed
 rainfall through a per-location two-component Gamma model.
+
+The tests check ``joint_log_density`` against one brute-force reference,
+``brute_force_log_density`` in ``tests/conftest.py``, and the sampler's
+conditionals against flips and enumerations of the joint (README, Tests);
+the same file holds the oracle of the day step's n·m prior weights.
 """
 
 from __future__ import annotations
@@ -134,7 +139,6 @@ class PatternSet:
     state_series: np.ndarray    # (L, T) in {1, 2}
     day_counts: np.ndarray      # (K,)
     year_counts: np.ndarray     # (K,)
-    loc_counts: np.ndarray      # (L,)
     pattern_volume: np.ndarray  # (K,)
 
     @property
@@ -144,112 +148,6 @@ class PatternSet:
     @property
     def n_loc_series(self) -> int:
         return self.rain_series.shape[0]
-
-
-def log_potential_temporal(z1: int, z2: int, factor: float) -> float:
-    """Log contribution of a temporal edge: log(factor) on agreement, else 0."""
-    return math.log(factor) if z1 == z2 else 0.0
-
-
-def log_potential_spatial(z1: int, z2: int, weight: float) -> float:
-    """Log contribution of a spatial edge.
-
-    Agreement earns the pair's correlation weight; negative correlations are
-    clamped to zero so anticorrelated neighbours exert no checkerboard pull.
-    """
-    return max(weight, 0.0) if z1 == z2 else 0.0
-
-
-def log_potential_day_align(z: int, day_label: int, s: int,
-                            patterns: PatternSet, strength: float) -> float:
-    """Reward for a cell state matching its day cluster's canonical state map.
-
-    A label without a pattern row (cluster born since the last pattern
-    refresh) contributes nothing.
-    """
-    row = day_label - 1
-    if row >= patterns.n_day_patterns:
-        return 0.0
-    return strength if patterns.state_patterns[row, s] == z else 0.0
-
-
-def log_potential_loc_align(z: int, loc_label: int, t: int,
-                            patterns: PatternSet, strength: float) -> float:
-    """Mirror of :func:`log_potential_day_align` for location clusters."""
-    row = loc_label - 1
-    if row >= patterns.n_loc_series:
-        return 0.0
-    return strength if patterns.state_series[row, t] == z else 0.0
-
-
-def log_gamma_density(x: float, shape: float, rate: float) -> float:
-    """Fully normalised Gamma log-density at max(x, RAIN_EPS)."""
-    if not (shape > 0 and rate > 0):
-        raise ValidationError("Gamma shape and rate must be positive")
-    if x < 0:
-        raise ValidationError("rainfall must be non-negative")
-    xc = max(x, RAIN_EPS)
-    out = shape * math.log(rate) + (shape - 1.0) * math.log(xc) \
-        - rate * xc - float(gammaln(shape))
-    if not math.isfinite(out):
-        raise NumericError(f"non-finite Gamma log-density (shape={shape}, rate={rate})")
-    return out
-
-
-def log_potential_aggregate(day_label: int, y: float,
-                            means: np.ndarray | None, sd: float) -> float:
-    """Gaussian log-kernel tying a day's total rainfall to its cluster mean.
-
-    Clusters without an estimated mean (newly born) are neutral.
-    """
-    row = day_label - 1
-    if means is None or row >= len(means):
-        return 0.0
-    dev = (y - float(means[row])) / sd
-    return -0.5 * dev * dev
-
-
-def crp_log_weights_days(t: int, day_labels: np.ndarray, years: np.ndarray,
-                         concentration: float) -> dict[int, float]:
-    """Log-weights of the day-clustering prior for reassigning day t.
-
-    Each existing cluster weighs n * m where n counts its member days and m
-    the distinct years those days span, both excluding day t; one fresh label
-    (max existing + 1) weighs ``concentration``.
-    """
-    mask = np.ones(day_labels.size, dtype=bool)
-    mask[t] = False
-    others = day_labels[mask]
-    out: dict[int, float] = {}
-    if others.size:
-        yrs = years[mask]
-        for u in np.unique(others):
-            sel = others == u
-            n = int(sel.sum())
-            m = len(np.unique(yrs[sel]))
-            out[int(u)] = math.log(n * m)
-        fresh = int(others.max()) + 1
-    else:
-        fresh = 1
-    out[fresh] = math.log(concentration)
-    return out
-
-
-def crp_log_weights_locations(s: int, loc_labels: np.ndarray,
-                              concentration: float) -> dict[int, float]:
-    """Log-weights of the location-clustering prior for reassigning location s."""
-    mask = np.ones(loc_labels.size, dtype=bool)
-    mask[s] = False
-    others = loc_labels[mask]
-    out: dict[int, float] = {}
-    if others.size:
-        for v, n in zip(*np.unique(others, return_counts=True)):
-            out[int(v)] = math.log(int(n))
-        fresh = int(others.max()) + 1
-    else:
-        fresh = 1
-    out[fresh] = math.log(concentration)
-    return out
 
 
 def _mode_rows(ones_count: np.ndarray, totals: np.ndarray) -> np.ndarray:
@@ -297,7 +195,6 @@ def extract_patterns(data, state: LatentState) -> PatternSet:
         state_series=state_series,
         day_counts=day_counts.astype(np.int64),
         year_counts=year_counts.astype(np.int64),
-        loc_counts=loc_counts.astype(np.int64),
         pattern_volume=rain_patterns.sum(axis=1),
     )
 

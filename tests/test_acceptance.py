@@ -23,7 +23,7 @@ from rainpatterns.inference import (_GibbsEngine, _draw_cell_states,
 from rainpatterns.metrics import (adjusted_rand_index, distance_report,
                                   prominent_clusters, spatial_coherence,
                                   spell_stats, wet_fraction)
-from conftest import engine_at, fitted_params
+from conftest import engine_at, fitted_params, flip_delta
 
 
 def report(criterion, detail):
@@ -124,13 +124,9 @@ def test_c1_gibbs_exactness():
 
 
 def test_c2_joint_density_locality():
-    """Full-recompute delta equals the local-term delta to 1e-9 relative."""
-    from rainpatterns.model import (log_gamma_density,
-                                    log_potential_day_align,
-                                    log_potential_loc_align,
-                                    log_potential_spatial,
-                                    log_potential_temporal)
-
+    """Each flipped cell's w_high - w_low from the engine equals the change
+    of the full joint density between the cell's two states, to 1e-9
+    relative: the z-sweep draws from the joint's conditional."""
     rng = np.random.default_rng(1)
     worst = 0.0
     for instance in range(20):
@@ -148,38 +144,14 @@ def test_c2_joint_density_locality():
                                loc_align=float(rng.random() * 3),
                                temporal_factor=1.0 + float(rng.random() * 3),
                                aggregate_sd=5.0)
-
-        def local(s, t):
-            z = int(state.states[s, t])
-            tot = 0.0
-            for t2 in (t - 1, t + 1):
-                if 0 <= t2 < 3:
-                    tot += log_potential_temporal(z, int(state.states[s, t2]),
-                                                  params.temporal_factor)
-            for k, s2 in enumerate(data.neighborhoods[s]):
-                tot += log_potential_spatial(z, int(state.states[s2, t]),
-                                             float(weights.values[s][k]))
-            tot += log_potential_day_align(z, int(state.day_labels[t]), s,
-                                           patterns, params.day_align)
-            tot += log_potential_loc_align(z, int(state.loc_labels[s]), t,
-                                           patterns, params.loc_align)
-            tot += log_gamma_density(float(data.rain[s, t]),
-                                     float(params.gamma_shape[s, z - 1]),
-                                     float(params.gamma_rate[s, z - 1]))
-            return tot
-
+        engine = engine_at(data, state, params, patterns, weights)
         for flip in range(3):
             s = int(rng.integers(16))
             t = int(rng.integers(3))
-            base = joint_log_density(data, weights, state, params, patterns)
-            before = local(s, t)
-            state.states[s, t] = (HIGH + LOW) - state.states[s, t]
-            after_full = joint_log_density(data, weights, state, params,
-                                           patterns)
-            after = local(s, t)
-            rel = abs((after_full - base) - (after - before)) \
-                / max(abs(after_full - base), 1e-300)
-            worst = max(worst, rel)
+            got, want = flip_delta(engine, s, t)
+            worst = max(worst, abs(got - want) / max(abs(want), 1e-300))
+            z = engine.state.states
+            z[s, t] = (HIGH + LOW) - z[s, t]
     assert worst <= 1e-9
     report("C2", f"worst relative deviation {worst:.2e} over 60 flips")
 

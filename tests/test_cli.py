@@ -259,12 +259,18 @@ class TestCompare:
         assert rows[0] == ["metric", "mrf", "kmeans"]
         metrics = {r[0]: r[1:] for r in rows[1:]}
         assert "mean_hamming" in metrics
-        # comparing a run with itself repeats its column
+        # comparing a run with itself repeats its values under a second
+        # label, which also names its own pair of maps
         out2 = tmp_path / "cmp2"
         run(["compare", "--config", cfg, "--out", out2,
              tmp_path / "fit", tmp_path / "fit"])
-        for r in read_rows(out2 / "comparison.csv")[1:]:
+        rows = read_rows(out2 / "comparison.csv")
+        assert rows[0] == ["metric", "mrf", "mrf-2"]
+        for r in rows[1:]:
             assert r[1] == r[2]
+        maps = sorted(p.name for p in out2.glob("c[dr]p_*.svg"))
+        assert maps == ["cdp_mrf-2.svg", "cdp_mrf.svg", "crp_mrf-2.svg",
+                        "crp_mrf.svg"]
         svgs = list(out.glob("*.svg"))
         assert svgs
         for svg in svgs:
@@ -415,6 +421,33 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run(["synth", "--config", bad, "--out", tmp_path / "x"]) == 2
+
+    @pytest.mark.parametrize("command,section,key,value", [
+        ("fit", "model", "", 5),
+        ("fit", "model", "gamma", "x"),
+        ("fit", "sampler", "burnin", "many"),
+        ("fit", "paths", "rainfall", None),
+        ("synth", "synth", "S", [64]),
+        ("synth", "synth", "", None),
+        ("baseline", "baseline", "k", "ten"),
+        ("baseline", "metrics", "min_years", {}),
+        ("baseline", "sampler", "seed", 1e400),
+    ])
+    def test_bad_config_value_names_it(self, synth_dir, capsys, command,
+                                       section, key, value):
+        # key "" replaces the whole section
+        name = f"{section}.{key}" if key else section
+        tmp_path, cfg = synth_dir
+        doc = json.loads(Path(cfg).read_text())
+        if key:
+            doc[section][key] = value
+        else:
+            doc[section] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        args = [command] + (["--method", "kmeans"] * (command == "baseline"))
+        assert run(args + ["--config", bad, "--out", tmp_path / "x"]) == 2
+        assert f"error: config: {name}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,name,damage", [
         pytest.param("refit", "patterns_spatial.csv",

@@ -220,6 +220,12 @@ class TestNeighborhoods:
                 assert s in nbs[s2]
 
 
+def pair_weights(w):
+    """Every directed neighbour pair's weight, keyed (s, s2)."""
+    return {(s, int(s2)): float(v) for s, nb in enumerate(w.neighborhoods)
+            for s2, v in zip(nb, w.values[s])}
+
+
 class TestSpatialWeights:
     def make(self, series):
         # horizontal strip of adjacent locations
@@ -231,12 +237,12 @@ class TestSpatialWeights:
     def test_identical_series(self):
         d = self.make([[1, 2, 3], [1, 2, 3]])
         w = compute_spatial_weights(d)
-        assert w.get(0, 1) == pytest.approx(1.0)
+        assert w.values[0][0] == pytest.approx(1.0)
 
     def test_anticorrelated_series(self):
         d = self.make([[1, 2, 3], [5, 4, 3]])
         w = compute_spatial_weights(d)
-        assert w.get(0, 1) == pytest.approx(-1.0)
+        assert w.values[0][0] == pytest.approx(-1.0)
 
     def test_hand_case(self):
         # oracle: Pearson formula evaluated by hand on (1,2,3) vs (2,2,4)
@@ -247,25 +253,23 @@ class TestSpatialWeights:
         assert expect == pytest.approx(math.sqrt(3) / 2)
         d = self.make([x, y])
         w = compute_spatial_weights(d)
-        assert w.get(0, 1) == pytest.approx(expect)
-        assert w.get(0, 1) == pytest.approx(0.866, abs=1e-3)
+        assert w.values[0][0] == pytest.approx(expect)
+        assert w.values[0][0] == pytest.approx(0.866, abs=1e-3)
 
     def test_zero_variance_gets_zero(self):
         d = self.make([[2, 2, 2], [1, 5, 3]])
         w = compute_spatial_weights(d)
-        assert w.get(0, 1) == 0.0
-        assert w.get(1, 0) == 0.0
+        assert w.values[0][0] == 0.0
+        assert w.values[1][0] == 0.0
 
     def test_symmetric_and_bounded(self, small_synth):
         data, _ = small_synth
-        w = compute_spatial_weights(data)
-        for s, nb in enumerate(data.neighborhoods):
-            for s2 in nb:
-                g = w.get(s, int(s2))
-                assert -1.0 <= g <= 1.0
-                assert g == pytest.approx(w.get(int(s2), s))
+        pair = pair_weights(compute_spatial_weights(data))
+        for (s, s2), g in pair.items():
+            assert -1.0 <= g <= 1.0
+            assert g == pytest.approx(pair[s2, s])
 
-    def test_edge_arrays_match_get_on_ragged_lattice(self):
+    def test_edge_arrays_match_values_on_ragged_lattice(self):
         # rows of unequal width and a hole: up to 8 neighbours per location
         coords = np.array([(x, y) for y, width in enumerate([6, 3, 5, 1, 6])
                            for x in range(width) if (x, y) != (4, 4)])
@@ -277,8 +281,9 @@ class TestSpatialWeights:
                  for s2 in nb if s < s2]
         assert list(zip(ei.tolist(), ej.tolist())) == sorted(pairs)
         assert max(map(len, d.neighborhoods)) == 8
-        for i, j, v in zip(ei, ej, vals):
-            assert v == w.get(int(i), int(j)) == w.get(int(j), int(i))
+        pair = pair_weights(w)
+        for i, j, v in zip(ei.tolist(), ej.tolist(), vals):
+            assert v == pair[i, j] == pair[j, i]
         assert w.edge_arrays is w.edge_arrays  # built once per object
 
     def test_needs_two_days(self):

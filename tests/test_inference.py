@@ -15,8 +15,9 @@ from rainpatterns.data import make_dataset
 from rainpatterns.inference import (_GibbsEngine, _draw_cell_states,
                                     _leader_init, _sample_from_log_weights)
 from rainpatterns.metrics import adjusted_rand_index
-from rainpatterns.model import crp_log_prior_days, crp_log_weights_days
-from conftest import engine_at, fitted_params
+from rainpatterns.model import crp_log_prior_days, crp_log_prior_locations
+from conftest import (crp_log_weights_days, engine_at, fitted_params,
+                      flip_delta)
 
 
 def random_instance(seed, S=4, T=3, n_years=2):
@@ -111,54 +112,19 @@ class TestZConditional:
         draws = draw_cells(engine, 0, 1, 2000, np.random.default_rng(2))
         assert np.mean(draws == HIGH) > 1 - 1e-6
 
-    def test_engine_weights_match_reference_op(self):
-        # the vectorised sweep path must encode the same conditional
+    def test_engine_weights_match_joint(self):
+        # every cell's w_high - w_low is the joint's flip delta, with a day
+        # and a location whose labels have no pattern row
         data, weights, state = random_instance(11, S=9, T=4)
-        params = fitted_params(data, state)
-        cfg = SamplerConfig(n_burnin=0, n_samples=1, seed=0)
-        engine = _GibbsEngine(data, weights, params, cfg)
-        engine.state = state.copy()
-        engine.refresh()
-        # a day and a location whose labels have no pattern row
-        engine.state.day_labels[1] = engine.state.n_day_clusters + 1
-        engine.state.loc_labels[2] = engine.state.n_loc_clusters + 1
+        engine = engine_at(data, state, fitted_params(data, state),
+                           weights=weights)
+        engine.state.day_labels[1] = state.n_day_clusters + 1
+        engine.state.loc_labels[2] = state.n_loc_clusters + 1
         engine._set_rowmaps()
-        state = engine.state
-        pats = engine.patterns
-        params = params.replace(gamma_shape=engine.alpha,
-                                gamma_rate=engine.beta,
-                                aggregate_mean=engine.mu)
         for s in range(9):
             for t in range(4):
-                w = engine.cell_log_weights(np.array([s]), np.array([t]))
-                # rebuild the same two log-weights from the public primitives
-                from rainpatterns.model import (log_gamma_density,
-                                                log_potential_day_align,
-                                                log_potential_loc_align,
-                                                log_potential_spatial,
-                                                log_potential_temporal)
-                for i, z in enumerate((HIGH, LOW)):
-                    ref = 0.0
-                    for t2 in (t - 1, t + 1):
-                        if 0 <= t2 < 4:
-                            ref += log_potential_temporal(
-                                z, int(state.states[s, t2]),
-                                params.temporal_factor)
-                    for k, s2 in enumerate(data.neighborhoods[s]):
-                        ref += log_potential_spatial(
-                            z, int(state.states[s2, t]),
-                            float(weights.values[s][k]))
-                    ref += log_potential_day_align(
-                        z, int(state.day_labels[t]), s, pats,
-                        params.day_align)
-                    ref += log_potential_loc_align(
-                        z, int(state.loc_labels[s]), t, pats,
-                        params.loc_align)
-                    ref += log_gamma_density(
-                        float(data.rain[s, t]),
-                        float(params.gamma_shape[s, z - 1]),
-                        float(params.gamma_rate[s, z - 1]))
-                    assert w[i, 0] == pytest.approx(ref, rel=1e-9)
+                got, want = flip_delta(engine, s, t)
+                assert got == pytest.approx(want, rel=1e-9)
 
     def test_block_matches_single_cells(self, small_synth, small_weights):
         data, truth = small_synth
@@ -176,34 +142,19 @@ class TestZConditional:
             np.testing.assert_allclose(block, single, rtol=1e-12)
 
     def test_coherence_only_marginal(self):
-        # neutral alignment and identical Gammas: the conditional must come
-        # from the coherence terms alone, checked against enumeration
+        # neutral alignment and identical Gammas leave only the coherence
+        # terms in each cell's w_high - w_low: still the joint's flip delta
         data, weights, state = random_instance(17, S=4, T=3)
         params = ModelParams(
             day_align=0.0, loc_align=0.0, temporal_factor=2.5,
             gamma_shape=np.full((4, 2), 2.0),
             gamma_rate=np.full((4, 2), 1.0),
             aggregate_mean=None)
-        pats = extract_patterns(data, state)
-        s, t = 1, 1
-        expect = z_conditional_by_enumeration(data, weights, state, params,
-                                              pats, s, t)
-        # coherence-only prediction assembled by hand
-        from rainpatterns.model import (log_potential_spatial,
-                                        log_potential_temporal)
-        logw = np.zeros(2)
-        for i, z in enumerate((HIGH, LOW)):
-            for t2 in (t - 1, t + 1):
-                if 0 <= t2 < 3:
-                    logw[i] += log_potential_temporal(
-                        z, int(state.states[s, t2]), 2.5)
-            for k, s2 in enumerate(data.neighborhoods[s]):
-                logw[i] += log_potential_spatial(
-                    z, int(state.states[s2, t]),
-                    float(weights.values[s][k]))
-        pred = np.exp(logw - logw.max())
-        pred /= pred.sum()
-        assert np.allclose(expect, pred, atol=1e-12)
+        engine = engine_at(data, state, params, weights=weights)
+        for s in range(4):
+            for t in range(3):
+                got, want = flip_delta(engine, s, t)
+                assert got == pytest.approx(want, rel=1e-9)
 
 
 class TestUDayConditional:
@@ -230,6 +181,23 @@ class TestUDayConditional:
         assert labels == sorted(crp)
         assert logw == pytest.approx([crp[u] for u in labels], rel=1e-12)
 
+    @pytest.mark.parametrize("labels,years,t,conc,expect", [
+        ([1], [0], 0, 0.7, {1: math.log(0.7)}),
+        ([1, 1, 1, 2], [0, 0, 0, 0], 3, 1.0, {1: math.log(3), 2: 0.0}),
+        # 2 days spanning 2 years weigh 2 x 2
+        ([1, 1, 2], [0, 1, 1], 2, 0.5, {1: math.log(4), 2: math.log(0.5)}),
+    ])
+    def test_prior_weights_by_hand(self, labels, years, t, conc, expect):
+        T = len(labels)
+        data = make_dataset(np.ones((2, T)), np.array([[0, 0], [1, 0]]),
+                            np.array(years))
+        state = LatentState(np.full((2, T), HIGH, dtype=np.int8),
+                            np.array(labels), np.array([1, 1]))
+        params = fitted_params(data, state, day_align=0.0,
+                               aggregate_sd=math.inf, day_concentration=conc)
+        cand, logw = engine_at(data, state, params).day_log_weights(t)
+        assert dict(zip(cand, logw)) == pytest.approx(expect)
+
     def test_matching_pattern_dominates(self, small_synth):
         data, truth = small_synth
         state = truth.copy()
@@ -252,6 +220,29 @@ class TestVLocationConditional:
         params = fitted_params(data, state)
         labels, _ = engine_at(data, state, params).loc_log_weights(0)
         assert labels == [1]
+
+    @pytest.mark.parametrize("labels,s,conc", [
+        ([1, 1, 1, 1, 1, 2, 2, 3], 7, 1.0), ([1], 0, 2.5),
+        ([1, 1, 1, 1], 0, 1e6), ([1, 2, 2, 3], 0, 0.3)])
+    def test_prior_weights_enumerate_the_prior(self, labels, s, conc):
+        # with neutral alignment the weights are the location prior's
+        # conditional, found by enumerating crp_log_prior_locations
+        S = len(labels)
+        data = make_dataset(np.ones((S, 2)),
+                            np.array([[i, 0] for i in range(S)]),
+                            np.array([0, 0]))
+        state = LatentState(np.full((S, 2), HIGH, dtype=np.int8),
+                            np.array([1, 1]), np.array(labels))
+        params = fitted_params(data, state, loc_align=0.0,
+                               loc_concentration=conc)
+        cand, logw = engine_at(data, state, params).loc_log_weights(s)
+        enum = []
+        for v in cand:
+            moved = np.array(labels)
+            moved[s] = v
+            enum.append(crp_log_prior_locations(moved, conc))
+        np.testing.assert_allclose(logw - logw[-1], np.array(enum) - enum[-1],
+                                   rtol=1e-12, atol=1e-12)
 
     def test_matching_series_dominates(self, small_synth):
         data, truth = small_synth

@@ -26,7 +26,6 @@ def make_patterns(state_rows, rain_rows=None, T=4):
         state_series=np.full((1, T), LOW, dtype=np.int8),
         day_counts=np.ones(K, dtype=np.int64),
         year_counts=np.ones(K, dtype=np.int64),
-        loc_counts=np.array([S]),
         pattern_volume=rain_rows.sum(axis=1))
 
 
@@ -223,20 +222,10 @@ class TestWetFraction:
 
 class TestAic:
     def test_zero_clusters_limit(self):
-        assert aic(0, 7.5, "gaussian") == pytest.approx(15.0)
+        assert aic(0, 7.5) == pytest.approx(15.0)
 
     def test_cluster_penalty(self):
-        a10 = aic(10, 3.0, "gaussian")
-        a20 = aic(20, 3.0, "gaussian")
-        assert a20 - a10 == pytest.approx(20.0)
-
-    def test_hamming_weighting(self):
-        assert aic(4, 2.0, "hamming", align_strength=3.0) == pytest.approx(
-            8 + 12.0)
-
-    def test_unknown_kind(self):
-        with pytest.raises(Exception):
-            aic(1, 1.0, "poisson")
+        assert aic(20, 3.0) - aic(10, 3.0) == pytest.approx(20.0)
 
 
 class TestAri:

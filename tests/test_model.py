@@ -1,6 +1,7 @@
-"""Potentials, cluster-prior weights, pattern extraction, joint density."""
+"""Cluster priors, pattern extraction, joint density, parameter updates."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,15 +12,10 @@ from rainpatterns import (HIGH, LOW, LatentState, ModelParams,
                           ValidationError, compute_spatial_weights,
                           extract_patterns, joint_log_density,
                           update_params_ml)
-from rainpatterns.data import make_dataset
-from rainpatterns.model import (PatternSet, crp_log_prior_days,
-                                crp_log_prior_locations, crp_log_weights_days,
-                                crp_log_weights_locations, log_gamma_density,
-                                log_potential_aggregate,
-                                log_potential_day_align,
-                                log_potential_loc_align, log_potential_spatial,
-                                log_potential_temporal)
-from conftest import fitted_params
+from rainpatterns.data import SpatialWeights, make_dataset
+from rainpatterns.model import (RAIN_EPS, crp_log_prior_days,
+                                crp_log_prior_locations)
+from conftest import brute_force_log_density, fitted_params
 
 
 def sequential_crp_log_prior_days(day_labels, years, concentration):
@@ -48,130 +44,6 @@ def sequential_crp_log_prior_days(day_labels, years, concentration):
             n.append(1)
             year_sets.append({int(years[t])})
     return logp
-
-
-def one_series_patterns(state_row, rain_row=None):
-    """PatternSet with one day pattern / one series for potential tests."""
-    state_row = np.asarray(state_row, dtype=np.int8)
-    if rain_row is None:
-        rain_row = np.ones_like(state_row, dtype=float)
-    return PatternSet(
-        rain_patterns=np.asarray([rain_row], dtype=float),
-        state_patterns=np.asarray([state_row]),
-        rain_series=np.asarray([rain_row], dtype=float),
-        state_series=np.asarray([state_row]),
-        day_counts=np.array([1]), year_counts=np.array([1]),
-        loc_counts=np.array([1]),
-        pattern_volume=np.array([float(np.sum(rain_row))]))
-
-
-class TestPotentials:
-    def test_temporal(self):
-        assert log_potential_temporal(1, 1, math.e) == pytest.approx(1.0)
-        assert log_potential_temporal(1, 2, 123.0) == 0.0
-        assert log_potential_temporal(2, 2, 2.0) == pytest.approx(math.log(2))
-
-    def test_spatial(self):
-        assert log_potential_spatial(1, 1, 1.0) == 1.0
-        assert log_potential_spatial(1, 2, 1.0) == 0.0
-        assert log_potential_spatial(1, 1, -0.5) == 0.0
-        assert log_potential_spatial(2, 2, 0.3) == pytest.approx(0.3)
-
-    def test_day_align(self):
-        pats = one_series_patterns([HIGH, LOW, HIGH])
-        assert log_potential_day_align(HIGH, 1, 0, pats, 9.0) == 9.0
-        assert log_potential_day_align(LOW, 1, 0, pats, 9.0) == 0.0
-        # label without a pattern row is neutral
-        assert log_potential_day_align(HIGH, 2, 0, pats, 9.0) == 0.0
-
-    def test_loc_align(self):
-        pats = one_series_patterns([LOW, HIGH])
-        assert log_potential_loc_align(HIGH, 1, 1, pats, 5.0) == 5.0
-        assert log_potential_loc_align(LOW, 1, 1, pats, 5.0) == 0.0
-        assert log_potential_loc_align(HIGH, 3, 1, pats, 5.0) == 0.0
-
-    def test_gamma_density_exponential_case(self):
-        # shape 1, rate 1 is Exp(1): log density at 1 is exactly -1
-        assert log_gamma_density(1.0, 1.0, 1.0) == pytest.approx(-1.0)
-
-    def test_gamma_density_hand_case(self):
-        # oracle: log(rate^shape x^(shape-1) e^(-rate x) / Gamma(shape))
-        expect = math.log(1.5 ** 3 * 2.0 ** 2 * math.exp(-3.0) / math.gamma(3))
-        assert expect == pytest.approx(-1.09046, abs=1e-5)
-        assert log_gamma_density(2.0, 3.0, 1.5) == pytest.approx(expect)
-
-    def test_gamma_density_clamps_zero(self):
-        assert log_gamma_density(0.0, 2.0, 1.0) == pytest.approx(
-            log_gamma_density(0.01, 2.0, 1.0))
-
-    def test_gamma_density_validates(self):
-        with pytest.raises(ValidationError):
-            log_gamma_density(1.0, 0.0, 1.0)
-        with pytest.raises(ValidationError):
-            log_gamma_density(-1.0, 1.0, 1.0)
-
-    @given(st.floats(0, 500), st.floats(0.01, 50), st.floats(0.01, 50))
-    @settings(max_examples=100, deadline=None)
-    def test_gamma_density_finite(self, x, shape, rate):
-        assert math.isfinite(log_gamma_density(x, shape, rate))
-
-    def test_aggregate(self):
-        mu = np.array([10.0])
-        assert log_potential_aggregate(1, 10.0, mu, 2.0) == 0.0
-        assert log_potential_aggregate(1, 12.0, mu, 2.0) == pytest.approx(-0.5)
-        assert log_potential_aggregate(1, 14.0, mu, 2.0) == pytest.approx(-2.0)
-        # unknown cluster or missing estimates stay neutral
-        assert log_potential_aggregate(2, 99.0, mu, 2.0) == 0.0
-        assert log_potential_aggregate(1, 99.0, None, 2.0) == 0.0
-
-
-class TestCrpWeights:
-    def test_first_day(self):
-        w = crp_log_weights_days(0, np.array([1]), np.array([0]), 0.7)
-        assert w == {1: pytest.approx(math.log(0.7))}
-
-    def test_single_year_counts(self):
-        labels = np.array([1, 1, 1, 2])
-        years = np.array([0, 0, 0, 0])
-        w = crp_log_weights_days(3, labels, years, 1.0)
-        assert w[1] == pytest.approx(math.log(3))
-        assert w[2] == pytest.approx(0.0)
-        assert set(w) == {1, 2}
-
-    def test_year_multiplier(self):
-        labels = np.array([1, 1, 9])
-        years = np.array([0, 1, 1])
-        w = crp_log_weights_days(2, labels, years, 0.5)
-        assert w[1] == pytest.approx(math.log(4))  # 2 days x 2 years
-        assert w[2] == pytest.approx(math.log(0.5))
-
-    def test_location_weights(self):
-        labels = np.array([1, 1, 1, 1, 1, 2, 2, 9])
-        w = crp_log_weights_locations(7, labels, 1.0)
-        assert w[1] == pytest.approx(math.log(5))
-        assert w[2] == pytest.approx(math.log(2))
-        assert w[3] == pytest.approx(0.0)
-
-    def test_first_location(self):
-        w = crp_log_weights_locations(0, np.array([4]), 2.5)
-        assert w == {1: pytest.approx(math.log(2.5))}
-
-    def test_large_concentration_dominates(self):
-        labels = np.array([1, 1, 1, 1])
-        w = crp_log_weights_locations(0, labels, 1e6)
-        assert max(w, key=w.get) == 2
-
-    @given(st.integers(2, 30), st.integers(0, 29),
-           st.floats(0.1, 5.0), st.integers(1, 4))
-    @settings(max_examples=60, deadline=None)
-    def test_weights_normalizable(self, n, idx, conc, n_years):
-        rng = np.random.default_rng(n * 31 + idx)
-        labels = rng.integers(1, 4, size=n)
-        labels = np.unique(labels, return_inverse=True)[1] + 1
-        years = rng.integers(0, n_years, size=n)
-        w = crp_log_weights_days(idx % n, labels, years, conc)
-        total = sum(math.exp(v) for v in w.values())
-        assert total > 0 and math.isfinite(total)
 
 
 class TestSequentialPriorMass:
@@ -250,7 +122,6 @@ class TestExtractPatterns:
         pats = extract_patterns(tiny_data, state)
         assert list(pats.day_counts) == [2, 1]
         assert list(pats.year_counts) == [2, 1]  # years are (0, 0, 1)
-        assert list(pats.loc_counts) == [3, 1]
 
     def test_relabel_permutes_rows(self, small_synth):
         data, truth = small_synth
@@ -272,73 +143,66 @@ class TestExtractPatterns:
 
 
 class TestJointDensity:
-    def brute_force(self, data, weights, state, params, pats):
-        """Independent re-derivation: explicit loops over every term."""
-        S, T = data.rain.shape
-        z = state.states
-        total = crp_log_prior_days(state.day_labels, data.year_of_day,
-                                   params.day_concentration)
-        total += crp_log_prior_locations(state.loc_labels,
-                                         params.loc_concentration)
-        for s in range(S):
-            for t in range(T - 1):
-                if z[s, t] == z[s, t + 1]:
-                    total += math.log(params.temporal_factor)
-        for s in range(S):
-            for k, s2 in enumerate(data.neighborhoods[s]):
-                if s < s2:
-                    for t in range(T):
-                        if z[s, t] == z[s2, t]:
-                            total += max(float(weights.values[s][k]), 0.0)
-        for s in range(S):
-            for t in range(T):
-                u = state.day_labels[t]
-                if u <= pats.n_day_patterns \
-                        and pats.state_patterns[u - 1, s] == z[s, t]:
-                    total += params.day_align
-                v = state.loc_labels[s]
-                if v <= pats.n_loc_series \
-                        and pats.state_series[v - 1, t] == z[s, t]:
-                    total += params.loc_align
-                total += log_gamma_density(
-                    float(data.rain[s, t]),
-                    float(params.gamma_shape[s, z[s, t] - 1]),
-                    float(params.gamma_rate[s, z[s, t] - 1]))
-        y = data.rain.sum(axis=0)
-        for t in range(T):
-            total += log_potential_aggregate(int(state.day_labels[t]),
-                                             float(y[t]),
-                                             params.aggregate_mean,
-                                             params.aggregate_sd)
-        return total
-
-    def test_single_cell_composition(self):
-        from rainpatterns.data import SpatialWeights
-
-        data = make_dataset(np.array([[3.0]]), np.array([[0, 0]]),
+    @pytest.mark.parametrize("rows", [1, 0])
+    def test_single_cell_composition(self, rows):
+        # one cell, no edges, priors log(1) = 0: the alignment bonuses, the
+        # Gamma term and the aggregate term.  Without pattern rows and
+        # aggregate means (rows = 0) the label adds only the Gamma term.
+        data = make_dataset(np.array([[2.0]]), np.array([[0, 0]]),
                             np.array([0]))
         weights = SpatialWeights((np.array([]),), data.neighborhoods)
         state = LatentState(np.array([[HIGH]], dtype=np.int8),
                             np.array([1]), np.array([1]))
         pats = extract_patterns(data, state)
-        params = ModelParams(gamma_shape=np.array([[2.0, 1.0]]),
-                             gamma_rate=np.array([[0.5, 1.0]]),
-                             aggregate_mean=np.array([4.0]),
+        pats = replace(pats, **{f: getattr(pats, f)[:rows] for f in (
+            "rain_patterns", "state_patterns", "rain_series", "state_series")})
+        params = ModelParams(gamma_shape=np.array([[3.0, 1.0]]),
+                             gamma_rate=np.array([[1.5, 1.0]]),
+                             aggregate_mean=np.array([4.0])[:rows],
                              aggregate_sd=2.0, day_align=3.0, loc_align=1.0)
+        # oracle: log(rate^shape x^(shape-1) e^(-rate x) / Gamma(shape))
+        gamma = math.log(1.5 ** 3 * 2.0 ** 2 * math.exp(-3.0) / math.gamma(3))
+        assert gamma == pytest.approx(-1.09046, abs=1e-5)
+        # alignment 3 + 1, aggregate -0.5 ((2 - 4) / 2)^2
+        expect = gamma + rows * (3.0 + 1.0 - 0.5)
         got = joint_log_density(data, weights, state, params, pats)
-        # no coherence edges: prior seeds are log(1)=0, so the total is the
-        # alignment bonuses plus data and aggregate terms
-        expect = (3.0 + 1.0 + log_gamma_density(3.0, 2.0, 0.5)
-                  + log_potential_aggregate(1, 3.0, np.array([4.0]), 2.0))
-        assert got == pytest.approx(expect)
+        assert got == pytest.approx(expect, rel=1e-12)
+        assert brute_force_log_density(data, weights, state, params, pats) \
+            == pytest.approx(expect, rel=1e-12)
 
-    def test_matches_brute_force(self, small_synth, small_weights):
+    @pytest.mark.parametrize("unrowed", [False, True])
+    def test_matches_brute_force(self, small_synth, small_weights, unrowed):
         data, truth = small_synth
         params = fitted_params(data, truth)
         pats = extract_patterns(data, truth)
-        got = joint_log_density(data, small_weights, truth, params, pats)
-        expect = self.brute_force(data, small_weights, truth, params, pats)
+        state = truth.copy()
+        if unrowed:  # labels past the pattern rows and aggregate means
+            state.day_labels[::7] = truth.n_day_clusters + 1
+            state.loc_labels[::5] = truth.n_loc_clusters + 1
+        got = joint_log_density(data, small_weights, state, params, pats)
+        expect = brute_force_log_density(data, small_weights, state, params,
+                                         pats)
         assert got == pytest.approx(expect, rel=1e-12)
+
+    def test_zero_rain_scored_at_floor(self, tiny_data):
+        rain = tiny_data.rain.copy()
+        rain[1, 2] = 0.0
+        dry = make_dataset(rain.copy(), tiny_data.grid_coords,
+                           tiny_data.year_of_day)
+        rain[1, 2] = RAIN_EPS
+        floor = make_dataset(rain, tiny_data.grid_coords,
+                             tiny_data.year_of_day)
+        state = LatentState(np.full((4, 3), HIGH, dtype=np.int8),
+                            np.array([1, 1, 2]), np.array([1, 1, 2, 2]))
+        pats = extract_patterns(dry, state)
+        # no aggregate term: the daily totals differ by RAIN_EPS
+        params = fitted_params(dry, state).replace(aggregate_mean=None)
+        weights = compute_spatial_weights(dry)
+        got = joint_log_density(dry, weights, state, params, pats)
+        assert got == joint_log_density(floor, weights, state, params, pats)
+        assert got == pytest.approx(
+            brute_force_log_density(dry, weights, state, params, pats),
+            rel=1e-12)
 
     def test_two_location_single_day_edge_count(self):
         # exactly one spatial edge term must enter the density
@@ -346,15 +210,15 @@ class TestJointDensity:
         data = make_dataset(rain, np.array([[0, 0], [1, 0]]),
                             np.array([0, 0]))
         weights = compute_spatial_weights(data)
-        assert weights.get(0, 1) == pytest.approx(-1.0)
+        assert weights.values[0][0] == pytest.approx(-1.0)
         state = LatentState(np.array([[1, 1], [1, 1]], dtype=np.int8),
                             np.array([1, 1]), np.array([1, 1]))
         pats = extract_patterns(data, state)
         params = fitted_params(data, state, day_align=0.0, loc_align=0.0,
                                temporal_factor=1.0)
         base = joint_log_density(data, weights, state, params, pats)
-        # hand-build the same weights but positive to expose the edge count
-        from rainpatterns.data import SpatialWeights
+        # hand-build the same weights but positive to expose the edge count;
+        # the negative weight scored 0
         w2 = SpatialWeights((np.array([0.5]), np.array([0.5])),
                             data.neighborhoods)
         bumped = joint_log_density(data, w2, state, params, pats)
