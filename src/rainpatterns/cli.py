@@ -108,6 +108,15 @@ def _value(cfg: dict, section: str, key: str, kind=float, null_ok=False):
                               f"{value!r}") from None
 
 
+def _seed(cfg: dict, section: str) -> int:
+    """``cfg[section]["seed"]``; numpy's generators need it non-negative."""
+    seed = _value(cfg, section, "seed", int)
+    if seed < 0:
+        raise ValidationError(f"config: {section}.seed: must be >= 0, "
+                              f"got {seed}")
+    return seed
+
+
 def _out_dir(cfg: dict) -> Path:
     out = Path(_value(cfg, "paths", "out", os.fspath))
     out.mkdir(parents=True, exist_ok=True)
@@ -130,7 +139,7 @@ def _model_params(cfg: dict, data: RainfallDataset) -> ModelParams:
 def _sampler_config(cfg: dict) -> SamplerConfig:
     sa = partial(_value, cfg, "sampler")
     return SamplerConfig(sa("burnin", int), sa("samples", int),
-                         sa("seed", int), sa("init", str))
+                         _seed(cfg, "sampler"), sa("init", str))
 
 
 def _write_json(path, doc: dict) -> None:
@@ -259,7 +268,7 @@ def _write_report(out: Path, report: MetricsReport) -> None:
 def cmd_synth(cfg: dict) -> int:
     sy = partial(_value, cfg, "synth")
     spec = SyntheticSpec(n_locations=sy("S", int), n_days=sy("T", int),
-                         n_day_patterns=sy("K", int), seed=sy("seed", int),
+                         n_day_patterns=sy("K", int), seed=_seed(cfg, "synth"),
                          n_loc_groups=sy("L", int), n_years=sy("years", int),
                          wet_shape=sy("wet_shape"), wet_rate=sy("wet_rate"),
                          dry_shape=sy("dry_shape"), dry_rate=sy("dry_rate"),
@@ -304,7 +313,7 @@ def _baseline_clustering(cfg: dict, data: RainfallDataset, method: str):
     k = _value(cfg, "baseline", "k", int)
     if k > data.n_days:
         raise ValidationError(f"k={k} exceeds the number of days {data.n_days}")
-    seed = _value(cfg, "sampler", "seed", int)
+    seed = _seed(cfg, "sampler")
     drvs = data.rain.T  # (T, S)
     if method == "kmeans":
         result = baselines.kmeans(drvs, k, seed=seed)
@@ -363,10 +372,13 @@ def cmd_baseline(cfg: dict, method: str) -> int:
 
 
 def _cmd_baseline_eof(cfg: dict, data: RainfallDataset, out: Path) -> int:
-    basis = baselines.eof_decompose(data.rain)
-    k = _value(cfg, "baseline", "k", int)
-    reg = _value(cfg, "baseline", "lasso_reg", float)
     S = data.n_locations
+    k = _value(cfg, "baseline", "k", int)
+    if not 1 <= k <= S:
+        raise ValidationError(f"config: baseline.k: the EOF baseline has {S} "
+                              f"modes, got k={k}")
+    reg = _value(cfg, "baseline", "lasso_reg", float)
+    basis = baselines.eof_decompose(data.rain)
     _write_csv(out / "eof_eigenvalues.csv", ["mode_id", "eigenvalue"],
                np.arange(S), basis.eigenvalues)
     j, s = np.indices((S, S)).reshape(2, -1)
@@ -494,12 +506,12 @@ def cmd_compare(cfg: dict, run_dirs: list[str]) -> int:
 
 
 def cmd_refit(cfg: dict, frozen_dir: str) -> int:
+    sampler = _sampler_config(cfg)
     frozen = Path(frozen_dir)
     patterns = _load_patterns(frozen)
     params = _load_params(frozen / "params.json", patterns)
     data = _load_data(cfg)
     weights = compute_spatial_weights(data)
-    sampler = _sampler_config(cfg)
     summary = refit_frozen(data, weights, patterns, params, sampler)
 
     out = _out_dir(cfg)

@@ -13,7 +13,14 @@ and each block is updated with one vectorised draw.  Cells of one class are
 conditionally independent given the rest, so updating a class at once is an
 ordinary Gibbs scan in a different visit order and targets the same
 distribution (Gonzalez et al., AISTATS 2011, "Parallel Gibbs Sampling: From
-Colored Fields to Thin Junction Trees").
+Colored Fields to Thin Junction Trees").  The z-sweep works on the states
+split by day parity, z[:, 0::2] and z[:, 1::2], so a block's rows, its
+spatial neighbours' rows and its Gamma term are contiguous, and its two
+temporal neighbours are shifted slices of the other parity.
+
+A label sweep draws all of its uniforms at once (the same stream as one
+draw per label) and picks each label in plain Python from a handful of
+candidate weights.
 
 Every conditional has one implementation on the engine:
 ``cell_log_weights``, ``day_log_weights`` and ``loc_log_weights``.  The
@@ -25,7 +32,9 @@ empty and one overflow label collects what fits none of them.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 from scipy.special import gammaln
@@ -71,16 +80,20 @@ class PosteriorSummary:
                            self.v_mode.copy())
 
 
-def _sample_from_log_weights(logw: np.ndarray, rng) -> int:
-    """Draw an index proportionally to exp(logw), stably."""
-    p = np.exp(logw - logw.max())
-    c = np.cumsum(p)
-    return int(np.searchsorted(c, rng.random() * c[-1], side="right"))
+def _draw_label(cand: list, logw: list, u: float):
+    """The candidate that uniform ``u`` picks with probability ∝ exp(logw)."""
+    top = max(logw)
+    cum = list(accumulate([math.exp(w - top) for w in logw]))
+    return cand[bisect_right(cum, u * cum[-1])]
 
 
 def _draw_cell_states(w: np.ndarray, rng) -> np.ndarray:
-    """Draw one state per column of (2, n) log-weights, one uniform each."""
-    p_low = 1.0 / (1.0 + np.exp(w[0] - w[1]))
+    """Draw one state per column of (2, n) log-weights, one uniform each.
+
+    A high state ahead by more than exp's range gives p_low = 0 exactly.
+    """
+    with np.errstate(over="ignore"):
+        p_low = 1.0 / (1.0 + np.exp(w[0] - w[1]))
     return np.where(rng.random(w.shape[1]) < p_low, LOW, HIGH).astype(np.int8)
 
 
@@ -135,9 +148,11 @@ def update_params_ml(data, state: LatentState):
     rate = np.empty((S, 2))
     for k, code in enumerate((HIGH, LOW)):
         mask = state.states == code
-        n = mask.sum(axis=1)
-        sx = (rain * mask).sum(axis=1)
-        sxx = (rain * rain * mask).sum(axis=1)
+        n = np.count_nonzero(mask, axis=1)
+        masked = rain * mask
+        sx = masked.sum(axis=1)
+        masked *= rain
+        sxx = masked.sum(axis=1)
         m = np.divide(sx, n, out=np.zeros(S), where=n > 0)
         v = np.zeros(S)
         two = n >= 2
@@ -157,12 +172,13 @@ def update_params_ml(data, state: LatentState):
 class _LabelTables:
     """Member counts per label and year, kept up to date across moves.
 
-    A label's mass is its member count times the number of distinct years
-    its members span (locations all share year 0, so their mass is the
-    count); ``log_mass`` holds log(max(mass, 1)).  ``rows`` maps labels to
-    pattern rows; a label born here maps to none.  ``align`` and
-    ``aggregate`` hold each item's alignment and aggregate term per pattern
-    row, as Python floats.
+    A label's mass is its member count times its span, the number of
+    distinct years its members fall in (locations all share year 0, so their
+    mass is the count); ``log_mass`` holds log(max(mass, 1)).  A move updates
+    one label's count and, when a year's count leaves or reaches zero, its
+    span.  ``rows`` maps labels to pattern rows; a label born here maps to
+    none.  ``align`` and ``aggregate`` hold each item's alignment and
+    aggregate term per pattern row, as Python floats.
     """
 
     def __init__(self, labels, rows, align, years, aggregate=None):
@@ -172,18 +188,25 @@ class _LabelTables:
         self.aggregate = None if aggregate is None else aggregate.tolist()
         self.years = years.tolist()
         self.n_years = max(self.years) + 1
-        self.counts = [0] * len(rows)
-        self.log_mass = [0.0] * len(rows)
-        self.per_year = [[0] * self.n_years for _ in rows]
-        for i, u in enumerate(labels.tolist()):
-            self._count(i, u, 1)
+        per_year = np.bincount((labels - 1) * self.n_years + years,
+                               minlength=len(rows) * self.n_years
+                               ).reshape(len(rows), self.n_years)
+        self.per_year = per_year.tolist()
+        self.counts = per_year.sum(axis=1).tolist()
+        self.spans = (per_year > 0).sum(axis=1).tolist()
+        self.log_mass = [math.log(max(n * m, 1))
+                         for n, m in zip(self.counts, self.spans)]
 
     def _count(self, i: int, label: int, step: int) -> None:
-        per_year = self.per_year[label - 1]
-        per_year[self.years[i]] += step
-        n = self.counts[label - 1] = sum(per_year)
-        span = self.n_years - per_year.count(0)
-        self.log_mass[label - 1] = math.log(max(n * span, 1))
+        k = label - 1
+        per_year = self.per_year[k]
+        y = self.years[i]
+        before = per_year[y]
+        per_year[y] = before + step
+        if before == 0 or before + step == 0:
+            self.spans[k] += step
+        n = self.counts[k] = self.counts[k] + step
+        self.log_mass[k] = math.log(max(n * self.spans[k], 1))
 
     def take_out(self, i: int) -> None:
         """Leave item i out of the counts; its label stays as it is."""
@@ -194,6 +217,7 @@ class _LabelTables:
         if label > len(self.rows):
             self.rows.append(-1)
             self.counts.append(0)
+            self.spans.append(0)
             self.log_mass.append(0.0)
             self.per_year.append([0] * self.n_years)
         self.labels[i] = label
@@ -203,7 +227,8 @@ class _LabelTables:
         """Remove an empty label; the labels above it move down by one."""
         self.labels[self.labels > label] -= 1
         k = label - 1
-        del self.rows[k], self.counts[k], self.log_mass[k], self.per_year[k]
+        del (self.rows[k], self.counts[k], self.spans[k], self.log_mass[k],
+             self.per_year[k])
 
 
 class _GibbsEngine:
@@ -232,26 +257,38 @@ class _GibbsEngine:
         rain = data.rain
         self.S, self.T = rain.shape
         self.y = rain.sum(axis=0)
-        self.logx = np.log(np.maximum(rain, RAIN_EPS))
+        # the Gamma term's inputs, split by day parity like the z-sweep
+        self._rain_parts = (rain[:, 0::2], rain[:, 1::2])
+        self._logx_parts = tuple(np.log(np.maximum(x, RAIN_EPS))
+                                 for x in self._rain_parts)
+        self.logdens = tuple(np.empty((2, self.S, x.shape[1]))
+                             for x in self._rain_parts)
         self.log_tf = math.log(params.temporal_factor)
         self.year_idx = np.unique(data.year_of_day, return_inverse=True)[1]
 
-        # padded neighbour tables for the vectorised spatial term
-        max_deg = max((len(nb) for nb in data.neighborhoods), default=0)
-        max_deg = max(max_deg, 1)
-        self.nbr_pad = np.zeros((self.S, max_deg), dtype=np.intp)
-        self.w_pad = np.zeros((self.S, max_deg))
-        for s, nb in enumerate(data.neighborhoods):
-            self.nbr_pad[s, :len(nb)] = nb
-            self.w_pad[s, :len(nb)] = np.maximum(weights.values[s], 0.0)
-
         # eight-colour partition of the space-time lattice: a colour is a
         # location-parity class (both coordinate parities) and a day parity,
-        # so two cells of one colour are never spatial or temporal neighbours
+        # so two cells of one colour are never spatial or temporal neighbours;
+        # color_blocks[b] = (locations, day parity) of the non-empty classes
         parity = data.grid_coords[:, 0] % 2 * 2 + data.grid_coords[:, 1] % 2
-        self.color_blocks = [(np.flatnonzero(parity == c),
-                              np.arange(d, self.T, 2))
-                             for c in range(4) for d in range(2)]
+        classes = [np.flatnonzero(parity == c) for c in range(4)]
+        self.color_blocks = [(s_idx, d) for s_idx in classes if len(s_idx)
+                             for d in range(min(2, self.T))]
+
+        # per block, slot by slot: the neighbours of its locations, their
+        # weights as columns, and each location's total weight (a padded
+        # slot points at location 0 with weight 0)
+        max_deg = max(max((len(nb) for nb in data.neighborhoods), default=0),
+                      1)
+        nbr_pad = np.zeros((self.S, max_deg), dtype=np.intp)
+        w_pad = np.zeros((self.S, max_deg))
+        for s, nb in enumerate(data.neighborhoods):
+            nbr_pad[s, :len(nb)] = nb
+            w_pad[s, :len(nb)] = np.maximum(weights.values[s], 0.0)
+        self._block_nbrs = [(nbr_pad[s_idx].T.copy(),
+                             w_pad[s_idx].T[:, :, None].copy(),
+                             w_pad[s_idx].sum(axis=1)[:, None])
+                            for s_idx, _ in self.color_blocks]
 
         if self.frozen and frozen.state_series.shape[1] != self.T:
             frozen = replace(
@@ -322,13 +359,16 @@ class _GibbsEngine:
         self._refresh_logdens()
 
     def _refresh_logdens(self) -> None:
-        ld = np.empty((2, self.S, self.T))
-        for k in range(2):
-            a = self.alpha[:, k][:, None]
-            b = self.beta[:, k][:, None]
-            ld[k] = (a * np.log(b) + (a - 1.0) * self.logx
-                     - b * self.data.rain - gammaln(a))
-        self.logdens = ld
+        """The Gamma term of both states, per day parity, written in place."""
+        for ld, logx, x in zip(self.logdens, self._logx_parts,
+                               self._rain_parts):
+            for k in range(2):
+                a = self.alpha[:, k][:, None]
+                b = self.beta[:, k][:, None]
+                out = np.multiply(a - 1.0, logx, out=ld[k])
+                out += a * np.log(b)
+                out -= b * x
+                out -= gammaln(a)
 
     def snapshot_params(self) -> ModelParams:
         return self.params.replace(gamma_shape=self.alpha,
@@ -337,56 +377,66 @@ class _GibbsEngine:
 
     # -------------------------------------------------------------- Z sweep
 
-    def cell_log_weights(self, s_idx, t_idx):
-        """Conditional log-weights of both states of the block s_idx × t_idx.
-
-        Returns (2, len(s_idx) · len(t_idx)), the cells in row-major
-        (location, day) order.  A missing temporal neighbour and a label
-        without a pattern row each add an exact 0.0.
-        """
+    def _day_parity_parts(self):
         z = self.state.states
-        p = self.params
-        shape = (len(s_idx), len(t_idx))
+        return z[:, 0::2].copy(), z[:, 1::2].copy()
+
+    def cell_log_weights(self, b: int, parts=None):
+        """Conditional log-weights of both states of every cell of block b.
+
+        Block b is ``color_blocks[b]`` = (locations, day parity d), its cells
+        those locations × the days d, d + 2, ....  ``parts`` are the states
+        split by day parity, (z[:, 0::2], z[:, 1::2]); they default to those
+        of the current state.  Returns (2, n_locations · n_days), the cells
+        in row-major (location, day) order.  A missing temporal neighbour and
+        a label without a pattern row each add an exact 0.0.
+        """
+        if parts is None:
+            parts = self._day_parity_parts()
+        s_idx, d = self.color_blocks[b]
+        own, other = parts[d], parts[1 - d]
+        n_d = own.shape[1]
+        shape = (len(s_idx), n_d)
         w = np.empty((2,) + shape)
 
-        # temporal edges: log f per agreeing neighbour day
-        z_s = z[s_idx]
+        # temporal edges: log f per agreeing neighbour day; the neighbours of
+        # column j are the other parity's columns j + d - 1 and j + d
+        other_high = other[s_idx] == HIGH
         n_high = np.zeros(shape, dtype=np.int8)
-        n_inside = np.zeros(len(t_idx), dtype=np.int8)
-        for dt in (-1, 1):
-            t2 = t_idx + dt
-            inside = (t2 >= 0) & (t2 < self.T)
-            n_high += (z_s[:, np.clip(t2, 0, self.T - 1)] == HIGH) & inside
-            n_inside += inside
+        n_inside = np.zeros(n_d, dtype=np.int8)
+        for off in (d - 1, d):
+            lo, hi = max(0, -off), min(n_d, other.shape[1] - off)
+            n_high[:, lo:hi] += other_high[:, lo + off:hi + off]
+            n_inside[lo:hi] += 1
         np.multiply(self.log_tf, n_high, out=w[0])
         np.multiply(self.log_tf, n_inside - n_high, out=w[1])
 
         # spatial edges: every neighbour is high or low, so the low state
         # earns the location's total weight less what the high state earns
+        nbrs, w_cols, w_total = self._block_nbrs[b]
         high = np.zeros(shape)
-        for j in range(self.nbr_pad.shape[1]):
-            high += self.w_pad[s_idx, j][:, None] * (
-                z[self.nbr_pad[s_idx, j]][:, t_idx] == HIGH)
+        for nb, w_col in zip(nbrs, w_cols):
+            high += w_col * (own[nb] == HIGH)
         w[0] += high
-        w[1] += self.w_pad[s_idx].sum(axis=1)[:, None] - high
+        w[1] += w_total - high
 
-        eta = p.day_align * self.align_scale
-        zeta = p.loc_align * self.align_scale
-        rows_u = self._rowmap_u[self.state.day_labels[t_idx] - 1]
+        eta = self.params.day_align * self.align_scale
+        zeta = self.params.loc_align * self.align_scale
+        rows_u = self._rowmap_u[self.state.day_labels[d::2] - 1]
         pat = self._pattern_cols[s_idx][:, rows_u]
         rows_v = self._rowmap_v[self.state.loc_labels[s_idx] - 1]
-        ser = self._series_rows[rows_v][:, t_idx]
+        ser = self._series_parts[d][rows_v]
         for k, code in enumerate((HIGH, LOW)):
             w[k] += eta * (pat == code)
             w[k] += zeta * (ser == code)
-            w[k] += self.logdens[k][s_idx][:, t_idx]
+            w[k] += self.logdens[d][k][s_idx]
         return w.reshape(2, -1)
 
     def _set_rowmaps(self) -> None:
         """Label -> pattern-row maps for the current labels and patterns.
 
         Row -1 (no pattern row) picks a sentinel row of zeros, which matches
-        neither state.
+        neither state.  The series rows are split by day parity.
         """
         self._rowmap_u = _row_map(self.state.n_day_clusters,
                                   self.patterns.n_day_patterns)
@@ -394,26 +444,32 @@ class _GibbsEngine:
                                   self.patterns.n_loc_series)
         self._pattern_cols = np.vstack([self.patterns.state_patterns,
                                         np.zeros((1, self.S))]).T
-        self._series_rows = np.vstack([self.patterns.state_series,
-                                       np.zeros((1, self.T))])
+        series = np.vstack([self.patterns.state_series,
+                            np.zeros((1, self.T))])
+        self._series_parts = (series[:, 0::2].copy(), series[:, 1::2].copy())
 
     def z_sweep(self) -> None:
         self._set_rowmaps()
-        for s_idx, t_idx in self.color_blocks:
-            if len(s_idx) == 0 or len(t_idx) == 0:
-                continue
-            w = self.cell_log_weights(s_idx, t_idx)
-            self.state.states[s_idx[:, None], t_idx] = _draw_cell_states(
-                w, self.rng).reshape(len(s_idx), len(t_idx))
+        parts = self._day_parity_parts()
+        for b, (s_idx, d) in enumerate(self.color_blocks):
+            w = self.cell_log_weights(b, parts)
+            parts[d][s_idx] = _draw_cell_states(w, self.rng).reshape(
+                len(s_idx), -1)
+        z = self.state.states
+        z[:, 0::2], z[:, 1::2] = parts
 
     # -------------------------------------------------------- label sweeps
 
     @staticmethod
     def _matches(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Agreeing states of every state row with every column, (R, C)."""
+        """Agreeing states of every state row with every column, (R, C).
+
+        r·c + (1 − r)·(1 − c) = 2 r·c − Σr − Σc + n, exact in integers.
+        """
         r1 = (rows == HIGH).astype(np.float64)
         c1 = (cols == HIGH).astype(np.float64)
-        return r1 @ c1 + (1.0 - r1) @ (1.0 - c1)
+        return (2.0 * (r1 @ c1) - r1.sum(axis=1)[:, None]
+                - c1.sum(axis=0) + rows.shape[1])
 
     def _day_tables(self) -> _LabelTables:
         self._set_rowmaps()
@@ -488,19 +544,19 @@ class _GibbsEngine:
         if not self.frozen or top == n_frozen:
             cand.append(top + 1)
             logw.append(math.log(concentration))
-        return cand, np.array(logw)
+        return cand, logw
 
     def _label_sweep(self, tables, log_weights) -> None:
         """Redraw each label in turn from ``log_weights(i, tables)``.
 
-        Unless frozen, an emptied label is removed so that labels stay dense.
+        The sweep's uniforms are drawn at once, one per label.  Unless
+        frozen, an emptied label is removed so that labels stay dense.
         """
         labels = tables.labels
-        for i in range(len(labels)):
+        for i, u in enumerate(self.rng.random(len(labels)).tolist()):
             old = int(labels[i])
             tables.take_out(i)
-            cand, logw = log_weights(i, tables)
-            pick = cand[_sample_from_log_weights(logw, self.rng)]
+            pick = _draw_label(*log_weights(i, tables), u)
             tables.put(i, pick)
             if not self.frozen and pick != old and tables.counts[old - 1] == 0:
                 tables.drop(old)

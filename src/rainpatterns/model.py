@@ -64,7 +64,7 @@ class LatentState:
                            self.loc_labels.copy())
 
     def validate(self) -> None:
-        if not np.isin(self.states, (HIGH, LOW)).all():
+        if not ((self.states == HIGH) | (self.states == LOW)).all():
             raise ValidationError("cell states must be 1 (high) or 2 (low)")
         for name, labels in (("day", self.day_labels), ("loc", self.loc_labels)):
             if labels.size == 0 or labels.min() < 1:

@@ -121,6 +121,16 @@ def brute_force_log_density(data, weights, state, params, pats):
     return total
 
 
+def cell_weights(engine, s, t):
+    """Cell (s, t)'s (2, 1) log-weights, read out of its colour block."""
+    for b, (s_idx, d) in enumerate(engine.color_blocks):
+        if d == t % 2 and s in s_idx:
+            n_days = len(range(d, engine.T, 2))
+            col = int(np.flatnonzero(s_idx == s)[0]) * n_days + t // 2
+            return engine.cell_log_weights(b)[:, col:col + 1]
+    raise AssertionError(f"cell {(s, t)} is in no colour block")
+
+
 def flip_delta(engine, s, t):
     """Cell (s, t)'s w_high - w_low from the engine, and the change of the
     joint from the cell's low state to its high state, all else held.
@@ -128,7 +138,7 @@ def flip_delta(engine, s, t):
     The joint is scored at the engine's state, patterns and parameters, so
     the two agree when the z-sweep draws from the joint's conditional.
     """
-    w = engine.cell_log_weights(np.array([s]), np.array([t]))
+    w = cell_weights(engine, s, t)
     params = engine.snapshot_params()
     work = engine.state.copy()
     logp = []

@@ -18,12 +18,11 @@ from rainpatterns import (HIGH, LOW, LatentState, ModelParams, SamplerConfig,
 from rainpatterns import baselines
 from rainpatterns.cli import baseline_patterns, main
 from rainpatterns.data import discretize_by_mean, make_dataset
-from rainpatterns.inference import (_GibbsEngine, _draw_cell_states,
-                                    _sample_from_log_weights)
+from rainpatterns.inference import _GibbsEngine, _draw_cell_states, _draw_label
 from rainpatterns.metrics import (adjusted_rand_index, distance_report,
                                   prominent_clusters, spatial_coherence,
                                   spell_stats, wet_fraction)
-from conftest import engine_at, fitted_params, flip_delta
+from conftest import cell_weights, engine_at, fitted_params, flip_delta
 
 
 def report(criterion, detail):
@@ -77,7 +76,7 @@ def test_c1_gibbs_exactness():
         exact = np.exp(logp - logp.max())
         exact /= exact.sum()
         rng = np.random.default_rng(100 + s * 3 + t)
-        w = engine.cell_log_weights(np.array([s]), np.array([t]))
+        w = cell_weights(engine, s, t)
         draws = _draw_cell_states(np.repeat(w, n, axis=1), rng)
         emp = np.array([(draws == HIGH).mean(), (draws == LOW).mean()])
         worst = max(worst, tv(emp, exact))
@@ -95,8 +94,8 @@ def test_c1_gibbs_exactness():
     exact /= exact.sum()
     rng = np.random.default_rng(7)
     labels, logw = engine.day_log_weights(t)
-    draws = np.array([labels[_sample_from_log_weights(logw, rng)]
-                      for _ in range(n)])
+    draws = np.array([_draw_label(labels, logw, u)
+                      for u in rng.random(n)])
     emp = np.array([(draws == u).mean() for u in cands])
     worst = max(worst, tv(emp, exact))
 
@@ -112,8 +111,8 @@ def test_c1_gibbs_exactness():
     exact /= exact.sum()
     rng = np.random.default_rng(8)
     labels, logw = engine.loc_log_weights(s)
-    draws = np.array([labels[_sample_from_log_weights(logw, rng)]
-                      for _ in range(n)])
+    draws = np.array([_draw_label(labels, logw, u)
+                      for u in rng.random(n)])
     emp = np.array([(draws == v).mean() for v in cands])
     worst = max(worst, tv(emp, exact))
 

@@ -432,6 +432,11 @@ class TestExitCodes:
         ("baseline", "baseline", "k", "ten"),
         ("baseline", "metrics", "min_years", {}),
         ("baseline", "sampler", "seed", 1e400),
+        # numpy's generators reject a negative seed with a traceback
+        ("synth", "synth", "seed", -1),
+        ("fit", "sampler", "seed", -1),
+        ("refit", "sampler", "seed", -1),
+        ("baseline", "sampler", "seed", -1),
     ])
     def test_bad_config_value_names_it(self, synth_dir, capsys, command,
                                        section, key, value):
@@ -446,8 +451,20 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         args = [command] + (["--method", "kmeans"] * (command == "baseline"))
+        # refit checks its config before it reads the frozen directory
+        args += ["--frozen", tmp_path / "no-fit"] * (command == "refit")
         assert run(args + ["--config", bad, "--out", tmp_path / "x"]) == 2
         assert f"error: config: {name}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", [0, 26])
+    def test_eof_k_outside_the_modes_names_it(self, synth_dir, capsys, k):
+        # 25 locations give 25 modes; k = 0 scored NaN coherence and k = 26
+        # reported 26 patterns
+        tmp_path, _ = synth_dir
+        cfg = write_config(tmp_path, baseline={"k": k})
+        assert run(["baseline", "--method", "eof", "--config", cfg,
+                    "--out", tmp_path / "eof"]) == 2
+        assert "error: config: baseline.k: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,name,damage", [
         pytest.param("refit", "patterns_spatial.csv",

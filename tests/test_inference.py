@@ -1,9 +1,11 @@
 """Gibbs conditionals, sweeps, parameter updates, refit behaviour."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rainpatterns import (HIGH, LOW, LatentState, ModelParams, SamplerConfig,
                           SyntheticSpec, ValidationError,
@@ -12,12 +14,13 @@ from rainpatterns import (HIGH, LOW, LatentState, ModelParams, SamplerConfig,
                           run_gibbs)
 from rainpatterns import inference
 from rainpatterns.data import make_dataset
-from rainpatterns.inference import (_GibbsEngine, _draw_cell_states,
-                                    _leader_init, _sample_from_log_weights)
+from rainpatterns.inference import (_GibbsEngine, _LabelTables,
+                                    _draw_cell_states, _draw_label,
+                                    _leader_init)
 from rainpatterns.metrics import adjusted_rand_index
 from rainpatterns.model import crp_log_prior_days, crp_log_prior_locations
-from conftest import (crp_log_weights_days, engine_at, fitted_params,
-                      flip_delta)
+from conftest import (cell_weights, crp_log_weights_days, engine_at,
+                      fitted_params, flip_delta)
 
 
 def random_instance(seed, S=4, T=3, n_years=2):
@@ -51,14 +54,13 @@ def z_conditional_by_enumeration(data, weights, state, params, pats, s, t):
 
 def draw_cells(engine, s, t, n, rng):
     """n draws of cell (s, t) from the engine's conditional."""
-    w = engine.cell_log_weights(np.array([s]), np.array([t]))
+    w = cell_weights(engine, s, t)
     return _draw_cell_states(np.repeat(w, n, axis=1), rng)
 
 
 def draw_labels(labels, logw, n, rng):
     """n draws from a label conditional, as the label sweeps draw."""
-    return np.array([labels[_sample_from_log_weights(logw, rng)]
-                     for _ in range(n)])
+    return np.array([_draw_label(labels, logw, u) for u in rng.random(n)])
 
 
 class TestZConditional:
@@ -112,34 +114,58 @@ class TestZConditional:
         draws = draw_cells(engine, 0, 1, 2000, np.random.default_rng(2))
         assert np.mean(draws == HIGH) > 1 - 1e-6
 
-    def test_engine_weights_match_joint(self):
+    # T = 5 and T = 2 give the two day-parity halves different lengths
+    # and leave days with one temporal neighbour
+    @pytest.mark.parametrize("T", [4, 5, 2])
+    def test_engine_weights_match_joint(self, T):
         # every cell's w_high - w_low is the joint's flip delta, with a day
         # and a location whose labels have no pattern row
-        data, weights, state = random_instance(11, S=9, T=4)
+        data, weights, state = random_instance(11, S=9, T=T)
         engine = engine_at(data, state, fitted_params(data, state),
                            weights=weights)
         engine.state.day_labels[1] = state.n_day_clusters + 1
         engine.state.loc_labels[2] = state.n_loc_clusters + 1
         engine._set_rowmaps()
         for s in range(9):
-            for t in range(4):
+            for t in range(T):
                 got, want = flip_delta(engine, s, t)
                 assert got == pytest.approx(want, rel=1e-9)
 
-    def test_block_matches_single_cells(self, small_synth, small_weights):
-        data, truth = small_synth
-        params = fitted_params(data, truth)
-        engine = engine_at(data, truth, params, weights=small_weights)
+    @pytest.mark.parametrize("T", [80, 79, 2])
+    def test_block_weights_ignore_the_block(self, small_synth, small_weights,
+                                            T):
+        # a block is drawn at once, so no cell's weights may depend on the
+        # states of its block: redrawing the block leaves them unchanged
+        full, truth = small_synth
+        data = make_dataset(full.rain[:, :T], full.grid_coords,
+                            full.year_of_day[:T])
+        state = LatentState(truth.states[:, :T].copy(),
+                            np.unique(truth.day_labels[:T],
+                                      return_inverse=True)[1] + 1,
+                            truth.loc_labels.copy())
+        engine = engine_at(data, state, fitted_params(data, state),
+                           weights=small_weights)
         # labels without a pattern row, as after a birth in a label sweep
-        engine.state.day_labels[::7] = truth.n_day_clusters + 1
-        engine.state.loc_labels[::5] = truth.n_loc_clusters + 1
+        engine.state.day_labels[::7] = state.n_day_clusters + 1
+        engine.state.loc_labels[::5] = state.n_loc_clusters + 1
         engine._set_rowmaps()
-        for s_idx, t_idx in engine.color_blocks:
-            block = engine.cell_log_weights(s_idx, t_idx)
-            single = np.hstack([
-                engine.cell_log_weights(np.array([s]), np.array([t]))
-                for s in s_idx for t in t_idx])
-            np.testing.assert_allclose(block, single, rtol=1e-12)
+        rng = np.random.default_rng(T)
+        for b, (s_idx, d) in enumerate(engine.color_blocks):
+            before = engine.cell_log_weights(b)
+            block = np.ix_(s_idx, np.arange(d, T, 2))
+            engine.state.states[block] = rng.integers(
+                HIGH, LOW + 1, before.shape[1]).reshape(len(s_idx), -1)
+            assert np.array_equal(engine.cell_log_weights(b), before)
+
+    def test_overflowing_logistic_is_silent(self):
+        # a state ahead by more than exp's range (about 709.8 nats) is drawn
+        # surely, without an overflow warning
+        w = np.array([[800.0, 0.0, 1.0], [0.0, 800.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = _draw_cell_states(np.repeat(w, 100, axis=1),
+                                      np.random.default_rng(0))
+        assert (draws[:100] == HIGH).all() and (draws[100:200] == LOW).all()
 
     def test_coherence_only_marginal(self):
         # neutral alignment and identical Gammas leave only the coherence
@@ -241,7 +267,8 @@ class TestVLocationConditional:
             moved = np.array(labels)
             moved[s] = v
             enum.append(crp_log_prior_locations(moved, conc))
-        np.testing.assert_allclose(logw - logw[-1], np.array(enum) - enum[-1],
+        np.testing.assert_allclose(np.array(logw) - logw[-1],
+                                   np.array(enum) - enum[-1],
                                    rtol=1e-12, atol=1e-12)
 
     def test_matching_series_dominates(self, small_synth):
@@ -254,6 +281,47 @@ class TestVLocationConditional:
         labels, logw = engine_at(data, state, params, pats).loc_log_weights(s)
         draws = draw_labels(labels, logw, 300, np.random.default_rng(3))
         assert (draws == 2).mean() >= 0.99
+
+
+def assert_counts_from_scratch(tables, keep):
+    """The tables hold the counts of the items ``keep``, counted afresh."""
+    per_year = [[0] * tables.n_years for _ in tables.rows]
+    for i in keep:
+        per_year[tables.labels[i] - 1][tables.years[i]] += 1
+    spans = [tables.n_years - row.count(0) for row in per_year]
+    assert tables.per_year == per_year
+    assert tables.counts == [sum(row) for row in per_year]
+    assert tables.spans == spans
+    assert tables.log_mass == [math.log(max(sum(row) * m, 1))
+                               for row, m in zip(per_year, spans)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_label_tables_track_moves(data):
+    # take_out, put and drop, as the label sweeps call them, keep counts,
+    # year spans and log-masses equal to tables counted afresh
+    n = data.draw(st.integers(1, 12), label="items")
+    years = sorted(data.draw(st.lists(st.integers(0, 3), min_size=n,
+                                      max_size=n), label="years"))
+    labels = np.array(data.draw(st.lists(st.integers(1, 4), min_size=n,
+                                         max_size=n), label="labels"))
+    labels = np.unique(labels, return_inverse=True)[1] + 1
+    K = int(labels.max())
+    tables = _LabelTables(labels, list(range(K)), np.zeros((K, n)),
+                          np.array(years))
+    assert_counts_from_scratch(tables, range(n))
+    for _ in range(data.draw(st.integers(1, 25), label="moves")):
+        i = data.draw(st.integers(0, n - 1), label="item")
+        old = int(tables.labels[i])
+        tables.take_out(i)
+        assert_counts_from_scratch(tables, [j for j in range(n) if j != i])
+        pick = data.draw(st.integers(1, len(tables.rows) + 1), label="label")
+        tables.put(i, pick)
+        if pick != old and tables.counts[old - 1] == 0:
+            tables.drop(old)
+        assert_counts_from_scratch(tables, range(n))
+        assert len(tables.rows) == int(tables.labels.max())
 
 
 class TestLeaderInit:
@@ -321,7 +389,8 @@ class TestRunGibbs:
         cfg = SamplerConfig(n_burnin=0, n_samples=1, seed=0)
         engine = _GibbsEngine(data, small_weights, params, cfg)
         covered = np.zeros(data.rain.shape, dtype=int)
-        for s_idx, t_idx in engine.color_blocks:
+        for s_idx, d in engine.color_blocks:
+            t_idx = np.arange(d, data.n_days, 2)
             covered[np.ix_(s_idx, t_idx)] += 1
             cells = {(s, t) for s in s_idx.tolist() for t in t_idx.tolist()}
             for s, t in list(cells)[:200]:
