@@ -257,10 +257,11 @@ class _GibbsEngine:
         rain = data.rain
         self.S, self.T = rain.shape
         self.y = rain.sum(axis=0)
-        # the Gamma term's inputs, split by day parity like the z-sweep
-        self._rain_parts = (rain[:, 0::2], rain[:, 1::2])
-        self._logx_parts = tuple(np.log(np.maximum(x, RAIN_EPS))
-                                 for x in self._rain_parts)
+        # the Gamma term's inputs, split by day parity like the z-sweep and
+        # floored at RAIN_EPS as in the joint density
+        self._rain_parts = tuple(np.maximum(x, RAIN_EPS)
+                                 for x in (rain[:, 0::2], rain[:, 1::2]))
+        self._logx_parts = tuple(np.log(x) for x in self._rain_parts)
         self.logdens = tuple(np.empty((2, self.S, x.shape[1]))
                              for x in self._rain_parts)
         self.log_tf = math.log(params.temporal_factor)

@@ -18,7 +18,8 @@ from rainpatterns.inference import (_GibbsEngine, _LabelTables,
                                     _draw_cell_states, _draw_label,
                                     _leader_init)
 from rainpatterns.metrics import adjusted_rand_index
-from rainpatterns.model import crp_log_prior_days, crp_log_prior_locations
+from rainpatterns.model import (RAIN_EPS, crp_log_prior_days,
+                                crp_log_prior_locations)
 from conftest import (cell_weights, crp_log_weights_days, engine_at,
                       fitted_params, flip_delta)
 
@@ -128,6 +129,21 @@ class TestZConditional:
         engine._set_rowmaps()
         for s in range(9):
             for t in range(T):
+                got, want = flip_delta(engine, s, t)
+                assert got == pytest.approx(want, rel=1e-9)
+
+    def test_dry_cells_match_joint(self):
+        # rain below RAIN_EPS is scored at the floor, by the joint and by the
+        # z-sweep alike
+        data, weights, state = random_instance(11, S=9, T=4)
+        rain = data.rain.copy()
+        dry = np.random.default_rng(4).random(rain.shape) < 0.4
+        rain[dry] = np.where(np.arange(dry.sum()) % 2, 0.0, RAIN_EPS / 3)
+        data = make_dataset(rain, data.grid_coords, data.year_of_day)
+        engine = engine_at(data, state, fitted_params(data, state),
+                           weights=weights)
+        for s in range(9):
+            for t in range(4):
                 got, want = flip_delta(engine, s, t)
                 assert got == pytest.approx(want, rel=1e-9)
 
