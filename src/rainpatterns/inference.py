@@ -394,6 +394,7 @@ class _GibbsEngine:
         """
         if parts is None:
             parts = self._day_parity_parts()
+        p = self.params
         s_idx, d = self.color_blocks[b]
         own, other = parts[d], parts[1 - d]
         n_d = own.shape[1]
@@ -421,8 +422,8 @@ class _GibbsEngine:
         w[0] += high
         w[1] += w_total - high
 
-        eta = self.params.day_align * self.align_scale
-        zeta = self.params.loc_align * self.align_scale
+        eta = p.day_align * self.align_scale
+        zeta = p.loc_align * self.align_scale
         rows_u = self._rowmap_u[self.state.day_labels[d::2] - 1]
         pat = self._pattern_cols[s_idx][:, rows_u]
         rows_v = self._rowmap_v[self.state.loc_labels[s_idx] - 1]
