@@ -366,6 +366,15 @@ class TestFixedSeedDigests:
         "lasso_coefs.csv":
             "55ca63ecd39f4228ecacf0e7f66097204aa68295eeb44de318506e7f695c919f",
     }
+    # the clustering baselines' labels and centers; on this record both
+    # methods (and the fit) find the same partition, so the pins coincide
+    KMEANS = {
+        "assign_u.csv":
+            "02720704d0f69ea57214f7527bb2b06b0f2c8c5b19dd9e19cd3ffa1dc2d5bca7",
+        "patterns_spatial.csv":
+            "508c421780667cc4bbd1d6dbb34334cf3337344c760271b407a08063aa69821a",
+    }
+    SPECT2 = KMEANS
 
     def digests(self, run_dir, names=NAMES):
         return {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
@@ -380,6 +389,15 @@ class TestFixedSeedDigests:
         assert run(["baseline", "--method", "eof", "--config", cfg,
                     "--out", eof]) == 0
         assert self.digests(eof, self.EOF) == self.EOF
+
+    @pytest.mark.parametrize("method", ["kmeans", "spect2"])
+    def test_clustering_baseline(self, synth_dir, method):
+        tmp_path, cfg = synth_dir
+        pinned = getattr(self, method.upper())
+        out = tmp_path / method
+        assert run(["baseline", "--method", method, "--config", cfg,
+                    "--out", out]) == 0
+        assert self.digests(out, pinned) == pinned
 
     def test_fit_and_overflow_refit(self, synth_dir):
         tmp_path, cfg = synth_dir
