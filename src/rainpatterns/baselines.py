@@ -34,12 +34,28 @@ class EofBasis:
     mean: np.ndarray         # (D,)
 
 
-def _plusplus_seeds(vectors: np.ndarray, k: int, rng) -> np.ndarray:
+def _sq_dists(vectors: np.ndarray, sq: np.ndarray,
+              centers: np.ndarray) -> np.ndarray:
+    """Squared distance of every vector to every center, (n, k).
+
+    d² = |x|² − 2·x·cᵀ + |c|² from one product ``vectors @ centers.T``, with
+    ``sq`` the rows' squared norms.  Round-off can leave a distance near 0
+    slightly negative, so it is clamped at 0.
+    """
+    d2 = vectors @ centers.T
+    d2 *= -2.0
+    d2 += sq[:, None]
+    d2 += np.einsum("ij,ij->i", centers, centers)
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _plusplus_seeds(vectors: np.ndarray, sq: np.ndarray, k: int,
+                    rng) -> np.ndarray:
     """k-means++ seeding: spread initial centers by squared distance."""
     n = vectors.shape[0]
     centers = np.empty((k, vectors.shape[1]))
     centers[0] = vectors[rng.integers(n)]
-    d2 = ((vectors - centers[0]) ** 2).sum(axis=1)
+    d2 = _sq_dists(vectors, sq, centers[:1])[:, 0]
     for j in range(1, k):
         total = d2.sum()
         if total <= 0:
@@ -47,20 +63,29 @@ def _plusplus_seeds(vectors: np.ndarray, k: int, rng) -> np.ndarray:
         else:
             cum = np.cumsum(d2)
             centers[j] = vectors[np.searchsorted(cum, rng.random() * total)]
-        d2 = np.minimum(d2, ((vectors - centers[j]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, _sq_dists(vectors, sq, centers[j:j + 1])[:, 0])
     return centers
 
 
-def _lloyd(vectors: np.ndarray, centers: np.ndarray, max_iter: int):
+def _lloyd(vectors: np.ndarray, sq: np.ndarray, centers: np.ndarray,
+           max_iter: int):
+    """Lloyd iterations from ``centers``: ``(labels, centers, history)``.
+
+    ``vectors`` is C-contiguous and ``sq`` holds its rows' squared norms.
+    Each iteration takes its distances from one matrix product
+    (``_sq_dists``) and appends their sum over the assigned centers to
+    ``history``.  The final entry, which ranks the restarts, is computed
+    exactly as Σ‖x − c_label‖², so restarts that end in the same partition
+    tie and the first of them wins.
+    """
     n, k = vectors.shape[0], centers.shape[0]
     labels = np.zeros(n, dtype=np.int64)
     history = []
     for _ in range(max_iter):
-        d2 = ((vectors[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        d2 = _sq_dists(vectors, sq, centers)
         new_labels = d2.argmin(axis=1)
         cost = d2[np.arange(n), new_labels]
         history.append(float(cost.sum()))
-        cost = cost.copy()
         for j in range(k):
             sel = new_labels == j
             if sel.any():
@@ -75,24 +100,29 @@ def _lloyd(vectors: np.ndarray, centers: np.ndarray, max_iter: int):
             labels = new_labels
             break
         labels = new_labels
-    d2 = ((vectors[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    labels = d2.argmin(axis=1)
-    history.append(float(d2[np.arange(n), labels].sum()))
+    labels = _sq_dists(vectors, sq, centers).argmin(axis=1)
+    diff = vectors - centers[labels]
+    history.append(float(np.einsum("ij,ij->", diff, diff)))
     return labels, centers, history
 
 
 def kmeans(vectors: np.ndarray, k: int, seed: int = 0, n_restarts: int = 10,
            max_iter: int = 500) -> ClusteringResult:
-    """Lloyd's algorithm with k-means++ seeding, best of ``n_restarts``."""
-    vectors = np.asarray(vectors, dtype=float)
+    """Lloyd's algorithm with k-means++ seeding, best of ``n_restarts``.
+
+    One matrix product per iteration gives every distance; see ``_lloyd``.
+    """
+    # one C-contiguous copy: the per-cluster means gather rows from it
+    vectors = np.ascontiguousarray(vectors, dtype=float)
     n = vectors.shape[0]
     if not 1 <= k <= n:
         raise ValidationError(f"k must be in 1..{n}, got {k}")
+    sq = np.einsum("ij,ij->i", vectors, vectors)
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(n_restarts):
-        centers = _plusplus_seeds(vectors, k, rng)
-        labels, centers, history = _lloyd(vectors, centers.copy(), max_iter)
+        centers = _plusplus_seeds(vectors, sq, k, rng)
+        labels, centers, history = _lloyd(vectors, sq, centers, max_iter)
         if best is None or history[-1] < best[2][-1]:
             best = (labels, centers, history)
     labels, centers, history = best
@@ -134,14 +164,23 @@ def similarity_euclidean(vectors: np.ndarray, tau: float | None = None) -> np.nd
 
 
 def similarity_hamming(binary_vectors: np.ndarray) -> np.ndarray:
-    """1 - normalised Hamming distance between binary state vectors."""
+    """1 - normalised Hamming distance between HIGH/LOW state vectors.
+
+    With h the HIGH indicator and r its row sums, rows i and j agree on
+    h_i·h_j + (1 − h_i)·(1 − h_j) = 2 h_i·h_j − r_i − r_j + d of their d
+    entries: one product, exact in integers.
+    """
     z = np.asarray(binary_vectors)
-    n, d = z.shape
-    same = np.zeros((n, n))
-    for code in (HIGH, LOW):
-        m = (z == code).astype(float)
-        same += m @ m.T
-    return same / d
+    d = z.shape[1]
+    h = (z == HIGH).astype(np.float64)
+    r = h.sum(axis=1)
+    same = h @ h.T
+    same *= 2.0
+    same -= r[:, None]
+    same -= r
+    same += d
+    same /= d
+    return same
 
 
 def spectral_cluster(similarity: np.ndarray, k: int, seed: int = 0) -> ClusteringResult:

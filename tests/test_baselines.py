@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rainpatterns import ValidationError
 from rainpatterns.baselines import (EofBasis, cluster_means,
@@ -64,6 +66,45 @@ class TestKmeans:
         with pytest.raises(ValidationError):
             kmeans(np.zeros((3, 2)), 4, seed=0)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_objective_and_labels_by_exact_distance(self, data):
+        # the kernel ranks centers by |x|² − 2x·c + |c|²; the objective and
+        # each label must hold for the distances taken directly
+        n = data.draw(st.integers(1, 25), label="n")
+        dim = data.draw(st.integers(1, 5), label="dim")
+        k = data.draw(st.integers(1, n), label="k")
+        coords = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+        pts = np.array(data.draw(st.lists(
+            st.lists(coords, min_size=dim, max_size=dim),
+            min_size=n, max_size=n), label="points"))
+        res = kmeans(pts, k, seed=data.draw(st.integers(0, 3), label="seed"))
+        d2 = np.array([[((x - c) ** 2).sum() for c in res.centers]
+                       for x in pts])
+        own = d2[np.arange(n), res.labels - 1]
+        assert res.objective == pytest.approx(own.sum(), rel=1e-12)
+        # ties: the identity loses digits against |x|² + |c|², not against d²
+        scale = (pts ** 2).sum(axis=1) + (res.centers ** 2).sum(axis=1).max()
+        assert (own - d2.min(axis=1) <= 1e-9 * scale).all()
+
+    def test_labels_survive_a_far_shift(self):
+        # |x|² − 2x·c + |c|² cancels most of its digits far from the origin
+        rng = np.random.default_rng(6)
+        pts = np.vstack([rng.normal(m, 0.3, (15, 3)) for m in (0.0, 4.0, 8.0)])
+        near = kmeans(pts, 3, seed=2)
+        far = kmeans(pts + 1e4, 3, seed=2)
+        assert np.array_equal(far.labels, near.labels)
+        assert far.objective == pytest.approx(near.objective, rel=1e-6)
+        assert len(set(near.labels[:15])) == 1
+
+    def test_history_never_negative_far_out(self):
+        # round-off in |x|² − 2x·c + |c|² dips below 0 next to a center
+        rng = np.random.default_rng(0)
+        pts = np.tile(rng.normal(1e3, 1, (1, 4)), (12, 1))
+        pts[6:] += 1e-3
+        res = kmeans(pts, 3, seed=0)
+        assert (res.objective_history >= 0).all()
+
     def test_duplicate_points_compact(self):
         pts = np.zeros((5, 2))
         res = kmeans(pts, 3, seed=0)
@@ -111,6 +152,14 @@ class TestSimilarities:
         assert w[0, 1] == pytest.approx(1.0)
         assert w[0, 2] == pytest.approx(0.0)   # complements
         assert w[0, 3] == pytest.approx(2.0 / 3.0)
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (6, 1), (7, 3), (20, 17),
+                                     (33, 64)])
+    def test_hamming_matches_definition(self, n, d):
+        rng = np.random.default_rng(n * d)
+        z = rng.choice(np.array([HIGH, LOW], dtype=np.int8), (n, d))
+        want = np.array([[np.count_nonzero(a == b) / d for b in z] for a in z])
+        assert np.array_equal(similarity_hamming(z), want)
 
 
 class TestSpectral:
