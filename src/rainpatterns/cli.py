@@ -311,8 +311,9 @@ def cmd_fit(cfg: dict) -> int:
 
 def _baseline_clustering(cfg: dict, data: RainfallDataset, method: str):
     k = _value(cfg, "baseline", "k", int)
-    if k > data.n_days:
-        raise ValidationError(f"k={k} exceeds the number of days {data.n_days}")
+    if not 1 <= k <= data.n_days:
+        raise ValidationError(f"config: baseline.k: the {method} baseline "
+                              f"clusters {data.n_days} days, got k={k}")
     seed = _seed(cfg, "sampler")
     drvs = data.rain.T  # (T, S)
     if method == "kmeans":

@@ -236,7 +236,7 @@ class TestBaseline:
         b = np.array([truth[t] for t in sorted(truth)])
         assert adjusted_rand_index(a, b) == pytest.approx(1.0)
 
-    def test_k_too_large_is_validation_error(self, synth_dir):
+    def test_k_too_large_is_validation_error(self, synth_dir, capsys):
         tmp_path, cfg = synth_dir
         doc = json.loads(Path(cfg).read_text())
         doc["baseline"]["k"] = 2000
@@ -244,6 +244,7 @@ class TestBaseline:
         bad.write_text(json.dumps(doc))
         assert run(["baseline", "--method", "kmeans", "--config", bad,
                     "--out", tmp_path / "x"]) == 2
+        assert "error: config: baseline.k: " in capsys.readouterr().err
 
 
 class TestCompare:
@@ -483,6 +484,19 @@ class TestExitCodes:
         assert run(["baseline", "--method", "eof", "--config", cfg,
                     "--out", tmp_path / "eof"]) == 2
         assert "error: config: baseline.k: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["kmeans", "spect2"])
+    @pytest.mark.parametrize("k", [0, -2, 97])
+    def test_clustering_k_outside_the_days_names_it(self, synth_dir, capsys,
+                                                    method, k):
+        # 96 days; k < 1 failed inside k-means without naming the key
+        tmp_path, _ = synth_dir
+        cfg = write_config(tmp_path, baseline={"k": k})
+        out = tmp_path / method
+        assert run(["baseline", "--method", method, "--config", cfg,
+                    "--out", out]) == 2
+        assert "error: config: baseline.k: " in capsys.readouterr().err
+        assert not any(out.iterdir())
 
     @pytest.mark.parametrize("command,name,damage", [
         pytest.param("refit", "patterns_spatial.csv",
