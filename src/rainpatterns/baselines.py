@@ -38,14 +38,13 @@ def _sq_dists(vectors: np.ndarray, sq: np.ndarray,
               centers: np.ndarray) -> np.ndarray:
     """Squared distance of every vector to every center, (n, k).
 
-    d² = |x|² − 2·x·cᵀ + |c|² from one product ``vectors @ centers.T``, with
-    ``sq`` the rows' squared norms.  Round-off can leave a distance near 0
-    slightly negative, so it is clamped at 0.
+    d² = (|x|² + |c|²) − 2·x·cᵀ from one product ``vectors @ centers.T``,
+    with ``sq`` the rows' squared norms; the order of the sum fixes the
+    output bits.  The terms cancel far from the origin, and round-off can
+    leave a distance near 0 slightly negative, so it is clamped at 0.
     """
-    d2 = vectors @ centers.T
-    d2 *= -2.0
-    d2 += sq[:, None]
-    d2 += np.einsum("ij,ij->i", centers, centers)
+    d2 = sq[:, None] + (centers * centers).sum(axis=1)
+    d2 -= 2.0 * (vectors @ centers.T)
     return np.maximum(d2, 0.0, out=d2)
 
 
@@ -117,7 +116,7 @@ def kmeans(vectors: np.ndarray, k: int, seed: int = 0, n_restarts: int = 10,
     n = vectors.shape[0]
     if not 1 <= k <= n:
         raise ValidationError(f"k must be in 1..{n}, got {k}")
-    sq = np.einsum("ij,ij->i", vectors, vectors)
+    sq = (vectors * vectors).sum(axis=1)
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(n_restarts):
@@ -152,8 +151,7 @@ def similarity_euclidean(vectors: np.ndarray, tau: float | None = None) -> np.nd
     """exp(-distance / tau) similarity; tau defaults to the median distance."""
     vectors = np.asarray(vectors, dtype=float)
     sq = (vectors * vectors).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (vectors @ vectors.T)
-    dist = np.sqrt(np.maximum(d2, 0.0))
+    dist = np.sqrt(_sq_dists(vectors, sq, vectors))
     if tau is None:
         off = dist[np.triu_indices(len(dist), k=1)]
         tau = float(np.median(off)) if off.size else 1.0

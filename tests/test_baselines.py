@@ -97,13 +97,15 @@ class TestKmeans:
         assert far.objective == pytest.approx(near.objective, rel=1e-6)
         assert len(set(near.labels[:15])) == 1
 
-    def test_history_never_negative_far_out(self):
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_distances_never_negative_far_out(self, seed):
         # round-off in |x|² − 2x·c + |c|² dips below 0 next to a center
-        rng = np.random.default_rng(0)
-        pts = np.tile(rng.normal(1e3, 1, (1, 4)), (12, 1))
+        rng = np.random.default_rng(seed)
+        pts = np.tile(rng.normal(1e4, 1, (1, 4)), (12, 1))
         pts[6:] += 1e-3
         res = kmeans(pts, 3, seed=0)
         assert (res.objective_history >= 0).all()
+        assert np.isfinite(similarity_euclidean(pts)).all()
 
     def test_duplicate_points_compact(self):
         pts = np.zeros((5, 2))
