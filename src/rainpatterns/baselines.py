@@ -39,9 +39,10 @@ def _sq_dists(vectors: np.ndarray, sq: np.ndarray,
     """Squared distance of every vector to every center, (n, k).
 
     d² = (|x|² + |c|²) − 2·x·cᵀ from one product ``vectors @ centers.T``,
-    with ``sq`` the rows' squared norms; the order of the sum fixes the
-    output bits.  The terms cancel far from the origin, and round-off can
-    leave a distance near 0 slightly negative, so it is clamped at 0.
+    with ``sq`` the rows' squared norms, summed in this order (the Euclidean
+    similarity's bits depend on it).  The terms cancel far from the origin,
+    and round-off can leave a distance near 0 slightly negative, so it is
+    clamped at 0.
     """
     d2 = sq[:, None] + (centers * centers).sum(axis=1)
     d2 -= 2.0 * (vectors @ centers.T)

@@ -489,7 +489,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("k", [0, -2, 97])
     def test_clustering_k_outside_the_days_names_it(self, synth_dir, capsys,
                                                     method, k):
-        # 96 days; k < 1 failed inside k-means without naming the key
+        # the record has 96 days
         tmp_path, _ = synth_dir
         cfg = write_config(tmp_path, baseline={"k": k})
         out = tmp_path / method
