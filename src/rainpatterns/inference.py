@@ -37,12 +37,11 @@ from dataclasses import dataclass, replace
 from itertools import accumulate
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import NumericError, ValidationError
 from .model import (HIGH, LOW, RAIN_EPS, VAR_FLOOR, LatentState, ModelParams,
                     PatternSet, crp_log_prior_days, extract_patterns,
-                    joint_log_density)
+                    joint_log_density, log_gamma)
 
 INIT_STRATEGIES = ("data", "pattern", "random")
 
@@ -361,6 +360,7 @@ class _GibbsEngine:
 
     def _refresh_logdens(self) -> None:
         """The Gamma term of both states, per day parity, written in place."""
+        lg = log_gamma(self.alpha)
         for ld, logx, x in zip(self.logdens, self._logx_parts,
                                self._rain_parts):
             for k in range(2):
@@ -369,7 +369,7 @@ class _GibbsEngine:
                 out = np.multiply(a - 1.0, logx, out=ld[k])
                 out += a * np.log(b)
                 out -= b * x
-                out -= gammaln(a)
+                out -= lg[:, k][:, None]
 
     def snapshot_params(self) -> ModelParams:
         return self.params.replace(gamma_shape=self.alpha,

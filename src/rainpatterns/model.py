@@ -10,6 +10,10 @@ The tests check ``joint_log_density`` against one brute-force reference,
 ``brute_force_log_density`` in ``tests/conftest.py``, and the sampler's
 conditionals against flips and enumerations of the joint (README, Tests);
 the same file holds the oracle of the day step's n·m prior weights.
+
+The Gamma normaliser log Γ(a) is ``math.lgamma``, taken elementwise by
+``log_gamma``, which reads +inf at the poles and past overflow; the engine,
+the joint density and the tests' reference share it.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import NumericError, ValidationError
 
@@ -31,6 +34,27 @@ RAIN_EPS = 0.01
 
 # Floor for the per-cell variance in moment matching.
 VAR_FLOOR = 0.01
+
+
+def _lgamma(v: float) -> float:
+    try:
+        return math.lgamma(v)
+    except (ValueError, OverflowError):
+        return math.inf
+
+
+def log_gamma(x) -> np.ndarray:
+    """Elementwise ``math.lgamma`` of an array: log |Γ(x)|.
+
+    This is the Gamma normaliser of the model's densities.  Where
+    ``math.lgamma`` raises, at the poles (0 and the negative integers) and
+    by overflow above about 2.6e305, the value is +inf, so a degenerate
+    Gamma shape ends as a non-finite density, not a traceback; nan passes
+    through.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(_lgamma, x.ravel().tolist()), float,
+                       count=x.size).reshape(x.shape)
 
 
 @dataclass
@@ -249,7 +273,7 @@ def crp_log_prior_locations(loc_labels: np.ndarray, concentration: float) -> flo
     sizes = np.unique(loc_labels, return_counts=True)[1]
     n = int(sizes.sum())
     return float((len(sizes) - 1) * math.log(concentration)
-                 + gammaln(sizes).sum()
+                 + log_gamma(sizes).sum()
                  - np.log(concentration + np.arange(1, n)).sum())
 
 
@@ -301,7 +325,7 @@ def joint_log_density(data, weights, state: LatentState, params: ModelParams,
         member = z == code
         a = params.gamma_shape[:, k]
         b = params.gamma_rate[:, k]
-        logp += float((member.sum(axis=1) * (a * np.log(b) - gammaln(a))
+        logp += float((member.sum(axis=1) * (a * np.log(b) - log_gamma(a))
                        + (a - 1.0) * (logx * member).sum(axis=1)
                        - b * (xc * member).sum(axis=1)).sum())
 

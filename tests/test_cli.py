@@ -3,13 +3,17 @@
 import csv
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rainpatterns
 from rainpatterns import SyntheticSpec, generate_synthetic, save_dataset
 from rainpatterns.cli import main
 from rainpatterns.data import make_dataset
@@ -18,6 +22,16 @@ from rainpatterns.metrics import adjusted_rand_index, read_metrics_csv
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def run_fresh(code, *args):
+    """Run ``code`` in a new interpreter that imports this package, with
+    ``args`` as ``sys.argv[1:]``; return the finished process."""
+    src = str(Path(rainpatterns.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300)
 
 
 def write_config(tmp_path, **overrides):
@@ -553,3 +567,43 @@ class TestExitCodes:
         assert run(["compare", base / "fit", "--config", cfg,
                     "--out", tmp_path / "out"]) == 2
         assert "locations.csv" in capsys.readouterr().err
+
+
+class TestFreshProcess:
+    """CLI runs in a new interpreter: what it imports, and failures whose
+    RuntimeWarnings pytest would otherwise turn into errors."""
+
+    FIT = """
+import sys
+from rainpatterns.cli import main
+sys.exit(main(["fit", "--config", sys.argv[1], "--out", sys.argv[2]]))
+"""
+
+    def test_pipeline_imports_no_scipy(self, tmp_path):
+        cfg = write_config(tmp_path, sampler={"burnin": 1, "samples": 1})
+        code = """
+import sys
+from rainpatterns.cli import main
+cfg, out = sys.argv[1:]
+assert main(["synth", "--config", cfg, "--out", out + "/data"]) == 0
+assert main(["fit", "--config", cfg, "--out", out + "/fit"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+        res = run_fresh(code, cfg, tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == "[]"
+
+    def test_overflowing_cell_is_numeric_failure(self, synth_dir):
+        # one cell of 1e155 mm drives a moment-matched Gamma shape to a pole
+        # of log Γ; the fit must end in exit 3, not a traceback
+        tmp_path, _ = synth_dir
+        rain = tmp_path / "data" / "rainfall.csv"
+        lines = rain.read_text().splitlines(keepends=True)
+        loc, day, year, _ = lines[1].split(",")
+        lines[1] = f"{loc},{day},{year},1e155\n"
+        rain.write_text("".join(lines))
+        cfg = write_config(tmp_path, sampler={"burnin": 1, "samples": 1})
+        res = run_fresh(self.FIT, cfg, tmp_path / "fit")
+        assert res.returncode == 3, res.stderr
+        assert "numeric failure: " in res.stderr
+        assert "Traceback" not in res.stderr

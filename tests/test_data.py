@@ -18,6 +18,29 @@ from rainpatterns import (HIGH, LOW, ParseError, SyntheticSpec,
 from rainpatterns.data import build_neighborhoods, make_dataset
 
 
+# zero, the smallest subnormal, a mid subnormal and the top of the range
+RAIN_EDGES = [0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e308,
+              np.finfo(float).max]
+
+
+@st.composite
+def records(draw):
+    """(rain, grid_coords, year_of_day): a ragged grid, in drawn order, over
+    one to four years of one to three days each."""
+    coords = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                           min_size=1, max_size=8, unique=True))
+    runs = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    years = sorted(draw(st.sets(st.integers(-50, 3000), min_size=len(runs),
+                                max_size=len(runs))))
+    year_of_day = np.repeat(years, runs)
+    rain = draw(hnp.arrays(
+        np.float64, (len(coords), year_of_day.size),
+        elements=st.one_of(st.sampled_from(RAIN_EDGES),
+                           st.floats(min_value=0.0, allow_nan=False,
+                                     allow_infinity=False))))
+    return rain, np.array(coords), year_of_day
+
+
 def write_files(tmp_path, coords, rain, years):
     loc = tmp_path / "locations.csv"
     rn = tmp_path / "rainfall.csv"
@@ -166,24 +189,24 @@ class TestLoadDataset:
         assert d.rain.tolist() == [[4.0, 2.5], [0.0, 1e-3]]
         assert d.year_of_day.tolist() == [7, 7]
 
-    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
-                                                   max_side=4),
-                      elements=st.floats(min_value=0.0, allow_nan=False,
-                                         allow_infinity=False)))
-    @example(np.array([[5e-324, 2.2250738585072014e-308 / 3, 0.0, 1e300]]))
-    @example(np.array([[0.0], [np.nextafter(0.0, 1.0)], [1e300]]))
+    @given(records())
+    @example((np.array([[5e-324, 2.2250738585072014e-308 / 3, 0.0, 1e300]]),
+              np.array([[0, 0]]), np.array([0, 0, 1, 1])))
+    @example((np.array([[0.0], [np.nextafter(0.0, 1.0)], [1e300]]),
+              np.array([[0, 0], [2, 0], [1, 1]]), np.array([7])))
+    @example((np.array([[1e308, np.finfo(float).max], [0.0, 5e-324]]),
+              np.array([[3, -1], [-2, 4]]), np.array([1990, 2000])))
     @settings(max_examples=60, deadline=None)
-    def test_save_load_round_trip_is_bit_identical(self, rain):
-        S, T = rain.shape
-        data = make_dataset(rain, np.array([[s, 0] for s in range(S)]),
-                            np.arange(T) // 2)
+    def test_save_load_round_trip_is_bit_identical(self, record):
+        rain, coords, years = record
+        data = make_dataset(rain, coords, years)
         with tempfile.TemporaryDirectory() as tmp:
             loc, rn = Path(tmp) / "l.csv", Path(tmp) / "r.csv"
             save_dataset(data, loc, rn)
             loaded = load_dataset(loc, rn)
         assert loaded.rain.tobytes() == rain.tobytes()
-        assert np.array_equal(loaded.year_of_day, data.year_of_day)
-        assert np.array_equal(loaded.grid_coords, data.grid_coords)
+        assert loaded.grid_coords.tobytes() == data.grid_coords.tobytes()
+        assert loaded.year_of_day.tobytes() == data.year_of_day.tobytes()
 
     def test_noncontiguous_years_rejected(self):
         with pytest.raises(ValidationError, match="contiguous"):

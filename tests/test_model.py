@@ -14,7 +14,7 @@ from rainpatterns import (HIGH, LOW, LatentState, ModelParams,
                           update_params_ml)
 from rainpatterns.data import SpatialWeights, make_dataset
 from rainpatterns.model import (RAIN_EPS, crp_log_prior_days,
-                                crp_log_prior_locations)
+                                crp_log_prior_locations, log_gamma)
 from conftest import brute_force_log_density, fitted_params
 
 
@@ -44,6 +44,25 @@ def sequential_crp_log_prior_days(day_labels, years, concentration):
             n.append(1)
             year_sets.append({int(years[t])})
     return logp
+
+
+class TestLogGamma:
+    def test_poles_and_overflow_are_plus_inf(self):
+        # math.lgamma raises at the poles and on overflow; lgamma(inf) = inf
+        x = np.array([0.0, -1.0, 1e306, np.inf])
+        assert log_gamma(x).tolist() == [math.inf] * 4
+
+    def test_nan_passes_through(self):
+        assert np.isnan(log_gamma(np.array([np.nan]))).all()
+
+    def test_equals_math_lgamma(self):
+        rng = np.random.default_rng(3)
+        x = np.concatenate([10.0 ** rng.uniform(-300, 300, 500),
+                            rng.uniform(0, 10, 500),
+                            np.arange(1, 2001, dtype=float)])
+        got = log_gamma(x.reshape(-1, 2))  # the (S, 2) layout of the shapes
+        assert got.shape == (1500, 2)
+        assert got.ravel().tolist() == [math.lgamma(v) for v in x.tolist()]
 
 
 class TestSequentialPriorMass:
