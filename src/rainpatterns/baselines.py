@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .model import HIGH, LOW
+from .model import HIGH, LOW, matches
 
 
 @dataclass
@@ -165,20 +165,12 @@ def similarity_euclidean(vectors: np.ndarray, tau: float | None = None) -> np.nd
 def similarity_hamming(binary_vectors: np.ndarray) -> np.ndarray:
     """1 - normalised Hamming distance between HIGH/LOW state vectors.
 
-    With h the HIGH indicator and r its row sums, rows i and j agree on
-    h_i·h_j + (1 − h_i)·(1 − h_j) = 2 h_i·h_j − r_i − r_j + d of their d
-    entries: one product, exact in integers.
+    The agreements of every pair of rows are ``model.matches``: one product
+    of the HIGH indicators, exact in integers.
     """
     z = np.asarray(binary_vectors)
-    d = z.shape[1]
-    h = (z == HIGH).astype(np.float64)
-    r = h.sum(axis=1)
-    same = h @ h.T
-    same *= 2.0
-    same -= r[:, None]
-    same -= r
-    same += d
-    same /= d
+    same = matches(z)
+    same /= z.shape[1]
     return same
 
 

@@ -132,8 +132,11 @@ def _model_params(cfg: dict, data: RainfallDataset) -> ModelParams:
     given = {f: _value(cfg, "model", k, float, null_ok=True)
              for k, f in MODEL_KEYS.items()}
     # a null value keeps its default, for sigma the sd of the daily totals
-    return ModelParams(**{"aggregate_sd": float(data.aggregate.std()) or 1.0,
-                          **{f: v for f, v in given.items() if v is not None}})
+    params = ModelParams(**{
+        "aggregate_sd": float(data.aggregate.std()) or 1.0,
+        **{f: v for f, v in given.items() if v is not None}})
+    params.validate("config: model.", MODEL_KEYS)
+    return params
 
 
 def _sampler_config(cfg: dict) -> SamplerConfig:
@@ -198,6 +201,7 @@ def _load_params(path, patterns: PatternSet) -> ModelParams:
     for f, shape in zip(PARAM_ARRAYS, [(S, 2), (S, 2), (K,)]):
         if getattr(params, f).shape != shape:
             raise ValidationError(f"{path}: {f} must have shape {shape}")
+    params.validate(f"{path}: ", MODEL_KEYS)
     return params
 
 

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import NumericError, ParseError, ValidationError
 from .model import HIGH, LOW, LatentState
 
 _NEIGHBOR_OFFSETS = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)
@@ -381,12 +381,20 @@ def compute_spatial_weights(d: RainfallDataset) -> SpatialWeights:
     """Pearson-correlate each location's time series with its neighbours.
 
     A location whose series has zero variance gets weight 0 on all its pairs:
-    no coherence pull in either direction.
+    no coherence pull in either direction.  A series whose sum of squares
+    overflows is a ``NumericError`` naming it and its largest day, unwarned.
     """
     if d.n_days < 2:
         raise ValidationError("correlation weights need at least two days")
-    centered = d.rain - d.rain.mean(axis=1, keepdims=True)
-    norms = np.sqrt((centered * centered).sum(axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = d.rain - d.rain.mean(axis=1, keepdims=True)
+        sq = (centered * centered).sum(axis=1)
+    if not np.isfinite(sq).all():
+        s = int(np.isfinite(sq).argmin())
+        t = int(d.rain[s].argmax())
+        raise NumericError(f"location {s}, day {t}: rainfall {d.rain[s, t]:g} "
+                           "mm overflows the sum of squares of its series")
+    norms = np.sqrt(sq)
     values = []
     for s, nb in enumerate(d.neighborhoods):
         row = np.zeros(len(nb))

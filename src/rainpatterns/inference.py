@@ -40,8 +40,8 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .model import (HIGH, LOW, RAIN_EPS, VAR_FLOOR, LatentState, ModelParams,
-                    PatternSet, crp_log_prior_days, extract_patterns,
-                    joint_log_density, log_gamma)
+                    PatternSet, days_per_year, extract_patterns,
+                    joint_log_density, log_day_cohesion, log_gamma, matches)
 
 INIT_STRATEGIES = ("data", "pattern", "random")
 
@@ -171,13 +171,14 @@ def update_params_ml(data, state: LatentState):
 class _LabelTables:
     """Member counts per label and year, kept up to date across moves.
 
-    A label's mass is its member count times its span, the number of
-    distinct years its members fall in (locations all share year 0, so their
-    mass is the count); ``log_mass`` holds log(max(mass, 1)).  A move updates
-    one label's count and, when a year's count leaves or reaches zero, its
-    span.  ``rows`` maps labels to pattern rows; a label born here maps to
-    none.  ``align`` and ``aggregate`` hold each item's alignment and
-    aggregate term per pattern row, as Python floats.
+    Item i joins a label of n members with the day prior's weight
+    (``model.log_day_cohesion``): n, or n·(m + 1) when the label's m years
+    lack i's year; ``joins`` holds both logs, floored at log 1 for an empty
+    label (locations all share year 0).  A move updates one label's count
+    and, when a year's count leaves or reaches zero, its span.  ``rows``
+    maps labels to pattern rows; a label born here maps to none.  ``align``
+    and ``aggregate`` hold each item's alignment and aggregate term per
+    pattern row, as Python floats.
     """
 
     def __init__(self, labels, rows, align, years, aggregate=None):
@@ -193,8 +194,11 @@ class _LabelTables:
         self.per_year = per_year.tolist()
         self.counts = per_year.sum(axis=1).tolist()
         self.spans = (per_year > 0).sum(axis=1).tolist()
-        self.log_mass = [math.log(max(n * m, 1))
-                         for n, m in zip(self.counts, self.spans)]
+        self.joins = list(map(self._joins, self.counts, self.spans))
+
+    @staticmethod
+    def _joins(n: int, m: int) -> tuple[float, float]:
+        return math.log(max(n, 1)), math.log(max(n * (m + 1), 1))
 
     def _count(self, i: int, label: int, step: int) -> None:
         k = label - 1
@@ -204,8 +208,8 @@ class _LabelTables:
         per_year[y] = before + step
         if before == 0 or before + step == 0:
             self.spans[k] += step
-        n = self.counts[k] = self.counts[k] + step
-        self.log_mass[k] = math.log(max(n * self.spans[k], 1))
+        self.counts[k] += step
+        self.joins[k] = self._joins(self.counts[k], self.spans[k])
 
     def take_out(self, i: int) -> None:
         """Leave item i out of the counts; its label stays as it is."""
@@ -217,7 +221,7 @@ class _LabelTables:
             self.rows.append(-1)
             self.counts.append(0)
             self.spans.append(0)
-            self.log_mass.append(0.0)
+            self.joins.append((0.0, 0.0))
             self.per_year.append([0] * self.n_years)
         self.labels[i] = label
         self._count(i, label, 1)
@@ -226,7 +230,7 @@ class _LabelTables:
         """Remove an empty label; the labels above it move down by one."""
         self.labels[self.labels > label] -= 1
         k = label - 1
-        del (self.rows[k], self.counts[k], self.spans[k], self.log_mass[k],
+        del (self.rows[k], self.counts[k], self.spans[k], self.joins[k],
              self.per_year[k])
 
 
@@ -330,11 +334,11 @@ class _GibbsEngine:
         loc_labels = np.ones(self.S, dtype=np.int64)
         if frozen is not None:
             # start every day and location at its best-matching frozen pattern
-            day_labels = self._matches(frozen.state_patterns,
-                                       states).argmax(axis=0) + 1
+            day_labels = matches(frozen.state_patterns,
+                                 states).argmax(axis=0) + 1
             if frozen.n_loc_series:
-                loc_labels = self._matches(frozen.state_series,
-                                           states.T).argmax(axis=0) + 1
+                loc_labels = matches(frozen.state_series,
+                                     states.T).argmax(axis=0) + 1
         elif self.config.init == "random":
             k0 = math.isqrt(self.T - 1) + 1
             day_labels = self.rng.integers(1, k0 + 1, size=self.T)
@@ -462,30 +466,19 @@ class _GibbsEngine:
 
     # -------------------------------------------------------- label sweeps
 
-    @staticmethod
-    def _matches(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Agreeing states of every state row with every column, (R, C).
-
-        r·c + (1 − r)·(1 − c) = 2 r·c − Σr − Σc + n, exact in integers.
-        """
-        r1 = (rows == HIGH).astype(np.float64)
-        c1 = (cols == HIGH).astype(np.float64)
-        return (2.0 * (r1 @ c1) - r1.sum(axis=1)[:, None]
-                - c1.sum(axis=0) + rows.shape[1])
-
     def _day_tables(self) -> _LabelTables:
         self._set_rowmaps()
         dev = (self.y[:, None] - self.mu[None, :]) / self.params.aggregate_sd
         return _LabelTables(self.state.day_labels, self._rowmap_u.tolist(),
-                            self._matches(self.patterns.state_patterns,
-                                          self.state.states), self.year_idx,
+                            matches(self.patterns.state_patterns,
+                                    self.state.states), self.year_idx,
                             aggregate=-0.5 * dev * dev)
 
     def _loc_tables(self) -> _LabelTables:
         self._set_rowmaps()
         return _LabelTables(self.state.loc_labels, self._rowmap_v.tolist(),
-                            self._matches(self.patterns.state_series,
-                                          self.state.states.T),
+                            matches(self.patterns.state_series,
+                                    self.state.states.T),
                             np.zeros(self.S, dtype=np.intp))
 
     def day_log_weights(self, t: int, tables=None):
@@ -518,24 +511,29 @@ class _GibbsEngine:
                            concentration):
         """The candidate policy shared by day and location labels.
 
-        An occupied label weighs log(mass) plus the alignment term of its
-        pattern row and, for days, the aggregate term.  One extra label past
-        the occupied ones weighs ``concentration`` while it is empty.  In a
-        frozen run labels 1..``n_frozen`` stay enterable while empty (mass
-        floored at one) and the extra label is the single overflow label
+        An occupied label weighs its prior join weight (``_LabelTables``)
+        plus the alignment term of its pattern row and, for days, the
+        aggregate term.  One extra label past the occupied ones weighs
+        ``concentration`` while it is empty.  In a frozen run labels
+        1..``n_frozen`` stay enterable while empty (join weight floored at
+        one) and the extra label is the single overflow label
         ``n_frozen + 1``, an ordinary label while it is occupied.
         """
         if not self.frozen:
             n_frozen = 0
         align = tables.align[i]
         aggregate = None if tables.aggregate is None else tables.aggregate[i]
+        y = tables.years[i]
         scale = strength * self.align_scale
         cand: list[int] = []
         logw: list[float] = []
-        for u, (c, w, row) in enumerate(
-                zip(tables.counts, tables.log_mass, tables.rows), 1):
+        for u, (c, per_year, (w, w_new_year), row) in enumerate(
+                zip(tables.counts, tables.per_year, tables.joins,
+                    tables.rows), 1):
             if c == 0 and u > n_frozen:
                 continue
+            if not per_year[y]:
+                w = w_new_year
             if row >= 0:
                 w += scale * align[row]
                 if aggregate is not None:
@@ -571,80 +569,62 @@ class _GibbsEngine:
 
     # --------------------------------------------------------------- merges
 
-    def _merge_stats(self):
-        """Per-cluster counts, wet counts, and aggregate sums for merges."""
-        labels = self.state.day_labels
-        K = int(labels.max())
-        onehot = np.zeros((K, self.T))
-        onehot[labels - 1, np.arange(self.T)] = 1.0
-        n = onehot.sum(axis=1)
-        wet = onehot @ (self.state.states == HIGH).T.astype(float)  # (K, S)
-        sy = onehot @ self.y
-        syy = onehot @ (self.y * self.y)
-        return K, n, wet, sy, syy
-
-    @staticmethod
-    def _align_sum(wet: np.ndarray, n: float) -> float:
-        """Sum of member matches against the members' modal state map."""
-        return float(np.maximum(wet, n - wet).sum())
-
-    def _agg_sum(self, n: float, sy: float, syy: float) -> float:
-        """Aggregate log-kernel total for a cluster at its own mean."""
-        if n <= 0:
-            return 0.0
-        mu = sy / n
-        var_sum = syy - n * mu * mu
-        return -0.5 * var_sum / (self.params.aggregate_sd ** 2)
-
     def merge_sweep(self) -> None:
         """Propose merging each cluster into its nearest-pattern peer.
 
         Single-label resampling mixes between duplicate clusters like an urn
         process and practically never consolidates them, so each sweep also
         proposes whole-cluster merges, accepted by the change of the plug-in
-        joint density (clustering prior, alignment, and aggregate terms; the
-        cell states and data terms are untouched).
+        joint density (day prior, alignment, and aggregate terms; the cell
+        states and data terms are untouched).
         """
         for _ in range(int(self.state.day_labels.max())):
-            if not self._merge_pass():
+            if self.state.n_day_clusters < 2 or not self._merge_pass():
                 return
 
-    def _merge_pass(self) -> bool:
-        """Propose each cluster's merge in turn; stop at the first accepted.
+    def merge_proposals(self):
+        """Each day cluster's merge partner and the change the merge makes.
 
-        The clustering prior of the current labelling is scored once.
+        The partner has the nearest modal state map.  A cluster's share of
+        the plug-in density, its ``log_day_cohesion`` and its alignment and
+        aggregate terms at its own modal map and mean, comes from additive
+        per-cluster sums.  Returns (0-based peer, d_prior, d_terms).
         """
         p = self.params
         labels = self.state.day_labels
-        K, n, wet, sy, syy = self._merge_stats()
-        if K < 2:
-            return False
-        cdp = np.where(2 * wet > n[:, None], HIGH, LOW).astype(np.int8)
-        dist = (cdp[:, None, :] != cdp[None, :, :]).sum(axis=2)
-        np.fill_diagonal(dist, self.S + 1)
-        crp_now = crp_log_prior_days(labels, self.data.year_of_day,
-                                     p.day_concentration)
-        for u in range(1, K + 1):
-            v = int(dist[u - 1].argmin()) + 1
-            a, b = min(u, v), max(u, v)
-            cand = labels.copy()
-            cand[cand == b] = a
-            cand[cand > b] -= 1
+        onehot = np.zeros((int(labels.max()), self.T))
+        onehot[labels - 1, np.arange(self.T)] = 1.0
+        wet = onehot @ (self.state.states == HIGH).T.astype(float)  # (K, S)
+        parts = (days_per_year(labels, self.year_idx), wet, onehot @ self.y,
+                 onehot @ (self.y * self.y))
 
-            d_crp = crp_log_prior_days(cand, self.data.year_of_day,
-                                       p.day_concentration) - crp_now
-            n_ab = n[a - 1] + n[b - 1]
-            d_align = p.day_align * self.align_scale * (
-                self._align_sum(wet[a - 1] + wet[b - 1], n_ab)
-                - self._align_sum(wet[a - 1], n[a - 1])
-                - self._align_sum(wet[b - 1], n[b - 1]))
-            d_agg = (self._agg_sum(n_ab, sy[a - 1] + sy[b - 1],
-                                   syy[a - 1] + syy[b - 1])
-                     - self._agg_sum(n[a - 1], sy[a - 1], syy[a - 1])
-                     - self._agg_sum(n[b - 1], sy[b - 1], syy[b - 1]))
-            delta = d_crp + d_align + d_agg
+        cdp = np.where(2 * wet > onehot.sum(axis=1)[:, None], HIGH, LOW)
+        dist = self.S - matches(cdp)
+        np.fill_diagonal(dist, self.S + 1)
+        peer = dist.argmin(axis=1)
+
+        def share(per_year, wet, sy, syy):
+            n = per_year.sum(axis=1)
+            mu = sy / n
+            return (log_day_cohesion(per_year, p.day_concentration),
+                    p.day_align * self.align_scale
+                    * np.maximum(wet, n[:, None] - wet).sum(axis=1)
+                    - 0.5 * (syy - n * mu * mu) / (p.aggregate_sd ** 2))
+
+        own = share(*parts)
+        merged = share(*(x + x[peer] for x in parts))
+        d_prior, d_terms = (m - o - o[peer] for m, o in zip(merged, own))
+        return peer, d_prior, d_terms
+
+    def _merge_pass(self) -> bool:
+        """Propose each cluster's merge in turn; stop at the first accepted."""
+        peer, d_prior, d_terms = self.merge_proposals()
+        for u, delta in enumerate((d_prior + d_terms).tolist()):
             if delta >= 0 or self.rng.random() < math.exp(delta):
-                self.state.day_labels = cand
+                a, b = sorted((u + 1, int(peer[u]) + 1))
+                labels = self.state.day_labels
+                labels[labels == b] = a
+                labels[labels > b] -= 1
                 return True
         return False
 

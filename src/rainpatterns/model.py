@@ -6,10 +6,15 @@ hold a binary state (1 = high rainfall, 2 = low rainfall) coupled to its
 spatio-temporal neighbours, to the cluster patterns, and to the observed
 rainfall through a per-location two-component Gamma model.
 
+The day labels follow an exchangeable product-partition prior (Hartigan
+1990; the PPMx of Müller, Quintana & Rosner, JCGS 2011) that weighs a
+partition by Π_k α·Γ(n_k)·m_k! for cluster k's n_k days over m_k distinct
+years, favouring patterns that recur across years.  The joint, the Gibbs
+day step and the merge move all read its factor ``log_day_cohesion``.
+
 The tests check ``joint_log_density`` against one brute-force reference,
 ``brute_force_log_density`` in ``tests/conftest.py``, and the sampler's
-conditionals against flips and enumerations of the joint (README, Tests);
-the same file holds the oracle of the day step's n·m prior weights.
+conditionals against flips and enumerations of the joint (README, Tests).
 
 The Gamma normaliser log Γ(a) is ``math.lgamma``, taken elementwise by
 ``log_gamma``, which reads +inf at the poles and past overflow; the engine,
@@ -124,21 +129,30 @@ class ModelParams:
     gamma_rate: np.ndarray | None = None
     aggregate_mean: np.ndarray | None = None
 
-    def validate(self) -> None:
-        for name in ("day_concentration", "loc_concentration",
-                     "temporal_factor", "aggregate_sd"):
-            if not getattr(self, name) > 0:
-                raise ValidationError(f"{name} must be > 0")
-        for name in ("day_align", "loc_align"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
-        for name in ("gamma_shape", "gamma_rate"):
-            arr = getattr(self, name)
-            if arr is not None:
-                if arr.ndim != 2 or arr.shape[1] != 2:
-                    raise ValidationError(f"{name} must have shape (S, 2)")
-                if not np.isfinite(arr).all() or (arr <= 0).any():
-                    raise ValidationError(f"{name} must be finite and positive")
+    # each field's test, and how an error states it; NaN fails every test
+    _RULES = (
+        (("day_concentration", "loc_concentration", "temporal_factor"),
+         lambda v: 0 < v < math.inf, "finite and > 0"),
+        (("day_align", "loc_align"), lambda v: 0 <= v < math.inf,
+         "finite and >= 0"),
+        (("aggregate_sd",), lambda v: v > 0, "> 0"),  # +inf: no aggregate term
+        (("gamma_shape", "gamma_rate"),
+         lambda a: a is None or (a.ndim == 2 and a.shape[1] == 2
+                                 and (a > 0).all() and np.isfinite(a).all()),
+         "finite, positive and of shape (S, 2)"),
+        (("aggregate_mean",), lambda a: a is None or np.isfinite(a).all(),
+         "finite"),
+    )
+
+    def validate(self, where: str = "", keys: dict | None = None) -> None:
+        """Reject a value the model cannot score.  The error names the field
+        after ``where``, by its key where ``keys`` maps keys to fields."""
+        key = {f: k for k, f in (keys or {}).items()}
+        for fields, ok, rule in self._RULES:
+            for f in fields:
+                if not ok(getattr(self, f)):
+                    raise ValidationError(f"{where}{key.get(f, f)}: must be "
+                                          f"{rule}")
 
     def replace(self, **kw) -> "ModelParams":
         d = {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -174,6 +188,20 @@ class PatternSet:
         return self.rain_series.shape[0]
 
 
+def matches(rows: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
+    """Agreeing states of every state row with every column (by default,
+    every other row), (R, C) floats: with r, c the HIGH indicators of n
+    states, 2 r·c − Σr − Σc + n, from one product and exact in integers."""
+    r1 = (rows == HIGH).astype(np.float64)
+    c1 = r1.T if cols is None else (cols == HIGH).astype(np.float64)
+    out = r1 @ c1
+    out *= 2.0
+    out -= r1.sum(axis=1)[:, None]
+    out -= c1.sum(axis=0)
+    out += rows.shape[1]
+    return out
+
+
 def _mode_rows(ones_count: np.ndarray, totals: np.ndarray) -> np.ndarray:
     """Element-wise mode over {1, 2} given counts of ones; ties go to 2."""
     return np.where(2 * ones_count > totals, HIGH, LOW).astype(np.int8)
@@ -191,18 +219,13 @@ def extract_patterns(data, state: LatentState) -> PatternSet:
     S, T = rain.shape
     z1 = (state.states == HIGH)
 
-    K = state.n_day_clusters
-    day_onehot = np.zeros((K, T))
+    day_onehot = np.zeros((state.n_day_clusters, T))
     day_onehot[state.day_labels - 1, np.arange(T)] = 1.0
-    day_counts = day_onehot.sum(axis=1)
+    per_year = days_per_year(state.day_labels, data.year_of_day)
+    day_counts = per_year.sum(axis=1)
     rain_patterns = (rain @ day_onehot.T).T / day_counts[:, None]
     wet_counts = (z1 @ day_onehot.T).T
     state_patterns = _mode_rows(wet_counts, day_counts[:, None])
-
-    year_vals, year_idx = np.unique(data.year_of_day, return_inverse=True)
-    pair = (state.day_labels - 1) * len(year_vals) + year_idx
-    pair_counts = np.bincount(pair, minlength=K * len(year_vals))
-    year_counts = (pair_counts.reshape(K, len(year_vals)) > 0).sum(axis=1)
 
     L = state.n_loc_clusters
     loc_onehot = np.zeros((L, S))
@@ -217,64 +240,56 @@ def extract_patterns(data, state: LatentState) -> PatternSet:
         state_patterns=state_patterns,
         rain_series=rain_series,
         state_series=state_series,
-        day_counts=day_counts.astype(np.int64),
-        year_counts=year_counts.astype(np.int64),
+        day_counts=day_counts,
+        year_counts=(per_year > 0).sum(axis=1),
         pattern_volume=rain_patterns.sum(axis=1),
     )
 
 
+def days_per_year(day_labels: np.ndarray, years: np.ndarray) -> np.ndarray:
+    """(K, Y) days of each day cluster in each year, labels and years in
+    sorted order; neither need be dense."""
+    labels = np.unique(day_labels, return_inverse=True)[1]
+    year_idx = np.unique(years, return_inverse=True)[1]
+    n_years = int(year_idx.max()) + 1
+    return np.bincount(labels * n_years + year_idx,
+                       minlength=(int(labels.max()) + 1) * n_years
+                       ).reshape(-1, n_years)
+
+
+def log_day_cohesion(per_year: np.ndarray, concentration: float):
+    """log(α·Γ(n)·m!) of each day cluster of n days over m distinct years.
+
+    ``per_year`` holds a cluster's days in each year per row.  The day
+    prior weighs a partition by the product of its clusters' cohesions, so
+    day t joins a cluster of n days (t left out) with weight n, times
+    m + 1 if t's year is new to it, or opens one with weight α; a merge
+    changes the prior by the merged cluster's cohesion less the parts'.
+    """
+    return (math.log(concentration) + log_gamma(per_year.sum(axis=1))
+            + log_gamma((per_year > 0).sum(axis=1) + 1))
+
+
 def crp_log_prior_days(day_labels: np.ndarray, years: np.ndarray,
                        concentration: float) -> float:
-    """Log-mass of a day labelling under the year-weighted sequential prior.
+    """Log-mass, up to a constant, of a day partition under the day prior.
 
-    Days arrive in order.  Day t joins a cluster k met before it with weight
-    n_k(t)·m_k(t), where n_k(t) counts the cluster's earlier days and m_k(t)
-    the distinct years they span, or opens a new cluster with weight
-    ``concentration``; the normaliser is concentration + Σ_k n_k(t)·m_k(t).
-    The first day opens the first cluster with mass one.  Both counts are
-    running counts within each cluster, so any labelling of the same
-    partition scores identically.
+    The sum of ``log_day_cohesion`` over the clusters: relabelling the
+    clusters or permuting the days with their years leaves it unchanged.
     """
-    labels = np.unique(day_labels, return_inverse=True)[1]
-    T = labels.size
-    if T < 2:
-        return 0.0
-    year_idx = np.unique(years, return_inverse=True)[1]
-    # the days of each cluster in time order, one cluster after another
-    order = np.argsort(labels, kind="stable")
-    starts = np.flatnonzero(np.r_[True, np.diff(labels[order]) != 0])
-    start_of = np.repeat(starts, np.diff(np.r_[starts, T]))
-    # 1 where a day is the first of its cluster in its year
-    pair = labels * (int(year_idx.max()) + 1) + year_idx
-    first = np.zeros(T, dtype=np.int64)
-    first[np.unique(pair, return_index=True)[1]] = 1
-    seen = np.cumsum(first[order]) - first[order]
-    n = np.empty(T, dtype=np.int64)
-    m = np.empty(T, dtype=np.int64)
-    n[order] = np.arange(T) - start_of
-    m[order] = seen - seen[start_of]
-    # day t raises its cluster's mass n·m to (n + 1)·(m + first)
-    grow = (n + 1) * (m + first) - n * m
-    norm = concentration + (np.cumsum(grow) - grow)
-    mass = n * m
-    num = np.where(mass > 0, np.log(np.maximum(mass, 1)),
-                   math.log(concentration))
-    return float((num[1:] - np.log(norm[1:])).sum())
+    return float(log_day_cohesion(days_per_year(day_labels, years),
+                                  concentration).sum())
 
 
 def crp_log_prior_locations(loc_labels: np.ndarray, concentration: float) -> float:
-    """Log-mass of a location labelling under the plain sequential prior.
+    """Log-mass of a location labelling under the Chinese-restaurant prior.
 
-    The first location opens a cluster with mass one; each later location
-    opens a new cluster with weight ``concentration`` or joins one with
-    weight its size, over concentration + the number of locations before
-    it.  The product over the sequence has this closed form.
+    The day prior's cohesions on a single year, normalised by
+    α(α + 1)···(α + S − 1); exchangeable, like the day prior.
     """
     sizes = np.unique(loc_labels, return_counts=True)[1]
-    n = int(sizes.sum())
-    return float((len(sizes) - 1) * math.log(concentration)
-                 + log_gamma(sizes).sum()
-                 - np.log(concentration + np.arange(1, n)).sum())
+    return float(log_day_cohesion(sizes[:, None], concentration).sum()
+                 - np.log(concentration + np.arange(sizes.sum())).sum())
 
 
 def joint_log_density(data, weights, state: LatentState, params: ModelParams,

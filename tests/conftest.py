@@ -148,28 +148,3 @@ def flip_delta(engine, s, t):
                                       params, engine.patterns))
     return float(w[0, 0] - w[1, 0]), logp[0] - logp[1]
 
-
-def crp_log_weights_days(t: int, day_labels: np.ndarray, years: np.ndarray,
-                         concentration: float) -> dict[int, float]:
-    """Log-weights of the day-clustering prior for reassigning day t.
-
-    Each existing cluster weighs n * m where n counts its member days and m
-    the distinct years those days span, both excluding day t; one fresh label
-    (max existing + 1) weighs ``concentration``.
-    """
-    mask = np.ones(day_labels.size, dtype=bool)
-    mask[t] = False
-    others = day_labels[mask]
-    out: dict[int, float] = {}
-    if others.size:
-        yrs = years[mask]
-        for u in np.unique(others):
-            sel = others == u
-            n = int(sel.sum())
-            m = len(np.unique(yrs[sel]))
-            out[int(u)] = math.log(n * m)
-        fresh = int(others.max()) + 1
-    else:
-        fresh = 1
-    out[fresh] = math.log(concentration)
-    return out

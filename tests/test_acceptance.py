@@ -43,7 +43,9 @@ def fit_synth(spec, eta=5.0, burnin=80, samples=40, fit_seed=0):
 def test_c1_gibbs_exactness():
     """Empirical single-site conditionals match enumeration, TV <= 0.02.
 
-    The draws come from the engine's conditionals, the ones its sweeps use.
+    The draws come from the engine's conditionals, the ones its sweeps use:
+    three cells, a day and a location on a one-year record, and every day
+    of a record over three years.
     """
     start = time.time()
     rng_data = np.random.default_rng(0)
@@ -116,10 +118,38 @@ def test_c1_gibbs_exactness():
     emp = np.array([(draws == v).mean() for v in cands])
     worst = max(worst, tv(emp, exact))
 
+    # every day's label over 3 years, alignment and aggregate off so that
+    # the day prior alone sets the conditional; day 5 is a singleton
+    rain = rng_data.gamma(2.0, 4.0, (4, 8))
+    data = make_dataset(rain, coords, np.array([0, 0, 0, 1, 1, 1, 2, 2]))
+    weights = compute_spatial_weights(data)
+    state = LatentState(
+        states=rng_data.integers(1, 3, (4, 8)).astype(np.int8),
+        day_labels=np.array([1, 1, 2, 1, 2, 3, 1, 2]),
+        loc_labels=np.array([1, 1, 2, 2]))
+    patterns = extract_patterns(data, state)
+    params = fitted_params(data, state, day_align=0.0, aggregate_sd=math.inf)
+    engine = engine_at(data, state, params, patterns, weights)
+    for t in range(8):
+        labels, logw = engine.day_log_weights(t)
+        logp = np.empty(len(labels))
+        for i, u in enumerate(labels):
+            work = state.copy()
+            work.day_labels[t] = u
+            logp[i] = joint_log_density(data, weights, work, params, patterns)
+        exact = np.exp(logp - logp.max())
+        exact /= exact.sum()
+        rng = np.random.default_rng(20 + t)
+        draws = np.array([_draw_label(labels, logw, u)
+                          for u in rng.random(n)])
+        emp = np.array([(draws == u).mean() for u in labels])
+        worst = max(worst, tv(emp, exact))
+
     elapsed = time.time() - start
     assert worst <= 0.02
     assert elapsed < 30.0
-    report("C1", f"max TV {worst:.4f} over Z/U/V sites, {elapsed:.1f}s")
+    report("C1", f"max TV {worst:.4f} over Z/U/V sites and 8 days over 3 "
+                 f"years, {elapsed:.1f}s")
 
 
 def test_c2_joint_density_locality():

@@ -7,15 +7,22 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
+from functools import partial
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import rainpatterns
-from rainpatterns import SyntheticSpec, generate_synthetic, save_dataset
-from rainpatterns.cli import main
+from rainpatterns import (ModelParams, PatternSet, SyntheticSpec,
+                          generate_synthetic, save_dataset)
+from rainpatterns.cli import (_load_params, _load_patterns, _write_params,
+                              _write_patterns, main)
 from rainpatterns.data import make_dataset
 from rainpatterns.metrics import adjusted_rand_index, read_metrics_csv
 
@@ -355,15 +362,15 @@ class TestFixedSeedDigests:
         "assign_v.csv":
             "73e34c8dab4be87b830e30533deacb623432335d32c595ccf24806d531a1b2fb",
         "assign_z.csv":
-            "ecc606a92d2ef9e891c807c8a74ddd51445dd07c4323b5cadb3d944b36d4f1df",
+            "5dd772e3a29860317f27bba9f4a8a224ff83d278908d4eeb938a1d0efcc64470",
     }
     REFIT = {
         "assign_u.csv":
-            "cb8b04030e3b58560f9ce5910f98522941407222c59dfa297a8904ab1a3041dc",
+            "d778c2d4421c2e2ef59af6b315a5d000920b18278ca4cb84429242e9ec148643",
         "assign_v.csv":
             "73e34c8dab4be87b830e30533deacb623432335d32c595ccf24806d531a1b2fb",
         "assign_z.csv":
-            "99fde3cee148ec54b8e3831279b7043259c0bd32710f71418a26f921e5b911e4",
+            "c1652970312ecc0e7273357727fd28e04aee15d95db19b3bda9f71ad99f128d9",
     }
 
     # the bytes of the large tables, which the column writer formats
@@ -445,6 +452,76 @@ class TestFixedSeedDigests:
         assert self.digests(refit) == self.REFIT
 
 
+# finite values at the edges of the double range, for the CSV and JSON writers
+EDGES = [0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e308,
+         np.finfo(float).max]
+
+
+def doubles(low=0.0):
+    """Finite doubles above ``low``, the range edges among them."""
+    return st.one_of(st.sampled_from([x for x in EDGES if x > low]),
+                     st.floats(min_value=low, exclude_min=True,
+                               allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def pattern_sets(draw):
+    K, S, L, T = (draw(st.integers(1, n)) for n in (4, 6, 3, 6))
+    values = partial(hnp.arrays, np.float64,
+                     elements=st.one_of(st.just(0.0), doubles()))
+    states = partial(hnp.arrays, np.int8, elements=st.sampled_from([1, 2]))
+    counts = partial(hnp.arrays, np.int64, K,
+                     elements=st.integers(0, 2 ** 63 - 1))
+    return PatternSet(rain_patterns=draw(values((K, S))),
+                      state_patterns=draw(states((K, S))),
+                      rain_series=draw(values((L, T))),
+                      state_series=draw(states((L, T))),
+                      day_counts=draw(counts()), year_counts=draw(counts()),
+                      pattern_volume=draw(values(K)))
+
+
+class TestRunFileRoundTrip:
+    """What a fit writes, ``refit`` and ``compare`` read back bit for bit."""
+
+    @given(pattern_sets())
+    @settings(max_examples=60, deadline=None)
+    def test_patterns_round_trip_is_bit_identical(self, patterns):
+        with tempfile.TemporaryDirectory() as tmp:
+            _write_patterns(Path(tmp), patterns)
+            loaded = _load_patterns(Path(tmp))
+        for name in PatternSet.__dataclass_fields__:
+            a, b = getattr(patterns, name), getattr(loaded, name)
+            assert (a.dtype, a.shape, a.tobytes()) \
+                == (b.dtype, b.shape, b.tobytes()), name
+
+    @given(st.integers(1, 6), st.integers(1, 4), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_params_round_trip_is_bit_identical(self, S, K, data):
+        arrays = partial(hnp.arrays, np.float64)
+        params = ModelParams(
+            day_concentration=data.draw(doubles(0.0)),
+            loc_concentration=data.draw(doubles(0.0)),
+            temporal_factor=data.draw(doubles(0.0)),
+            day_align=data.draw(st.one_of(st.just(0.0), doubles())),
+            loc_align=data.draw(st.one_of(st.just(0.0), doubles())),
+            aggregate_sd=data.draw(st.one_of(st.just(float("inf")),
+                                             doubles(0.0))),
+            gamma_shape=data.draw(arrays((S, 2), elements=doubles(0.0))),
+            gamma_rate=data.draw(arrays((S, 2), elements=doubles(0.0))),
+            aggregate_mean=data.draw(arrays(K, elements=st.one_of(
+                doubles(), doubles().map(lambda x: -x)))))
+        shape = PatternSet(np.zeros((K, S)), np.ones((K, S), dtype=np.int8),
+                           *[np.zeros((1, 1))] * 2, *[np.zeros(K)] * 3)
+        with tempfile.TemporaryDirectory() as tmp:
+            _write_params(Path(tmp), params)
+            loaded = _load_params(Path(tmp) / "params.json", shape)
+        for name in ModelParams.__dataclass_fields__:
+            a = np.asarray(getattr(params, name))
+            b = np.asarray(getattr(loaded, name))
+            assert (a.dtype, a.shape, a.tobytes()) \
+                == (b.dtype, b.shape, b.tobytes()), name
+
+
 class TestExitCodes:
     def test_missing_file_is_io_error(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -470,6 +547,13 @@ class TestExitCodes:
         ("fit", "sampler", "seed", -1),
         ("refit", "sampler", "seed", -1),
         ("baseline", "sampler", "seed", -1),
+        # non-finite model values crashed the label draws or overflowed
+        ("fit", "model", "eta", float("nan")),
+        ("fit", "model", "zeta", float("nan")),
+        ("fit", "model", "gamma", float("inf")),
+        ("fit", "model", "f", float("inf")),
+        ("fit", "model", "lambda", float("-inf")),
+        ("fit", "model", "sigma", float("nan")),
     ])
     def test_bad_config_value_names_it(self, synth_dir, capsys, command,
                                        section, key, value):
@@ -488,6 +572,25 @@ class TestExitCodes:
         args += ["--frozen", tmp_path / "no-fit"] * (command == "refit")
         assert run(args + ["--config", bad, "--out", tmp_path / "x"]) == 2
         assert f"error: config: {name}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,edit", [
+        pytest.param("eta", lambda doc: doc.update(eta=float("nan")),
+                     id="eta-nan"),
+        pytest.param("gamma_shape", lambda doc: doc["gamma_shape"][3]
+                     .__setitem__(1, float("nan")), id="gamma_shape-nan"),
+        pytest.param("aggregate_mean", lambda doc: doc["aggregate_mean"]
+                     .__setitem__(0, float("inf")), id="aggregate_mean-inf"),
+    ])
+    def test_nonfinite_frozen_value_names_it(self, fit_run, tmp_path, capsys,
+                                            key, edit):
+        base, cfg = fit_run
+        frozen = shutil.copytree(base / "fit", tmp_path / "frozen")
+        doc = json.loads((frozen / "params.json").read_text())
+        edit(doc)
+        (frozen / "params.json").write_text(json.dumps(doc))
+        assert run(["refit", "--frozen", frozen, "--config", cfg,
+                    "--out", tmp_path / "out"]) == 2
+        assert f"params.json: {key}: must be " in capsys.readouterr().err
 
     @pytest.mark.parametrize("k", [0, 26])
     def test_eof_k_outside_the_modes_names_it(self, synth_dir, capsys, k):
@@ -594,16 +697,19 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
         assert res.stdout.splitlines()[-1] == "[]"
 
     def test_overflowing_cell_is_numeric_failure(self, synth_dir):
-        # one cell of 1e155 mm drives a moment-matched Gamma shape to a pole
-        # of log Γ; the fit must end in exit 3, not a traceback
+        # one cell of 1e155 mm overflows its location's sum of squares; the
+        # fit must end in exit 3 naming the cell, with no traceback and no
+        # floating-point warning
         tmp_path, _ = synth_dir
         rain = tmp_path / "data" / "rainfall.csv"
         lines = rain.read_text().splitlines(keepends=True)
-        loc, day, year, _ = lines[1].split(",")
-        lines[1] = f"{loc},{day},{year},1e155\n"
+        row = 1 + 96 * 7 + 41
+        loc, day, year, _ = lines[row].split(",")
+        lines[row] = f"{loc},{day},{year},1e155\n"
         rain.write_text("".join(lines))
         cfg = write_config(tmp_path, sampler={"burnin": 1, "samples": 1})
         res = run_fresh(self.FIT, cfg, tmp_path / "fit")
         assert res.returncode == 3, res.stderr
-        assert "numeric failure: " in res.stderr
+        assert f"numeric failure: location {loc}, day {day}: " in res.stderr
         assert "Traceback" not in res.stderr
+        assert "RuntimeWarning" not in res.stderr

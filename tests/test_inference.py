@@ -12,7 +12,7 @@ from rainpatterns import (HIGH, LOW, LatentState, ModelParams, SamplerConfig,
                           compute_spatial_weights, extract_patterns,
                           generate_synthetic, joint_log_density, refit_frozen,
                           run_gibbs)
-from rainpatterns import inference
+from rainpatterns import inference, model
 from rainpatterns.data import make_dataset
 from rainpatterns.inference import (_GibbsEngine, _LabelTables,
                                     _draw_cell_states, _draw_label,
@@ -20,8 +20,7 @@ from rainpatterns.inference import (_GibbsEngine, _LabelTables,
 from rainpatterns.metrics import adjusted_rand_index
 from rainpatterns.model import (RAIN_EPS, crp_log_prior_days,
                                 crp_log_prior_locations)
-from conftest import (cell_weights, crp_log_weights_days, engine_at,
-                      fitted_params, flip_delta)
+from conftest import cell_weights, engine_at, fitted_params, flip_delta
 
 
 def random_instance(seed, S=4, T=3, n_years=2):
@@ -211,23 +210,34 @@ class TestUDayConditional:
         assert labels == [1]
 
     def test_neutral_terms_reduce_to_crp(self, small_synth):
+        # with alignment and aggregate off, every day's weights are the day
+        # prior's conditional, found by enumerating crp_log_prior_days; the
+        # record spans 4 years
         data, truth = small_synth
         state = truth.copy()
         pats = extract_patterns(data, state)
         params = fitted_params(data, state, day_align=0.0,
                                aggregate_sd=math.inf)
-        t = 10
-        crp = crp_log_weights_days(t, state.day_labels, data.year_of_day,
-                                   params.day_concentration)
-        labels, logw = engine_at(data, state, params, pats).day_log_weights(t)
-        assert labels == sorted(crp)
-        assert logw == pytest.approx([crp[u] for u in labels], rel=1e-12)
+        engine = engine_at(data, state, params, pats)
+        for t in range(data.n_days):
+            cand, logw = engine.day_log_weights(t)
+            enum = []
+            for u in cand:
+                moved = state.day_labels.copy()
+                moved[t] = u
+                enum.append(crp_log_prior_days(moved, data.year_of_day,
+                                               params.day_concentration))
+            np.testing.assert_allclose(np.array(logw) - logw[-1],
+                                       np.array(enum) - enum[-1],
+                                       rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("labels,years,t,conc,expect", [
         ([1], [0], 0, 0.7, {1: math.log(0.7)}),
         ([1, 1, 1, 2], [0, 0, 0, 0], 3, 1.0, {1: math.log(3), 2: 0.0}),
-        # 2 days spanning 2 years weigh 2 x 2
-        ([1, 1, 2], [0, 1, 1], 2, 0.5, {1: math.log(4), 2: math.log(0.5)}),
+        # 2 days over 2 years, day 2's year among them: n = 2
+        ([1, 1, 2], [0, 1, 1], 2, 0.5, {1: math.log(2), 2: math.log(0.5)}),
+        # 2 days of year 0, day 2's year new to them: n·(m + 1) = 2 x 2
+        ([1, 1, 2], [0, 0, 1], 2, 0.5, {1: math.log(4), 2: math.log(0.5)}),
     ])
     def test_prior_weights_by_hand(self, labels, years, t, conc, expect):
         T = len(labels)
@@ -308,15 +318,16 @@ def assert_counts_from_scratch(tables, keep):
     assert tables.per_year == per_year
     assert tables.counts == [sum(row) for row in per_year]
     assert tables.spans == spans
-    assert tables.log_mass == [math.log(max(sum(row) * m, 1))
-                               for row, m in zip(per_year, spans)]
+    assert tables.joins == [(math.log(max(sum(row), 1)),
+                             math.log(max(sum(row) * (m + 1), 1)))
+                            for row, m in zip(per_year, spans)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_label_tables_track_moves(data):
     # take_out, put and drop, as the label sweeps call them, keep counts,
-    # year spans and log-masses equal to tables counted afresh
+    # year spans and join weights equal to tables counted afresh
     n = data.draw(st.integers(1, 12), label="items")
     years = sorted(data.draw(st.lists(st.integers(0, 3), min_size=n,
                                       max_size=n), label="years"))
@@ -416,24 +427,37 @@ class TestRunGibbs:
         # the eight blocks partition the lattice
         assert (covered == 1).all()
 
-    def test_merge_pass_scores_prior_at_most_k_plus_one_times(
+    def test_merge_prior_delta_is_the_priors_difference(
             self, small_synth, small_weights, monkeypatch):
+        # every proposal's prior change equals the change of
+        # crp_log_prior_days, and the pass scores no whole labelling
         data, _ = small_synth
         params = ModelParams(day_align=4.0, loc_align=2.0,
+                             day_concentration=0.7,
                              aggregate_sd=float(data.aggregate.std()))
         cfg = SamplerConfig(n_burnin=0, n_samples=1, seed=0)
         engine = _GibbsEngine(data, small_weights, params, cfg)
+        labels = engine.state.day_labels.copy()
+        K = int(labels.max())
+        assert K >= 3
+        peer, d_prior, _ = engine.merge_proposals()
+        now = crp_log_prior_days(labels, data.year_of_day, 0.7)
+        for u in range(K):
+            merged = np.where(labels == peer[u] + 1, u + 1, labels)
+            assert d_prior[u] == pytest.approx(
+                crp_log_prior_days(merged, data.year_of_day, 0.7) - now,
+                rel=1e-12)
         calls = []
 
         def counted(*args):
             calls.append(args)
             return crp_log_prior_days(*args)
 
-        monkeypatch.setattr(inference, "crp_log_prior_days", counted)
-        K = engine.state.n_day_clusters
-        assert K >= 2
-        engine._merge_pass()
-        assert 2 <= len(calls) <= K + 1
+        monkeypatch.setattr(model, "crp_log_prior_days", counted)
+        monkeypatch.setattr(inference, "crp_log_prior_days", counted,
+                            raising=False)
+        assert engine._merge_pass()
+        assert calls == []
 
     def test_mode_patterns_consistent(self, small_synth, small_weights):
         data, _ = small_synth

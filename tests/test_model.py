@@ -18,34 +18,6 @@ from rainpatterns.model import (RAIN_EPS, crp_log_prior_days,
 from conftest import brute_force_log_density, fitted_params
 
 
-def sequential_crp_log_prior_days(day_labels, years, concentration):
-    """Reference for crp_log_prior_days: the prior's sequential definition.
-
-    Walks the days in order, with clusters canonicalised by first appearance
-    and the normaliser re-added from every cluster's mass at each day.
-    """
-    canon: dict[int, int] = {}
-    n: list[int] = []
-    year_sets: list[set] = []
-    logp = 0.0
-    for t in range(day_labels.size):
-        u = int(day_labels[t])
-        norm = concentration + sum(n[k] * len(year_sets[k])
-                                   for k in range(len(n)))
-        if u in canon:
-            k = canon[u]
-            logp += math.log(n[k] * len(year_sets[k])) - math.log(norm)
-            n[k] += 1
-            year_sets[k].add(int(years[t]))
-        else:
-            if t > 0:  # first customer sits at the first table with mass 1
-                logp += math.log(concentration) - math.log(norm)
-            canon[u] = len(n)
-            n.append(1)
-            year_sets.append({int(years[t])})
-    return logp
-
-
 class TestLogGamma:
     def test_poles_and_overflow_are_plus_inf(self):
         # math.lgamma raises at the poles and on overflow; lgamma(inf) = inf
@@ -65,7 +37,7 @@ class TestLogGamma:
         assert got.ravel().tolist() == [math.lgamma(v) for v in x.tolist()]
 
 
-class TestSequentialPriorMass:
+class TestClusterPriors:
     def test_plain_crp_matches_eppf(self):
         # oracle: exchangeable partition probability for the plain process
         lam = 1.3
@@ -87,24 +59,45 @@ class TestSequentialPriorMass:
             crp_log_prior_locations(relab, 0.8))
 
     def test_single_item_mass_one(self):
-        assert crp_log_prior_days(np.array([1]), np.array([0]), 5.0) == 0.0
         assert crp_log_prior_locations(np.array([1]), 5.0) == 0.0
+
+    @pytest.mark.parametrize("labels,years,conc,expect", [
+        # one cluster of one day: α·Γ(1)·1!
+        ([1], [1990], 5.0, math.log(5.0)),
+        # (α·Γ(2)·2!)·(α·Γ(1)·1!) = 0.5
+        ([1, 1, 2], [0, 1, 1], 0.5, math.log(0.5)),
+        # Γ(4)·4! = 144: four days over four years
+        ([2, 2, 2, 2], [0, 1, 2, 3], 1.0, math.log(144.0)),
+        # the labels need not be dense: (α·Γ(2)·1!)·(α·Γ(2)·2!) = 8
+        ([7, 3, 7, 3], [5, 5, 5, 6], 2.0, math.log(8.0)),
+    ])
+    def test_days_prior_by_hand(self, labels, years, conc, expect):
+        assert crp_log_prior_days(np.array(labels), np.array(years),
+                                  conc) == pytest.approx(expect, rel=1e-12)
 
     @given(st.lists(st.tuples(st.integers(1, 5), st.integers(1950, 1960)),
                     min_size=1, max_size=60),
-           st.sampled_from([1, 7]), st.floats(0.05, 20.0))
-    @example([(3, 1990)], 1, 1.0)  # a single day
-    @example([(2, 1990)] * 9, 7, 0.5)  # one cluster
+           st.sampled_from([1, 7]), st.floats(0.05, 20.0),
+           st.integers(0, 2 ** 32 - 1))
+    @example([(3, 1990)], 1, 1.0, 0)  # a single day
+    @example([(2, 1990)] * 9, 7, 0.5, 1)  # one cluster
     @example([(1, 1961), (2, 1950), (1, 1955), (2, 1961), (1, 1950)], 7,
-             2.0)  # years not contiguous
+             2.0, 2)  # years not contiguous
     @settings(max_examples=200, deadline=None)
-    def test_days_prior_matches_sequential_definition(self, days, stretch,
-                                                      conc):
+    def test_days_prior_is_exchangeable(self, days, stretch, conc, seed):
         # stretch 7 spaces the labels out: 7, 14, ... are not dense
         labels = np.array([u * stretch for u, _ in days])
         years = np.array([y for _, y in days])
-        assert crp_log_prior_days(labels, years, conc) == pytest.approx(
-            sequential_crp_log_prior_days(labels, years, conc), rel=1e-12)
+        logp = crp_log_prior_days(labels, years, conc)
+        order = np.random.default_rng(seed).permutation(len(days))
+        assert crp_log_prior_days(labels[order], years[order], conc) \
+            == pytest.approx(logp, rel=1e-12, abs=1e-12)
+        # within one year it is the plain prior, up to log α(α+1)...(α+T-1)
+        one_year = crp_log_prior_days(labels, np.zeros_like(years), conc)
+        rising = sum(math.log(conc + i) for i in range(len(days)))
+        assert one_year == pytest.approx(
+            crp_log_prior_locations(labels, conc) + rising, rel=1e-12,
+            abs=1e-12)
 
 
 class TestExtractPatterns:
