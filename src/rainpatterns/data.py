@@ -4,21 +4,30 @@ Locations live on an integer lattice (the grid need not be a full rectangle);
 a location's neighbourhood is the up-to-eight surrounding lattice cells that
 are present in the dataset.  Days carry a year label and days of one year are
 contiguous.
+
+``load_dataset`` keeps a parsed record in a binary sidecar beside its
+rainfall CSV and reads it back while both CSVs keep their bytes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
 import itertools
 import math
+import os
+import stat
+import tempfile
 import warnings
+import zipfile
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import NumericError, ParseError, ValidationError
-from .model import HIGH, LOW, LatentState
+from .model import HIGH, LOW, RAIN_EPS, LatentState
 
 _NEIGHBOR_OFFSETS = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)
                      if (a, b) != (0, 0)]
@@ -30,6 +39,13 @@ _RAINFALL_DTYPE = np.dtype([("loc_id", np.int64), ("day_index", np.int64),
                             ("year", np.int64), ("rain_mm", np.float64)])
 # rows formatted per block when writing, which bounds the Python objects alive
 _WRITE_BLOCK = 1 << 16
+# the sidecar's key starts with this tag; a new tag retires every old sidecar,
+# so change it whenever the arrays a sidecar holds or their meaning change
+_SIDECAR_TAG = "rainpatterns-record-1"
+# the arrays a sidecar holds, in make_dataset's argument order, and their dtypes
+_SIDECAR_ARRAYS = (("rain", np.float64), ("grid_coords", np.int64),
+                   ("year_of_day", np.int64))
+_HASH_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -61,10 +77,34 @@ class RainfallDataset:
     def n_days(self) -> int:
         return self.rain.shape[1]
 
-    @property
+    # per-record constants, computed on first use and read-only
+
+    @cached_property
     def aggregate(self) -> np.ndarray:
         """Total rainfall per day (length T)."""
-        return self.rain.sum(axis=0)
+        return _locked(self.rain.sum(axis=0))
+
+    @cached_property
+    def rain_floored(self) -> np.ndarray:
+        """Rainfall floored at ``RAIN_EPS``, as the Gamma term reads it."""
+        return _locked(np.maximum(self.rain, RAIN_EPS))
+
+    @cached_property
+    def log_rain(self) -> np.ndarray:
+        """Log of :attr:`rain_floored`."""
+        return _locked(np.log(self.rain_floored))
+
+    def numeric_error(self, s: int, what: str) -> NumericError:
+        """A NumericError naming location s, its wettest day and that day's
+        rainfall, which ``what`` says is out of range."""
+        t = int(self.rain[s].argmax())
+        return NumericError(f"location {s}, day {t}: rainfall "
+                            f"{self.rain[s, t]:g} mm {what}")
+
+
+def _locked(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -163,9 +203,8 @@ def make_dataset(rain: np.ndarray, grid_coords: np.ndarray,
     starts = year_of_day[np.concatenate(([0], change + 1))]
     if len(np.unique(starts)) != len(starts):
         raise ValidationError("days of one year must be contiguous")
-    for arr in (rain, grid_coords, year_of_day):
-        arr.flags.writeable = False
-    return RainfallDataset(rain, grid_coords, year_of_day,
+    return RainfallDataset(_locked(rain), _locked(grid_coords),
+                           _locked(year_of_day),
                            build_neighborhoods(grid_coords))
 
 
@@ -307,6 +346,13 @@ def load_dataset(locations_file, rain_file) -> RainfallDataset:
     fields and LF or CRLF line ends; blank lines are skipped.  An error
     names the file and the line (``file:line``) of the first fault.
 
+    A parsed record is kept in a sidecar, ``<rain_file>.npz``, keyed by a
+    format tag and the sha256 of the bytes of both CSVs.  A later load whose
+    CSVs hash to that key reads the sidecar in place of parsing them, and
+    gets the same arrays.  A sidecar that is missing, unreadable, holds
+    another key or fails validation is ignored and written anew; one that
+    cannot be written is skipped without a word.  It is safe to delete.
+
     Parameters
     ----------
     locations_file : path
@@ -315,6 +361,97 @@ def load_dataset(locations_file, rain_file) -> RainfallDataset:
         CSV with header ``loc_id,day_index,year,rain_mm``; one row per
         (location, day) pair, day_index dense from 0.
     """
+    paths = (locations_file, rain_file)
+    sidecar = os.fspath(rain_file) + ".npz"
+    stamp = key = None
+    with contextlib.suppress(OSError):  # the parse reports it as it always has
+        stamp = _stamp(paths)
+        if stamp is not None:
+            key = _record_key(paths)
+    if key is not None:
+        cached = _read_sidecar(sidecar, key)
+        if cached is not None:
+            return cached
+    d = _parse_dataset(locations_file, rain_file)
+    # a CSV that changed since it was hashed would file d under a stale key
+    if key is not None and _stamp(paths) == stamp:
+        _write_sidecar(sidecar, key, d, like=rain_file)
+    return d
+
+
+def _stamp(paths) -> tuple | None:
+    """Identity, size and modification time of each file; None unless all
+    are regular files, as a pipe cannot be read once to hash and again to
+    parse."""
+    stats = [os.stat(path) for path in paths]
+    if not all(stat.S_ISREG(st.st_mode) for st in stats):
+        return None
+    return tuple((st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+                 for st in stats)
+
+
+def _record_key(paths) -> str:
+    """The sidecar key of a record: the format tag and each file's sha256."""
+    parts = [_SIDECAR_TAG]
+    for path in paths:
+        digest = hashlib.sha256()
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(_HASH_CHUNK), b""):
+                digest.update(chunk)
+        parts.append(digest.hexdigest())
+    return ":".join(parts)
+
+
+def _read_sidecar(path: str, key: str) -> RainfallDataset | None:
+    """The dataset a sidecar holds under ``key``, or None when it holds no
+    valid record under that key."""
+    try:
+        # opened here so that it is closed whatever np.load raises
+        with open(path, "rb") as fh:
+            npz = np.load(fh, allow_pickle=False)
+            if not isinstance(npz, np.lib.npyio.NpzFile):
+                return None
+            with npz:
+                if str(npz["key"]) != key:
+                    return None
+                arrays = [npz[name] for name, _ in _SIDECAR_ARRAYS]
+    # what damaged zip or npy bytes raise, depending on where they went wrong
+    # (RuntimeError: an encryption flag or an unknown compression method)
+    except (OSError, ValueError, EOFError, KeyError, RuntimeError,
+            zipfile.BadZipFile):
+        return None
+    if any(a.dtype != dtype for a, (_, dtype) in zip(arrays, _SIDECAR_ARRAYS)):
+        return None
+    try:
+        return make_dataset(*arrays)
+    except ValidationError:
+        return None
+
+
+def _write_sidecar(path: str, key: str, d: RainfallDataset, like) -> None:
+    """Write ``d`` under ``key`` to a temporary file beside ``path`` and
+    rename it into place, with the permissions of the file ``like``; on any
+    OSError leave nothing behind."""
+    folder, base = os.path.split(path)
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=base + ".", suffix=".tmp",
+                                   dir=folder or ".")
+    except OSError:
+        return
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, key=np.array(key),
+                     **{name: getattr(d, name) for name, _ in _SIDECAR_ARRAYS})
+        # mkstemp's file is private; the copy is as readable as its source
+        os.chmod(tmp, stat.S_IMODE(os.stat(like).st_mode))
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+
+
+def _parse_dataset(locations_file, rain_file) -> RainfallDataset:
+    """Parse and validate both CSVs (see :func:`load_dataset`)."""
     grid_coords = _load_locations(locations_file)
     S = len(grid_coords)
 
@@ -390,10 +527,8 @@ def compute_spatial_weights(d: RainfallDataset) -> SpatialWeights:
         centered = d.rain - d.rain.mean(axis=1, keepdims=True)
         sq = (centered * centered).sum(axis=1)
     if not np.isfinite(sq).all():
-        s = int(np.isfinite(sq).argmin())
-        t = int(d.rain[s].argmax())
-        raise NumericError(f"location {s}, day {t}: rainfall {d.rain[s, t]:g} "
-                           "mm overflows the sum of squares of its series")
+        raise d.numeric_error(int(np.isfinite(sq).argmin()),
+                              "overflows the sum of squares of its series")
     norms = np.sqrt(sq)
     values = []
     for s, nb in enumerate(d.neighborhoods):

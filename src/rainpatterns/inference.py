@@ -131,13 +131,16 @@ def _leader_init(states: np.ndarray, cap: int) -> np.ndarray:
     return labels
 
 
-def update_params_ml(data, state: LatentState):
+def update_params_ml(data, state: LatentState, work=None):
     """Moment-matched Gamma parameters and per-cluster aggregate means.
 
     For each location and state the Gamma shape and rate come from the sample
     mean and variance of the member rainfall values (variance with n-1
     denominator; zero when fewer than two members).  Floors on the variance
-    and mean absorb degenerate cells.
+    and mean absorb degenerate cells.  Rainfall so large that a shape or rate
+    leaves the positive doubles is a ``NumericError`` naming its location.
+    ``work``, an (S, T) float array, is overwritten in place of a fresh one:
+    a caller that repeats the call spares the fresh array's page faults.
 
     Returns (shape, rate, aggregate_mean).
     """
@@ -145,22 +148,29 @@ def update_params_ml(data, state: LatentState):
     S, T = rain.shape
     shape = np.empty((S, 2))
     rate = np.empty((S, 2))
-    for k, code in enumerate((HIGH, LOW)):
-        mask = state.states == code
-        n = np.count_nonzero(mask, axis=1)
-        masked = rain * mask
-        sx = masked.sum(axis=1)
-        masked *= rain
-        sxx = masked.sum(axis=1)
-        m = np.divide(sx, n, out=np.zeros(S), where=n > 0)
-        v = np.zeros(S)
-        two = n >= 2
-        v[two] = (sxx[two] - n[two] * m[two] ** 2) / (n[two] - 1)
-        v = np.maximum(v, VAR_FLOOR)
-        m = np.maximum(m, RAIN_EPS)
-        shape[:, k] = m * m / v
-        rate[:, k] = m / v
-    y = rain.sum(axis=0)
+    masked = np.empty_like(rain) if work is None else work
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, code in enumerate((HIGH, LOW)):
+            mask = state.states == code
+            n = np.count_nonzero(mask, axis=1)
+            np.multiply(rain, mask, out=masked)
+            sx = masked.sum(axis=1)
+            masked *= rain
+            sxx = masked.sum(axis=1)
+            m = np.divide(sx, n, out=np.zeros(S), where=n > 0)
+            v = np.zeros(S)
+            two = n >= 2
+            v[two] = (sxx[two] - n[two] * m[two] ** 2) / (n[two] - 1)
+            v = np.maximum(v, VAR_FLOOR)
+            m = np.maximum(m, RAIN_EPS)
+            shape[:, k] = m * m / v
+            rate[:, k] = m / v
+    bad = ~((shape > 0) & (rate > 0) & np.isfinite(shape)
+            & np.isfinite(rate)).all(axis=1)
+    if bad.any():
+        raise data.numeric_error(int(bad.argmax()),
+                                 "gives non-finite Gamma parameters")
+    y = data.aggregate
     K = state.n_day_clusters
     counts = np.bincount(state.day_labels - 1, minlength=K)
     sums = np.bincount(state.day_labels - 1, weights=y, minlength=K)
@@ -257,16 +267,22 @@ class _GibbsEngine:
         # alignment annealing factor; run() ramps it over early burn-in
         self.align_scale = 1.0
 
-        rain = data.rain
-        self.S, self.T = rain.shape
-        self.y = rain.sum(axis=0)
-        # the Gamma term's inputs, split by day parity like the z-sweep and
-        # floored at RAIN_EPS as in the joint density
-        self._rain_parts = tuple(np.maximum(x, RAIN_EPS)
-                                 for x in (rain[:, 0::2], rain[:, 1::2]))
-        self._logx_parts = tuple(np.log(x) for x in self._rain_parts)
+        self.S, self.T = data.rain.shape
+        self.y = data.aggregate
+        # the Gamma term's inputs, the joint density's, split by day parity
+        # like the z-sweep; contiguous, as strided views slow the refresh
+        self._rain_parts, self._logx_parts = (
+            tuple(np.ascontiguousarray(x[:, d::2]) for d in range(2))
+            for x in (data.rain_floored, data.log_rain))
+        # each location's largest |log x| and x bound its Gamma terms
+        self._logx_max = np.abs(data.log_rain).max(axis=1, keepdims=True)
+        self._x_max = data.rain_floored.max(axis=1, keepdims=True)
         self.logdens = tuple(np.empty((2, self.S, x.shape[1]))
                              for x in self._rain_parts)
+        # update_params_ml's scratch, in place of a fresh (S, T) array per
+        # sweep: the first Gamma-term buffer, which refresh() rewrites next
+        self._params_work = self.logdens[0].reshape(-1)[:self.S * self.T] \
+            .reshape(self.S, self.T)
         self.log_tf = math.log(params.temporal_factor)
         self.year_idx = np.unique(data.year_of_day, return_inverse=True)[1]
 
@@ -359,21 +375,35 @@ class _GibbsEngine:
     def refresh(self) -> None:
         """Re-extract patterns and re-estimate parameters from the state."""
         self.patterns = extract_patterns(self.data, self.state)
-        self.alpha, self.beta, self.mu = update_params_ml(self.data, self.state)
+        self.alpha, self.beta, self.mu = update_params_ml(
+            self.data, self.state, self._params_work)
         self._refresh_logdens()
 
     def _refresh_logdens(self) -> None:
-        """The Gamma term of both states, per day parity, written in place."""
-        lg = log_gamma(self.alpha)
-        for ld, logx, x in zip(self.logdens, self._logx_parts,
-                               self._rain_parts):
-            for k in range(2):
-                a = self.alpha[:, k][:, None]
-                b = self.beta[:, k][:, None]
-                out = np.multiply(a - 1.0, logx, out=ld[k])
-                out += a * np.log(b)
-                out -= b * x
-                out -= lg[:, k][:, None]
+        """The Gamma term of both states, per day parity, written in place.
+
+        A term that is not finite is a ``NumericError`` naming its location.
+        """
+        a, b = self.alpha, self.beta
+        lg = log_gamma(a)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for ld, logx, x in zip(self.logdens, self._logx_parts,
+                                   self._rain_parts):
+                for k in range(2):
+                    out = np.multiply(a[:, k, None] - 1.0, logx, out=ld[k])
+                    out += a[:, k, None] * np.log(b[:, k, None])
+                    out -= b[:, k, None] * x
+                    out -= lg[:, k, None]
+            # no term exceeds its location's bound, so a bound far inside
+            # the doubles spares a pass over the terms
+            bound = (abs(a - 1.0) * self._logx_max + abs(a * np.log(b))
+                     + b * self._x_max + abs(lg))
+        if not (bound < 1e300).all():
+            finite = np.logical_and.reduce(
+                [np.isfinite(ld).all(axis=(0, 2)) for ld in self.logdens])
+            if not finite.all():
+                raise self.data.numeric_error(int(finite.argmin()),
+                                              "gives a non-finite Gamma term")
 
     def snapshot_params(self) -> ModelParams:
         return self.params.replace(gamma_shape=self.alpha,

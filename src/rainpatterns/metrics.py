@@ -231,7 +231,7 @@ def build_report(data, states: np.ndarray, day_labels: np.ndarray,
     AIC values use a unit alignment strength for every method so that the
     numbers are comparable across methods.
     """
-    y = data.rain.sum(axis=0)
+    y = data.aggregate
     years = data.year_of_day
     K = patterns.n_day_patterns
 

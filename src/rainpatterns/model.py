@@ -303,7 +303,6 @@ def joint_log_density(data, weights, state: LatentState, params: ModelParams,
     """
     if params.gamma_shape is None or params.gamma_rate is None:
         raise ValidationError("joint density requires estimated Gamma parameters")
-    rain = data.rain
     z = state.states
 
     logp = crp_log_prior_days(state.day_labels, data.year_of_day,
@@ -333,9 +332,9 @@ def joint_log_density(data, weights, state: LatentState, params: ModelParams,
         logp += params.loc_align * int((ser == z[has_v, :]).sum())
 
     # data terms, from each location's count, sum of log x and sum of x per
-    # state
-    xc = np.maximum(rain, RAIN_EPS)
-    logx = np.log(xc)
+    # state, x floored at RAIN_EPS
+    xc = data.rain_floored
+    logx = data.log_rain
     for k, code in enumerate((HIGH, LOW)):
         member = z == code
         a = params.gamma_shape[:, k]
@@ -347,7 +346,7 @@ def joint_log_density(data, weights, state: LatentState, params: ModelParams,
     # aggregate-rainfall terms
     mu = params.aggregate_mean
     if mu is not None and len(mu):
-        y = rain.sum(axis=0)
+        y = data.aggregate
         has_mu = rows_u < len(mu)
         dev = (y[has_mu] - mu[rows_u[has_mu]]) / params.aggregate_sd
         logp += float(-0.5 * (dev * dev).sum())

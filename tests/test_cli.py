@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -24,7 +24,8 @@ from rainpatterns import (ModelParams, PatternSet, SyntheticSpec,
 from rainpatterns.cli import (_load_params, _load_patterns, _write_params,
                               _write_patterns, main)
 from rainpatterns.data import make_dataset
-from rainpatterns.metrics import adjusted_rand_index, read_metrics_csv
+from rainpatterns.metrics import (MetricsReport, adjusted_rand_index,
+                                  read_metrics_csv)
 
 
 def run(args):
@@ -464,6 +465,18 @@ def doubles(low=0.0):
                                allow_nan=False, allow_infinity=False))
 
 
+def any_doubles():
+    """Every double but nan: both zeros, both infinities, the range edges."""
+    return st.one_of(st.sampled_from(EDGES).map(lambda x: -x),
+                     st.sampled_from(EDGES), st.floats(allow_nan=False))
+
+
+def metric_names():
+    """Names that csv must quote: commas, quotes, spaces and non-ASCII."""
+    return st.text(st.characters(blacklist_categories=("Cs", "Cc")),
+                   max_size=12)
+
+
 @st.composite
 def pattern_sets(draw):
     K, S, L, T = (draw(st.integers(1, n)) for n in (4, 6, 3, 6))
@@ -520,6 +533,28 @@ class TestRunFileRoundTrip:
             b = np.asarray(getattr(loaded, name))
             assert (a.dtype, a.shape, a.tobytes()) \
                 == (b.dtype, b.shape, b.tobytes()), name
+
+
+    @given(st.dictionaries(metric_names(), any_doubles()),
+           st.dictionaries(metric_names(),
+                           st.lists(any_doubles(), min_size=1, max_size=4)))
+    @settings(max_examples=60, deadline=None)
+    def test_metrics_round_trip_is_bit_identical(self, global_values,
+                                                 per_cluster):
+        assume(global_values or per_cluster)
+        report = MetricsReport("mrf", 4, {name: np.array(values) for
+                                          name, values in per_cluster.items()},
+                               global_values)
+        with tempfile.TemporaryDirectory() as tmp:
+            report.write_csv(Path(tmp) / "metrics.csv")
+            read_global, read_per = read_metrics_csv(Path(tmp) / "metrics.csv")
+        assert {name: value.hex() for name, value in read_global.items()} \
+            == {name: value.hex() for name, value in global_values.items()}
+        assert {name: {cid: value.hex() for cid, value in values.items()}
+                for name, values in read_per.items()} \
+            == {name: {cid: value.hex() for cid, value in
+                       enumerate(values, start=1)}
+                for name, values in per_cluster.items()}
 
 
 class TestExitCodes:
@@ -696,16 +731,18 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines()[-1] == "[]"
 
-    def test_overflowing_cell_is_numeric_failure(self, synth_dir):
-        # one cell of 1e155 mm overflows its location's sum of squares; the
-        # fit must end in exit 3 naming the cell, with no traceback and no
-        # floating-point warning
+    # 1e155 mm overflows its location's sum of squares, 1e154 the Gamma
+    # shape of its state, and 1e153 that state's Gamma term
+    @pytest.mark.parametrize("mm", ["1e153", "1e154", "1e155"])
+    def test_overflowing_cell_is_numeric_failure(self, synth_dir, mm):
+        # the fit must end in exit 3 naming the cell, with no traceback and
+        # no floating-point warning
         tmp_path, _ = synth_dir
         rain = tmp_path / "data" / "rainfall.csv"
         lines = rain.read_text().splitlines(keepends=True)
         row = 1 + 96 * 7 + 41
         loc, day, year, _ = lines[row].split(",")
-        lines[row] = f"{loc},{day},{year},1e155\n"
+        lines[row] = f"{loc},{day},{year},{mm}\n"
         rain.write_text("".join(lines))
         cfg = write_config(tmp_path, sampler={"burnin": 1, "samples": 1})
         res = run_fresh(self.FIT, cfg, tmp_path / "fit")

@@ -1,9 +1,13 @@
 """Dataset loading, neighbourhoods, weights, discretization, synthesis."""
 
+import io
 import math
+import os
 import re
 import tempfile
+import threading
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from rainpatterns import (HIGH, LOW, ParseError, SyntheticSpec,
                           ValidationError, compute_spatial_weights,
                           discretize_by_mean, generate_synthetic,
                           load_dataset, save_dataset)
+from rainpatterns import data as data_module
 from rainpatterns.data import build_neighborhoods, make_dataset
 
 
@@ -204,14 +209,196 @@ class TestLoadDataset:
             loc, rn = Path(tmp) / "l.csv", Path(tmp) / "r.csv"
             save_dataset(data, loc, rn)
             loaded = load_dataset(loc, rn)
+            with no_parse():
+                warm = load_dataset(loc, rn)
         assert loaded.rain.tobytes() == rain.tobytes()
         assert loaded.grid_coords.tobytes() == data.grid_coords.tobytes()
         assert loaded.year_of_day.tobytes() == data.year_of_day.tobytes()
+        assert record_bytes(warm) == record_bytes(loaded)
 
     def test_noncontiguous_years_rejected(self):
         with pytest.raises(ValidationError, match="contiguous"):
             make_dataset(np.ones((1, 3)), np.array([[0, 0]]),
                          np.array([0, 1, 0]))
+
+
+def no_parse():
+    """Fail any load that parses the CSVs in place of reading the sidecar."""
+    return mock.patch.object(data_module, "_parse_dataset",
+                             side_effect=AssertionError("CSVs parsed"))
+
+
+def record_bytes(d):
+    """Every array of a dataset, as (dtype, shape, bytes)."""
+    return [(a.dtype, a.shape, a.tobytes()) for a in
+            (d.rain, d.grid_coords, d.year_of_day, *d.neighborhoods)]
+
+
+def outcome(loc, rn):
+    """What a load returns, as arrays, or what it raises, as type and text."""
+    try:
+        return record_bytes(load_dataset(loc, rn))
+    except (ValidationError, OSError) as exc:
+        return type(exc), str(exc)
+
+
+def sidecar_of(rn):
+    return Path(f"{rn}.npz")
+
+
+def npy_bytes(arr):
+    buf = io.BytesIO()
+    np.save(buf, arr)
+    return buf.getvalue()
+
+
+class TestSidecar:
+    """``load_dataset``'s binary copy of a parsed record, keyed by the bytes
+    of both CSVs: read when they are unchanged, otherwise rewritten."""
+
+    RAIN = [[1.5, 0.0, 2.25], [0.5, 3.0, 1e-3], [7.0, 0.0, 0.125]]
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        return write_files(tmp_path, [(0, 0), (1, 0), (0, 1)], self.RAIN,
+                           [1990, 1990, 1991])
+
+    def test_second_load_reads_the_sidecar(self, files):
+        loc, rn = files
+        cold = load_dataset(loc, rn)
+        assert sidecar_of(rn).is_file()
+        with no_parse():
+            warm = load_dataset(loc, rn)
+        assert record_bytes(warm) == record_bytes(cold)
+        assert not warm.rain.flags.writeable
+
+    @pytest.mark.parametrize("which,edit", [
+        pytest.param(1, lambda t: t.replace("3.0", "4.0"), id="value"),
+        pytest.param(1, lambda t: t.replace("1990", "1991", 1),
+                     id="conflicting-year"),
+        pytest.param(1, lambda t: t.replace("3.0", "-3.0"), id="negative"),
+        pytest.param(1, lambda t: t.replace("3.0", "x.0"), id="malformed"),
+        pytest.param(1, lambda t: t.rsplit("\n", 2)[0] + "\n",
+                     id="dropped-row"),
+        pytest.param(1, lambda t: "", id="emptied"),
+        pytest.param(0, lambda t: t.replace("1,1,0", "1,2,0"), id="moved-loc"),
+        pytest.param(0, lambda t: t.replace("1,1,0", "0,1,0"),
+                     id="duplicate-loc"),
+    ])
+    def test_edited_csv_is_parsed_again(self, files, which, edit):
+        loc, rn = files
+        load_dataset(loc, rn)
+        path = files[which]
+        path.write_text(edit(path.read_text()))
+        got = outcome(loc, rn)
+        sidecar_of(rn).unlink(missing_ok=True)
+        assert got == outcome(loc, rn)
+
+    @pytest.mark.parametrize("mode", [0o600, 0o640, 0o644])
+    def test_sidecar_has_the_csvs_permissions(self, files, mode):
+        loc, rn = files
+        rn.chmod(mode)
+        load_dataset(loc, rn)
+        assert sidecar_of(rn).stat().st_mode & 0o777 == mode
+
+    def test_failed_load_writes_no_sidecar(self, files):
+        loc, rn = files
+        rn.write_text(rn.read_text().replace("3.0", "x"))
+        with pytest.raises(ParseError):
+            load_dataset(loc, rn)
+        assert not sidecar_of(rn).exists()
+
+    @staticmethod
+    def resave(rain=None, key=None, **arrays):
+        """A damage that saves the sidecar's arrays again with some of them
+        replaced; ``rain`` maps the stored rain to the new one."""
+        def damage(path):
+            with np.load(path) as npz:
+                old = {name: npz[name] for name in npz.files}
+            if rain is not None:
+                old["rain"] = rain(old["rain"])
+            old.update(arrays)
+            if key is not None:
+                old["key"] = np.array(key)
+            with open(path, "wb") as fh:
+                np.savez(fh, **old)
+        return damage
+
+    @pytest.mark.parametrize("damage", [
+        pytest.param(lambda p: p.write_bytes(p.read_bytes()[:len(
+            p.read_bytes()) // 2]), id="truncated"),
+        pytest.param(lambda p: p.write_bytes(b""), id="empty"),
+        pytest.param(lambda p: p.write_bytes(bytes(range(256)) * 8),
+                     id="garbage"),
+        pytest.param(lambda p: p.write_bytes(npy_bytes(np.zeros(3))),
+                     id="plain-npy"),
+        pytest.param(resave(rain=lambda r: r + 1.0, key="another key"),
+                     id="another-key"),
+        pytest.param(resave(rain=lambda r: np.where(r > 2.0, np.nan, r)),
+                     id="nan"),
+        pytest.param(resave(rain=lambda r: r.T[:, :2]), id="wrong-shape"),
+        pytest.param(resave(rain=lambda r: r.astype(np.float32)),
+                     id="wrong-dtype"),
+        pytest.param(resave(year_of_day=np.array([1990, 1991, 1990])),
+                     id="split-year"),
+        pytest.param(resave(rain=lambda r: r, grid_coords=np.zeros(
+            (3, 2), dtype=np.int64)), id="repeated-coords"),
+        pytest.param(lambda p: p.unlink(), id="deleted"),
+    ])
+    def test_damaged_sidecar_is_ignored_and_rewritten(self, files, damage):
+        loc, rn = files
+        cold = load_dataset(loc, rn)
+        damage(sidecar_of(rn))
+        assert record_bytes(load_dataset(loc, rn)) == record_bytes(cold)
+        with no_parse():
+            assert record_bytes(load_dataset(loc, rn)) == record_bytes(cold)
+
+    def test_sidecar_that_cannot_be_written_is_skipped(self, files):
+        loc, rn = files
+        cold = load_dataset(loc, rn)
+        sidecar_of(rn).unlink()
+        sidecar_of(rn).mkdir()
+        before = sorted(p.name for p in rn.parent.iterdir())
+        for _ in range(2):
+            assert record_bytes(load_dataset(loc, rn)) == record_bytes(cold)
+        assert sorted(p.name for p in rn.parent.iterdir()) == before
+        assert not any(sidecar_of(rn).iterdir())
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_pipe_is_read_once(self, files, tmp_path):
+        loc, rn = files
+        want = outcome(loc, rn)
+        pipe = tmp_path / "pipe.csv"
+        os.mkfifo(pipe)
+        threading.Thread(target=pipe.write_bytes, args=(rn.read_bytes(),),
+                         daemon=True).start()
+        got = []
+        loader = threading.Thread(target=lambda: got.append(outcome(loc, pipe)),
+                                  daemon=True)
+        loader.start()
+        loader.join(timeout=60)
+        assert not loader.is_alive(), "the pipe was read twice"
+        assert got == [want]
+        assert not sidecar_of(pipe).exists()
+
+    def test_csv_changed_during_a_load_leaves_no_stale_sidecar(self, files):
+        # the rainfall CSV changes after it was hashed and before it is
+        # parsed; filing the new values under the old bytes' key would hand
+        # them out once the old bytes are back
+        loc, rn = files
+        original = rn.read_text()
+        load_locations = data_module._load_locations
+
+        def edit_then_load(path):
+            rn.write_text(original.replace("3.0", "4.25"))
+            return load_locations(path)
+
+        sidecar_of(rn).unlink(missing_ok=True)
+        with mock.patch.object(data_module, "_load_locations",
+                               edit_then_load):
+            assert load_dataset(loc, rn).rain[1, 1] == 4.25
+        rn.write_text(original)
+        assert load_dataset(loc, rn).rain[1, 1] == 3.0
 
 
 class TestNeighborhoods:
