@@ -151,6 +151,71 @@ def run_dir_damages():
             for cmd, name, label, damage, code in cases]
 
 
+def set_field(lineno, field, value):
+    """Set field ``field`` of line ``lineno`` (the header is line 1)."""
+    def edit(lines):
+        row = lines[lineno - 1].rstrip("\r\n").split(",")
+        row[field] = value
+        return lines[:lineno - 1] + [",".join(row) + "\n"] + lines[lineno:]
+    return edit
+
+
+def insert_line(lineno, text):
+    """Insert ``text`` so that it becomes line ``lineno``."""
+    return lambda lines: lines[:lineno - 1] + [text] + lines[lineno - 1:]
+
+
+def copy_line(src, dst):
+    """Insert a copy of line ``src`` so that it becomes line ``dst``."""
+    return lambda lines: insert_line(dst, lines[src - 1])(lines)
+
+
+def edits(*steps):
+    """One damage applying the line edits ``steps`` in order."""
+    def edit(lines):
+        for step in steps:
+            lines = step(lines)
+        return lines
+    return edit_lines(edit)
+
+
+# (file, damage, line, message) of a run table; the fit's patterns_spatial.csv
+# lists cluster 1's 25 locations first, patterns_temporal.csv its 96 days
+RUN_TABLE_FAULTS = [
+    pytest.param("patterns_spatial.csv", edits(copy_line(2, 3)), 3,
+                 "repeated cluster 1, loc_id 0", id="spatial-repeated-pair"),
+    pytest.param("patterns_temporal.csv", edits(copy_line(7, 9)), 9,
+                 "repeated cluster 1, day_index 5", id="temporal-repeated-pair"),
+    pytest.param("patterns_spatial.csv", edits(set_field(5, 3, "3")), 5,
+                 "state 3 is not 1 or 2", id="spatial-state-3"),
+    pytest.param("patterns_temporal.csv", edits(set_field(40, 3, "0")), 40,
+                 "state 0 is not 1 or 2", id="temporal-state-0"),
+    pytest.param("cluster_summary.csv", edits(copy_line(2, 4)), 4,
+                 "repeated cluster 1", id="summary-repeated-cluster"),
+    # two faults on one row: the pair check runs before the state check
+    pytest.param("patterns_spatial.csv",
+                 edits(copy_line(2, 3), set_field(3, 3, "3")), 3,
+                 "repeated cluster 1, loc_id 0", id="two-faults-one-row"),
+    # faults on two lines: the earlier line wins, whatever its check
+    pytest.param("patterns_spatial.csv",
+                 edits(set_field(4, 3, "3"), copy_line(2, 8)), 4,
+                 "state 3 is not 1 or 2", id="state-then-repeated-pair"),
+    pytest.param("patterns_temporal.csv",
+                 edits(copy_line(2, 3), set_field(10, 3, "0")), 3,
+                 "repeated cluster 1, day_index 0", id="repeated-pair-then-state"),
+    pytest.param("patterns_spatial.csv",
+                 edits(set_field(4, 3, "3"), set_field(9, 2, "x")), 4,
+                 "state 3 is not 1 or 2", id="state-then-malformed"),
+    pytest.param("cluster_summary.csv",
+                 edits(copy_line(3, 4), set_field(2, 1, "x")), 2,
+                 "malformed field", id="malformed-then-repeated-cluster"),
+    # a blank line is not a row but still counts as a line
+    pytest.param("patterns_spatial.csv",
+                 edits(insert_line(3, "\n"), set_field(6, 3, "3")), 6,
+                 "state 3 is not 1 or 2", id="blank-line-counts"),
+]
+
+
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -688,6 +753,20 @@ class TestExitCodes:
             == code
         err = capsys.readouterr().err
         assert name in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["refit", "compare"])
+    @pytest.mark.parametrize("name,damage,line,message", RUN_TABLE_FAULTS)
+    def test_damaged_run_table_names_its_first_faulty_line(
+            self, fit_run, tmp_path, capsys, command, name, damage, line,
+            message):
+        base, cfg = fit_run
+        run_dir = shutil.copytree(base / "fit", tmp_path / "run")
+        damage(run_dir / name)
+        args = (["refit", "--frozen", run_dir] if command == "refit"
+                else ["compare", run_dir])
+        assert run(args + ["--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err \
+            == f"error: {run_dir / name}:{line}: {message}\n"
 
     @pytest.mark.parametrize("damage", [
         pytest.param(edit_lines(lambda lines: lines[:1] + ["0,1\n"]
