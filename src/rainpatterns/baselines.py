@@ -9,6 +9,11 @@ import numpy as np
 from .errors import ValidationError
 from .model import HIGH, LOW, matches
 
+# k-means runs this many seeded restarts and keeps the best; each runs at
+# most this many Lloyd iterations
+KMEANS_RESTARTS = 10
+LLOYD_MAX_ITER = 500
+
 
 @dataclass
 class ClusteringResult:
@@ -67,8 +72,7 @@ def _plusplus_seeds(vectors: np.ndarray, sq: np.ndarray, k: int,
     return centers
 
 
-def _lloyd(vectors: np.ndarray, sq: np.ndarray, centers: np.ndarray,
-           max_iter: int):
+def _lloyd(vectors: np.ndarray, sq: np.ndarray, centers: np.ndarray):
     """Lloyd iterations from ``centers``: ``(labels, centers, history)``.
 
     ``vectors`` is C-contiguous and ``sq`` holds its rows' squared norms.
@@ -81,7 +85,7 @@ def _lloyd(vectors: np.ndarray, sq: np.ndarray, centers: np.ndarray,
     n, k = vectors.shape[0], centers.shape[0]
     labels = np.zeros(n, dtype=np.int64)
     history = []
-    for _ in range(max_iter):
+    for _ in range(LLOYD_MAX_ITER):
         d2 = _sq_dists(vectors, sq, centers)
         new_labels = d2.argmin(axis=1)
         cost = d2[np.arange(n), new_labels]
@@ -106,9 +110,8 @@ def _lloyd(vectors: np.ndarray, sq: np.ndarray, centers: np.ndarray,
     return labels, centers, history
 
 
-def kmeans(vectors: np.ndarray, k: int, seed: int = 0, n_restarts: int = 10,
-           max_iter: int = 500) -> ClusteringResult:
-    """Lloyd's algorithm with k-means++ seeding, best of ``n_restarts``.
+def kmeans(vectors: np.ndarray, k: int, seed: int = 0) -> ClusteringResult:
+    """Lloyd's algorithm with k-means++ seeding, best of ``KMEANS_RESTARTS``.
 
     One matrix product per iteration gives every distance; see ``_lloyd``.
     """
@@ -120,9 +123,9 @@ def kmeans(vectors: np.ndarray, k: int, seed: int = 0, n_restarts: int = 10,
     sq = (vectors * vectors).sum(axis=1)
     rng = np.random.default_rng(seed)
     best = None
-    for _ in range(n_restarts):
+    for _ in range(KMEANS_RESTARTS):
         centers = _plusplus_seeds(vectors, sq, k, rng)
-        labels, centers, history = _lloyd(vectors, sq, centers, max_iter)
+        labels, centers, history = _lloyd(vectors, sq, centers)
         if best is None or history[-1] < best[2][-1]:
             best = (labels, centers, history)
     labels, centers, history = best

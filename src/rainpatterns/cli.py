@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from functools import partial
@@ -19,11 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, svgplot
-from .data import (RainfallDataset, SyntheticSpec, _earliest_fault,
-                   _load_locations, _read_table, _repeats, _write_csv,
+from .data import (RainfallDataset, SyntheticSpec, _load_locations,
+                   _read_table, _repeats, _write_csv,
                    compute_spatial_weights, discretize_by_mean,
                    generate_synthetic, load_dataset, save_dataset,
-                   write_ground_truth)
+                   write_state)
 from .errors import NumericError, ValidationError
 from .inference import SamplerConfig, refit_frozen, run_gibbs
 from .metrics import (MetricsReport, build_report, distance_report,
@@ -108,13 +109,26 @@ def _value(cfg: dict, section: str, key: str, kind=float, null_ok=False):
                               f"{value!r}") from None
 
 
+def _checked(cfg: dict, section: str, key: str, ok, rule: str, kind=float,
+             null_ok=False):
+    """:func:`_value`, with an error stating ``rule`` unless ``ok(value)``;
+    a null that ``null_ok`` admits is not checked."""
+    value = _value(cfg, section, key, kind, null_ok)
+    if value is not None and not ok(value):
+        raise ValidationError(f"config: {section}.{key}: must be {rule}, "
+                              f"got {value!r}")
+    return value
+
+
 def _seed(cfg: dict, section: str) -> int:
     """``cfg[section]["seed"]``; numpy's generators need it non-negative."""
-    seed = _value(cfg, section, "seed", int)
-    if seed < 0:
-        raise ValidationError(f"config: {section}.seed: must be >= 0, "
-                              f"got {seed}")
-    return seed
+    return _checked(cfg, section, "seed", lambda v: v >= 0, ">= 0", int)
+
+
+def _min_years(cfg: dict) -> int:
+    """The years a cluster must span to be prominent, at least one."""
+    return _checked(cfg, "metrics", "min_years", lambda v: v >= 1, ">= 1",
+                    int)
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -165,16 +179,6 @@ def _write_patterns(out: Path, patterns: PatternSet) -> None:
                *zip(*summary))
 
 
-def _write_assignments(out: Path, states, day_labels, loc_labels) -> None:
-    _write_csv(out / "assign_u.csv", ["day_index", "u_mode"],
-               np.arange(len(day_labels)), day_labels)
-    _write_csv(out / "assign_v.csv", ["loc_id", "v_mode"],
-               np.arange(len(loc_labels)), loc_labels)
-    s, t = np.indices(states.shape).reshape(2, -1)
-    _write_csv(out / "assign_z.csv", ["loc_id", "day_index", "z_mode"],
-               s, t, states.ravel())
-
-
 def _model_section(params: ModelParams) -> dict:
     """The config's ``model`` section that gives ``params``' scalars."""
     return {k: getattr(params, f) for k, f in MODEL_KEYS.items()}
@@ -211,17 +215,17 @@ def _load_cluster_table(path, header: list[str]):
     Clusters 1..K must each list every index 0..n-1 once, with state 1 or
     2, so a truncated or edited file is rejected rather than padded.
     """
-    def first_fault(t):
+    def checks(t):
         u, i, state = t[header[0]], t[header[1]], t[header[3]]
-        return _earliest_fault(len(t), [
-            (lambda m: _repeats(np.unique(u[:m], return_inverse=True)[1] * m
-                                + np.unique(i[:m], return_inverse=True)[1]),
-             lambda r: f"repeated cluster {u[r]}, {header[1]} {i[r]}"),
-            (lambda m: (state[:m] != HIGH) & (state[:m] != LOW),
-             lambda r: f"state {state[r]} is not 1 or 2")])
+        pair = (np.unique(u, return_inverse=True)[1] * len(t)
+                + np.unique(i, return_inverse=True)[1])
+        return [(_repeats(pair),
+                 lambda r: f"repeated cluster {u[r]}, {header[1]} {i[r]}"),
+                ((state != HIGH) & (state != LOW),
+                 lambda r: f"state {state[r]} is not 1 or 2")]
 
     dtype = np.dtype(list(zip(header, (np.int64, np.int64, float, np.int64))))
-    table = _read_table(path, header, dtype, first_fault)
+    table = _read_table(path, header, dtype, checks)
     if len(table) == 0:
         raise ValidationError(f"{path}: no pattern rows")
     u, i = table[header[0]], table[header[1]]
@@ -242,14 +246,13 @@ def _load_patterns(run_dir: Path) -> PatternSet:
                                    PATTERNS_TEMPORAL_HEADER)
     path = run_dir / "cluster_summary.csv"
 
-    def first_fault(t):
+    def checks(t):
         u = t["cluster_id"]
-        return _earliest_fault(len(t), [
-            (lambda m: _repeats(u[:m]), lambda r: f"repeated cluster {u[r]}")])
+        return [(_repeats(u), lambda r: f"repeated cluster {u[r]}")]
 
     dtype = np.dtype(list(zip(CLUSTER_SUMMARY_HEADER,
                               (np.int64, np.int64, np.int64, float))))
-    table = _read_table(path, CLUSTER_SUMMARY_HEADER, dtype, first_fault)
+    table = _read_table(path, CLUSTER_SUMMARY_HEADER, dtype, checks)
     u, K = table["cluster_id"], len(crp)
     # distinct cluster ids are exactly 1..K only if K of them lie in 1..K
     if len(u) != K or u.min() < 1 or u.max() > K:
@@ -280,8 +283,7 @@ def cmd_synth(cfg: dict) -> int:
     data, truth = generate_synthetic(spec)
     out = _out_dir(cfg)
     save_dataset(data, out / "locations.csv", out / "rainfall.csv")
-    write_ground_truth(truth, out / "truth_u.csv", out / "truth_v.csv",
-                       out / "truth_z.csv")
+    write_state(truth, out, "truth", "true")
     _dump_config(cfg, out, {"method": "synth"})
     print(f"wrote synthetic dataset ({spec.n_locations} locations, "
           f"{spec.n_days} days) to {out}")
@@ -296,15 +298,14 @@ def cmd_fit(cfg: dict) -> int:
     summary, patterns, fitted = run_gibbs(data, weights, params, sampler)
 
     out = _out_dir(cfg)
-    _write_assignments(out, summary.z_mode, summary.u_mode, summary.v_mode)
+    write_state(summary.as_state(), out, "assign", "mode")
     _write_patterns(out, patterns)
     _write_params(out, fitted)
     trace = summary.log_density_trace
     _write_csv(out / "trace.csv", ["sweep", "logp"], np.arange(len(trace)),
                trace)
     report = build_report(data, summary.z_mode, summary.u_mode, patterns,
-                          method="mrf",
-                          min_years=_value(cfg, "metrics", "min_years", int))
+                          method="mrf", min_years=_min_years(cfg))
     _write_report(out, report)
     _dump_config(cfg, out, {"method": "mrf", "model": _model_section(params)})
     print(f"fit: {patterns.n_day_patterns} day clusters, "
@@ -323,8 +324,9 @@ def _baseline_clustering(cfg: dict, data: RainfallDataset, method: str):
     if method == "kmeans":
         result = baselines.kmeans(drvs, k, seed=seed)
     elif method == "spect1":
-        sim = baselines.similarity_euclidean(
-            drvs, _value(cfg, "baseline", "tau", float, null_ok=True))
+        sim = baselines.similarity_euclidean(drvs, _checked(
+            cfg, "baseline", "tau", lambda v: 0 < v < math.inf,
+            "null or finite and > 0", null_ok=True))
         result = baselines.spectral_cluster(sim, k, seed=seed)
     elif method == "spect2":
         sim = baselines.similarity_hamming(discretize_by_mean(data).T)
@@ -366,8 +368,7 @@ def cmd_baseline(cfg: dict, method: str) -> int:
                np.arange(len(result.labels)), result.labels)
     _write_patterns(out, patterns)
     report = build_report(data, discretize_by_mean(data), result.labels,
-                          patterns, method=method,
-                          min_years=_value(cfg, "metrics", "min_years", int))
+                          patterns, method=method, min_years=_min_years(cfg))
     _write_report(out, report)
     _dump_config(cfg, out, {"method": method})
     print(f"{method}: {patterns.n_day_patterns} clusters, "
@@ -382,7 +383,8 @@ def _cmd_baseline_eof(cfg: dict, data: RainfallDataset, out: Path) -> int:
     if not 1 <= k <= S:
         raise ValidationError(f"config: baseline.k: the EOF baseline has {S} "
                               f"modes, got k={k}")
-    reg = _value(cfg, "baseline", "lasso_reg", float)
+    reg = _checked(cfg, "baseline", "lasso_reg", lambda v: 0 <= v < math.inf,
+                   "finite and >= 0")
     basis = baselines.eof_decompose(data.rain)
     _write_csv(out / "eof_eigenvalues.csv", ["mode_id", "eigenvalue"],
                np.arange(S), basis.eigenvalues)
@@ -520,7 +522,7 @@ def cmd_refit(cfg: dict, frozen_dir: str) -> int:
     summary = refit_frozen(data, weights, patterns, params, sampler)
 
     out = _out_dir(cfg)
-    _write_assignments(out, summary.z_mode, summary.u_mode, summary.v_mode)
+    write_state(summary.as_state(), out, "assign", "mode")
     dist = distance_report(data.rain, summary.z_mode, summary.u_mode, patterns)
     overflow = int((summary.u_mode > patterns.n_day_patterns).sum())
     report = MetricsReport(method="refit", n_clusters=patterns.n_day_patterns)

@@ -22,7 +22,7 @@ import tempfile
 import warnings
 import zipfile
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -256,12 +256,13 @@ def _parse_rows(path, header: list[str], dtype: np.dtype):
     return np.array(rows, dtype=dtype), error
 
 
-def _read_table(path, header: list[str], dtype: np.dtype, first_fault):
+def _read_table(path, header: list[str], dtype: np.dtype, checks):
     """Parse a header-checked numeric CSV into a structured array.
 
-    ``first_fault(table)`` returns the first invalid row of a parsed table as
-    (row, message), or None.  An error names the first faulty line in file
-    order: a parse fault, or a row ``first_fault`` rejects before it.
+    ``checks(table)`` returns (mask, message) pairs: a mask flags the rows
+    a check rejects and ``message(row)`` describes one.  An error names the
+    first faulty line in file order: a parse fault, or a row flagged before
+    it, described by the first check that flags the row.
     """
     with open(path) as fh:
         first = fh.readline()
@@ -282,32 +283,18 @@ def _read_table(path, header: list[str], dtype: np.dtype, first_fault):
             table, error = _parse_rows(path, header, dtype)
             if error is None:  # a field Python reads but numpy does not
                 raise ParseError(f"{path}: {exc}") from None
-    fault = first_fault(table)
-    if fault is not None:
-        row, message = fault
+    row, message = len(table), None
+    for mask, describe in checks(table):
+        hits = np.flatnonzero(mask[:row])
+        if hits.size:
+            row, message = int(hits[0]), describe
+    if message is not None:
         # blank lines are not rows, so count lines to name this one
         lineno, _ = next(itertools.islice(_read_rows(path, header), row, None))
-        raise ValidationError(f"{path}:{lineno}: {message}")
+        raise ValidationError(f"{path}:{lineno}: {message(row)}")
     if error is not None:
         raise error
     return table
-
-
-def _earliest_fault(n: int, checks):
-    """The first faulty row of n rows as (row, message), or None.
-
-    ``checks`` are (check, message) pairs in the order the checks apply to
-    one row: ``check(m)`` flags each of the first m rows and ``message(i)``
-    describes row i.  Each check sees only the rows before the earliest
-    fault found so far, so a row with several faults reports the first.
-    """
-    fault = None
-    for check, message in checks:
-        hits = np.flatnonzero(check(n))
-        if hits.size:
-            n = int(hits[0])
-            fault = (n, message(n))
-    return fault
 
 
 def _repeats(values: np.ndarray) -> np.ndarray:
@@ -320,13 +307,11 @@ def _repeats(values: np.ndarray) -> np.ndarray:
 
 def _load_locations(path) -> np.ndarray:
     """Validated grid coordinates, shape (S, 2), from a locations CSV."""
-    def first_fault(t):
+    def checks(t):
         loc = t["loc_id"]
-        return _earliest_fault(len(t), [
-            (lambda m: _repeats(loc[:m]),
-             lambda i: f"duplicate loc_id {loc[i]}")])
+        return [(_repeats(loc), lambda i: f"duplicate loc_id {loc[i]}")]
 
-    table = _read_table(path, LOCATIONS_HEADER, _LOCATIONS_DTYPE, first_fault)
+    table = _read_table(path, LOCATIONS_HEADER, _LOCATIONS_DTYPE, checks)
     S = len(table)
     if S == 0:
         raise ValidationError(f"{path}: no locations")
@@ -455,22 +440,20 @@ def _parse_dataset(locations_file, rain_file) -> RainfallDataset:
     grid_coords = _load_locations(locations_file)
     S = len(grid_coords)
 
-    def first_fault(t):
+    def checks(t):
         loc, day, year, mm = (t[name] for name in RAINFALL_HEADER)
         days, first, rank = np.unique(day, return_index=True,
                                       return_inverse=True)
-        return _earliest_fault(len(t), [
-            (lambda m: (loc[:m] < 0) | (loc[:m] >= S),
-             lambda i: f"unknown loc_id {loc[i]}"),
-            (lambda m: mm[:m] < 0, lambda i: "negative rainfall"),
-            # locations are known here, so each cell has its own key
-            (lambda m: _repeats(loc[:m] * len(days) + rank[:m]),
+        return [
+            ((loc < 0) | (loc >= S), lambda i: f"unknown loc_id {loc[i]}"),
+            (mm < 0, lambda i: "negative rainfall"),
+            # one key per cell in the rows before the first unknown loc_id
+            (_repeats(loc * len(days) + rank),
              lambda i: f"duplicate cell ({loc[i]}, {day[i]})"),
-            (lambda m: year[:m] != year[first[rank[:m]]],
-             lambda i: f"conflicting year for day {day[i]}")])
+            (year != year[first[rank]],
+             lambda i: f"conflicting year for day {day[i]}")]
 
-    table = _read_table(rain_file, RAINFALL_HEADER, _RAINFALL_DTYPE,
-                        first_fault)
+    table = _read_table(rain_file, RAINFALL_HEADER, _RAINFALL_DTYPE, checks)
     if len(table) == 0:
         raise ValidationError(f"{rain_file}: no rainfall rows")
     day = table["day_index"]
@@ -623,12 +606,15 @@ def generate_synthetic(spec: SyntheticSpec):
     return data, truth
 
 
-def write_ground_truth(truth: LatentState, u_file, v_file, z_file) -> None:
-    """Write the synthetic ground truth in the three CSV layouts."""
-    _write_csv(u_file, ["day_index", "u_true"],
-               np.arange(len(truth.day_labels)), truth.day_labels)
-    _write_csv(v_file, ["loc_id", "v_true"],
-               np.arange(len(truth.loc_labels)), truth.loc_labels)
-    s, t = np.indices(truth.states.shape).reshape(2, -1)
-    _write_csv(z_file, ["loc_id", "day_index", "z_true"], s, t,
-               truth.states.ravel())
+def write_state(state: LatentState, folder, stem: str, tag: str) -> None:
+    """Write a latent state in the three CSV layouts, ``<stem>_u.csv``
+    (day_index,u_<tag>), ``<stem>_v.csv`` (loc_id,v_<tag>) and
+    ``<stem>_z.csv`` (loc_id,day_index,z_<tag>), into ``folder``."""
+    path = partial(os.path.join, folder)
+    _write_csv(path(f"{stem}_u.csv"), ["day_index", f"u_{tag}"],
+               np.arange(len(state.day_labels)), state.day_labels)
+    _write_csv(path(f"{stem}_v.csv"), ["loc_id", f"v_{tag}"],
+               np.arange(len(state.loc_labels)), state.loc_labels)
+    s, t = np.indices(state.states.shape).reshape(2, -1)
+    _write_csv(path(f"{stem}_z.csv"), ["loc_id", "day_index", f"z_{tag}"],
+               s, t, state.states.ravel())

@@ -2,8 +2,10 @@
 
 Each sweep resamples every cell state, then every day label, then every
 location label, then refreshes the canonical patterns and the estimated
-parameters from the current assignment.  The posterior point estimate is the
-per-variable mode over the retained sweeps.
+parameters from the current assignment.  The posterior point estimate is
+voted from the labellings kept at the retained sweeps: each day and location
+takes its most frequent label, the lowest of tied labels, and each cell its
+majority state.
 
 Cell states are visited in one scan order: the space-time lattice is split
 into eight colour classes of mutually non-adjacent cells.  A class is one of
@@ -94,6 +96,15 @@ def _draw_cell_states(w: np.ndarray, rng) -> np.ndarray:
     with np.errstate(over="ignore"):
         p_low = 1.0 / (1.0 + np.exp(w[0] - w[1]))
     return np.where(rng.random(w.shape[1]) < p_low, LOW, HIGH).astype(np.int8)
+
+
+def _vote(kept: list) -> np.ndarray:
+    """Each item's most frequent label over the labellings ``kept``; a tie
+    goes to the lowest label."""
+    kept = np.array(kept)
+    counts = np.zeros((kept.shape[1], int(kept.max()) + 1), dtype=np.int64)
+    np.add.at(counts, (np.arange(kept.shape[1]), kept), 1)
+    return counts.argmax(axis=1)  # label 0 has no votes
 
 
 def _row_map(n_labels: int, n_rows: int) -> np.ndarray:
@@ -274,9 +285,6 @@ class _GibbsEngine:
         self._rain_parts, self._logx_parts = (
             tuple(np.ascontiguousarray(x[:, d::2]) for d in range(2))
             for x in (data.rain_floored, data.log_rain))
-        # each location's largest |log x| and x bound its Gamma terms
-        self._logx_max = np.abs(data.log_rain).max(axis=1, keepdims=True)
-        self._x_max = data.rain_floored.max(axis=1, keepdims=True)
         self.logdens = tuple(np.empty((2, self.S, x.shape[1]))
                              for x in self._rain_parts)
         # update_params_ml's scratch, in place of a fresh (S, T) array per
@@ -317,12 +325,6 @@ class _GibbsEngine:
         self._init_state(frozen)
         if self.frozen:
             self.patterns = frozen
-            if params.gamma_shape is None or params.gamma_rate is None:
-                raise ValidationError("frozen runs need Gamma parameters")
-            if params.aggregate_mean is None \
-                    or len(params.aggregate_mean) != frozen.n_day_patterns:
-                raise ValidationError("frozen runs need one aggregate mean "
-                                      "per frozen pattern")
             self.mu = np.asarray(params.aggregate_mean, dtype=float)
             self.alpha = params.gamma_shape
             self.beta = params.gamma_rate
@@ -332,9 +334,9 @@ class _GibbsEngine:
 
         self.trace: list[float] = []
         self.z1_count = np.zeros((self.S, self.T), dtype=np.int32)
-        self.u_count = np.zeros((self.T, 8), dtype=np.int32)
-        self.v_count = np.zeros((self.S, 8), dtype=np.int32)
-        self.n_retained = 0
+        # the day and location labellings of the retained sweeps
+        self.kept_u: list[np.ndarray] = []
+        self.kept_v: list[np.ndarray] = []
 
     # ---------------------------------------------------------------- setup
 
@@ -394,16 +396,11 @@ class _GibbsEngine:
                     out += a[:, k, None] * np.log(b[:, k, None])
                     out -= b[:, k, None] * x
                     out -= lg[:, k, None]
-            # no term exceeds its location's bound, so a bound far inside
-            # the doubles spares a pass over the terms
-            bound = (abs(a - 1.0) * self._logx_max + abs(a * np.log(b))
-                     + b * self._x_max + abs(lg))
-        if not (bound < 1e300).all():
-            finite = np.logical_and.reduce(
-                [np.isfinite(ld).all(axis=(0, 2)) for ld in self.logdens])
-            if not finite.all():
-                raise self.data.numeric_error(int(finite.argmin()),
-                                              "gives a non-finite Gamma term")
+        finite = np.logical_and.reduce(
+            [np.isfinite(ld).all(axis=(0, 2)) for ld in self.logdens])
+        if not finite.all():
+            raise self.data.numeric_error(int(finite.argmin()),
+                                          "gives a non-finite Gamma term")
 
     def snapshot_params(self) -> ModelParams:
         return self.params.replace(gamma_shape=self.alpha,
@@ -672,17 +669,8 @@ class _GibbsEngine:
 
     def retain(self) -> None:
         self.z1_count += (self.state.states == HIGH)
-        ku = int(self.state.day_labels.max())
-        if ku > self.u_count.shape[1]:
-            grow = np.zeros((self.T, ku - self.u_count.shape[1]), dtype=np.int32)
-            self.u_count = np.hstack([self.u_count, grow])
-        self.u_count[np.arange(self.T), self.state.day_labels - 1] += 1
-        kv = int(self.state.loc_labels.max())
-        if kv > self.v_count.shape[1]:
-            grow = np.zeros((self.S, kv - self.v_count.shape[1]), dtype=np.int32)
-            self.v_count = np.hstack([self.v_count, grow])
-        self.v_count[np.arange(self.S), self.state.loc_labels - 1] += 1
-        self.n_retained += 1
+        self.kept_u.append(self.state.day_labels.astype(np.int32))
+        self.kept_v.append(self.state.loc_labels.astype(np.int32))
 
     def run(self, on_sweep=None) -> PosteriorSummary:
         total = self.config.n_burnin + self.config.n_samples
@@ -704,10 +692,9 @@ class _GibbsEngine:
         return self.summary()
 
     def summary(self) -> PosteriorSummary:
-        n = self.n_retained
+        n = len(self.kept_u)
         z_mode = np.where(2 * self.z1_count > n, HIGH, LOW).astype(np.int8)
-        u_mode = (self.u_count.argmax(axis=1) + 1).astype(np.int64)
-        v_mode = (self.v_count.argmax(axis=1) + 1).astype(np.int64)
+        u_mode, v_mode = _vote(self.kept_u), _vote(self.kept_v)
         if not self.frozen:
             # compact the per-variable modes to dense labels
             u_mode = np.unique(u_mode, return_inverse=True)[1] + 1
@@ -753,6 +740,12 @@ def refit_frozen(data_new, weights_new, patterns: PatternSet,
     if any(a is not None and np.shape(a)[:1] != (data_new.n_locations,)
            for a in (params.gamma_shape, params.gamma_rate)):
         raise ValidationError("gamma_shape/gamma_rate need one row per location")
+    if params.gamma_shape is None or params.gamma_rate is None:
+        raise ValidationError("frozen runs need Gamma parameters")
+    if params.aggregate_mean is None \
+            or len(params.aggregate_mean) != patterns.n_day_patterns:
+        raise ValidationError("frozen runs need one aggregate mean per "
+                              "frozen pattern")
     engine = _GibbsEngine(data_new, weights_new, params, config,
                           frozen=patterns)
     return engine.run(on_sweep=on_sweep)

@@ -19,11 +19,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import rainpatterns
-from rainpatterns import (ModelParams, PatternSet, SyntheticSpec,
-                          generate_synthetic, save_dataset)
+from rainpatterns import (LatentState, ModelParams, PatternSet,
+                          SyntheticSpec, generate_synthetic, save_dataset)
 from rainpatterns.cli import (_load_params, _load_patterns, _write_params,
                               _write_patterns, main)
-from rainpatterns.data import make_dataset
+from rainpatterns.data import (_read_table, _write_csv, make_dataset,
+                               write_state)
 from rainpatterns.metrics import (MetricsReport, adjusted_rand_index,
                                   read_metrics_csv)
 
@@ -558,8 +559,16 @@ def pattern_sets(draw):
                       pattern_volume=draw(values(K)))
 
 
+def read_columns(path, header, kinds):
+    """A run table through the checked CSV reader, one array per column."""
+    table = _read_table(path, header, np.dtype(list(zip(header, kinds))),
+                        lambda t: [])
+    return [table[name] for name in header]
+
+
 class TestRunFileRoundTrip:
-    """What a fit writes, ``refit`` and ``compare`` read back bit for bit."""
+    """What a fit writes, ``refit`` and ``compare`` read back bit for bit;
+    the assignment and trace tables through the checked CSV reader."""
 
     @given(pattern_sets())
     @settings(max_examples=60, deadline=None)
@@ -599,6 +608,45 @@ class TestRunFileRoundTrip:
             assert (a.dtype, a.shape, a.tobytes()) \
                 == (b.dtype, b.shape, b.tobytes()), name
 
+
+    @given(st.integers(1, 6), st.integers(1, 6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_assignments_round_trip_is_bit_identical(self, S, T, data):
+        labels = partial(hnp.arrays, np.int64,
+                         elements=st.integers(1, 2 ** 63 - 1))
+        state = LatentState(
+            data.draw(hnp.arrays(np.int8, (S, T),
+                                 elements=st.sampled_from([1, 2]))),
+            data.draw(labels(T)), data.draw(labels(S)))
+        with tempfile.TemporaryDirectory() as tmp:
+            write_state(state, tmp, "assign", "mode")
+            day, u = read_columns(Path(tmp) / "assign_u.csv",
+                                  ["day_index", "u_mode"], [np.int64] * 2)
+            loc, v = read_columns(Path(tmp) / "assign_v.csv",
+                                  ["loc_id", "v_mode"], [np.int64] * 2)
+            s, t, z = read_columns(Path(tmp) / "assign_z.csv",
+                                   ["loc_id", "day_index", "z_mode"],
+                                   [np.int64] * 3)
+        assert day.tolist() == list(range(T))
+        assert loc.tolist() == list(range(S))
+        assert u.tobytes() == state.day_labels.tobytes()
+        assert v.tobytes() == state.loc_labels.tobytes()
+        assert (s.tolist(), t.tolist()) \
+            == tuple(np.indices((S, T)).reshape(2, -1).tolist())
+        assert z.astype(np.int8).tobytes() == state.states.tobytes()
+
+    @given(st.lists(any_doubles(), min_size=1, max_size=20))
+    @settings(max_examples=60, deadline=None)
+    def test_trace_round_trip_is_bit_identical(self, logp):
+        # the columns and header cmd_fit writes
+        trace = np.array(logp)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.csv"
+            _write_csv(path, ["sweep", "logp"], np.arange(len(trace)), trace)
+            sweep, read = read_columns(path, ["sweep", "logp"],
+                                       [np.int64, np.float64])
+        assert sweep.tolist() == list(range(len(trace)))
+        assert read.tobytes() == trace.tobytes()
 
     @given(st.dictionaries(metric_names(), any_doubles()),
            st.dictionaries(metric_names(),
@@ -654,6 +702,17 @@ class TestExitCodes:
         ("fit", "model", "f", float("inf")),
         ("fit", "model", "lambda", float("-inf")),
         ("fit", "model", "sigma", float("nan")),
+        # spect1 ran with a meaningless similarity or failed its symmetry
+        # check; eof wrote NaN coefficients; every cluster was prominent
+        ("spect1", "baseline", "tau", -1.0),
+        ("spect1", "baseline", "tau", 0.0),
+        ("spect1", "baseline", "tau", float("nan")),
+        ("spect1", "baseline", "tau", float("inf")),
+        ("eof", "baseline", "lasso_reg", float("nan")),
+        ("eof", "baseline", "lasso_reg", float("inf")),
+        ("eof", "baseline", "lasso_reg", -1.0),
+        ("baseline", "metrics", "min_years", -3),
+        ("fit", "metrics", "min_years", 0),
     ])
     def test_bad_config_value_names_it(self, synth_dir, capsys, command,
                                        section, key, value):
@@ -667,7 +726,10 @@ class TestExitCodes:
             doc[section] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
-        args = [command] + (["--method", "kmeans"] * (command == "baseline"))
+        # "baseline" runs kmeans; "spect1" and "eof" name their method
+        method = {"baseline": "kmeans"}.get(command, command)
+        args = (["baseline", "--method", method]
+                if command in ("baseline", "spect1", "eof") else [command])
         # refit checks its config before it reads the frozen directory
         args += ["--frozen", tmp_path / "no-fit"] * (command == "refit")
         assert run(args + ["--config", bad, "--out", tmp_path / "x"]) == 2

@@ -16,7 +16,7 @@ from rainpatterns import inference, model
 from rainpatterns.data import make_dataset
 from rainpatterns.inference import (_GibbsEngine, _LabelTables,
                                     _draw_cell_states, _draw_label,
-                                    _leader_init)
+                                    _leader_init, _vote)
 from rainpatterns.metrics import adjusted_rand_index
 from rainpatterns.model import (RAIN_EPS, crp_log_prior_days,
                                 crp_log_prior_locations)
@@ -459,6 +459,31 @@ class TestRunGibbs:
         assert engine._merge_pass()
         assert calls == []
 
+    # four kept labellings of four days, with labels up to 12; days 0, 1 and
+    # 3 tie between two labels, and the lower one wins
+    KEPT = [[9, 1, 12, 5], [12, 1, 9, 5], [12, 2, 9, 10], [9, 2, 4, 10]]
+
+    def test_vote_gives_a_tie_to_the_lowest_label(self):
+        kept = [np.array(row, dtype=np.int32) for row in self.KEPT]
+        assert _vote(kept).tolist() == [9, 1, 9, 5]
+        assert _vote(kept[::-1]).tolist() == [9, 1, 9, 5]
+
+    def test_summary_votes_over_the_kept_labellings(self, small_synth,
+                                                   small_weights):
+        # labels past the first eight and ties, then compacted to 1..K
+        data, _ = small_synth
+        engine = _GibbsEngine(data, small_weights, ModelParams(),
+                              SamplerConfig(n_burnin=0, n_samples=1))
+        T, S = data.n_days, data.n_locations
+        for row in self.KEPT:
+            engine.state.day_labels[:] = np.resize(row, T)
+            engine.state.loc_labels[:] = np.resize(row[::-1], S)
+            engine.retain()
+        summary = engine.summary()
+        assert summary.n_retained == 4
+        assert summary.u_mode.tolist() == np.resize([3, 1, 3, 2], T).tolist()
+        assert summary.v_mode.tolist() == np.resize([2, 3, 1, 3], S).tolist()
+
     def test_mode_patterns_consistent(self, small_synth, small_weights):
         data, _ = small_synth
         params = ModelParams(day_align=4.0, loc_align=2.0,
@@ -534,6 +559,19 @@ class TestRefitFrozen:
             short = fitted.replace(**{name: getattr(fitted, name)[:-1]})
             with pytest.raises(ValidationError, match="one row per location"):
                 refit_frozen(data, weights, pats, short, cfg)
+
+    def test_missing_frozen_parameters_rejected(self):
+        data, weights, summary, pats, fitted = self.fit_small()
+        cfg = SamplerConfig(n_burnin=2, n_samples=2, seed=0)
+        for change, message in [
+                ({"gamma_shape": None}, "need Gamma parameters"),
+                ({"gamma_rate": None}, "need Gamma parameters"),
+                ({"aggregate_mean": None}, "one aggregate mean per"),
+                ({"aggregate_mean": fitted.aggregate_mean[:-1]},
+                 "one aggregate mean per")]:
+            with pytest.raises(ValidationError, match=message):
+                refit_frozen(data, weights, pats, fitted.replace(**change),
+                             cfg)
 
     def test_other_length_keeps_every_location_in_label_one(self):
         # frozen series are indexed by the training days, so a record of
