@@ -430,6 +430,13 @@ class TestFixedSeedDigests:
             "73e34c8dab4be87b830e30533deacb623432335d32c595ccf24806d531a1b2fb",
         "assign_z.csv":
             "5dd772e3a29860317f27bba9f4a8a224ff83d278908d4eeb938a1d0efcc64470",
+        # the report and the pattern tables built from the mode state
+        "metrics.csv":
+            "1d3690d535afa377119faee229ac0894dcd3b89a6ea7a8a4f13acfd6b5933667",
+        "patterns_temporal.csv":
+            "bc2b9509915d1ce499d41eb2d1cf618e1c2317d1544327448a7282f70582ec1b",
+        "cluster_summary.csv":
+            "3af351199c7582188f59ab1ff516b6999b41cca125b546a05ae3060ef2783f58",
     }
     REFIT = {
         "assign_u.csv":
@@ -455,13 +462,16 @@ class TestFixedSeedDigests:
         "lasso_coefs.csv":
             "55ca63ecd39f4228ecacf0e7f66097204aa68295eeb44de318506e7f695c919f",
     }
-    # the clustering baselines' labels and centers; on this record both
-    # methods (and the fit) find the same partition, so the pins coincide
+    # the clustering baselines' labels, centers and report; on this record
+    # both methods (and the fit) find the same partition, so the pins
+    # coincide
     KMEANS = {
         "assign_u.csv":
             "02720704d0f69ea57214f7527bb2b06b0f2c8c5b19dd9e19cd3ffa1dc2d5bca7",
         "patterns_spatial.csv":
             "508c421780667cc4bbd1d6dbb34334cf3337344c760271b407a08063aa69821a",
+        "metrics.csv":
+            "f9e27638b3d2d5685154a6882f53610fb8b428c48cff90ff778d0a3094644bdc",
     }
     SPECT2 = KMEANS
 
@@ -492,7 +502,7 @@ class TestFixedSeedDigests:
         tmp_path, cfg = synth_dir
         fit = tmp_path / "fit"
         assert run(["fit", "--config", cfg, "--out", fit]) == 0
-        assert self.digests(fit) == self.FIT
+        assert self.digests(fit, self.FIT) == self.FIT
 
         # a foreign record with a quarter of the days' rain scaled x4 and the
         # aggregate width quartered, so days spill into the overflow label
