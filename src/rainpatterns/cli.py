@@ -155,8 +155,10 @@ def _model_params(cfg: dict, data: RainfallDataset) -> ModelParams:
 
 def _sampler_config(cfg: dict) -> SamplerConfig:
     sa = partial(_value, cfg, "sampler")
-    return SamplerConfig(sa("burnin", int), sa("samples", int),
-                         _seed(cfg, "sampler"), sa("init", str))
+    config = SamplerConfig(sa("burnin", int), sa("samples", int),
+                           _seed(cfg, "sampler"), sa("init", str))
+    config.validate("config: sampler.")
+    return config
 
 
 def _write_json(path, doc: dict) -> None:
@@ -291,10 +293,11 @@ def cmd_synth(cfg: dict) -> int:
 
 
 def cmd_fit(cfg: dict) -> int:
+    sampler = _sampler_config(cfg)
+    min_years = _min_years(cfg)
     data = _load_data(cfg)
     weights = compute_spatial_weights(data)
     params = _model_params(cfg, data)
-    sampler = _sampler_config(cfg)
     summary, patterns, fitted = run_gibbs(data, weights, params, sampler)
 
     out = _out_dir(cfg)
@@ -305,7 +308,7 @@ def cmd_fit(cfg: dict) -> int:
     _write_csv(out / "trace.csv", ["sweep", "logp"], np.arange(len(trace)),
                trace)
     report = build_report(data, summary.z_mode, summary.u_mode, patterns,
-                          method="mrf", min_years=_min_years(cfg))
+                          method="mrf", min_years=min_years)
     _write_report(out, report)
     _dump_config(cfg, out, {"method": "mrf", "model": _model_section(params)})
     print(f"fit: {patterns.n_day_patterns} day clusters, "
@@ -362,13 +365,14 @@ def cmd_baseline(cfg: dict, method: str) -> int:
     out = _out_dir(cfg)
     if method == "eof":
         return _cmd_baseline_eof(cfg, data, out)
+    min_years = _min_years(cfg)
     result = _baseline_clustering(cfg, data, method)
     patterns = baseline_patterns(data, result)
     _write_csv(out / "assign_u.csv", ["day_index", "u_mode"],
                np.arange(len(result.labels)), result.labels)
     _write_patterns(out, patterns)
     report = build_report(data, discretize_by_mean(data), result.labels,
-                          patterns, method=method, min_years=_min_years(cfg))
+                          patterns, method=method, min_years=min_years)
     _write_report(out, report)
     _dump_config(cfg, out, {"method": method})
     print(f"{method}: {patterns.n_day_patterns} clusters, "
@@ -404,13 +408,7 @@ def _cmd_baseline_eof(cfg: dict, data: RainfallDataset, out: Path) -> int:
     # leading modes, binarised by sign, stand in as the method's patterns
     lead = basis.vectors[:, :k].T
     cdp = np.where(lead > 0, HIGH, LOW).astype(np.int8)
-    pat = PatternSet(rain_patterns=lead, state_patterns=cdp,
-                     rain_series=np.zeros((1, data.n_days)),
-                     state_series=np.full((1, data.n_days), LOW, dtype=np.int8),
-                     day_counts=np.zeros(k, dtype=np.int64),
-                     year_counts=np.zeros(k, dtype=np.int64),
-                     pattern_volume=lead.sum(axis=1))
-    spch_state, spch_rain = spatial_coherence(pat, data.neighborhoods)
+    spch_state, spch_rain = spatial_coherence(cdp, lead, data.neighborhoods)
     explained = (float(basis.eigenvalues[:k].sum() / basis.eigenvalues.sum())
                  if basis.eigenvalues.sum() > 0 else 1.0)
     report = MetricsReport(method="eof", n_clusters=k)

@@ -16,9 +16,9 @@ conditionally independent given the rest, so updating a class at once is an
 ordinary Gibbs scan in a different visit order and targets the same
 distribution (Gonzalez et al., AISTATS 2011, "Parallel Gibbs Sampling: From
 Colored Fields to Thin Junction Trees").  The z-sweep works on the states
-split by day parity, z[:, 0::2] and z[:, 1::2], so a block's rows, its
-spatial neighbours' rows and its Gamma term are contiguous, and its two
-temporal neighbours are shifted slices of the other parity.
+split by day parity, z[:, 0::2] and z[:, 1::2], so a block's rows and its
+spatial neighbours' rows are contiguous and its two temporal neighbours are
+shifted slices of the other parity.  The Gamma term stays in day order.
 
 A label sweep draws all of its uniforms at once (the same stream as one
 draw per label) and picks each label in plain Python from a handful of
@@ -57,13 +57,17 @@ class SamplerConfig:
     seed: int = 0
     init: str = "data"
 
-    def validate(self) -> None:
-        if self.n_samples < 1:
-            raise ValidationError("need at least one retained sweep")
-        if self.n_burnin < 0:
-            raise ValidationError("burn-in must be non-negative")
-        if self.init not in INIT_STRATEGIES:
-            raise ValidationError(f"init must be one of {INIT_STRATEGIES}")
+    def validate(self, where: str = "") -> None:
+        """Reject a value the sampler cannot run.  The error names it by its
+        key in the config's ``sampler`` section, after ``where``."""
+        for key, value, ok, rule in (
+                ("burnin", self.n_burnin, self.n_burnin >= 0, ">= 0"),
+                ("samples", self.n_samples, self.n_samples >= 1, ">= 1"),
+                ("init", self.init, self.init in INIT_STRATEGIES,
+                 f"one of {INIT_STRATEGIES}")):
+            if not ok:
+                raise ValidationError(f"{where}{key}: must be {rule}, "
+                                      f"got {value!r}")
 
 
 @dataclass
@@ -280,17 +284,8 @@ class _GibbsEngine:
 
         self.S, self.T = data.rain.shape
         self.y = data.aggregate
-        # the Gamma term's inputs, the joint density's, split by day parity
-        # like the z-sweep; contiguous, as strided views slow the refresh
-        self._rain_parts, self._logx_parts = (
-            tuple(np.ascontiguousarray(x[:, d::2]) for d in range(2))
-            for x in (data.rain_floored, data.log_rain))
-        self.logdens = tuple(np.empty((2, self.S, x.shape[1]))
-                             for x in self._rain_parts)
-        # update_params_ml's scratch, in place of a fresh (S, T) array per
-        # sweep: the first Gamma-term buffer, which refresh() rewrites next
-        self._params_work = self.logdens[0].reshape(-1)[:self.S * self.T] \
-            .reshape(self.S, self.T)
+        # the Gamma term of the high and low states, in day order
+        self.logdens = np.empty((2, self.S, self.T))
         self.log_tf = math.log(params.temporal_factor)
         self.year_idx = np.unique(data.year_of_day, return_inverse=True)[1]
 
@@ -377,27 +372,29 @@ class _GibbsEngine:
     def refresh(self) -> None:
         """Re-extract patterns and re-estimate parameters from the state."""
         self.patterns = extract_patterns(self.data, self.state)
+        # update_params_ml's scratch, in place of a fresh (S, T) array per
+        # sweep: a Gamma-term plane, which _refresh_logdens rewrites next
         self.alpha, self.beta, self.mu = update_params_ml(
-            self.data, self.state, self._params_work)
+            self.data, self.state, self.logdens[0])
         self._refresh_logdens()
 
     def _refresh_logdens(self) -> None:
-        """The Gamma term of both states, per day parity, written in place.
+        """The Gamma term of both states, written in place.
 
-        A term that is not finite is a ``NumericError`` naming its location.
+        It reads the floored rain and its log cached on the dataset, as the
+        joint density does.  A term that is not finite is a ``NumericError``
+        naming its location.
         """
         a, b = self.alpha, self.beta
         lg = log_gamma(a)
+        x, logx = self.data.rain_floored, self.data.log_rain
         with np.errstate(over="ignore", invalid="ignore"):
-            for ld, logx, x in zip(self.logdens, self._logx_parts,
-                                   self._rain_parts):
-                for k in range(2):
-                    out = np.multiply(a[:, k, None] - 1.0, logx, out=ld[k])
-                    out += a[:, k, None] * np.log(b[:, k, None])
-                    out -= b[:, k, None] * x
-                    out -= lg[:, k, None]
-        finite = np.logical_and.reduce(
-            [np.isfinite(ld).all(axis=(0, 2)) for ld in self.logdens])
+            for k, out in enumerate(self.logdens):
+                np.multiply(a[:, k, None] - 1.0, logx, out=out)
+                out += a[:, k, None] * np.log(b[:, k, None])
+                out -= b[:, k, None] * x
+                out -= lg[:, k, None]
+        finite = np.isfinite(self.logdens).all(axis=(0, 2))
         if not finite.all():
             raise self.data.numeric_error(int(finite.argmin()),
                                           "gives a non-finite Gamma term")
@@ -458,18 +455,18 @@ class _GibbsEngine:
         rows_u = self._rowmap_u[self.state.day_labels[d::2] - 1]
         pat = self._pattern_cols[s_idx][:, rows_u]
         rows_v = self._rowmap_v[self.state.loc_labels[s_idx] - 1]
-        ser = self._series_parts[d][rows_v]
+        ser = self._series[rows_v, d::2]
         for k, code in enumerate((HIGH, LOW)):
             w[k] += eta * (pat == code)
             w[k] += zeta * (ser == code)
-            w[k] += self.logdens[d][k][s_idx]
+            w[k] += self.logdens[k, s_idx, d::2]
         return w.reshape(2, -1)
 
     def _set_rowmaps(self) -> None:
         """Label -> pattern-row maps for the current labels and patterns.
 
         Row -1 (no pattern row) picks a sentinel row of zeros, which matches
-        neither state.  The series rows are split by day parity.
+        neither state.
         """
         self._rowmap_u = _row_map(self.state.n_day_clusters,
                                   self.patterns.n_day_patterns)
@@ -477,9 +474,8 @@ class _GibbsEngine:
                                   self.patterns.n_loc_series)
         self._pattern_cols = np.vstack([self.patterns.state_patterns,
                                         np.zeros((1, self.S))]).T
-        series = np.vstack([self.patterns.state_series,
-                            np.zeros((1, self.T))])
-        self._series_parts = (series[:, 0::2].copy(), series[:, 1::2].copy())
+        self._series = np.vstack([self.patterns.state_series,
+                                  np.zeros((1, self.T))])
 
     def z_sweep(self) -> None:
         self._set_rowmaps()

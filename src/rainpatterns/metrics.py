@@ -27,16 +27,6 @@ class DistanceReport(NamedTuple):
     n_days_scored: int
 
 
-def prominent_clusters(day_labels: np.ndarray, years: np.ndarray,
-                       min_years: int = 5) -> set[int]:
-    """Labels whose member days span at least ``min_years`` distinct years."""
-    out = set()
-    for u in np.unique(day_labels):
-        if len(np.unique(years[day_labels == u])) >= min_years:
-            out.add(int(u))
-    return out
-
-
 def distance_report(rain: np.ndarray, states: np.ndarray,
                     day_labels: np.ndarray, patterns: PatternSet) -> DistanceReport:
     """Mean distances between daily vectors and their cluster's patterns.
@@ -77,8 +67,9 @@ def cluster_homogeneity(y: np.ndarray, day_labels: np.ndarray):
     return stds, pooled
 
 
-def spatial_coherence(patterns: PatternSet, neighborhoods) -> tuple[float, float]:
-    """Mean neighbour disagreement of the state and rain patterns.
+def spatial_coherence(state_patterns: np.ndarray, rain_patterns: np.ndarray,
+                      neighborhoods) -> tuple[float, float]:
+    """Mean neighbour disagreement of the (K, S) state and rain patterns.
 
     Both scores are normalised by the total number of (pattern, directed
     neighbour pair) terms, so a constant pattern scores 0 and i.i.d. random
@@ -90,13 +81,11 @@ def spatial_coherence(patterns: PatternSet, neighborhoods) -> tuple[float, float
     if not ei.size:
         return 0.0, 0.0
     ej = np.concatenate(neighborhoods).astype(np.intp)
-    K = patterns.n_day_patterns
-    total = K * len(ei)
+    total = len(state_patterns) * len(ei)
 
-    cdp = patterns.state_patterns
+    cdp, crp = state_patterns, rain_patterns
     spch_state = float((cdp[:, ej] != cdp[:, ei]).sum() / total)
 
-    crp = patterns.rain_patterns
     ref = np.abs(crp[:, ei])
     okay = ref >= RAIN_EPS
     rel = np.zeros_like(ref)
@@ -115,17 +104,12 @@ def spell_stats(day_labels: np.ndarray, years: np.ndarray):
     """
     K = int(day_labels.max())
     n_years = len(np.unique(years))
-    runs = np.zeros(K)
-    days = np.zeros(K)
-    t = 0
-    T = len(day_labels)
-    while t < T:
-        u, yy = day_labels[t], years[t]
-        start = t
-        while t < T and day_labels[t] == u and years[t] == yy:
-            t += 1
-        runs[u - 1] += 1
-        days[u - 1] += t - start
+    # a spell starts on the first day and wherever the label or year changes
+    starts = np.ones(len(day_labels), dtype=bool)
+    starts[1:] = ((day_labels[1:] != day_labels[:-1])
+                  | (years[1:] != years[:-1]))
+    runs = np.bincount(day_labels[starts] - 1, minlength=K).astype(float)
+    days = np.bincount(day_labels - 1, minlength=K).astype(float)
     mean_len = np.divide(days, runs, out=np.zeros(K), where=runs > 0)
     return runs / n_years, mean_len
 
@@ -228,42 +212,34 @@ def build_report(data, states: np.ndarray, day_labels: np.ndarray,
                  min_years: int = 5) -> MetricsReport:
     """Assemble the full evaluation report for one run.
 
-    AIC values use a unit alignment strength for every method so that the
-    numbers are comparable across methods.
+    ``patterns`` are extracted from ``day_labels`` (dense labels 1..K), so
+    their day and year counts are the clusters'; a cluster is prominent when
+    its days span at least ``min_years`` distinct years.
     """
     y = data.aggregate
-    years = data.year_of_day
     K = patterns.n_day_patterns
 
-    prominent = prominent_clusters(day_labels, years, min_years)
+    prominent = patterns.year_counts >= min_years
     dist = distance_report(data.rain, states, day_labels, patterns)
     stds, pooled = cluster_homogeneity(y, day_labels)
-    spch_state, spch_rain = spatial_coherence(patterns, data.neighborhoods)
-    spells, spell_len = spell_stats(day_labels, years)
-    wet = wet_fraction(patterns)
+    spch_state, spch_rain = spatial_coherence(
+        patterns.state_patterns, patterns.rain_patterns, data.neighborhoods)
+    spells, spell_len = spell_stats(day_labels, data.year_of_day)
+    mean_y = np.array([y[day_labels == u].mean() for u in range(1, K + 1)])
 
-    mean_y = np.zeros(K)
-    for u in range(1, K + 1):
-        sel = day_labels == u
-        if sel.any():
-            mean_y[u - 1] = float(y[sel].mean())
+    coverage = int(patterns.day_counts[prominent].sum())
+    n_pc = int(prominent.sum())
 
-    in_prominent = np.isin(day_labels, sorted(prominent))
-    coverage = int(in_prominent.sum())
-    n_pc = len(prominent)
-
-    kmax = min(K, len(stds))
     report = MetricsReport(method=method, n_clusters=K)
     report.per_cluster = {
         "n_days": patterns.day_counts.astype(float),
         "n_years": patterns.year_counts.astype(float),
-        "prominent": np.array([1.0 if u + 1 in prominent else 0.0
-                               for u in range(K)]),
+        "prominent": prominent.astype(float),
         "mean_y": mean_y,
-        "std_y": np.pad(stds[:kmax], (0, K - kmax)),
-        "wet_fraction": wet,
-        "spells_per_year": np.pad(spells[:kmax], (0, K - kmax)),
-        "mean_spell_length": np.pad(spell_len[:kmax], (0, K - kmax)),
+        "std_y": stds,
+        "wet_fraction": wet_fraction(patterns),
+        "spells_per_year": spells,
+        "mean_spell_length": spell_len,
         "aggregate_mm": patterns.pattern_volume,
     }
     report.global_values = {

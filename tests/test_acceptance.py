@@ -20,8 +20,8 @@ from rainpatterns.cli import baseline_patterns, main
 from rainpatterns.data import discretize_by_mean, make_dataset
 from rainpatterns.inference import _GibbsEngine, _draw_cell_states, _draw_label
 from rainpatterns.metrics import (adjusted_rand_index, distance_report,
-                                  prominent_clusters, spatial_coherence,
-                                  spell_stats, wet_fraction)
+                                  spatial_coherence, spell_stats,
+                                  wet_fraction)
 from conftest import cell_weights, engine_at, fitted_params, flip_delta
 
 
@@ -216,7 +216,8 @@ def _method_metrics(seed):
     K = patterns.n_day_patterns
     mrf_dist = distance_report(data.rain, summary.z_mode, summary.u_mode,
                                patterns)
-    mrf_spch = spatial_coherence(patterns, data.neighborhoods)[0]
+    mrf_spch = spatial_coherence(patterns.state_patterns,
+                                 patterns.rain_patterns, data.neighborhoods)[0]
 
     ddv = discretize_by_mean(data)
     col_means = data.rain.mean(axis=1)
@@ -224,7 +225,8 @@ def _method_metrics(seed):
     km.state_patterns = baselines.derive_state_patterns(km.centers, col_means)
     km_pats = baseline_patterns(data, km)
     km_dist = distance_report(data.rain, ddv, km.labels, km_pats)
-    km_spch = spatial_coherence(km_pats, data.neighborhoods)[0]
+    km_spch = spatial_coherence(km_pats.state_patterns, km_pats.rain_patterns,
+                                data.neighborhoods)[0]
 
     sp = baselines.spectral_cluster(baselines.similarity_hamming(ddv.T), K,
                                     seed=0)
@@ -299,9 +301,9 @@ def test_c7_prominence_robustness():
     for eta in (5.0, 7.0, 9.0):
         data, truth, weights, summary, patterns, fitted = fit_synth(
             spec, eta=eta)
-        prom = prominent_clusters(summary.u_mode, data.year_of_day, 5)
-        counts[eta] = len(prom)
-        assert 5 <= len(prom) <= 7
+        # the patterns are extracted from the mode state, u_mode's clusters
+        counts[eta] = int((patterns.year_counts >= 5).sum())
+        assert 5 <= counts[eta] <= 7
     report("C7", f"prominent counts {counts} for 6 planted patterns")
 
 
@@ -403,7 +405,8 @@ def test_c9_metric_oracles():
                 assert mean_len[u - 1] == pytest.approx(
                     sum(spells[u]) / len(spells[u]), rel=1e-10)
 
-        spch_state, spch_rain = spatial_coherence(pats, data.neighborhoods)
+        spch_state, spch_rain = spatial_coherence(
+            pats.state_patterns, pats.rain_patterns, data.neighborhoods)
         num_s = num_r = total = 0
         for k in range(Kp):
             for s in range(S):

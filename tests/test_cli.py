@@ -723,6 +723,14 @@ class TestExitCodes:
         ("eof", "baseline", "lasso_reg", -1.0),
         ("baseline", "metrics", "min_years", -3),
         ("fit", "metrics", "min_years", 0),
+        # the engine rejected these without naming the key, and refit
+        # read its frozen directory first
+        ("fit", "sampler", "samples", 0),
+        ("fit", "sampler", "burnin", -1),
+        ("fit", "sampler", "init", "best"),
+        ("refit", "sampler", "samples", 0),
+        ("refit", "sampler", "burnin", -1),
+        ("refit", "sampler", "init", "best"),
     ])
     def test_bad_config_value_names_it(self, synth_dir, capsys, command,
                                        section, key, value):
@@ -742,8 +750,11 @@ class TestExitCodes:
                 if command in ("baseline", "spect1", "eof") else [command])
         # refit checks its config before it reads the frozen directory
         args += ["--frozen", tmp_path / "no-fit"] * (command == "refit")
-        assert run(args + ["--config", bad, "--out", tmp_path / "x"]) == 2
+        out = tmp_path / "x"
+        assert run(args + ["--config", bad, "--out", out]) == 2
         assert f"error: config: {name}: " in capsys.readouterr().err
+        # the config is checked before the fit or clustering writes a file
+        assert not (out.exists() and any(out.iterdir()))
 
     @pytest.mark.parametrize("key,edit", [
         pytest.param("eta", lambda doc: doc.update(eta=float("nan")),

@@ -1,16 +1,21 @@
 """Evaluation metrics against brute-force re-derivations."""
 
 import math
+from itertools import groupby
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rainpatterns import LatentState, extract_patterns
+from rainpatterns.data import discretize_by_mean, make_dataset
 from rainpatterns.metrics import (adjusted_rand_index, aic,
                                   build_report, cluster_homogeneity,
-                                  distance_report, prominent_clusters,
-                                  read_metrics_csv, spatial_coherence,
-                                  spell_stats, wet_fraction)
+                                  distance_report, read_metrics_csv,
+                                  spatial_coherence, spell_stats,
+                                  wet_fraction)
 from rainpatterns.model import HIGH, LOW, PatternSet
 
 
@@ -29,21 +34,38 @@ def make_patterns(state_rows, rain_rows=None, T=4):
         pattern_volume=rain_rows.sum(axis=1))
 
 
+def coherence(pats, neighborhoods):
+    return spatial_coherence(pats.state_patterns, pats.rain_patterns,
+                             neighborhoods)
+
+
 class TestProminence:
+    """``build_report``'s ``prominent`` column on a 2 x 2 grid record."""
+
+    @staticmethod
+    def prominent(labels, years, min_years):
+        rain = np.random.default_rng(0).gamma(2.0, 5.0, (4, len(labels)))
+        data = make_dataset(rain, np.array([[0, 0], [1, 0], [0, 1], [1, 1]]),
+                            np.array(years))
+        states = discretize_by_mean(data)
+        state = LatentState(states, np.array(labels),
+                            np.ones(4, dtype=np.int64))
+        report = build_report(data, states, state.day_labels,
+                              extract_patterns(data, state), "test",
+                              min_years)
+        return report.per_cluster["prominent"].tolist()
+
     def test_five_year_span(self):
-        labels = np.array([1] * 5 + [2] * 5)
-        years = np.array([0, 1, 2, 3, 4, 0, 0, 0, 0, 0])
-        assert prominent_clusters(labels, years, 5) == {1}
+        # cluster 1 has a day in each of five years, cluster 2 five in one
+        labels = [1, 2, 2, 2, 2, 2, 1, 1, 1, 1]
+        years = [0, 0, 0, 0, 0, 0, 1, 2, 3, 4]
+        assert self.prominent(labels, years, 5) == [1.0, 0.0]
 
     def test_one_year_cluster_not_prominent(self):
-        labels = np.ones(100, dtype=int)
-        years = np.full(100, 3)
-        assert prominent_clusters(labels, years, 5) == set()
+        assert self.prominent([1] * 100, [3] * 100, 5) == [0.0]
 
     def test_min_years_one_keeps_everything(self):
-        labels = np.array([1, 2, 3])
-        years = np.array([0, 0, 0])
-        assert prominent_clusters(labels, years, 1) == {1, 2, 3}
+        assert self.prominent([1, 2, 3], [0, 0, 0], 1) == [1.0, 1.0, 1.0]
 
 
 class TestDistanceReport:
@@ -115,14 +137,14 @@ class TestSpatialCoherence:
 
     def test_constant_pattern_zero(self):
         pats = make_patterns([np.full(6, LOW)])
-        spch, _ = spatial_coherence(pats, self.line_neighborhoods(6))
+        spch, _ = coherence(pats, self.line_neighborhoods(6))
         assert spch == 0.0
 
     def test_alternating_line_is_one(self):
         # every neighbour pair disagrees on an alternating strip
         row = np.array([HIGH, LOW] * 4, dtype=np.int8)
         pats = make_patterns([row])
-        spch, _ = spatial_coherence(pats, self.line_neighborhoods(8))
+        spch, _ = coherence(pats, self.line_neighborhoods(8))
         assert spch == pytest.approx(1.0)
 
     def test_random_patterns_near_half(self):
@@ -132,13 +154,13 @@ class TestSpatialCoherence:
         vals = []
         for _ in range(1000):
             row = rng.integers(1, 3, n).astype(np.int8)
-            vals.append(spatial_coherence(make_patterns([row]), nbs)[0])
+            vals.append(coherence(make_patterns([row]), nbs)[0])
         assert abs(np.mean(vals) - 0.5) < 0.05
 
     def test_rain_guard_skips_tiny_reference(self):
         rain = np.array([[0.0, 5.0]])
         pats = make_patterns([[LOW, HIGH]], rain, T=2)
-        _, spch_rain = spatial_coherence(pats, self.line_neighborhoods(2))
+        _, spch_rain = coherence(pats, self.line_neighborhoods(2))
         # only the 5 -> 0 direction evaluates; 0 -> 5 is guarded out
         assert spch_rain == pytest.approx((5.0 / 5.0) / 2)
 
@@ -156,18 +178,17 @@ class TestSpatialCoherence:
         ref = np.abs(crp[:, ei])
         rel = np.where(ref >= 0.01, np.abs(crp[:, ej] - crp[:, ei])
                        / np.maximum(ref, 0.01), 0.0)
-        assert spatial_coherence(pats, nbs) == (
+        assert coherence(pats, nbs) == (
             float((cdp[:, ej] != cdp[:, ei]).sum() / total),
             float(rel.sum() / total))
-        assert spatial_coherence(pats, (np.array([], dtype=np.intp),)) \
-            == (0.0, 0.0)
+        assert coherence(pats, (np.array([], dtype=np.intp),)) == (0.0, 0.0)
 
     def test_in_unit_interval(self):
         rng = np.random.default_rng(1)
         nbs = self.line_neighborhoods(12)
         for _ in range(50):
             rows = rng.integers(1, 3, (3, 12)).astype(np.int8)
-            spch, _ = spatial_coherence(make_patterns(rows), nbs)
+            spch, _ = coherence(make_patterns(rows), nbs)
             assert 0.0 <= spch <= 1.0
 
 
@@ -208,6 +229,26 @@ class TestSpellStats:
                 spells = per_year[u - 1] * n_years
                 assert spells * mean_len[u - 1] == pytest.approx(
                     (labels == u).sum())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_run_by_run_loop(self, draw):
+        # dense labels 1..K; each year's days contiguous
+        T = draw.draw(st.integers(1, 40))
+        raw = draw.draw(hnp.arrays(np.int64, T, elements=st.integers(1, 6)))
+        labels = np.unique(raw, return_inverse=True)[1].reshape(T) + 1
+        years = np.sort(draw.draw(hnp.arrays(
+            np.int64, T, elements=st.integers(1901, 1905))))
+        per_year, mean_len = spell_stats(labels, years)
+        K = int(labels.max())
+        spells = {u: [] for u in range(1, K + 1)}
+        for (u, _), run in groupby(zip(labels.tolist(), years.tolist())):
+            spells[u].append(len(list(run)))
+        n_years = len(set(years.tolist()))
+        assert per_year.tolist() == [len(spells[u]) / n_years
+                                     for u in range(1, K + 1)]
+        assert mean_len.tolist() == [sum(spells[u]) / len(spells[u])
+                                     for u in range(1, K + 1)]
 
 
 class TestWetFraction:
