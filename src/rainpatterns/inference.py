@@ -22,7 +22,9 @@ shifted slices of the other parity.  The Gamma term stays in day order.
 
 A label sweep draws all of its uniforms at once (the same stream as one
 draw per label) and picks each label in plain Python from a handful of
-candidate weights.
+candidate weights.  An item whose label leads every rival by more than
+``GAP`` nats keeps it without a draw: the draw would provably return it, so
+the labels, the tables and the stream are those of drawing it.
 
 Every conditional has one implementation on the engine:
 ``cell_log_weights``, ``day_log_weights`` and ``loc_log_weights``.  The
@@ -46,6 +48,17 @@ from .model import (HIGH, LOW, RAIN_EPS, VAR_FLOOR, LatentState, ModelParams,
                     joint_log_density, log_day_cohesion, log_gamma, matches)
 
 INIT_STRATEGIES = ("data", "pattern", "random")
+
+# The lead, in nats, that makes a label draw certain.  When every rival's
+# log-weight is at least GAP below the top, _draw_label's running sum of
+# exp(w - top) over n candidates stays below n·e^-GAP < 2^-53 before the top
+# and, as 1 + x rounds to 1 for x < 2^-53, is exactly 1.0 from the top on.
+# numpy's random() returns multiples of 2^-53 below 1, so any u > 0 lands on
+# the top.  Any GAP with n·e^-GAP < 2^-53 gives identical draws, so this is
+# a correctness bound, not a tuning knob: 60 nats cover about 1e10
+# candidates and the 61st is slack for the rounding of the scores that
+# _LabelTables.decided compares.
+GAP = 61.0
 
 
 @dataclass
@@ -209,6 +222,7 @@ class _LabelTables:
     def __init__(self, labels, rows, align, years, aggregate=None):
         self.labels = labels
         self.rows = rows
+        self._terms = align, aggregate
         self.align = align.T.tolist()
         self.aggregate = None if aggregate is None else aggregate.tolist()
         self.years = years.tolist()
@@ -224,6 +238,35 @@ class _LabelTables:
     @staticmethod
     def _joins(n: int, m: int) -> tuple[float, float]:
         return math.log(max(n, 1)), math.log(max(n * (m + 1), 1))
+
+    def decided(self, scale: float, log_alpha: float) -> np.ndarray:
+        """Items whose draw keeps their label, while it has another member,
+        for any uniform above 0 (see ``GAP``).
+
+        Item i scores B[r, i] = scale · align[r, i] at pattern row r, plus
+        the aggregate term for days.  Join weights lie in [0, J], J =
+        log(n_items · (n_years + 1)), so i's own label weighs at least its
+        score, a rival at most its score plus J, a label without a row at
+        most J and the new label log α.  Item i is decided when its label's
+        row leads the next best row, 0 and log α by more than GAP + J.
+        Scores past 2^40, whose rounding could exceed GAP's spare nat,
+        decide nothing.
+        """
+        align, aggregate = self._terms
+        n = len(self.labels)
+        own = np.asarray(self.rows)[self.labels - 1]
+        scores = scale * align
+        if aggregate is not None:
+            scores += aggregate.T
+        if not (len(scores) and -2.0 ** 40 < scores.min()
+                and scores.max() < 2.0 ** 40):
+            return np.zeros(n, dtype=bool)
+        # each item's own score, then its rivals' best: own rows set to -inf
+        cols = np.arange(n)
+        lead = scores[own, cols]
+        scores[own, cols] = -np.inf
+        lead -= np.maximum(scores.max(axis=0), max(0.0, log_alpha))
+        return (own >= 0) & (lead > GAP + math.log(n * (self.n_years + 1)))
 
     def _count(self, i: int, label: int, step: int) -> None:
         k = label - 1
@@ -569,15 +612,26 @@ class _GibbsEngine:
             logw.append(math.log(concentration))
         return cand, logw
 
-    def _label_sweep(self, tables, log_weights) -> None:
+    def _label_sweep(self, tables, log_weights, strength,
+                     concentration) -> None:
         """Redraw each label in turn from ``log_weights(i, tables)``.
 
-        The sweep's uniforms are drawn at once, one per label.  Unless
-        frozen, an emptied label is removed so that labels stay dense.
+        The sweep's uniforms are drawn at once, one per label.  An item that
+        ``tables.decided`` names keeps its label without a draw when its
+        uniform is above 0 (u = 0 can pick an earlier candidate) and its
+        label has another member at its turn; drawing it would put it back
+        where it was.  Unless frozen, an emptied label is removed so that
+        labels stay dense.
         """
         labels = tables.labels
-        for i, u in enumerate(self.rng.random(len(labels)).tolist()):
+        uniforms = self.rng.random(len(labels))
+        decided = tables.decided(strength * self.align_scale,
+                                 math.log(concentration)) & (uniforms > 0)
+        for i, (u, sure) in enumerate(zip(uniforms.tolist(),
+                                          decided.tolist())):
             old = int(labels[i])
+            if sure and tables.counts[old - 1] >= 2:
+                continue
             tables.take_out(i)
             pick = _draw_label(*log_weights(i, tables), u)
             tables.put(i, pick)
@@ -585,10 +639,12 @@ class _GibbsEngine:
                 tables.drop(old)
 
     def u_sweep(self) -> None:
-        self._label_sweep(self._day_tables(), self.day_log_weights)
+        self._label_sweep(self._day_tables(), self.day_log_weights,
+                          self.params.day_align, self.params.day_concentration)
 
     def v_sweep(self) -> None:
-        self._label_sweep(self._loc_tables(), self.loc_log_weights)
+        self._label_sweep(self._loc_tables(), self.loc_log_weights,
+                          self.params.loc_align, self.params.loc_concentration)
 
     # --------------------------------------------------------------- merges
 

@@ -1,11 +1,12 @@
 """Gibbs conditionals, sweeps, parameter updates, refit behaviour."""
 
+import copy
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rainpatterns import (HIGH, LOW, LatentState, ModelParams, SamplerConfig,
                           SyntheticSpec, ValidationError,
@@ -349,6 +350,143 @@ def test_label_tables_track_moves(data):
             tables.drop(old)
         assert_counts_from_scratch(tables, range(n))
         assert len(tables.rows) == int(tables.labels.max())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_draw_label_picks_a_top_ahead_by_gap(data):
+    # the premise of the skip in _label_sweep: a candidate that leads every
+    # other by GAP nats, in any position, is drawn by every uniform numpy's
+    # random() can return above 0, the multiples of 2^-53 below 1
+    n = data.draw(st.integers(1, 40), label="candidates")
+    at = data.draw(st.integers(0, n - 1), label="position")
+    top = data.draw(st.floats(-1e3, 1e3), label="top")
+    logw = [top - inference.GAP - d
+            for d in data.draw(st.lists(st.floats(0, 1e3), min_size=n - 1,
+                                        max_size=n - 1), label="behind")]
+    logw.insert(at, top)
+    assume(all(top - w >= inference.GAP for w in logw[:at] + logw[at + 1:]))
+    cand = list(range(1, n + 1))
+    k = data.draw(st.integers(1, 2 ** 53 - 1), label="u / 2^-53")
+    for u in (2.0 ** -53, 1.0 - 2.0 ** -53, k * 2.0 ** -53):
+        assert _draw_label(cand, logw, u) == cand[at]
+
+
+def test_zero_uniform_can_pick_a_weight_far_below_the_top():
+    # why a decided item also needs u > 0: exp(-500) exceeds 0 = u · sum
+    assert _draw_label([1, 2], [-500.0, 0.0], 0.0) == 1
+    assert _draw_label([1, 2], [-500.0, 0.0], 2.0 ** -53) == 2
+
+
+class TestDecidedItemsSkipTheDraw:
+    """u_sweep and v_sweep as written against the same sweeps with GAP at
+    infinity, where every item takes the exact draw: the same labels, label
+    tables and generator state, and fewer draws."""
+
+    @pytest.fixture(scope="class")
+    def planted(self):
+        spec = SyntheticSpec(n_locations=144, n_days=120, n_day_patterns=3,
+                             n_loc_groups=4, n_years=4, flip_noise=0.05,
+                             seed=3)
+        data, truth = generate_synthetic(spec)
+        return data, compute_spatial_weights(data), truth
+
+    def fit_engine(self, planted, sweeps=3):
+        data, weights, _ = planted
+        params = ModelParams(day_align=9.0, loc_align=2.0,
+                             aggregate_sd=float(data.aggregate.std()))
+        engine = _GibbsEngine(data, weights, params,
+                              SamplerConfig(n_burnin=0, n_samples=1, seed=4))
+        for _ in range(sweeps):
+            engine.sweep()
+        return engine
+
+    @staticmethod
+    def label_sweeps(engine, monkeypatch, gap):
+        """A copy of ``engine`` after u_sweep and v_sweep with ``GAP`` =
+        gap, the label tables they built and their number of draws."""
+        engine = copy.deepcopy(engine)
+        made, draws = [], []
+
+        class Recorded(_LabelTables):
+            def __init__(self, *args, **kw):
+                super().__init__(*args, **kw)
+                made.append(self)
+
+        def counted(*args):
+            draws.append(args)
+            return _draw_label(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(inference, "GAP", gap)
+            m.setattr(inference, "_LabelTables", Recorded)
+            m.setattr(inference, "_draw_label", counted)
+            engine.u_sweep()
+            engine.v_sweep()
+        return engine, made, len(draws)
+
+    def assert_same_sweeps(self, engine, monkeypatch):
+        fast, fast_tables, fast_draws = self.label_sweeps(
+            engine, monkeypatch, inference.GAP)
+        exact, exact_tables, exact_draws = self.label_sweeps(
+            engine, monkeypatch, math.inf)
+        assert np.array_equal(fast.state.day_labels, exact.state.day_labels)
+        assert np.array_equal(fast.state.loc_labels, exact.state.loc_labels)
+        for a, b in zip(fast_tables, exact_tables, strict=True):
+            for name in ("counts", "per_year", "spans", "joins", "rows"):
+                assert getattr(a, name) == getattr(b, name), name
+        assert fast.rng.bit_generator.state == exact.rng.bit_generator.state
+        assert exact_draws == engine.T + engine.S
+        assert fast_draws < exact_draws
+        return fast
+
+    @pytest.mark.parametrize("scale", [0.15, 1.0])
+    def test_fit(self, planted, scale, monkeypatch):
+        engine = self.fit_engine(planted)
+        engine.align_scale = scale
+        self.assert_same_sweeps(engine, monkeypatch)
+
+    def test_a_new_label_as_heavy_as_the_top(self, planted, monkeypatch):
+        # log α at the locations' median best score: a new label rivals
+        # their own labels, so no location may keep its label undrawn
+        engine = self.fit_engine(planted)
+        align, _ = engine._loc_tables()._terms
+        best = engine.params.loc_align * align.max(axis=0)
+        engine.params = engine.params.replace(
+            loc_concentration=math.exp(float(np.median(best))))
+        fast = self.assert_same_sweeps(engine, monkeypatch)
+        assert fast.state.n_loc_clusters > engine.state.n_loc_clusters
+
+    def test_frozen_refit_with_an_occupied_overflow_label(self, planted,
+                                                          monkeypatch):
+        data, weights, truth = planted
+        pats = extract_patterns(data, truth)
+        params = fitted_params(data, truth, day_align=9.0, loc_align=2.0)
+        engine = _GibbsEngine(data, weights, params,
+                              SamplerConfig(n_burnin=0, n_samples=1, seed=6),
+                              frozen=pats)
+        engine.state.day_labels[:5] = pats.n_day_patterns + 1
+        engine.state.loc_labels[:3] = pats.n_loc_series + 1
+        self.assert_same_sweeps(engine, monkeypatch)
+
+    def test_a_decided_lone_member_is_drawn(self, planted, monkeypatch):
+        # day 0 and location 0, their states inverted and each alone in its
+        # label, score best at their own pattern rows by far, yet their draws
+        # cannot keep those labels
+        engine = self.fit_engine(planted)
+        state = engine.state
+        state.states[:, 0] = HIGH + LOW - state.states[:, 0]
+        state.states[0, 1:] = HIGH + LOW - state.states[0, 1:]
+        state.day_labels[0] = state.n_day_clusters + 1
+        state.loc_labels[0] = state.n_loc_clusters + 1
+        engine.refresh()
+        p = engine.params
+        for tables, strength, concentration in [
+                (engine._day_tables(), p.day_align, p.day_concentration),
+                (engine._loc_tables(), p.loc_align, p.loc_concentration)]:
+            assert tables.decided(strength, math.log(concentration))[0]
+            assert tables.counts[tables.labels[0] - 1] == 1
+        self.assert_same_sweeps(engine, monkeypatch)
 
 
 class TestLeaderInit:
