@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
+import io
 import itertools
 import math
 import os
@@ -37,7 +38,7 @@ RAINFALL_HEADER = ["loc_id", "day_index", "year", "rain_mm"]
 _LOCATIONS_DTYPE = np.dtype([(name, np.int64) for name in LOCATIONS_HEADER])
 _RAINFALL_DTYPE = np.dtype([("loc_id", np.int64), ("day_index", np.int64),
                             ("year", np.int64), ("rain_mm", np.float64)])
-# rows formatted per block when writing, which bounds the Python objects alive
+# rows encoded per block when writing, which bounds the memory a block holds
 _WRITE_BLOCK = 1 << 16
 # the sidecar's key starts with this tag; a new tag retires every old sidecar,
 # so change it whenever the arrays a sidecar holds or their meaning change
@@ -474,17 +475,50 @@ def _parse_dataset(locations_file, rain_file) -> RainfallDataset:
 def _write_csv(path, header: list[str], *columns) -> None:
     """Write a numeric CSV from whole columns, one line per index.
 
-    Integers are written in decimal and floats as their ``repr``, with the
-    header in csv quoting and csv's ``\\r\\n`` line ends.
+    Integers are written in decimal and every other value as its ``repr``,
+    with the header in csv quoting and csv's ``\\r\\n`` line ends.  Each
+    block of rows is encoded column by column and written at once.
     """
     columns = [np.asarray(c) for c in columns]
-    line = ",".join(["%r"] * len(columns)) + "\r\n"
     n = len(columns[0]) if columns else 0
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(header)
+    head = io.StringIO()
+    csv.writer(head).writerow(header)
+    with open(path, "wb") as fh:
+        fh.write(head.getvalue().encode())
         for i in range(0, n, _WRITE_BLOCK):
-            block = [c[i:i + _WRITE_BLOCK].tolist() for c in columns]
-            fh.writelines(line % row for row in zip(*block))
+            cells = [_encode_cells(c[i:i + _WRITE_BLOCK]) for c in columns]
+            # a row per line: each field NUL-padded to its column's width and
+            # followed by ","; the last "," and one more byte end the line
+            lines = np.zeros((len(cells[0]),
+                              sum(c.itemsize + 1 for c in cells) + 1),
+                             dtype=np.uint8)
+            end = 0
+            for c in cells:
+                start, end = end, end + c.itemsize
+                lines[:, start:end] = c.view(np.uint8).reshape(len(c), -1)
+                lines[:, end] = ord(",")
+                end += 1
+            lines[:, -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
+            fh.write(lines[lines != 0])
+
+
+def _encode_cells(values: np.ndarray) -> np.ndarray:
+    """The text of each of a non-empty block of values, as NUL-padded bytes.
+
+    An integer indexes a table of the decimal texts of the block's values:
+    of its range when that is shorter than the block, else of its distinct
+    values, so the table never outgrows the block.
+    """
+    if values.dtype.kind not in "iu":
+        return np.array([repr(v) for v in values.tolist()], dtype="S")
+    lo, hi = int(values.min()), int(values.max())
+    if hi - lo < len(values):
+        wide = np.int64 if values.dtype.kind == "i" else np.uint64
+        table, index = range(lo, hi + 1), values.astype(wide) - wide(lo)
+    else:
+        table, index = np.unique(values, return_inverse=True)
+        table = table.tolist()
+    return np.array([b"%d" % v for v in table])[index]
 
 
 def save_dataset(d: RainfallDataset, locations_file, rain_file) -> None:

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -119,6 +121,21 @@ def brute_force_log_density(data, weights, state, params, pats):
         if mu is not None and u <= len(mu):
             total += -0.5 * ((y[t] - mu[u - 1]) / params.aggregate_sd) ** 2
     return total
+
+
+def brute_force_csv(header, *columns) -> bytes:
+    """The bytes of a numeric CSV, formatted one row at a time.
+
+    The one reference for ``data._write_csv``: the header in csv quoting,
+    then per row each field's Python value as ``%r``, joined by commas and
+    ended by csv's ``\\r\\n``.
+    """
+    out = io.StringIO(newline="")
+    csv.writer(out).writerow(header)
+    line = ",".join(["%r"] * len(columns)) + "\r\n"
+    out.writelines(line % row for row in
+                   zip(*(np.asarray(c).tolist() for c in columns)))
+    return out.getvalue().encode()
 
 
 def cell_weights(engine, s, t):

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from functools import partial
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -27,6 +28,8 @@ from rainpatterns.data import (_read_table, _write_csv, make_dataset,
                                write_state)
 from rainpatterns.metrics import (MetricsReport, adjusted_rand_index,
                                   read_metrics_csv)
+
+from conftest import brute_force_csv
 
 
 def run(args):
@@ -309,6 +312,16 @@ class TestBaseline:
             vecs[int(r[1]), int(r[0])] = float(r[2])
         assert np.allclose(vecs.T @ vecs, np.eye(25), atol=1e-8)
         assert (out / "lasso_coefs.csv").exists()
+
+    def test_eof_without_coefficients_writes_the_header(self, synth_dir):
+        # a penalty this large zeroes every LASSO coefficient
+        tmp_path, _ = synth_dir
+        cfg = write_config(tmp_path, baseline={"lasso_reg": 1e12})
+        out = tmp_path / "eof"
+        assert run(["baseline", "--method", "eof", "--config", cfg,
+                    "--out", out]) == 0
+        assert (out / "lasso_coefs.csv").read_bytes() \
+            == b"day_index,mode_id,coef\r\n"
 
     def test_spect2_recovers_clean_patterns(self, tmp_path):
         cfg = write_config(tmp_path, synth={"noise": 0.0, "seed": 8})
@@ -678,6 +691,59 @@ class TestRunFileRoundTrip:
             == {name: {cid: value.hex() for cid, value in
                        enumerate(values, start=1)}
                 for name, values in per_cluster.items()}
+
+
+def table_columns(n):
+    """Columns of n values of every dtype the run tables hold, integers to
+    the ends of their range and doubles to nan."""
+    def ints(dtype):
+        info = np.iinfo(dtype)
+        return hnp.arrays(dtype, n, elements=st.one_of(
+            st.sampled_from([info.min, info.max]),
+            st.integers(info.min, info.max)))
+    return st.one_of(
+        *map(ints, (np.int8, np.int32, np.int64, np.uint8)),
+        hnp.arrays(np.bool_, n),
+        hnp.arrays(np.float64, n,
+                   elements=st.one_of(any_doubles(), st.just(np.nan))))
+
+
+class TestTableWriter:
+    """``_write_csv`` writes the bytes of the row-by-row reference writer."""
+
+    @staticmethod
+    def written(header, *columns):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.csv"
+            _write_csv(path, header, *columns)
+            return path.read_bytes()
+
+    @given(st.integers(0, 50), st.integers(1, 7), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_row_by_row_writer(self, n, block, data):
+        columns = data.draw(st.lists(table_columns(n), min_size=1,
+                                     max_size=4))
+        header = [f"c{i}" for i in range(len(columns))]
+        # blocks of 1-7 rows put block boundaries inside the table
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("rainpatterns.data._WRITE_BLOCK", block)
+            assert self.written(header, *columns) \
+                == brute_force_csv(header, *columns)
+
+    @pytest.mark.parametrize("column", [
+        np.repeat(np.array([0, 2 ** 62]), 500),
+        np.r_[np.iinfo(np.int64).min, np.iinfo(np.int64).max,
+              np.random.default_rng(0).integers(-2 ** 63, 2 ** 63, 998)]])
+    def test_wide_integer_range_writes_in_bounded_memory(self, column):
+        # a table of every decimal in the column's range would not fit
+        tracemalloc.start()
+        try:
+            got = self.written(["x"], column)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == brute_force_csv(["x"], column)
+        assert peak < 1 << 20
 
 
 class TestExitCodes:
