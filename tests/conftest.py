@@ -1,14 +1,19 @@
 import csv
 import io
+import itertools
 import math
+from collections import Counter
+from contextlib import ExitStack
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from rainpatterns import (HIGH, LOW, ModelParams, SamplerConfig,
-                          SyntheticSpec, compute_spatial_weights,
-                          extract_patterns, generate_synthetic,
-                          joint_log_density)
+from rainpatterns import (HIGH, LOW, LatentState, ModelParams,
+                          SamplerConfig, SyntheticSpec,
+                          compute_spatial_weights, extract_patterns,
+                          generate_synthetic, joint_log_density)
+from rainpatterns import inference
 from rainpatterns.data import SpatialWeights, make_dataset
 from rainpatterns.inference import _GibbsEngine
 from rainpatterns.model import (RAIN_EPS, crp_log_prior_days,
@@ -165,3 +170,83 @@ def flip_delta(engine, s, t):
                                       params, engine.patterns))
     return float(w[0, 0] - w[1, 0]), logp[0] - logp[1]
 
+
+
+# The whole-sweep check's record: two adjacent locations, three days over
+# two years, rain from Gamma(2, scale 3); and its fixed Gamma parameters,
+# the same at both locations
+WHOLE_SWEEP_SHAPE = np.array([[3.0, 1.0], [3.0, 1.0]])
+WHOLE_SWEEP_RATE = np.array([[0.5, 1.0], [0.5, 1.0]])
+
+
+def whole_sweep_setup(day_align=0.0, loc_align=0.0):
+    """(data, weights, params) of the whole-sweep check, the aggregate term
+    off (``aggregate_sd`` = inf) and the Gamma parameters fixed."""
+    rain = np.random.default_rng(0).gamma(2.0, 3.0, (2, 3))
+    data = make_dataset(rain, np.array([[0, 0], [1, 0]]), np.array([0, 0, 1]))
+    params = ModelParams(day_align=day_align, loc_align=loc_align,
+                         aggregate_sd=math.inf,
+                         gamma_shape=WHOLE_SWEEP_SHAPE,
+                         gamma_rate=WHOLE_SWEEP_RATE)
+    return data, compute_spatial_weights(data), params
+
+
+def partitions(n):
+    """Every partition of n items, each as its canonical labelling."""
+    out = [(0,)]
+    for _ in range(n - 1):
+        out = [p + (k,) for p in out for k in range(max(p) + 2)]
+    return out
+
+
+def canonical(labels):
+    """The partition a labelling makes: labels renumbered 0, 1, ... in the
+    order they first appear."""
+    first = {}
+    return tuple(first.setdefault(u, len(first)) for u in labels.tolist())
+
+
+def exact_day_partition_law(data, weights, params):
+    """The law of the day partition under ``joint_log_density``, each state
+    scored with its own ``extract_patterns``: enumerated over every cell
+    state, day partition and location partition."""
+    S, T = data.rain.shape
+    logp = {}
+    for u, v in itertools.product(partitions(T), partitions(S)):
+        for z in itertools.product((HIGH, LOW), repeat=S * T):
+            state = LatentState(np.array(z, dtype=np.int8).reshape(S, T),
+                                np.array(u) + 1, np.array(v) + 1)
+            logp.setdefault(u, []).append(joint_log_density(
+                data, weights, state, params, extract_patterns(data, state)))
+    top = max(map(max, logp.values()))
+    mass = {u: sum(math.exp(x - top) for x in xs) for u, xs in logp.items()}
+    total = sum(mass.values())
+    return {u: m / total for u, m in mass.items()}
+
+
+def chain_day_partition_law(data, weights, params, n_sweeps, merge=False):
+    """The day partitions' frequencies over ``n_sweeps`` whole sweeps from
+    ``random`` init at ``align_scale`` 1, the Gamma parameters held at
+    ``params``' and the merge move on or off."""
+    def fixed(data, state, work=None):
+        return (params.gamma_shape, params.gamma_rate,
+                np.zeros(state.n_day_clusters))
+
+    with ExitStack() as patches:
+        patches.enter_context(mock.patch.object(
+            inference, "update_params_ml", fixed))
+        if not merge:
+            patches.enter_context(mock.patch.object(
+                inference._GibbsEngine, "merge_sweep", lambda engine: None))
+        engine = _GibbsEngine(data, weights, params, SamplerConfig(
+            n_burnin=0, n_samples=1, seed=0, init="random"))
+        tally = Counter()
+        for _ in range(n_sweeps):
+            engine.sweep()
+            tally[canonical(engine.state.day_labels)] += 1
+    return {u: n / n_sweeps for u, n in tally.items()}
+
+
+def total_variation(p, q):
+    return 0.5 * sum(abs(p.get(u, 0.0) - q.get(u, 0.0))
+                     for u in set(p) | set(q))

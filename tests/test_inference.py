@@ -21,7 +21,9 @@ from rainpatterns.inference import (_GibbsEngine, _LabelTables,
 from rainpatterns.metrics import adjusted_rand_index
 from rainpatterns.model import (RAIN_EPS, crp_log_prior_days,
                                 crp_log_prior_locations)
-from conftest import cell_weights, engine_at, fitted_params, flip_delta
+from conftest import (cell_weights, chain_day_partition_law, engine_at,
+                      exact_day_partition_law, fitted_params, flip_delta,
+                      total_variation, whole_sweep_setup)
 
 
 def random_instance(seed, S=4, T=3, n_years=2):
@@ -487,6 +489,24 @@ class TestDecidedItemsSkipTheDraw:
             assert tables.decided(strength, math.log(concentration))[0]
             assert tables.counts[tables.labels[0] - 1] == 1
         self.assert_same_sweeps(engine, monkeypatch)
+
+
+def test_whole_sweep_samples_the_enumerated_partition_law():
+    # 5000 sweeps, each its cell, label and refresh steps, at η = ζ = 0 with
+    # the merge off, against the day-partition law of the joint enumerated
+    # over all 640 states.  The bound is √2 times the 99th percentile of
+    # the TV of as many iid draws from that law: the √2 admits an
+    # integrated autocorrelation time up to 2 for each partition's
+    # indicator (this chain's read 0.75-1.22).
+    data, weights, params = whole_sweep_setup()
+    exact = exact_day_partition_law(data, weights, params)
+    n = 5000
+    chain = chain_day_partition_law(data, weights, params, n)
+    p = np.array(list(exact.values()))
+    iid = 0.5 * np.abs(np.random.default_rng(1).multinomial(n, p, size=4000)
+                       / n - p).sum(axis=1)
+    assert total_variation(chain, exact) <= math.sqrt(2) * np.quantile(
+        iid, 0.99)
 
 
 class TestLeaderInit:
