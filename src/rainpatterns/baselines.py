@@ -17,11 +17,10 @@ LLOYD_MAX_ITER = 500
 
 @dataclass
 class ClusteringResult:
-    """Dense 1-based labels with optional cluster centers and state patterns."""
+    """Dense 1-based labels with optional cluster centers."""
 
     labels: np.ndarray
     centers: np.ndarray | None = None
-    state_patterns: np.ndarray | None = None
     objective: float | None = None
     objective_history: np.ndarray | None = None
 

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -317,7 +318,8 @@ def cmd_fit(cfg: dict) -> int:
     return 0
 
 
-def _baseline_clustering(cfg: dict, data: RainfallDataset, method: str):
+def _baseline_clustering(cfg: dict, data: RainfallDataset, method: str,
+                         states: np.ndarray):
     k = _value(cfg, "baseline", "k", int)
     if not 1 <= k <= data.n_days:
         raise ValidationError(f"config: baseline.k: the {method} baseline "
@@ -332,32 +334,29 @@ def _baseline_clustering(cfg: dict, data: RainfallDataset, method: str):
             "null or finite and > 0", null_ok=True))
         result = baselines.spectral_cluster(sim, k, seed=seed)
     elif method == "spect2":
-        sim = baselines.similarity_hamming(discretize_by_mean(data).T)
+        sim = baselines.similarity_hamming(states.T)
         result = baselines.spectral_cluster(sim, k, seed=seed)
     else:
         raise ValidationError(f"unknown baseline method {method!r}")
-    if result.centers is None:
-        result.centers = baselines.cluster_means(drvs, result.labels)
-    result.state_patterns = baselines.derive_state_patterns(
-        result.centers, data.rain.mean(axis=1))
     return result
 
 
-def baseline_patterns(data: RainfallDataset,
+def baseline_patterns(data: RainfallDataset, states: np.ndarray,
                       result: baselines.ClusteringResult) -> PatternSet:
-    """Package a day clustering as a pattern set (all locations one series)."""
-    state = LatentState(states=discretize_by_mean(data),
+    """Package a day clustering of the thresholded ``states`` as a pattern
+    set (all locations one series).  The rain patterns are the method's
+    centers, or its cluster means, not the state mode; the state patterns
+    threshold them at each location's mean."""
+    state = LatentState(states=states,
                         day_labels=np.asarray(result.labels, dtype=np.int64),
                         loc_labels=np.ones(data.n_locations, dtype=np.int64))
-    patterns = extract_patterns(data, state)
-    # baseline patterns come from the method's own centers, not the state mode
-    return PatternSet(rain_patterns=result.centers,
-                      state_patterns=result.state_patterns,
-                      rain_series=patterns.rain_series,
-                      state_series=patterns.state_series,
-                      day_counts=patterns.day_counts,
-                      year_counts=patterns.year_counts,
-                      pattern_volume=result.centers.sum(axis=1))
+    centers = result.centers
+    if centers is None:
+        centers = baselines.cluster_means(data.rain.T, result.labels)
+    return replace(extract_patterns(data, state), rain_patterns=centers,
+                   state_patterns=baselines.derive_state_patterns(
+                       centers, data.rain.mean(axis=1)),
+                   pattern_volume=centers.sum(axis=1))
 
 
 def cmd_baseline(cfg: dict, method: str) -> int:
@@ -366,13 +365,14 @@ def cmd_baseline(cfg: dict, method: str) -> int:
     if method == "eof":
         return _cmd_baseline_eof(cfg, data, out)
     min_years = _min_years(cfg)
-    result = _baseline_clustering(cfg, data, method)
-    patterns = baseline_patterns(data, result)
+    states = discretize_by_mean(data)
+    result = _baseline_clustering(cfg, data, method, states)
+    patterns = baseline_patterns(data, states, result)
     _write_csv(out / "assign_u.csv", ["day_index", "u_mode"],
                np.arange(len(result.labels)), result.labels)
     _write_patterns(out, patterns)
-    report = build_report(data, discretize_by_mean(data), result.labels,
-                          patterns, method=method, min_years=min_years)
+    report = build_report(data, states, result.labels, patterns,
+                          method=method, min_years=min_years)
     _write_report(out, report)
     _dump_config(cfg, out, {"method": method})
     print(f"{method}: {patterns.n_day_patterns} clusters, "

@@ -214,17 +214,16 @@ class _LabelTables:
     lack i's year; ``joins`` holds both logs, floored at log 1 for an empty
     label (locations all share year 0).  A move updates one label's count
     and, when a year's count leaves or reaches zero, its span.  ``rows``
-    maps labels to pattern rows; a label born here maps to none.  ``align``
-    and ``aggregate`` hold each item's alignment and aggregate term per
-    pattern row, as Python floats.
+    maps labels to pattern rows; a label born here maps to none.
+    ``scores`` holds each item's scaled alignment term per pattern row,
+    (rows × items), and ``aggregate``, for days, its aggregate term.
     """
 
-    def __init__(self, labels, rows, align, years, aggregate=None):
+    def __init__(self, labels, rows, scores, years, aggregate=None):
         self.labels = labels
         self.rows = rows
-        self._terms = align, aggregate
-        self.align = align.T.tolist()
-        self.aggregate = None if aggregate is None else aggregate.tolist()
+        self.scores = scores
+        self.aggregate = aggregate
         self.years = years.tolist()
         self.n_years = max(self.years) + 1
         per_year = np.bincount((labels - 1) * self.n_years + years,
@@ -239,12 +238,12 @@ class _LabelTables:
     def _joins(n: int, m: int) -> tuple[float, float]:
         return math.log(max(n, 1)), math.log(max(n * (m + 1), 1))
 
-    def decided(self, scale: float, log_alpha: float) -> np.ndarray:
+    def decided(self, log_alpha: float) -> np.ndarray:
         """Items whose draw keeps their label, while it has another member,
         for any uniform above 0 (see ``GAP``).
 
-        Item i scores B[r, i] = scale · align[r, i] at pattern row r, plus
-        the aggregate term for days.  Join weights lie in [0, J], J =
+        Item i scores B[r, i] = scores[r, i] at pattern row r, plus the
+        aggregate term for days.  Join weights lie in [0, J], J =
         log(n_items · (n_years + 1)), so i's own label weighs at least its
         score, a rival at most its score plus J, a label without a row at
         most J and the new label log α.  Item i is decided when its label's
@@ -252,12 +251,10 @@ class _LabelTables:
         Scores past 2^40, whose rounding could exceed GAP's spare nat,
         decide nothing.
         """
-        align, aggregate = self._terms
         n = len(self.labels)
         own = np.asarray(self.rows)[self.labels - 1]
-        scores = scale * align
-        if aggregate is not None:
-            scores += aggregate.T
+        scores = (self.scores.copy() if self.aggregate is None
+                  else self.scores + self.aggregate)
         if not (len(scores) and -2.0 ** 40 < scores.min()
                 and scores.max() < 2.0 ** 40):
             return np.zeros(n, dtype=bool)
@@ -363,10 +360,10 @@ class _GibbsEngine:
         self._init_state(frozen)
         if self.frozen:
             self.patterns = frozen
-            self.mu = np.asarray(params.aggregate_mean, dtype=float)
-            self.alpha = params.gamma_shape
-            self.beta = params.gamma_rate
+            self.params = replace(params, aggregate_mean=np.asarray(
+                params.aggregate_mean, dtype=float))
             self._refresh_logdens()
+            self._set_pattern_views()
         else:
             self.refresh()
 
@@ -417,9 +414,12 @@ class _GibbsEngine:
         self.patterns = extract_patterns(self.data, self.state)
         # update_params_ml's scratch, in place of a fresh (S, T) array per
         # sweep: a Gamma-term plane, which _refresh_logdens rewrites next
-        self.alpha, self.beta, self.mu = update_params_ml(
-            self.data, self.state, self.logdens[0])
+        shape, rate, mu = update_params_ml(self.data, self.state,
+                                           self.logdens[0])
+        self.params = replace(self.params, gamma_shape=shape,
+                              gamma_rate=rate, aggregate_mean=mu)
         self._refresh_logdens()
+        self._set_pattern_views()
 
     def _refresh_logdens(self) -> None:
         """The Gamma term of both states, written in place.
@@ -428,7 +428,7 @@ class _GibbsEngine:
         joint density does.  A term that is not finite is a ``NumericError``
         naming its location.
         """
-        a, b = self.alpha, self.beta
+        a, b = self.params.gamma_shape, self.params.gamma_rate
         lg = log_gamma(a)
         x, logx = self.data.rain_floored, self.data.log_rain
         with np.errstate(over="ignore", invalid="ignore"):
@@ -441,11 +441,6 @@ class _GibbsEngine:
         if not finite.all():
             raise self.data.numeric_error(int(finite.argmin()),
                                           "gives a non-finite Gamma term")
-
-    def snapshot_params(self) -> ModelParams:
-        return self.params.replace(gamma_shape=self.alpha,
-                                   gamma_rate=self.beta,
-                                   aggregate_mean=self.mu)
 
     # -------------------------------------------------------------- Z sweep
 
@@ -495,33 +490,28 @@ class _GibbsEngine:
 
         eta = p.day_align * self.align_scale
         zeta = p.loc_align * self.align_scale
-        rows_u = self._rowmap_u[self.state.day_labels[d::2] - 1]
-        pat = self._pattern_cols[s_idx][:, rows_u]
-        rows_v = self._rowmap_v[self.state.loc_labels[s_idx] - 1]
-        ser = self._series[rows_v, d::2]
+        pat = self._pattern_cols[s_idx][:, np.minimum(
+            self.state.day_labels[d::2] - 1, self.patterns.n_day_patterns)]
+        ser = self._series[np.minimum(self.state.loc_labels[s_idx] - 1,
+                                      self.patterns.n_loc_series), d::2]
         for k, code in enumerate((HIGH, LOW)):
             w[k] += eta * (pat == code)
             w[k] += zeta * (ser == code)
             w[k] += self.logdens[k, s_idx, d::2]
         return w.reshape(2, -1)
 
-    def _set_rowmaps(self) -> None:
-        """Label -> pattern-row maps for the current labels and patterns.
+    def _set_pattern_views(self) -> None:
+        """The z-sweep's views of the patterns, rebuilt when they change.
 
-        Row -1 (no pattern row) picks a sentinel row of zeros, which matches
-        neither state.
+        A label without a pattern row picks the sentinel row of zeros past
+        the pattern rows, which matches neither state.
         """
-        self._rowmap_u = _row_map(self.state.n_day_clusters,
-                                  self.patterns.n_day_patterns)
-        self._rowmap_v = _row_map(self.state.n_loc_clusters,
-                                  self.patterns.n_loc_series)
         self._pattern_cols = np.vstack([self.patterns.state_patterns,
                                         np.zeros((1, self.S))]).T
         self._series = np.vstack([self.patterns.state_series,
                                   np.zeros((1, self.T))])
 
     def z_sweep(self) -> None:
-        self._set_rowmaps()
         parts = self._day_parity_parts()
         for b, (s_idx, d) in enumerate(self.color_blocks):
             w = self.cell_log_weights(b, parts)
@@ -533,19 +523,23 @@ class _GibbsEngine:
     # -------------------------------------------------------- label sweeps
 
     def _day_tables(self) -> _LabelTables:
-        self._set_rowmaps()
-        dev = (self.y[:, None] - self.mu[None, :]) / self.params.aggregate_sd
-        return _LabelTables(self.state.day_labels, self._rowmap_u.tolist(),
-                            matches(self.patterns.state_patterns,
-                                    self.state.states), self.year_idx,
-                            aggregate=-0.5 * dev * dev)
+        p, pats = self.params, self.patterns
+        dev = (self.y[None, :] - p.aggregate_mean[:, None]) / p.aggregate_sd
+        return _LabelTables(
+            self.state.day_labels,
+            _row_map(self.state.n_day_clusters, pats.n_day_patterns).tolist(),
+            p.day_align * self.align_scale
+            * matches(pats.state_patterns, self.state.states),
+            self.year_idx, aggregate=-0.5 * dev * dev)
 
     def _loc_tables(self) -> _LabelTables:
-        self._set_rowmaps()
-        return _LabelTables(self.state.loc_labels, self._rowmap_v.tolist(),
-                            matches(self.patterns.state_series,
-                                    self.state.states.T),
-                            np.zeros(self.S, dtype=np.intp))
+        pats = self.patterns
+        return _LabelTables(
+            self.state.loc_labels,
+            _row_map(self.state.n_loc_clusters, pats.n_loc_series).tolist(),
+            self.params.loc_align * self.align_scale
+            * matches(pats.state_series, self.state.states.T),
+            np.zeros(self.S, dtype=np.intp))
 
     def day_log_weights(self, t: int, tables=None):
         """Candidate labels of day t and their conditional log-weights.
@@ -557,9 +551,9 @@ class _GibbsEngine:
         if tables is None:
             tables = self._day_tables()
             tables.take_out(t)
-        return self._label_log_weights(
-            tables, t, self.patterns.n_day_patterns, self.params.day_align,
-            self.params.day_concentration)
+        return self._label_log_weights(tables, t,
+                                       self.patterns.n_day_patterns,
+                                       self.params.day_concentration)
 
     def loc_log_weights(self, s: int, tables=None):
         """Candidate labels of location s and their conditional log-weights.
@@ -569,17 +563,16 @@ class _GibbsEngine:
         if tables is None:
             tables = self._loc_tables()
             tables.take_out(s)
-        return self._label_log_weights(
-            tables, s, self.patterns.n_loc_series, self.params.loc_align,
-            self.params.loc_concentration)
+        return self._label_log_weights(tables, s,
+                                       self.patterns.n_loc_series,
+                                       self.params.loc_concentration)
 
-    def _label_log_weights(self, tables, i, n_frozen, strength,
-                           concentration):
+    def _label_log_weights(self, tables, i, n_frozen, concentration):
         """The candidate policy shared by day and location labels.
 
         An occupied label weighs its prior join weight (``_LabelTables``)
-        plus the alignment term of its pattern row and, for days, the
-        aggregate term.  One extra label past the occupied ones weighs
+        plus the score of its pattern row and, for days, the aggregate
+        term.  One extra label past the occupied ones weighs
         ``concentration`` while it is empty.  In a frozen run labels
         1..``n_frozen`` stay enterable while empty (join weight floored at
         one) and the extra label is the single overflow label
@@ -587,10 +580,10 @@ class _GibbsEngine:
         """
         if not self.frozen:
             n_frozen = 0
-        align = tables.align[i]
-        aggregate = None if tables.aggregate is None else tables.aggregate[i]
+        scores = tables.scores[:, i].tolist()
+        aggregate = (None if tables.aggregate is None
+                     else tables.aggregate[:, i].tolist())
         y = tables.years[i]
-        scale = strength * self.align_scale
         cand: list[int] = []
         logw: list[float] = []
         for u, (c, per_year, (w, w_new_year), row) in enumerate(
@@ -601,7 +594,7 @@ class _GibbsEngine:
             if not per_year[y]:
                 w = w_new_year
             if row >= 0:
-                w += scale * align[row]
+                w += scores[row]
                 if aggregate is not None:
                     w += aggregate[row]
             cand.append(u)
@@ -612,8 +605,7 @@ class _GibbsEngine:
             logw.append(math.log(concentration))
         return cand, logw
 
-    def _label_sweep(self, tables, log_weights, strength,
-                     concentration) -> None:
+    def _label_sweep(self, tables, log_weights, concentration) -> None:
         """Redraw each label in turn from ``log_weights(i, tables)``.
 
         The sweep's uniforms are drawn at once, one per label.  An item that
@@ -625,8 +617,7 @@ class _GibbsEngine:
         """
         labels = tables.labels
         uniforms = self.rng.random(len(labels))
-        decided = tables.decided(strength * self.align_scale,
-                                 math.log(concentration)) & (uniforms > 0)
+        decided = tables.decided(math.log(concentration)) & (uniforms > 0)
         for i, (u, sure) in enumerate(zip(uniforms.tolist(),
                                           decided.tolist())):
             old = int(labels[i])
@@ -640,11 +631,11 @@ class _GibbsEngine:
 
     def u_sweep(self) -> None:
         self._label_sweep(self._day_tables(), self.day_log_weights,
-                          self.params.day_align, self.params.day_concentration)
+                          self.params.day_concentration)
 
     def v_sweep(self) -> None:
         self._label_sweep(self._loc_tables(), self.loc_log_weights,
-                          self.params.loc_align, self.params.loc_concentration)
+                          self.params.loc_concentration)
 
     # --------------------------------------------------------------- merges
 
@@ -717,7 +708,7 @@ class _GibbsEngine:
             self.merge_sweep()
             self.refresh()
         return joint_log_density(self.data, self.weights, self.state,
-                                 self.snapshot_params(), self.patterns)
+                                 self.params, self.patterns)
 
     def retain(self) -> None:
         self.z1_count += (self.state.states == HIGH)
@@ -768,8 +759,8 @@ def run_gibbs(data, weights, params: ModelParams, config: SamplerConfig,
     mode_state = summary.as_state()
     patterns = extract_patterns(data, mode_state)
     shape, rate, mu = update_params_ml(data, mode_state)
-    fitted = params.replace(gamma_shape=shape, gamma_rate=rate,
-                            aggregate_mean=mu)
+    fitted = replace(params, gamma_shape=shape, gamma_rate=rate,
+                     aggregate_mean=mu)
     return summary, patterns, fitted
 
 

@@ -154,11 +154,6 @@ class ModelParams:
                     raise ValidationError(f"{where}{key.get(f, f)}: must be "
                                           f"{rule}")
 
-    def replace(self, **kw) -> "ModelParams":
-        d = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        d.update(kw)
-        return ModelParams(**d)
-
 
 @dataclass
 class PatternSet:

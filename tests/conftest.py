@@ -72,11 +72,9 @@ def engine_at(data, state, params, patterns=None, weights=None):
     engine.state = state.copy()
     engine.patterns = (extract_patterns(data, state) if patterns is None
                        else patterns)
-    engine.alpha = params.gamma_shape
-    engine.beta = params.gamma_rate
-    engine.mu = params.aggregate_mean
+    engine.params = params
     engine._refresh_logdens()
-    engine._set_rowmaps()
+    engine._set_pattern_views()
     return engine
 
 
@@ -161,13 +159,12 @@ def flip_delta(engine, s, t):
     the two agree when the z-sweep draws from the joint's conditional.
     """
     w = cell_weights(engine, s, t)
-    params = engine.snapshot_params()
     work = engine.state.copy()
     logp = []
     for z in (HIGH, LOW):
         work.states[s, t] = z
         logp.append(joint_log_density(engine.data, engine.weights, work,
-                                      params, engine.patterns))
+                                      engine.params, engine.patterns))
     return float(w[0, 0] - w[1, 0]), logp[0] - logp[1]
 
 

@@ -220,19 +220,15 @@ def _method_metrics(seed):
                                  patterns.rain_patterns, data.neighborhoods)[0]
 
     ddv = discretize_by_mean(data)
-    col_means = data.rain.mean(axis=1)
     km = baselines.kmeans(data.rain.T, K, seed=0)
-    km.state_patterns = baselines.derive_state_patterns(km.centers, col_means)
-    km_pats = baseline_patterns(data, km)
+    km_pats = baseline_patterns(data, ddv, km)
     km_dist = distance_report(data.rain, ddv, km.labels, km_pats)
     km_spch = spatial_coherence(km_pats.state_patterns, km_pats.rain_patterns,
                                 data.neighborhoods)[0]
 
     sp = baselines.spectral_cluster(baselines.similarity_hamming(ddv.T), K,
                                     seed=0)
-    sp.centers = baselines.cluster_means(data.rain.T, sp.labels)
-    sp.state_patterns = baselines.derive_state_patterns(sp.centers, col_means)
-    sp_pats = baseline_patterns(data, sp)
+    sp_pats = baseline_patterns(data, ddv, sp)
     sp_dist = distance_report(data.rain, ddv, sp.labels, sp_pats)
     return mrf_dist, km_dist, sp_dist, mrf_spch, km_spch
 

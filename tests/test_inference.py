@@ -3,6 +3,7 @@
 import copy
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -128,7 +129,6 @@ class TestZConditional:
                            weights=weights)
         engine.state.day_labels[1] = state.n_day_clusters + 1
         engine.state.loc_labels[2] = state.n_loc_clusters + 1
-        engine._set_rowmaps()
         for s in range(9):
             for t in range(T):
                 got, want = flip_delta(engine, s, t)
@@ -166,7 +166,6 @@ class TestZConditional:
         # labels without a pattern row, as after a birth in a label sweep
         engine.state.day_labels[::7] = state.n_day_clusters + 1
         engine.state.loc_labels[::5] = state.n_loc_clusters + 1
-        engine._set_rowmaps()
         rng = np.random.default_rng(T)
         for b, (s_idx, d) in enumerate(engine.color_blocks):
             before = engine.cell_log_weights(b)
@@ -452,10 +451,9 @@ class TestDecidedItemsSkipTheDraw:
         # log α at the locations' median best score: a new label rivals
         # their own labels, so no location may keep its label undrawn
         engine = self.fit_engine(planted)
-        align, _ = engine._loc_tables()._terms
-        best = engine.params.loc_align * align.max(axis=0)
-        engine.params = engine.params.replace(
-            loc_concentration=math.exp(float(np.median(best))))
+        best = engine._loc_tables().scores.max(axis=0)
+        engine.params = replace(
+            engine.params, loc_concentration=math.exp(float(np.median(best))))
         fast = self.assert_same_sweeps(engine, monkeypatch)
         assert fast.state.n_loc_clusters > engine.state.n_loc_clusters
 
@@ -483,10 +481,10 @@ class TestDecidedItemsSkipTheDraw:
         state.loc_labels[0] = state.n_loc_clusters + 1
         engine.refresh()
         p = engine.params
-        for tables, strength, concentration in [
-                (engine._day_tables(), p.day_align, p.day_concentration),
-                (engine._loc_tables(), p.loc_align, p.loc_concentration)]:
-            assert tables.decided(strength, math.log(concentration))[0]
+        for tables, concentration in [
+                (engine._day_tables(), p.day_concentration),
+                (engine._loc_tables(), p.loc_concentration)]:
+            assert tables.decided(math.log(concentration))[0]
             assert tables.counts[tables.labels[0] - 1] == 1
         self.assert_same_sweeps(engine, monkeypatch)
 
@@ -691,7 +689,7 @@ class TestRefitFrozen:
 
     def test_exact_pattern_day_lands_on_it(self):
         data, weights, summary, pats, fitted = self.fit_small(seed=9)
-        fitted = fitted.replace(day_align=50.0)
+        fitted = replace(fitted, day_align=50.0)
         cfg = SamplerConfig(n_burnin=15, n_samples=10, seed=1)
         refit = refit_frozen(data, weights, pats, fitted, cfg)
         # days whose refit state map equals a frozen pattern get that label
@@ -714,7 +712,7 @@ class TestRefitFrozen:
         data, weights, summary, pats, fitted = self.fit_small()
         cfg = SamplerConfig(n_burnin=2, n_samples=2, seed=0)
         for name in ("gamma_shape", "gamma_rate"):
-            short = fitted.replace(**{name: getattr(fitted, name)[:-1]})
+            short = replace(fitted, **{name: getattr(fitted, name)[:-1]})
             with pytest.raises(ValidationError, match="one row per location"):
                 refit_frozen(data, weights, pats, short, cfg)
 
@@ -728,7 +726,7 @@ class TestRefitFrozen:
                 ({"aggregate_mean": fitted.aggregate_mean[:-1]},
                  "one aggregate mean per")]:
             with pytest.raises(ValidationError, match=message):
-                refit_frozen(data, weights, pats, fitted.replace(**change),
+                refit_frozen(data, weights, pats, replace(fitted, **change),
                              cfg)
 
     def test_other_length_keeps_every_location_in_label_one(self):
@@ -742,7 +740,7 @@ class TestRefitFrozen:
         labels = []
         refit = refit_frozen(
             sub, compute_spatial_weights(sub), pats,
-            fitted.replace(loc_concentration=20.0), cfg,
+            replace(fitted, loc_concentration=20.0), cfg,
             on_sweep=lambda engine, i: labels.append(
                 engine.state.loc_labels.copy()))
         assert len(labels) == 25

@@ -208,7 +208,7 @@ class TestJointDensity:
                             np.array([1, 1, 2]), np.array([1, 1, 2, 2]))
         pats = extract_patterns(dry, state)
         # no aggregate term: the daily totals differ by RAIN_EPS
-        params = fitted_params(dry, state).replace(aggregate_mean=None)
+        params = replace(fitted_params(dry, state), aggregate_mean=None)
         weights = compute_spatial_weights(dry)
         got = joint_log_density(dry, weights, state, params, pats)
         assert got == joint_log_density(floor, weights, state, params, pats)
