@@ -462,11 +462,12 @@ def cmd_compare(cfg: dict, run_dirs: list[str]) -> int:
     with open(out / "comparison.csv", "w", newline="") as fh:
         csv.writer(fh).writerows([["metric"] + methods] + rows)
     with open(out / "comparison.txt", "w") as fh:
-        widths = [max(len(r[0]) for r in rows)] + [18] * len(methods)
-        fh.write("  ".join(["metric".ljust(widths[0])]
+        # the column fits its header too, so a table without rows works
+        width = max(map(len, ["metric"] + metric_names))
+        fh.write("  ".join(["metric".ljust(width)]
                            + [m.rjust(18) for m in methods]) + "\n")
         for row in rows:
-            cells = [row[0].ljust(widths[0])]
+            cells = [row[0].ljust(width)]
             for v in row[1:]:
                 cells.append((f"{float(v):.6g}" if v else "-").rjust(18))
             fh.write("  ".join(cells) + "\n")

@@ -625,6 +625,11 @@ class _GibbsEngine:
                 continue
             tables.take_out(i)
             pick = _draw_label(*log_weights(i, tables), u)
+            # an unfrozen draw lands on an empty label only as a birth: i,
+            # alone in the top label, drew the new label, numbered as its
+            # old one, and a born label has no pattern row
+            if not self.frozen and pick == old and tables.counts[old - 1] == 0:
+                tables.rows[old - 1] = -1
             tables.put(i, pick)
             if not self.frozen and pick != old and tables.counts[old - 1] == 0:
                 tables.drop(old)

@@ -903,6 +903,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert name in err and "Traceback" not in err
 
+    def test_compare_metrics_without_global_rows(self, fit_run, tmp_path):
+        # every row carries a cluster_id: the tables are their headers
+        # alone, and the run's maps are still drawn
+        base, cfg = fit_run
+        run_dir = shutil.copytree(base / "fit", tmp_path / "run")
+        (run_dir / "metrics.csv").write_text(
+            "metric,cluster_id,value\nn_days,1,3.0\n")
+        out = tmp_path / "out"
+        assert run(["compare", run_dir, "--config", cfg, "--out", out]) == 0
+        assert read_rows(out / "comparison.csv") == [["metric", "mrf"]]
+        assert (out / "comparison.txt").read_text() \
+            == "metric  " + "mrf".rjust(18) + "\n"
+        assert sorted(p.name for p in out.glob("*.svg")) \
+            == ["cdp_mrf.svg", "crp_mrf.svg"]
+
     @pytest.mark.parametrize("command", ["refit", "compare"])
     @pytest.mark.parametrize("name,damage,line,message", RUN_TABLE_FAULTS)
     def test_damaged_run_table_names_its_first_faulty_line(

@@ -489,6 +489,46 @@ class TestDecidedItemsSkipTheDraw:
         self.assert_same_sweeps(engine, monkeypatch)
 
 
+@pytest.mark.parametrize("sweep,labels", [("u_sweep", "day_labels"),
+                                          ("v_sweep", "loc_labels")])
+@pytest.mark.parametrize("alone_in", ["first", "last"])
+def test_a_born_label_has_no_pattern_row(small_synth, small_weights,
+                                         monkeypatch, sweep, labels,
+                                         alone_in):
+    # item 0, alone in the first or the last label and its pattern row,
+    # draws the new label: the label it is born into has no row, also when
+    # the new label takes item 0's old number (alone in the last label)
+    data, truth = small_synth
+    engine = _GibbsEngine(data, small_weights,
+                          ModelParams(aggregate_sd=float(data.aggregate.std())),
+                          SamplerConfig(n_burnin=0, n_samples=1))
+    engine.state = truth.copy()
+    own = getattr(engine.state, labels)
+    if alone_in == "first":
+        own += 1
+        own[0] = 1
+    else:
+        own[0] = own.max() + 1
+    engine.refresh()
+    born = []
+
+    class Recorded(_LabelTables):
+        def put(self, i, label):
+            super().put(i, label)
+            if i == 0:
+                born.append(self.rows[label - 1])
+
+    first = iter([True])
+    monkeypatch.setattr(inference, "_LabelTables", Recorded)
+    # item 0 is drawn first, as it has no label-mate; it takes the new
+    # label, the last candidate
+    monkeypatch.setattr(inference, "_draw_label",
+                        lambda cand, logw, u: cand[-1] if next(first, False)
+                        else _draw_label(cand, logw, u))
+    getattr(engine, sweep)()
+    assert born == [-1]
+
+
 def test_whole_sweep_samples_the_enumerated_partition_law():
     # 5000 sweeps, each its cell, label and refresh steps, at η = ζ = 0 with
     # the merge off, against the day-partition law of the joint enumerated
