@@ -318,8 +318,7 @@ def cmd_fit(cfg: dict) -> int:
     return 0
 
 
-def _baseline_clustering(cfg: dict, data: RainfallDataset, method: str,
-                         states: np.ndarray):
+def _baseline_clustering(cfg: dict, data: RainfallDataset, method: str):
     k = _value(cfg, "baseline", "k", int)
     if not 1 <= k <= data.n_days:
         raise ValidationError(f"config: baseline.k: the {method} baseline "
@@ -334,7 +333,7 @@ def _baseline_clustering(cfg: dict, data: RainfallDataset, method: str,
             "null or finite and > 0", null_ok=True))
         result = baselines.spectral_cluster(sim, k, seed=seed)
     elif method == "spect2":
-        sim = baselines.similarity_hamming(states.T)
+        sim = baselines.similarity_hamming(discretize_by_mean(data).T)
         result = baselines.spectral_cluster(sim, k, seed=seed)
     else:
         raise ValidationError(f"unknown baseline method {method!r}")
@@ -365,8 +364,10 @@ def cmd_baseline(cfg: dict, method: str) -> int:
     if method == "eof":
         return _cmd_baseline_eof(cfg, data, out)
     min_years = _min_years(cfg)
+    result = _baseline_clustering(cfg, data, method)
+    # thresholded after the clustering, so that spect2's similarity matrix
+    # and this array are never held at once
     states = discretize_by_mean(data)
-    result = _baseline_clustering(cfg, data, method, states)
     patterns = baseline_patterns(data, states, result)
     _write_csv(out / "assign_u.csv", ["day_index", "u_mode"],
                np.arange(len(result.labels)), result.labels)
