@@ -343,9 +343,8 @@ def _baseline_clustering(cfg: dict, data: RainfallDataset, method: str):
 def baseline_patterns(data: RainfallDataset, states: np.ndarray,
                       result: baselines.ClusteringResult) -> PatternSet:
     """Package a day clustering of the thresholded ``states`` as a pattern
-    set (all locations one series).  The rain patterns are the method's
-    centers, or its cluster means, not the state mode; the state patterns
-    threshold them at each location's mean."""
+    set (all locations one series): the method's centers, or its cluster
+    means, thresholded at each location's mean, not the state mode."""
     state = LatentState(states=states,
                         day_labels=np.asarray(result.labels, dtype=np.int64),
                         loc_labels=np.ones(data.n_locations, dtype=np.int64))
@@ -365,8 +364,7 @@ def cmd_baseline(cfg: dict, method: str) -> int:
         return _cmd_baseline_eof(cfg, data, out)
     min_years = _min_years(cfg)
     result = _baseline_clustering(cfg, data, method)
-    # thresholded after the clustering, so that spect2's similarity matrix
-    # and this array are never held at once
+    # made after the clustering, so spect2 has freed its similarity matrix
     states = discretize_by_mean(data)
     patterns = baseline_patterns(data, states, result)
     _write_csv(out / "assign_u.csv", ["day_index", "u_mode"],

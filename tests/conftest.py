@@ -168,7 +168,6 @@ def flip_delta(engine, s, t):
     return float(w[0, 0] - w[1, 0]), logp[0] - logp[1]
 
 
-
 # The whole-sweep check's record: two adjacent locations, three days over
 # two years, rain from Gamma(2, scale 3); and its fixed Gamma parameters,
 # the same at both locations
