@@ -47,6 +47,10 @@ MODEL_KEYS = {"gamma": "day_concentration", "lambda": "loc_concentration",
               "f": "temporal_factor", "eta": "day_align", "zeta": "loc_align",
               "sigma": "aggregate_sd"}
 PARAM_ARRAYS = ("gamma_shape", "gamma_rate", "aggregate_mean")
+# the sampler's and the synthetic record's keys that differ from their fields
+SAMPLER_KEYS = {"burnin": "n_burnin", "samples": "n_samples"}
+SYNTH_KEYS = {"S": "n_locations", "T": "n_days", "K": "n_day_patterns",
+              "L": "n_loc_groups", "years": "n_years", "noise": "flip_noise"}
 
 DEFAULT_CONFIG = {
     "paths": {"locations": "locations.csv", "rainfall": "rainfall.csv",
@@ -104,6 +108,11 @@ def _value(cfg: dict, section: str, key: str, kind=float, null_ok=False):
     if value is None and null_ok:
         return None
     try:
+        # a number key takes no JSON boolean, an int key no fraction
+        if (kind in (int, float) and isinstance(value, bool)
+                or kind is int and isinstance(value, float)
+                and not value.is_integer()):
+            raise ValueError
         return kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"config: {section}.{key}: cannot use "
@@ -158,7 +167,7 @@ def _sampler_config(cfg: dict) -> SamplerConfig:
     sa = partial(_value, cfg, "sampler")
     config = SamplerConfig(sa("burnin", int), sa("samples", int),
                            _seed(cfg, "sampler"), sa("init", str))
-    config.validate("config: sampler.")
+    config.validate("config: sampler.", SAMPLER_KEYS)
     return config
 
 
@@ -283,6 +292,7 @@ def cmd_synth(cfg: dict) -> int:
                          wet_shape=sy("wet_shape"), wet_rate=sy("wet_rate"),
                          dry_shape=sy("dry_shape"), dry_rate=sy("dry_rate"),
                          flip_noise=sy("noise"))
+    spec.validate("config: synth.", SYNTH_KEYS)
     data, truth = generate_synthetic(spec)
     out = _out_dir(cfg)
     save_dataset(data, out / "locations.csv", out / "rainfall.csv")

@@ -28,7 +28,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import NumericError, ParseError, ValidationError
-from .model import HIGH, LOW, RAIN_EPS, LatentState
+from .model import HIGH, LOW, RAIN_EPS, LatentState, check_fields
 
 _NEIGHBOR_OFFSETS = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)
                      if (a, b) != (0, 0)]
@@ -149,20 +149,19 @@ class SyntheticSpec:
     seed: int = 0
     n_years: int = 8
 
-    def validate(self) -> None:
-        if self.n_day_patterns < 1 or self.n_loc_groups < 1:
-            raise ValidationError("need at least one planted pattern and group")
-        if not 0.0 <= self.flip_noise < 0.5:
-            raise ValidationError("flip_noise must lie in [0, 0.5)")
-        if self.n_locations < 1 or self.n_days < 1:
-            raise ValidationError("grid must be non-empty")
-        if self.n_loc_groups > self.n_locations:
-            raise ValidationError("more location groups than locations")
-        if self.n_days < max(self.n_years, 4 * self.n_day_patterns):
-            raise ValidationError("too few days for the requested years/patterns")
-        for p in (self.wet_shape, self.wet_rate, self.dry_shape, self.dry_rate):
-            if not p > 0:
-                raise ValidationError("Gamma parameters must be positive")
+    def validate(self, where: str = "", keys: dict | None = None) -> None:
+        """Reject a spec that cannot be planted (see ``check_fields``)."""
+        check_fields(self, (
+            (("n_locations", "n_days", "n_day_patterns", "n_loc_groups",
+              "n_years"), lambda v: v >= 1, ">= 1"),
+            (("flip_noise",), lambda v: 0.0 <= v < 0.5, "in [0, 0.5)"),
+            (("wet_shape", "wet_rate", "dry_shape", "dry_rate"),
+             lambda v: 0 < v < math.inf, "finite and > 0"),
+            (("n_loc_groups",), lambda v: v <= self.n_locations,
+             "<= {n_locations}"),
+            (("n_days",), lambda v: v >= max(self.n_years,
+                                             4 * self.n_day_patterns),
+             ">= {n_years} and >= 4 · {n_day_patterns}")), where, keys)
 
 
 def build_neighborhoods(grid_coords: np.ndarray) -> tuple:

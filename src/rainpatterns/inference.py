@@ -26,11 +26,12 @@ candidate weights.  An item whose label leads every rival by more than
 ``GAP`` nats keeps it without a draw: the draw would provably return it, so
 the labels, the tables and the stream are those of drawing it.
 
-Every conditional has one implementation on the engine:
-``cell_log_weights``, ``day_log_weights`` and ``loc_log_weights``.  The
-sweeps draw from them and the exactness tests check them.  A frozen refit
-differs only in its candidate labels: the frozen patterns stay enterable while
-empty and one overflow label collects what fits none of them.
+Every conditional has one implementation: ``cell_log_weights`` on the
+engine for cells, and for labels ``_LabelTables.log_weights``, whose class
+also owns the counts, the skip and the sweep.  The sweeps draw from them
+and the exactness tests check them.  A frozen refit differs only in its
+candidate labels: the frozen patterns stay enterable while empty and one
+overflow label collects what fits none of them.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .model import (HIGH, LOW, RAIN_EPS, VAR_FLOOR, LatentState, ModelParams,
-                    PatternSet, days_per_year, extract_patterns,
+                    PatternSet, check_fields, days_per_year, extract_patterns,
                     joint_log_density, log_day_cohesion, log_gamma, matches)
 
 INIT_STRATEGIES = ("data", "pattern", "random")
@@ -70,17 +71,14 @@ class SamplerConfig:
     seed: int = 0
     init: str = "data"
 
-    def validate(self, where: str = "") -> None:
-        """Reject a value the sampler cannot run.  The error names it by its
-        key in the config's ``sampler`` section, after ``where``."""
-        for key, value, ok, rule in (
-                ("burnin", self.n_burnin, self.n_burnin >= 0, ">= 0"),
-                ("samples", self.n_samples, self.n_samples >= 1, ">= 1"),
-                ("init", self.init, self.init in INIT_STRATEGIES,
-                 f"one of {INIT_STRATEGIES}")):
-            if not ok:
-                raise ValidationError(f"{where}{key}: must be {rule}, "
-                                      f"got {value!r}")
+    _RULES = ((("n_burnin",), lambda v: v >= 0, ">= 0"),
+              (("n_samples",), lambda v: v >= 1, ">= 1"),
+              (("init",), lambda v: v in INIT_STRATEGIES,
+               f"one of {INIT_STRATEGIES}"))
+
+    def validate(self, where: str = "", keys: dict | None = None) -> None:
+        """Reject a value the sampler cannot run (see ``check_fields``)."""
+        check_fields(self, self._RULES, where, keys)
 
 
 @dataclass
@@ -122,15 +120,6 @@ def _vote(kept: list) -> np.ndarray:
     counts = np.zeros((kept.shape[1], int(kept.max()) + 1), dtype=np.int64)
     np.add.at(counts, (np.arange(kept.shape[1]), kept), 1)
     return counts.argmax(axis=1)  # label 0 has no votes
-
-
-def _row_map(n_labels: int, n_rows: int) -> np.ndarray:
-    """Label -> pattern row, -1 where a label has no pattern row.
-
-    Covers every current label and one label past the pattern rows.
-    """
-    return np.array([i if i < n_rows else -1
-                     for i in range(max(n_labels, n_rows + 1))], dtype=np.intp)
 
 
 def _leader_init(states: np.ndarray, cap: int) -> np.ndarray:
@@ -207,28 +196,34 @@ def update_params_ml(data, state: LatentState, work=None):
 
 
 class _LabelTables:
-    """Member counts per label and year, kept up to date across moves.
+    """One label sweep: its counts, candidate rule, skip and draws.
 
     Item i joins a label of n members with the day prior's weight
     (``model.log_day_cohesion``): n, or n·(m + 1) when the label's m years
     lack i's year; ``joins`` holds both logs, floored at log 1 for an empty
     label (locations all share year 0).  A move updates one label's count
     and, when a year's count leaves or reaches zero, its span.  ``rows``
-    maps labels to pattern rows; a label born here maps to none.
-    ``scores`` holds each item's scaled alignment term per pattern row,
-    (rows × items), and ``aggregate``, for days, its aggregate term.
+    maps labels 1..``n_rows`` to pattern rows and one label past them to
+    none, as it does a label born here.  ``scores`` holds each item's
+    scaled alignment term per pattern row, (rows × items), and
+    ``aggregate``, for days, its aggregate term.  ``n_frozen`` is None in a
+    fit and the frozen row count in a refit.
     """
 
-    def __init__(self, labels, rows, scores, years, aggregate=None):
+    def __init__(self, labels, n_rows, scores, years, concentration,
+                 n_frozen=None, aggregate=None):
         self.labels = labels
-        self.rows = rows
+        self.rows = [r if r < n_rows else -1
+                     for r in range(max(int(labels.max()), n_rows + 1))]
         self.scores = scores
         self.aggregate = aggregate
+        self.log_alpha = math.log(concentration)
+        self.n_frozen = n_frozen
         self.years = years.tolist()
         self.n_years = max(self.years) + 1
         per_year = np.bincount((labels - 1) * self.n_years + years,
-                               minlength=len(rows) * self.n_years
-                               ).reshape(len(rows), self.n_years)
+                               minlength=len(self.rows) * self.n_years
+                               ).reshape(len(self.rows), self.n_years)
         self.per_year = per_year.tolist()
         self.counts = per_year.sum(axis=1).tolist()
         self.spans = (per_year > 0).sum(axis=1).tolist()
@@ -238,7 +233,7 @@ class _LabelTables:
     def _joins(n: int, m: int) -> tuple[float, float]:
         return math.log(max(n, 1)), math.log(max(n * (m + 1), 1))
 
-    def decided(self, log_alpha: float) -> np.ndarray:
+    def decided(self) -> np.ndarray:
         """Items whose draw keeps their label, while it has another member,
         for any uniform above 0 (see ``GAP``).
 
@@ -262,7 +257,7 @@ class _LabelTables:
         cols = np.arange(n)
         lead = scores[own, cols]
         scores[own, cols] = -np.inf
-        lead -= np.maximum(scores.max(axis=0), max(0.0, log_alpha))
+        lead -= np.maximum(scores.max(axis=0), max(0.0, self.log_alpha))
         return (own >= 0) & (lead > GAP + math.log(n * (self.n_years + 1)))
 
     def _count(self, i: int, label: int, step: int) -> None:
@@ -297,6 +292,70 @@ class _LabelTables:
         k = label - 1
         del (self.rows[k], self.counts[k], self.spans[k], self.joins[k],
              self.per_year[k])
+
+    def log_weights(self, i: int):
+        """Candidate labels of item i, taken out of the counts, and their
+        log-weights.
+
+        An occupied label weighs its prior join weight plus the score of its
+        pattern row and, for days, the aggregate term.  One extra label past
+        the occupied ones weighs the concentration while it is empty.  In a
+        frozen run labels 1..``n_frozen`` stay enterable while empty (join
+        weight floored at one) and the extra label is the single overflow
+        label ``n_frozen + 1``, an ordinary label while it is occupied.
+        """
+        enterable = self.n_frozen or 0
+        scores = self.scores[:, i].tolist()
+        aggregate = (None if self.aggregate is None
+                     else self.aggregate[:, i].tolist())
+        y = self.years[i]
+        cand: list[int] = []
+        logw: list[float] = []
+        for u, (c, per_year, (w, w_new_year), row) in enumerate(
+                zip(self.counts, self.per_year, self.joins, self.rows), 1):
+            if c == 0 and u > enterable:
+                continue
+            if not per_year[y]:
+                w = w_new_year
+            if row >= 0:
+                w += scores[row]
+                if aggregate is not None:
+                    w += aggregate[row]
+            cand.append(u)
+            logw.append(w)
+        top = cand[-1] if cand else 0
+        if self.n_frozen is None or top == self.n_frozen:
+            cand.append(top + 1)
+            logw.append(self.log_alpha)
+        return cand, logw
+
+    def sweep(self, uniforms: np.ndarray) -> None:
+        """Redraw each label in turn from ``log_weights``, item i with
+        ``uniforms[i]``.
+
+        An item that ``decided`` names keeps its label without a draw when
+        its uniform is above 0 (u = 0 can pick an earlier candidate) and its
+        label has another member at its turn; drawing it would put it back
+        where it was.  In a fit an emptied label is removed so that labels
+        stay dense.
+        """
+        fit = self.n_frozen is None
+        decided = self.decided() & (uniforms > 0)
+        for i, (u, sure) in enumerate(zip(uniforms.tolist(),
+                                          decided.tolist())):
+            old = int(self.labels[i])
+            if sure and self.counts[old - 1] >= 2:
+                continue
+            self.take_out(i)
+            pick = _draw_label(*self.log_weights(i), u)
+            # in a fit a draw lands on an empty label only as a birth: i,
+            # alone in the top label, drew the new label, numbered as its
+            # old one, and a born label has no pattern row
+            if fit and pick == old and self.counts[old - 1] == 0:
+                self.rows[old - 1] = -1
+            self.put(i, pick)
+            if fit and pick != old and self.counts[old - 1] == 0:
+                self.drop(old)
 
 
 class _GibbsEngine:
@@ -526,121 +585,43 @@ class _GibbsEngine:
         p, pats = self.params, self.patterns
         dev = (self.y[None, :] - p.aggregate_mean[:, None]) / p.aggregate_sd
         return _LabelTables(
-            self.state.day_labels,
-            _row_map(self.state.n_day_clusters, pats.n_day_patterns).tolist(),
+            self.state.day_labels, pats.n_day_patterns,
             p.day_align * self.align_scale
             * matches(pats.state_patterns, self.state.states),
-            self.year_idx, aggregate=-0.5 * dev * dev)
+            self.year_idx, p.day_concentration,
+            pats.n_day_patterns if self.frozen else None,
+            aggregate=-0.5 * dev * dev)
 
     def _loc_tables(self) -> _LabelTables:
-        pats = self.patterns
+        p, pats = self.params, self.patterns
         return _LabelTables(
-            self.state.loc_labels,
-            _row_map(self.state.n_loc_clusters, pats.n_loc_series).tolist(),
-            self.params.loc_align * self.align_scale
+            self.state.loc_labels, pats.n_loc_series,
+            p.loc_align * self.align_scale
             * matches(pats.state_series, self.state.states.T),
-            np.zeros(self.S, dtype=np.intp))
+            np.zeros(self.S, dtype=np.intp), p.loc_concentration,
+            pats.n_loc_series if self.frozen else None)
 
-    def day_log_weights(self, t: int, tables=None):
-        """Candidate labels of day t and their conditional log-weights.
+    def day_log_weights(self, t: int):
+        """Candidate labels of day t and their conditional log-weights, day
+        t left out of the cluster counts."""
+        tables = self._day_tables()
+        tables.take_out(t)
+        return tables.log_weights(t)
 
-        Day t itself is left out of the cluster counts.  ``tables`` (the
-        label tables with day t taken out) defaults to those of the current
-        state.
-        """
-        if tables is None:
-            tables = self._day_tables()
-            tables.take_out(t)
-        return self._label_log_weights(tables, t,
-                                       self.patterns.n_day_patterns,
-                                       self.params.day_concentration)
-
-    def loc_log_weights(self, s: int, tables=None):
+    def loc_log_weights(self, s: int):
         """Candidate labels of location s and their conditional log-weights.
 
         Mirror of :meth:`day_log_weights` without the aggregate term.
         """
-        if tables is None:
-            tables = self._loc_tables()
-            tables.take_out(s)
-        return self._label_log_weights(tables, s,
-                                       self.patterns.n_loc_series,
-                                       self.params.loc_concentration)
-
-    def _label_log_weights(self, tables, i, n_frozen, concentration):
-        """The candidate policy shared by day and location labels.
-
-        An occupied label weighs its prior join weight (``_LabelTables``)
-        plus the score of its pattern row and, for days, the aggregate
-        term.  One extra label past the occupied ones weighs
-        ``concentration`` while it is empty.  In a frozen run labels
-        1..``n_frozen`` stay enterable while empty (join weight floored at
-        one) and the extra label is the single overflow label
-        ``n_frozen + 1``, an ordinary label while it is occupied.
-        """
-        if not self.frozen:
-            n_frozen = 0
-        scores = tables.scores[:, i].tolist()
-        aggregate = (None if tables.aggregate is None
-                     else tables.aggregate[:, i].tolist())
-        y = tables.years[i]
-        cand: list[int] = []
-        logw: list[float] = []
-        for u, (c, per_year, (w, w_new_year), row) in enumerate(
-                zip(tables.counts, tables.per_year, tables.joins,
-                    tables.rows), 1):
-            if c == 0 and u > n_frozen:
-                continue
-            if not per_year[y]:
-                w = w_new_year
-            if row >= 0:
-                w += scores[row]
-                if aggregate is not None:
-                    w += aggregate[row]
-            cand.append(u)
-            logw.append(w)
-        top = cand[-1] if cand else 0
-        if not self.frozen or top == n_frozen:
-            cand.append(top + 1)
-            logw.append(math.log(concentration))
-        return cand, logw
-
-    def _label_sweep(self, tables, log_weights, concentration) -> None:
-        """Redraw each label in turn from ``log_weights(i, tables)``.
-
-        The sweep's uniforms are drawn at once, one per label.  An item that
-        ``tables.decided`` names keeps its label without a draw when its
-        uniform is above 0 (u = 0 can pick an earlier candidate) and its
-        label has another member at its turn; drawing it would put it back
-        where it was.  Unless frozen, an emptied label is removed so that
-        labels stay dense.
-        """
-        labels = tables.labels
-        uniforms = self.rng.random(len(labels))
-        decided = tables.decided(math.log(concentration)) & (uniforms > 0)
-        for i, (u, sure) in enumerate(zip(uniforms.tolist(),
-                                          decided.tolist())):
-            old = int(labels[i])
-            if sure and tables.counts[old - 1] >= 2:
-                continue
-            tables.take_out(i)
-            pick = _draw_label(*log_weights(i, tables), u)
-            # an unfrozen draw lands on an empty label only as a birth: i,
-            # alone in the top label, drew the new label, numbered as its
-            # old one, and a born label has no pattern row
-            if not self.frozen and pick == old and tables.counts[old - 1] == 0:
-                tables.rows[old - 1] = -1
-            tables.put(i, pick)
-            if not self.frozen and pick != old and tables.counts[old - 1] == 0:
-                tables.drop(old)
+        tables = self._loc_tables()
+        tables.take_out(s)
+        return tables.log_weights(s)
 
     def u_sweep(self) -> None:
-        self._label_sweep(self._day_tables(), self.day_log_weights,
-                          self.params.day_concentration)
+        self._day_tables().sweep(self.rng.random(self.T))
 
     def v_sweep(self) -> None:
-        self._label_sweep(self._loc_tables(), self.loc_log_weights,
-                          self.params.loc_concentration)
+        self._loc_tables().sweep(self.rng.random(self.S))
 
     # --------------------------------------------------------------- merges
 

@@ -103,6 +103,21 @@ class LatentState:
                 raise ValidationError(f"{name} labels must be dense 1..K")
 
 
+def check_fields(obj, rules, where: str = "", keys: dict | None = None):
+    """Reject the first field of ``obj`` that fails its test: ``rules``
+    holds (fields, test, rule) triples, and the error names the field after
+    ``where``, by its key where ``keys`` maps keys to fields, and states its
+    rule, in which ``{field}`` stands for that field's name."""
+    name = {f: f for f in vars(obj)} | {f: k for k, f in (keys or {}).items()}
+    for fields, ok, rule in rules:
+        for f in fields:
+            value = getattr(obj, f)
+            if not ok(value):
+                got = f", got {value!r}" if np.ndim(value) == 0 else ""
+                raise ValidationError(f"{where}{name[f]}: must be "
+                                      f"{rule.format_map(name)}{got}")
+
+
 @dataclass
 class ModelParams:
     """Model parameters; scalars are user-set, arrays are model-estimated.
@@ -145,14 +160,8 @@ class ModelParams:
     )
 
     def validate(self, where: str = "", keys: dict | None = None) -> None:
-        """Reject a value the model cannot score.  The error names the field
-        after ``where``, by its key where ``keys`` maps keys to fields."""
-        key = {f: k for k, f in (keys or {}).items()}
-        for fields, ok, rule in self._RULES:
-            for f in fields:
-                if not ok(getattr(self, f)):
-                    raise ValidationError(f"{where}{key.get(f, f)}: must be "
-                                          f"{rule}")
+        """Reject a value the model cannot score (see ``check_fields``)."""
+        check_fields(self, self._RULES, where, keys)
 
 
 @dataclass

@@ -202,28 +202,34 @@ def canonical(labels):
     return tuple(first.setdefault(u, len(first)) for u in labels.tolist())
 
 
-def exact_day_partition_law(data, weights, params):
-    """The law of the day partition under ``joint_log_density``, each state
-    scored with its own ``extract_patterns``: enumerated over every cell
-    state, day partition and location partition."""
+def exact_whole_sweep_laws(data, weights, params):
+    """The laws of the day partition, the location partition and the cell
+    states under ``joint_log_density``, each state scored with its own
+    ``extract_patterns``: enumerated over every cell state, day partition
+    and location partition.  A cell state is the tuple of z in row-major
+    (location, day) order."""
     S, T = data.rain.shape
-    logp = {}
+    scored = []
     for u, v in itertools.product(partitions(T), partitions(S)):
         for z in itertools.product((HIGH, LOW), repeat=S * T):
             state = LatentState(np.array(z, dtype=np.int8).reshape(S, T),
                                 np.array(u) + 1, np.array(v) + 1)
-            logp.setdefault(u, []).append(joint_log_density(
-                data, weights, state, params, extract_patterns(data, state)))
-    top = max(map(max, logp.values()))
-    mass = {u: sum(math.exp(x - top) for x in xs) for u, xs in logp.items()}
-    total = sum(mass.values())
-    return {u: m / total for u, m in mass.items()}
+            scored.append(((u, v, z), joint_log_density(
+                data, weights, state, params, extract_patterns(data, state))))
+    top = max(logp for _, logp in scored)
+    laws = ({}, {}, {})
+    for keys, logp in scored:
+        for law, key in zip(laws, keys):
+            law[key] = law.get(key, 0.0) + math.exp(logp - top)
+    total = sum(laws[0].values())
+    return tuple({key: m / total for key, m in law.items()} for law in laws)
 
 
-def chain_day_partition_law(data, weights, params, n_sweeps, merge=False):
-    """The day partitions' frequencies over ``n_sweeps`` whole sweeps from
-    ``random`` init at ``align_scale`` 1, the Gamma parameters held at
-    ``params``' and the merge move on or off."""
+def chain_whole_sweep_laws(data, weights, params, n_sweeps, merge=False):
+    """The frequencies of the day partition, the location partition and the
+    cell states over ``n_sweeps`` whole sweeps from ``random`` init at
+    ``align_scale`` 1, the Gamma parameters held at ``params``' and the
+    merge move on or off."""
     def fixed(data, state, work=None):
         return (params.gamma_shape, params.gamma_rate,
                 np.zeros(state.n_day_clusters))
@@ -236,11 +242,16 @@ def chain_day_partition_law(data, weights, params, n_sweeps, merge=False):
                 inference._GibbsEngine, "merge_sweep", lambda engine: None))
         engine = _GibbsEngine(data, weights, params, SamplerConfig(
             n_burnin=0, n_samples=1, seed=0, init="random"))
-        tally = Counter()
+        tallies = (Counter(), Counter(), Counter())
         for _ in range(n_sweeps):
             engine.sweep()
-            tally[canonical(engine.state.day_labels)] += 1
-    return {u: n / n_sweeps for u, n in tally.items()}
+            state = engine.state
+            for tally, key in zip(tallies, (
+                    canonical(state.day_labels), canonical(state.loc_labels),
+                    tuple(state.states.ravel().tolist()))):
+                tally[key] += 1
+    return tuple({key: n / n_sweeps for key, n in tally.items()}
+                 for tally in tallies)
 
 
 def total_variation(p, q):

@@ -797,6 +797,22 @@ class TestExitCodes:
         ("refit", "sampler", "samples", 0),
         ("refit", "sampler", "burnin", -1),
         ("refit", "sampler", "init", "best"),
+        # synth values that ended in numpy's traceback, planted a one-year
+        # record or dry cells of 0 mm, or gave an error naming no key
+        ("synth", "synth", "noise", 0.7),
+        ("synth", "synth", "years", 0),
+        ("synth", "synth", "years", -3),
+        ("synth", "synth", "L", 26),
+        ("synth", "synth", "T", 11),
+        ("synth", "synth", "wet_shape", float("inf")),
+        ("synth", "synth", "dry_rate", float("inf")),
+        # an int key truncated a fraction and a number key took a boolean
+        ("fit", "sampler", "burnin", 1.9),
+        ("fit", "sampler", "samples", True),
+        ("fit", "sampler", "seed", 2.7),
+        ("baseline", "baseline", "k", 2.9),
+        ("fit", "metrics", "min_years", True),
+        ("fit", "model", "eta", True),
     ])
     def test_bad_config_value_names_it(self, synth_dir, capsys, command,
                                        section, key, value):
@@ -821,6 +837,15 @@ class TestExitCodes:
         assert f"error: config: {name}: " in capsys.readouterr().err
         # the config is checked before the fit or clustering writes a file
         assert not (out.exists() and any(out.iterdir()))
+
+    def test_an_integral_float_is_an_int(self, tmp_path):
+        # 3.0 still counts 3: the record is that of the int config
+        for name, value in [("int", 3), ("float", 3.0)]:
+            cfg = write_config(tmp_path, synth={"K": value, "L": value})
+            assert run(["synth", "--config", cfg,
+                        "--out", tmp_path / name]) == 0
+        assert ((tmp_path / "int" / "rainfall.csv").read_bytes()
+                == (tmp_path / "float" / "rainfall.csv").read_bytes())
 
     @pytest.mark.parametrize("key,edit", [
         pytest.param("eta", lambda doc: doc.update(eta=float("nan")),

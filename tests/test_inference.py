@@ -22,8 +22,8 @@ from rainpatterns.inference import (_GibbsEngine, _LabelTables,
 from rainpatterns.metrics import adjusted_rand_index
 from rainpatterns.model import (RAIN_EPS, crp_log_prior_days,
                                 crp_log_prior_locations)
-from conftest import (cell_weights, chain_day_partition_law, engine_at,
-                      exact_day_partition_law, fitted_params, flip_delta,
+from conftest import (cell_weights, chain_whole_sweep_laws, engine_at,
+                      exact_whole_sweep_laws, fitted_params, flip_delta,
                       total_variation, whole_sweep_setup)
 
 
@@ -337,8 +337,7 @@ def test_label_tables_track_moves(data):
                                          max_size=n), label="labels"))
     labels = np.unique(labels, return_inverse=True)[1] + 1
     K = int(labels.max())
-    tables = _LabelTables(labels, list(range(K)), np.zeros((K, n)),
-                          np.array(years))
+    tables = _LabelTables(labels, 0, np.zeros((0, n)), np.array(years), 1.0)
     assert_counts_from_scratch(tables, range(n))
     for _ in range(data.draw(st.integers(1, 25), label="moves")):
         i = data.draw(st.integers(0, n - 1), label="item")
@@ -356,9 +355,9 @@ def test_label_tables_track_moves(data):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_draw_label_picks_a_top_ahead_by_gap(data):
-    # the premise of the skip in _label_sweep: a candidate that leads every
-    # other by GAP nats, in any position, is drawn by every uniform numpy's
-    # random() can return above 0, the multiples of 2^-53 below 1
+    # the premise of the skip in _LabelTables.sweep: a candidate that leads
+    # every other by GAP nats, in any position, is drawn by every uniform
+    # numpy's random() can return above 0, the multiples of 2^-53 below 1
     n = data.draw(st.integers(1, 40), label="candidates")
     at = data.draw(st.integers(0, n - 1), label="position")
     top = data.draw(st.floats(-1e3, 1e3), label="top")
@@ -480,11 +479,8 @@ class TestDecidedItemsSkipTheDraw:
         state.day_labels[0] = state.n_day_clusters + 1
         state.loc_labels[0] = state.n_loc_clusters + 1
         engine.refresh()
-        p = engine.params
-        for tables, concentration in [
-                (engine._day_tables(), p.day_concentration),
-                (engine._loc_tables(), p.loc_concentration)]:
-            assert tables.decided(math.log(concentration))[0]
+        for tables in (engine._day_tables(), engine._loc_tables()):
+            assert tables.decided()[0]
             assert tables.counts[tables.labels[0] - 1] == 1
         self.assert_same_sweeps(engine, monkeypatch)
 
@@ -529,22 +525,60 @@ def test_a_born_label_has_no_pattern_row(small_synth, small_weights,
     assert born == [-1]
 
 
-def test_whole_sweep_samples_the_enumerated_partition_law():
-    # 5000 sweeps, each its cell, label and refresh steps, at η = ζ = 0 with
-    # the merge off, against the day-partition law of the joint enumerated
-    # over all 640 states.  The bound is √2 times the 99th percentile of
-    # the TV of as many iid draws from that law: the √2 admits an
-    # integrated autocorrelation time up to 2 for each partition's
-    # indicator (this chain's read 0.75-1.22).
+@pytest.fixture(scope="module")
+def whole_sweep_laws():
+    """The day-partition, location-partition and cell-state laws of the
+    joint enumerated over all 640 states, and their frequencies over 5000
+    sweeps, each its cell, label and refresh steps, at η = ζ = 0 with the
+    merge off."""
     data, weights, params = whole_sweep_setup()
-    exact = exact_day_partition_law(data, weights, params)
-    n = 5000
-    chain = chain_day_partition_law(data, weights, params, n)
+    return (exact_whole_sweep_laws(data, weights, params),
+            chain_whole_sweep_laws(data, weights, params, 5000))
+
+
+def assert_within_iid_bound(chain, exact, n=5000):
+    """The chain's TV from the exact law is at most √2 times the 99th
+    percentile of the TV of n iid draws from that law: the √2 admits an
+    integrated autocorrelation time up to 2 for each value's indicator
+    (this chain's day partitions read 0.75-1.22)."""
     p = np.array(list(exact.values()))
     iid = 0.5 * np.abs(np.random.default_rng(1).multinomial(n, p, size=4000)
                        / n - p).sum(axis=1)
     assert total_variation(chain, exact) <= math.sqrt(2) * np.quantile(
         iid, 0.99)
+
+
+def test_whole_sweep_samples_the_enumerated_partition_law(whole_sweep_laws):
+    exact, chain = whole_sweep_laws
+    assert_within_iid_bound(chain[0], exact[0])
+
+
+def test_whole_sweep_samples_the_enumerated_location_partition_law(
+        whole_sweep_laws):
+    exact, chain = whole_sweep_laws
+    assert_within_iid_bound(chain[1], exact[1])
+
+
+def test_whole_sweep_samples_the_enumerated_cell_state_law(whole_sweep_laws):
+    # the joint law of all six cells, 64 values
+    exact, chain = whole_sweep_laws
+    assert_within_iid_bound(chain[2], exact[2])
+
+
+def test_align_scale_ramps_over_half_the_burnin(small_synth, small_weights):
+    # a floor of 0.15, a linear rise to 1 over half the burn-in, then 1.0
+    # for the retained sweeps; a frozen run keeps 1.0 in every sweep
+    data, truth = small_synth
+    params = fitted_params(data, truth)
+    config = SamplerConfig(n_burnin=20, n_samples=3, seed=0)
+    fit, refit = [], []
+    run_gibbs(data, small_weights, params, config,
+              on_sweep=lambda engine, i: fit.append(engine.align_scale))
+    refit_frozen(data, small_weights, extract_patterns(data, truth), params,
+                 config,
+                 on_sweep=lambda engine, i: refit.append(engine.align_scale))
+    assert fit == [0.15] + [(i + 1) / 10 for i in range(1, 10)] + [1.0] * 13
+    assert refit == [1.0] * 23
 
 
 class TestLeaderInit:
