@@ -604,6 +604,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        print(f"error: out of memory in {args.command}: {exc}",
+              file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -15,10 +15,15 @@ and each block is updated with one vectorised draw.  Cells of one class are
 conditionally independent given the rest, so updating a class at once is an
 ordinary Gibbs scan in a different visit order and targets the same
 distribution (Gonzalez et al., AISTATS 2011, "Parallel Gibbs Sampling: From
-Colored Fields to Thin Junction Trees").  The z-sweep works on the states
+Colored Fields to Thin Junction Trees").  A cell is drawn from its
+log-odds, high less low.  The z-sweep works on the cells' high indicators
 split by day parity, z[:, 0::2] and z[:, 1::2], so a block's rows and its
 spatial neighbours' rows are contiguous and its two temporal neighbours are
-shifted slices of the other parity.  The Gamma term stays in day order.
+shifted slices of the other parity.  The Gamma term's log-odds is one plane
+in day order; once per z-sweep the alignment terms are added to it into two
+buffers split by day parity.  A block adds its temporal count and, per
+location, one entry of a table that holds the spatial log-odds of every
+mask of high neighbours.
 
 A label sweep draws all of its uniforms at once (the same stream as one
 draw per label) and picks each label in plain Python from a handful of
@@ -26,7 +31,7 @@ candidate weights.  An item whose label leads every rival by more than
 ``GAP`` nats keeps it without a draw: the draw would provably return it, so
 the labels, the tables and the stream are those of drawing it.
 
-Every conditional has one implementation: ``cell_log_weights`` on the
+Every conditional has one implementation: ``cell_log_odds`` on the
 engine for cells, and for labels ``_LabelTables.log_weights``, whose class
 also owns the counts, the skip and the sweep.  The sweeps draw from them
 and the exactness tests check them.  A frozen refit differs only in its
@@ -103,14 +108,34 @@ def _draw_label(cand: list, logw: list, u: float):
     return cand[bisect_right(cum, u * cum[-1])]
 
 
-def _draw_cell_states(w: np.ndarray, rng) -> np.ndarray:
-    """Draw one state per column of (2, n) log-weights, one uniform each.
+def _draw_cell_states(odds: np.ndarray, rng) -> np.ndarray:
+    """Draw one state per cell of log-odds ``odds`` (high less low), one
+    uniform each.
 
     A high state ahead by more than exp's range gives p_low = 0 exactly.
     """
     with np.errstate(over="ignore"):
-        p_low = 1.0 / (1.0 + np.exp(w[0] - w[1]))
-    return np.where(rng.random(w.shape[1]) < p_low, LOW, HIGH).astype(np.int8)
+        p_low = 1.0 / (1.0 + np.exp(odds))
+    # a uniform below p_low draws the low state, LOW = HIGH + 1
+    return (rng.random(len(odds)) < p_low).view(np.int8) + HIGH
+
+
+def _neighbour_table(values, n_slots: int) -> np.ndarray:
+    """Each location's spatial log-odds for every mask of high neighbours.
+
+    Bit k of a mask is the high indicator of the slot-k neighbour, whose
+    pair weighs ``values[s][k]``.  Entry [s, m] is 2·high − w_total: high
+    folds w·bit over the slots in order (a negative weight and a padded
+    slot count as 0) and w_total is the fold with every bit set.
+    """
+    w = np.zeros((len(values), n_slots))
+    for s, v in enumerate(values):
+        w[s, :len(v)] = np.maximum(v, 0.0)
+    bits = np.arange(2 ** n_slots)[:, None] >> np.arange(n_slots) & 1
+    high = np.zeros((len(values), 2 ** n_slots))
+    for k in range(n_slots):
+        high += w[:, k, None] * bits[:, k]
+    return 2.0 * high - high[:, -1:]
 
 
 def _vote(kept: list) -> np.ndarray:
@@ -383,8 +408,8 @@ class _GibbsEngine:
 
         self.S, self.T = data.rain.shape
         self.y = data.aggregate
-        # the Gamma term of the high and low states, in day order
-        self.logdens = np.empty((2, self.S, self.T))
+        # the Gamma term's log-odds, in day order
+        self.gamma_odds = np.empty((self.S, self.T))
         self.log_tf = math.log(params.temporal_factor)
         self.year_idx = np.unique(data.year_of_day, return_inverse=True)[1]
 
@@ -397,19 +422,16 @@ class _GibbsEngine:
         self.color_blocks = [(s_idx, d) for s_idx in classes if len(s_idx)
                              for d in range(min(2, self.T))]
 
-        # per block, slot by slot: the neighbours of its locations, their
-        # weights as columns, and each location's total weight (a padded
-        # slot points at location 0 with weight 0)
-        max_deg = max(max((len(nb) for nb in data.neighborhoods), default=0),
-                      1)
-        nbr_pad = np.zeros((self.S, max_deg), dtype=np.intp)
-        w_pad = np.zeros((self.S, max_deg))
+        # the neighbour table, flat, and per block its locations' neighbours
+        # slot by slot (at most eight, a padded slot pointing at location 0)
+        # and the offsets of their rows of the table
+        n_slots = max(len(nb) for nb in data.neighborhoods)
+        nbr_pad = np.zeros((self.S, n_slots), dtype=np.intp)
         for s, nb in enumerate(data.neighborhoods):
             nbr_pad[s, :len(nb)] = nb
-            w_pad[s, :len(nb)] = np.maximum(weights.values[s], 0.0)
+        self._table = _neighbour_table(weights.values, n_slots).ravel()
         self._block_nbrs = [(nbr_pad[s_idx].T.copy(),
-                             w_pad[s_idx].T[:, :, None].copy(),
-                             w_pad[s_idx].sum(axis=1)[:, None])
+                             s_idx[:, None] << n_slots)
                             for s_idx, _ in self.color_blocks]
 
         if self.frozen and frozen.state_series.shape[1] != self.T:
@@ -421,11 +443,14 @@ class _GibbsEngine:
             self.patterns = frozen
             self.params = replace(params, aggregate_mean=np.asarray(
                 params.aggregate_mean, dtype=float))
-            self._refresh_logdens()
-            self._set_pattern_views()
+            self._refresh_gamma_odds()
         else:
             self.refresh()
 
+        # the z-sweep's fixed terms split by day parity, made after the
+        # set-up so that they can take the memory its temporaries freed
+        self._fixed = (np.empty((self.S, (self.T + 1) // 2)),
+                       np.empty((self.S, self.T // 2)))
         self.trace: list[float] = []
         self.z1_count = np.zeros((self.S, self.T), dtype=np.int32)
         # the day and location labellings of the retained sweeps
@@ -472,31 +497,31 @@ class _GibbsEngine:
         """Re-extract patterns and re-estimate parameters from the state."""
         self.patterns = extract_patterns(self.data, self.state)
         # update_params_ml's scratch, in place of a fresh (S, T) array per
-        # sweep: a Gamma-term plane, which _refresh_logdens rewrites next
+        # sweep: the Gamma log-odds plane, which _refresh_gamma_odds
+        # rewrites next
         shape, rate, mu = update_params_ml(self.data, self.state,
-                                           self.logdens[0])
+                                           self.gamma_odds)
         self.params = replace(self.params, gamma_shape=shape,
                               gamma_rate=rate, aggregate_mean=mu)
-        self._refresh_logdens()
-        self._set_pattern_views()
+        self._refresh_gamma_odds()
 
-    def _refresh_logdens(self) -> None:
-        """The Gamma term of both states, written in place.
+    def _refresh_gamma_odds(self) -> None:
+        """The Gamma term's log-odds, high less low, written in place.
 
-        It reads the floored rain and its log cached on the dataset, as the
-        joint density does.  A term that is not finite is a ``NumericError``
-        naming its location.
+        Δ(a − 1)·log x − Δb·x + Δ(a·log b − log Γ(a)), each Δ taken high
+        less low, at the floored rain and its log cached on the dataset, as
+        the joint density reads them.  A log-odds that is not finite is a
+        ``NumericError`` naming its location.
         """
         a, b = self.params.gamma_shape, self.params.gamma_rate
-        lg = log_gamma(a)
-        x, logx = self.data.rain_floored, self.data.log_rain
+        out = self.gamma_odds
         with np.errstate(over="ignore", invalid="ignore"):
-            for k, out in enumerate(self.logdens):
-                np.multiply(a[:, k, None] - 1.0, logx, out=out)
-                out += a[:, k, None] * np.log(b[:, k, None])
-                out -= b[:, k, None] * x
-                out -= lg[:, k, None]
-        finite = np.isfinite(self.logdens).all(axis=(0, 2))
+            da, db, dc = (v[:, :1] - v[:, 1:] for v in
+                          (a, b, a * np.log(b) - log_gamma(a)))
+            np.multiply(da, self.data.log_rain, out=out)
+            out -= db * self.data.rain_floored
+            out += dc
+        finite = np.isfinite(out).all(axis=1)
         if not finite.all():
             raise self.data.numeric_error(int(finite.argmin()),
                                           "gives a non-finite Gamma term")
@@ -504,80 +529,72 @@ class _GibbsEngine:
     # -------------------------------------------------------------- Z sweep
 
     def _day_parity_parts(self):
-        z = self.state.states
-        return z[:, 0::2].copy(), z[:, 1::2].copy()
-
-    def cell_log_weights(self, b: int, parts=None):
-        """Conditional log-weights of both states of every cell of block b.
-
-        Block b is ``color_blocks[b]`` = (locations, day parity d), its cells
-        those locations × the days d, d + 2, ....  ``parts`` are the states
-        split by day parity, (z[:, 0::2], z[:, 1::2]); they default to those
-        of the current state.  Returns (2, n_locations · n_days), the cells
-        in row-major (location, day) order.  A missing temporal neighbour and
-        a label without a pattern row each add an exact 0.0.
+        """The z-sweep's inputs split by day parity, z[:, 0::2] and
+        z[:, 1::2]: fresh 0/1 uint8 high indicators, and the terms that no
+        cell draw changes, Gamma plus alignment, written into the engine's
+        two buffers.
         """
-        if parts is None:
-            parts = self._day_parity_parts()
-        p = self.params
-        s_idx, d = self.color_blocks[b]
-        own, other = parts[d], parts[1 - d]
-        n_d = own.shape[1]
-        shape = (len(s_idx), n_d)
-        w = np.empty((2,) + shape)
-
-        # temporal edges: log f per agreeing neighbour day; the neighbours of
-        # column j are the other parity's columns j + d - 1 and j + d
-        other_high = other[s_idx] == HIGH
-        n_high = np.zeros(shape, dtype=np.int8)
-        n_inside = np.zeros(n_d, dtype=np.int8)
-        for off in (d - 1, d):
-            lo, hi = max(0, -off), min(n_d, other.shape[1] - off)
-            n_high[:, lo:hi] += other_high[:, lo + off:hi + off]
-            n_inside[lo:hi] += 1
-        np.multiply(self.log_tf, n_high, out=w[0])
-        np.multiply(self.log_tf, n_inside - n_high, out=w[1])
-
-        # spatial edges: every neighbour is high or low, so the low state
-        # earns the location's total weight less what the high state earns
-        nbrs, w_cols, w_total = self._block_nbrs[b]
-        high = np.zeros(shape)
-        for nb, w_col in zip(nbrs, w_cols):
-            high += w_col * (own[nb] == HIGH)
-        w[0] += high
-        w[1] += w_total - high
-
+        p, pats = self.params, self.patterns
         eta = p.day_align * self.align_scale
         zeta = p.loc_align * self.align_scale
-        pat = self._pattern_cols[s_idx][:, np.minimum(
-            self.state.day_labels[d::2] - 1, self.patterns.n_day_patterns)]
-        ser = self._series[np.minimum(self.state.loc_labels[s_idx] - 1,
-                                      self.patterns.n_loc_series), d::2]
-        for k, code in enumerate((HIGH, LOW)):
-            w[k] += eta * (pat == code)
-            w[k] += zeta * (ser == code)
-            w[k] += self.logdens[k, s_idx, d::2]
-        return w.reshape(2, -1)
+        # η·(+1 high, −1 low) per pattern cell and ζ·(the same) per series
+        # cell; a label without a pattern row picks the zeros past them
+        pat = np.zeros((self.S, pats.n_day_patterns + 1))
+        pat[:, :-1] = np.where(pats.state_patterns.T == HIGH, eta, -eta)
+        ser = np.zeros((pats.n_loc_series + 1, self.T))
+        ser[:-1] = np.where(pats.state_series == HIGH, zeta, -zeta)
+        rows_u = np.minimum(self.state.day_labels - 1, pats.n_day_patterns)
+        rows_v = np.minimum(self.state.loc_labels - 1, pats.n_loc_series)
+        high = []
+        for d, fixed in enumerate(self._fixed):
+            np.add(self.gamma_odds[:, d::2], pat[:, rows_u[d::2]], out=fixed)
+            fixed += ser[rows_v, d::2]
+            high.append((self.state.states[:, d::2] == HIGH).view(np.uint8))
+        return high, self._fixed
 
-    def _set_pattern_views(self) -> None:
-        """The z-sweep's views of the patterns, rebuilt when they change.
+    def cell_log_odds(self, b: int, parts=None) -> np.ndarray:
+        """Conditional log-odds, high less low, of every cell of block b.
 
-        A label without a pattern row picks the sentinel row of zeros past
-        the pattern rows, which matches neither state.
+        Block b is ``color_blocks[b]`` = (locations, day parity d), its cells
+        those locations × the days d, d + 2, ....  ``parts`` is what
+        ``_day_parity_parts`` returns, by default for the current state.
+        Returns one log-odds per cell, in row-major (location, day) order.
+        A missing temporal neighbour adds an exact 0.0.
         """
-        self._pattern_cols = np.vstack([self.patterns.state_patterns,
-                                        np.zeros((1, self.S))]).T
-        self._series = np.vstack([self.patterns.state_series,
-                                  np.zeros((1, self.T))])
+        high, fixed = self._day_parity_parts() if parts is None else parts
+        s_idx, d = self.color_blocks[b]
+        own, other = high[d], high[1 - d]
+        n_d = own.shape[1]
+        odds = fixed[d][s_idx]
+
+        # temporal edges: log f per agreeing neighbour day, so log f times
+        # 2·n_high − n_inside, the sum of +1 per high and −1 per low
+        # neighbour; those of column j are the other parity's columns
+        # j + d - 1 and j + d
+        signs = 2 * other[s_idx].view(np.int8) - 1
+        count = np.zeros(odds.shape, dtype=np.int8)
+        for off in (d - 1, d):
+            lo, hi = max(0, -off), min(n_d, other.shape[1] - off)
+            count[:, lo:hi] += signs[:, lo + off:hi + off]
+        odds += self.log_tf * count
+
+        # spatial edges: one gather from the location's row of the
+        # neighbour table at the mask of its high neighbours
+        nbrs, offsets = self._block_nbrs[b]
+        mask = np.zeros(odds.shape, dtype=np.uint8)
+        for k, nb in enumerate(nbrs):
+            mask |= own[nb] << k
+        odds += self._table.take(offsets + mask)
+        return odds.ravel()
 
     def z_sweep(self) -> None:
         parts = self._day_parity_parts()
+        high = parts[0]
         for b, (s_idx, d) in enumerate(self.color_blocks):
-            w = self.cell_log_weights(b, parts)
-            parts[d][s_idx] = _draw_cell_states(w, self.rng).reshape(
-                len(s_idx), -1)
-        z = self.state.states
-        z[:, 0::2], z[:, 1::2] = parts
+            states = _draw_cell_states(self.cell_log_odds(b, parts), self.rng)
+            high[d][s_idx] = (states == HIGH).reshape(len(s_idx), -1)
+        for d, h in enumerate(high):
+            self.state.states[:, d::2] = LOW - h  # HIGH = LOW - 1
 
     # -------------------------------------------------------- label sweeps
 

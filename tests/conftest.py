@@ -73,8 +73,7 @@ def engine_at(data, state, params, patterns=None, weights=None):
     engine.patterns = (extract_patterns(data, state) if patterns is None
                        else patterns)
     engine.params = params
-    engine._refresh_logdens()
-    engine._set_pattern_views()
+    engine._refresh_gamma_odds()
     return engine
 
 
@@ -141,31 +140,54 @@ def brute_force_csv(header, *columns) -> bytes:
     return out.getvalue().encode()
 
 
-def cell_weights(engine, s, t):
-    """Cell (s, t)'s (2, 1) log-weights, read out of its colour block."""
+def brute_force_neighbour_table(values, n_slots):
+    """The neighbour table re-derived one entry at a time.
+
+    The one reference for ``inference._neighbour_table``: entry [s, m] is
+    2·high − w_total, where high folds w·bit over the n_slots slots in
+    order (bit k of m is slot k's high indicator, a negative weight counts
+    as 0 and a slot past the location's neighbours weighs 0) and w_total is
+    the same fold with every bit set.
+    """
+    def fold(w, m):
+        high = 0.0
+        for k, wk in enumerate(w):
+            high += wk * ((m >> k) & 1)
+        return high
+
+    table = []
+    for v in values:
+        w = [max(float(x), 0.0) for x in v] + [0.0] * (n_slots - len(v))
+        total = fold(w, 2 ** n_slots - 1)
+        table.append([2.0 * fold(w, m) - total for m in range(2 ** n_slots)])
+    return np.array(table)
+
+
+def cell_odds(engine, s, t):
+    """Cell (s, t)'s log-odds, high less low, read out of its colour block."""
     for b, (s_idx, d) in enumerate(engine.color_blocks):
         if d == t % 2 and s in s_idx:
             n_days = len(range(d, engine.T, 2))
             col = int(np.flatnonzero(s_idx == s)[0]) * n_days + t // 2
-            return engine.cell_log_weights(b)[:, col:col + 1]
+            return float(engine.cell_log_odds(b)[col])
     raise AssertionError(f"cell {(s, t)} is in no colour block")
 
 
 def flip_delta(engine, s, t):
-    """Cell (s, t)'s w_high - w_low from the engine, and the change of the
-    joint from the cell's low state to its high state, all else held.
+    """Cell (s, t)'s log-odds from the engine, and the change of the joint
+    from the cell's low state to its high state, all else held.
 
     The joint is scored at the engine's state, patterns and parameters, so
     the two agree when the z-sweep draws from the joint's conditional.
     """
-    w = cell_weights(engine, s, t)
+    odds = cell_odds(engine, s, t)
     work = engine.state.copy()
     logp = []
     for z in (HIGH, LOW):
         work.states[s, t] = z
         logp.append(joint_log_density(engine.data, engine.weights, work,
                                       engine.params, engine.patterns))
-    return float(w[0, 0] - w[1, 0]), logp[0] - logp[1]
+    return odds, logp[0] - logp[1]
 
 
 # The whole-sweep check's record: two adjacent locations, three days over

@@ -22,7 +22,7 @@ from rainpatterns.inference import _GibbsEngine, _draw_cell_states, _draw_label
 from rainpatterns.metrics import (adjusted_rand_index, distance_report,
                                   spatial_coherence, spell_stats,
                                   wet_fraction)
-from conftest import cell_weights, engine_at, fitted_params, flip_delta
+from conftest import cell_odds, engine_at, fitted_params, flip_delta
 
 
 def report(criterion, detail):
@@ -78,8 +78,7 @@ def test_c1_gibbs_exactness():
         exact = np.exp(logp - logp.max())
         exact /= exact.sum()
         rng = np.random.default_rng(100 + s * 3 + t)
-        w = cell_weights(engine, s, t)
-        draws = _draw_cell_states(np.repeat(w, n, axis=1), rng)
+        draws = _draw_cell_states(np.full(n, cell_odds(engine, s, t)), rng)
         emp = np.array([(draws == HIGH).mean(), (draws == LOW).mean()])
         worst = max(worst, tv(emp, exact))
 
@@ -153,7 +152,7 @@ def test_c1_gibbs_exactness():
 
 
 def test_c2_joint_density_locality():
-    """Each flipped cell's w_high - w_low from the engine equals the change
+    """Each flipped cell's log-odds from the engine equals the change
     of the full joint density between the cell's two states, to 1e-9
     relative: the z-sweep draws from the joint's conditional."""
     rng = np.random.default_rng(1)

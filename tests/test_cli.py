@@ -21,7 +21,8 @@ from hypothesis.extra import numpy as hnp
 
 import rainpatterns
 from rainpatterns import (LatentState, ModelParams, PatternSet,
-                          SyntheticSpec, generate_synthetic, save_dataset)
+                          SyntheticSpec, cli, generate_synthetic,
+                          save_dataset)
 from rainpatterns.cli import (_load_params, _load_patterns, _write_params,
                               _write_patterns, main)
 from rainpatterns.data import (_read_table, _write_csv, make_dataset,
@@ -750,6 +751,18 @@ class TestExitCodes:
     def test_missing_file_is_io_error(self, tmp_path):
         cfg = write_config(tmp_path)
         assert run(["fit", "--config", cfg, "--out", tmp_path / "x"]) == 4
+
+    def test_out_of_memory_is_one_line(self, tmp_path, capsys, monkeypatch):
+        # a synth.S far beyond memory ended in numpy's _ArrayMemoryError
+        # traceback with exit 1
+        def too_big(spec):
+            raise MemoryError("Unable to allocate 8.94 GiB")
+
+        monkeypatch.setattr(cli, "generate_synthetic", too_big)
+        cfg = write_config(tmp_path, synth={"S": 100000000})
+        assert run(["synth", "--config", cfg, "--out", tmp_path / "x"]) == 4
+        assert capsys.readouterr().err == (
+            "error: out of memory in synth: Unable to allocate 8.94 GiB\n")
 
     def test_bad_config_is_validation_error(self, tmp_path):
         bad = tmp_path / "bad.json"

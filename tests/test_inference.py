@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rainpatterns import (HIGH, LOW, LatentState, ModelParams, SamplerConfig,
                           SyntheticSpec, ValidationError,
@@ -18,11 +18,12 @@ from rainpatterns import inference, model
 from rainpatterns.data import make_dataset
 from rainpatterns.inference import (_GibbsEngine, _LabelTables,
                                     _draw_cell_states, _draw_label,
-                                    _leader_init, _vote)
+                                    _leader_init, _neighbour_table, _vote)
 from rainpatterns.metrics import adjusted_rand_index
 from rainpatterns.model import (RAIN_EPS, crp_log_prior_days,
                                 crp_log_prior_locations)
-from conftest import (cell_weights, chain_whole_sweep_laws, engine_at,
+from conftest import (brute_force_neighbour_table, cell_odds,
+                      chain_whole_sweep_laws, engine_at,
                       exact_whole_sweep_laws, fitted_params, flip_delta,
                       total_variation, whole_sweep_setup)
 
@@ -58,8 +59,7 @@ def z_conditional_by_enumeration(data, weights, state, params, pats, s, t):
 
 def draw_cells(engine, s, t, n, rng):
     """n draws of cell (s, t) from the engine's conditional."""
-    w = cell_weights(engine, s, t)
-    return _draw_cell_states(np.repeat(w, n, axis=1), rng)
+    return _draw_cell_states(np.full(n, cell_odds(engine, s, t)), rng)
 
 
 def draw_labels(labels, logw, n, rng):
@@ -122,7 +122,7 @@ class TestZConditional:
     # and leave days with one temporal neighbour
     @pytest.mark.parametrize("T", [4, 5, 2])
     def test_engine_weights_match_joint(self, T):
-        # every cell's w_high - w_low is the joint's flip delta, with a day
+        # every cell's log-odds is the joint's flip delta, with a day
         # and a location whose labels have no pattern row
         data, weights, state = random_instance(11, S=9, T=T)
         engine = engine_at(data, state, fitted_params(data, state),
@@ -168,25 +168,57 @@ class TestZConditional:
         engine.state.loc_labels[::5] = state.n_loc_clusters + 1
         rng = np.random.default_rng(T)
         for b, (s_idx, d) in enumerate(engine.color_blocks):
-            before = engine.cell_log_weights(b)
+            before = engine.cell_log_odds(b)
             block = np.ix_(s_idx, np.arange(d, T, 2))
             engine.state.states[block] = rng.integers(
-                HIGH, LOW + 1, before.shape[1]).reshape(len(s_idx), -1)
-            assert np.array_equal(engine.cell_log_weights(b), before)
+                HIGH, LOW + 1, len(before)).reshape(len(s_idx), -1)
+            assert np.array_equal(engine.cell_log_odds(b), before)
 
     def test_overflowing_logistic_is_silent(self):
         # a state ahead by more than exp's range (about 709.8 nats) is drawn
         # surely, without an overflow warning
-        w = np.array([[800.0, 0.0, 1.0], [0.0, 800.0, 0.0]])
+        odds = np.array([800.0, -800.0, 1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            draws = _draw_cell_states(np.repeat(w, 100, axis=1),
+            draws = _draw_cell_states(np.repeat(odds, 100),
                                       np.random.default_rng(0))
         assert (draws[:100] == HIGH).all() and (draws[100:200] == LOW).all()
 
+    def test_z_sweep_draws_one_uniform_per_cell(self, small_synth):
+        # T = 79 gives the two day parities different lengths; the sweep
+        # draws random(n) for each block of n cells, in block order
+        full, _ = small_synth
+        data = make_dataset(full.rain[:, :79], full.grid_coords,
+                            full.year_of_day[:79])
+        engine = _GibbsEngine(data, compute_spatial_weights(data),
+                              ModelParams(aggregate_sd=1.0),
+                              SamplerConfig(n_burnin=0, n_samples=1, seed=5))
+        expect = copy.deepcopy(engine.rng)
+        for s_idx, d in engine.color_blocks:
+            expect.random(len(s_idx) * len(range(d, 79, 2)))
+        engine.z_sweep()
+        assert engine.rng.bit_generator.state == expect.bit_generator.state
+
+    @given(st.integers(1, 8).flatmap(lambda n_slots: st.tuples(
+        st.just(n_slots),
+        st.lists(st.lists(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+                          min_size=1, max_size=n_slots),
+                 min_size=1, max_size=5))))
+    # the first location's fold of all eight slots differs from numpy's
+    # pairwise sum of them
+    @example((8, [[0.62, 0.38, 1.0, 0.98, 0.69, 0.65, 0.69, 0.39],
+                  [0.5, -0.25, 0.0, 0.125], [-0.4]]))
+    def test_neighbour_table_folds_the_slots_in_order(self, case):
+        # every entry of every mask, 1-8 neighbours and padded slots, and
+        # negative weights counting as 0, compared exactly
+        n_slots, values = case
+        values = tuple(np.array(v) for v in values)
+        assert np.array_equal(_neighbour_table(values, n_slots),
+                              brute_force_neighbour_table(values, n_slots))
+
     def test_coherence_only_marginal(self):
         # neutral alignment and identical Gammas leave only the coherence
-        # terms in each cell's w_high - w_low: still the joint's flip delta
+        # terms in each cell's log-odds: still the joint's flip delta
         data, weights, state = random_instance(17, S=4, T=3)
         params = ModelParams(
             day_align=0.0, loc_align=0.0, temporal_factor=2.5,
