@@ -130,11 +130,6 @@ def _checked(cfg: dict, section: str, key: str, ok, rule: str, kind=float,
     return value
 
 
-def _seed(cfg: dict, section: str) -> int:
-    """``cfg[section]["seed"]``; numpy's generators need it non-negative."""
-    return _checked(cfg, section, "seed", lambda v: v >= 0, ">= 0", int)
-
-
 def _min_years(cfg: dict) -> int:
     """The years a cluster must span to be prominent, at least one."""
     return _checked(cfg, "metrics", "min_years", lambda v: v >= 1, ">= 1",
@@ -166,7 +161,7 @@ def _model_params(cfg: dict, data: RainfallDataset) -> ModelParams:
 def _sampler_config(cfg: dict) -> SamplerConfig:
     sa = partial(_value, cfg, "sampler")
     config = SamplerConfig(sa("burnin", int), sa("samples", int),
-                           _seed(cfg, "sampler"), sa("init", str))
+                           sa("seed", int), sa("init", str))
     config.validate("config: sampler.", SAMPLER_KEYS)
     return config
 
@@ -287,7 +282,7 @@ def _write_report(out: Path, report: MetricsReport) -> None:
 def cmd_synth(cfg: dict) -> int:
     sy = partial(_value, cfg, "synth")
     spec = SyntheticSpec(n_locations=sy("S", int), n_days=sy("T", int),
-                         n_day_patterns=sy("K", int), seed=_seed(cfg, "synth"),
+                         n_day_patterns=sy("K", int), seed=sy("seed", int),
                          n_loc_groups=sy("L", int), n_years=sy("years", int),
                          wet_shape=sy("wet_shape"), wet_rate=sy("wet_rate"),
                          dry_shape=sy("dry_shape"), dry_rate=sy("dry_rate"),
@@ -333,7 +328,8 @@ def _baseline_clustering(cfg: dict, data: RainfallDataset, method: str):
     if not 1 <= k <= data.n_days:
         raise ValidationError(f"config: baseline.k: the {method} baseline "
                               f"clusters {data.n_days} days, got k={k}")
-    seed = _seed(cfg, "sampler")
+    seed = _value(cfg, "sampler", "seed", int)
+    SamplerConfig(seed=seed).validate("config: sampler.", SAMPLER_KEYS)
     drvs = data.rain.T  # (T, S)
     if method == "kmeans":
         result = baselines.kmeans(drvs, k, seed=seed)

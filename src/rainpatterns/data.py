@@ -154,6 +154,7 @@ class SyntheticSpec:
         check_fields(self, (
             (("n_locations", "n_days", "n_day_patterns", "n_loc_groups",
               "n_years"), lambda v: v >= 1, ">= 1"),
+            (("seed",), lambda v: v >= 0, ">= 0"),
             (("flip_noise",), lambda v: 0.0 <= v < 0.5, "in [0, 0.5)"),
             (("wet_shape", "wet_rate", "dry_shape", "dry_rate"),
              lambda v: 0 < v < math.inf, "finite and > 0"),

@@ -20,10 +20,10 @@ log-odds, high less low.  The z-sweep works on the cells' high indicators
 split by day parity, z[:, 0::2] and z[:, 1::2], so a block's rows and its
 spatial neighbours' rows are contiguous and its two temporal neighbours are
 shifted slices of the other parity.  The Gamma term's log-odds is one plane
-in day order; once per z-sweep the alignment terms are added to it into two
-buffers split by day parity.  A block adds its temporal count and, per
-location, one entry of a table that holds the spatial log-odds of every
-mask of high neighbours.
+in day order; once per z-sweep the alignment terms are added to it, split
+by day parity.  A block adds its temporal count and, per location, one
+entry of a table that holds the spatial log-odds of every mask of high
+neighbours.
 
 A label sweep draws all of its uniforms at once (the same stream as one
 draw per label) and picks each label in plain Python from a handful of
@@ -51,7 +51,8 @@ import numpy as np
 from .errors import NumericError, ValidationError
 from .model import (HIGH, LOW, RAIN_EPS, VAR_FLOOR, LatentState, ModelParams,
                     PatternSet, check_fields, days_per_year, extract_patterns,
-                    joint_log_density, log_day_cohesion, log_gamma, matches)
+                    joint_log_density, log_day_cohesion, log_gamma, matches,
+                    mode_states)
 
 INIT_STRATEGIES = ("data", "pattern", "random")
 
@@ -76,7 +77,7 @@ class SamplerConfig:
     seed: int = 0
     init: str = "data"
 
-    _RULES = ((("n_burnin",), lambda v: v >= 0, ">= 0"),
+    _RULES = ((("n_burnin", "seed"), lambda v: v >= 0, ">= 0"),
               (("n_samples",), lambda v: v >= 1, ">= 1"),
               (("init",), lambda v: v in INIT_STRATEGIES,
                f"one of {INIT_STRATEGIES}"))
@@ -173,7 +174,7 @@ def _leader_init(states: np.ndarray, cap: int) -> np.ndarray:
     return labels
 
 
-def update_params_ml(data, state: LatentState, work=None):
+def update_params_ml(data, state: LatentState):
     """Moment-matched Gamma parameters and per-cluster aggregate means.
 
     For each location and state the Gamma shape and rate come from the sample
@@ -181,8 +182,6 @@ def update_params_ml(data, state: LatentState, work=None):
     denominator; zero when fewer than two members).  Floors on the variance
     and mean absorb degenerate cells.  Rainfall so large that a shape or rate
     leaves the positive doubles is a ``NumericError`` naming its location.
-    ``work``, an (S, T) float array, is overwritten in place of a fresh one:
-    a caller that repeats the call spares the fresh array's page faults.
 
     Returns (shape, rate, aggregate_mean).
     """
@@ -190,7 +189,7 @@ def update_params_ml(data, state: LatentState, work=None):
     S, T = rain.shape
     shape = np.empty((S, 2))
     rate = np.empty((S, 2))
-    masked = np.empty_like(rain) if work is None else work
+    masked = np.empty_like(rain)
     with np.errstate(over="ignore", invalid="ignore"):
         for k, code in enumerate((HIGH, LOW)):
             mask = state.states == code
@@ -447,10 +446,6 @@ class _GibbsEngine:
         else:
             self.refresh()
 
-        # the z-sweep's fixed terms split by day parity, made after the
-        # set-up so that they can take the memory its temporaries freed
-        self._fixed = (np.empty((self.S, (self.T + 1) // 2)),
-                       np.empty((self.S, self.T // 2)))
         self.trace: list[float] = []
         self.z1_count = np.zeros((self.S, self.T), dtype=np.int32)
         # the day and location labellings of the retained sweeps
@@ -496,11 +491,7 @@ class _GibbsEngine:
     def refresh(self) -> None:
         """Re-extract patterns and re-estimate parameters from the state."""
         self.patterns = extract_patterns(self.data, self.state)
-        # update_params_ml's scratch, in place of a fresh (S, T) array per
-        # sweep: the Gamma log-odds plane, which _refresh_gamma_odds
-        # rewrites next
-        shape, rate, mu = update_params_ml(self.data, self.state,
-                                           self.gamma_odds)
+        shape, rate, mu = update_params_ml(self.data, self.state)
         self.params = replace(self.params, gamma_shape=shape,
                               gamma_rate=rate, aggregate_mean=mu)
         self._refresh_gamma_odds()
@@ -530,9 +521,8 @@ class _GibbsEngine:
 
     def _day_parity_parts(self):
         """The z-sweep's inputs split by day parity, z[:, 0::2] and
-        z[:, 1::2]: fresh 0/1 uint8 high indicators, and the terms that no
-        cell draw changes, Gamma plus alignment, written into the engine's
-        two buffers.
+        z[:, 1::2]: 0/1 uint8 high indicators, and the terms that no cell
+        draw changes, Gamma plus alignment.
         """
         p, pats = self.params, self.patterns
         eta = p.day_align * self.align_scale
@@ -545,12 +535,12 @@ class _GibbsEngine:
         ser[:-1] = np.where(pats.state_series == HIGH, zeta, -zeta)
         rows_u = np.minimum(self.state.day_labels - 1, pats.n_day_patterns)
         rows_v = np.minimum(self.state.loc_labels - 1, pats.n_loc_series)
-        high = []
-        for d, fixed in enumerate(self._fixed):
-            np.add(self.gamma_odds[:, d::2], pat[:, rows_u[d::2]], out=fixed)
-            fixed += ser[rows_v, d::2]
+        high, fixed = [], []
+        for d in range(2):
+            fixed.append(self.gamma_odds[:, d::2] + pat[:, rows_u[d::2]])
+            fixed[d] += ser[rows_v, d::2]
             high.append((self.state.states[:, d::2] == HIGH).view(np.uint8))
-        return high, self._fixed
+        return high, fixed
 
     def cell_log_odds(self, b: int, parts=None) -> np.ndarray:
         """Conditional log-odds, high less low, of every cell of block b.
@@ -618,22 +608,6 @@ class _GibbsEngine:
             np.zeros(self.S, dtype=np.intp), p.loc_concentration,
             pats.n_loc_series if self.frozen else None)
 
-    def day_log_weights(self, t: int):
-        """Candidate labels of day t and their conditional log-weights, day
-        t left out of the cluster counts."""
-        tables = self._day_tables()
-        tables.take_out(t)
-        return tables.log_weights(t)
-
-    def loc_log_weights(self, s: int):
-        """Candidate labels of location s and their conditional log-weights.
-
-        Mirror of :meth:`day_log_weights` without the aggregate term.
-        """
-        tables = self._loc_tables()
-        tables.take_out(s)
-        return tables.log_weights(s)
-
     def u_sweep(self) -> None:
         self._day_tables().sweep(self.rng.random(self.T))
 
@@ -671,7 +645,7 @@ class _GibbsEngine:
         parts = (days_per_year(labels, self.year_idx), wet, onehot @ self.y,
                  onehot @ (self.y * self.y))
 
-        cdp = np.where(2 * wet > onehot.sum(axis=1)[:, None], HIGH, LOW)
+        cdp = mode_states(wet, onehot.sum(axis=1)[:, None])
         dist = self.S - matches(cdp)
         np.fill_diagonal(dist, self.S + 1)
         peer = dist.argmin(axis=1)
@@ -739,7 +713,7 @@ class _GibbsEngine:
 
     def summary(self) -> PosteriorSummary:
         n = len(self.kept_u)
-        z_mode = np.where(2 * self.z1_count > n, HIGH, LOW).astype(np.int8)
+        z_mode = mode_states(self.z1_count, n)
         u_mode, v_mode = _vote(self.kept_u), _vote(self.kept_v)
         if not self.frozen:
             # compact the per-variable modes to dense labels

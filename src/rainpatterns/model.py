@@ -9,8 +9,9 @@ rainfall through a per-location two-component Gamma model.
 The day labels follow an exchangeable product-partition prior (Hartigan
 1990; the PPMx of Müller, Quintana & Rosner, JCGS 2011) that weighs a
 partition by Π_k α·Γ(n_k)·m_k! for cluster k's n_k days over m_k distinct
-years, favouring patterns that recur across years.  The joint, the Gibbs
-day step and the merge move all read its factor ``log_day_cohesion``.
+years, favouring patterns that recur across years.  The joint and the merge
+move read its factor ``log_day_cohesion``, the Gibbs day step its ratio,
+log n or log n·(m + 1) (``inference._LabelTables._joins``).
 
 The tests check ``joint_log_density`` against one brute-force reference,
 ``brute_force_log_density`` in ``tests/conftest.py``, and the sampler's
@@ -206,7 +207,7 @@ def matches(rows: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _mode_rows(ones_count: np.ndarray, totals: np.ndarray) -> np.ndarray:
+def mode_states(ones_count: np.ndarray, totals: np.ndarray) -> np.ndarray:
     """Element-wise mode over {1, 2} given counts of ones; ties go to 2."""
     return np.where(2 * ones_count > totals, HIGH, LOW).astype(np.int8)
 
@@ -229,7 +230,7 @@ def extract_patterns(data, state: LatentState) -> PatternSet:
     day_counts = per_year.sum(axis=1)
     rain_patterns = (rain @ day_onehot.T).T / day_counts[:, None]
     wet_counts = (z1 @ day_onehot.T).T
-    state_patterns = _mode_rows(wet_counts, day_counts[:, None])
+    state_patterns = mode_states(wet_counts, day_counts[:, None])
 
     L = state.n_loc_clusters
     loc_onehot = np.zeros((L, S))
@@ -237,7 +238,7 @@ def extract_patterns(data, state: LatentState) -> PatternSet:
     loc_counts = loc_onehot.sum(axis=1)
     rain_series = loc_onehot @ rain / loc_counts[:, None]
     wet_counts_s = loc_onehot @ z1
-    state_series = _mode_rows(wet_counts_s, loc_counts[:, None])
+    state_series = mode_states(wet_counts_s, loc_counts[:, None])
 
     return PatternSet(
         rain_patterns=rain_patterns,

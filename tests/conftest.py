@@ -77,6 +77,14 @@ def engine_at(data, state, params, patterns=None, weights=None):
     return engine
 
 
+def label_log_weights(tables, i):
+    """Item i's candidate labels and log-weights from a label sweep's
+    ``tables`` (``engine._day_tables()`` or ``_loc_tables()``), read as the
+    sweep reads them: i taken out of the counts first."""
+    tables.take_out(i)
+    return tables.log_weights(i)
+
+
 def brute_force_log_density(data, weights, state, params, pats):
     """The joint log-density re-derived term by term in explicit loops.
 
@@ -252,7 +260,7 @@ def chain_whole_sweep_laws(data, weights, params, n_sweeps, merge=False):
     cell states over ``n_sweeps`` whole sweeps from ``random`` init at
     ``align_scale`` 1, the Gamma parameters held at ``params``' and the
     merge move on or off."""
-    def fixed(data, state, work=None):
+    def fixed(data, state):
         return (params.gamma_shape, params.gamma_rate,
                 np.zeros(state.n_day_clusters))
 

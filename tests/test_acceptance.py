@@ -22,7 +22,8 @@ from rainpatterns.inference import _GibbsEngine, _draw_cell_states, _draw_label
 from rainpatterns.metrics import (adjusted_rand_index, distance_report,
                                   spatial_coherence, spell_stats,
                                   wet_fraction)
-from conftest import cell_odds, engine_at, fitted_params, flip_delta
+from conftest import (cell_odds, engine_at, fitted_params, flip_delta,
+                      label_log_weights)
 
 
 def report(criterion, detail):
@@ -94,7 +95,7 @@ def test_c1_gibbs_exactness():
     exact = np.exp(logp - logp.max())
     exact /= exact.sum()
     rng = np.random.default_rng(7)
-    labels, logw = engine.day_log_weights(t)
+    labels, logw = label_log_weights(engine._day_tables(), t)
     draws = np.array([_draw_label(labels, logw, u)
                       for u in rng.random(n)])
     emp = np.array([(draws == u).mean() for u in cands])
@@ -111,7 +112,7 @@ def test_c1_gibbs_exactness():
     exact = np.exp(logp - logp.max())
     exact /= exact.sum()
     rng = np.random.default_rng(8)
-    labels, logw = engine.loc_log_weights(s)
+    labels, logw = label_log_weights(engine._loc_tables(), s)
     draws = np.array([_draw_label(labels, logw, u)
                       for u in rng.random(n)])
     emp = np.array([(draws == v).mean() for v in cands])
@@ -130,7 +131,7 @@ def test_c1_gibbs_exactness():
     params = fitted_params(data, state, day_align=0.0, aggregate_sd=math.inf)
     engine = engine_at(data, state, params, patterns, weights)
     for t in range(8):
-        labels, logw = engine.day_log_weights(t)
+        labels, logw = label_log_weights(engine._day_tables(), t)
         logp = np.empty(len(labels))
         for i, u in enumerate(labels):
             work = state.copy()

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import importlib.util
 import json
 import os
 import shutil
@@ -1031,3 +1032,18 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
         assert f"numeric failure: location {loc}, day {day}: " in res.stderr
         assert "Traceback" not in res.stderr
         assert "RuntimeWarning" not in res.stderr
+
+
+def test_every_perfbench_entry_point_exists():
+    # the perfbench span recorder skips an entry point it cannot find, so a
+    # renamed function or engine method would drop its phase silently
+    path = Path(__file__).parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for mod_name, fn_name, _, _ in spans.FUNCTIONS:
+        module = importlib.import_module(f"rainpatterns.{mod_name}")
+        assert callable(getattr(module, fn_name, None)), (mod_name, fn_name)
+    for method, _, _ in spans.METHODS:
+        assert callable(getattr(rainpatterns.inference._GibbsEngine, method,
+                                None)), method

@@ -25,7 +25,7 @@ from rainpatterns.model import (RAIN_EPS, crp_log_prior_days,
 from conftest import (brute_force_neighbour_table, cell_odds,
                       chain_whole_sweep_laws, engine_at,
                       exact_whole_sweep_laws, fitted_params, flip_delta,
-                      total_variation, whole_sweep_setup)
+                      label_log_weights, total_variation, whole_sweep_setup)
 
 
 def random_instance(seed, S=4, T=3, n_years=2):
@@ -240,7 +240,8 @@ class TestUDayConditional:
         state = LatentState(np.full((4, 1), HIGH, dtype=np.int8),
                             np.array([1]), np.array([1, 1, 1, 1]))
         params = fitted_params(data, state)
-        labels, _ = engine_at(data, state, params).day_log_weights(0)
+        tables = engine_at(data, state, params)._day_tables()
+        labels, _ = label_log_weights(tables, 0)
         assert labels == [1]
 
     def test_neutral_terms_reduce_to_crp(self, small_synth):
@@ -254,7 +255,7 @@ class TestUDayConditional:
                                aggregate_sd=math.inf)
         engine = engine_at(data, state, params, pats)
         for t in range(data.n_days):
-            cand, logw = engine.day_log_weights(t)
+            cand, logw = label_log_weights(engine._day_tables(), t)
             enum = []
             for u in cand:
                 moved = state.day_labels.copy()
@@ -281,7 +282,8 @@ class TestUDayConditional:
                             np.array(labels), np.array([1, 1]))
         params = fitted_params(data, state, day_align=0.0,
                                aggregate_sd=math.inf, day_concentration=conc)
-        cand, logw = engine_at(data, state, params).day_log_weights(t)
+        tables = engine_at(data, state, params)._day_tables()
+        cand, logw = label_log_weights(tables, t)
         assert dict(zip(cand, logw)) == pytest.approx(expect)
 
     def test_matching_pattern_dominates(self, small_synth):
@@ -292,7 +294,8 @@ class TestUDayConditional:
         # craft a day whose states equal cluster 2's pattern exactly
         t = 0
         state.states[:, t] = pats.state_patterns[1]
-        labels, logw = engine_at(data, state, params, pats).day_log_weights(t)
+        tables = engine_at(data, state, params, pats)._day_tables()
+        labels, logw = label_log_weights(tables, t)
         draws = draw_labels(labels, logw, 300, np.random.default_rng(8))
         assert (draws == 2).mean() >= 0.99
 
@@ -304,7 +307,8 @@ class TestVLocationConditional:
         state = LatentState(np.array([[HIGH, LOW]], dtype=np.int8),
                             np.array([1, 1]), np.array([1]))
         params = fitted_params(data, state)
-        labels, _ = engine_at(data, state, params).loc_log_weights(0)
+        tables = engine_at(data, state, params)._loc_tables()
+        labels, _ = label_log_weights(tables, 0)
         assert labels == [1]
 
     @pytest.mark.parametrize("labels,s,conc", [
@@ -321,7 +325,8 @@ class TestVLocationConditional:
                             np.array([1, 1]), np.array(labels))
         params = fitted_params(data, state, loc_align=0.0,
                                loc_concentration=conc)
-        cand, logw = engine_at(data, state, params).loc_log_weights(s)
+        tables = engine_at(data, state, params)._loc_tables()
+        cand, logw = label_log_weights(tables, s)
         enum = []
         for v in cand:
             moved = np.array(labels)
@@ -338,7 +343,8 @@ class TestVLocationConditional:
         params = fitted_params(data, state, loc_align=50.0)
         s = 0
         state.states[s, :] = pats.state_series[1]
-        labels, logw = engine_at(data, state, params, pats).loc_log_weights(s)
+        tables = engine_at(data, state, params, pats)._loc_tables()
+        labels, logw = label_log_weights(tables, s)
         draws = draw_labels(labels, logw, 300, np.random.default_rng(3))
         assert (draws == 2).mean() >= 0.99
 
@@ -656,6 +662,17 @@ class TestRunGibbs:
         assert np.array_equal(a[0].u_mode, b[0].u_mode)
         assert np.array_equal(a[0].v_mode, b[0].v_mode)
         assert np.array_equal(a[0].log_density_trace, b[0].log_density_trace)
+
+    def test_negative_seed_is_a_validation_error(self, small_synth,
+                                                 small_weights):
+        # numpy's generators reject it with a bare ValueError; the API
+        # names the field before any generator is made
+        data, _ = small_synth
+        with pytest.raises(ValidationError, match="seed: must be >= 0"):
+            generate_synthetic(SyntheticSpec(seed=-1))
+        with pytest.raises(ValidationError, match="seed: must be >= 0"):
+            run_gibbs(data, small_weights, ModelParams(),
+                      SamplerConfig(n_burnin=0, n_samples=1, seed=-1))
 
     def test_labels_stay_dense_every_sweep(self, small_synth, small_weights):
         data, _ = small_synth
