@@ -15,7 +15,6 @@ import math
 import os
 import sys
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +27,8 @@ from .data import (RainfallDataset, SyntheticSpec, _load_locations,
                    write_state)
 from .errors import NumericError, ValidationError
 from .inference import SamplerConfig, refit_frozen, run_gibbs
-from .metrics import (MetricsReport, build_report, distance_report,
-                      read_metrics_csv, spatial_coherence)
+from .metrics import (MIN_YEARS, MetricsReport, build_report,
+                      distance_report, read_metrics_csv, spatial_coherence)
 from .model import (HIGH, LOW, LatentState, ModelParams, PatternSet,
                     extract_patterns, patterns_to_rows)
 
@@ -42,28 +41,33 @@ PATTERNS_TEMPORAL_HEADER = ["cluster_id", "day_index", "cts_value",
                             "cds_state"]
 CLUSTER_SUMMARY_HEADER = ["cluster_id", "n_days", "n_years", "aggregate_mm"]
 
-# params.json holds the config's ``model`` keys and the estimated arrays
-MODEL_KEYS = {"gamma": "day_concentration", "lambda": "loc_concentration",
-              "f": "temporal_factor", "eta": "day_align", "zeta": "loc_align",
-              "sigma": "aggregate_sd"}
+# the config sections that library dataclasses hold, as (class, key -> field);
+# each field's default is its key's
+SECTIONS = {
+    "model": (ModelParams, {
+        "gamma": "day_concentration", "lambda": "loc_concentration",
+        "f": "temporal_factor", "eta": "day_align", "zeta": "loc_align",
+        "sigma": "aggregate_sd"}),
+    "sampler": (SamplerConfig, {"burnin": "n_burnin", "samples": "n_samples",
+                                "seed": "seed", "init": "init"}),
+    "synth": (SyntheticSpec, {
+        "S": "n_locations", "T": "n_days", "K": "n_day_patterns",
+        "L": "n_loc_groups", "wet_shape": "wet_shape", "wet_rate": "wet_rate",
+        "dry_shape": "dry_shape", "dry_rate": "dry_rate",
+        "noise": "flip_noise", "seed": "seed", "years": "n_years"}),
+}
+# params.json holds the ``model`` keys and these estimated arrays
 PARAM_ARRAYS = ("gamma_shape", "gamma_rate", "aggregate_mean")
-# the sampler's and the synthetic record's keys that differ from their fields
-SAMPLER_KEYS = {"burnin": "n_burnin", "samples": "n_samples"}
-SYNTH_KEYS = {"S": "n_locations", "T": "n_days", "K": "n_day_patterns",
-              "L": "n_loc_groups", "years": "n_years", "noise": "flip_noise"}
 
 DEFAULT_CONFIG = {
     "paths": {"locations": "locations.csv", "rainfall": "rainfall.csv",
               "out": "out"},
-    "model": {"gamma": 1.0, "lambda": 1.0, "f": 2.0, "eta": 9.0, "zeta": 3.0,
-              "sigma": None},
-    "sampler": {"burnin": 200, "samples": 300, "seed": 0, "init": "data"},
+    **{name: {k: getattr(cls, f) for k, f in keys.items()}
+       for name, (cls, keys) in SECTIONS.items()},
     "baseline": {"k": 10, "tau": None, "lasso_reg": 1.0},
-    "metrics": {"min_years": 5},
-    "synth": {"S": 64, "T": 400, "K": 4, "L": 6, "wet_shape": 8.0,
-              "wet_rate": 0.5, "dry_shape": 0.5, "dry_rate": 2.0,
-              "noise": 0.1, "seed": 0, "years": 8},
+    "metrics": {"min_years": MIN_YEARS},
 }
+DEFAULT_CONFIG["model"]["sigma"] = None  # the sd of the daily totals
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -147,23 +151,16 @@ def _load_data(cfg: dict) -> RainfallDataset:
                         _value(cfg, "paths", "rainfall", os.fspath))
 
 
-def _model_params(cfg: dict, data: RainfallDataset) -> ModelParams:
-    given = {f: _value(cfg, "model", k, float, null_ok=True)
-             for k, f in MODEL_KEYS.items()}
-    # a null value keeps its default, for sigma the sd of the daily totals
-    params = ModelParams(**{
-        "aggregate_sd": float(data.aggregate.std()) or 1.0,
-        **{f: v for f, v in given.items() if v is not None}})
-    params.validate("config: model.", MODEL_KEYS)
-    return params
-
-
-def _sampler_config(cfg: dict) -> SamplerConfig:
-    sa = partial(_value, cfg, "sampler")
-    config = SamplerConfig(sa("burnin", int), sa("samples", int),
-                           sa("seed", int), sa("init", str))
-    config.validate("config: sampler.", SAMPLER_KEYS)
-    return config
+def _section(cfg: dict, name: str, **defaults):
+    """The config section ``name`` as its dataclass, checked: each key is
+    converted to the type of its field's default, and a null ``model`` value
+    keeps the default, ``defaults`` where it gives the field."""
+    cls, keys = SECTIONS[name]
+    given = {f: _value(cfg, name, k, type(getattr(cls, f)),
+                       null_ok=name == "model") for k, f in keys.items()}
+    obj = cls(**defaults | {f: v for f, v in given.items() if v is not None})
+    obj.validate(f"config: {name}.", keys)
+    return obj
 
 
 def _write_json(path, doc: dict) -> None:
@@ -188,7 +185,7 @@ def _write_patterns(out: Path, patterns: PatternSet) -> None:
 
 def _model_section(params: ModelParams) -> dict:
     """The config's ``model`` section that gives ``params``' scalars."""
-    return {k: getattr(params, f) for k, f in MODEL_KEYS.items()}
+    return {k: getattr(params, f) for k, f in SECTIONS["model"][1].items()}
 
 
 def _write_params(out: Path, params: ModelParams) -> None:
@@ -199,10 +196,10 @@ def _write_params(out: Path, params: ModelParams) -> None:
 
 def _load_params(path, patterns: PatternSet) -> ModelParams:
     """The frozen run's parameters, shaped to its locations and patterns."""
-    doc = _read_json(path)
+    doc, keys = _read_json(path), SECTIONS["model"][1]
     try:
         params = ModelParams(
-            **{f: float(doc[k]) for k, f in MODEL_KEYS.items()},
+            **{f: float(doc[k]) for k, f in keys.items()},
             **{f: np.array(doc[f], dtype=float) for f in PARAM_ARRAYS})
     except KeyError as exc:
         raise ValidationError(f"{path}: missing key {exc}") from None
@@ -212,7 +209,7 @@ def _load_params(path, patterns: PatternSet) -> ModelParams:
     for f, shape in zip(PARAM_ARRAYS, [(S, 2), (S, 2), (K,)]):
         if getattr(params, f).shape != shape:
             raise ValidationError(f"{path}: {f} must have shape {shape}")
-    params.validate(f"{path}: ", MODEL_KEYS)
+    params.validate(f"{path}: ", keys)
     return params
 
 
@@ -228,6 +225,8 @@ def _load_cluster_table(path, header: list[str]):
                 + np.unique(i, return_inverse=True)[1])
         return [(_repeats(pair),
                  lambda r: f"repeated cluster {u[r]}, {header[1]} {i[r]}"),
+                (~np.isfinite(t[header[2]]),
+                 lambda r: f"non-finite {header[2]}"),
                 ((state != HIGH) & (state != LOW),
                  lambda r: f"state {state[r]} is not 1 or 2")]
 
@@ -255,7 +254,9 @@ def _load_patterns(run_dir: Path) -> PatternSet:
 
     def checks(t):
         u = t["cluster_id"]
-        return [(_repeats(u), lambda r: f"repeated cluster {u[r]}")]
+        return [(_repeats(u), lambda r: f"repeated cluster {u[r]}"),
+                (~np.isfinite(t["aggregate_mm"]),
+                 lambda r: "non-finite aggregate_mm")]
 
     dtype = np.dtype(list(zip(CLUSTER_SUMMARY_HEADER,
                               (np.int64, np.int64, np.int64, float))))
@@ -280,14 +281,7 @@ def _write_report(out: Path, report: MetricsReport) -> None:
 
 
 def cmd_synth(cfg: dict) -> int:
-    sy = partial(_value, cfg, "synth")
-    spec = SyntheticSpec(n_locations=sy("S", int), n_days=sy("T", int),
-                         n_day_patterns=sy("K", int), seed=sy("seed", int),
-                         n_loc_groups=sy("L", int), n_years=sy("years", int),
-                         wet_shape=sy("wet_shape"), wet_rate=sy("wet_rate"),
-                         dry_shape=sy("dry_shape"), dry_rate=sy("dry_rate"),
-                         flip_noise=sy("noise"))
-    spec.validate("config: synth.", SYNTH_KEYS)
+    spec = _section(cfg, "synth")
     data, truth = generate_synthetic(spec)
     out = _out_dir(cfg)
     save_dataset(data, out / "locations.csv", out / "rainfall.csv")
@@ -299,11 +293,12 @@ def cmd_synth(cfg: dict) -> int:
 
 
 def cmd_fit(cfg: dict) -> int:
-    sampler = _sampler_config(cfg)
+    sampler = _section(cfg, "sampler")
     min_years = _min_years(cfg)
     data = _load_data(cfg)
     weights = compute_spatial_weights(data)
-    params = _model_params(cfg, data)
+    params = _section(cfg, "model",
+                      aggregate_sd=float(data.aggregate.std()) or 1.0)
     summary, patterns, fitted = run_gibbs(data, weights, params, sampler)
 
     out = _out_dir(cfg)
@@ -329,7 +324,7 @@ def _baseline_clustering(cfg: dict, data: RainfallDataset, method: str):
         raise ValidationError(f"config: baseline.k: the {method} baseline "
                               f"clusters {data.n_days} days, got k={k}")
     seed = _value(cfg, "sampler", "seed", int)
-    SamplerConfig(seed=seed).validate("config: sampler.", SAMPLER_KEYS)
+    SamplerConfig(seed=seed).validate("config: sampler.")
     drvs = data.rain.T  # (T, S)
     if method == "kmeans":
         result = baselines.kmeans(drvs, k, seed=seed)
@@ -444,8 +439,12 @@ def cmd_compare(cfg: dict, run_dirs: list[str]) -> int:
         except FileNotFoundError:
             method = rdp.name
         g, per = read_metrics_csv(rdp / "metrics.csv")
-        # a repeated method is labelled mrf-2, mrf-3, ... in columns and maps
+        # a label names the run's maps, so it must be a plain file name; a
+        # repeated method is labelled mrf-2, mrf-3, ... in columns and maps
         label, n = str(method), 1
+        if label in ("", ".", "..") or os.path.basename(label) != label:
+            raise ValidationError(f"{rdp / 'config.json'}: method "
+                                  f"{label!r} is not a plain file name")
         while label in methods:
             n += 1
             label = f"{method}-{n}"
@@ -517,7 +516,7 @@ def cmd_compare(cfg: dict, run_dirs: list[str]) -> int:
 
 
 def cmd_refit(cfg: dict, frozen_dir: str) -> int:
-    sampler = _sampler_config(cfg)
+    sampler = _section(cfg, "sampler")
     frozen = Path(frozen_dir)
     patterns = _load_patterns(frozen)
     params = _load_params(frozen / "params.json", patterns)
@@ -558,39 +557,35 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rainpatterns",
         description="Discover canonical spatio-temporal rainfall patterns.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # each command's ``run(cfg, args)`` looks its function up when it runs,
+    # so a wrapper set on this module after import is the one called
     sub.add_parser("synth", parents=[common],
-                   help="generate a synthetic dataset with planted patterns")
+                   help="generate a synthetic dataset with planted patterns"
+                   ).set_defaults(run=lambda cfg, args: cmd_synth(cfg))
     sub.add_parser("fit", parents=[common],
-                   help="fit the coupled state/cluster model")
+                   help="fit the coupled state/cluster model"
+                   ).set_defaults(run=lambda cfg, args: cmd_fit(cfg))
     p = sub.add_parser("baseline", parents=[common],
                        help="run a reference method")
     p.add_argument("--method", required=True,
                    choices=["kmeans", "spect1", "spect2", "eof"])
+    p.set_defaults(run=lambda cfg, args: cmd_baseline(cfg, args.method))
     p = sub.add_parser("compare", parents=[common],
                        help="join run metrics into one table plus charts")
     p.add_argument("runs", nargs="+", help="run directories to compare")
+    p.set_defaults(run=lambda cfg, args: cmd_compare(cfg, args.runs))
     p = sub.add_parser("refit", parents=[common],
                        help="re-infer new data against frozen patterns")
     p.add_argument("--frozen", required=True,
                    help="run directory holding the frozen patterns")
+    p.set_defaults(run=lambda cfg, args: cmd_refit(cfg, args.frozen))
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, args.seed, args.out)
-        if args.command == "synth":
-            return cmd_synth(cfg)
-        if args.command == "fit":
-            return cmd_fit(cfg)
-        if args.command == "baseline":
-            return cmd_baseline(cfg, args.method)
-        if args.command == "compare":
-            return cmd_compare(cfg, args.runs)
-        if args.command == "refit":
-            return cmd_refit(cfg, args.frozen)
-        raise ValidationError(f"unknown command {args.command!r}")
+        return args.run(load_config(args.config, args.seed, args.out), args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

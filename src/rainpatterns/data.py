@@ -447,6 +447,7 @@ def _parse_dataset(locations_file, rain_file) -> RainfallDataset:
                                       return_inverse=True)
         return [
             ((loc < 0) | (loc >= S), lambda i: f"unknown loc_id {loc[i]}"),
+            (~np.isfinite(mm), lambda i: "non-finite rain_mm"),
             (mm < 0, lambda i: "negative rainfall"),
             # one key per cell in the rows before the first unknown loc_id
             (_repeats(loc * len(days) + rank),

@@ -18,6 +18,7 @@ from .errors import ParseError, ValidationError
 from .model import HIGH, RAIN_EPS, PatternSet
 
 METRICS_HEADER = ["metric", "cluster_id", "value"]
+MIN_YEARS = 5  # the distinct years a prominent cluster's days span
 
 
 class DistanceReport(NamedTuple):
@@ -209,7 +210,7 @@ def read_metrics_csv(path):
 
 def build_report(data, states: np.ndarray, day_labels: np.ndarray,
                  patterns: PatternSet, method: str,
-                 min_years: int = 5) -> MetricsReport:
+                 min_years: int = MIN_YEARS) -> MetricsReport:
     """Assemble the full evaluation report for one run.
 
     ``patterns`` are extracted from ``day_labels`` (dense labels 1..K), so

@@ -14,6 +14,8 @@ _PALETTE = ["#4477aa", "#ee6677", "#228833", "#ccbb44", "#66ccee",
             "#aa3377", "#bbbbbb"]
 WET_COLOR = "#2166ac"
 DRY_COLOR = "#a6dba0"
+PER_ROW = 5  # a pattern grid's panels per row
+CELL = 9.0  # the side of a location's square in a panel
 
 
 def _esc(text: str) -> str:
@@ -89,8 +91,7 @@ def _ramp(v: float) -> str:
 
 
 def pattern_grid(path, title: str, coords: np.ndarray, patterns: np.ndarray,
-                 kind: str, annotations: list[str] | None = None,
-                 per_row: int = 5, cell: float = 9.0) -> None:
+                 kind: str, annotations: list[str]) -> None:
     """Write one panel per pattern, a coloured lattice cell per location.
 
     ``kind`` is "state" (binary wet/dry colours) or "rain" (per-panel
@@ -99,18 +100,18 @@ def pattern_grid(path, title: str, coords: np.ndarray, patterns: np.ndarray,
     coords = np.asarray(coords)
     xs = coords[:, 0] - coords[:, 0].min()
     ys = coords[:, 1] - coords[:, 1].min()
-    panel_w = (xs.max() + 1) * cell + 16
-    panel_h = (ys.max() + 1) * cell + 34
+    panel_w = (xs.max() + 1) * CELL + 16
+    panel_h = (ys.max() + 1) * CELL + 34
     n = len(patterns)
-    rows = math.ceil(n / per_row)
-    width = 20 + per_row * panel_w
+    rows = math.ceil(n / PER_ROW)
+    width = 20 + PER_ROW * panel_w
     height = 40 + rows * panel_h
 
     body = [f'<text x="{_fmt(width / 2)}" y="20" text-anchor="middle" '
             f'font-size="14" font-family="sans-serif">{_esc(title)}</text>']
     for i, pat in enumerate(patterns):
-        ox = 20 + (i % per_row) * panel_w
-        oy = 40 + (i // per_row) * panel_h
+        ox = 20 + (i % PER_ROW) * panel_w
+        oy = 40 + (i // PER_ROW) * panel_h
         if kind == "rain":
             top = float(np.max(pat)) or 1.0
         for s in range(len(xs)):
@@ -118,15 +119,13 @@ def pattern_grid(path, title: str, coords: np.ndarray, patterns: np.ndarray,
                 color = WET_COLOR if pat[s] == 1 else DRY_COLOR
             else:
                 color = _ramp(float(pat[s]) / top)
-            x = ox + xs[s] * cell
-            y = oy + ys[s] * cell
+            x = ox + xs[s] * CELL
+            y = oy + ys[s] * CELL
             body.append(f'<rect x="{_fmt(x)}" y="{_fmt(y)}" '
-                        f'width="{_fmt(cell - 1)}" height="{_fmt(cell - 1)}" '
+                        f'width="{_fmt(CELL - 1)}" height="{_fmt(CELL - 1)}" '
                         f'fill="{color}"/>')
-        label = f"pattern {i + 1}"
-        if annotations is not None:
-            label += f" ({annotations[i]})"
-        body.append(f'<text x="{_fmt(ox)}" y="{_fmt(oy + (ys.max() + 1) * cell + 14)}" '
+        label = f"pattern {i + 1} ({annotations[i]})"
+        body.append(f'<text x="{_fmt(ox)}" y="{_fmt(oy + (ys.max() + 1) * CELL + 14)}" '
                     f'font-size="11" font-family="sans-serif">{_esc(label)}</text>')
     with open(path, "w") as fh:
         fh.write(_svg(width, height, body))

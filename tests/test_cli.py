@@ -22,8 +22,8 @@ from hypothesis.extra import numpy as hnp
 
 import rainpatterns
 from rainpatterns import (LatentState, ModelParams, PatternSet,
-                          SyntheticSpec, cli, generate_synthetic,
-                          save_dataset)
+                          SamplerConfig, SyntheticSpec, cli,
+                          generate_synthetic, save_dataset)
 from rainpatterns.cli import (_load_params, _load_patterns, _write_params,
                               _write_patterns, main)
 from rainpatterns.data import (_read_table, _write_csv, make_dataset,
@@ -219,6 +219,13 @@ RUN_TABLE_FAULTS = [
     pytest.param("patterns_spatial.csv",
                  edits(insert_line(3, "\n"), set_field(6, 3, "3")), 6,
                  "state 3 is not 1 or 2", id="blank-line-counts"),
+    # a non-finite value crashed compare's maps or gave refit a nan metric
+    pytest.param("patterns_spatial.csv", edits(set_field(6, 2, "nan")), 6,
+                 "non-finite crp_value", id="spatial-nan-value"),
+    pytest.param("patterns_temporal.csv", edits(set_field(12, 2, "-inf")),
+                 12, "non-finite cts_value", id="temporal-inf-value"),
+    pytest.param("cluster_summary.csv", edits(set_field(3, 3, "nan")), 3,
+                 "non-finite aggregate_mm", id="summary-nan-aggregate"),
 ]
 
 
@@ -971,6 +978,21 @@ class TestExitCodes:
         assert capsys.readouterr().err \
             == f"error: {run_dir / name}:{line}: {message}\n"
 
+    @pytest.mark.parametrize("method", ["a/b", "/abs", "", ".", ".."])
+    def test_compare_label_that_is_no_file_name_names_it(
+            self, fit_run, tmp_path, capsys, method):
+        # "a/b" wrote the tables and charts and then failed on cdp_a/b.svg
+        base, cfg = fit_run
+        run_dir = shutil.copytree(base / "fit", tmp_path / "run")
+        edit_json(lambda doc: doc.update(method=method))(
+            run_dir / "config.json")
+        out = tmp_path / "out"
+        assert run(["compare", run_dir, "--config", cfg, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {run_dir / 'config.json'}: method {method!r} is not a "
+            f"plain file name\n")
+        assert not any(out.iterdir())
+
     @pytest.mark.parametrize("damage", [
         pytest.param(edit_lines(lambda lines: lines[:1] + ["0,1\n"]
                                 + lines[2:]), id="two-field-row"),
@@ -987,6 +1009,48 @@ class TestExitCodes:
         assert run(["compare", base / "fit", "--config", cfg,
                     "--out", tmp_path / "out"]) == 2
         assert "locations.csv" in capsys.readouterr().err
+
+
+class TestConfigSections:
+    """The library dataclasses are the config's sections, and the parser
+    dispatches to the commands."""
+
+    def test_defaults_are_the_dataclasses(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text("{}")
+        cfg = cli.load_config(path, None, None)
+        assert cli._section(cfg, "sampler") == SamplerConfig()
+        assert cli._section(cfg, "synth") == SyntheticSpec()
+        # sigma is null, so the model keeps its default scalars
+        assert cli._section(cfg, "model") == ModelParams()
+        assert run(["synth", "--config", path, "--out", tmp_path / "x"]) == 0
+        doc = json.loads((tmp_path / "x" / "config.json").read_text())
+        assert set(doc["synth"]) == set(cli.SECTIONS["synth"][1])
+        expected = {name: {k: getattr(cls(), f) for k, f in keys.items()}
+                    for name, (cls, keys) in cli.SECTIONS.items()}
+        expected["model"]["sigma"] = None  # the sd of the daily totals
+        assert {name: doc[name] for name in expected} == expected
+
+    @pytest.mark.parametrize("argv,name,args", [
+        (["synth"], "cmd_synth", ()),
+        (["fit"], "cmd_fit", ()),
+        (["baseline", "--method", "eof"], "cmd_baseline", ("eof",)),
+        (["compare", "a", "b"], "cmd_compare", (["a", "b"],)),
+        (["refit", "--frozen", "f"], "cmd_refit", ("f",)),
+    ], ids=["synth", "fit", "baseline", "compare", "refit"])
+    def test_main_calls_a_command_replaced_after_import(
+            self, monkeypatch, argv, name, args):
+        # perfbench's span recorder replaces the cli.cmd_* functions after
+        # import, and its timelines are cut at their spans
+        calls = []
+
+        def wrapper(cfg, *rest):
+            calls.append((cfg["sampler"]["seed"], rest))
+            return 7
+
+        monkeypatch.setattr(cli, name, wrapper)
+        assert main(argv + ["--seed", "3"]) == 7
+        assert calls == [(3, args)]
 
 
 class TestFreshProcess:

@@ -164,6 +164,14 @@ class TestLoadDataset:
         pytest.param("0,0,0\n1,1,0\n1,2,0\n0,x,0\n", "0,0,0,1.0\n",
                      ValidationError, "{loc}:4: duplicate loc_id 1",
                      id="duplicate-loc-then-non-integer"),
+        # a non-finite value was reported without its file and line
+        pytest.param("0,0,0\n", "0,0,0,1.0\n0,1,0,inf\n", ValidationError,
+                     "{rain}:3: non-finite rain_mm", id="inf-rain"),
+        pytest.param("0,0,0\n", "0,0,0,nan\n0,1,0,1.0\n", ValidationError,
+                     "{rain}:2: non-finite rain_mm", id="nan-rain"),
+        pytest.param("0,0,0\n", "0,0,0,-inf\n", ValidationError,
+                     "{rain}:2: non-finite rain_mm",
+                     id="non-finite-before-negative"),
     ])
     def test_error_names_first_faulty_line(self, tmp_path, locations,
                                            rainfall, error, message):
