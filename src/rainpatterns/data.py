@@ -95,6 +95,30 @@ class RainfallDataset:
         """Log of :attr:`rain_floored`."""
         return _locked(np.log(self.rain_floored))
 
+    # per-location totals over all days, (S,): the high state's Gamma sums
+    # are row products with the high indicator, the low state's these less
+    # the high state's
+
+    @cached_property
+    def rain_total(self) -> np.ndarray:
+        """Σx of each location's rainfall."""
+        return _locked(self.rain.sum(axis=1))
+
+    @cached_property
+    def rain_sq_total(self) -> np.ndarray:
+        """Σx² of each location's rainfall."""
+        return _locked(np.einsum("st,st->s", self.rain, self.rain))
+
+    @cached_property
+    def log_rain_total(self) -> np.ndarray:
+        """Σ log x_c of each location, x_c the floored rainfall."""
+        return _locked(self.log_rain.sum(axis=1))
+
+    @cached_property
+    def rain_floored_total(self) -> np.ndarray:
+        """Σ x_c of each location, x_c the floored rainfall."""
+        return _locked(self.rain_floored.sum(axis=1))
+
     def numeric_error(self, s: int, what: str) -> NumericError:
         """A NumericError naming location s, its wettest day and that day's
         rainfall, which ``what`` says is out of range."""

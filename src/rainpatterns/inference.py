@@ -179,33 +179,37 @@ def update_params_ml(data, state: LatentState):
 
     For each location and state the Gamma shape and rate come from the sample
     mean and variance of the member rainfall values (variance with n-1
-    denominator; zero when fewer than two members).  Floors on the variance
-    and mean absorb degenerate cells.  Rainfall so large that a shape or rate
-    leaves the positive doubles is a ``NumericError`` naming its location.
+    denominator; zero when fewer than two members).  The high state's Σx and
+    Σx² are row products of the rain with the high indicator, and the low
+    state's are the location's all-day totals (cached on the dataset) less
+    the high state's, so no masked (S, T) plane is built; this summation
+    order moved ``params.json`` in its trailing digits only.  Floors on the
+    variance and mean absorb degenerate cells.  Rainfall so large that a
+    shape or rate leaves the positive doubles is a ``NumericError`` naming
+    its location.
 
     Returns (shape, rate, aggregate_mean).
     """
     rain = data.rain
     S, T = rain.shape
-    shape = np.empty((S, 2))
-    rate = np.empty((S, 2))
-    masked = np.empty_like(rain)
+    high = state.states == HIGH
+    n_high = np.count_nonzero(high, axis=1)
+    n = np.stack([n_high, T - n_high], axis=1)
+    sx = np.empty((S, 2))
+    sxx = np.empty((S, 2))
+    sx[:, 0] = np.einsum("st,st->s", rain, high)
+    sxx[:, 0] = np.einsum("st,st,st->s", rain, rain, high)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, code in enumerate((HIGH, LOW)):
-            mask = state.states == code
-            n = np.count_nonzero(mask, axis=1)
-            np.multiply(rain, mask, out=masked)
-            sx = masked.sum(axis=1)
-            masked *= rain
-            sxx = masked.sum(axis=1)
-            m = np.divide(sx, n, out=np.zeros(S), where=n > 0)
-            v = np.zeros(S)
-            two = n >= 2
-            v[two] = (sxx[two] - n[two] * m[two] ** 2) / (n[two] - 1)
-            v = np.maximum(v, VAR_FLOOR)
-            m = np.maximum(m, RAIN_EPS)
-            shape[:, k] = m * m / v
-            rate[:, k] = m / v
+        sx[:, 1] = data.rain_total - sx[:, 0]
+        sxx[:, 1] = data.rain_sq_total - sxx[:, 0]
+        m = np.divide(sx, n, out=np.zeros((S, 2)), where=n > 0)
+        v = np.zeros((S, 2))
+        two = n >= 2
+        v[two] = (sxx[two] - n[two] * m[two] ** 2) / (n[two] - 1)
+        v = np.maximum(v, VAR_FLOOR)
+        m = np.maximum(m, RAIN_EPS)
+        shape = m * m / v
+        rate = m / v
     bad = ~((shape > 0) & (rate > 0) & np.isfinite(shape)
             & np.isfinite(rate)).all(axis=1)
     if bad.any():

@@ -190,7 +190,9 @@ class MetricsReport:
 def read_metrics_csv(path):
     """Load a metrics CSV back into (global_values, per_cluster) dicts.
 
-    An empty table, a repeated (metric, cluster_id) or a non-number fails.
+    An empty table, a repeated (metric, cluster_id), a non-number or a
+    non-finite per-cluster value (``compare`` charts those) fails; a global
+    value may be nan, as a refit whose every day overflows writes it.
     """
     global_values: dict[str, float] = {}
     per_cluster: dict[str, dict[int, float]] = {}
@@ -200,6 +202,8 @@ def read_metrics_csv(path):
             key, value = (name if cid == "" else int(cid)), float(val)
         except ValueError:
             raise ParseError(f"{path}:{lineno}: malformed field") from None
+        if cid != "" and not math.isfinite(value):
+            raise ValidationError(f"{path}:{lineno}: non-finite value")
         if key in values:
             raise ValidationError(f"{path}:{lineno}: repeated row")
         values[key] = value

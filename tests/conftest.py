@@ -85,13 +85,41 @@ def label_log_weights(tables, i):
     return tables.log_weights(i)
 
 
+def brute_force_agreements(data, state, pats):
+    """The joint's integer terms counted cell by cell, as
+    ``model.agreement_counts`` returns them: agreeing adjacent-day pairs,
+    the agreeing days of each neighbour pair s < s2 in the order of
+    ``data.neighborhoods`` (that of ``SpatialWeights.edge_arrays``), and the
+    cells agreeing with their day's pattern row and their location's series
+    row, where the label has one."""
+    S, T = data.rain.shape
+    z = state.states
+    temporal = sum(int(z[s, t] == z[s, t + 1])
+                   for s in range(S) for t in range(T - 1))
+    spatial = [sum(int(z[s, t] == z[s2, t]) for t in range(T))
+               for s in range(S) for s2 in data.neighborhoods[s] if s < s2]
+    day = loc = 0
+    for s in range(S):
+        for t in range(T):
+            u = state.day_labels[t]
+            if u <= pats.n_day_patterns \
+                    and pats.state_patterns[u - 1, s] == z[s, t]:
+                day += 1
+            v = state.loc_labels[s]
+            if v <= pats.n_loc_series \
+                    and pats.state_series[v - 1, t] == z[s, t]:
+                loc += 1
+    return temporal, spatial, day, loc
+
+
 def brute_force_log_density(data, weights, state, params, pats):
     """The joint log-density re-derived term by term in explicit loops.
 
     The one reference for ``joint_log_density``: every temporal and spatial
     edge once (a negative weight scores 0), the alignment terms (a label
-    without a pattern row scores 0), the Gamma data term (rain clamped at
-    RAIN_EPS) and the aggregate term (a label without a mean scores 0).
+    without a pattern row scores 0), counted by ``brute_force_agreements``;
+    the Gamma data term (rain clamped at RAIN_EPS) and the aggregate term (a
+    label without a mean scores 0).
     """
     S, T = data.rain.shape
     z = state.states
@@ -99,26 +127,15 @@ def brute_force_log_density(data, weights, state, params, pats):
                                params.day_concentration)
     total += crp_log_prior_locations(state.loc_labels,
                                      params.loc_concentration)
-    for s in range(S):
-        for t in range(T - 1):
-            if z[s, t] == z[s, t + 1]:
-                total += math.log(params.temporal_factor)
-    for s in range(S):
-        for k, s2 in enumerate(data.neighborhoods[s]):
-            if s < s2:
-                for t in range(T):
-                    if z[s, t] == z[s2, t]:
-                        total += max(float(weights.values[s][k]), 0.0)
+    temporal, spatial, day, loc = brute_force_agreements(data, state, pats)
+    total += math.log(params.temporal_factor) * temporal
+    weight = [max(float(w), 0.0) for s in range(S)
+              for s2, w in zip(data.neighborhoods[s], weights.values[s])
+              if s < s2]
+    total += sum(w * n for w, n in zip(weight, spatial))
+    total += params.day_align * day + params.loc_align * loc
     for s in range(S):
         for t in range(T):
-            u = state.day_labels[t]
-            if u <= pats.n_day_patterns \
-                    and pats.state_patterns[u - 1, s] == z[s, t]:
-                total += params.day_align
-            v = state.loc_labels[s]
-            if v <= pats.n_loc_series \
-                    and pats.state_series[v - 1, t] == z[s, t]:
-                total += params.loc_align
             a = float(params.gamma_shape[s, z[s, t] - 1])
             b = float(params.gamma_rate[s, z[s, t] - 1])
             x = max(float(data.rain[s, t]), RAIN_EPS)

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -682,10 +683,12 @@ class TestRunFileRoundTrip:
 
     @given(st.dictionaries(metric_names(), any_doubles()),
            st.dictionaries(metric_names(),
-                           st.lists(any_doubles(), min_size=1, max_size=4)))
+                           st.lists(any_doubles().filter(math.isfinite),
+                                    min_size=1, max_size=4)))
     @settings(max_examples=60, deadline=None)
     def test_metrics_round_trip_is_bit_identical(self, global_values,
                                                  per_cluster):
+        # a per-cluster value is finite: the reader rejects any other
         assume(global_values or per_cluster)
         report = MetricsReport("mrf", 4, {name: np.array(values) for
                                           name, values in per_cluster.items()},
@@ -949,6 +952,49 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert name in err and "Traceback" not in err
 
+    # the files a fit writes; the fuzz below damages each in two ways
+    FIT_FILES = ["assign_u.csv", "assign_v.csv", "assign_z.csv",
+                 "cluster_summary.csv", "config.json", "metrics.csv",
+                 "metrics.txt", "params.json", "patterns_spatial.csv",
+                 "patterns_temporal.csv", "trace.csv"]
+    GARBLES = ["", "x", "nan", "-inf", "1e999", "-1", "0", "3", "1.5",
+               "99999999999999999999", '"', "{", "[]", "null", "\u00e9"]
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("kind", ["truncate", "garble"])
+    @pytest.mark.parametrize("name", FIT_FILES)
+    def test_fuzzed_run_file_exits_with_a_message(
+            self, fit_run, tmp_path, capsys, name, kind, seed):
+        # seeded per case: cut the file at a random character, or set one
+        # comma-separated field of a random line to a random token; refit
+        # and compare then succeed, or exit 2, 3 or 4 with a message (40
+        # seeds per case ran clean when this test was written)
+        base, cfg = fit_run
+        run_dir = shutil.copytree(base / "fit", tmp_path / "run")
+        assert sorted(p.name for p in run_dir.iterdir()) == self.FIT_FILES
+        rng = np.random.default_rng([self.FIT_FILES.index(name),
+                                     kind == "garble", seed])
+        path = run_dir / name
+        text = path.read_text()
+        if kind == "truncate":
+            text = text[:rng.integers(len(text))]
+        else:
+            lines = text.splitlines(keepends=True)
+            i = rng.integers(len(lines))
+            row = lines[i].rstrip("\n")
+            fields = row.split(",")
+            fields[rng.integers(len(fields))] = str(rng.choice(self.GARBLES))
+            lines[i] = ",".join(fields) + lines[i][len(row):]
+            text = "".join(lines)
+        path.write_text(text)
+        for args in (["refit", "--frozen", run_dir], ["compare", run_dir]):
+            # an uncaught exception would propagate out of main
+            code = run(args + ["--config", cfg, "--out", tmp_path / args[0]])
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3, 4), err
+            assert (code == 0 and err == "") or (code != 0 and err.startswith(
+                ("error: ", "numeric failure: ", "i/o error: "))), err
+
     def test_compare_metrics_without_global_rows(self, fit_run, tmp_path):
         # every row carries a cluster_id: the tables are their headers
         # alone, and the run's maps are still drawn
@@ -963,6 +1009,38 @@ class TestExitCodes:
             == "metric  " + "mrf".rjust(18) + "\n"
         assert sorted(p.name for p in out.glob("*.svg")) \
             == ["cdp_mrf.svg", "crp_mrf.svg"]
+
+    @staticmethod
+    def _set_metric(run_dir, prefix, value):
+        """Set the value of the metrics.csv row starting ``prefix``; returns
+        the file and the row's line number."""
+        path = run_dir / "metrics.csv"
+        line = next(i for i, text in enumerate(path.read_text().splitlines(),
+                                               1) if text.startswith(prefix))
+        edits(set_field(line, 2, value))(path)
+        return path, line
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_compare_rejects_a_non_finite_cluster_value(
+            self, fit_run, tmp_path, capsys, value):
+        # a nan mean_y was drawn as a bar of height="nan", with exit 0
+        base, cfg = fit_run
+        run_dir = shutil.copytree(base / "fit", tmp_path / "run")
+        path, line = self._set_metric(run_dir, "mean_y,1,", value)
+        out = tmp_path / "out"
+        assert run(["compare", run_dir, "--config", cfg, "--out", out]) == 2
+        assert capsys.readouterr().err \
+            == f"error: {path}:{line}: non-finite value\n"
+        assert not any(out.iterdir())
+
+    def test_compare_keeps_a_nan_global_value(self, fit_run, tmp_path):
+        # a refit whose every day overflows writes a nan mean_l2
+        base, cfg = fit_run
+        run_dir = shutil.copytree(base / "fit", tmp_path / "run")
+        self._set_metric(run_dir, "mean_l2,,", "nan")
+        out = tmp_path / "out"
+        assert run(["compare", run_dir, "--config", cfg, "--out", out]) == 0
+        assert ["mean_l2", "nan"] in read_rows(out / "comparison.csv")
 
     @pytest.mark.parametrize("command", ["refit", "compare"])
     @pytest.mark.parametrize("name,damage,line,message", RUN_TABLE_FAULTS)

@@ -7,15 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rainpatterns import (HIGH, LOW, LatentState, ModelParams,
                           ValidationError, compute_spatial_weights,
                           extract_patterns, joint_log_density,
                           update_params_ml)
 from rainpatterns.data import SpatialWeights, make_dataset
-from rainpatterns.model import (RAIN_EPS, crp_log_prior_days,
-                                crp_log_prior_locations, log_gamma)
-from conftest import brute_force_log_density, fitted_params
+from rainpatterns.model import (RAIN_EPS, VAR_FLOOR, agreement_counts,
+                                crp_log_prior_days, crp_log_prior_locations,
+                                log_gamma)
+from conftest import (brute_force_agreements, brute_force_log_density,
+                      fitted_params)
 
 
 class TestLogGamma:
@@ -287,3 +290,107 @@ class TestUpdateParams:
         _, _, mu = update_params_ml(data, state)
         assert mu[0] == pytest.approx((5.0 + 7.0) / 2)
         assert mu[1] == pytest.approx(6.0)
+
+
+def dense(labels):
+    return np.unique(labels, return_inverse=True)[1].reshape(-1) + 1
+
+
+@st.composite
+def small_records(draw):
+    """A record of S <= 13 locations and T <= 21 days, mostly not multiples
+    of 8, its states, labels and spatial weights.  Some rows lie wholly in
+    one state, and the rain holds zeros and values below RAIN_EPS.  It
+    stays under 20 mm: the one-pass moment formula Σx² − n·m² errs in
+    proportion to Σx², and at 20 mm that stays well under 1e-9 of the
+    variance floor."""
+    S, T = draw(st.integers(1, 13)), draw(st.integers(2, 21))
+    rain = draw(hnp.arrays(np.float64, (S, T), elements=st.one_of(
+        st.just(0.0), st.floats(0.0, RAIN_EPS), st.floats(0.0, 20.0))))
+    states = draw(hnp.arrays(np.int8, (S, T),
+                             elements=st.sampled_from([HIGH, LOW])))
+    whole = draw(hnp.arrays(np.int8, S, elements=st.sampled_from(
+        [0, HIGH, LOW])))
+    states[whole > 0] = whole[whole > 0, None]
+    n_years = draw(st.integers(1, T))
+    data = make_dataset(rain, np.array([(s % 3, s // 3) for s in range(S)]),
+                        np.arange(T) * n_years // T)
+    state = LatentState(states, dense(draw(hnp.arrays(
+        np.int64, T, elements=st.integers(1, 5)))), dense(draw(hnp.arrays(
+            np.int64, S, elements=st.integers(1, 4)))))
+    w = draw(hnp.arrays(np.float64, (S, S), elements=st.floats(-1.0, 1.0)))
+    w = (w + w.T) / 2
+    weights = SpatialWeights(tuple(w[s, nb] for s, nb in
+                                   enumerate(data.neighborhoods)),
+                             data.neighborhoods)
+    return data, state, weights
+
+
+class TestRowProductSums:
+    """The Gamma sums as row products with the high indicator, the low
+    state's as the all-day totals less the high state's, and the joint's
+    integer terms as popcounts, against per-cell loops."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_records())
+    def test_update_params_matches_a_loop(self, record):
+        data, state, _ = record
+        shape, rate, _ = update_params_ml(data, state)
+        want = np.empty((data.n_locations, 2, 2))
+        for s in range(data.n_locations):
+            for k, code in enumerate((HIGH, LOW)):
+                x = data.rain[s, state.states[s] == code]
+                m = max(x.mean() if len(x) else 0.0, RAIN_EPS)
+                v = max(x.var(ddof=1) if len(x) >= 2 else 0.0, VAR_FLOOR)
+                want[s, k] = m * m / v, m / v
+        np.testing.assert_allclose(shape, want[..., 0], rtol=1e-9)
+        np.testing.assert_allclose(rate, want[..., 1], rtol=1e-9)
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_records(), st.data())
+    def test_joint_matches_brute_force(self, record, draw):
+        data, state, weights = record
+        S = data.n_locations
+        pats = extract_patterns(data, state)
+        # some labels may lack a pattern row, a series row or a mean
+        k = draw.draw(st.integers(0, pats.n_day_patterns))
+        v = draw.draw(st.integers(0, pats.n_loc_series))
+        pats = replace(pats, rain_patterns=pats.rain_patterns[:k],
+                       state_patterns=pats.state_patterns[:k],
+                       rain_series=pats.rain_series[:v],
+                       state_series=pats.state_series[:v])
+        positive = st.floats(0.1, 10.0)
+        params = ModelParams(
+            temporal_factor=draw.draw(positive),
+            day_align=draw.draw(positive), loc_align=draw.draw(positive),
+            aggregate_sd=draw.draw(positive),
+            gamma_shape=draw.draw(hnp.arrays(np.float64, (S, 2),
+                                             elements=positive)),
+            gamma_rate=draw.draw(hnp.arrays(np.float64, (S, 2),
+                                            elements=positive)),
+            aggregate_mean=draw.draw(hnp.arrays(
+                np.float64, draw.draw(st.integers(0, k)),
+                elements=st.floats(0.0, 100.0))))
+        got = joint_log_density(data, weights, state, params, pats)
+        # the Gamma terms may cancel to a small logp: the tolerance is 1e-12
+        # of their magnitudes' sum
+        a, b = (np.take_along_axis(v, state.states - 1, axis=1)
+                for v in (params.gamma_shape, params.gamma_rate))
+        scale = (np.abs(a * np.log(b)) + np.abs(log_gamma(a))
+                 + np.abs((a - 1.0) * data.log_rain) + b * data.rain_floored)
+        assert got == pytest.approx(
+            brute_force_log_density(data, weights, state, params, pats),
+            rel=1e-12, abs=1e-12 * scale.sum())
+        temporal, spatial, day, loc = agreement_counts(
+            state, pats, *weights.edge_arrays[:2])
+        assert (temporal, spatial.tolist(), day, loc) \
+            == brute_force_agreements(data, state, pats)
+        # a state with no cell at a location adds exactly 0, whatever its
+        # parameters there
+        absent = np.zeros((S, 2), dtype=bool)
+        absent[:, 0] = (state.states == LOW).all(axis=1)
+        absent[:, 1] = (state.states == HIGH).all(axis=1)
+        other = replace(params,
+                        gamma_shape=np.where(absent, 7.5, params.gamma_shape),
+                        gamma_rate=np.where(absent, 0.25, params.gamma_rate))
+        assert joint_log_density(data, weights, state, other, pats) == got
