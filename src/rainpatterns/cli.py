@@ -103,6 +103,19 @@ def load_config(path: str | None, seed: int | None, out: str | None) -> dict:
     return cfg
 
 
+def _convert(value, kind, where: str):
+    """A JSON value converted by ``kind``; an error names ``where``."""
+    try:
+        # a number takes no JSON boolean, an int no fraction
+        if (kind in (int, float) and isinstance(value, bool)
+                or kind is int and isinstance(value, float)
+                and not value.is_integer()):
+            raise ValueError
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{where}: cannot use {value!r}") from None
+
+
 def _value(cfg: dict, section: str, key: str, kind=float, null_ok=False):
     """``cfg[section][key]`` converted by ``kind``; errors name both keys."""
     sec = cfg.get(section)
@@ -111,16 +124,7 @@ def _value(cfg: dict, section: str, key: str, kind=float, null_ok=False):
     value = sec.get(key)
     if value is None and null_ok:
         return None
-    try:
-        # a number key takes no JSON boolean, an int key no fraction
-        if (kind in (int, float) and isinstance(value, bool)
-                or kind is int and isinstance(value, float)
-                and not value.is_integer()):
-            raise ValueError
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"config: {section}.{key}: cannot use "
-                              f"{value!r}") from None
+    return _convert(value, kind, f"config: {section}.{key}")
 
 
 def _checked(cfg: dict, section: str, key: str, ok, rule: str, kind=float,
@@ -194,17 +198,28 @@ def _write_params(out: Path, params: ModelParams) -> None:
         **{f: getattr(params, f).tolist() for f in PARAM_ARRAYS}})
 
 
+def _floats(value, where: str):
+    """Nested JSON lists of numbers as floats, each by the config's rule."""
+    if isinstance(value, list):
+        return [_floats(v, where) for v in value]
+    return _convert(value, float, where)
+
+
 def _load_params(path, patterns: PatternSet) -> ModelParams:
-    """The frozen run's parameters, shaped to its locations and patterns."""
+    """The frozen run's parameters, shaped to its locations and patterns;
+    its numbers, also those within the arrays, read as a config's."""
     doc, keys = _read_json(path), SECTIONS["model"][1]
     try:
-        params = ModelParams(
-            **{f: float(doc[k]) for k, f in keys.items()},
-            **{f: np.array(doc[f], dtype=float) for f in PARAM_ARRAYS})
+        scalars = {f: _convert(doc[k], float, f"{path}: {k}")
+                   for k, f in keys.items()}
+        arrays = {f: _floats(doc[f], f"{path}: {f}") for f in PARAM_ARRAYS}
     except KeyError as exc:
         raise ValidationError(f"{path}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    try:
+        arrays = {f: np.array(a, dtype=float) for f, a in arrays.items()}
+    except ValueError as exc:  # a ragged array
         raise ValidationError(f"{path}: malformed value ({exc})") from None
+    params = ModelParams(**scalars, **arrays)
     S, K = patterns.rain_patterns.shape[1], patterns.n_day_patterns
     for f, shape in zip(PARAM_ARRAYS, [(S, 2), (S, 2), (K,)]):
         if getattr(params, f).shape != shape:

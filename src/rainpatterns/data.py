@@ -299,7 +299,8 @@ def _read_table(path, header: list[str], dtype: np.dtype, checks):
             with warnings.catch_warnings():
                 # a table without rows is reported by the caller
                 warnings.simplefilter("ignore", UserWarning)
-                # numpy 1.x reads "1.0" into an integer field with a warning
+                # numpy 1.23 and later read "1.0" into an integer field
+                # with a warning, until a 2.x release (2.4.6 raises)
                 warnings.simplefilter("error", DeprecationWarning)
                 table = np.loadtxt(fh, delimiter=",", dtype=dtype,
                                    comments=None, ndmin=1)

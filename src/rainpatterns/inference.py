@@ -94,7 +94,6 @@ class PosteriorSummary:
     z_mode: np.ndarray
     u_mode: np.ndarray
     v_mode: np.ndarray
-    n_retained: int
     log_density_trace: np.ndarray
 
     def as_state(self) -> LatentState:
@@ -716,15 +715,13 @@ class _GibbsEngine:
         return self.summary()
 
     def summary(self) -> PosteriorSummary:
-        n = len(self.kept_u)
-        z_mode = mode_states(self.z1_count, n)
+        z_mode = mode_states(self.z1_count, len(self.kept_u))
         u_mode, v_mode = _vote(self.kept_u), _vote(self.kept_v)
         if not self.frozen:
             # compact the per-variable modes to dense labels
             u_mode = np.unique(u_mode, return_inverse=True)[1] + 1
             v_mode = np.unique(v_mode, return_inverse=True)[1] + 1
-        return PosteriorSummary(z_mode, u_mode, v_mode, n,
-                                np.array(self.trace))
+        return PosteriorSummary(z_mode, u_mode, v_mode, np.array(self.trace))
 
 
 def run_gibbs(data, weights, params: ModelParams, config: SamplerConfig,

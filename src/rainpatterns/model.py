@@ -207,31 +207,6 @@ def matches(rows: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _packed_rows(bits: np.ndarray) -> np.ndarray:
-    """The rows of a 2-D bool array packed 64 to a word, zero-padded."""
-    R, C = bits.shape
-    out = np.zeros((R, -(-C // 64) * 8), np.uint8)
-    out[:, :-(-C // 8)] = np.packbits(bits, axis=1)
-    return out.view(np.uint64)
-
-
-_SWAR = tuple(np.uint64(v) for v in (1, 2, 4, 56, 0x5555555555555555,
-                                     0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
-                                     0x0101010101010101))
-
-
-def _popcount(words: np.ndarray) -> np.ndarray:
-    """Set bits of each row of 64-bit words (the bit-parallel count of
-    Warren, Hacker's Delight, fig. 5-1)."""
-    one, two, four, top, m1, m2, m4, h01 = _SWAR
-    x = words - ((words >> one) & m1)
-    x = (x & m2) + ((x >> two) & m2)
-    x = (x + (x >> four)) & m4
-    x *= h01
-    x >>= top
-    return x.sum(axis=-1, dtype=np.int64)
-
-
 def mode_states(ones_count: np.ndarray, totals: np.ndarray) -> np.ndarray:
     """Element-wise mode over {1, 2} given counts of ones; ties go to 2."""
     return np.where(2 * ones_count > totals, HIGH, LOW).astype(np.int8)
@@ -329,25 +304,25 @@ def agreement_counts(state: LatentState, patterns: PatternSet,
     ``temporal`` counts the agreeing adjacent-day pairs, ``spatial`` the
     agreeing days of each neighbour pair (ei[e], ej[e]), and ``day`` and
     ``loc`` the cells agreeing with their day's pattern row and their
-    location's series row, where the label has one.  The pair and alignment
-    counts are popcounts of XORed bit-packed rows of the high indicator, so
-    no (E, T) or (T, S) comparison plane is built.
+    location's series row, where the label has one.  The neighbour pairs
+    are popcounts of XORed bit-packed rows of the high indicator, so no
+    (E, T) plane is built; the alignments are plain comparisons.
     """
     z = state.states
     S, T = z.shape
     high = z == HIGH
-    rows = _packed_rows(high)  # a location's days
+    rows = np.packbits(high, axis=1)
     temporal = S * (T - 1) - np.count_nonzero(high[:, 1:] != high[:, :-1])
-    spatial = T - _popcount(rows[ei] ^ rows[ej])
+    spatial = T - np.bitwise_count(rows[ei] ^ rows[ej]).sum(
+        axis=1, dtype=np.int64)
     rows_u = state.day_labels - 1
     has_u = rows_u < patterns.n_day_patterns
-    pats = _packed_rows(patterns.state_patterns == HIGH)[rows_u[has_u]]
-    days = _packed_rows(np.ascontiguousarray(high.T))[has_u]
-    day = S * len(days) - int(_popcount(pats ^ days).sum())
+    pat_high = patterns.state_patterns == HIGH
+    day = np.count_nonzero(high[:, has_u] == pat_high.T[:, rows_u[has_u]])
     rows_v = state.loc_labels - 1
     has_v = rows_v < patterns.n_loc_series
-    sers = _packed_rows(patterns.state_series == HIGH)[rows_v[has_v]]
-    loc = T * len(sers) - int(_popcount(sers ^ rows[has_v]).sum())
+    ser_high = patterns.state_series == HIGH
+    loc = np.count_nonzero(high[has_v] == ser_high[rows_v[has_v]])
     return temporal, spatial, day, loc
 
 
@@ -360,12 +335,12 @@ def joint_log_density(data, weights, state: LatentState, params: ModelParams,
     per-day aggregate-rainfall terms.  Labels beyond the pattern rows (or the
     aggregate means) contribute neutrally, mirroring the sampling rules.
 
-    The edge and alignment terms weigh ``agreement_counts``.  Each
-    location's Gamma term reads its per-state count, Σ log x and Σ x: the
-    high state's sums are row products of the data with the high indicator,
-    the low state's the all-day totals cached on the dataset less the high
-    state's, and exactly 0 where the location has no low day.  That
-    summation order moved ``trace.csv``'s logp in its trailing digits only.
+    The edge and alignment terms weigh the integers of
+    ``agreement_counts``.  Each location's Gamma term reads its per-state
+    count, Σ log x and Σ x: the high state's sums are row products of the
+    data with the high indicator, the low state's the all-day totals cached
+    on the dataset less the high state's, and exactly 0 where the location
+    has no low day.
     """
     if params.gamma_shape is None or params.gamma_rate is None:
         raise ValidationError("joint density requires estimated Gamma parameters")

@@ -130,6 +130,10 @@ PARAMS_DAMAGES = [
     ("gamma-rate-ragged", edit_json(lambda doc: doc["gamma_rate"][0].pop())),
     ("aggregate-mean-short",
      edit_json(lambda doc: doc["aggregate_mean"].pop())),
+    # a JSON boolean is no number, as in a config
+    ("f-true", edit_json(lambda doc: doc.update(f=True))),
+    ("gamma-shape-true",
+     edit_json(lambda doc: doc["gamma_shape"][0].__setitem__(0, True))),
 ]
 
 

@@ -172,6 +172,11 @@ class TestLoadDataset:
         pytest.param("0,0,0\n", "0,0,0,-inf\n", ValidationError,
                      "{rain}:2: non-finite rain_mm",
                      id="non-finite-before-negative"),
+        # a float's text in an integer field, which numpy's parser rejects
+        pytest.param("0,1.0,0\n", "0,0,0,1.0\n", ParseError,
+                     "{loc}:2: non-integer field", id="float-text-coord"),
+        pytest.param("0,0,0\n", "0,0,0,1.0\n0,1.0,0,1.0\n", ParseError,
+                     "{rain}:3: malformed field", id="float-text-day"),
     ])
     def test_error_names_first_faulty_line(self, tmp_path, locations,
                                            rainfall, error, message):
