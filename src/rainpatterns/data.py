@@ -233,17 +233,18 @@ def make_dataset(rain: np.ndarray, grid_coords: np.ndarray,
                            build_neighborhoods(grid_coords))
 
 
-def _read_rows(path, header: list[str]):
-    """Yield (line_number, row) from a CSV after checking its header."""
+def _read_rows(path, header: list[str], quoting=csv.QUOTE_MINIMAL):
+    """Yield (line_number, row) from a CSV after checking its header; the
+    rows after the header are read with csv's ``quoting``."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            first = next(reader)
+            first = next(csv.reader(fh))
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
         if first != header:
             raise ParseError(f"{path}:1: expected header {','.join(header)}")
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in enumerate(csv.reader(fh, quoting=quoting),
+                                     start=2):
             if not row:
                 continue
             if len(row) != len(header):
@@ -261,17 +262,22 @@ def _int64(text: str) -> int:
 def _parse_rows(path, header: list[str], dtype: np.dtype):
     """Rows converted one at a time up to the first that fails.
 
-    Returns the rows before it as a table and that row's ParseError (None
-    when every row converts).  An all-integer table reports a
-    "non-integer field", any other a "malformed field".
+    A field converts as numpy's parser reads it: quotes are text, and
+    digit separators ``_`` and non-ASCII digits, which Python's int and
+    float accept, fail.  Returns the rows before the failing one as a table
+    and that row's ParseError (None when every row converts).  An
+    all-integer table reports a "non-integer field", any other a
+    "malformed field".
     """
     convs = [float if dtype[name].kind == "f" else _int64
              for name in dtype.names]
     message = "malformed field" if float in convs else "non-integer field"
     rows, error = [], None
     try:
-        for lineno, row in _read_rows(path, header):
+        for lineno, row in _read_rows(path, header, csv.QUOTE_NONE):
             try:
+                if not all(v.strip().isascii() and "_" not in v for v in row):
+                    raise ValueError(f"{row} is not plain ASCII numbers")
                 rows.append(tuple(conv(v) for conv, v in zip(convs, row)))
             except ValueError:
                 error = ParseError(f"{path}:{lineno}: {message}")
@@ -316,7 +322,8 @@ def _read_table(path, header: list[str], dtype: np.dtype, checks):
             row, message = int(hits[0]), describe
     if message is not None:
         # blank lines are not rows, so count lines to name this one
-        lineno, _ = next(itertools.islice(_read_rows(path, header), row, None))
+        lineno, _ = next(itertools.islice(
+            _read_rows(path, header, csv.QUOTE_NONE), row, None))
         raise ValidationError(f"{path}:{lineno}: {message(row)}")
     if error is not None:
         raise error
@@ -588,9 +595,14 @@ def discretize_by_mean(d: RainfallDataset) -> np.ndarray:
     """Threshold each cell against its location's mean daily rainfall.
 
     Strictly above the mean is state 1 (high); equal or below is state 2.
+    A row's maximum is high unless the row is constant: the mean can round
+    up to it, as (100, 100 − 2^-46)'s does.
     """
     means = d.rain.mean(axis=1, keepdims=True)
-    return np.where(d.rain > means, HIGH, LOW).astype(np.int8)
+    top = d.rain.max(axis=1, keepdims=True)
+    high = (d.rain > means) | ((d.rain == top)
+                               & (top > d.rain.min(axis=1, keepdims=True)))
+    return np.where(high, HIGH, LOW).astype(np.int8)
 
 
 def _lattice_coords(n: int) -> np.ndarray:

@@ -29,7 +29,9 @@ A label sweep draws all of its uniforms at once (the same stream as one
 draw per label) and picks each label in plain Python from a handful of
 candidate weights.  An item whose label leads every rival by more than
 ``GAP`` nats keeps it without a draw: the draw would provably return it, so
-the labels, the tables and the stream are those of drawing it.
+the labels, the tables and the stream are those of drawing it.  In a fit the
+new label is a fresh number, an emptied label stays empty, and the labels
+are renumbered densely once the sweep ends.
 
 Every conditional has one implementation: ``cell_log_odds`` on the
 engine for cells, and for labels ``_LabelTables.log_weights``, whose class
@@ -97,8 +99,7 @@ class PosteriorSummary:
     log_density_trace: np.ndarray
 
     def as_state(self) -> LatentState:
-        return LatentState(self.z_mode.copy(), self.u_mode.copy(),
-                           self.v_mode.copy())
+        return LatentState(self.z_mode, self.u_mode, self.v_mode).copy()
 
 
 def _draw_label(cand: list, logw: list, u: float):
@@ -230,18 +231,19 @@ class _LabelTables:
     lack i's year; ``joins`` holds both logs, floored at log 1 for an empty
     label (locations all share year 0).  A move updates one label's count
     and, when a year's count leaves or reaches zero, its span.  ``rows``
-    maps labels 1..``n_rows`` to pattern rows and one label past them to
-    none, as it does a label born here.  ``scores`` holds each item's
-    scaled alignment term per pattern row, (rows × items), and
-    ``aggregate``, for days, its aggregate term.  ``n_frozen`` is None in a
-    fit and the frozen row count in a refit.
+    maps labels 1..``n_rows`` to pattern rows and a label past them to
+    none; ``put`` extends it for a label past every label it holds, as
+    every label born in a fit is.  ``scores`` holds each item's scaled
+    alignment term per pattern row and ``aggregate`` its aggregate term
+    per row, zero for locations, both (rows × items).  ``n_frozen`` is
+    None in a fit and the frozen row count in a refit.
     """
 
     def __init__(self, labels, n_rows, scores, years, concentration,
-                 n_frozen=None, aggregate=None):
+                 n_frozen, aggregate):
         self.labels = labels
         self.rows = [r if r < n_rows else -1
-                     for r in range(max(int(labels.max()), n_rows + 1))]
+                     for r in range(max(int(labels.max()), n_rows))]
         self.scores = scores
         self.aggregate = aggregate
         self.log_alpha = math.log(concentration)
@@ -264,19 +266,17 @@ class _LabelTables:
         """Items whose draw keeps their label, while it has another member,
         for any uniform above 0 (see ``GAP``).
 
-        Item i scores B[r, i] = scores[r, i] at pattern row r, plus the
-        aggregate term for days.  Join weights lie in [0, J], J =
-        log(n_items · (n_years + 1)), so i's own label weighs at least its
-        score, a rival at most its score plus J, a label without a row at
-        most J and the new label log α.  Item i is decided when its label's
-        row leads the next best row, 0 and log α by more than GAP + J.
-        Scores past 2^40, whose rounding could exceed GAP's spare nat,
-        decide nothing.
+        Item i scores B[r, i] = scores[r, i] + aggregate[r, i] at pattern
+        row r.  Join weights lie in [0, J], J = log(n_items · (n_years +
+        1)), so i's own label weighs at least its score, a rival at most its
+        score plus J, a label without a row at most J and the new label
+        log α.  Item i is decided when its label's row leads the next best
+        row, 0 and log α by more than GAP + J.  Scores past 2^40, whose
+        rounding could exceed GAP's spare nat, decide nothing.
         """
         n = len(self.labels)
         own = np.asarray(self.rows)[self.labels - 1]
-        scores = (self.scores.copy() if self.aggregate is None
-                  else self.scores + self.aggregate)
+        scores = self.scores + self.aggregate
         if not (len(scores) and -2.0 ** 40 < scores.min()
                 and scores.max() < 2.0 ** 40):
             return np.zeros(n, dtype=bool)
@@ -313,28 +313,20 @@ class _LabelTables:
         self.labels[i] = label
         self._count(i, label, 1)
 
-    def drop(self, label: int) -> None:
-        """Remove an empty label; the labels above it move down by one."""
-        self.labels[self.labels > label] -= 1
-        k = label - 1
-        del (self.rows[k], self.counts[k], self.spans[k], self.joins[k],
-             self.per_year[k])
-
     def log_weights(self, i: int):
         """Candidate labels of item i, taken out of the counts, and their
         log-weights.
 
-        An occupied label weighs its prior join weight plus the score of its
-        pattern row and, for days, the aggregate term.  One extra label past
-        the occupied ones weighs the concentration while it is empty.  In a
-        frozen run labels 1..``n_frozen`` stay enterable while empty (join
-        weight floored at one) and the extra label is the single overflow
-        label ``n_frozen + 1``, an ordinary label while it is occupied.
+        An occupied label weighs its prior join weight plus the score and
+        the aggregate term of its pattern row.  In a fit a new label, past
+        every label the tables hold, weighs the concentration.  In a frozen
+        run labels 1..``n_frozen`` stay enterable while empty (join weight
+        floored at one) and the new label is the single overflow label
+        ``n_frozen + 1``, an ordinary label while it is occupied.
         """
         enterable = self.n_frozen or 0
         scores = self.scores[:, i].tolist()
-        aggregate = (None if self.aggregate is None
-                     else self.aggregate[:, i].tolist())
+        aggregate = self.aggregate[:, i].tolist()
         y = self.years[i]
         cand: list[int] = []
         logw: list[float] = []
@@ -346,13 +338,13 @@ class _LabelTables:
                 w = w_new_year
             if row >= 0:
                 w += scores[row]
-                if aggregate is not None:
-                    w += aggregate[row]
+                w += aggregate[row]
             cand.append(u)
             logw.append(w)
-        top = cand[-1] if cand else 0
-        if self.n_frozen is None or top == self.n_frozen:
-            cand.append(top + 1)
+        # a fit offers a fresh label, a refit its overflow label while empty
+        new = len(self.rows) + 1 if self.n_frozen is None else enterable + 1
+        if new not in cand:
+            cand.append(new)
             logw.append(self.log_alpha)
         return cand, logw
 
@@ -363,26 +355,20 @@ class _LabelTables:
         An item that ``decided`` names keeps its label without a draw when
         its uniform is above 0 (u = 0 can pick an earlier candidate) and its
         label has another member at its turn; drawing it would put it back
-        where it was.  In a fit an emptied label is removed so that labels
-        stay dense.
+        where it was.  A label that empties stays empty for the rest of the
+        sweep.  A fit then renumbers its labels densely, in order, and the
+        tables keep the numbers they were drawn under.
         """
-        fit = self.n_frozen is None
         decided = self.decided() & (uniforms > 0)
-        for i, (u, sure) in enumerate(zip(uniforms.tolist(),
-                                          decided.tolist())):
-            old = int(self.labels[i])
-            if sure and self.counts[old - 1] >= 2:
+        # an item's label changes only at its own turn
+        items = zip(self.labels.tolist(), uniforms.tolist(), decided.tolist())
+        for i, (label, u, sure) in enumerate(items):
+            if sure and self.counts[label - 1] >= 2:
                 continue
             self.take_out(i)
-            pick = _draw_label(*self.log_weights(i), u)
-            # in a fit a draw lands on an empty label only as a birth: i,
-            # alone in the top label, drew the new label, numbered as its
-            # old one, and a born label has no pattern row
-            if fit and pick == old and self.counts[old - 1] == 0:
-                self.rows[old - 1] = -1
-            self.put(i, pick)
-            if fit and pick != old and self.counts[old - 1] == 0:
-                self.drop(old)
+            self.put(i, _draw_label(*self.log_weights(i), u))
+        if self.n_frozen is None:
+            self.labels[:] = np.unique(self.labels, return_inverse=True)[1] + 1
 
 
 class _GibbsEngine:
@@ -467,6 +453,7 @@ class _GibbsEngine:
             states = discretize_by_mean(self.data)
 
         loc_labels = np.ones(self.S, dtype=np.int64)
+        k0 = math.isqrt(self.T - 1) + 1  # the starting day clusters, ~sqrt(T)
         if frozen is not None:
             # start every day and location at its best-matching frozen pattern
             day_labels = matches(frozen.state_patterns,
@@ -475,14 +462,12 @@ class _GibbsEngine:
                 loc_labels = matches(frozen.state_series,
                                      states.T).argmax(axis=0) + 1
         elif self.config.init == "random":
-            k0 = math.isqrt(self.T - 1) + 1
             day_labels = self.rng.integers(1, k0 + 1, size=self.T)
             day_labels = np.unique(day_labels, return_inverse=True)[1] + 1
         elif self.config.init == "pattern":
-            day_labels = _leader_init(states, math.isqrt(self.T - 1) + 1)
+            day_labels = _leader_init(states, k0)
         else:
-            # quantile-bin days on total rainfall into ~sqrt(T) starting bins
-            k0 = math.isqrt(self.T - 1) + 1
+            # quantile-bin days on total rainfall into k0 starting bins
             ranks = np.empty(self.T, dtype=np.int64)
             ranks[np.argsort(self.y, kind="stable")] = np.arange(self.T)
             day_labels = 1 + (ranks * k0) // self.T
@@ -545,16 +530,16 @@ class _GibbsEngine:
             high.append((self.state.states[:, d::2] == HIGH).view(np.uint8))
         return high, fixed
 
-    def cell_log_odds(self, b: int, parts=None) -> np.ndarray:
+    def cell_log_odds(self, b: int, parts) -> np.ndarray:
         """Conditional log-odds, high less low, of every cell of block b.
 
         Block b is ``color_blocks[b]`` = (locations, day parity d), its cells
         those locations × the days d, d + 2, ....  ``parts`` is what
-        ``_day_parity_parts`` returns, by default for the current state.
+        ``_day_parity_parts`` returns.
         Returns one log-odds per cell, in row-major (location, day) order.
         A missing temporal neighbour adds an exact 0.0.
         """
-        high, fixed = self._day_parity_parts() if parts is None else parts
+        high, fixed = parts
         s_idx, d = self.color_blocks[b]
         own, other = high[d], high[1 - d]
         n_d = own.shape[1]
@@ -599,8 +584,7 @@ class _GibbsEngine:
             p.day_align * self.align_scale
             * matches(pats.state_patterns, self.state.states),
             self.year_idx, p.day_concentration,
-            pats.n_day_patterns if self.frozen else None,
-            aggregate=-0.5 * dev * dev)
+            pats.n_day_patterns if self.frozen else None, -0.5 * dev * dev)
 
     def _loc_tables(self) -> _LabelTables:
         p, pats = self.params, self.patterns
@@ -609,7 +593,8 @@ class _GibbsEngine:
             p.loc_align * self.align_scale
             * matches(pats.state_series, self.state.states.T),
             np.zeros(self.S, dtype=np.intp), p.loc_concentration,
-            pats.n_loc_series if self.frozen else None)
+            pats.n_loc_series if self.frozen else None,
+            np.zeros((pats.n_loc_series, self.S)))
 
     def u_sweep(self) -> None:
         self._day_tables().sweep(self.rng.random(self.T))

@@ -85,6 +85,41 @@ def label_log_weights(tables, i):
     return tables.log_weights(i)
 
 
+class DroppingLabelTables(inference._LabelTables):
+    """A fit's label sweep under the rule that renumbers labels as they
+    empty, the reference for ``_LabelTables.sweep``: an emptied label is
+    dropped at once and the labels above it move down by one, the new label
+    is numbered one past the top candidate, and a label born under its
+    item's old number (the item alone in the top label) loses that label's
+    pattern row.  For fits only (``n_frozen`` None)."""
+
+    def drop(self, label):
+        self.labels[self.labels > label] -= 1
+        k = label - 1
+        del (self.rows[k], self.counts[k], self.spans[k], self.joins[k],
+             self.per_year[k])
+
+    def log_weights(self, i):
+        cand, logw = super().log_weights(i)
+        cand[-1] = cand[-2] + 1 if len(cand) > 1 else 1
+        return cand, logw
+
+    def sweep(self, uniforms):
+        decided = self.decided() & (uniforms > 0)
+        for i, (u, sure) in enumerate(zip(uniforms.tolist(),
+                                          decided.tolist())):
+            old = int(self.labels[i])
+            if sure and self.counts[old - 1] >= 2:
+                continue
+            self.take_out(i)
+            pick = inference._draw_label(*self.log_weights(i), u)
+            if pick == old and self.counts[old - 1] == 0:
+                self.rows[old - 1] = -1
+            self.put(i, pick)
+            if pick != old and self.counts[old - 1] == 0:
+                self.drop(old)
+
+
 def brute_force_agreements(data, state, pats):
     """The joint's integer terms counted cell by cell, as
     ``model.agreement_counts`` returns them: agreeing adjacent-day pairs,
@@ -194,7 +229,8 @@ def cell_odds(engine, s, t):
         if d == t % 2 and s in s_idx:
             n_days = len(range(d, engine.T, 2))
             col = int(np.flatnonzero(s_idx == s)[0]) * n_days + t // 2
-            return float(engine.cell_log_odds(b)[col])
+            return float(engine.cell_log_odds(
+                b, engine._day_parity_parts())[col])
     raise AssertionError(f"cell {(s, t)} is in no colour block")
 
 

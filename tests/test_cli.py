@@ -351,6 +351,16 @@ class TestBaseline:
         b = np.array([truth[t] for t in sorted(truth)])
         assert adjusted_rand_index(a, b) == pytest.approx(1.0)
 
+    def test_spect1_outputs(self, synth_dir):
+        tmp_path, cfg = synth_dir
+        out = tmp_path / "sp1"
+        assert run(["baseline", "--method", "spect1", "--config", cfg,
+                    "--out", out]) == 0
+        labels = [int(r[1]) for r in read_rows(out / "assign_u.csv")[1:]]
+        assert sorted(set(labels)) == list(range(1, max(labels) + 1))
+        g, _ = read_metrics_csv(out / "metrics.csv")
+        assert g["n_clusters"] == 3
+
     def test_k_too_large_is_validation_error(self, synth_dir, capsys):
         tmp_path, cfg = synth_dir
         doc = json.loads(Path(cfg).read_text())
@@ -392,6 +402,32 @@ class TestCompare:
         for svg in svgs:
             root = ET.parse(svg).getroot()
             assert root.tag.endswith("svg")
+
+    def test_eof_run_has_a_column_and_no_maps(self, fit_run, tmp_path):
+        # an eof run writes no pattern tables, so it gets no pattern maps
+        base, cfg = fit_run
+        assert run(["baseline", "--method", "eof", "--config", cfg,
+                    "--out", tmp_path / "eof"]) == 0
+        out = tmp_path / "cmp"
+        assert run(["compare", "--config", cfg, "--out", out,
+                    base / "fit", tmp_path / "eof"]) == 0
+        rows = read_rows(out / "comparison.csv")
+        assert rows[0] == ["metric", "mrf", "eof"]
+        fit, eof = {r[0]: r[1:] for r in rows}["variance_explained"]
+        assert fit == "" and 0 < float(eof) <= 1
+        assert sorted(p.name for p in out.glob("c[dr]p_*.svg")) \
+            == ["cdp_mrf.svg", "crp_mrf.svg"]
+
+    def test_run_without_config_is_named_after_its_directory(
+            self, fit_run, tmp_path):
+        base, cfg = fit_run
+        run_dir = shutil.copytree(base / "fit", tmp_path / "mine")
+        (run_dir / "config.json").unlink()
+        out = tmp_path / "cmp"
+        assert run(["compare", "--config", cfg, "--out", out, run_dir]) == 0
+        assert read_rows(out / "comparison.csv")[0] == ["metric", "mine"]
+        assert sorted(p.name for p in out.glob("c[dr]p_*.svg")) \
+            == ["cdp_mine.svg", "crp_mine.svg"]
 
     def test_mrf_beats_kmeans_on_hamming(self, synth_dir):
         tmp_path, cfg = synth_dir
@@ -1013,6 +1049,20 @@ class TestExitCodes:
             == "metric  " + "mrf".rjust(18) + "\n"
         assert sorted(p.name for p in out.glob("*.svg")) \
             == ["cdp_mrf.svg", "crp_mrf.svg"]
+
+    @pytest.mark.parametrize("text,fault", [
+        ("", ": empty file"),
+        ("metric,cluster,value\nn_clusters,,3.0\n",
+         ":1: expected header metric,cluster_id,value")])
+    def test_compare_metrics_without_its_header_names_the_file(
+            self, fit_run, tmp_path, capsys, text, fault):
+        base, cfg = fit_run
+        run_dir = shutil.copytree(base / "fit", tmp_path / "run")
+        (run_dir / "metrics.csv").write_text(text)
+        assert run(["compare", run_dir, "--config", cfg,
+                    "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err \
+            == f"error: {run_dir / 'metrics.csv'}{fault}\n"
 
     @staticmethod
     def _set_metric(run_dir, prefix, value):

@@ -22,8 +22,8 @@ from rainpatterns.inference import (_GibbsEngine, _LabelTables,
 from rainpatterns.metrics import adjusted_rand_index
 from rainpatterns.model import (RAIN_EPS, crp_log_prior_days,
                                 crp_log_prior_locations)
-from conftest import (brute_force_neighbour_table, cell_odds,
-                      chain_whole_sweep_laws, engine_at,
+from conftest import (DroppingLabelTables, brute_force_neighbour_table,
+                      cell_odds, chain_whole_sweep_laws, engine_at,
                       exact_whole_sweep_laws, fitted_params, flip_delta,
                       label_log_weights, total_variation, whole_sweep_setup)
 
@@ -168,11 +168,12 @@ class TestZConditional:
         engine.state.loc_labels[::5] = state.n_loc_clusters + 1
         rng = np.random.default_rng(T)
         for b, (s_idx, d) in enumerate(engine.color_blocks):
-            before = engine.cell_log_odds(b)
+            before = engine.cell_log_odds(b, engine._day_parity_parts())
             block = np.ix_(s_idx, np.arange(d, T, 2))
             engine.state.states[block] = rng.integers(
                 HIGH, LOW + 1, len(before)).reshape(len(s_idx), -1)
-            assert np.array_equal(engine.cell_log_odds(b), before)
+            assert np.array_equal(
+                engine.cell_log_odds(b, engine._day_parity_parts()), before)
 
     def test_overflowing_logistic_is_silent(self):
         # a state ahead by more than exp's range (about 709.8 nats) is drawn
@@ -241,8 +242,10 @@ class TestUDayConditional:
                             np.array([1]), np.array([1, 1, 1, 1]))
         params = fitted_params(data, state)
         tables = engine_at(data, state, params)._day_tables()
-        labels, _ = label_log_weights(tables, 0)
-        assert labels == [1]
+        labels, logw = label_log_weights(tables, 0)
+        # the day, alone, is offered only the new label, the last candidate
+        assert labels[:-1] == []
+        assert logw == [math.log(params.day_concentration)]
 
     def test_neutral_terms_reduce_to_crp(self, small_synth):
         # with alignment and aggregate off, every day's weights are the day
@@ -266,13 +269,16 @@ class TestUDayConditional:
                                        np.array(enum) - enum[-1],
                                        rtol=1e-12, atol=1e-12)
 
+    # "new" is the new label, the last candidate
     @pytest.mark.parametrize("labels,years,t,conc,expect", [
-        ([1], [0], 0, 0.7, {1: math.log(0.7)}),
-        ([1, 1, 1, 2], [0, 0, 0, 0], 3, 1.0, {1: math.log(3), 2: 0.0}),
+        ([1], [0], 0, 0.7, {"new": math.log(0.7)}),
+        ([1, 1, 1, 2], [0, 0, 0, 0], 3, 1.0, {1: math.log(3), "new": 0.0}),
         # 2 days over 2 years, day 2's year among them: n = 2
-        ([1, 1, 2], [0, 1, 1], 2, 0.5, {1: math.log(2), 2: math.log(0.5)}),
+        ([1, 1, 2], [0, 1, 1], 2, 0.5,
+         {1: math.log(2), "new": math.log(0.5)}),
         # 2 days of year 0, day 2's year new to them: n·(m + 1) = 2 x 2
-        ([1, 1, 2], [0, 0, 1], 2, 0.5, {1: math.log(4), 2: math.log(0.5)}),
+        ([1, 1, 2], [0, 0, 1], 2, 0.5,
+         {1: math.log(4), "new": math.log(0.5)}),
     ])
     def test_prior_weights_by_hand(self, labels, years, t, conc, expect):
         T = len(labels)
@@ -284,7 +290,7 @@ class TestUDayConditional:
                                aggregate_sd=math.inf, day_concentration=conc)
         tables = engine_at(data, state, params)._day_tables()
         cand, logw = label_log_weights(tables, t)
-        assert dict(zip(cand, logw)) == pytest.approx(expect)
+        assert dict(zip(cand[:-1] + ["new"], logw)) == pytest.approx(expect)
 
     def test_matching_pattern_dominates(self, small_synth):
         data, truth = small_synth
@@ -308,8 +314,11 @@ class TestVLocationConditional:
                             np.array([1, 1]), np.array([1]))
         params = fitted_params(data, state)
         tables = engine_at(data, state, params)._loc_tables()
-        labels, _ = label_log_weights(tables, 0)
-        assert labels == [1]
+        labels, logw = label_log_weights(tables, 0)
+        # the location, alone, is offered only the new label, the last
+        # candidate
+        assert labels[:-1] == []
+        assert logw == [math.log(params.loc_concentration)]
 
     @pytest.mark.parametrize("labels,s,conc", [
         ([1, 1, 1, 1, 1, 2, 2, 3], 7, 1.0), ([1], 0, 2.5),
@@ -363,31 +372,70 @@ def assert_counts_from_scratch(tables, keep):
                             for row, m in zip(per_year, spans)]
 
 
+def fit_tables(data, n):
+    """Random fit tables of n items over 1-3 years: dense labels from up to
+    four clusters, up to one pattern row per label, small scores and
+    aggregate terms, and α from 0.1 to 100: the labels and the rest of
+    ``_LabelTables``' arguments."""
+    years = sorted(data.draw(st.lists(st.integers(0, 2), min_size=n,
+                                      max_size=n), label="years"))
+    labels = np.array(data.draw(st.lists(st.integers(1, 4), min_size=n,
+                                         max_size=n), label="labels"))
+    labels = np.unique(labels, return_inverse=True)[1] + 1
+    n_rows = data.draw(st.integers(0, int(labels.max())), label="rows")
+    terms = [np.array(data.draw(st.lists(
+        st.floats(lo, hi), min_size=n_rows * n, max_size=n_rows * n),
+        label=name)).reshape(n_rows, n)
+        for name, lo, hi in (("scores", -3.0, 3.0), ("aggregate", -3.0, 0.0))]
+    alpha = data.draw(st.floats(0.1, 100.0), label="alpha")
+    return labels, (n_rows, terms[0], np.array(years), alpha, None, terms[1])
+
+
+def uniforms(data, n):
+    return np.array(data.draw(st.lists(
+        st.floats(0.0, 1.0, exclude_max=True), min_size=n, max_size=n),
+        label="uniforms"))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_label_tables_track_moves(data):
-    # take_out, put and drop, as the label sweeps call them, keep counts,
-    # year spans and join weights equal to tables counted afresh
+    # take_out and put, as the label sweeps call them, keep counts, year
+    # spans and join weights equal to tables counted afresh, and a sweep
+    # leaves the labels dense
     n = data.draw(st.integers(1, 12), label="items")
     years = sorted(data.draw(st.lists(st.integers(0, 3), min_size=n,
                                       max_size=n), label="years"))
     labels = np.array(data.draw(st.lists(st.integers(1, 4), min_size=n,
                                          max_size=n), label="labels"))
     labels = np.unique(labels, return_inverse=True)[1] + 1
-    K = int(labels.max())
-    tables = _LabelTables(labels, 0, np.zeros((0, n)), np.array(years), 1.0)
+    tables = _LabelTables(labels, 0, np.zeros((0, n)), np.array(years), 1.0,
+                          None, np.zeros((0, n)))
     assert_counts_from_scratch(tables, range(n))
     for _ in range(data.draw(st.integers(1, 25), label="moves")):
         i = data.draw(st.integers(0, n - 1), label="item")
-        old = int(tables.labels[i])
         tables.take_out(i)
         assert_counts_from_scratch(tables, [j for j in range(n) if j != i])
         pick = data.draw(st.integers(1, len(tables.rows) + 1), label="label")
         tables.put(i, pick)
-        if pick != old and tables.counts[old - 1] == 0:
-            tables.drop(old)
         assert_counts_from_scratch(tables, range(n))
-        assert len(tables.rows) == int(tables.labels.max())
+    tables.sweep(uniforms(data, n))
+    assert np.array_equal(np.unique(tables.labels),
+                          np.arange(1, tables.labels.max() + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_label_sweep_matches_the_dropping_rule(data):
+    # the same uniforms give the same labels as the rule that drops an
+    # emptied label at once and numbers a birth one past the top candidate
+    n = data.draw(st.integers(1, 12), label="items")
+    labels, args = fit_tables(data, n)
+    u = uniforms(data, n)
+    swept, reference = labels.copy(), labels.copy()
+    _LabelTables(swept, *args).sweep(u)
+    DroppingLabelTables(reference, *args).sweep(u)
+    assert np.array_equal(swept, reference)
 
 
 @settings(max_examples=200, deadline=None)
@@ -530,8 +578,7 @@ def test_a_born_label_has_no_pattern_row(small_synth, small_weights,
                                          monkeypatch, sweep, labels,
                                          alone_in):
     # item 0, alone in the first or the last label and its pattern row,
-    # draws the new label: the label it is born into has no row, also when
-    # the new label takes item 0's old number (alone in the last label)
+    # draws the new label: the label it is born into has no row
     data, truth = small_synth
     engine = _GibbsEngine(data, small_weights,
                           ModelParams(aggregate_sd=float(data.aggregate.std())),
