@@ -226,7 +226,7 @@ def make_dataset(rain: np.ndarray, grid_coords: np.ndarray,
     # equal year labels must form contiguous runs
     change = np.flatnonzero(np.diff(year_of_day) != 0)
     starts = year_of_day[np.concatenate(([0], change + 1))]
-    if len(np.unique(starts)) != len(starts):
+    if (np.diff(np.sort(starts)) == 0).any():
         raise ValidationError("days of one year must be contiguous")
     return RainfallDataset(_locked(rain), _locked(grid_coords),
                            _locked(year_of_day),
@@ -262,12 +262,12 @@ def _int64(text: str) -> int:
 def _parse_rows(path, header: list[str], dtype: np.dtype):
     """Rows converted one at a time up to the first that fails.
 
-    A field converts as numpy's parser reads it: quotes are text, and
-    digit separators ``_`` and non-ASCII digits, which Python's int and
-    float accept, fail.  Returns the rows before the failing one as a table
-    and that row's ParseError (None when every row converts).  An
-    all-integer table reports a "non-integer field", any other a
-    "malformed field".
+    A field converts as numpy's parser reads it: stripped of whitespace
+    (``\x1c``-``\x1f`` too), quotes are text, and ``_`` and non-ASCII
+    digits, which Python's int and float accept, fail.  Returns the rows
+    before the failing one as a table and that row's ParseError (None when
+    every row converts).  An all-integer table reports a "non-integer
+    field", any other a "malformed field".
     """
     convs = [float if dtype[name].kind == "f" else _int64
              for name in dtype.names]
@@ -278,7 +278,7 @@ def _parse_rows(path, header: list[str], dtype: np.dtype):
             try:
                 if not all(v.strip().isascii() and "_" not in v for v in row):
                     raise ValueError(f"{row} is not plain ASCII numbers")
-                rows.append(tuple(conv(v) for conv, v in zip(convs, row)))
+                rows.append(tuple(c(v.strip()) for c, v in zip(convs, row)))
             except ValueError:
                 error = ParseError(f"{path}:{lineno}: {message}")
                 break
@@ -655,7 +655,7 @@ def generate_synthetic(spec: SyntheticSpec):
     # per-day pattern labels, resampled until all patterns occur
     while True:
         u_true = rng.integers(1, K + 1, size=T)
-        if len(np.unique(u_true)) == K:
+        if np.bincount(u_true, minlength=K + 1)[1:].all():
             break
 
     base = patterns[u_true - 1].T  # (S, T)

@@ -19,11 +19,11 @@ Colored Fields to Thin Junction Trees").  A cell is drawn from its
 log-odds, high less low.  The z-sweep works on the cells' high indicators
 split by day parity, z[:, 0::2] and z[:, 1::2], so a block's rows and its
 spatial neighbours' rows are contiguous and its two temporal neighbours are
-shifted slices of the other parity.  The Gamma term's log-odds is one plane
-in day order; once per z-sweep the alignment terms are added to it, split
-by day parity.  A block adds its temporal count and, per location, one
-entry of a table that holds the spatial log-odds of every mask of high
-neighbours.
+shifted slices of the other parity.  A block builds its log-odds when it
+is drawn: the Gamma term from per-location coefficients and the block's
+rain, the alignment terms from per-label rows, its temporal count and, per
+location, one entry of a table that holds the spatial log-odds of every
+mask of high neighbours.
 
 A label sweep draws all of its uniforms at once (the same stream as one
 draw per label) and picks each label in plain Python from a handful of
@@ -53,8 +53,8 @@ import numpy as np
 from .errors import NumericError, ValidationError
 from .model import (HIGH, LOW, RAIN_EPS, VAR_FLOOR, LatentState, ModelParams,
                     PatternSet, check_fields, days_per_year, extract_patterns,
-                    joint_log_density, log_day_cohesion, log_gamma, matches,
-                    mode_states)
+                    indicator_dot, joint_log_density, log_day_cohesion,
+                    log_gamma, matches, modal_patterns, mode_states, onehot)
 
 INIT_STRATEGIES = ("data", "pattern", "random")
 
@@ -116,7 +116,9 @@ def _draw_cell_states(odds: np.ndarray, rng) -> np.ndarray:
     A high state ahead by more than exp's range gives p_low = 0 exactly.
     """
     with np.errstate(over="ignore"):
-        p_low = 1.0 / (1.0 + np.exp(odds))
+        p_low = np.exp(odds)
+    p_low += 1.0
+    np.divide(1.0, p_low, out=p_low)
     # a uniform below p_low draws the low state, LOW = HIGH + 1
     return (rng.random(len(odds)) < p_low).view(np.int8) + HIGH
 
@@ -396,8 +398,9 @@ class _GibbsEngine:
 
         self.S, self.T = data.rain.shape
         self.y = data.aggregate
-        # the Gamma term's log-odds, in day order
-        self.gamma_odds = np.empty((self.S, self.T))
+        self._gamma_scale = (  # each location's max |log x| and max x
+            np.maximum(data.log_rain.max(1), -data.log_rain.min(1))[:, None],
+            data.rain_floored.max(axis=1)[:, None])
         self.log_tf = math.log(params.temporal_factor)
         self.year_idx = np.unique(data.year_of_day, return_inverse=True)[1]
 
@@ -477,73 +480,77 @@ class _GibbsEngine:
                                  np.asarray(loc_labels, dtype=np.int64))
 
     def refresh(self) -> None:
-        """Re-extract patterns and re-estimate parameters from the state."""
-        self.patterns = extract_patterns(self.data, self.state)
+        """Re-extract modal patterns and re-estimate parameters."""
+        self.patterns = modal_patterns(self.data, self.state)
         shape, rate, mu = update_params_ml(self.data, self.state)
         self.params = replace(self.params, gamma_shape=shape,
                               gamma_rate=rate, aggregate_mean=mu)
         self._refresh_gamma_odds()
 
     def _refresh_gamma_odds(self) -> None:
-        """The Gamma term's log-odds, high less low, written in place.
+        """The Gamma term's log-odds coefficients, (S, 1) each and high less
+        low: Δa, Δb and Δc = Δ(a·log b − log Γ(a)).
 
-        Δ(a − 1)·log x − Δb·x + Δ(a·log b − log Γ(a)), each Δ taken high
-        less low, at the floored rain and its log cached on the dataset, as
-        the joint density reads them.  A log-odds that is not finite is a
-        ``NumericError`` naming its location.
+        A cell's term is Δa·log x − Δb·x + Δc at the floored rain x, as the
+        joint density reads it.  A non-finite term is a ``NumericError``
+        naming its location; only a location whose |Δa|·max |log x| +
+        |Δb|·max x + |Δc| is not below 2^1021 can have one and is checked.
         """
         a, b = self.params.gamma_shape, self.params.gamma_rate
-        out = self.gamma_odds
+        max_log, max_x = self._gamma_scale
         with np.errstate(over="ignore", invalid="ignore"):
-            da, db, dc = (v[:, :1] - v[:, 1:] for v in
-                          (a, b, a * np.log(b) - log_gamma(a)))
-            np.multiply(da, self.data.log_rain, out=out)
-            out -= db * self.data.rain_floored
-            out += dc
-        finite = np.isfinite(out).all(axis=1)
+            self.gamma_deltas = da, db, dc = [v[:, :1] - v[:, 1:] for v in (
+                a, b, a * np.log(b) - log_gamma(a))]
+            bound = abs(da) * max_log + abs(db) * max_x + abs(dc)
+            loose = np.flatnonzero(~(bound < 2.0 ** 1021))
+            terms = da[loose] * self.data.log_rain[loose]
+            terms -= db[loose] * self.data.rain_floored[loose]
+            terms += dc[loose]
+        finite = np.isfinite(terms).all(axis=1)
         if not finite.all():
-            raise self.data.numeric_error(int(finite.argmin()),
+            raise self.data.numeric_error(int(loose[finite.argmin()]),
                                           "gives a non-finite Gamma term")
 
     # -------------------------------------------------------------- Z sweep
 
     def _day_parity_parts(self):
-        """The z-sweep's inputs split by day parity, z[:, 0::2] and
-        z[:, 1::2]: 0/1 uint8 high indicators, and the terms that no cell
-        draw changes, Gamma plus alignment.
+        """The z-sweep's inputs: 0/1 uint8 high indicators split by day
+        parity, z[:, 0::2] and z[:, 1::2]; ±η per (location, pattern row)
+        and ±ζ per (series row, day); and each day's and location's row,
+        where a label without one picks the zeros past them.
         """
         p, pats = self.params, self.patterns
         eta = p.day_align * self.align_scale
         zeta = p.loc_align * self.align_scale
-        # η·(+1 high, −1 low) per pattern cell and ζ·(the same) per series
-        # cell; a label without a pattern row picks the zeros past them
         pat = np.zeros((self.S, pats.n_day_patterns + 1))
         pat[:, :-1] = np.where(pats.state_patterns.T == HIGH, eta, -eta)
         ser = np.zeros((pats.n_loc_series + 1, self.T))
         ser[:-1] = np.where(pats.state_series == HIGH, zeta, -zeta)
         rows_u = np.minimum(self.state.day_labels - 1, pats.n_day_patterns)
         rows_v = np.minimum(self.state.loc_labels - 1, pats.n_loc_series)
-        high, fixed = [], []
-        for d in range(2):
-            fixed.append(self.gamma_odds[:, d::2] + pat[:, rows_u[d::2]])
-            fixed[d] += ser[rows_v, d::2]
-            high.append((self.state.states[:, d::2] == HIGH).view(np.uint8))
-        return high, fixed
+        high = [(self.state.states[:, d::2] == HIGH).view(np.uint8)
+                for d in range(2)]
+        return high, pat, ser, rows_u, rows_v
 
     def cell_log_odds(self, b: int, parts) -> np.ndarray:
         """Conditional log-odds, high less low, of every cell of block b.
 
         Block b is ``color_blocks[b]`` = (locations, day parity d), its cells
         those locations × the days d, d + 2, ....  ``parts`` is what
-        ``_day_parity_parts`` returns.
-        Returns one log-odds per cell, in row-major (location, day) order.
-        A missing temporal neighbour adds an exact 0.0.
+        ``_day_parity_parts`` returns.  Returns one log-odds per cell in
+        row-major (location, day) order, the Gamma, pattern, series, temporal
+        and spatial terms added in turn; a missing temporal neighbour adds 0.
         """
-        high, fixed = parts
+        high, pat, ser, rows_u, rows_v = parts
         s_idx, d = self.color_blocks[b]
         own, other = high[d], high[1 - d]
         n_d = own.shape[1]
-        odds = fixed[d][s_idx]
+        da, db, dc = (v[s_idx] for v in self.gamma_deltas)
+        odds = da * self.data.log_rain[s_idx, d::2]
+        odds -= db * self.data.rain_floored[s_idx, d::2]
+        odds += dc
+        odds += pat[s_idx][:, rows_u[d::2]]
+        odds += ser[rows_v[s_idx], d::2]
 
         # temporal edges: log f per agreeing neighbour day, so log f times
         # 2·n_high − n_inside, the sum of +1 per high and −1 per low
@@ -557,12 +564,13 @@ class _GibbsEngine:
         odds += self.log_tf * count
 
         # spatial edges: one gather from the location's row of the
-        # neighbour table at the mask of its high neighbours
+        # neighbour table at the mask of high neighbours, slot k at bit k
         nbrs, offsets = self._block_nbrs[b]
-        mask = np.zeros(odds.shape, dtype=np.uint8)
-        for k, nb in enumerate(nbrs):
-            mask |= own[nb] << k
-        odds += self._table.take(offsets + mask)
+        slots = own[nbrs]
+        slots *= (1 << np.arange(len(nbrs), dtype=np.uint8))[:, None, None]
+        index = np.bitwise_or.reduce(slots, axis=0).astype(np.intp)
+        index += offsets
+        odds += self._table.take(index)
         return odds.ravel()
 
     def z_sweep(self) -> None:
@@ -627,13 +635,12 @@ class _GibbsEngine:
         """
         p = self.params
         labels = self.state.day_labels
-        onehot = np.zeros((int(labels.max()), self.T))
-        onehot[labels - 1, np.arange(self.T)] = 1.0
-        wet = onehot @ (self.state.states == HIGH).T.astype(float)  # (K, S)
-        parts = (days_per_year(labels, self.year_idx), wet, onehot @ self.y,
-                 onehot @ (self.y * self.y))
+        member = onehot(labels)
+        wet = indicator_dot(self.state.states == HIGH, member.T).T  # (K, S)
+        parts = (days_per_year(labels, self.year_idx), wet, member @ self.y,
+                 member @ (self.y * self.y))
 
-        cdp = mode_states(wet, onehot.sum(axis=1)[:, None])
+        cdp = mode_states(wet, member.sum(axis=1)[:, None])
         dist = self.S - matches(cdp)
         np.fill_diagonal(dist, self.S + 1)
         peer = dist.argmin(axis=1)

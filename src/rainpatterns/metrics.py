@@ -104,7 +104,7 @@ def spell_stats(day_labels: np.ndarray, years: np.ndarray):
     distinct years in the record.
     """
     K = int(day_labels.max())
-    n_years = len(np.unique(years))
+    n_years = np.count_nonzero(np.diff(np.sort(years))) + 1
     # a spell starts on the first day and wherever the label or year changes
     starts = np.ones(len(day_labels), dtype=bool)
     starts[1:] = ((day_labels[1:] != day_labels[:-1])

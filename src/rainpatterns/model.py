@@ -25,7 +25,7 @@ the joint density and the tests' reference share it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -99,8 +99,7 @@ class LatentState:
         for name, labels in (("day", self.day_labels), ("loc", self.loc_labels)):
             if labels.size == 0 or labels.min() < 1:
                 raise ValidationError(f"{name} labels must be positive")
-            used = np.unique(labels)
-            if used.size != labels.max():
+            if np.diff(np.sort(labels), prepend=0).max() > 1:
                 raise ValidationError(f"{name} labels must be dense 1..K")
 
 
@@ -173,36 +172,51 @@ class PatternSet:
     ``state_patterns`` its element-wise modal state map (ties resolve to the
     low state).  ``rain_series`` / ``state_series`` are the analogous canonical
     time series per location cluster.  ``pattern_volume`` is the total mm/day
-    of each rain pattern.
+    of each rain pattern; ``modal_patterns`` leaves the rain fields None.
     """
 
-    rain_patterns: np.ndarray   # (K, S) float
-    state_patterns: np.ndarray  # (K, S) in {1, 2}
-    rain_series: np.ndarray     # (L, T) float
-    state_series: np.ndarray    # (L, T) in {1, 2}
-    day_counts: np.ndarray      # (K,)
-    year_counts: np.ndarray     # (K,)
-    pattern_volume: np.ndarray  # (K,)
+    rain_patterns: np.ndarray | None   # (K, S) float
+    state_patterns: np.ndarray         # (K, S) in {1, 2}
+    rain_series: np.ndarray | None     # (L, T) float
+    state_series: np.ndarray           # (L, T) in {1, 2}
+    day_counts: np.ndarray             # (K,)
+    year_counts: np.ndarray            # (K,)
+    pattern_volume: np.ndarray | None  # (K,)
 
     @property
     def n_day_patterns(self) -> int:
-        return self.rain_patterns.shape[0]
+        return self.state_patterns.shape[0]
 
     @property
     def n_loc_series(self) -> int:
-        return self.rain_series.shape[0]
+        return self.state_series.shape[0]
+
+
+def indicator_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b of 0/1 arrays as float64 counts, taken in float32 while the
+    summed dimension is below 2^24, where every partial sum is exact."""
+    dtype = np.float32 if a.shape[-1] < 2 ** 24 else np.float64
+    return (a.astype(dtype) @ b.astype(dtype)).astype(np.float64)
+
+
+def onehot(labels: np.ndarray) -> np.ndarray:
+    """(max label, n) float 0/1 membership of n items labelled from 1."""
+    out = np.zeros((int(labels.max()), len(labels)))
+    out[labels - 1, np.arange(len(labels))] = 1.0
+    return out
 
 
 def matches(rows: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
     """Agreeing states of every state row with every column (by default,
     every other row), (R, C) floats: with r, c the HIGH indicators of n
-    states, 2 r·c − Σr − Σc + n, from one product and exact in integers."""
-    r1 = (rows == HIGH).astype(np.float64)
-    c1 = r1.T if cols is None else (cols == HIGH).astype(np.float64)
-    out = r1 @ c1
+    states, 2 r·c − Σr − Σc + n, from one ``indicator_dot`` and exact in
+    integers."""
+    r1 = rows == HIGH
+    c1 = r1.T if cols is None else cols == HIGH
+    out = indicator_dot(r1, c1)
     out *= 2.0
-    out -= r1.sum(axis=1)[:, None]
-    out -= c1.sum(axis=0)
+    out -= np.count_nonzero(r1, axis=1)[:, None]
+    out -= np.count_nonzero(c1, axis=0)
     out += rows.shape[1]
     return out
 
@@ -212,43 +226,36 @@ def mode_states(ones_count: np.ndarray, totals: np.ndarray) -> np.ndarray:
     return np.where(2 * ones_count > totals, HIGH, LOW).astype(np.int8)
 
 
+def modal_patterns(data, state: LatentState) -> PatternSet:
+    """The state half of ``extract_patterns``: the modal state maps and
+    series and the day and year counts, with None for the rain fields."""
+    state.validate()
+    z1 = state.states == HIGH
+    per_year = days_per_year(state.day_labels, data.year_of_day)
+    day_counts = per_year.sum(axis=1)
+    day_wet = indicator_dot(z1, onehot(state.day_labels).T).T
+    loc_onehot = onehot(state.loc_labels)
+    loc_wet = indicator_dot(loc_onehot, z1)
+    return PatternSet(None, mode_states(day_wet, day_counts[:, None]), None,
+                      mode_states(loc_wet, loc_onehot.sum(axis=1)[:, None]),
+                      day_counts, (per_year > 0).sum(axis=1), None)
+
+
 def extract_patterns(data, state: LatentState) -> PatternSet:
     """Build canonical patterns and series from a latent state.
 
-    Rain patterns are per-cluster means of the daily rainfall vectors and
-    state patterns their element-wise modal states; the location-cluster
-    series are the transposed analogue over rainfall time series.
+    Rain patterns are per-cluster means of the daily rainfall vectors, and
+    ``modal_patterns`` gives the modal states; the location-cluster series
+    are the transposed analogue over rainfall time series.
     """
-    state.validate()
-    rain = data.rain
-    S, T = rain.shape
-    z1 = (state.states == HIGH)
-
-    day_onehot = np.zeros((state.n_day_clusters, T))
-    day_onehot[state.day_labels - 1, np.arange(T)] = 1.0
-    per_year = days_per_year(state.day_labels, data.year_of_day)
-    day_counts = per_year.sum(axis=1)
-    rain_patterns = (rain @ day_onehot.T).T / day_counts[:, None]
-    wet_counts = (z1 @ day_onehot.T).T
-    state_patterns = mode_states(wet_counts, day_counts[:, None])
-
-    L = state.n_loc_clusters
-    loc_onehot = np.zeros((L, S))
-    loc_onehot[state.loc_labels - 1, np.arange(S)] = 1.0
-    loc_counts = loc_onehot.sum(axis=1)
-    rain_series = loc_onehot @ rain / loc_counts[:, None]
-    wet_counts_s = loc_onehot @ z1
-    state_series = mode_states(wet_counts_s, loc_counts[:, None])
-
-    return PatternSet(
-        rain_patterns=rain_patterns,
-        state_patterns=state_patterns,
-        rain_series=rain_series,
-        state_series=state_series,
-        day_counts=day_counts,
-        year_counts=(per_year > 0).sum(axis=1),
-        pattern_volume=rain_patterns.sum(axis=1),
-    )
+    pats, rain = modal_patterns(data, state), data.rain
+    rain_patterns = ((rain @ onehot(state.day_labels).T).T
+                     / pats.day_counts[:, None])
+    loc_onehot = onehot(state.loc_labels)
+    return replace(
+        pats, rain_patterns=rain_patterns,
+        rain_series=loc_onehot @ rain / loc_onehot.sum(axis=1)[:, None],
+        pattern_volume=rain_patterns.sum(axis=1))
 
 
 def days_per_year(day_labels: np.ndarray, years: np.ndarray) -> np.ndarray:

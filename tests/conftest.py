@@ -17,7 +17,7 @@ from rainpatterns import inference
 from rainpatterns.data import SpatialWeights, make_dataset
 from rainpatterns.inference import _GibbsEngine
 from rainpatterns.model import (RAIN_EPS, crp_log_prior_days,
-                                crp_log_prior_locations)
+                                crp_log_prior_locations, log_gamma)
 
 
 @pytest.fixture(scope="session")
@@ -232,6 +232,53 @@ def cell_odds(engine, s, t):
             return float(engine.cell_log_odds(
                 b, engine._day_parity_parts())[col])
     raise AssertionError(f"cell {(s, t)} is in no colour block")
+
+
+def day_order_block_odds(engine, b):
+    """Block b's log-odds built in day order, the reference for
+    ``cell_log_odds``, which must equal it bit for bit.
+
+    The Gamma term is one (S, T) plane, Δa·log x, less Δb·x, plus Δc; the
+    pattern term, then the series term, are added to each day parity of
+    it; the block's rows of that take the temporal term, log f times the
+    sum of +1 per high and −1 per low neighbour day, and then the entry of
+    ``brute_force_neighbour_table`` at the mask of high neighbours.
+    """
+    data, params, pats = engine.data, engine.params, engine.patterns
+    S, T = data.rain.shape
+    a, rate = params.gamma_shape, params.gamma_rate
+    da, db, dc = (v[:, :1] - v[:, 1:]
+                  for v in (a, rate, a * np.log(rate) - log_gamma(a)))
+    gamma = da * data.log_rain
+    gamma -= db * data.rain_floored
+    gamma += dc
+    eta = params.day_align * engine.align_scale
+    zeta = params.loc_align * engine.align_scale
+    pat = np.zeros((S, pats.n_day_patterns + 1))
+    pat[:, :-1] = np.where(pats.state_patterns.T == HIGH, eta, -eta)
+    ser = np.zeros((pats.n_loc_series + 1, T))
+    ser[:-1] = np.where(pats.state_series == HIGH, zeta, -zeta)
+    rows_u = np.minimum(engine.state.day_labels - 1, pats.n_day_patterns)
+    rows_v = np.minimum(engine.state.loc_labels - 1, pats.n_loc_series)
+    s_idx, d = engine.color_blocks[b]
+    fixed = gamma[:, d::2] + pat[:, rows_u[d::2]]
+    fixed += ser[rows_v, d::2]
+
+    high = (engine.state.states == HIGH).astype(np.int64)
+    count = np.zeros((S, T), dtype=np.int64)
+    count[:, 1:] += 2 * high[:, :-1] - 1
+    count[:, :-1] += 2 * high[:, 1:] - 1
+    n_slots = max(len(nb) for nb in data.neighborhoods)
+    table = brute_force_neighbour_table(engine.weights.values, n_slots)
+    mask = np.zeros((S, T), dtype=np.int64)
+    for s, nb in enumerate(data.neighborhoods):
+        for k, s2 in enumerate(nb):
+            mask[s] |= high[s2] << k
+    block = np.ix_(s_idx, np.arange(d, T, 2))
+    odds = fixed[s_idx]
+    odds += math.log(params.temporal_factor) * count[block]
+    odds += table[np.arange(S)[:, None], mask][block]
+    return odds.ravel()
 
 
 def flip_delta(engine, s, t):

@@ -537,6 +537,17 @@ class TestFixedSeedDigests:
             "f9e27638b3d2d5685154a6882f53610fb8b428c48cff90ff778d0a3094644bdc",
     }
     SPECT2 = KMEANS
+    # fit-paper's own record, 357 locations × 976 days, which the small
+    # record above does not reach: the planted seed-1 record, 20 + 10
+    # sweeps at seed 1, η = 7 and ζ = 2
+    PAPER = {
+        "assign_u.csv":
+            "c1a640bfe07986394feccf3e4aaefb484bb616980315024115c38d8c695b3ee8",
+        "assign_v.csv":
+            "6660cb999a6f04da35768a876f3f562e8b1f59237a23a24f601ece8be98d1841",
+        "assign_z.csv":
+            "e56bf940c73062a10b30dd779c91a950e037f226c0228ff1eabcbfe00ed71314",
+    }
 
     def digests(self, run_dir, names=NAMES):
         return {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
@@ -590,6 +601,20 @@ class TestFixedSeedDigests:
         u_mode = [int(r[1]) for r in read_rows(refit / "assign_u.csv")[1:]]
         assert max(u_mode) == n_patterns + 1
         assert self.digests(refit) == self.REFIT
+
+    def test_fit_at_paper_size(self, tmp_path):
+        data, _ = generate_synthetic(SyntheticSpec(
+            n_locations=357, n_days=976, n_day_patterns=8, n_loc_groups=10,
+            n_years=8, flip_noise=0.1, seed=1))
+        (tmp_path / "data").mkdir()
+        save_dataset(data, tmp_path / "data" / "locations.csv",
+                     tmp_path / "data" / "rainfall.csv")
+        cfg = write_config(tmp_path, model={"eta": 7.0, "zeta": 2.0},
+                           sampler={"burnin": 20, "samples": 10, "seed": 1,
+                                    "init": "data"})
+        fit = tmp_path / "fit"
+        assert run(["fit", "--config", cfg, "--out", fit]) == 0
+        assert self.digests(fit) == self.PAPER
 
 
 # finite values at the edges of the double range, for the CSV and JSON writers
@@ -1208,6 +1233,30 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
         res = run_fresh(code, cfg, tmp_path)
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines()[-1] == "[]"
+
+    def test_commands_leave_numpy_ma_unimported(self, tmp_path):
+        # numpy 2.4 imports numpy.ma, about 14 ms, on a plain np.unique
+        cfg = write_config(tmp_path, sampler={"burnin": 1, "samples": 1})
+        code = """
+import sys
+import numpy
+print("numpy.ma" in sys.modules)
+from rainpatterns.cli import main
+cfg, out = sys.argv[1:]
+for argv in (["synth", "--out", out + "/data"], ["fit", "--out", out + "/fit"],
+             *(["baseline", "--method", m, "--out", f"{out}/{m}"]
+               for m in ("kmeans", "spect2", "eof")),
+             ["compare", *(f"{out}/{r}" for r in ("fit", "kmeans", "eof")),
+              "--out", out + "/compare"]):
+    assert main(argv + ["--config", cfg]) == 0, argv
+print("numpy.ma" in sys.modules)
+"""
+        res = run_fresh(code, cfg, tmp_path)
+        assert res.returncode == 0, res.stderr
+        lines = res.stdout.splitlines()
+        if lines[0] == "True":
+            pytest.skip("this numpy imports numpy.ma with numpy itself")
+        assert lines[-1] == "False"
 
     # 1e155 mm overflows its location's sum of squares, 1e154 the Gamma
     # shape of its state, and 1e153 that state's Gamma term

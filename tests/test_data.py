@@ -189,6 +189,12 @@ class TestLoadDataset:
                      "{rain}:3: malformed field", id="arabic-indic-day"),
         pytest.param("0,0,0\n1,1_0,0\n", "0,0,0,1.0\n", ParseError,
                      "{loc}:3: non-integer field", id="separator-coord"),
+        # numpy skips an ASCII separator control around a field, as
+        # whitespace, so the valid line 2 is not the one to blame
+        pytest.param("0,0,0\n", "0,0,0,\x1c1.0\n0,1,0,x\n", ParseError,
+                     "{rain}:3: malformed field", id="control-before-rain"),
+        pytest.param("0,0,0\n", "0,0\x1c,0,1.0\n0,1,0,x\n", ParseError,
+                     "{rain}:3: malformed field", id="control-after-day"),
     ])
     def test_error_names_first_faulty_line(self, tmp_path, locations,
                                            rainfall, error, message):

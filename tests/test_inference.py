@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from rainpatterns import (HIGH, LOW, LatentState, ModelParams, SamplerConfig,
-                          SyntheticSpec, ValidationError,
+from rainpatterns import (HIGH, LOW, LatentState, ModelParams, NumericError,
+                          SamplerConfig, SyntheticSpec, ValidationError,
                           compute_spatial_weights, extract_patterns,
                           generate_synthetic, joint_log_density, refit_frozen,
                           run_gibbs)
@@ -23,9 +23,10 @@ from rainpatterns.metrics import adjusted_rand_index
 from rainpatterns.model import (RAIN_EPS, crp_log_prior_days,
                                 crp_log_prior_locations)
 from conftest import (DroppingLabelTables, brute_force_neighbour_table,
-                      cell_odds, chain_whole_sweep_laws, engine_at,
-                      exact_whole_sweep_laws, fitted_params, flip_delta,
-                      label_log_weights, total_variation, whole_sweep_setup)
+                      cell_odds, chain_whole_sweep_laws, day_order_block_odds,
+                      engine_at, exact_whole_sweep_laws, fitted_params,
+                      flip_delta, label_log_weights, total_variation,
+                      whole_sweep_setup)
 
 
 def random_instance(seed, S=4, T=3, n_years=2):
@@ -149,11 +150,10 @@ class TestZConditional:
                 got, want = flip_delta(engine, s, t)
                 assert got == pytest.approx(want, rel=1e-9)
 
-    @pytest.mark.parametrize("T", [80, 79, 2])
-    def test_block_weights_ignore_the_block(self, small_synth, small_weights,
-                                            T):
-        # a block is drawn at once, so no cell's weights may depend on the
-        # states of its block: redrawing the block leaves them unchanged
+    @staticmethod
+    def engine_with_rowless_labels(small_synth, small_weights, T):
+        """An engine on the first T days of ``small_synth`` at its planted
+        state, some labels without a pattern or a series row."""
         full, truth = small_synth
         data = make_dataset(full.rain[:, :T], full.grid_coords,
                             full.year_of_day[:T])
@@ -166,6 +166,15 @@ class TestZConditional:
         # labels without a pattern row, as after a birth in a label sweep
         engine.state.day_labels[::7] = state.n_day_clusters + 1
         engine.state.loc_labels[::5] = state.n_loc_clusters + 1
+        return engine
+
+    @pytest.mark.parametrize("T", [80, 79, 2])
+    def test_block_weights_ignore_the_block(self, small_synth, small_weights,
+                                            T):
+        # a block is drawn at once, so no cell's weights may depend on the
+        # states of its block: redrawing the block leaves them unchanged
+        engine = self.engine_with_rowless_labels(small_synth, small_weights,
+                                                 T)
         rng = np.random.default_rng(T)
         for b, (s_idx, d) in enumerate(engine.color_blocks):
             before = engine.cell_log_odds(b, engine._day_parity_parts())
@@ -174,6 +183,19 @@ class TestZConditional:
                 HIGH, LOW + 1, len(before)).reshape(len(s_idx), -1)
             assert np.array_equal(
                 engine.cell_log_odds(b, engine._day_parity_parts()), before)
+
+    @pytest.mark.parametrize("T", [80, 79, 2])
+    def test_block_odds_equal_the_day_order_planes(self, small_synth,
+                                                   small_weights, T):
+        # a block builds its Gamma and alignment terms from its own rows;
+        # each cell keeps the bits of the day-order construction
+        engine = self.engine_with_rowless_labels(small_synth, small_weights,
+                                                 T)
+        engine.align_scale = 0.3
+        parts = engine._day_parity_parts()
+        for b in range(len(engine.color_blocks)):
+            assert np.array_equal(engine.cell_log_odds(b, parts),
+                                  day_order_block_odds(engine, b))
 
     def test_overflowing_logistic_is_silent(self):
         # a state ahead by more than exp's range (about 709.8 nats) is drawn
@@ -231,6 +253,68 @@ class TestZConditional:
             for t in range(3):
                 got, want = flip_delta(engine, s, t)
                 assert got == pytest.approx(want, rel=1e-9)
+
+
+class TestGammaGuard:
+    """A location's Gamma terms are built and checked only when its bound
+    |Δa|·max |log x| + |Δb|·max x + |Δc| is not below 2^1021."""
+
+    @staticmethod
+    def engine(small_synth, small_weights, rate_high, shape=1.0):
+        # location 3 has rates (rate_high, 1), ``shape`` in both states and
+        # 100 mm on its wettest day, so its Δb·x peaks at rate_high·100
+        full, truth = small_synth
+        rain = full.rain.copy()
+        rain[3] *= 100.0 / rain[3].max()
+        data = make_dataset(rain, full.grid_coords, full.year_of_day)
+        params = fitted_params(data, truth)
+        params.gamma_shape[3] = shape
+        params.gamma_rate[3] = (rate_high, 1.0)
+        return engine_at(data, truth, params, weights=small_weights)
+
+    def test_a_failed_bound_over_finite_terms_is_no_failure(
+            self, small_synth, small_weights):
+        # Δb·max x = 1e308 fails the bound, yet every term is finite
+        assert (1e306 - 1.0) * 100.0 >= 2.0 ** 1021
+        engine = self.engine(small_synth, small_weights, 1e306)
+        parts = engine._day_parity_parts()
+        for b in range(len(engine.color_blocks)):
+            odds = engine.cell_log_odds(b, parts)
+            assert np.isfinite(odds).all()
+            assert np.array_equal(odds, day_order_block_odds(engine, b))
+        engine.z_sweep()
+        assert (engine.state.states[3] == LOW).all()
+
+    # Δb·x overflows; or log Γ(a) overflows in both states, so that Δc and
+    # with it the bound are nan
+    @pytest.mark.parametrize("rate_high,shape", [(1e307, 1.0), (2.0, 1e306)])
+    def test_a_non_finite_term_names_its_location(self, small_synth,
+                                                  small_weights, rate_high,
+                                                  shape):
+        with pytest.raises(NumericError, match="^location 3, day [0-9]+: "
+                           ".* gives a non-finite Gamma term$"):
+            self.engine(small_synth, small_weights, rate_high, shape)
+
+    def test_checking_every_location_changes_no_draw(
+            self, small_synth, small_weights, monkeypatch):
+        data, _ = small_synth
+        params = ModelParams(day_align=4.0, loc_align=2.0,
+                             aggregate_sd=float(data.aggregate.std()))
+        cfg = SamplerConfig(n_burnin=8, n_samples=4, seed=11)
+        expect = run_gibbs(data, small_weights, params, cfg)
+        check = _GibbsEngine._refresh_gamma_odds
+
+        def check_all(engine):
+            # an infinite scale fails every location's bound
+            engine._gamma_scale = (np.full((engine.S, 1), np.inf),) * 2
+            check(engine)
+
+        monkeypatch.setattr(_GibbsEngine, "_refresh_gamma_odds", check_all)
+        got = run_gibbs(data, small_weights, params, cfg)
+        for name in ("z_mode", "u_mode", "v_mode", "log_density_trace"):
+            assert np.array_equal(getattr(got[0], name),
+                                  getattr(expect[0], name))
+        assert np.array_equal(got[2].gamma_rate, expect[2].gamma_rate)
 
 
 class TestUDayConditional:

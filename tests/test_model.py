@@ -16,7 +16,7 @@ from rainpatterns import (HIGH, LOW, LatentState, ModelParams,
 from rainpatterns.data import SpatialWeights, make_dataset
 from rainpatterns.model import (RAIN_EPS, VAR_FLOOR, agreement_counts,
                                 crp_log_prior_days, crp_log_prior_locations,
-                                log_gamma)
+                                indicator_dot, log_gamma, modal_patterns)
 from conftest import (brute_force_agreements, brute_force_log_density,
                       fitted_params)
 
@@ -155,6 +155,58 @@ class TestExtractPatterns:
         pats = extract_patterns(tiny_data, state)
         expect = tiny_data.rain[[0, 3], :].mean(axis=0)
         assert np.allclose(pats.rain_series[0], expect)
+
+
+    def test_modal_patterns_are_the_state_half(self, small_synth):
+        data, truth = small_synth
+        full, modal = extract_patterns(data, truth), modal_patterns(data,
+                                                                     truth)
+        for name in ("state_patterns", "state_series", "day_counts",
+                     "year_counts"):
+            assert np.array_equal(getattr(modal, name), getattr(full, name))
+        assert modal.rain_patterns is modal.rain_series is None
+        assert modal.pattern_volume is None
+        assert (modal.n_day_patterns, modal.n_loc_series) == (
+            full.n_day_patterns, full.n_loc_series)
+
+
+@given(hnp.arrays(np.int64, st.integers(1, 8), elements=st.integers(1, 6)))
+def test_validate_rejects_labels_that_skip_one(labels):
+    state = LatentState(np.ones((2, len(labels)), dtype=np.int8), labels,
+                        np.array([1, 1]))
+    if set(labels.tolist()) == set(range(1, labels.max() + 1)):
+        state.validate()
+    else:
+        with pytest.raises(ValidationError, match="day labels must be dense"):
+            state.validate()
+
+
+class TestIndicatorDot:
+    @given(st.data())
+    def test_equals_the_float64_product(self, data):
+        m, n, k = (data.draw(st.integers(0, 9)) for _ in range(3))
+        dtype = data.draw(st.sampled_from([np.bool_, np.float64]))
+        a, b = (data.draw(hnp.arrays(dtype, shape, elements=st.sampled_from(
+            [0, 1]))) for shape in ((m, n), (n, k)))
+        got = indicator_dot(a, b)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, a.astype(float) @ b.astype(float))
+
+    def test_float64_once_the_sum_has_2_24_terms(self):
+        # stand-ins record the dtype each operand is cast to, so no array
+        # of 2^24 elements is made
+        class Operand:
+            def __init__(self, shape):
+                self.shape, self.dtypes = shape, []
+
+            def astype(self, dtype):
+                self.dtypes.append(dtype)
+                return np.ones((1, 1), dtype)
+
+        for n, dtype in ((2 ** 24 - 1, np.float32), (2 ** 24, np.float64)):
+            a, b = Operand((1, n)), Operand((n, 1))
+            indicator_dot(a, b)
+            assert a.dtypes == b.dtypes == [dtype]
 
 
 class TestJointDensity:
