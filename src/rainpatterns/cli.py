@@ -245,8 +245,8 @@ def _load_cluster_table(path, header: list[str]):
                 ((state != HIGH) & (state != LOW),
                  lambda r: f"state {state[r]} is not 1 or 2")]
 
-    dtype = np.dtype(list(zip(header, (np.int64, np.int64, float, np.int64))))
-    table = _read_table(path, header, dtype, checks)
+    table = _read_table(path, header, [np.int64, np.int64, float, np.int64],
+                        checks)
     if len(table) == 0:
         raise ValidationError(f"{path}: no pattern rows")
     u, i = table[header[0]], table[header[1]]
@@ -273,9 +273,8 @@ def _load_patterns(run_dir: Path) -> PatternSet:
                 (~np.isfinite(t["aggregate_mm"]),
                  lambda r: "non-finite aggregate_mm")]
 
-    dtype = np.dtype(list(zip(CLUSTER_SUMMARY_HEADER,
-                              (np.int64, np.int64, np.int64, float))))
-    table = _read_table(path, CLUSTER_SUMMARY_HEADER, dtype, checks)
+    table = _read_table(path, CLUSTER_SUMMARY_HEADER,
+                        [np.int64] * 3 + [float], checks)
     u, K = table["cluster_id"], len(crp)
     # distinct cluster ids are exactly 1..K only if K of them lie in 1..K
     if len(u) != K or u.min() < 1 or u.max() > K:

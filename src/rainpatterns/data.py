@@ -15,7 +15,6 @@ import contextlib
 import csv
 import hashlib
 import io
-import itertools
 import math
 import os
 import stat
@@ -35,9 +34,6 @@ _NEIGHBOR_OFFSETS = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)
 
 LOCATIONS_HEADER = ["loc_id", "grid_x", "grid_y"]
 RAINFALL_HEADER = ["loc_id", "day_index", "year", "rain_mm"]
-_LOCATIONS_DTYPE = np.dtype([(name, np.int64) for name in LOCATIONS_HEADER])
-_RAINFALL_DTYPE = np.dtype([("loc_id", np.int64), ("day_index", np.int64),
-                            ("year", np.int64), ("rain_mm", np.float64)])
 # rows encoded per block when writing, which bounds the memory a block holds
 _WRITE_BLOCK = 1 << 16
 # the sidecar's key starts with this tag; a new tag retires every old sidecar,
@@ -233,101 +229,81 @@ def make_dataset(rain: np.ndarray, grid_coords: np.ndarray,
                            build_neighborhoods(grid_coords))
 
 
-def _read_rows(path, header: list[str], quoting=csv.QUOTE_MINIMAL):
-    """Yield (line_number, row) from a CSV after checking its header; the
-    rows after the header are read with csv's ``quoting``."""
-    with open(path, newline="") as fh:
-        try:
-            first = next(csv.reader(fh))
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        if first != header:
-            raise ParseError(f"{path}:1: expected header {','.join(header)}")
-        for lineno, row in enumerate(csv.reader(fh, quoting=quoting),
-                                     start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"{path}:{lineno}: expected {len(header)} fields")
-            yield lineno, row
+def _check_header(path, fh, header: list[str]) -> None:
+    """Read the first line of ``fh`` and check that it is ``header``."""
+    first = fh.readline()
+    if not first:
+        raise ParseError(f"{path}: empty file")
+    if next(csv.reader([first]), []) != header:
+        raise ParseError(f"{path}:1: expected header {','.join(header)}")
 
 
-def _int64(text: str) -> int:
-    value = int(text)
-    if not -2**63 <= value < 2**63:
-        raise ValueError(f"{text} is outside the int64 range")
-    return value
-
-
-def _parse_rows(path, header: list[str], dtype: np.dtype):
-    """Rows converted one at a time up to the first that fails.
-
-    A field converts as numpy's parser reads it: stripped of whitespace
-    (``\x1c``-``\x1f`` too), quotes are text, and ``_`` and non-ASCII
-    digits, which Python's int and float accept, fail.  Returns the rows
-    before the failing one as a table and that row's ParseError (None when
-    every row converts).  An all-integer table reports a "non-integer
-    field", any other a "malformed field".
-    """
-    convs = [float if dtype[name].kind == "f" else _int64
-             for name in dtype.names]
-    message = "malformed field" if float in convs else "non-integer field"
-    rows, error = [], None
-    try:
-        for lineno, row in _read_rows(path, header, csv.QUOTE_NONE):
-            try:
-                if not all(v.strip().isascii() and "_" not in v for v in row):
-                    raise ValueError(f"{row} is not plain ASCII numbers")
-                rows.append(tuple(c(v.strip()) for c, v in zip(convs, row)))
-            except ValueError:
-                error = ParseError(f"{path}:{lineno}: {message}")
-                break
-    except ParseError as exc:  # a wrong field count
-        error = exc
-    return np.array(rows, dtype=dtype), error
-
-
-def _read_table(path, header: list[str], dtype: np.dtype, checks):
-    """Parse a header-checked numeric CSV into a structured array.
+def _read_table(path, header: list[str], kinds, checks):
+    """Parse a header-checked numeric CSV into a structured array whose
+    fields are named by ``header`` and typed by ``kinds``.
 
     ``checks(table)`` returns (mask, message) pairs: a mask flags the rows
     a check rejects and ``message(row)`` describes one.  An error names the
     first faulty line in file order: a parse fault, or a row flagged before
     it, described by the first check that flags the row.
     """
-    with open(path) as fh:
-        first = fh.readline()
-        if not first:
-            raise ParseError(f"{path}: empty file")
-        if next(csv.reader([first]), []) != header:
-            raise ParseError(f"{path}:1: expected header {','.join(header)}")
-        try:
-            with warnings.catch_warnings():
-                # a table without rows is reported by the caller
-                warnings.simplefilter("ignore", UserWarning)
-                # numpy 1.23 and later read "1.0" into an integer field
-                # with a warning, until a 2.x release (2.4.6 raises)
-                warnings.simplefilter("error", DeprecationWarning)
-                table = np.loadtxt(fh, delimiter=",", dtype=dtype,
-                                   comments=None, ndmin=1)
-            error = None
-        except (ValueError, DeprecationWarning) as exc:
-            table, error = _parse_rows(path, header, dtype)
-            if error is None:  # a field Python reads but numpy does not
-                raise ParseError(f"{path}: {exc}") from None
+    with warnings.catch_warnings():
+        # no rows is the caller's to report; "1.0" in an integer field
+        # warns from numpy 1.23 until a 2.x release (2.4.6 raises)
+        warnings.simplefilter("ignore", UserWarning)
+        warnings.simplefilter("error", DeprecationWarning)
+        table, error, row_lines = _parse_table(path, header, kinds)
     row, message = len(table), None
     for mask, describe in checks(table):
         hits = np.flatnonzero(mask[:row])
         if hits.size:
             row, message = int(hits[0]), describe
     if message is not None:
-        # blank lines are not rows, so count lines to name this one
-        lineno, _ = next(itertools.islice(
-            _read_rows(path, header, csv.QUOTE_NONE), row, None))
-        raise ValidationError(f"{path}:{lineno}: {message(row)}")
+        raise ValidationError(f"{path}:{row_lines[row]}: {message(row)}")
     if error is not None:
         raise error
     return table
+
+
+def _parse_table(path, header: list[str], kinds):
+    """Read a CSV once and parse it with numpy: the rows before the first
+    line numpy rejects (an undecodable byte reads as U+FFFD, which it
+    rejects), that line's ParseError or None, and each row's line number.
+    The file's bytes go on return, before any check runs."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    text = io.TextIOWrapper(io.BytesIO(raw), "utf-8", errors="replace")
+    _check_header(path, text, header)
+    dtype = np.dtype(list(zip(header, kinds)))
+    load = partial(np.loadtxt, delimiter=",", dtype=dtype, comments=None,
+                   ndmin=1)
+    parts = []
+    with contextlib.suppress(ValueError, DeprecationWarning):
+        parts.append(load(text))
+        # with one kind of line end and no blank line, each row has a line
+        end = text.newlines
+        if isinstance(end, str) and raw.count(end[-1].encode()) + (
+                not raw.endswith(end.encode())) == len(parts[0]) + 1:
+            return parts[0], None, range(2, len(parts[0]) + 2)
+    text.seek(0)
+    lines = text.read().split("\n")[1:]
+    # lines parse alone: halve the span [lo, hi) that holds the first line
+    # numpy rejects, keeping the rows of each half that parses
+    lo, hi = (len(lines) if parts else 0), len(lines)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            parts.append(load(lines[lo:mid]))
+            lo = mid
+        except (ValueError, DeprecationWarning):
+            hi = mid
+    floats = any(dtype[name].kind == "f" for name in dtype.names)
+    error = None if lo == len(lines) else ParseError(f"{path}:{lo + 2}: " + (
+        f"expected {len(header)} fields"
+        if lines[lo].count(",") + 1 != len(header)
+        else "malformed field" if floats else "non-integer field"))
+    return (np.concatenate([np.empty(0, dtype), *parts]), error,
+            np.flatnonzero([line != "" for line in lines[:lo]]) + 2)
 
 
 def _repeats(values: np.ndarray) -> np.ndarray:
@@ -344,7 +320,7 @@ def _load_locations(path) -> np.ndarray:
         loc = t["loc_id"]
         return [(_repeats(loc), lambda i: f"duplicate loc_id {loc[i]}")]
 
-    table = _read_table(path, LOCATIONS_HEADER, _LOCATIONS_DTYPE, checks)
+    table = _read_table(path, LOCATIONS_HEADER, [np.int64] * 3, checks)
     S = len(table)
     if S == 0:
         raise ValidationError(f"{path}: no locations")
@@ -361,7 +337,7 @@ def load_dataset(locations_file, rain_file) -> RainfallDataset:
     """Load and validate a dataset from the locations and rainfall CSVs.
 
     Both files are comma-separated with a header line, unquoted numeric
-    fields and LF or CRLF line ends; blank lines are skipped.  An error
+    fields and LF, CRLF or CR line ends; blank lines are skipped.  An error
     names the file and the line (``file:line``) of the first fault.
 
     A parsed record is kept in a sidecar, ``<rain_file>.npz``, keyed by a
@@ -487,7 +463,8 @@ def _parse_dataset(locations_file, rain_file) -> RainfallDataset:
             (year != year[first[rank]],
              lambda i: f"conflicting year for day {day[i]}")]
 
-    table = _read_table(rain_file, RAINFALL_HEADER, _RAINFALL_DTYPE, checks)
+    table = _read_table(rain_file, RAINFALL_HEADER, [np.int64] * 3 + [float],
+                        checks)
     if len(table) == 0:
         raise ValidationError(f"{rain_file}: no rainfall rows")
     day = table["day_index"]

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import _read_rows
+from .data import _check_header
 from .errors import ParseError, ValidationError
 from .model import HIGH, RAIN_EPS, PatternSet
 
@@ -196,17 +196,27 @@ def read_metrics_csv(path):
     """
     global_values: dict[str, float] = {}
     per_cluster: dict[str, dict[int, float]] = {}
-    for lineno, (name, cid, val) in _read_rows(path, METRICS_HEADER):
-        values = global_values if cid == "" else per_cluster.setdefault(name, {})
-        try:
-            key, value = (name if cid == "" else int(cid)), float(val)
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: malformed field") from None
-        if cid != "" and not math.isfinite(value):
-            raise ValidationError(f"{path}:{lineno}: non-finite value")
-        if key in values:
-            raise ValidationError(f"{path}:{lineno}: repeated row")
-        values[key] = value
+    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
+        _check_header(path, fh, METRICS_HEADER)
+        for lineno, row in enumerate(csv.reader(fh), start=2):
+            if not row:
+                continue
+            if len(row) != 3:
+                raise ParseError(f"{path}:{lineno}: expected 3 fields")
+            name, cid, val = row
+            values = per_cluster.setdefault(name, {}) if cid else global_values
+            try:
+                if "\ufffd" in name:  # an undecodable byte
+                    raise ValueError(name)
+                key, value = (name if cid == "" else int(cid)), float(val)
+            except ValueError:
+                raise ParseError(
+                    f"{path}:{lineno}: malformed field") from None
+            if cid != "" and not math.isfinite(value):
+                raise ValidationError(f"{path}:{lineno}: non-finite value")
+            if key in values:
+                raise ValidationError(f"{path}:{lineno}: repeated row")
+            values[key] = value
     if not (global_values or per_cluster):
         raise ValidationError(f"{path}: no metric rows")
     return global_values, per_cluster

@@ -87,9 +87,11 @@ def fit_run(tmp_path_factory):
 
 
 def edit_lines(edit):
+    """A damage editing a file's lines; "\udcff" in them is written as a
+    byte that is not UTF-8."""
     def damage(path):
         lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(edit(lines)))
+        path.write_text("".join(edit(lines)), errors="surrogateescape")
     return damage
 
 
@@ -231,6 +233,12 @@ RUN_TABLE_FAULTS = [
                  12, "non-finite cts_value", id="temporal-inf-value"),
     pytest.param("cluster_summary.csv", edits(set_field(3, 3, "nan")), 3,
                  "non-finite aggregate_mm", id="summary-nan-aggregate"),
+    # a byte that is not UTF-8 raised UnicodeDecodeError
+    pytest.param("patterns_temporal.csv", edits(set_field(7, 2, "0.\udcff5")),
+                 7, "malformed field", id="temporal-undecodable-value"),
+    pytest.param("cluster_summary.csv", edits(set_field(1, 0, "cluster_\udcff")),
+                 1, "expected header cluster_id,n_days,n_years,aggregate_mm",
+                 id="summary-undecodable-header"),
 ]
 
 
@@ -659,8 +667,7 @@ def pattern_sets(draw):
 
 def read_columns(path, header, kinds):
     """A run table through the checked CSV reader, one array per column."""
-    table = _read_table(path, header, np.dtype(list(zip(header, kinds))),
-                        lambda t: [])
+    table = _read_table(path, header, kinds, lambda t: [])
     return [table[name] for name in header]
 
 
@@ -1025,20 +1032,23 @@ class TestExitCodes:
     GARBLES = ["", "x", "nan", "-inf", "1e999", "-1", "0", "3", "1.5",
                "99999999999999999999", '"', "{", "[]", "null", "\u00e9"]
 
+    FUZZ_KINDS = ["truncate", "garble", "byte"]
+
     @pytest.mark.parametrize("seed", range(2))
-    @pytest.mark.parametrize("kind", ["truncate", "garble"])
+    @pytest.mark.parametrize("kind", FUZZ_KINDS)
     @pytest.mark.parametrize("name", FIT_FILES)
     def test_fuzzed_run_file_exits_with_a_message(
             self, fit_run, tmp_path, capsys, name, kind, seed):
-        # seeded per case: cut the file at a random character, or set one
-        # comma-separated field of a random line to a random token; refit
+        # seeded per case: cut the file at a random character, set one
+        # comma-separated field of a random line to a random token, or put
+        # a byte that is not UTF-8 at a random place in such a field; refit
         # and compare then succeed, or exit 2, 3 or 4 with a message (40
         # seeds per case ran clean when this test was written)
         base, cfg = fit_run
         run_dir = shutil.copytree(base / "fit", tmp_path / "run")
         assert sorted(p.name for p in run_dir.iterdir()) == self.FIT_FILES
         rng = np.random.default_rng([self.FIT_FILES.index(name),
-                                     kind == "garble", seed])
+                                     self.FUZZ_KINDS.index(kind), seed])
         path = run_dir / name
         text = path.read_text()
         if kind == "truncate":
@@ -1048,10 +1058,15 @@ class TestExitCodes:
             i = rng.integers(len(lines))
             row = lines[i].rstrip("\n")
             fields = row.split(",")
-            fields[rng.integers(len(fields))] = str(rng.choice(self.GARBLES))
+            j = rng.integers(len(fields))
+            if kind == "garble":
+                fields[j] = str(rng.choice(self.GARBLES))
+            else:  # "\udcff" is written as the byte 0xff
+                k = rng.integers(len(fields[j]) + 1)
+                fields[j] = fields[j][:k] + "\udcff" + fields[j][k:]
             lines[i] = ",".join(fields) + lines[i][len(row):]
             text = "".join(lines)
-        path.write_text(text)
+        path.write_text(text, errors="surrogateescape")
         for args in (["refit", "--frozen", run_dir], ["compare", run_dir]):
             # an uncaught exception would propagate out of main
             code = run(args + ["--config", cfg, "--out", tmp_path / args[0]])
@@ -1088,6 +1103,24 @@ class TestExitCodes:
                     "--out", tmp_path / "out"]) == 2
         assert capsys.readouterr().err \
             == f"error: {run_dir / 'metrics.csv'}{fault}\n"
+
+    # line None is the last line, a per-cluster row with a cluster_id
+    @pytest.mark.parametrize("line,field,fault", [
+        (1, 0, "expected header metric,cluster_id,value"),
+        (2, 0, "malformed field"), (2, 2, "malformed field"),
+        (None, 1, "malformed field")])
+    def test_compare_metrics_with_an_undecodable_byte_names_its_line(
+            self, fit_run, tmp_path, capsys, line, field, fault):
+        # a byte that is not UTF-8 (written for "\udcff") raised
+        # UnicodeDecodeError
+        base, cfg = fit_run
+        run_dir = shutil.copytree(base / "fit", tmp_path / "run")
+        path = run_dir / "metrics.csv"
+        line = line or len(path.read_text().splitlines())
+        edits(set_field(line, field, "1\udcff"))(path)
+        assert run(["compare", run_dir, "--config", cfg,
+                    "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == f"error: {path}:{line}: {fault}\n"
 
     @staticmethod
     def _set_metric(run_dir, prefix, value):

@@ -6,6 +6,7 @@ import os
 import re
 import tempfile
 import threading
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -195,21 +196,34 @@ class TestLoadDataset:
                      "{rain}:3: malformed field", id="control-before-rain"),
         pytest.param("0,0,0\n", "0,0\x1c,0,1.0\n0,1,0,x\n", ParseError,
                      "{rain}:3: malformed field", id="control-after-day"),
+        # a byte that is not UTF-8 (written for "\udcff") fails its field;
+        # it raised UnicodeDecodeError
+        pytest.param("0,0,0\n", "0,0,0,1.0\n0,1,0,2.\udcff5\n", ParseError,
+                     "{rain}:3: malformed field", id="undecodable-rain"),
+        pytest.param("0,0,\udcff\n", "0,0,0,1.0\n", ParseError,
+                     "{loc}:2: non-integer field", id="undecodable-coord"),
+        pytest.param("0,0,0\n", "0,0,0,-1.0\n0,1,0,\udcff\n",
+                     ValidationError, "{rain}:2: negative rainfall",
+                     id="negative-then-undecodable"),
     ])
     def test_error_names_first_faulty_line(self, tmp_path, locations,
                                            rainfall, error, message):
         loc = tmp_path / "l.csv"
         rn = tmp_path / "r.csv"
-        loc.write_text("loc_id,grid_x,grid_y\n" + locations)
-        rn.write_text("loc_id,day_index,year,rain_mm\n" + rainfall)
+        loc.write_text("loc_id,grid_x,grid_y\n" + locations,
+                       errors="surrogateescape")
+        rn.write_text("loc_id,day_index,year,rain_mm\n" + rainfall,
+                      errors="surrogateescape")
         with pytest.raises(error) as info:
             load_dataset(loc, rn)
         assert str(info.value) == message.format(loc=loc, rain=rn)
 
-    @pytest.mark.parametrize("header", ["loc_id,day,year,rain_mm\n", "\n"])
+    # "\udcff" is written as a byte that is not UTF-8
+    @pytest.mark.parametrize("header", ["loc_id,day,year,rain_mm\n", "\n",
+                                        "loc_id,day_index,year,rain_\udcffmm\n"])
     def test_bad_header_rejected(self, tmp_path, header):
         loc, rn = write_files(tmp_path, [(0, 0)], [[1.0]], [0])
-        rn.write_text(header + "0,0,0,1.0\n")
+        rn.write_text(header + "0,0,0,1.0\n", errors="surrogateescape")
         with pytest.raises(ParseError, match=re.escape(
                 f"{rn}:1: expected header loc_id,day_index,year,rain_mm")):
             load_dataset(loc, rn)
@@ -396,10 +410,19 @@ class TestSidecar:
         assert not any(sidecar_of(rn).iterdir())
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
-    def test_pipe_is_read_once(self, files, tmp_path):
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda t: t, id="valid"),
+        # a fault's line was counted by opening the pipe again, which hung
+        pytest.param(lambda t: t.replace("3.0", "x"), id="parse-fault"),
+        pytest.param(lambda t: t.replace("3.0", "-3.0"), id="check-fault")])
+    def test_pipe_is_read_once(self, files, tmp_path, edit):
         loc, rn = files
-        want = outcome(loc, rn)
+        rn.write_text(edit(rn.read_text()))
         pipe = tmp_path / "pipe.csv"
+        # the regular file's outcome, with the pipe's name in an error
+        want = outcome(loc, rn)
+        if isinstance(want, tuple):
+            want = (want[0], want[1].replace(str(rn), str(pipe)))
         os.mkfifo(pipe)
         threading.Thread(target=pipe.write_bytes, args=(rn.read_bytes(),),
                          daemon=True).start()
@@ -430,6 +453,98 @@ class TestSidecar:
             assert load_dataset(loc, rn).rain[1, 1] == 4.25
         rn.write_text(original)
         assert load_dataset(loc, rn).rain[1, 1] == 3.0
+
+
+# lines that numpy's parser may reject in a two-field (integer, float)
+# table: field counts, text, quotes, separators, controls, line separators
+# that are not line ends, and a byte that is not UTF-8 (written for "\udcff")
+ODD_LINES = ["1", "1,2,3", "x,1.0", "1.5,2", "1,\udcff", "\udcff", " ", "\x1c",
+             '"1",2', "1_0,2", "1,2\x00", ",", "1,", "1,1e999", " 1 , 2 ",
+             "1,nan", "+1,-0", "1,2\x0b", "1,\u2028", "1,2\x85"]
+
+
+@st.composite
+def tables(draw):
+    """(lines, ends): rows, blank lines and zero to two odd lines of a table
+    with the header "a,b", and the end of the header and of each line: LF,
+    CRLF, CR or a mix of LF and CRLF, and none after the last line at
+    times."""
+    row = st.builds("{},{!r}".format, st.integers(-9, 99),
+                    st.integers(-1, 20).map(lambda v: v / 4))
+    lines = draw(st.lists(st.one_of(row, st.just("")), max_size=30))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(ODD_LINES)))
+    kinds = draw(st.sampled_from([["\n"], ["\r\n"], ["\r"], ["\n", "\r\n"]]))
+    ends = draw(st.lists(st.sampled_from(kinds), min_size=len(lines) + 1,
+                         max_size=len(lines) + 1))
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return lines, ends
+
+
+class TestTableSearch:
+    """``_read_table`` finds the line it blames with numpy's parser alone:
+    compared here with numpy's parse of each line on its own."""
+
+    KINDS = [np.int64, float]
+    DTYPE = np.dtype([("a", np.int64), ("b", float)])
+
+    @staticmethod
+    def checks(t):
+        return [(t["b"] < 0, lambda i: "negative b")]
+
+    @classmethod
+    def first_fault(cls, lines):
+        """The rows before the first faulty line, in file order, and that
+        line's (error type, "line: message"), or None: a line numpy
+        rejects on its own, or a row the check flags."""
+        rows = [np.empty(0, cls.DTYPE)]
+        for lineno, line in enumerate(lines, start=2):
+            text = line.encode("utf-8", "surrogateescape").decode(
+                "utf-8", "replace")
+            if text == "":
+                continue
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", DeprecationWarning)
+                    row = np.loadtxt([text], delimiter=",", dtype=cls.DTYPE,
+                                     comments=None, ndmin=1)
+            except (ValueError, DeprecationWarning):
+                fault = ("expected 2 fields" if text.count(",") != 1
+                         else "malformed field")
+                return rows, (ParseError, f"{lineno}: {fault}")
+            if row["b"][0] < 0:
+                return rows, (ValidationError, f"{lineno}: negative b")
+            rows.append(row)
+        return rows, None
+
+    @given(tables())
+    # blank lines before a check fault; CR-only line ends with blank lines:
+    # a valid table, a parse fault, and a check fault before a parse fault
+    @example((["", "1,2.0", "", "2,-0.25", "3,1.0"], ["\n"] * 6))
+    @example((["", "1,2.0", "", "3,0.5"], ["\r"] * 5))
+    @example((["1,2.0", "", "", "1,x", "2,1.0"], ["\r"] * 5 + [""]))
+    @example((["1,2.0", "", "2,-0.25", "x"], ["\r"] * 5))
+    @settings(max_examples=200, deadline=None)
+    def test_error_names_the_first_line_numpy_rejects(self, table):
+        lines, ends = table
+        rows, want = self.first_fault(lines)
+        raw = "".join(map(str.__add__, ["a,b", *lines], ends))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            path.write_bytes(raw.encode("utf-8", "surrogateescape"))
+            if want is None:
+                got = data_module._read_table(path, ["a", "b"], self.KINDS,
+                                              self.checks)
+                assert got.dtype == self.DTYPE
+                assert got.tobytes() == np.concatenate(rows).tobytes()
+            else:
+                with pytest.raises(ValidationError) as info:
+                    data_module._read_table(path, ["a", "b"], self.KINDS,
+                                            self.checks)
+                assert (info.type, str(info.value)) \
+                    == (want[0], f"{path}:{want[1]}")
 
 
 class TestNeighborhoods:
