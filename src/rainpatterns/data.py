@@ -556,14 +556,16 @@ def compute_spatial_weights(d: RainfallDataset) -> SpatialWeights:
     if not np.isfinite(sq).all():
         raise d.numeric_error(int(np.isfinite(sq).argmin()),
                               "overflows the sum of squares of its series")
-    norms = np.sqrt(sq)
+    norms = np.sqrt(sq).tolist()
     values = []
     for s, nb in enumerate(d.neighborhoods):
         row = np.zeros(len(nb))
-        for k, s2 in enumerate(nb):
-            denom = norms[s] * norms[s2]
-            if denom > 0:
-                row[k] = float(np.clip(centered[s] @ centered[s2] / denom, -1.0, 1.0))
+        for k, s2 in enumerate(nb.tolist()):
+            if s2 < s:  # s2's row holds the pair, and a @ b is b @ a bitwise
+                row[k] = values[s2][d.neighborhoods[s2].tolist().index(s)]
+            elif norms[s] * norms[s2] > 0:
+                r = float(centered[s] @ centered[s2]) / (norms[s] * norms[s2])
+                row[k] = min(max(r, -1.0), 1.0)
         values.append(row)
     return SpatialWeights(tuple(values), d.neighborhoods)
 

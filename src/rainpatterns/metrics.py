@@ -196,9 +196,12 @@ def read_metrics_csv(path):
     """
     global_values: dict[str, float] = {}
     per_cluster: dict[str, dict[int, float]] = {}
-    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
+    with open(path, newline="", encoding="utf-8",
+              errors="surrogateescape") as fh:
         _check_header(path, fh, METRICS_HEADER)
-        for lineno, row in enumerate(csv.reader(fh), start=2):
+        reader = csv.reader(fh)
+        for row in reader:
+            lineno = reader.line_num + 1  # a quoted field may span lines
             if not row:
                 continue
             if len(row) != 3:
@@ -206,8 +209,7 @@ def read_metrics_csv(path):
             name, cid, val = row
             values = per_cluster.setdefault(name, {}) if cid else global_values
             try:
-                if "\ufffd" in name:  # an undecodable byte
-                    raise ValueError(name)
+                name.encode()  # an undecodable byte is a lone surrogate
                 key, value = (name if cid == "" else int(cid)), float(val)
             except ValueError:
                 raise ParseError(

@@ -44,10 +44,7 @@ def grouped_bar_chart(path, title: str, categories: list[str],
     height = 320.0
     plot_h = height - 2 * margin
 
-    vmax = 0.0
-    for _, vals in series:
-        if len(vals):
-            vmax = max(vmax, float(np.max(vals)))
+    vmax = max((float(np.max(v)) for _, v in series if len(v)), default=0.0)
     if vmax <= 0:
         vmax = 1.0
 
@@ -81,13 +78,13 @@ def grouped_bar_chart(path, title: str, categories: list[str],
         fh.write(_svg(width, height, body))
 
 
-def _ramp(v: float) -> str:
-    """White-to-blue ramp for normalised values in [0, 1]."""
-    v = min(max(v, 0.0), 1.0)
-    r = round(255 + (33 - 255) * v)
-    g = round(255 + (102 - 255) * v)
-    b = round(255 + (172 - 255) * v)
-    return f"#{r:02x}{g:02x}{b:02x}"
+def _ramp(v: np.ndarray) -> list[str]:
+    """White-to-blue ramp, one colour per value clamped to [0, 1]."""
+    v = np.clip(v, 0.0, 1.0)[:, None]
+    # np.round rounds halves to even, as Python's round does
+    rgb = np.round(255 + (np.array([33, 102, 172]) - 255) * v)
+    hexes = rgb.astype(np.uint8).tobytes().hex()
+    return ["#" + hexes[i:i + 6] for i in range(0, len(hexes), 6)]
 
 
 def pattern_grid(path, title: str, coords: np.ndarray, patterns: np.ndarray,
@@ -102,28 +99,26 @@ def pattern_grid(path, title: str, coords: np.ndarray, patterns: np.ndarray,
     ys = coords[:, 1] - coords[:, 1].min()
     panel_w = (xs.max() + 1) * CELL + 16
     panel_h = (ys.max() + 1) * CELL + 34
-    n = len(patterns)
-    rows = math.ceil(n / PER_ROW)
     width = 20 + PER_ROW * panel_w
-    height = 40 + rows * panel_h
+    height = 40 + math.ceil(len(patterns) / PER_ROW) * panel_h
+    # a panel has few distinct columns and rows: format each once
+    (ux, xi), (uy, yi) = (np.unique(c, return_inverse=True) for c in (xs, ys))
+    xi, yi, side = xi.tolist(), yi.tolist(), _fmt(CELL - 1)
 
     body = [f'<text x="{_fmt(width / 2)}" y="20" text-anchor="middle" '
             f'font-size="14" font-family="sans-serif">{_esc(title)}</text>']
     for i, pat in enumerate(patterns):
         ox = 20 + (i % PER_ROW) * panel_w
         oy = 40 + (i // PER_ROW) * panel_h
-        if kind == "rain":
-            top = float(np.max(pat)) or 1.0
-        for s in range(len(xs)):
-            if kind == "state":
-                color = WET_COLOR if pat[s] == 1 else DRY_COLOR
-            else:
-                color = _ramp(float(pat[s]) / top)
-            x = ox + xs[s] * CELL
-            y = oy + ys[s] * CELL
-            body.append(f'<rect x="{_fmt(x)}" y="{_fmt(y)}" '
-                        f'width="{_fmt(CELL - 1)}" height="{_fmt(CELL - 1)}" '
-                        f'fill="{color}"/>')
+        xt = [_fmt(v) for v in (ox + ux * CELL).tolist()]
+        yt = [_fmt(v) for v in (oy + uy * CELL).tolist()]
+        if kind == "state":
+            colors = np.where(pat == 1, WET_COLOR, DRY_COLOR).tolist()
+        else:
+            colors = _ramp(pat / (float(np.max(pat)) or 1.0))
+        body += [f'<rect x="{xt[a]}" y="{yt[b]}" width="{side}" '
+                 f'height="{side}" fill="{c}"/>'
+                 for a, b, c in zip(xi, yi, colors)]
         label = f"pattern {i + 1} ({annotations[i]})"
         body.append(f'<text x="{_fmt(ox)}" y="{_fmt(oy + (ys.max() + 1) * CELL + 14)}" '
                     f'font-size="11" font-family="sans-serif">{_esc(label)}</text>')

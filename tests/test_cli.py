@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -545,6 +545,28 @@ class TestFixedSeedDigests:
             "f9e27638b3d2d5685154a6882f53610fb8b428c48cff90ff778d0a3094644bdc",
     }
     SPECT2 = KMEANS
+    # compare's maps and charts of the kmeans, spect2 and eof runs; the eof
+    # run adds a column but no maps
+    COMPARE = {
+        "cdp_kmeans.svg":
+            "7273e18ba27226df21df687114639c871c490453799f081aaa7264bce2e748ed",
+        "cdp_spect2.svg":
+            "464ba367f59034fa39a4c74fa32cf7c5dc1fe182a3de43fbdc9e5c3689f69749",
+        "crp_kmeans.svg":
+            "13a78fa878b4042c3c09f49a6f4585b953fd9c5b2139410fb5a28dabe6781b3d",
+        "crp_spect2.svg":
+            "344983b5121c3794364a11806249c361fd7702a38f165f299085d40f31d31238",
+        "mean_spell_length.svg":
+            "eda3faef32052561d6abcfe66ee66555e649358bc2e29c9c89abe589e15125f5",
+        "mean_y_per_cluster.svg":
+            "d0d0748a62b14481cd386715578ae7fbf25ea7108b774e5c5f0fdd5fa51635a1",
+        "spells_per_year.svg":
+            "797b449ae0b05c9f030d6ce3d40679c7912004e4839978efc568851021f8d3d4",
+        "wet_fraction.svg":
+            "107898bf12fb7ab8f8ee2d76b60981bf9a7a734c0e39b1e512158b2cd9b23213",
+        "comparison.csv":
+            "c6172b3f0bba43e1c16b1152f44dc29e66cd6ce29819002baf9413787bb9387d",
+    }
     # fit-paper's own record, 357 locations × 976 days, which the small
     # record above does not reach: the planted seed-1 record, 20 + 10
     # sweeps at seed 1, η = 7 and ζ = 2
@@ -579,6 +601,18 @@ class TestFixedSeedDigests:
         assert run(["baseline", "--method", method, "--config", cfg,
                     "--out", out]) == 0
         assert self.digests(out, pinned) == pinned
+
+    def test_compare_of_the_baselines(self, synth_dir):
+        tmp_path, cfg = synth_dir
+        runs = [tmp_path / m for m in ("kmeans", "spect2", "eof")]
+        for out in runs:
+            assert run(["baseline", "--method", out.name, "--config", cfg,
+                        "--out", out]) == 0
+        out = tmp_path / "compare"
+        assert run(["compare", "--config", cfg, "--out", out, *runs]) == 0
+        assert sorted(p.name for p in out.glob("*.svg")) \
+            == sorted(n for n in self.COMPARE if n.endswith(".svg"))
+        assert self.digests(out, self.COMPARE) == self.COMPARE
 
     def test_fit_and_overflow_refit(self, synth_dir):
         tmp_path, cfg = synth_dir
@@ -757,6 +791,8 @@ class TestRunFileRoundTrip:
            st.dictionaries(metric_names(),
                            st.lists(any_doubles().filter(math.isfinite),
                                     min_size=1, max_size=4)))
+    # U+FFFD, the replacement character, is a name like any other
+    @example({"\ufffd": -0.0}, {"a\ufffd": [1.0]})
     @settings(max_examples=60, deadline=None)
     def test_metrics_round_trip_is_bit_identical(self, global_values,
                                                  per_cluster):

@@ -647,6 +647,41 @@ class TestSpatialWeights:
         with pytest.raises(ValidationError):
             compute_spatial_weights(d)
 
+    @staticmethod
+    def per_direction_weights(d):
+        """The reference: one correlation per directed pair, clipped by
+        numpy, each direction computed on its own."""
+        centered = d.rain - d.rain.mean(axis=1, keepdims=True)
+        norms = np.sqrt((centered * centered).sum(axis=1))
+        values = []
+        for s, nb in enumerate(d.neighborhoods):
+            row = np.zeros(len(nb))
+            for k, s2 in enumerate(nb):
+                denom = norms[s] * norms[s2]
+                if denom > 0:
+                    row[k] = float(np.clip(centered[s] @ centered[s2] / denom,
+                                           -1.0, 1.0))
+            values.append(row)
+        return values
+
+    @pytest.mark.parametrize("S,T,seed", [(25, 96, 5), (31, 97, 3),
+                                          (64, 123, 8)])
+    def test_bitwise_equal_to_the_per_direction_loop(self, S, T, seed):
+        # the weights reuse one correlation for both directions of a pair;
+        # one location has zero variance and one a scale near the range's top
+        data, _ = generate_synthetic(SyntheticSpec(
+            n_locations=S, n_days=T, n_day_patterns=3, n_loc_groups=4,
+            n_years=1, seed=seed))
+        rain = data.rain.copy()
+        rain[S // 2] = 1.5
+        rain[1] *= 1e150
+        d = make_dataset(rain, data.grid_coords, data.year_of_day)
+        got = compute_spatial_weights(d).values
+        want = self.per_direction_weights(d)
+        assert [v.dtype for v in got] == [v.dtype for v in want]
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+        assert not got[S // 2].any()
+
 
 class TestDiscretize:
     def make(self, series):

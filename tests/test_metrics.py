@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rainpatterns import LatentState, extract_patterns
+from rainpatterns import LatentState, ParseError, extract_patterns
 from rainpatterns.data import discretize_by_mean, make_dataset
 from rainpatterns.metrics import (adjusted_rand_index, aic,
                                   build_report, cluster_homogeneity,
@@ -318,3 +318,13 @@ class TestReportRoundtrip:
             float(pats.day_counts[0]))
         text = report.format_table()
         assert "mean_hamming" in text
+
+    def test_a_quoted_newline_keeps_later_line_numbers(self, tmp_path):
+        # the quoted name "a\nb" spans lines 2 and 3, so the bad value, in
+        # the table's third record, is on line 4
+        path = tmp_path / "metrics.csv"
+        path.write_text('metric,cluster_id,value\n"a\nb",,1.0\n'
+                        "n_days,1,x\n")
+        with pytest.raises(ParseError) as err:
+            read_metrics_csv(path)
+        assert str(err.value) == f"{path}:4: malformed field"
