@@ -7,9 +7,9 @@ Gibbs sampling with nonparametric clustering priors; reference methods
 alongside.
 """
 
-from .data import (RainfallDataset, SpatialWeights, SyntheticSpec,
-                   compute_spatial_weights, discretize_by_mean,
-                   generate_synthetic, load_dataset, save_dataset)
+from .data import (RainfallDataset, SyntheticSpec, compute_spatial_weights,
+                   discretize_by_mean, generate_synthetic, load_dataset,
+                   save_dataset)
 from .errors import NumericError, ParseError, ValidationError
 from .inference import (PosteriorSummary, SamplerConfig, refit_frozen,
                         run_gibbs, update_params_ml)
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 __all__ = [
     "HIGH", "LOW", "LatentState", "ModelParams", "NumericError", "ParseError",
     "PatternSet", "PosteriorSummary", "RainfallDataset", "SamplerConfig",
-    "SpatialWeights", "SyntheticSpec", "ValidationError",
+    "SyntheticSpec", "ValidationError",
     "compute_spatial_weights", "discretize_by_mean", "extract_patterns",
     "generate_synthetic", "joint_log_density", "load_dataset", "refit_frozen",
     "run_gibbs", "save_dataset", "update_params_ml",

@@ -150,6 +150,17 @@ def derive_state_patterns(centers: np.ndarray,
     return np.where(centers > column_means[None, :], HIGH, LOW).astype(np.int8)
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a non-empty float array from one sort, without its
+    import of ``numpy.ma``: nan if a value is nan, else the middle value or
+    the middle two's sum halved, which overflows as np.median's does."""
+    v = np.sort(values)
+    m = len(v) // 2
+    if np.isnan(v[-1]):
+        return float(v[-1])
+    return float(v[m]) if len(v) % 2 else float((v[m - 1] + v[m]) / 2)
+
+
 def similarity_euclidean(vectors: np.ndarray, tau: float | None = None) -> np.ndarray:
     """exp(-distance / tau) similarity; tau defaults to the median distance."""
     vectors = np.asarray(vectors, dtype=float)
@@ -157,7 +168,7 @@ def similarity_euclidean(vectors: np.ndarray, tau: float | None = None) -> np.nd
     dist = np.sqrt(_sq_dists(vectors, sq, vectors))
     if tau is None:
         off = dist[np.triu_indices(len(dist), k=1)]
-        tau = float(np.median(off)) if off.size else 1.0
+        tau = _median(off) if off.size else 1.0
         if tau <= 0:
             tau = 1.0
     w = np.exp(-dist / tau)

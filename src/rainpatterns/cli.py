@@ -422,7 +422,7 @@ def _cmd_baseline_eof(cfg: dict, data: RainfallDataset, out: Path) -> int:
     # leading modes, binarised by sign, stand in as the method's patterns
     lead = basis.vectors[:, :k].T
     cdp = np.where(lead > 0, HIGH, LOW).astype(np.int8)
-    spch_state, spch_rain = spatial_coherence(cdp, lead, data.neighborhoods)
+    spch_state, spch_rain = spatial_coherence(cdp, lead, data.pairs)
     explained = (float(basis.eigenvalues[:k].sum() / basis.eigenvalues.sum())
                  if basis.eigenvalues.sum() > 0 else 1.0)
     report = MetricsReport(method="eof", n_clusters=k)

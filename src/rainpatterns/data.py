@@ -1,7 +1,7 @@
 """Gridded daily rainfall datasets: loading, validation, and synthesis.
 
 Locations live on an integer lattice (the grid need not be a full rectangle);
-a location's neighbourhood is the up-to-eight surrounding lattice cells that
+a location's neighbours are the up-to-eight surrounding lattice cells that
 are present in the dataset.  Days carry a year label and days of one year are
 contiguous.
 
@@ -57,14 +57,14 @@ class RainfallDataset:
         Integer lattice coordinates, unique per location.
     year_of_day : ndarray, shape (T,)
         Year label of each day; equal labels form contiguous runs.
-    neighborhoods : tuple of ndarray
-        Per-location sorted indices of lattice neighbours.
+    pairs : tuple of two ndarray
+        (src, dst) of every ordered neighbour pair, sorted by src, then dst.
     """
 
     rain: np.ndarray
     grid_coords: np.ndarray
     year_of_day: np.ndarray
-    neighborhoods: tuple
+    pairs: tuple
 
     @property
     def n_locations(self) -> int:
@@ -129,24 +129,6 @@ def _locked(arr: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SpatialWeights:
-    """Correlation weights on neighbour pairs, symmetric and in [-1, 1]."""
-
-    values: tuple          # per-location array aligned with neighborhoods
-    neighborhoods: tuple
-
-    @cached_property
-    def edge_arrays(self):
-        """Unordered neighbour pairs (i < j) and their weights, as arrays."""
-        sizes = [len(nb) for nb in self.neighborhoods]
-        ei = np.repeat(np.arange(len(sizes), dtype=np.intp), sizes)
-        ej = np.concatenate(self.neighborhoods).astype(np.intp)
-        w = np.concatenate(self.values).astype(float)
-        keep = ei < ej
-        return ei[keep], ej[keep], w[keep]
-
-
-@dataclass(frozen=True)
 class SyntheticSpec:
     """Recipe for a synthetic dataset with planted patterns.
 
@@ -185,15 +167,14 @@ class SyntheticSpec:
              ">= {n_years} and >= 4 · {n_day_patterns}")), where, keys)
 
 
-def build_neighborhoods(grid_coords: np.ndarray) -> tuple:
-    """Index the up-to-eight lattice neighbours of every location."""
-    index = {(int(x), int(y)): s for s, (x, y) in enumerate(grid_coords)}
-    out = []
-    for x, y in grid_coords:
-        nb = [index[(int(x) + a, int(y) + b)] for a, b in _NEIGHBOR_OFFSETS
-              if (int(x) + a, int(y) + b) in index]
-        out.append(np.array(sorted(nb), dtype=np.intp))
-    return tuple(out)
+def _neighbour_pairs(index: dict) -> tuple:
+    """(src, dst) of every ordered pair of lattice neighbours, sorted by src,
+    then dst, from each location's index keyed by its (x, y)."""
+    pairs = [(s, s2) for (x, y), s in index.items()
+             for s2 in sorted(index[x + a, y + b] for a, b in _NEIGHBOR_OFFSETS
+                              if (x + a, y + b) in index)]
+    src, dst = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    return _locked(src.copy()), _locked(dst.copy())
 
 
 def make_dataset(rain: np.ndarray, grid_coords: np.ndarray,
@@ -216,8 +197,8 @@ def make_dataset(rain: np.ndarray, grid_coords: np.ndarray,
     if (rain < 0).any():
         s, t = np.argwhere(rain < 0)[0]
         raise ValidationError(f"negative rainfall at location {s}, day {t}")
-    coords = {(int(x), int(y)) for x, y in grid_coords}
-    if len(coords) != S:
+    index = {(x, y): s for s, (x, y) in enumerate(grid_coords.tolist())}
+    if len(index) != S:
         raise ValidationError("grid coordinates must be unique per location")
     # equal year labels must form contiguous runs
     change = np.flatnonzero(np.diff(year_of_day) != 0)
@@ -225,8 +206,7 @@ def make_dataset(rain: np.ndarray, grid_coords: np.ndarray,
     if (np.diff(np.sort(starts)) == 0).any():
         raise ValidationError("days of one year must be contiguous")
     return RainfallDataset(_locked(rain), _locked(grid_coords),
-                           _locked(year_of_day),
-                           build_neighborhoods(grid_coords))
+                           _locked(year_of_day), _neighbour_pairs(index))
 
 
 def _check_header(path, fh, header: list[str]) -> None:
@@ -541,8 +521,9 @@ def save_dataset(d: RainfallDataset, locations_file, rain_file) -> None:
                d.rain.ravel())
 
 
-def compute_spatial_weights(d: RainfallDataset) -> SpatialWeights:
-    """Pearson-correlate each location's time series with its neighbours.
+def compute_spatial_weights(d: RainfallDataset) -> np.ndarray:
+    """Pearson-correlate each location's time series with its neighbours:
+    one weight in [-1, 1] per pair of ``d.pairs``, equal to its mirror's.
 
     A location whose series has zero variance gets weight 0 on all its pairs:
     no coherence pull in either direction.  A series whose sum of squares
@@ -557,17 +538,17 @@ def compute_spatial_weights(d: RainfallDataset) -> SpatialWeights:
         raise d.numeric_error(int(np.isfinite(sq).argmin()),
                               "overflows the sum of squares of its series")
     norms = np.sqrt(sq).tolist()
-    values = []
-    for s, nb in enumerate(d.neighborhoods):
-        row = np.zeros(len(nb))
-        for k, s2 in enumerate(nb.tolist()):
-            if s2 < s:  # s2's row holds the pair, and a @ b is b @ a bitwise
-                row[k] = values[s2][d.neighborhoods[s2].tolist().index(s)]
-            elif norms[s] * norms[s2] > 0:
-                r = float(centered[s] @ centered[s2]) / (norms[s] * norms[s2])
-                row[k] = min(max(r, -1.0), 1.0)
-        values.append(row)
-    return SpatialWeights(tuple(values), d.neighborhoods)
+    src, dst = d.pairs
+    w = np.zeros(len(src))
+    for e, (s, s2) in enumerate(zip(src.tolist(), dst.tolist())):
+        if s < s2 and norms[s] * norms[s2] > 0:
+            r = float(centered[s] @ centered[s2]) / (norms[s] * norms[s2])
+            w[e] = min(max(r, -1.0), 1.0)
+    # a pair s > s2 takes its mirror's weight: a @ b is b @ a bitwise
+    lower = src > dst
+    S = d.n_locations
+    w[lower] = w[np.searchsorted(src * S + dst, dst[lower] * S + src[lower])]
+    return _locked(w)
 
 
 def discretize_by_mean(d: RainfallDataset) -> np.ndarray:

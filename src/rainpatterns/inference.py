@@ -123,19 +123,18 @@ def _draw_cell_states(odds: np.ndarray, rng) -> np.ndarray:
     return (rng.random(len(odds)) < p_low).view(np.int8) + HIGH
 
 
-def _neighbour_table(values, n_slots: int) -> np.ndarray:
+def _neighbour_table(w: np.ndarray) -> np.ndarray:
     """Each location's spatial log-odds for every mask of high neighbours.
 
     Bit k of a mask is the high indicator of the slot-k neighbour, whose
-    pair weighs ``values[s][k]``.  Entry [s, m] is 2·high − w_total: high
-    folds w·bit over the slots in order (a negative weight and a padded
-    slot count as 0) and w_total is the fold with every bit set.
+    pair weighs ``w[s, k]`` (0 in a padded slot).  Entry [s, m] is
+    2·high − w_total: high folds w·bit over the slots in order (a negative
+    weight counts as 0) and w_total is the fold with every bit set.
     """
-    w = np.zeros((len(values), n_slots))
-    for s, v in enumerate(values):
-        w[s, :len(v)] = np.maximum(v, 0.0)
+    w = np.maximum(w, 0.0)
+    S, n_slots = w.shape
     bits = np.arange(2 ** n_slots)[:, None] >> np.arange(n_slots) & 1
-    high = np.zeros((len(values), 2 ** n_slots))
+    high = np.zeros((S, 2 ** n_slots))
     for k in range(n_slots):
         high += w[:, k, None] * bits[:, k]
     return 2.0 * high - high[:, -1:]
@@ -414,13 +413,16 @@ class _GibbsEngine:
                              for d in range(min(2, self.T))]
 
         # the neighbour table, flat, and per block its locations' neighbours
-        # slot by slot (at most eight, a padded slot pointing at location 0)
-        # and the offsets of their rows of the table
-        n_slots = max(len(nb) for nb in data.neighborhoods)
+        # slot by slot in pair order (at most eight, a padded slot pointing
+        # at location 0) and the offsets of their rows of the table
+        src, dst = data.pairs
+        slot = np.arange(len(src)) - np.searchsorted(src, src)
+        n_slots = int(np.bincount(src, minlength=self.S).max())
         nbr_pad = np.zeros((self.S, n_slots), dtype=np.intp)
-        for s, nb in enumerate(data.neighborhoods):
-            nbr_pad[s, :len(nb)] = nb
-        self._table = _neighbour_table(weights.values, n_slots).ravel()
+        nbr_pad[src, slot] = dst
+        w = np.zeros((self.S, n_slots))
+        w[src, slot] = weights
+        self._table = _neighbour_table(w).ravel()
         self._block_nbrs = [(nbr_pad[s_idx].T.copy(),
                              s_idx[:, None] << n_slots)
                             for s_idx, _ in self.color_blocks]

@@ -69,19 +69,18 @@ def cluster_homogeneity(y: np.ndarray, day_labels: np.ndarray):
 
 
 def spatial_coherence(state_patterns: np.ndarray, rain_patterns: np.ndarray,
-                      neighborhoods) -> tuple[float, float]:
+                      pairs) -> tuple[float, float]:
     """Mean neighbour disagreement of the (K, S) state and rain patterns.
 
     Both scores are normalised by the total number of (pattern, directed
     neighbour pair) terms, so a constant pattern scores 0 and i.i.d. random
     binary patterns score about 0.5.  Rain-pattern terms whose reference value
-    is below the rainfall floor are skipped (counted as zero).
+    is below the rainfall floor are skipped (counted as zero).  ``pairs`` is
+    (src, dst) of the directed pairs, as ``RainfallDataset.pairs`` holds them.
     """
-    sizes = [len(nb) for nb in neighborhoods]
-    ei = np.repeat(np.arange(len(sizes), dtype=np.intp), sizes)
+    ei, ej = pairs
     if not ei.size:
         return 0.0, 0.0
-    ej = np.concatenate(neighborhoods).astype(np.intp)
     total = len(state_patterns) * len(ei)
 
     cdp, crp = state_patterns, rain_patterns
@@ -240,7 +239,7 @@ def build_report(data, states: np.ndarray, day_labels: np.ndarray,
     dist = distance_report(data.rain, states, day_labels, patterns)
     stds, pooled = cluster_homogeneity(y, day_labels)
     spch_state, spch_rain = spatial_coherence(
-        patterns.state_patterns, patterns.rain_patterns, data.neighborhoods)
+        patterns.state_patterns, patterns.rain_patterns, data.pairs)
     spells, spell_len = spell_stats(day_labels, data.year_of_day)
     mean_y = np.array([y[day_labels == u].mean() for u in range(1, K + 1)])
 

@@ -192,11 +192,13 @@ class PatternSet:
         return self.state_series.shape[0]
 
 
-def indicator_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b of 0/1 arrays as float64 counts, taken in float32 while the
-    summed dimension is below 2^24, where every partial sum is exact."""
+def indicator_dot(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """a @ b of 0/1 arrays (without b, numpy's symmetric a @ a.T) as float64
+    counts, taken in float32 while the summed dimension is below 2^24, where
+    every partial sum is exact."""
     dtype = np.float32 if a.shape[-1] < 2 ** 24 else np.float64
-    return (a.astype(dtype) @ b.astype(dtype)).astype(np.float64)
+    x = a.astype(dtype)
+    return (x @ (x.T if b is None else b.astype(dtype))).astype(np.float64)
 
 
 def onehot(labels: np.ndarray) -> np.ndarray:
@@ -213,7 +215,7 @@ def matches(rows: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
     integers."""
     r1 = rows == HIGH
     c1 = r1.T if cols is None else cols == HIGH
-    out = indicator_dot(r1, c1)
+    out = indicator_dot(r1, None if cols is None else c1)
     out *= 2.0
     out -= np.count_nonzero(r1, axis=1)[:, None]
     out -= np.count_nonzero(c1, axis=0)
@@ -342,25 +344,28 @@ def joint_log_density(data, weights, state: LatentState, params: ModelParams,
     per-day aggregate-rainfall terms.  Labels beyond the pattern rows (or the
     aggregate means) contribute neutrally, mirroring the sampling rules.
 
-    The edge and alignment terms weigh the integers of
-    ``agreement_counts``.  Each location's Gamma term reads its per-state
-    count, Σ log x and Σ x: the high state's sums are row products of the
-    data with the high indicator, the low state's the all-day totals cached
-    on the dataset less the high state's, and exactly 0 where the location
-    has no low day.
+    ``weights`` holds one weight per pair of ``data.pairs``; a spatial edge
+    is a pair with src < dst.  The edge and alignment terms weigh the
+    integers of ``agreement_counts``.  Each location's Gamma term reads its
+    per-state count, Σ log x and Σ x: the high state's sums are row
+    products of the data with the high indicator, the low state's the
+    all-day totals cached on the dataset less the high state's, and
+    exactly 0 where the location has no low day.
     """
     if params.gamma_shape is None or params.gamma_rate is None:
         raise ValidationError("joint density requires estimated Gamma parameters")
     T = state.states.shape[1]
     high = state.states == HIGH
-    ei, ej, w = weights.edge_arrays
-    temporal, spatial, day, loc = agreement_counts(state, patterns, ei, ej)
+    src, dst = data.pairs
+    half = src < dst  # each unordered pair once
+    temporal, spatial, day, loc = agreement_counts(state, patterns, src[half],
+                                                   dst[half])
 
     logp = crp_log_prior_days(state.day_labels, data.year_of_day,
                               params.day_concentration)
     logp += crp_log_prior_locations(state.loc_labels, params.loc_concentration)
     logp += math.log(params.temporal_factor) * temporal
-    logp += float(np.maximum(w, 0.0) @ spatial)
+    logp += float(np.maximum(weights[half], 0.0) @ spatial)
     logp += params.day_align * day
     logp += params.loc_align * loc
 

@@ -14,7 +14,7 @@ from rainpatterns import (HIGH, LOW, LatentState, ModelParams,
                           compute_spatial_weights, extract_patterns,
                           generate_synthetic, joint_log_density)
 from rainpatterns import inference
-from rainpatterns.data import SpatialWeights, make_dataset
+from rainpatterns.data import make_dataset
 from rainpatterns.inference import _GibbsEngine
 from rainpatterns.model import (RAIN_EPS, crp_log_prior_days,
                                 crp_log_prior_locations, log_gamma)
@@ -44,6 +44,15 @@ def tiny_data():
     return make_dataset(rain, coords, np.array([0, 0, 1]))
 
 
+def neighbour_lists(data, per_pair=None):
+    """Per-location lists read from ``data.pairs``: each location's
+    neighbours in the list's order or, given one value per pair, the values
+    of its pairs."""
+    src, dst = data.pairs
+    ends = np.cumsum(np.bincount(src, minlength=data.n_locations))[:-1]
+    return np.split(dst if per_pair is None else np.asarray(per_pair), ends)
+
+
 def fitted_params(data, state, **kw):
     """ModelParams with Gamma/aggregate estimates for the given state."""
     from rainpatterns import update_params_ml
@@ -64,9 +73,7 @@ def engine_at(data, state, params, patterns=None, weights=None):
     weighs zero.
     """
     if weights is None:
-        weights = SpatialWeights(
-            tuple(np.zeros(len(nb)) for nb in data.neighborhoods),
-            data.neighborhoods)
+        weights = np.zeros(len(data.pairs[0]))
     cfg = SamplerConfig(n_burnin=0, n_samples=1)
     engine = _GibbsEngine(data, weights, params, cfg)
     engine.state = state.copy()
@@ -124,15 +131,15 @@ def brute_force_agreements(data, state, pats):
     """The joint's integer terms counted cell by cell, as
     ``model.agreement_counts`` returns them: agreeing adjacent-day pairs,
     the agreeing days of each neighbour pair s < s2 in the order of
-    ``data.neighborhoods`` (that of ``SpatialWeights.edge_arrays``), and the
-    cells agreeing with their day's pattern row and their location's series
-    row, where the label has one."""
+    ``data.pairs``, and the cells agreeing with their day's pattern row and
+    their location's series row, where the label has one."""
     S, T = data.rain.shape
     z = state.states
     temporal = sum(int(z[s, t] == z[s, t + 1])
                    for s in range(S) for t in range(T - 1))
     spatial = [sum(int(z[s, t] == z[s2, t]) for t in range(T))
-               for s in range(S) for s2 in data.neighborhoods[s] if s < s2]
+               for s, nb in enumerate(neighbour_lists(data))
+               for s2 in nb if s < s2]
     day = loc = 0
     for s in range(S):
         for t in range(T):
@@ -164,9 +171,9 @@ def brute_force_log_density(data, weights, state, params, pats):
                                      params.loc_concentration)
     temporal, spatial, day, loc = brute_force_agreements(data, state, pats)
     total += math.log(params.temporal_factor) * temporal
+    nbs, values = neighbour_lists(data), neighbour_lists(data, weights)
     weight = [max(float(w), 0.0) for s in range(S)
-              for s2, w in zip(data.neighborhoods[s], weights.values[s])
-              if s < s2]
+              for s2, w in zip(nbs[s], values[s]) if s < s2]
     total += sum(w * n for w, n in zip(weight, spatial))
     total += params.day_align * day + params.loc_align * loc
     for s in range(S):
@@ -268,10 +275,12 @@ def day_order_block_odds(engine, b):
     count = np.zeros((S, T), dtype=np.int64)
     count[:, 1:] += 2 * high[:, :-1] - 1
     count[:, :-1] += 2 * high[:, 1:] - 1
-    n_slots = max(len(nb) for nb in data.neighborhoods)
-    table = brute_force_neighbour_table(engine.weights.values, n_slots)
+    nbs = neighbour_lists(data)
+    n_slots = max(len(nb) for nb in nbs)
+    table = brute_force_neighbour_table(
+        neighbour_lists(data, engine.weights), n_slots)
     mask = np.zeros((S, T), dtype=np.int64)
-    for s, nb in enumerate(data.neighborhoods):
+    for s, nb in enumerate(nbs):
         for k, s2 in enumerate(nb):
             mask[s] |= high[s2] << k
     block = np.ix_(s_idx, np.arange(d, T, 2))

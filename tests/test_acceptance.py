@@ -23,7 +23,7 @@ from rainpatterns.metrics import (adjusted_rand_index, distance_report,
                                   spatial_coherence, spell_stats,
                                   wet_fraction)
 from conftest import (cell_odds, engine_at, fitted_params, flip_delta,
-                      label_log_weights)
+                      label_log_weights, neighbour_lists)
 
 
 def report(criterion, detail):
@@ -217,14 +217,14 @@ def _method_metrics(seed):
     mrf_dist = distance_report(data.rain, summary.z_mode, summary.u_mode,
                                patterns)
     mrf_spch = spatial_coherence(patterns.state_patterns,
-                                 patterns.rain_patterns, data.neighborhoods)[0]
+                                 patterns.rain_patterns, data.pairs)[0]
 
     ddv = discretize_by_mean(data)
     km = baselines.kmeans(data.rain.T, K, seed=0)
     km_pats = baseline_patterns(data, ddv, km)
     km_dist = distance_report(data.rain, ddv, km.labels, km_pats)
     km_spch = spatial_coherence(km_pats.state_patterns, km_pats.rain_patterns,
-                                data.neighborhoods)[0]
+                                data.pairs)[0]
 
     sp = baselines.spectral_cluster(baselines.similarity_hamming(ddv.T), K,
                                     seed=0)
@@ -402,11 +402,12 @@ def test_c9_metric_oracles():
                     sum(spells[u]) / len(spells[u]), rel=1e-10)
 
         spch_state, spch_rain = spatial_coherence(
-            pats.state_patterns, pats.rain_patterns, data.neighborhoods)
+            pats.state_patterns, pats.rain_patterns, data.pairs)
+        nbs = neighbour_lists(data)
         num_s = num_r = total = 0
         for k in range(Kp):
             for s in range(S):
-                for s2 in data.neighborhoods[s]:
+                for s2 in nbs[s]:
                     total += 1
                     num_s += pats.state_patterns[k, s2] \
                         != pats.state_patterns[k, s]

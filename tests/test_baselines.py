@@ -4,11 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rainpatterns import ValidationError
-from rainpatterns.baselines import (EofBasis, cluster_means,
+from rainpatterns.baselines import (EofBasis, _median, cluster_means,
                                     derive_state_patterns, eof_decompose,
                                     kmeans, lasso_fit, similarity_euclidean,
                                     similarity_hamming, spectral_cluster)
@@ -121,6 +121,28 @@ class TestKmeans:
         # ties go low
         cdp2 = derive_state_patterns(np.array([[2.0, 2.0]]), col_means)
         assert cdp2.tolist() == [[LOW, LOW]]
+
+
+TOP = float(np.finfo(float).max)
+
+
+class TestMedian:
+    @given(st.lists(st.one_of(st.floats(), st.sampled_from([TOP, -TOP])),
+                    min_size=1, max_size=12))
+    # the middle two's sum overflows, as np.median's does; one middle value
+    # must not be doubled
+    @example([TOP, TOP]).via("the middle two overflow")
+    @example([TOP, TOP, TOP]).via("one middle value at the top")
+    @example([1.0, math.nan, 2.0]).via("a nan anywhere")
+    def test_equals_np_median(self, values):
+        # equal doubles differ in their bits only as 0.0 and -0.0, which
+        # compare equal and which both medians may pick either of
+        values = np.array(values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = float(np.median(values))
+            got = _median(values)
+        assert type(got) is float
+        assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 class TestSimilarities:

@@ -484,6 +484,31 @@ class TestRefit:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+@pytest.mark.parametrize("coords", [[(0, 0)], [(0, 0), (2, 0), (0, 2)]],
+                         ids=["one location", "three apart"])
+def test_records_without_neighbour_pairs_run_every_command(tmp_path, coords):
+    # no location has a lattice neighbour, so the record's pair list is
+    # empty: no spatial weight, no neighbour slot, no coherence term
+    T = 48
+    rain = np.random.default_rng(4).gamma(0.7, 4.0, (len(coords), T))
+    data = make_dataset(rain, np.array(coords), np.arange(T) // 12)
+    assert data.pairs[0].size == data.pairs[1].size == 0
+    (tmp_path / "data").mkdir()
+    save_dataset(data, tmp_path / "data" / "locations.csv",
+                 tmp_path / "data" / "rainfall.csv")
+    # the EOF baseline has at most one mode per location
+    cfg = write_config(tmp_path, sampler={"burnin": 3, "samples": 2},
+                       baseline={"k": len(coords)})
+    methods = ("kmeans", "spect1", "spect2", "eof")
+    for argv in (["fit", "--out", "fit"],
+                 ["refit", "--frozen", tmp_path / "fit", "--out", "refit"],
+                 *(["baseline", "--method", m, "--out", m] for m in methods),
+                 ["compare", *(tmp_path / r for r in ("fit", *methods)),
+                  "--out", "compare"]):
+        argv[-1] = tmp_path / argv[-1]
+        assert run([*argv, "--config", cfg]) == 0, argv
+
+
 class TestFixedSeedDigests:
     """The fixed-seed assignments, pinned across versions of the code.
 
@@ -1314,7 +1339,7 @@ from rainpatterns.cli import main
 cfg, out = sys.argv[1:]
 for argv in (["synth", "--out", out + "/data"], ["fit", "--out", out + "/fit"],
              *(["baseline", "--method", m, "--out", f"{out}/{m}"]
-               for m in ("kmeans", "spect2", "eof")),
+               for m in ("kmeans", "spect1", "spect2", "eof")),
              ["compare", *(f"{out}/{r}" for r in ("fit", "kmeans", "eof")),
               "--out", out + "/compare"]):
     assert main(argv + ["--config", cfg]) == 0, argv

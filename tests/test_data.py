@@ -1,4 +1,4 @@
-"""Dataset loading, neighbourhoods, weights, discretization, synthesis."""
+"""Dataset loading, neighbour pairs, weights, discretization, synthesis."""
 
 import io
 import math
@@ -21,7 +21,9 @@ from rainpatterns import (HIGH, LOW, ParseError, SyntheticSpec,
                           discretize_by_mean, generate_synthetic,
                           load_dataset, save_dataset)
 from rainpatterns import data as data_module
-from rainpatterns.data import build_neighborhoods, make_dataset
+from rainpatterns.data import make_dataset
+
+from conftest import neighbour_lists
 
 
 # zero, the smallest subnormal, a mid subnormal and the top of the range
@@ -80,7 +82,7 @@ class TestLoadDataset:
         loc, rn = write_files(tmp_path, [(5, 9)], [[0.0]], [2000])
         d = load_dataset(loc, rn)
         assert d.n_locations == 1 and d.n_days == 1
-        assert len(d.neighborhoods[0]) == 0
+        assert len(d.pairs[0]) == len(d.pairs[1]) == 0
 
     def test_malformed_row_reports_line(self, tmp_path):
         loc, rn = write_files(tmp_path, [(0, 0)], [[1.0, "oops"]], [0, 0])
@@ -276,7 +278,7 @@ def no_parse():
 def record_bytes(d):
     """Every array of a dataset, as (dtype, shape, bytes)."""
     return [(a.dtype, a.shape, a.tobytes()) for a in
-            (d.rain, d.grid_coords, d.year_of_day, *d.neighborhoods)]
+            (d.rain, d.grid_coords, d.year_of_day, *d.pairs)]
 
 
 def outcome(loc, rn):
@@ -547,11 +549,17 @@ class TestTableSearch:
                     == (want[0], f"{path}:{want[1]}")
 
 
+def lattice(coords):
+    """A one-day dataset on the lattice cells ``coords``."""
+    return make_dataset(np.zeros((len(coords), 1)), np.array(coords),
+                        np.zeros(1, dtype=int))
+
+
 class TestNeighborhoods:
     def test_three_by_three_lattice(self):
         # oracle: enumerate the eight offsets, clip at the boundary
         coords = [(x, y) for y in range(3) for x in range(3)]
-        nbs = build_neighborhoods(np.array(coords))
+        nbs = neighbour_lists(lattice(coords))
         index = {c: i for i, c in enumerate(coords)}
         for s, (x, y) in enumerate(coords):
             expect = sorted(index[(x + a, y + b)]
@@ -567,8 +575,13 @@ class TestNeighborhoods:
                    min_size=1, max_size=30))
     @settings(max_examples=40, deadline=None)
     def test_symmetry_property(self, coord_set):
-        coords = np.array(sorted(coord_set))
-        nbs = build_neighborhoods(coords)
+        d = lattice(sorted(coord_set))
+        src, dst = d.pairs
+        # locked intp arrays, sorted by src, then dst, each pair once
+        assert src.dtype == dst.dtype == np.intp
+        assert not (src.flags.writeable or dst.flags.writeable)
+        assert (np.diff(src * len(coord_set) + dst) > 0).all()
+        nbs = neighbour_lists(d)
         for s, nb in enumerate(nbs):
             assert s not in nb
             assert len(nb) <= 8
@@ -576,10 +589,10 @@ class TestNeighborhoods:
                 assert s in nbs[s2]
 
 
-def pair_weights(w):
+def pair_weights(d, w):
     """Every directed neighbour pair's weight, keyed (s, s2)."""
-    return {(s, int(s2)): float(v) for s, nb in enumerate(w.neighborhoods)
-            for s2, v in zip(nb, w.values[s])}
+    src, dst = d.pairs
+    return dict(zip(zip(src.tolist(), dst.tolist()), w.tolist()))
 
 
 class TestSpatialWeights:
@@ -592,13 +605,13 @@ class TestSpatialWeights:
 
     def test_identical_series(self):
         d = self.make([[1, 2, 3], [1, 2, 3]])
-        w = compute_spatial_weights(d)
-        assert w.values[0][0] == pytest.approx(1.0)
+        w = neighbour_lists(d, compute_spatial_weights(d))
+        assert w[0][0] == pytest.approx(1.0)
 
     def test_anticorrelated_series(self):
         d = self.make([[1, 2, 3], [5, 4, 3]])
-        w = compute_spatial_weights(d)
-        assert w.values[0][0] == pytest.approx(-1.0)
+        w = neighbour_lists(d, compute_spatial_weights(d))
+        assert w[0][0] == pytest.approx(-1.0)
 
     def test_hand_case(self):
         # oracle: Pearson formula evaluated by hand on (1,2,3) vs (2,2,4)
@@ -608,39 +621,36 @@ class TestSpatialWeights:
         expect = (xc @ yc) / math.sqrt((xc @ xc) * (yc @ yc))
         assert expect == pytest.approx(math.sqrt(3) / 2)
         d = self.make([x, y])
-        w = compute_spatial_weights(d)
-        assert w.values[0][0] == pytest.approx(expect)
-        assert w.values[0][0] == pytest.approx(0.866, abs=1e-3)
+        w = neighbour_lists(d, compute_spatial_weights(d))
+        assert w[0][0] == pytest.approx(expect)
+        assert w[0][0] == pytest.approx(0.866, abs=1e-3)
 
     def test_zero_variance_gets_zero(self):
         d = self.make([[2, 2, 2], [1, 5, 3]])
-        w = compute_spatial_weights(d)
-        assert w.values[0][0] == 0.0
-        assert w.values[1][0] == 0.0
+        w = neighbour_lists(d, compute_spatial_weights(d))
+        assert w[0][0] == 0.0
+        assert w[1][0] == 0.0
 
     def test_symmetric_and_bounded(self, small_synth):
         data, _ = small_synth
-        pair = pair_weights(compute_spatial_weights(data))
+        pair = pair_weights(data, compute_spatial_weights(data))
         for (s, s2), g in pair.items():
             assert -1.0 <= g <= 1.0
             assert g == pytest.approx(pair[s2, s])
 
-    def test_edge_arrays_match_values_on_ragged_lattice(self):
+    def test_mirror_pairs_weigh_alike_on_ragged_lattice(self):
         # rows of unequal width and a hole: up to 8 neighbours per location
         coords = np.array([(x, y) for y, width in enumerate([6, 3, 5, 1, 6])
                            for x in range(width) if (x, y) != (4, 4)])
         rain = np.random.default_rng(3).gamma(1.5, 2.0, (len(coords), 12))
         d = make_dataset(rain, coords, np.zeros(12, dtype=int))
         w = compute_spatial_weights(d)
-        ei, ej, vals = w.edge_arrays
-        pairs = [(s, int(s2)) for s, nb in enumerate(d.neighborhoods)
-                 for s2 in nb if s < s2]
-        assert list(zip(ei.tolist(), ej.tolist())) == sorted(pairs)
-        assert max(map(len, d.neighborhoods)) == 8
-        pair = pair_weights(w)
-        for i, j, v in zip(ei.tolist(), ej.tolist(), vals):
-            assert v == pair[i, j] == pair[j, i]
-        assert w.edge_arrays is w.edge_arrays  # built once per object
+        assert w.shape == d.pairs[0].shape and not w.flags.writeable
+        assert max(map(len, neighbour_lists(d))) == 8
+        pair = pair_weights(d, w)
+        assert len(pair) == len(w)
+        for (i, j), v in pair.items():
+            assert v == pair[j, i]
 
     def test_needs_two_days(self):
         d = self.make([[1.0], [2.0]])
@@ -654,7 +664,7 @@ class TestSpatialWeights:
         centered = d.rain - d.rain.mean(axis=1, keepdims=True)
         norms = np.sqrt((centered * centered).sum(axis=1))
         values = []
-        for s, nb in enumerate(d.neighborhoods):
+        for s, nb in enumerate(neighbour_lists(d)):
             row = np.zeros(len(nb))
             for k, s2 in enumerate(nb):
                 denom = norms[s] * norms[s2]
@@ -676,7 +686,7 @@ class TestSpatialWeights:
         rain[S // 2] = 1.5
         rain[1] *= 1e150
         d = make_dataset(rain, data.grid_coords, data.year_of_day)
-        got = compute_spatial_weights(d).values
+        got = neighbour_lists(d, compute_spatial_weights(d))
         want = self.per_direction_weights(d)
         assert [v.dtype for v in got] == [v.dtype for v in want]
         assert [v.tobytes() for v in got] == [v.tobytes() for v in want]

@@ -25,8 +25,8 @@ from rainpatterns.model import (RAIN_EPS, crp_log_prior_days,
 from conftest import (DroppingLabelTables, brute_force_neighbour_table,
                       cell_odds, chain_whole_sweep_laws, day_order_block_odds,
                       engine_at, exact_whole_sweep_laws, fitted_params,
-                      flip_delta, label_log_weights, total_variation,
-                      whole_sweep_setup)
+                      flip_delta, label_log_weights, neighbour_lists,
+                      total_variation, whole_sweep_setup)
 
 
 def random_instance(seed, S=4, T=3, n_years=2):
@@ -74,8 +74,7 @@ class TestZConditional:
         # no alignment: both states equally likely
         data = make_dataset(np.array([[2.0]]), np.array([[0, 0]]),
                             np.array([0]))
-        from rainpatterns.data import SpatialWeights
-        weights = SpatialWeights((np.array([]),), data.neighborhoods)
+        weights = np.zeros(0)
         state = LatentState(np.array([[HIGH]], dtype=np.int8),
                             np.array([1]), np.array([1]))
         pats = extract_patterns(data, state)
@@ -105,8 +104,7 @@ class TestZConditional:
         # both temporal neighbours high and a huge agreement factor
         rain = np.array([[1.0, 1.0, 1.0]])
         data = make_dataset(rain, np.array([[0, 0]]), np.array([0, 0, 0]))
-        from rainpatterns.data import SpatialWeights
-        weights = SpatialWeights((np.array([]),), data.neighborhoods)
+        weights = np.zeros(0)
         state = LatentState(np.array([[HIGH, LOW, HIGH]], dtype=np.int8),
                             np.array([1, 1, 1]), np.array([1]))
         pats = extract_patterns(data, state)
@@ -235,8 +233,8 @@ class TestZConditional:
         # every entry of every mask, 1-8 neighbours and padded slots, and
         # negative weights counting as 0, compared exactly
         n_slots, values = case
-        values = tuple(np.array(v) for v in values)
-        assert np.array_equal(_neighbour_table(values, n_slots),
+        w = np.array([v + [0.0] * (n_slots - len(v)) for v in values])
+        assert np.array_equal(_neighbour_table(w),
                               brute_force_neighbour_table(values, n_slots))
 
     def test_coherence_only_marginal(self):
@@ -825,6 +823,7 @@ class TestRunGibbs:
         params = ModelParams(aggregate_sd=1.0)
         cfg = SamplerConfig(n_burnin=0, n_samples=1, seed=0)
         engine = _GibbsEngine(data, small_weights, params, cfg)
+        nbs = neighbour_lists(data)
         covered = np.zeros(data.rain.shape, dtype=int)
         for s_idx, d in engine.color_blocks:
             t_idx = np.arange(d, data.n_days, 2)
@@ -832,7 +831,7 @@ class TestRunGibbs:
             cells = {(s, t) for s in s_idx.tolist() for t in t_idx.tolist()}
             for s, t in list(cells)[:200]:
                 assert (s, t - 1) not in cells and (s, t + 1) not in cells
-                for s2 in data.neighborhoods[s]:
+                for s2 in nbs[s]:
                     assert (int(s2), t) not in cells
         # the eight blocks partition the lattice
         assert (covered == 1).all()

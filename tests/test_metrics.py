@@ -18,6 +18,8 @@ from rainpatterns.metrics import (adjusted_rand_index, aic,
                                   wet_fraction)
 from rainpatterns.model import HIGH, LOW, PatternSet
 
+from conftest import neighbour_lists
+
 
 def make_patterns(state_rows, rain_rows=None, T=4):
     state_rows = np.asarray(state_rows, dtype=np.int8)
@@ -34,9 +36,8 @@ def make_patterns(state_rows, rain_rows=None, T=4):
         pattern_volume=rain_rows.sum(axis=1))
 
 
-def coherence(pats, neighborhoods):
-    return spatial_coherence(pats.state_patterns, pats.rain_patterns,
-                             neighborhoods)
+def coherence(pats, pairs):
+    return spatial_coherence(pats.state_patterns, pats.rain_patterns, pairs)
 
 
 class TestProminence:
@@ -131,36 +132,38 @@ class TestHomogeneity:
 
 
 class TestSpatialCoherence:
-    def line_neighborhoods(self, n):
-        return tuple(np.array([s for s in (i - 1, i + 1) if 0 <= s < n],
-                              dtype=np.intp) for i in range(n))
+    def line_pairs(self, n):
+        """(src, dst) of a strip of n locations, as ``data.pairs``."""
+        src, dst = zip(*[(i, s) for i in range(n) for s in (i - 1, i + 1)
+                         if 0 <= s < n])
+        return np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)
 
     def test_constant_pattern_zero(self):
         pats = make_patterns([np.full(6, LOW)])
-        spch, _ = coherence(pats, self.line_neighborhoods(6))
+        spch, _ = coherence(pats, self.line_pairs(6))
         assert spch == 0.0
 
     def test_alternating_line_is_one(self):
         # every neighbour pair disagrees on an alternating strip
         row = np.array([HIGH, LOW] * 4, dtype=np.int8)
         pats = make_patterns([row])
-        spch, _ = coherence(pats, self.line_neighborhoods(8))
+        spch, _ = coherence(pats, self.line_pairs(8))
         assert spch == pytest.approx(1.0)
 
     def test_random_patterns_near_half(self):
         rng = np.random.default_rng(0)
         n = 40
-        nbs = self.line_neighborhoods(n)
+        pairs = self.line_pairs(n)
         vals = []
         for _ in range(1000):
             row = rng.integers(1, 3, n).astype(np.int8)
-            vals.append(coherence(make_patterns([row]), nbs)[0])
+            vals.append(coherence(make_patterns([row]), pairs)[0])
         assert abs(np.mean(vals) - 0.5) < 0.05
 
     def test_rain_guard_skips_tiny_reference(self):
         rain = np.array([[0.0, 5.0]])
         pats = make_patterns([[LOW, HIGH]], rain, T=2)
-        _, spch_rain = coherence(pats, self.line_neighborhoods(2))
+        _, spch_rain = coherence(pats, self.line_pairs(2))
         # only the 5 -> 0 direction evaluates; 0 -> 5 is guarded out
         assert spch_rain == pytest.approx((5.0 / 5.0) / 2)
 
@@ -169,7 +172,7 @@ class TestSpatialCoherence:
         # neighbours, so both sums are bit-equal to that loop's; the last
         # location has no neighbours
         data, truth = small_synth
-        nbs = data.neighborhoods[:-1] + (np.array([], dtype=np.intp),)
+        nbs = neighbour_lists(data)[:-1] + [np.array([], dtype=np.intp)]
         pats = extract_patterns(data, truth)
         ei = np.array([s for s, nb in enumerate(nbs) for _ in nb])
         ej = np.array([s2 for nb in nbs for s2 in nb])
@@ -178,17 +181,17 @@ class TestSpatialCoherence:
         ref = np.abs(crp[:, ei])
         rel = np.where(ref >= 0.01, np.abs(crp[:, ej] - crp[:, ei])
                        / np.maximum(ref, 0.01), 0.0)
-        assert coherence(pats, nbs) == (
+        assert coherence(pats, (ei, ej)) == (
             float((cdp[:, ej] != cdp[:, ei]).sum() / total),
             float(rel.sum() / total))
-        assert coherence(pats, (np.array([], dtype=np.intp),)) == (0.0, 0.0)
+        assert coherence(pats, (ei[:0], ej[:0])) == (0.0, 0.0)
 
     def test_in_unit_interval(self):
         rng = np.random.default_rng(1)
-        nbs = self.line_neighborhoods(12)
+        pairs = self.line_pairs(12)
         for _ in range(50):
             rows = rng.integers(1, 3, (3, 12)).astype(np.int8)
-            spch, _ = coherence(make_patterns(rows), nbs)
+            spch, _ = coherence(make_patterns(rows), pairs)
             assert 0.0 <= spch <= 1.0
 
 

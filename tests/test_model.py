@@ -13,7 +13,7 @@ from rainpatterns import (HIGH, LOW, LatentState, ModelParams,
                           ValidationError, compute_spatial_weights,
                           extract_patterns, joint_log_density,
                           update_params_ml)
-from rainpatterns.data import SpatialWeights, make_dataset
+from rainpatterns.data import make_dataset
 from rainpatterns.model import (RAIN_EPS, VAR_FLOOR, agreement_counts,
                                 crp_log_prior_days, crp_log_prior_locations,
                                 indicator_dot, log_gamma, modal_patterns)
@@ -191,6 +191,10 @@ class TestIndicatorDot:
         got = indicator_dot(a, b)
         assert got.dtype == np.float64
         assert np.array_equal(got, a.astype(float) @ b.astype(float))
+        # without b, the symmetric product of a with itself
+        got = indicator_dot(a)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, a.astype(float) @ a.T.astype(float))
 
     def test_float64_once_the_sum_has_2_24_terms(self):
         # stand-ins record the dtype each operand is cast to, so no array
@@ -217,7 +221,7 @@ class TestJointDensity:
         # aggregate means (rows = 0) the label adds only the Gamma term.
         data = make_dataset(np.array([[2.0]]), np.array([[0, 0]]),
                             np.array([0]))
-        weights = SpatialWeights((np.array([]),), data.neighborhoods)
+        weights = np.zeros(0)
         state = LatentState(np.array([[HIGH]], dtype=np.int8),
                             np.array([1]), np.array([1]))
         pats = extract_patterns(data, state)
@@ -277,7 +281,7 @@ class TestJointDensity:
         data = make_dataset(rain, np.array([[0, 0], [1, 0]]),
                             np.array([0, 0]))
         weights = compute_spatial_weights(data)
-        assert weights.values[0][0] == pytest.approx(-1.0)
+        assert weights[0] == pytest.approx(-1.0)  # the pair (0, 1)
         state = LatentState(np.array([[1, 1], [1, 1]], dtype=np.int8),
                             np.array([1, 1]), np.array([1, 1]))
         pats = extract_patterns(data, state)
@@ -286,8 +290,7 @@ class TestJointDensity:
         base = joint_log_density(data, weights, state, params, pats)
         # hand-build the same weights but positive to expose the edge count;
         # the negative weight scored 0
-        w2 = SpatialWeights((np.array([0.5]), np.array([0.5])),
-                            data.neighborhoods)
+        w2 = np.array([0.5, 0.5])
         bumped = joint_log_density(data, w2, state, params, pats)
         assert bumped - base == pytest.approx(0.5 * 2)  # one edge, two days
 
@@ -372,9 +375,7 @@ def small_records(draw):
             np.int64, S, elements=st.integers(1, 4)))))
     w = draw(hnp.arrays(np.float64, (S, S), elements=st.floats(-1.0, 1.0)))
     w = (w + w.T) / 2
-    weights = SpatialWeights(tuple(w[s, nb] for s, nb in
-                                   enumerate(data.neighborhoods)),
-                             data.neighborhoods)
+    weights = w[data.pairs]
     return data, state, weights
 
 
@@ -433,8 +434,9 @@ class TestRowProductSums:
         assert got == pytest.approx(
             brute_force_log_density(data, weights, state, params, pats),
             rel=1e-12, abs=1e-12 * scale.sum())
+        src, dst = data.pairs
         temporal, spatial, day, loc = agreement_counts(
-            state, pats, *weights.edge_arrays[:2])
+            state, pats, src[src < dst], dst[src < dst])
         assert (temporal, spatial.tolist(), day, loc) \
             == brute_force_agreements(data, state, pats)
         # a state with no cell at a location adds exactly 0, whatever its
