@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, svgplot
-from .data import (RainfallDataset, SyntheticSpec, _load_locations,
-                   _read_table, _repeats, _write_csv,
+from .data import (RainfallDataset, SyntheticSpec, _cell_indices,
+                   _load_locations, _read_table, _repeats, _write_csv,
                    compute_spatial_weights, discretize_by_mean,
                    generate_synthetic, load_dataset, save_dataset,
                    write_state)
@@ -406,7 +406,7 @@ def _cmd_baseline_eof(cfg: dict, data: RainfallDataset, out: Path) -> int:
     basis = baselines.eof_decompose(data.rain)
     _write_csv(out / "eof_eigenvalues.csv", ["mode_id", "eigenvalue"],
                np.arange(S), basis.eigenvalues)
-    j, s = np.indices((S, S)).reshape(2, -1)
+    j, s = _cell_indices((S, S))
     _write_csv(out / "eof_vectors.csv", ["mode_id", "loc_id", "value"],
                j, s, basis.vectors.T.ravel())
     _write_csv(out / "eof_mean.csv", ["loc_id", "mean_mm"], np.arange(S),

@@ -22,7 +22,7 @@ import tempfile
 import warnings
 import zipfile
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -36,6 +36,9 @@ LOCATIONS_HEADER = ["loc_id", "grid_x", "grid_y"]
 RAINFALL_HEADER = ["loc_id", "day_index", "year", "rain_mm"]
 # rows encoded per block when writing, which bounds the memory a block holds
 _WRITE_BLOCK = 1 << 16
+# doubles encoded at once; bounds the encoder's uint64 temporaries
+_ENCODE_BLOCK = 1 << 14
+_M63 = (1 << 63) - 1
 # the sidecar's key starts with this tag; a new tag retires every old sidecar,
 # so change it whenever the arrays a sidecar holds or their meaning change
 _SIDECAR_TAG = "rainpatterns-record-1"
@@ -467,7 +470,9 @@ def _write_csv(path, header: list[str], *columns) -> None:
 
     Integers are written in decimal and every other value as its ``repr``,
     with the header in csv quoting and csv's ``\\r\\n`` line ends.  Each
-    block of rows is encoded column by column and written at once.
+    block of rows is encoded column by column and written at once.  A
+    floating column's text comes from a vectorised shortest-round-trip
+    encoder (``_shortest_texts``), with the same bytes as ``repr``.
     """
     columns = [np.asarray(c) for c in columns]
     n = len(columns[0]) if columns else 0
@@ -495,12 +500,19 @@ def _write_csv(path, header: list[str], *columns) -> None:
 def _encode_cells(values: np.ndarray) -> np.ndarray:
     """The text of each of a non-empty block of values, as NUL-padded bytes.
 
+    A float16, float32 or float64 value is cast to a double, and
+    ``_shortest_texts`` builds its ``repr``; any other non-integer is its
+    own ``repr``.
     An integer indexes a table of the decimal texts of the block's values:
     of its range when that is shorter than the block, else of its distinct
     values, so the table never outgrows the block.
     """
+    if values.dtype.kind == "f" and values.dtype.itemsize <= 8:
+        x = values.astype(np.float64)
+        return np.concatenate([_shortest_texts(x[i:i + _ENCODE_BLOCK])
+                               for i in range(0, len(x), _ENCODE_BLOCK)])
     if values.dtype.kind not in "iu":
-        return np.array([repr(v) for v in values.tolist()], dtype="S")
+        return _repr_cells(values)
     lo, hi = int(values.min()), int(values.max())
     if hi - lo < len(values):
         wide = np.int64 if values.dtype.kind == "i" else np.uint64
@@ -511,12 +523,163 @@ def _encode_cells(values: np.ndarray) -> np.ndarray:
     return np.array([b"%d" % v for v in table])[index]
 
 
+def _repr_cells(values: np.ndarray) -> np.ndarray:
+    return np.array([repr(v) for v in values.tolist()], dtype="S")
+
+
+def _shortest_texts(x: np.ndarray) -> np.ndarray:
+    """``repr``'s text of each of an array of doubles, as NUL-padded bytes.
+
+    A normal double is written from its shortest decimal, laid out by
+    ``repr``'s rules (``_text_layout``); zeros, subnormals, inf and nan take
+    ``repr`` itself.  The rows are sorted by layout, so that each layout
+    fills one run of rows with slices.
+    """
+    a = np.abs(x)
+    normal = (a >= np.finfo(np.float64).smallest_normal) & (a < np.inf)
+    rare = _repr_cells(x[~normal])
+    negative = np.signbit(x[normal])
+    d, k = _shortest_decimals(x[normal])
+    # d has 16 or 17 digits: scale it to 17, the digits D of 0.D x 10^p
+    short = d < 10 ** 16
+    d = np.where(short, d * 10, d)
+    p = k + 17 - short
+    digits = np.empty((len(d), 17), np.uint8)
+    high = d // 10 ** 8
+    low, high = (d - high * 10 ** 8).astype(np.uint32), high.astype(np.uint32)
+    for j in range(16, 8, -1):
+        q, r = low // 10, high // 10
+        digits[:, j], digits[:, j - 8] = low - q * 10, high - r * 10
+        low, high = q, r
+    digits[:, 0] = high
+    digits += ord("0")
+    n = 17 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)  # D's own digits
+    # one layout per (n, form, sign); the form is p + 3 (0-19) in fixed
+    # notation, else 20-23 by the sign and width of e, the exponent of
+    # d.ddd x 10^e
+    e = np.abs(p - 1)
+    form = np.where((p > -4) & (p <= 16), p + 3, 20 + 2 * (p < 1) + (e > 99))
+    key = ((form * 18 + n) * 2 + negative).astype(np.int16)
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    first = order[starts]
+    layouts = [_text_layout(*v) for v in zip(
+        n[first].tolist(), form[first].tolist(), negative[first].tolist())]
+    width = max([len(t) for t, _, _ in layouts], default=1)
+    digits = np.take(digits, order, axis=0)
+    exponents = e[order, None] // [100, 10, 1] % 10 + ord("0")
+    texts = np.zeros((len(d), width), np.uint8)
+    for (t, dcols, xcols), i, j in zip(layouts, starts,
+                                       np.append(starts[1:], len(d))):
+        texts[i:j, :len(t)] = t
+        texts[i:j, dcols] = digits[i:j, :len(dcols)]
+        texts[i:j, xcols] = exponents[i:j, 3 - len(xcols):]
+    out = np.empty(len(normal), np.result_type(f"S{width}", rare))
+    out[np.flatnonzero(normal)[order]] = texts.view(f"S{width}")[:, 0]
+    out[~normal] = rare
+    return out
+
+
+@cache
+def _text_layout(n: int, form: int, negative: bool):
+    """``repr``'s layout of the n-digit doubles 0.D x 10^p of one form of
+    ``_shortest_texts``: its bytes, with "d" for each digit and "x" for each
+    exponent digit, and their columns."""
+    digits, p = "d" * n, form - 3
+    if form < 20:
+        text = ("0." + "0" * -p + digits if p <= 0 else
+                digits[:p] + "." + digits[p:] if p < n else
+                digits + "0" * (p - n) + ".0")
+    else:
+        text = (digits[0] + "." * (n > 1) + digits[1:]
+                + ("e-" if form > 21 else "e+") + "x" * (2 + form % 2))
+    t = np.frombuffer(("-" * negative + text).encode(), np.uint8)
+    return t, np.flatnonzero(t == ord("d")), np.flatnonzero(t == ord("x"))
+
+
+def _shortest_decimals(x: np.ndarray):
+    """The shortest decimal d x 10^k that reads back as |x|, for normal
+    doubles; of the shortest, the nearest, with ties to the even digit.
+
+    Giulietti's Schubfach ("The Schubfach way to render doubles", 2020), as
+    the JDK's ``DoubleToDecimal`` computes it, in uint64 arithmetic.
+    """
+    bits = x.view(np.uint64)
+    fraction = bits & (1 << 52) - 1
+    exponent = (bits >> 52 & 0x7FF).astype(np.int64)
+    c, q = fraction | 1 << 52, exponent - 1075
+    # at a power of two the double below is nearer than the one above,
+    # except at the smallest normal
+    irregular = (fraction == 0) & (exponent > 1)
+    k = q * 661971961083 - irregular * 274743187321 >> 41
+    h = (q + (-k * 913124641741 >> 38) + 2).astype(np.uint64)  # 1 to 4
+    g = [row[k + 324] for row in _shortest_tables()]
+    # 4x, and the ends of the interval that reads back as x, all scaled by
+    # 10^-k: vbl and vbr lie in it or not as c is even or odd
+    cb, out = c << 2, c & 1
+    vb = _rop(g, cb << h)
+    vbl = _rop(g, cb - 2 + irregular << h)
+    vbr = _rop(g, cb + 2 << h)
+    s = vb >> 2
+    # s >= 2^52, so first try the one multiple of ten in the interval
+    sp10 = s // 10 * 10
+    tp10 = sp10 + 10
+    upin = vbl + out <= sp10 << 2
+    wpin = (tp10 << 2) + out <= vbr
+    t = s + 1
+    uin = vbl + out <= s << 2
+    win = (t << 2) + out <= vbr
+    # else s or t, the one in the interval or, if both are, the nearer to x
+    half = vb & 3
+    nearer = (half < 2) | (half == 2) & (s & 1 == 0)
+    d = np.where(uin & (nearer | ~win), s, t)
+    return np.where(upin != wpin, np.where(upin, sp10, tp10), d), k
+
+
+def _rop(g, cp):
+    """g cp / 2^127 rounded to odd, for cp < 2^59, where g = g1 2^63 + g0
+    is given as g1 and the 32-bit halves of g1 and g0."""
+    g1, g1_high, g1_low, g0_high, g0_low = g
+    cp_high, cp_low = cp >> 32, cp & 0xFFFFFFFF
+    z = (g1 * cp >> 1) + _mul_high(g0_high, g0_low, cp_high, cp_low)
+    return ((_mul_high(g1_high, g1_low, cp_high, cp_low) + (z >> 63))
+            | ((z & _M63) + _M63) >> 63)
+
+
+def _mul_high(a_high, a_low, b_high, b_low):
+    """The high 64 bits of each product a b, from the 32-bit halves of
+    a < 2^63 and b < 2^59, whose middle terms' sum cannot overflow."""
+    return a_high * b_high + (a_low * b_high + a_high * b_low
+                              + (a_low * b_low >> 32) >> 32)
+
+
+@cache
+def _shortest_tables():
+    """Schubfach's g(k) = floor(10^-k 2^(125 - floor(log2 10^-k))) + 1 for
+    k = -324...292, as rows of g1 = floor(g / 2^63) and of the 32-bit halves
+    of g1 and of g0 = g mod 2^63."""
+    g = []
+    for k in range(-324, 293):
+        m = 10 ** abs(k)  # 10^-k for k > 0 lies in [2^-bits, 2^(1-bits))
+        g.append(((m << 126) >> m.bit_length() if k <= 0
+                  else (1 << 125 + m.bit_length()) // m) + 1)
+    g1, g0 = np.array([divmod(v, 1 << 63) for v in g], np.uint64).T
+    return np.stack([g1, g1 >> 32, g1 & 0xFFFFFFFF,
+                     g0 >> 32, g0 & 0xFFFFFFFF])
+
+
+def _cell_indices(shape) -> np.ndarray:
+    """The row and the column of each cell of an array of ``shape``, in C
+    order, as two columns of the smallest unsigned dtype that holds both."""
+    return np.indices(shape, np.min_scalar_type(max(shape))).reshape(2, -1)
+
+
 def save_dataset(d: RainfallDataset, locations_file, rain_file) -> None:
     """Write a dataset back out in the load_dataset CSV formats."""
     S, T = d.rain.shape
     _write_csv(locations_file, LOCATIONS_HEADER, np.arange(S),
                d.grid_coords[:, 0], d.grid_coords[:, 1])
-    s, t = np.indices((S, T)).reshape(2, -1)
+    s, t = _cell_indices((S, T))
     _write_csv(rain_file, RAINFALL_HEADER, s, t, d.year_of_day[t],
                d.rain.ravel())
 
@@ -647,6 +810,6 @@ def write_state(state: LatentState, folder, stem: str, tag: str) -> None:
                np.arange(len(state.day_labels)), state.day_labels)
     _write_csv(path(f"{stem}_v.csv"), ["loc_id", f"v_{tag}"],
                np.arange(len(state.loc_labels)), state.loc_labels)
-    s, t = np.indices(state.states.shape).reshape(2, -1)
+    s, t = _cell_indices(state.states.shape)
     _write_csv(path(f"{stem}_z.csv"), ["loc_id", "day_index", f"z_{tag}"],
                s, t, state.states.ravel())

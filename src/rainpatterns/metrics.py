@@ -19,6 +19,7 @@ from .model import HIGH, RAIN_EPS, PatternSet
 
 METRICS_HEADER = ["metric", "cluster_id", "value"]
 MIN_YEARS = 5  # the distinct years a prominent cluster's days span
+_DAY_BLOCK = 64  # days whose distances distance_report takes at once
 
 
 class DistanceReport(NamedTuple):
@@ -39,17 +40,22 @@ def distance_report(rain: np.ndarray, states: np.ndarray,
     skipped.
     """
     rows = day_labels - 1
-    ok = rows < patterns.n_day_patterns
-    n = int(ok.sum())
+    days = np.flatnonzero(rows < patterns.n_day_patterns)
+    n = len(days)
     if n == 0:
         return DistanceReport(math.nan, math.nan, math.nan, 0)
-    r = rows[ok]
-    diff = rain[:, ok].T - patterns.rain_patterns[r]
-    l2 = float(np.sqrt((diff * diff).sum(axis=1)).sum() / n)
-    ham = float((states[:, ok].T != patterns.state_patterns[r]).sum() / n)
-    y = rain[:, ok].sum(axis=0)
-    agg = float(np.abs(y - patterns.pattern_volume[r]).sum() / n)
-    return DistanceReport(l2, ham, agg, n)
+    # per-day sums, a block of days at a time, so no (T, S) copy is made
+    sq, y, ham = np.empty(n), np.empty(n), 0
+    for i in range(0, n, _DAY_BLOCK):
+        t = days[i:i + _DAY_BLOCK]
+        x, r = rain[:, t], rows[t]
+        diff = x.T - patterns.rain_patterns[r]
+        sq[i:i + len(t)] = (diff * diff).sum(axis=1)
+        ham += int((states[:, t].T != patterns.state_patterns[r]).sum())
+        y[i:i + len(t)] = x.sum(axis=0)
+    l2 = float(np.sqrt(sq).sum() / n)
+    agg = float(np.abs(y - patterns.pattern_volume[rows[days]]).sum() / n)
+    return DistanceReport(l2, ham / n, agg, n)
 
 
 def cluster_homogeneity(y: np.ndarray, day_labels: np.ndarray):

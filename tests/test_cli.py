@@ -11,7 +11,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
-from functools import partial
+from functools import cache, partial
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -24,13 +24,13 @@ from hypothesis.extra import numpy as hnp
 import rainpatterns
 from rainpatterns import (LatentState, ModelParams, PatternSet,
                           SamplerConfig, SyntheticSpec, cli,
-                          generate_synthetic, save_dataset)
+                          extract_patterns, generate_synthetic, save_dataset)
 from rainpatterns.cli import (_load_params, _load_patterns, _write_params,
                               _write_patterns, main)
 from rainpatterns.data import (_read_table, _write_csv, make_dataset,
                                write_state)
 from rainpatterns.metrics import (MetricsReport, adjusted_rand_index,
-                                  read_metrics_csv)
+                                  distance_report, read_metrics_csv)
 
 from conftest import brute_force_csv
 
@@ -889,6 +889,86 @@ class TestTableWriter:
             tracemalloc.stop()
         assert got == brute_force_csv(["x"], column)
         assert peak < 1 << 20
+
+    @staticmethod
+    @cache
+    def double_families():
+        """Columns of doubles that random draws seldom reach, by family."""
+        tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        rng = np.random.default_rng(28)
+        bits = rng.integers(0, 2 ** 64, 200_000, dtype=np.uint64)
+        bits = bits.view(np.float64)
+        top = np.finfo(np.float64).max
+        return {
+            "powers of two": np.ldexp(1.0, np.arange(-1074, 1024)),
+            "powers of ten and their neighbours": np.concatenate(
+                [tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf)]),
+            "specials": np.array([
+                0.0, -0.0, np.inf, -np.inf, np.nan, top, -top, 5e-324,
+                -5e-324, 1e-310, np.nextafter(2.0 ** -1022, 0), 2.0 ** -1022]),
+            "random bit patterns": bits[np.isfinite(bits)],
+            "short decimals": np.concatenate(
+                [rng.integers(-10 ** 6, 10 ** 6, 20_000) / 10.0 ** d
+                 for d in range(8)]),
+            "float32": (rng.standard_normal(20_000)
+                        * 10.0 ** rng.integers(-30, 30, 20_000)
+                        ).astype(np.float32),
+            "float16": rng.standard_normal(20_000).astype(np.float16),
+        }
+
+    @pytest.mark.parametrize("family", [
+        "powers of two", "powers of ten and their neighbours", "specials",
+        "random bit patterns", "short decimals", "float32", "float16"])
+    def test_doubles_match_repr_on_edge_families(self, family):
+        column = self.double_families()[family]
+        assert self.written(["x"], column) == brute_force_csv(["x"], column)
+
+    def test_doubles_write_in_bounded_memory(self, tmp_path):
+        # the shortest-decimal encoder's temporaries are bounded by its
+        # block, so a longer column peaks no higher
+        def peak(n):
+            column = np.random.default_rng(0).standard_normal(n)
+            tracemalloc.start()
+            try:
+                _write_csv(tmp_path / "table.csv", ["x"], column)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak(1 << 17), peak(1 << 20)
+        assert long < short * 1.05
+        # with the repr of each value, both writes peaked at 10.2 MB
+        assert long < 10e6
+
+
+class TestPaperSizePeaks:
+    """The fit's calls after sampling each peak below 5 MB of traced memory
+    at paper size, so that its heap peak is set by sampling, not writing."""
+
+    @pytest.fixture(scope="class")
+    def paper(self):
+        data, truth = generate_synthetic(SyntheticSpec(
+            n_locations=357, n_days=976, n_day_patterns=8, n_loc_groups=10,
+            n_years=8, seed=1))
+        return data, truth, extract_patterns(data, truth)
+
+    @pytest.mark.parametrize("call", ["write_state", "distance_report"])
+    def test_peak_stays_below_5_mb(self, paper, call, tmp_path):
+        data, truth, patterns = paper
+        run_call = {
+            "write_state": partial(write_state, truth, tmp_path, "assign",
+                                   "mode"),
+            "distance_report": partial(distance_report, data.rain,
+                                       truth.states, truth.day_labels,
+                                       patterns)}[call]
+        tracemalloc.start()
+        try:
+            run_call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # int64 index planes and (T, S) copies peaked at 8.2 and 8.4 MB
+        assert peak < 5e6
 
 
 class TestExitCodes:
