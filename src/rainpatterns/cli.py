@@ -30,7 +30,7 @@ from .inference import SamplerConfig, refit_frozen, run_gibbs
 from .metrics import (MIN_YEARS, MetricsReport, build_report,
                       distance_report, read_metrics_csv, spatial_coherence)
 from .model import (HIGH, LOW, LatentState, ModelParams, PatternSet,
-                    extract_patterns, patterns_to_rows)
+                    extract_patterns, pattern_columns)
 
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
@@ -178,13 +178,11 @@ def _dump_config(cfg: dict, out: Path, extra: dict | None = None) -> None:
 
 
 def _write_patterns(out: Path, patterns: PatternSet) -> None:
-    spatial, temporal, summary = patterns_to_rows(patterns)
-    _write_csv(out / "patterns_spatial.csv", PATTERNS_SPATIAL_HEADER,
-               *zip(*spatial))
+    spatial, temporal, summary = pattern_columns(patterns)
+    _write_csv(out / "patterns_spatial.csv", PATTERNS_SPATIAL_HEADER, *spatial)
     _write_csv(out / "patterns_temporal.csv", PATTERNS_TEMPORAL_HEADER,
-               *zip(*temporal))
-    _write_csv(out / "cluster_summary.csv", CLUSTER_SUMMARY_HEADER,
-               *zip(*summary))
+               *temporal)
+    _write_csv(out / "cluster_summary.csv", CLUSTER_SUMMARY_HEADER, *summary)
 
 
 def _model_section(params: ModelParams) -> dict:

@@ -469,11 +469,10 @@ def _write_csv(path, header: list[str], *columns) -> None:
     """Write a numeric CSV from whole columns, one line per index.
 
     Integers are written in decimal and every other value as its ``repr``,
-    with the header in csv quoting and csv's ``\\r\\n`` line ends.  Each
-    block of rows is encoded column by column and written at once.  A
+    with the header in csv quoting and csv's ``\\r\\n`` line ends.  One
+    block of rows at a time is encoded (``_block_bytes``) and written.  A
     floating column's text comes from a vectorised shortest-round-trip
-    encoder (``_shortest_texts``), with the same bytes as ``repr``.
-    """
+    encoder (``_shortest_texts``), with the same bytes as ``repr``."""
     columns = [np.asarray(c) for c in columns]
     n = len(columns[0]) if columns else 0
     head = io.StringIO()
@@ -481,20 +480,23 @@ def _write_csv(path, header: list[str], *columns) -> None:
     with open(path, "wb") as fh:
         fh.write(head.getvalue().encode())
         for i in range(0, n, _WRITE_BLOCK):
-            cells = [_encode_cells(c[i:i + _WRITE_BLOCK]) for c in columns]
-            # a row per line: each field NUL-padded to its column's width and
-            # followed by ","; the last "," and one more byte end the line
-            lines = np.zeros((len(cells[0]),
-                              sum(c.itemsize + 1 for c in cells) + 1),
-                             dtype=np.uint8)
-            end = 0
-            for c in cells:
-                start, end = end, end + c.itemsize
-                lines[:, start:end] = c.view(np.uint8).reshape(len(c), -1)
-                lines[:, end] = ord(",")
-                end += 1
-            lines[:, -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
-            fh.write(lines[lines != 0])
+            fh.write(_block_bytes([c[i:i + _WRITE_BLOCK] for c in columns]))
+
+
+def _block_bytes(columns) -> np.ndarray:
+    """The CSV lines of a non-empty block of rows, as uint8 bytes."""
+    cells = [_encode_cells(c) for c in columns]
+    # a row per line: each field NUL-padded to its column's width and
+    # followed by ","; the last "," and one more byte end the line
+    lines = np.zeros((len(cells[0]), sum(c.itemsize + 1 for c in cells) + 1),
+                     dtype=np.uint8)
+    end = 0
+    for c in cells:
+        lines[:, end:end + c.itemsize] = c.view(np.uint8).reshape(len(c), -1)
+        end += c.itemsize + 1
+        lines[:, end - 1] = ord(",")
+    lines[:, -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
+    return lines[lines != 0]
 
 
 def _encode_cells(values: np.ndarray) -> np.ndarray:

@@ -187,7 +187,8 @@ def update_params_ml(data, state: LatentState):
     order moved ``params.json`` in its trailing digits only.  Floors on the
     variance and mean absorb degenerate cells.  Rainfall so large that a
     shape or rate leaves the positive doubles is a ``NumericError`` naming
-    its location.
+    its location.  In a sweep this is stochastic EM (Celeux & Diebolt, 1985),
+    not a draw; the whole-sweep checks hold the parameters fixed.
 
     Returns (shape, rate, aggregate_mean).
     """
@@ -482,7 +483,9 @@ class _GibbsEngine:
                                  np.asarray(loc_labels, dtype=np.int64))
 
     def refresh(self) -> None:
-        """Re-extract modal patterns and re-estimate parameters."""
+        """Re-extract modal patterns (an ICM step, Besag JRSS-B 1986, not a
+        draw; at η = 1, ζ = 0.5 CI's whole-sweep TVs read 0.44, 0.29, 0.083)
+        and re-estimate parameters; trace.csv's logp is the plug-in joint."""
         self.patterns = modal_patterns(self.data, self.state)
         shape, rate, mu = update_params_ml(self.data, self.state)
         self.params = replace(self.params, gamma_shape=shape,
@@ -621,8 +624,9 @@ class _GibbsEngine:
         process and practically never consolidates them, so each sweep also
         proposes whole-cluster merges, accepted by the change of the plug-in
         joint density (day prior, alignment, and aggregate terms; the cell
-        states and data terms are untouched).
-        """
+        states and data terms are untouched).  A heuristic, not a
+        Metropolis–Hastings move: there is no reverse split, and CI's
+        whole-sweep step reads a day-partition TV of 0.60 with it on."""
         for _ in range(int(self.state.day_labels.max())):
             if self.state.n_day_clusters < 2 or not self._merge_pass():
                 return

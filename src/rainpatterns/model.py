@@ -399,24 +399,19 @@ def joint_log_density(data, weights, state: LatentState, params: ModelParams,
     return logp
 
 
-def patterns_to_rows(patterns: PatternSet):
-    """Flatten a pattern set into the two CSV table layouts.
+def pattern_columns(p: PatternSet):
+    """The pattern tables as whole columns in row order: (cluster_id, loc_id,
+    crp_value, cdp_state), (cluster_id, day_index, cts_value, cds_state) and
+    (cluster_id, n_days, n_years, aggregate_mm)."""
+    u, s = np.indices(p.rain_patterns.shape).reshape(2, -1)
+    v, t = np.indices(p.rain_series.shape).reshape(2, -1)
+    return ((u + 1, s, p.rain_patterns.ravel(), p.state_patterns.ravel()),
+            (v + 1, t, p.rain_series.ravel(), p.state_series.ravel()),
+            (np.arange(1, p.n_day_patterns + 1), p.day_counts, p.year_counts,
+             p.pattern_volume))
 
-    Returns (spatial_rows, temporal_rows, summary_rows) with columns
-    (cluster_id, loc_id, crp_value, cdp_state), (cluster_id, day_index,
-    cts_value, cds_state) and (cluster_id, n_days, n_years, aggregate_mm).
-    """
-    spatial = []
-    for u in range(patterns.n_day_patterns):
-        for s in range(patterns.rain_patterns.shape[1]):
-            spatial.append((u + 1, s, float(patterns.rain_patterns[u, s]),
-                            int(patterns.state_patterns[u, s])))
-    temporal = []
-    for v in range(patterns.n_loc_series):
-        for t in range(patterns.rain_series.shape[1]):
-            temporal.append((v + 1, t, float(patterns.rain_series[v, t]),
-                             int(patterns.state_series[v, t])))
-    summary = [(u + 1, int(patterns.day_counts[u]), int(patterns.year_counts[u]),
-                float(patterns.pattern_volume[u]))
-               for u in range(patterns.n_day_patterns)]
-    return spatial, temporal, summary
+
+def patterns_to_rows(patterns: PatternSet):
+    """``pattern_columns`` as lists of row tuples of Python ints and floats."""
+    return tuple(list(zip(*(np.asarray(c).tolist() for c in cols)))
+                 for cols in pattern_columns(patterns))

@@ -935,7 +935,9 @@ class TestTableWriter:
             finally:
                 tracemalloc.stop()
 
-        short, long = peak(1 << 17), peak(1 << 20)
+        one, short, long = peak(1 << 16), peak(1 << 17), peak(1 << 20)
+        # a block's text is freed before the next block is encoded
+        assert short < one * 1.05
         assert long < short * 1.05
         # with the repr of each value, both writes peaked at 10.2 MB
         assert long < 10e6
@@ -1466,3 +1468,5 @@ def test_every_perfbench_entry_point_exists():
     for method, _, _ in spans.METHODS:
         assert callable(getattr(rainpatterns.inference._GibbsEngine, method,
                                 None)), method
+    # workloads.py builds the refit-long run directory from these rows
+    assert callable(getattr(rainpatterns.model, "patterns_to_rows", None))

@@ -411,6 +411,23 @@ class TestSidecar:
         assert sorted(p.name for p in rn.parent.iterdir()) == before
         assert not any(sidecar_of(rn).iterdir())
 
+    def test_sidecar_without_a_temporary_file_is_skipped(self, files):
+        loc, rn = files
+        cold = load_dataset(loc, rn)
+        sidecar_of(rn).unlink()
+        before = sorted(p.name for p in rn.parent.iterdir())
+        no_temp = mock.patch.object(data_module.tempfile, "mkstemp",
+                                    side_effect=PermissionError("read-only"))
+        parse = mock.patch.object(data_module, "_parse_dataset",
+                                  wraps=data_module._parse_dataset)
+        with no_temp as mkstemp, parse as parsed:
+            for _ in range(2):
+                assert record_bytes(load_dataset(loc, rn)) \
+                    == record_bytes(cold)
+        # each load parsed and tried to write, and left nothing behind
+        assert parsed.call_count == mkstemp.call_count == 2
+        assert sorted(p.name for p in rn.parent.iterdir()) == before
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     @pytest.mark.parametrize("edit", [
         pytest.param(lambda t: t, id="valid"),

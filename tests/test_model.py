@@ -16,7 +16,8 @@ from rainpatterns import (HIGH, LOW, LatentState, ModelParams,
 from rainpatterns.data import make_dataset
 from rainpatterns.model import (RAIN_EPS, VAR_FLOOR, agreement_counts,
                                 crp_log_prior_days, crp_log_prior_locations,
-                                indicator_dot, log_gamma, modal_patterns)
+                                indicator_dot, log_gamma, modal_patterns,
+                                patterns_to_rows)
 from conftest import (brute_force_agreements, brute_force_log_density,
                       fitted_params)
 
@@ -168,6 +169,32 @@ class TestExtractPatterns:
         assert modal.pattern_volume is None
         assert (modal.n_day_patterns, modal.n_loc_series) == (
             full.n_day_patterns, full.n_loc_series)
+
+    def test_rows_are_the_cell_by_cell_rows(self, small_synth):
+        # perfbench builds its frozen run tables from these rows with the
+        # repr of each float, so they keep the value and the Python type of
+        # a loop over every cell
+        data, truth = small_synth
+        pats = extract_patterns(data, truth)
+        K, S = pats.rain_patterns.shape
+        L, T = pats.rain_series.shape
+        assert K >= 2 and L >= 2
+        want = ([(u + 1, s, float(pats.rain_patterns[u, s]),
+                  int(pats.state_patterns[u, s]))
+                 for u in range(K) for s in range(S)],
+                [(v + 1, t, float(pats.rain_series[v, t]),
+                  int(pats.state_series[v, t]))
+                 for v in range(L) for t in range(T)],
+                [(u + 1, int(pats.day_counts[u]), int(pats.year_counts[u]),
+                  float(pats.pattern_volume[u])) for u in range(K)])
+
+        def typed(tables):
+            return [[[(type(x), x) for x in row] for row in rows]
+                    for rows in tables]
+
+        got = patterns_to_rows(pats)
+        assert typed(got) == typed(want)
+        assert [type(rows) for rows in got] == [list] * 3
 
 
 @given(hnp.arrays(np.int64, st.integers(1, 8), elements=st.integers(1, 6)))
