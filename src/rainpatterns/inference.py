@@ -36,9 +36,12 @@ are renumbered densely once the sweep ends.
 Every conditional has one implementation: ``cell_log_odds`` on the
 engine for cells, and for labels ``_LabelTables.log_weights``, whose class
 also owns the counts, the skip and the sweep.  The sweeps draw from them
-and the exactness tests check them.  A frozen refit differs only in its
-candidate labels: the frozen patterns stay enterable while empty and one
-overflow label collects what fits none of them.
+and the exactness tests check them.  A frozen refit holds a fit's patterns
+and parameters: no merge, no refresh, ``align_scale`` 1 with no ramp.  Each
+day starts at its best-matching frozen pattern; its candidates are those
+patterns, enterable while empty, and one overflow label for what fits none,
+and the labels are not compacted.  The series, indexed by the training days,
+are dropped: every location stays in label 1, with no series term.
 """
 
 from __future__ import annotations
@@ -376,11 +379,10 @@ class _LabelTables:
 class _GibbsEngine:
     """Owns the mutable sampling state for one run.
 
-    With ``frozen`` set, patterns and parameters are never refreshed, day
-    labels are restricted to the frozen patterns plus one overflow label, and
-    location labels to the frozen series plus one overflow label.  Frozen
-    series are indexed by the training days, so on a record of another
-    length no series is frozen and every location stays in label 1.
+    With ``frozen`` set it runs a refit (see the module docstring): day
+    labels are the frozen patterns plus one overflow label, and the frozen
+    series, indexed by the training days, are dropped whatever the record's
+    length, so every location stays in label 1.
     """
 
     def __init__(self, data, weights, params: ModelParams,
@@ -428,13 +430,11 @@ class _GibbsEngine:
                              s_idx[:, None] << n_slots)
                             for s_idx, _ in self.color_blocks]
 
-        if self.frozen and frozen.state_series.shape[1] != self.T:
-            frozen = replace(
-                frozen, rain_series=np.zeros((0, self.T)),
-                state_series=np.zeros((0, self.T), dtype=np.int8))
         self._init_state(frozen)
         if self.frozen:
-            self.patterns = frozen
+            self.patterns = replace(
+                frozen, rain_series=np.zeros((0, self.T)),
+                state_series=np.zeros((0, self.T), dtype=np.int8))
             self.params = replace(params, aggregate_mean=np.asarray(
                 params.aggregate_mean, dtype=float))
             self._refresh_gamma_odds()
@@ -458,15 +458,11 @@ class _GibbsEngine:
         else:
             states = discretize_by_mean(self.data)
 
-        loc_labels = np.ones(self.S, dtype=np.int64)
         k0 = math.isqrt(self.T - 1) + 1  # the starting day clusters, ~sqrt(T)
         if frozen is not None:
-            # start every day and location at its best-matching frozen pattern
+            # start every day at its best-matching frozen pattern
             day_labels = matches(frozen.state_patterns,
                                  states).argmax(axis=0) + 1
-            if frozen.n_loc_series:
-                loc_labels = matches(frozen.state_series,
-                                     states.T).argmax(axis=0) + 1
         elif self.config.init == "random":
             day_labels = self.rng.integers(1, k0 + 1, size=self.T)
             day_labels = np.unique(day_labels, return_inverse=True)[1] + 1
@@ -480,7 +476,7 @@ class _GibbsEngine:
 
         self.state = LatentState(states,
                                  np.asarray(day_labels, dtype=np.int64),
-                                 np.asarray(loc_labels, dtype=np.int64))
+                                 np.ones(self.S, dtype=np.int64))
 
     def refresh(self) -> None:
         """Re-extract modal patterns (an ICM step, Besag JRSS-B 1986, not a
@@ -746,10 +742,10 @@ def refit_frozen(data_new, weights_new, patterns: PatternSet,
     """Re-infer latent variables on new data with patterns held fixed.
 
     Day labels index the frozen patterns directly (label u = frozen pattern
-    u); days that conform to no pattern can collect in one overflow label,
-    ``patterns.n_day_patterns + 1``.  Location labels are treated the same
-    way against the frozen series.  Labels are not compacted so that they
-    keep indexing the frozen patterns.
+    u), start at each day's best match and are not compacted; days that
+    conform to no pattern can collect in one overflow label,
+    ``patterns.n_day_patterns + 1``.  No merge, refresh or burn-in ramp runs,
+    and the frozen series are dropped: every location stays in label 1.
     """
     if patterns.n_day_patterns < 1:
         raise ValidationError("refit needs at least one frozen pattern")

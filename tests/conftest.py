@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from rainpatterns import (HIGH, LOW, LatentState, ModelParams,
+from rainpatterns import (HIGH, LOW, LatentState, ModelParams, NumericError,
                           SamplerConfig, SyntheticSpec,
                           compute_spatial_weights, extract_patterns,
                           generate_synthetic, joint_log_density)
@@ -63,6 +63,21 @@ def fitted_params(data, state, **kw):
     base.update(kw)
     return ModelParams(gamma_shape=shape, gamma_rate=rate, aggregate_mean=mu,
                        **base)
+
+
+def fail_the_first_refresh(monkeypatch):
+    """Make ``update_params_ml`` raise a NumericError on its second call,
+    the first sweep's refresh (the first is the engine's setup)."""
+    update = inference.update_params_ml
+    calls = []
+
+    def update_once(data, state):
+        calls.append(None)
+        if len(calls) == 2:
+            raise NumericError("location 0 gives non-finite Gamma parameters")
+        return update(data, state)
+
+    monkeypatch.setattr(inference, "update_params_ml", update_once)
 
 
 def engine_at(data, state, params, patterns=None, weights=None):

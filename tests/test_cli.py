@@ -32,7 +32,7 @@ from rainpatterns.data import (_read_table, _write_csv, make_dataset,
 from rainpatterns.metrics import (MetricsReport, adjusted_rand_index,
                                   distance_report, read_metrics_csv)
 
-from conftest import brute_force_csv
+from conftest import brute_force_csv, fail_the_first_refresh
 
 
 def run(args):
@@ -534,13 +534,14 @@ class TestFixedSeedDigests:
         "cluster_summary.csv":
             "3af351199c7582188f59ab1ff516b6999b41cca125b546a05ae3060ef2783f58",
     }
+    # the refit keeps no frozen series, so no series term enters a cell
     REFIT = {
         "assign_u.csv":
-            "d778c2d4421c2e2ef59af6b315a5d000920b18278ca4cb84429242e9ec148643",
+            "a29edf811ba0bbb72f15d235533105d5f0630356bfabf3580a7e25ef42843f23",
         "assign_v.csv":
             "73e34c8dab4be87b830e30533deacb623432335d32c595ccf24806d531a1b2fb",
         "assign_z.csv":
-            "c1652970312ecc0e7273357727fd28e04aee15d95db19b3bda9f71ad99f128d9",
+            "a276f8703fcf78a606311d67fd9eff327cd43aa956c5e158bc531340e6e27041",
     }
 
     # the bytes of the large tables, which the column writer formats
@@ -989,6 +990,15 @@ class TestExitCodes:
         assert run(["synth", "--config", cfg, "--out", tmp_path / "x"]) == 4
         assert capsys.readouterr().err == (
             "error: out of memory in synth: Unable to allocate 8.94 GiB\n")
+
+    def test_numeric_failure_in_a_sweep_is_one_line(self, synth_dir, capsys,
+                                                    monkeypatch):
+        tmp_path, cfg = synth_dir
+        fail_the_first_refresh(monkeypatch)
+        assert run(["fit", "--config", cfg, "--out", tmp_path / "fit"]) == 3
+        assert capsys.readouterr().err == ("numeric failure: sweep 0: "
+                                           "location 0 gives non-finite "
+                                           "Gamma parameters\n")
 
     def test_bad_config_is_validation_error(self, tmp_path):
         bad = tmp_path / "bad.json"

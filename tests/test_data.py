@@ -390,6 +390,12 @@ class TestSidecar:
                      id="split-year"),
         pytest.param(resave(rain=lambda r: r, grid_coords=np.zeros(
             (3, 2), dtype=np.int64)), id="repeated-coords"),
+        # arrays that make_dataset rejects
+        pytest.param(resave(rain=lambda r: r.ravel()), id="one-dimensional"),
+        pytest.param(resave(rain=lambda r: r[:0]), id="no-locations"),
+        pytest.param(resave(grid_coords=np.zeros((3, 3), dtype=np.int64)),
+                     id="coords-shape"),
+        pytest.param(resave(rain=lambda r: -r - 1.0), id="negative"),
         pytest.param(lambda p: p.unlink(), id="deleted"),
     ])
     def test_damaged_sidecar_is_ignored_and_rewritten(self, files, damage):

@@ -24,7 +24,8 @@ from rainpatterns.model import (RAIN_EPS, crp_log_prior_days,
                                 crp_log_prior_locations)
 from conftest import (DroppingLabelTables, brute_force_neighbour_table,
                       cell_odds, chain_whole_sweep_laws, day_order_block_odds,
-                      engine_at, exact_whole_sweep_laws, fitted_params,
+                      engine_at, exact_whole_sweep_laws,
+                      fail_the_first_refresh, fitted_params,
                       flip_delta, label_log_weights, neighbour_lists,
                       total_variation, whole_sweep_setup)
 
@@ -313,6 +314,14 @@ class TestGammaGuard:
             assert np.array_equal(getattr(got[0], name),
                                   getattr(expect[0], name))
         assert np.array_equal(got[2].gamma_rate, expect[2].gamma_rate)
+
+    def test_a_failure_in_a_sweep_names_the_sweep(
+            self, small_synth, small_weights, monkeypatch):
+        data, _ = small_synth
+        fail_the_first_refresh(monkeypatch)
+        with pytest.raises(NumericError, match="^sweep 0: location 0 "):
+            run_gibbs(data, small_weights, ModelParams(),
+                      SamplerConfig(n_burnin=2, n_samples=1))
 
 
 class TestUDayConditional:
@@ -981,17 +990,39 @@ class TestRefitFrozen:
                 refit_frozen(data, weights, pats, replace(fitted, **change),
                              cfg)
 
-    def test_other_length_keeps_every_location_in_label_one(self):
-        # frozen series are indexed by the training days, so a record of
-        # another length has none to align with or to enter
+    @staticmethod
+    def first_days(data, n_days):
+        sub = make_dataset(data.rain[:, :n_days], data.grid_coords,
+                           data.year_of_day[:n_days])
+        return sub, compute_spatial_weights(sub)
+
+    # the training record's day count, then half of it
+    LENGTHS = pytest.mark.parametrize("n_days", [120, 60],
+                                      ids=["training length", "half length"])
+
+    @LENGTHS
+    def test_frozen_series_do_not_steer_the_refit(self, n_days):
+        # frozen series are indexed by the training days, so a refit keeps
+        # none, whatever its record's length: flipping them changes nothing
         data, weights, summary, pats, fitted = self.fit_small(seed=11)
-        half = data.n_days // 2
-        sub = make_dataset(data.rain[:, :half], data.grid_coords,
-                           data.year_of_day[:half])
+        sub, sub_weights = self.first_days(data, n_days)
+        flipped = replace(pats, state_series=(
+            HIGH + LOW - pats.state_series).astype(np.int8))
+        cfg = SamplerConfig(n_burnin=15, n_samples=10, seed=5)
+        refits = [refit_frozen(sub, sub_weights, p, fitted, cfg)
+                  for p in (pats, flipped)]
+        for name in ("z_mode", "u_mode", "v_mode"):
+            assert np.array_equal(*(getattr(r, name) for r in refits)), name
+
+    @LENGTHS
+    def test_every_location_stays_in_label_one(self, n_days):
+        # with no frozen series there is no location label to enter
+        data, weights, summary, pats, fitted = self.fit_small(seed=11)
+        sub, sub_weights = self.first_days(data, n_days)
         cfg = SamplerConfig(n_burnin=15, n_samples=10, seed=5)
         labels = []
         refit = refit_frozen(
-            sub, compute_spatial_weights(sub), pats,
+            sub, sub_weights, pats,
             replace(fitted, loc_concentration=20.0), cfg,
             on_sweep=lambda engine, i: labels.append(
                 engine.state.loc_labels.copy()))
@@ -1002,10 +1033,7 @@ class TestRefitFrozen:
     def test_labels_not_compacted(self):
         # refit labels index the frozen patterns even when some go unused
         data, weights, summary, pats, fitted = self.fit_small(seed=11)
-        half = data.n_days // 2
-        sub = make_dataset(data.rain[:, :half], data.grid_coords,
-                           data.year_of_day[:half])
+        sub, sub_weights = self.first_days(data, data.n_days // 2)
         cfg = SamplerConfig(n_burnin=15, n_samples=10, seed=5)
-        refit = refit_frozen(sub, compute_spatial_weights(sub), pats, fitted,
-                             cfg)
+        refit = refit_frozen(sub, sub_weights, pats, fitted, cfg)
         assert refit.u_mode.max() <= pats.n_day_patterns + 1

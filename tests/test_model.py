@@ -208,6 +208,18 @@ def test_validate_rejects_labels_that_skip_one(labels):
             state.validate()
 
 
+@pytest.mark.parametrize("states,day,loc,message", [
+    ([[1, 3]], [1, 1], [1], "cell states must be 1"),
+    ([[1, 2]], [1, 0], [1], "day labels must be positive"),
+    ([[1, 2]], [1, 1], [0], "loc labels must be positive")],
+    ids=["state 3", "day label 0", "location label 0"])
+def test_validate_rejects_bad_states_and_labels(states, day, loc, message):
+    state = LatentState(np.array(states, dtype=np.int8), np.array(day),
+                        np.array(loc))
+    with pytest.raises(ValidationError, match=message):
+        state.validate()
+
+
 class TestIndicatorDot:
     @given(st.data())
     def test_equals_the_float64_product(self, data):
