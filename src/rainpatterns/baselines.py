@@ -187,12 +187,10 @@ def similarity_hamming(binary_vectors: np.ndarray) -> np.ndarray:
     return same
 
 
-def spectral_cluster(similarity: np.ndarray, k: int, seed: int = 0) -> ClusteringResult:
-    """Normalised-Laplacian spectral clustering of a similarity matrix.
-
-    Takes the k eigenvectors of the symmetric normalised Laplacian with the
-    smallest eigenvalues, unit-normalises the rows, and k-means them.
-    """
+def normalized_laplacian(similarity: np.ndarray) -> np.ndarray:
+    """L = I − D^-½ W D^-½ as (L + Lᵀ)/2 bit for bit, in one new array that
+    the caller owns (0 − x keeps a zero positive).  The CLI passes W unbound,
+    so W is freed on return and only L is T×T at ``eigh``."""
     w = np.asarray(similarity, dtype=float)
     n = w.shape[0]
     if w.shape != (n, n):
@@ -201,13 +199,26 @@ def spectral_cluster(similarity: np.ndarray, k: int, seed: int = 0) -> Clusterin
         raise ValidationError("similarity must be symmetric")
     if (w < 0).any():
         raise ValidationError("similarity must be non-negative")
-    if not 1 <= k <= n:
-        raise ValidationError(f"k must be in 1..{n}, got {k}")
     deg = w.sum(axis=1)
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1e-300)), 0.0)
-    lap = np.eye(n) - inv_sqrt[:, None] * w * inv_sqrt[None, :]
-    vals, vecs = np.linalg.eigh((lap + lap.T) / 2.0)
-    emb = vecs[:, :k]
+    lap = inv_sqrt[:, None] * w
+    lap *= inv_sqrt[None, :]
+    diag = 1.0 - lap.diagonal()
+    np.subtract(0.0, lap, out=lap)
+    np.fill_diagonal(lap, diag)
+    lap += lap.T
+    lap /= 2.0
+    return lap
+
+
+def spectral_cluster(laplacian: np.ndarray, k: int, seed: int = 0) -> ClusteringResult:
+    """Ng, Jordan & Weiss (NIPS 2001): k-means of the unit rows of the k
+    lowest eigenvectors of a ``normalized_laplacian``, given to ``eigh`` as
+    the caller passed it, so that no T×T copy is made here."""
+    n = laplacian.shape[0]
+    if not 1 <= k <= n:
+        raise ValidationError(f"k must be in 1..{n}, got {k}")
+    emb = np.linalg.eigh(laplacian)[1][:, :k]
     norms = np.linalg.norm(emb, axis=1, keepdims=True)
     emb = np.divide(emb, norms, out=emb.copy(), where=norms > 0)
     km = kmeans(emb, k, seed=seed)

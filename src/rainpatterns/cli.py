@@ -339,18 +339,17 @@ def _baseline_clustering(cfg: dict, data: RainfallDataset, method: str):
     SamplerConfig(seed=seed).validate("config: sampler.")
     drvs = data.rain.T  # (T, S)
     if method == "kmeans":
-        result = baselines.kmeans(drvs, k, seed=seed)
-    elif method == "spect1":
-        sim = baselines.similarity_euclidean(drvs, _checked(
-            cfg, "baseline", "tau", lambda v: 0 < v < math.inf,
-            "null or finite and > 0", null_ok=True))
-        result = baselines.spectral_cluster(sim, k, seed=seed)
+        return baselines.kmeans(drvs, k, seed=seed)
+    if method == "spect1":
+        lap = baselines.normalized_laplacian(baselines.similarity_euclidean(
+            drvs, _checked(cfg, "baseline", "tau", lambda v: 0 < v < math.inf,
+                           "null or finite and > 0", null_ok=True)))
     elif method == "spect2":
-        sim = baselines.similarity_hamming(discretize_by_mean(data).T)
-        result = baselines.spectral_cluster(sim, k, seed=seed)
+        lap = baselines.normalized_laplacian(baselines.similarity_hamming(
+            discretize_by_mean(data).T))
     else:
         raise ValidationError(f"unknown baseline method {method!r}")
-    return result
+    return baselines.spectral_cluster(lap, k, seed=seed)
 
 
 def baseline_patterns(data: RainfallDataset, states: np.ndarray,
@@ -372,6 +371,11 @@ def baseline_patterns(data: RainfallDataset, states: np.ndarray,
 
 def cmd_baseline(cfg: dict, method: str) -> int:
     data = _load_data(cfg)
+    with np.errstate(over="ignore"):  # (S + T)·Σx² bounds every sum taken
+        sq = data.rain_sq_total
+        if not np.isfinite((data.n_locations + data.n_days) * sq.sum()):
+            raise data.numeric_error(int(sq.argmax()), "overflows the "
+                                     "baselines' sums of squares")
     out = _out_dir(cfg)
     if method == "eof":
         return _cmd_baseline_eof(cfg, data, out)

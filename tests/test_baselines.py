@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from rainpatterns import ValidationError
 from rainpatterns.baselines import (EofBasis, _median, cluster_means,
                                     derive_state_patterns, eof_decompose,
-                                    kmeans, lasso_fit, similarity_euclidean,
-                                    similarity_hamming, spectral_cluster)
+                                    kmeans, lasso_fit, normalized_laplacian,
+                                    similarity_euclidean, similarity_hamming,
+                                    spectral_cluster)
 from rainpatterns.model import HIGH, LOW
 
 
@@ -191,7 +192,7 @@ class TestSpectral:
         w = np.zeros((6, 6))
         w[:3, :3] = 1.0
         w[3:, 3:] = 1.0
-        res = spectral_cluster(w, 2, seed=0)
+        res = spectral_cluster(normalized_laplacian(w), 2, seed=0)
         assert len(set(res.labels[:3])) == 1
         assert len(set(res.labels[3:])) == 1
         assert res.labels[0] != res.labels[3]
@@ -200,7 +201,7 @@ class TestSpectral:
         rng = np.random.default_rng(0)
         w = rng.random((5, 5))
         w = (w + w.T) / 2
-        res = spectral_cluster(w, 1, seed=0)
+        res = spectral_cluster(normalized_laplacian(w), 1, seed=0)
         assert (res.labels == 1).all()
 
     def test_laplacian_eigenvalue_range_and_components(self):
@@ -240,7 +241,7 @@ class TestSpectral:
             cuts[m] = (runs(mask), ncut(mask))
         best = min(v for _, v in cuts.values())
         best_fragmented = min(v for r, v in cuts.values() if r > 1)
-        res = spectral_cluster(w, 2, seed=0)
+        res = spectral_cluster(normalized_laplacian(w), 2, seed=0)
         lab = res.labels == 1
         got = ncut(lab)
         # contiguous halves: one boundary run, and the cut beats every
@@ -251,10 +252,44 @@ class TestSpectral:
         assert got <= best * 1.1
 
     def test_validation(self):
-        with pytest.raises(ValidationError):
-            spectral_cluster(np.array([[1.0, 0.5], [0.2, 1.0]]), 1, 0)
-        with pytest.raises(ValidationError):
-            spectral_cluster(-np.ones((3, 3)), 2, 0)
+        # the similarity's checks belong to the Laplacian, k's to clustering
+        with pytest.raises(ValidationError, match="square"):
+            normalized_laplacian(np.ones((2, 3)))
+        with pytest.raises(ValidationError, match="symmetric"):
+            normalized_laplacian(np.array([[1.0, 0.5], [0.2, 1.0]]))
+        with pytest.raises(ValidationError, match="non-negative"):
+            normalized_laplacian(-np.ones((3, 3)))
+        for k in (0, 4):
+            with pytest.raises(ValidationError, match="k must be in 1..3"):
+                spectral_cluster(normalized_laplacian(np.ones((3, 3))), k, 0)
+
+    @staticmethod
+    def old_laplacian(w):
+        """(L + L.T) / 2 of L = I − D^-½ W D^-½, as the Laplacian was built
+        before it had a function of its own."""
+        n = w.shape[0]
+        deg = w.sum(axis=1)
+        inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1e-300)),
+                            0.0)
+        lap = np.eye(n) - inv_sqrt[:, None] * w * inv_sqrt[None, :]
+        return (lap + lap.T) / 2.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.lists(st.sampled_from([0.0, -0.0, 1e-300, 0.5, 1.0, 3.0])
+                 | st.floats(0.0, 1e6), min_size=n * n, max_size=n * n),
+        st.sets(st.integers(0, n - 1)))))
+    def test_laplacian_is_the_old_formula_bit_for_bit(self, case):
+        # signed zeros included: 0 − x where np.negative(x) would give -0.0;
+        # rows of zero degree (isolated vertices) keep their unit diagonal
+        values, isolated = case
+        n = math.isqrt(len(values))
+        w = np.array(values).reshape(n, n)
+        w = np.where(np.tri(n, dtype=bool), w, w.T)  # keeps -0.0
+        w[list(isolated)] = w[:, list(isolated)] = 0.0
+        got = normalized_laplacian(w)
+        assert got.view(np.uint64).tobytes() \
+            == self.old_laplacian(w).view(np.uint64).tobytes()
 
 
 class TestEof:

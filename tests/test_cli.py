@@ -605,6 +605,18 @@ class TestFixedSeedDigests:
             "e56bf940c73062a10b30dd779c91a950e037f226c0228ff1eabcbfe00ed71314",
     }
 
+    # spect1's and spect2's labels on that record at k = 10, seed 1, where
+    # they differ from k-means: on the small record SPECT2 equals KMEANS, so
+    # it cannot show whether the spectral path moved
+    SPECT1_PAPER = {
+        "assign_u.csv":
+            "44960c951cee521a1d411e4a759c2c517f38fbe908ca48df4f1148a80e4dcfda",
+    }
+    SPECT2_PAPER = {
+        "assign_u.csv":
+            "f3a16df78a7424dd410b2145c47c7757320553e96c3b1158cc630be0a50333fc",
+    }
+
     def digests(self, run_dir, names=NAMES):
         return {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
                 for name in names}
@@ -683,6 +695,21 @@ class TestFixedSeedDigests:
         fit = tmp_path / "fit"
         assert run(["fit", "--config", cfg, "--out", fit]) == 0
         assert self.digests(fit) == self.PAPER
+
+    def test_spectral_baselines_at_paper_size(self, tmp_path):
+        data, _ = generate_synthetic(SyntheticSpec(
+            n_locations=357, n_days=976, n_day_patterns=8, n_loc_groups=10,
+            n_years=8, flip_noise=0.1, seed=1))
+        (tmp_path / "data").mkdir()
+        save_dataset(data, tmp_path / "data" / "locations.csv",
+                     tmp_path / "data" / "rainfall.csv")
+        cfg = write_config(tmp_path, sampler={"seed": 1}, baseline={"k": 10})
+        for method in ("spect1", "spect2"):
+            out = tmp_path / method
+            assert run(["baseline", "--method", method, "--config", cfg,
+                        "--out", out]) == 0
+            pinned = getattr(self, f"{method.upper()}_PAPER")
+            assert self.digests(out, pinned) == pinned
 
 
 # finite values at the edges of the double range, for the CSV and JSON writers
@@ -972,6 +999,24 @@ class TestPaperSizePeaks:
             tracemalloc.stop()
         # int64 index planes and (T, S) copies peaked at 8.2 and 8.4 MB
         assert peak < 5e6
+
+    def test_spectral_chain_peak_stays_below_26_mb(self, paper):
+        """spect2's chain as the CLI runs it, k = 10: the similarity goes
+        unbound into the Laplacian, so only the Laplacian is T×T at eigh.
+
+        When the similarity, the Laplacian and its symmetrised copy were
+        all alive at eigh, the traced peak was 30.6 MB.  It is now 23.9 MB,
+        set by the symmetry check's temporaries beside the similarity (one
+        976 × 976 float64 array is 7.6 MB).
+        """
+        cfg = cli.load_config(None, 1, None)
+        tracemalloc.start()
+        try:
+            cli._baseline_clustering(cfg, paper[0], "spect2")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 26e6
 
 
 class TestExitCodes:
@@ -1463,6 +1508,36 @@ print("numpy.ma" in sys.modules)
         assert f"numeric failure: location {loc}, day {day}: " in res.stderr
         assert "Traceback" not in res.stderr
         assert "RuntimeWarning" not in res.stderr
+
+    # 1e155 mm overflowed every baseline, each with a RuntimeWarning (spect1
+    # then blamed an asymmetric similarity, exit 2), and 1e154 the squared
+    # distances of kmeans and spect1.  No sum of squares that a baseline or
+    # its report takes exceeds (S + T)·Σx², so that one bound stops them
+    # all, and 1e153 keeps within it
+    @pytest.mark.parametrize("mm", ["1e153", "1e154", "1e155"])
+    def test_overflowing_cell_stops_every_baseline(self, tmp_path, mm):
+        cfg = write_config(tmp_path, synth={"S": 36, "T": 96, "K": 3, "L": 5,
+                                            "years": 2, "seed": 1})
+        assert run(["synth", "--config", cfg, "--out", tmp_path / "data"]) == 0
+        rain = tmp_path / "data" / "rainfall.csv"
+        lines = rain.read_text().splitlines(keepends=True)
+        assert lines[1].startswith("0,0,0,")
+        lines[1] = f"0,0,0,{mm}\n"
+        rain.write_text("".join(lines))
+        code = """
+import sys
+from rainpatterns.cli import main
+cfg, out = sys.argv[1:]
+print([main(["baseline", "--method", m, "--config", cfg, "--out", out + m])
+       for m in ("kmeans", "spect1", "spect2", "eof")])
+"""
+        res = run_fresh(code, cfg, tmp_path / "run-")
+        want = 0 if mm == "1e153" else 3
+        assert res.stdout.splitlines()[-1] == str([want] * 4), res.stderr
+        assert "RuntimeWarning" not in res.stderr
+        assert "Traceback" not in res.stderr
+        assert res.stderr.count("numeric failure: location 0, day 0: "
+                                f"rainfall {float(mm):g} mm") == 4 * (want == 3)
 
 
 def test_every_perfbench_entry_point_exists():
