@@ -162,17 +162,24 @@ def _median(values: np.ndarray) -> float:
 
 
 def similarity_euclidean(vectors: np.ndarray, tau: float | None = None) -> np.ndarray:
-    """exp(-distance / tau) similarity; tau defaults to the median distance."""
+    """exp(-distance / tau), symmetrised as (W + Wᵀ)/2; tau defaults to the
+    median distance, or 1 where that is 0.  Each step runs in place in the
+    one T×T array of distances, with the IEEE operations of the formula."""
     vectors = np.asarray(vectors, dtype=float)
     sq = (vectors * vectors).sum(axis=1)
-    dist = np.sqrt(_sq_dists(vectors, sq, vectors))
+    w = _sq_dists(vectors, sq, vectors)
+    np.sqrt(w, out=w)
     if tau is None:
-        off = dist[np.triu_indices(len(dist), k=1)]
+        off = w[np.triu_indices(len(w), k=1)]
         tau = _median(off) if off.size else 1.0
         if tau <= 0:
             tau = 1.0
-    w = np.exp(-dist / tau)
-    return (w + w.T) / 2.0
+    np.negative(w, out=w)
+    w /= tau
+    np.exp(w, out=w)
+    w += w.T
+    w /= 2.0
+    return w
 
 
 def similarity_hamming(binary_vectors: np.ndarray) -> np.ndarray:

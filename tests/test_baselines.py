@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rainpatterns import ValidationError
-from rainpatterns.baselines import (EofBasis, _median, cluster_means,
+from rainpatterns.baselines import (EofBasis, _median, _sq_dists,
+                                    cluster_means,
                                     derive_state_patterns, eof_decompose,
                                     kmeans, lasso_fit, normalized_laplacian,
                                     similarity_euclidean, similarity_hamming,
@@ -170,6 +171,46 @@ class TestSimilarities:
         assert w[0, 2] == pytest.approx(math.exp(-d02 / tau))
         assert w[1, 2] == pytest.approx(math.exp(-d12 / tau))
 
+    def test_euclidean_zero_median_distance_takes_tau_one(self):
+        # 6 of the 10 distances are 0, so the median is 0 and tau falls
+        # back to 1: the far pair weighs exp(-1), not exp(-inf) or nan
+        v = np.array([[0.0], [0.0], [0.0], [0.0], [1.0]])
+        w = similarity_euclidean(v)
+        assert w[0, 4] == math.exp(-1.0)
+        assert w[0, 1] == 1.0
+
+    @staticmethod
+    def old_euclidean(vectors, tau):
+        """The similarity as it was built before it ran in place: the
+        distance, its scaled negative, its exponential and the symmetrised
+        sum each a new array."""
+        vectors = np.asarray(vectors, dtype=float)
+        sq = (vectors * vectors).sum(axis=1)
+        dist = np.sqrt(_sq_dists(vectors, sq, vectors))
+        if tau is None:
+            off = dist[np.triu_indices(len(dist), k=1)]
+            tau = _median(off) if off.size else 1.0
+            if tau <= 0:
+                tau = 1.0
+        w = np.exp(-dist / tau)
+        return (w + w.T) / 2.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.integers(1, 4).flatmap(
+        lambda d: st.tuples(
+            st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5])
+                     | st.floats(-1e6, 1e6), min_size=n * d,
+                     max_size=n * d).map(
+                lambda v: np.array(v).reshape(n, d)),
+            st.none() | st.sampled_from([1.0, 3.7])
+            | st.floats(1e-3, 1e3)))))
+    @example((np.zeros((4, 2)), None)).via("median distance 0")
+    def test_euclidean_is_the_old_formula_bit_for_bit(self, case):
+        vectors, tau = case
+        got = similarity_euclidean(vectors, tau)
+        assert got.view(np.uint64).tobytes() \
+            == self.old_euclidean(vectors, tau).view(np.uint64).tobytes()
+
     def test_hamming_cases(self):
         z = np.array([[1, 1, 2], [1, 1, 2], [2, 2, 1], [1, 2, 2]],
                      dtype=np.int8)
@@ -298,6 +339,15 @@ class TestEof:
         drvs = rng.normal(5, 2, (6, 2))
         basis = eof_decompose(drvs)
         assert (basis.eigenvalues > 1e-10).sum() == 1
+
+    def test_single_day_has_zero_covariance(self):
+        # one day has no n-1 covariance: it is zero, not 0/0, and the day
+        # itself is the mean
+        drvs = np.array([[3.0], [1.0], [2.0]])
+        basis = eof_decompose(drvs)
+        assert (basis.eigenvalues == 0.0).all()
+        assert np.array_equal(basis.mean, drvs[:, 0])
+        assert np.allclose(basis.vectors.T @ basis.vectors, np.eye(3))
 
     def test_full_reconstruction(self):
         rng = np.random.default_rng(1)

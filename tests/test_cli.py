@@ -360,6 +360,8 @@ class TestBaseline:
         assert adjusted_rand_index(a, b) == pytest.approx(1.0)
 
     def test_spect1_outputs(self, synth_dir):
+        """``baseline --method spect1`` runs to completion with dense
+        labels and the config's k clusters."""
         tmp_path, cfg = synth_dir
         out = tmp_path / "sp1"
         assert run(["baseline", "--method", "spect1", "--config", cfg,
@@ -428,6 +430,8 @@ class TestCompare:
 
     def test_run_without_config_is_named_after_its_directory(
             self, fit_run, tmp_path):
+        """A run directory without a ``config.json`` labels its column and
+        its maps by its own name."""
         base, cfg = fit_run
         run_dir = shutil.copytree(base / "fit", tmp_path / "mine")
         (run_dir / "config.json").unlink()
@@ -683,6 +687,8 @@ class TestFixedSeedDigests:
         assert self.digests(refit) == self.REFIT
 
     def test_fit_at_paper_size(self, tmp_path):
+        """The assignments of a fit of the fit-paper benchmark's own
+        record: S = 357, T = 976, seed 1, 20 + 10 sweeps, η = 7, ζ = 2."""
         data, _ = generate_synthetic(SyntheticSpec(
             n_locations=357, n_days=976, n_day_patterns=8, n_loc_groups=10,
             n_years=8, flip_noise=0.1, seed=1))
@@ -948,6 +954,12 @@ class TestTableWriter:
         "powers of two", "powers of ten and their neighbours", "specials",
         "random bit patterns", "short decimals", "float32", "float16"])
     def test_doubles_match_repr_on_edge_families(self, family):
+        """The shortest-decimal encoder against ``repr`` on the families
+        random draws seldom reach: every power of two from 2⁻¹⁰⁷⁴ to 2¹⁰²³,
+        each 10ᵏ for k = −323..308 with both of its float neighbours, ±0,
+        ±inf, nan, the largest double and some subnormals, 2×10⁵ seeded
+        random finite bit patterns, short decimals n/10ᵈ, and a float32 and
+        a float16 column."""
         column = self.double_families()[family]
         assert self.written(["x"], column) == brute_force_csv(["x"], column)
 
@@ -1018,6 +1030,24 @@ class TestPaperSizePeaks:
             tracemalloc.stop()
         assert peak < 26e6
 
+    def test_spect1_chain_peak_stays_below_26_mb(self, paper):
+        """spect1's chain at the default tau, k = 10: the similarity runs
+        in place in its one T×T array of distances.
+
+        With the distances, their scaled negative, the exponential and the
+        symmetrised sum each a new array, the similarity set the chain's
+        peak at 26.7 MB.  In place it peaks at 19.1 MB, and the chain's
+        23.9 MB is the Laplacian's symmetry check, as in spect2's.
+        """
+        cfg = cli.load_config(None, 1, None)
+        tracemalloc.start()
+        try:
+            cli._baseline_clustering(cfg, paper[0], "spect1")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 26e6
+
 
 class TestExitCodes:
     def test_missing_file_is_io_error(self, tmp_path):
@@ -1038,6 +1068,9 @@ class TestExitCodes:
 
     def test_numeric_failure_in_a_sweep_is_one_line(self, synth_dir, capsys,
                                                     monkeypatch):
+        """With ``update_params_ml`` made to raise a ``NumericError`` in
+        the first sweep's refresh, ``fit``, run in process, exits 3 with the
+        one line ``numeric failure: sweep 0: ...``."""
         tmp_path, cfg = synth_dir
         fail_the_first_refresh(monkeypatch)
         assert run(["fit", "--config", cfg, "--out", tmp_path / "fit"]) == 3
@@ -1211,6 +1244,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("command,name,damage,code", run_dir_damages())
     def test_every_damaged_run_file_exits_with_a_message(
             self, fit_run, tmp_path, capsys, command, name, damage, code):
+        """Each table, ``params.json`` and ``config.json`` that ``refit``
+        or ``compare`` reads, damaged one way at a time (among them a JSON
+        boolean for ``f`` and within ``gamma_shape``), exits 2, or 4 when
+        missing, naming the file and with no traceback."""
         base, cfg = fit_run
         run_dir = shutil.copytree(base / "fit", tmp_path / "run")
         damage(run_dir / name)
@@ -1294,6 +1331,8 @@ class TestExitCodes:
          ":1: expected header metric,cluster_id,value")])
     def test_compare_metrics_without_its_header_names_the_file(
             self, fit_run, tmp_path, capsys, text, fault):
+        """An empty ``metrics.csv``, or one with a wrong header, makes
+        ``compare`` exit 2 naming the file (and line 1)."""
         base, cfg = fit_run
         run_dir = shutil.copytree(base / "fit", tmp_path / "run")
         (run_dir / "metrics.csv").write_text(text)
@@ -1357,6 +1396,8 @@ class TestExitCodes:
     def test_damaged_run_table_names_its_first_faulty_line(
             self, fit_run, tmp_path, capsys, command, name, damage, line,
             message):
+        """The exact ``file:line: message`` of damaged pattern and summary
+        tables, from ``refit`` and from ``compare``."""
         base, cfg = fit_run
         run_dir = shutil.copytree(base / "fit", tmp_path / "run")
         damage(run_dir / name)

@@ -579,6 +579,10 @@ def lattice(coords):
 
 
 class TestNeighborhoods:
+    """``data.pairs`` against the eight lattice offsets on a 3 × 3 grid,
+    and on Hypothesis lattices two locked ``intp`` arrays sorted by src,
+    then dst, with every pair's mirror present."""
+
     def test_three_by_three_lattice(self):
         # oracle: enumerate the eight offsets, clip at the boundary
         coords = [(x, y) for y in range(3) for x in range(3)]

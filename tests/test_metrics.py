@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rainpatterns import LatentState, ParseError, extract_patterns
+from rainpatterns import (LatentState, ParseError, ValidationError,
+                         extract_patterns)
 from rainpatterns.data import discretize_by_mean, make_dataset
 from rainpatterns.metrics import (adjusted_rand_index, aic,
                                   build_report, cluster_homogeneity,
@@ -285,6 +286,16 @@ class TestAri:
                                     rng.integers(0, 3, 200))
                 for _ in range(30)]
         assert abs(np.mean(vals)) < 0.05
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValidationError, match="equal length"):
+            adjusted_rand_index(np.array([1, 1, 2]), np.array([1, 2]))
+
+    def test_one_cluster_each_is_one(self):
+        # both labellings put every item in one cluster: the index's
+        # numerator and denominator are both 0, and agreement is perfect
+        assert adjusted_rand_index(np.array([1, 1, 1]),
+                                   np.array([2, 2, 2])) == 1.0
 
 
 class TestRelabelInvariance:

@@ -23,6 +23,9 @@ from conftest import (brute_force_agreements, brute_force_log_density,
 
 
 class TestLogGamma:
+    """``log_gamma`` equals ``math.lgamma`` on random positive values and
+    the integers 1..2000, and reads +inf at 0, −1, 1e306 and inf."""
+
     def test_poles_and_overflow_are_plus_inf(self):
         # math.lgamma raises at the poles and on overflow; lgamma(inf) = inf
         x = np.array([0.0, -1.0, 1e306, np.inf])
@@ -42,6 +45,10 @@ class TestLogGamma:
 
 
 class TestClusterPriors:
+    """Hand values of the day and location priors; the day prior is
+    unchanged when the days are permuted with their years, and on one year
+    it equals the location prior up to a constant."""
+
     def test_plain_crp_matches_eppf(self):
         # oracle: exchangeable partition probability for the plain process
         lam = 1.3
@@ -159,6 +166,8 @@ class TestExtractPatterns:
 
 
     def test_modal_patterns_are_the_state_half(self, small_synth):
+        """``modal_patterns`` gives ``extract_patterns``' modal maps and
+        counts, and no rain fields."""
         data, truth = small_synth
         full, modal = extract_patterns(data, truth), modal_patterns(data,
                                                                      truth)
@@ -214,6 +223,8 @@ def test_validate_rejects_labels_that_skip_one(labels):
     ([[1, 2]], [1, 1], [0], "loc labels must be positive")],
     ids=["state 3", "day label 0", "location label 0"])
 def test_validate_rejects_bad_states_and_labels(states, day, loc, message):
+    """``LatentState.validate`` rejects a cell state of 3 and a day or
+    location label of 0."""
     state = LatentState(np.array(states, dtype=np.int8), np.array(day),
                         np.array(loc))
     with pytest.raises(ValidationError, match=message):
@@ -221,6 +232,10 @@ def test_validate_rejects_bad_states_and_labels(states, day, loc, message):
 
 
 class TestIndicatorDot:
+    """``indicator_dot`` against the float64 product on Hypothesis 0/1
+    arrays, and without a second operand against ``a @ a.T``, which
+    ``matches(rows)`` takes as numpy's symmetric product."""
+
     @given(st.data())
     def test_equals_the_float64_product(self, data):
         m, n, k = (data.draw(st.integers(0, 9)) for _ in range(3))
@@ -282,6 +297,9 @@ class TestJointDensity:
 
     @pytest.mark.parametrize("unrowed", [False, True])
     def test_matches_brute_force(self, small_synth, small_weights, unrowed):
+        """``joint_log_density`` against ``brute_force_log_density``
+        (rel 1e-12), also with labels past the pattern rows and aggregate
+        means."""
         data, truth = small_synth
         params = fitted_params(data, truth)
         pats = extract_patterns(data, truth)
@@ -295,6 +313,8 @@ class TestJointDensity:
         assert got == pytest.approx(expect, rel=1e-12)
 
     def test_zero_rain_scored_at_floor(self, tiny_data):
+        """A cell of 0 mm scores as one of ``RAIN_EPS``, the floor of the
+        Gamma term's rain, in the joint and in the reference."""
         rain = tiny_data.rain.copy()
         rain[1, 2] = 0.0
         dry = make_dataset(rain.copy(), tiny_data.grid_coords,

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from rainpatterns.svgplot import (CELL, DRY_COLOR, PER_ROW, WET_COLOR, _esc,
-                                  _fmt, _ramp, _svg, pattern_grid)
+                                  _fmt, _ramp, _svg, grouped_bar_chart,
+                                  pattern_grid)
 
 
 def scalar_ramp(v):
@@ -61,6 +62,10 @@ def fills(path):
 
 
 class TestRamp:
+    """The pattern maps' colour ramp against ``scalar_ramp``, one value at
+    a time with Python's ``round``, on values outside [0, 1] and on
+    channels that land exactly on k + 0.5."""
+
     def test_endpoints(self):
         assert _ramp(np.array([0.0, 1.0])) == ["#ffffff", "#2166ac"]
         assert _ramp(np.array([1.0]))[0] == WET_COLOR
@@ -87,6 +92,10 @@ class TestRamp:
 
 
 class TestPatternGrid:
+    """The pattern grid's bytes against ``per_cell_grid``, which formats
+    each cell on its own, on a ragged, shuffled lattice, an all-zero rain
+    panel and state values other than 1, which are drawn dry."""
+
     def grids(self, tmp_path, coords, patterns, kind):
         """The grid's file and the per-cell reference's, as bytes."""
         ann = [f"{k}.0 mm/day" for k in range(len(patterns))]
@@ -127,3 +136,17 @@ class TestPatternGrid:
         got, want = self.grids(tmp_path, coords, patterns, "state")
         assert got.read_bytes() == want.read_bytes()
         assert fills(got) == [WET_COLOR] + [DRY_COLOR] * 3
+
+
+class TestGroupedBarChart:
+    def test_no_positive_value_scales_to_one(self, tmp_path):
+        # a chart whose every value is 0 (or which has no values) takes 1 as
+        # its top, so its bars are flat rather than 0/0
+        path = tmp_path / "bars.svg"
+        grouped_bar_chart(path, "t", ["1", "2"],
+                          [("a", np.zeros(2)), ("b", np.zeros(0))])
+        root = ET.parse(path).getroot()
+        bars = [r for r in root if r.tag.endswith("rect")
+                and r.get("width") == _fmt(16.0)]
+        assert [b.get("height") for b in bars] == ["0", "0"]
+        assert [t.text for t in root if t.tag.endswith("text")][-1] == "1"
