@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .model import HIGH, LOW, matches
+from .model import HIGH, LOW
 
 # k-means runs this many seeded restarts and keeps the best; each runs at
 # most this many Lloyd iterations
@@ -169,9 +169,9 @@ def similarity_euclidean(vectors: np.ndarray, tau: float | None = None) -> np.nd
     sq = (vectors * vectors).sum(axis=1)
     w = _sq_dists(vectors, sq, vectors)
     np.sqrt(w, out=w)
-    if tau is None:
-        off = w[np.triu_indices(len(w), k=1)]
-        tau = _median(off) if off.size else 1.0
+    if tau is None:  # the triangle is freed before the copy in w += w.T
+        tau = 1.0 if len(w) < 2 else _median(
+            w[np.tri(len(w), k=-1, dtype=bool).T])
         if tau <= 0:
             tau = 1.0
     np.negative(w, out=w)
@@ -183,32 +183,32 @@ def similarity_euclidean(vectors: np.ndarray, tau: float | None = None) -> np.nd
 
 
 def similarity_hamming(binary_vectors: np.ndarray) -> np.ndarray:
-    """1 - normalised Hamming distance between HIGH/LOW state vectors.
-
-    The agreements of every pair of rows are ``model.matches``: one product
-    of the HIGH indicators, exact in integers.
-    """
-    z = np.asarray(binary_vectors)
-    same = matches(z)
-    same /= z.shape[1]
-    return same
+    """The (T, S+1) factor B of W = B Bᵀ, 1 − the normalised Hamming distance
+    of T HIGH/LOW state rows: ±1 rows g agree on (S + g·g′)/2 of S
+    locations, so B = [g, √S·1]/√(2S), and W is never built."""
+    high = np.asarray(binary_vectors) == HIGH
+    factor = np.full((high.shape[0], high.shape[1] + 1), np.sqrt(0.5))
+    factor[:, :-1] = np.where(high, 1.0, -1.0) / np.sqrt(2.0 * high.shape[1])
+    return factor
 
 
 def normalized_laplacian(similarity: np.ndarray) -> np.ndarray:
-    """L = I − D^-½ W D^-½ as (L + Lᵀ)/2 bit for bit, in one new array that
-    the caller owns (0 − x keeps a zero positive).  The CLI passes W unbound,
-    so W is freed on return and only L is T×T at ``eigh``."""
+    """L = I − D^-½ W D^-½ as (L + Lᵀ)/2 bit for bit, in one new array (0 − x
+    keeps a zero positive).  The CLI passes W unbound, so it is freed before
+    L's symmetrising copy.  ``np.allclose`` checks symmetry by row blocks."""
     w = np.asarray(similarity, dtype=float)
     n = w.shape[0]
     if w.shape != (n, n):
         raise ValidationError("similarity must be square")
-    if not np.allclose(w, w.T, atol=1e-10):
+    if not all(np.allclose(w[i:i + 128], w[:, i:i + 128].T, atol=1e-10)
+               for i in range(0, n, 128)):
         raise ValidationError("similarity must be symmetric")
     if (w < 0).any():
         raise ValidationError("similarity must be non-negative")
     deg = w.sum(axis=1)
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1e-300)), 0.0)
     lap = inv_sqrt[:, None] * w
+    del similarity, w
     lap *= inv_sqrt[None, :]
     diag = 1.0 - lap.diagonal()
     np.subtract(0.0, lap, out=lap)
@@ -218,18 +218,25 @@ def normalized_laplacian(similarity: np.ndarray) -> np.ndarray:
     return lap
 
 
-def spectral_cluster(laplacian: np.ndarray, k: int, seed: int = 0) -> ClusteringResult:
-    """Ng, Jordan & Weiss (NIPS 2001): k-means of the unit rows of the k
-    lowest eigenvectors of a ``normalized_laplacian``, given to ``eigh`` as
-    the caller passed it, so that no T×T copy is made here."""
-    n = laplacian.shape[0]
-    if not 1 <= k <= n:
-        raise ValidationError(f"k must be in 1..{n}, got {k}")
-    emb = np.linalg.eigh(laplacian)[1][:, :k]
-    norms = np.linalg.norm(emb, axis=1, keepdims=True)
-    emb = np.divide(emb, norms, out=emb.copy(), where=norms > 0)
-    km = kmeans(emb, k, seed=seed)
-    return ClusteringResult(labels=km.labels)
+def laplacian_embedding(laplacian: np.ndarray, k: int) -> np.ndarray:
+    """The k lowest eigenvectors of a ``normalized_laplacian``, no copy made."""
+    return np.linalg.eigh(laplacian)[1][:, :k]
+
+
+def factor_embedding(factor: np.ndarray, k: int) -> np.ndarray:
+    """``laplacian_embedding`` of W = B Bᵀ from its (T, r) factor B: with
+    D = B(Bᵀ1) (> 0 for W ≥ 0, as W_ii = |b_i|² > 0), L = I − A Aᵀ, A = D^-½ B,
+    so L's k lowest eigenvectors are A's k leading left singular vectors.
+    U is full only for k > r, where its extra columns span L's null space."""
+    a = factor / np.sqrt(factor @ factor.sum(axis=0))[:, None]
+    return np.linalg.svd(a, full_matrices=k > factor.shape[1])[0][:, :k]
+
+
+def spectral_cluster(embedding: np.ndarray, k: int, seed: int = 0) -> ClusteringResult:
+    """Ng, Jordan & Weiss (NIPS 2001): k-means of an embedding's unit rows."""
+    norms = np.linalg.norm(embedding, axis=1, keepdims=True)
+    emb = np.divide(embedding, norms, out=embedding.copy(), where=norms > 0)
+    return ClusteringResult(labels=kmeans(emb, k, seed=seed).labels)
 
 
 def eof_decompose(drvs: np.ndarray) -> EofBasis:

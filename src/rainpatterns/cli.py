@@ -341,15 +341,16 @@ def _baseline_clustering(cfg: dict, data: RainfallDataset, method: str):
     if method == "kmeans":
         return baselines.kmeans(drvs, k, seed=seed)
     if method == "spect1":
-        lap = baselines.normalized_laplacian(baselines.similarity_euclidean(
-            drvs, _checked(cfg, "baseline", "tau", lambda v: 0 < v < math.inf,
-                           "null or finite and > 0", null_ok=True)))
+        emb = baselines.laplacian_embedding(baselines.normalized_laplacian(
+            baselines.similarity_euclidean(drvs, _checked(
+                cfg, "baseline", "tau", lambda v: 0 < v < math.inf,
+                "null or finite and > 0", null_ok=True))), k)
     elif method == "spect2":
-        lap = baselines.normalized_laplacian(baselines.similarity_hamming(
-            discretize_by_mean(data).T))
+        emb = baselines.factor_embedding(baselines.similarity_hamming(
+            discretize_by_mean(data).T), k)
     else:
         raise ValidationError(f"unknown baseline method {method!r}")
-    return baselines.spectral_cluster(lap, k, seed=seed)
+    return baselines.spectral_cluster(emb, k, seed=seed)
 
 
 def baseline_patterns(data: RainfallDataset, states: np.ndarray,

@@ -36,7 +36,7 @@ def _svg(width: float, height: float, body: list[str]) -> str:
 
 def grouped_bar_chart(path, title: str, categories: list[str],
                       series: list[tuple[str, np.ndarray]]) -> None:
-    """Write a grouped bar chart, one group per category."""
+    """Write a grouped bar chart, one group per category, bars from 0."""
     margin, bar_w, gap = 60.0, 18.0, 14.0
     n_series = max(len(series), 1)
     group_w = n_series * bar_w + gap
@@ -47,10 +47,11 @@ def grouped_bar_chart(path, title: str, categories: list[str],
     vmax = max((float(np.max(v)) for _, v in series if len(v)), default=0.0)
     if vmax <= 0:
         vmax = 1.0
+    lo = min([0.0] + [float(np.min(v)) for _, v in series if len(v)])
 
     body = [f'<text x="{_fmt(width / 2)}" y="20" text-anchor="middle" '
             f'font-size="14" font-family="sans-serif">{_esc(title)}</text>']
-    base_y = height - margin
+    base_y = height - margin + plot_h * lo / (vmax - lo)
     body.append(f'<line x1="{_fmt(margin)}" y1="{_fmt(base_y)}" '
                 f'x2="{_fmt(width - margin)}" y2="{_fmt(base_y)}" '
                 f'stroke="#333" stroke-width="1"/>')
@@ -61,10 +62,10 @@ def grouped_bar_chart(path, title: str, categories: list[str],
         body.append(f'<text x="{_fmt(margin + 22 + i * 130)}" y="39" '
                     f'font-size="11" font-family="sans-serif">{_esc(name)}</text>')
         for c, v in enumerate(vals):
-            h = plot_h * float(v) / vmax
+            h = plot_h * float(v) / (vmax - lo)
             x = margin + c * group_w + i * bar_w
-            body.append(f'<rect x="{_fmt(x)}" y="{_fmt(base_y - h)}" '
-                        f'width="{_fmt(bar_w - 2)}" height="{_fmt(h)}" '
+            body.append(f'<rect x="{_fmt(x)}" y="{_fmt(base_y - max(h, 0.0))}" '
+                        f'width="{_fmt(bar_w - 2)}" height="{_fmt(abs(h))}" '
                         f'fill="{color}"/>')
     for c, cat in enumerate(categories):
         x = margin + c * group_w + (group_w - gap) / 2

@@ -226,8 +226,8 @@ def _method_metrics(seed):
     km_spch = spatial_coherence(km_pats.state_patterns, km_pats.rain_patterns,
                                 data.pairs)[0]
 
-    sp = baselines.spectral_cluster(baselines.normalized_laplacian(
-        baselines.similarity_hamming(ddv.T)), K, seed=0)
+    sp = baselines.spectral_cluster(baselines.factor_embedding(
+        baselines.similarity_hamming(ddv.T), K), K, seed=0)
     sp_pats = baseline_patterns(data, ddv, sp)
     sp_dist = distance_report(data.rain, ddv, sp.labels, sp_pats)
     return mrf_dist, km_dist, sp_dist, mrf_spch, km_spch
@@ -342,8 +342,8 @@ def test_c8_baseline_correctness():
     w = np.zeros((9, 9))
     w[:4, :4] = 1.0
     w[4:, 4:] = 1.0
-    res = baselines.spectral_cluster(baselines.normalized_laplacian(w), 2,
-                                     seed=0)
+    res = baselines.spectral_cluster(baselines.laplacian_embedding(
+        baselines.normalized_laplacian(w), 2), 2, seed=0)
     assert len(set(res.labels[:4])) == 1 and len(set(res.labels[4:])) == 1
     assert res.labels[0] != res.labels[4]
     report("C8", f"kmeans monotone, EOF conserves variance, "

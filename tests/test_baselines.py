@@ -4,17 +4,24 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rainpatterns import ValidationError
 from rainpatterns.baselines import (EofBasis, _median, _sq_dists,
                                     cluster_means,
                                     derive_state_patterns, eof_decompose,
-                                    kmeans, lasso_fit, normalized_laplacian,
+                                    factor_embedding, kmeans, lasso_fit,
+                                    laplacian_embedding, normalized_laplacian,
                                     similarity_euclidean, similarity_hamming,
                                     spectral_cluster)
-from rainpatterns.model import HIGH, LOW
+from rainpatterns.model import HIGH, LOW, matches
+
+
+def dense_spectral(w, k, seed=0):
+    """NJW on a dense similarity W: the Laplacian's eigenvectors."""
+    return spectral_cluster(laplacian_embedding(normalized_laplacian(w), k),
+                            k, seed=seed)
 
 
 class TestKmeans:
@@ -212,12 +219,15 @@ class TestSimilarities:
             == self.old_euclidean(vectors, tau).view(np.uint64).tobytes()
 
     def test_hamming_cases(self):
+        # the similarity is the product of its (T, S+1) factor with itself
         z = np.array([[1, 1, 2], [1, 1, 2], [2, 2, 1], [1, 2, 2]],
                      dtype=np.int8)
-        w = similarity_hamming(z)
-        assert w[0, 1] == pytest.approx(1.0)
-        assert w[0, 2] == pytest.approx(0.0)   # complements
-        assert w[0, 3] == pytest.approx(2.0 / 3.0)
+        b = similarity_hamming(z)
+        assert b.shape == (4, 4)
+        w = b @ b.T
+        assert w[0, 1] == pytest.approx(1.0, abs=1e-14)
+        assert w[0, 2] == pytest.approx(0.0, abs=1e-14)   # complements
+        assert w[0, 3] == pytest.approx(2.0 / 3.0, abs=1e-14)
 
     @pytest.mark.parametrize("n,d", [(1, 1), (6, 1), (7, 3), (20, 17),
                                      (33, 64)])
@@ -225,7 +235,9 @@ class TestSimilarities:
         rng = np.random.default_rng(n * d)
         z = rng.choice(np.array([HIGH, LOW], dtype=np.int8), (n, d))
         want = np.array([[np.count_nonzero(a == b) / d for b in z] for a in z])
-        assert np.array_equal(similarity_hamming(z), want)
+        b = similarity_hamming(z)
+        assert b.shape == (n, d + 1)
+        assert np.abs(b @ b.T - want).max() <= 1e-14
 
 
 class TestSpectral:
@@ -233,7 +245,7 @@ class TestSpectral:
         w = np.zeros((6, 6))
         w[:3, :3] = 1.0
         w[3:, 3:] = 1.0
-        res = spectral_cluster(normalized_laplacian(w), 2, seed=0)
+        res = dense_spectral(w, 2)
         assert len(set(res.labels[:3])) == 1
         assert len(set(res.labels[3:])) == 1
         assert res.labels[0] != res.labels[3]
@@ -242,7 +254,7 @@ class TestSpectral:
         rng = np.random.default_rng(0)
         w = rng.random((5, 5))
         w = (w + w.T) / 2
-        res = spectral_cluster(normalized_laplacian(w), 1, seed=0)
+        res = dense_spectral(w, 1)
         assert (res.labels == 1).all()
 
     def test_laplacian_eigenvalue_range_and_components(self):
@@ -282,7 +294,7 @@ class TestSpectral:
             cuts[m] = (runs(mask), ncut(mask))
         best = min(v for _, v in cuts.values())
         best_fragmented = min(v for r, v in cuts.values() if r > 1)
-        res = spectral_cluster(normalized_laplacian(w), 2, seed=0)
+        res = dense_spectral(w, 2)
         lab = res.labels == 1
         got = ncut(lab)
         # contiguous halves: one boundary run, and the cut beats every
@@ -298,11 +310,21 @@ class TestSpectral:
             normalized_laplacian(np.ones((2, 3)))
         with pytest.raises(ValidationError, match="symmetric"):
             normalized_laplacian(np.array([[1.0, 0.5], [0.2, 1.0]]))
+        # the check runs by blocks of 128 rows, with np.allclose's verdict:
+        # a pair in the second block off by 1e-4 fails, by 5e-6 it passes
+        big = np.ones((300, 300))
+        big[200, 150] += 1e-4
+        with pytest.raises(ValidationError, match="symmetric"):
+            normalized_laplacian(big)
+        big[200, 150] = 1.0 + 5e-6
+        normalized_laplacian(big)
         with pytest.raises(ValidationError, match="non-negative"):
             normalized_laplacian(-np.ones((3, 3)))
         for k in (0, 4):
             with pytest.raises(ValidationError, match="k must be in 1..3"):
-                spectral_cluster(normalized_laplacian(np.ones((3, 3))), k, 0)
+                dense_spectral(np.ones((3, 3)), k)
+            with pytest.raises(ValidationError, match="k must be in 1..3"):
+                spectral_cluster(factor_embedding(np.ones((3, 2)), k), k, 0)
 
     @staticmethod
     def old_laplacian(w):
@@ -331,6 +353,64 @@ class TestSpectral:
         got = normalized_laplacian(w)
         assert got.view(np.uint64).tobytes() \
             == self.old_laplacian(w).view(np.uint64).tobytes()
+
+
+class TestFactorEmbedding:
+    """spect2's embedding from the (T, S+1) factor B of W = B Bᵀ, against
+    the dense chain that built W itself (the oracle)."""
+
+    @staticmethod
+    def old_hamming(z):
+        """The T×T similarity as it was built before the factor: the
+        agreements of every pair of rows, exact in integers, over S."""
+        same = matches(z)
+        same /= z.shape[1]
+        return same
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12), st.integers(2, 40), st.integers(0, 2 ** 32 - 1),
+           st.data())
+    def test_projector_is_the_dense_laplacians(self, s, t, seed, data):
+        rng = np.random.default_rng(seed)
+        z = rng.choice(np.array([HIGH, LOW], dtype=np.int8), (t, s))
+        k = data.draw(st.integers(1, min(s + 1, t)))
+        # the oracle's W is exact: b @ b.T can put a complement pair's 0
+        # at -1e-17, which the Laplacian rejects as negative
+        lap = normalized_laplacian(self.old_hamming(z))
+        vals = np.linalg.eigvalsh(lap)
+        # the k lowest eigenvectors span a well-defined subspace only when
+        # an eigengap follows them
+        assume(k == t or vals[k] - vals[k - 1] > 1e-4)
+        want = laplacian_embedding(lap, k)
+        got = factor_embedding(similarity_hamming(z), k)
+        # the projectors U Uᵀ, which no sign or basis choice changes
+        assert np.abs(got @ got.T - want @ want.T).max() <= 1e-10
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("k", [3, 6])
+    def test_labels_are_the_dense_chains(self, seed, k):
+        # planted day patterns with 10% of the cells flipped
+        rng = np.random.default_rng(seed)
+        pats = rng.choice(np.array([HIGH, LOW], dtype=np.int8), (k, 30))
+        z = pats[rng.integers(k, size=120)]
+        flip = rng.random(z.shape) < 0.1
+        z = np.where(flip, HIGH + LOW - z, z).astype(np.int8)
+        got = spectral_cluster(factor_embedding(similarity_hamming(z), k), k)
+        want = dense_spectral(self.old_hamming(z), k)
+        assert np.array_equal(got.labels, want.labels)
+
+    def test_k_above_the_factor_rank(self):
+        # S = 2 gives a rank-3 factor, so k = 5 needs two null-space
+        # columns: the full U supplies them, as eigh's eigenvectors did
+        rng = np.random.default_rng(0)
+        z = rng.choice(np.array([HIGH, LOW], dtype=np.int8), (20, 2))
+        emb = factor_embedding(similarity_hamming(z), 5)
+        assert emb.shape == (20, 5)
+        assert np.allclose(emb.T @ emb, np.eye(5), atol=1e-10)
+        res = spectral_cluster(emb, 5, seed=0)
+        assert res.labels.shape == (20,)
+        assert res.labels.min() == 1
+        assert set(res.labels.tolist()) == set(range(1, res.n_clusters + 1))
 
 
 class TestEof:

@@ -1012,14 +1012,14 @@ class TestPaperSizePeaks:
         # int64 index planes and (T, S) copies peaked at 8.2 and 8.4 MB
         assert peak < 5e6
 
-    def test_spectral_chain_peak_stays_below_26_mb(self, paper):
-        """spect2's chain as the CLI runs it, k = 10: the similarity goes
-        unbound into the Laplacian, so only the Laplacian is T×T at eigh.
+    def test_spect2_chain_peak_stays_below_12_mb(self, paper):
+        """spect2's chain as the CLI runs it, k = 10: the embedding comes
+        from the (T, S+1) factor of the Hamming similarity, so no T×T array
+        is built.
 
-        When the similarity, the Laplacian and its symmetrised copy were
-        all alive at eigh, the traced peak was 30.6 MB.  It is now 23.9 MB,
-        set by the symmetry check's temporaries beside the similarity (one
-        976 × 976 float64 array is 7.6 MB).
+        With the T×T similarity and its Laplacian, the traced peak was
+        23.9 MB (one 976 × 976 float64 array is 7.6 MB).  From the factor it
+        is 9.4 MB.
         """
         cfg = cli.load_config(None, 1, None)
         tracemalloc.start()
@@ -1028,16 +1028,18 @@ class TestPaperSizePeaks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 26e6
+        assert peak < 12e6
 
-    def test_spect1_chain_peak_stays_below_26_mb(self, paper):
+    def test_spect1_chain_peak_stays_below_17_mb(self, paper):
         """spect1's chain at the default tau, k = 10: the similarity runs
         in place in its one T×T array of distances.
 
         With the distances, their scaled negative, the exponential and the
         symmetrised sum each a new array, the similarity set the chain's
-        peak at 26.7 MB.  In place it peaks at 19.1 MB, and the chain's
-        23.9 MB is the Laplacian's symmetry check, as in spect2's.
+        peak at 26.7 MB; in place, with the whole-matrix symmetry check,
+        23.9 MB.  The row-block check, the median's triangle freed before
+        the similarity's symmetrising copy and the similarity freed before
+        the Laplacian's bring it to 15.3 MB: two T×T arrays, never three.
         """
         cfg = cli.load_config(None, 1, None)
         tracemalloc.start()
@@ -1046,7 +1048,7 @@ class TestPaperSizePeaks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 26e6
+        assert peak < 17e6
 
 
 class TestExitCodes:

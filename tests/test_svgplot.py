@@ -150,3 +150,21 @@ class TestGroupedBarChart:
                 and r.get("width") == _fmt(16.0)]
         assert [b.get("height") for b in bars] == ["0", "0"]
         assert [t.text for t in root if t.tag.endswith("text")][-1] == "1"
+
+    def test_negative_value_hangs_below_the_zero_line(self, tmp_path):
+        # [-1, 2] scales over [-1, 2]: the zero line sits a third of the
+        # 200-unit plot above its bottom, the bar of 2 rises from it to the
+        # top and the bar of -1 falls from it to the bottom, both with a
+        # non-negative height
+        path = tmp_path / "bars.svg"
+        grouped_bar_chart(path, "t", ["1", "2"], [("a", np.array([-1.0, 2.0]))])
+        root = ET.parse(path).getroot()
+        line = next(e for e in root if e.tag.endswith("line"))
+        zero = 260.0 - 200.0 / 3.0
+        assert float(line.get("y1")) == pytest.approx(zero, abs=0.01)
+        neg, pos = [r for r in root if r.tag.endswith("rect")
+                    and r.get("width") == _fmt(16.0)]
+        assert [float(neg.get("y")), float(neg.get("height"))] \
+            == pytest.approx([zero, 200.0 / 3.0], abs=0.01)
+        assert [float(pos.get("y")), float(pos.get("height"))] \
+            == pytest.approx([60.0, 400.0 / 3.0], abs=0.01)
