@@ -227,9 +227,12 @@ def factor_embedding(factor: np.ndarray, k: int) -> np.ndarray:
     """``laplacian_embedding`` of W = B Bᵀ from its (T, r) factor B: with
     D = B(Bᵀ1) (> 0 for W ≥ 0, as W_ii = |b_i|² > 0), L = I − A Aᵀ, A = D^-½ B,
     so L's k lowest eigenvectors are A's k leading left singular vectors.
-    U is full only for k > r, where its extra columns span L's null space."""
+    They are the QR of A V, V the k leading eigenvectors of the r × r Gram
+    AᵀA (the method of snapshots), zero-padded for k > r: where A V is 0 the
+    QR's orthonormal columns span the rest, L's null space."""
     a = factor / np.sqrt(factor @ factor.sum(axis=0))[:, None]
-    return np.linalg.svd(a, full_matrices=k > factor.shape[1])[0][:, :k]
+    lead = np.linalg.eigh(a.T @ a)[1][:, ::-1][:, :k]
+    return np.linalg.qr(a @ np.pad(lead, ((0, 0), (0, k - lead.shape[1]))))[0]
 
 
 def spectral_cluster(embedding: np.ndarray, k: int, seed: int = 0) -> ClusteringResult:
@@ -273,4 +276,5 @@ def lasso_fit(target: np.ndarray, basis: EofBasis, reg: float) -> np.ndarray:
         raise ValidationError("regularisation weight must be non-negative")
     target = np.asarray(target, dtype=float)
     proj = basis.vectors.T @ (target.T - basis.mean).T
-    return np.sign(proj) * np.maximum(np.abs(proj) - reg / 2.0, 0.0)
+    coefs = np.maximum(np.abs(proj) - reg / 2.0, 0.0)
+    return np.multiply(np.sign(proj, out=proj), coefs, out=coefs)

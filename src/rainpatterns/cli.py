@@ -20,11 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, svgplot
-from .data import (RainfallDataset, SyntheticSpec, _cell_indices,
-                   _load_locations, _read_table, _repeats, _write_csv,
-                   compute_spatial_weights, discretize_by_mean,
-                   generate_synthetic, load_dataset, save_dataset,
-                   write_state)
+from .data import (_WRITE_BLOCK, RainfallDataset, SyntheticSpec,
+                   _cell_indices, _load_locations, _read_table, _repeats,
+                   _write_blocks, _write_csv, compute_spatial_weights,
+                   discretize_by_mean, generate_synthetic, load_dataset,
+                   save_dataset, write_state)
 from .errors import NumericError, ValidationError
 from .inference import SamplerConfig, refit_frozen, run_gibbs
 from .metrics import (MIN_YEARS, MetricsReport, build_report,
@@ -415,12 +415,17 @@ def _cmd_baseline_eof(cfg: dict, data: RainfallDataset, out: Path) -> int:
     _write_csv(out / "eof_mean.csv", ["loc_id", "mean_mm"], np.arange(S),
                basis.mean)
 
-    coefs = baselines.lasso_fit(data.rain, basis, reg).T  # (days, modes)
-    resid = np.linalg.norm(data.rain - basis.mean[:, None]
-                           - basis.vectors @ coefs.T, axis=0)
-    t, j = np.nonzero(coefs)
-    _write_csv(out / "lasso_coefs.csv", ["day_index", "mode_id", "coef"],
-               t, j, coefs[t, j])
+    coefs = baselines.lasso_fit(data.rain, basis, reg)  # (modes, days)
+    resid = data.rain - basis.mean[:, None]
+    resid -= basis.vectors @ coefs
+    days = max(1, _WRITE_BLOCK // S)  # whole days, at most _WRITE_BLOCK cells
+
+    def day_blocks():
+        for d in range(0, data.n_days, days):
+            t, j = np.nonzero(coefs[:, d:d + days].T)
+            yield t + d, j, coefs[j, t + d]
+    _write_blocks(out / "lasso_coefs.csv", ["day_index", "mode_id", "coef"],
+                  day_blocks())
 
     # leading modes, binarised by sign, stand in as the method's patterns
     lead = basis.vectors[:, :k].T
@@ -431,8 +436,8 @@ def _cmd_baseline_eof(cfg: dict, data: RainfallDataset, out: Path) -> int:
     report = MetricsReport(method="eof", n_clusters=k)
     report.global_values = {
         "n_clusters": float(k),
-        "mean_l2": float(resid.mean()),
-        "mean_sparsity": float((coefs != 0).sum(axis=1).mean()),
+        "mean_l2": float(np.linalg.norm(resid, axis=0).mean()),
+        "mean_sparsity": float((coefs != 0).sum(axis=0).mean()),
         "variance_explained": explained,
         "spch_cdp": spch_state,
         "spch_crp": spch_rain,

@@ -34,10 +34,9 @@ _NEIGHBOR_OFFSETS = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)
 
 LOCATIONS_HEADER = ["loc_id", "grid_x", "grid_y"]
 RAINFALL_HEADER = ["loc_id", "day_index", "year", "rain_mm"]
-# rows encoded per block when writing, which bounds the memory a block holds
-_WRITE_BLOCK = 1 << 16
-# doubles encoded at once; bounds the encoder's uint64 temporaries
-_ENCODE_BLOCK = 1 << 14
+# rows encoded per block when writing, which bounds the memory a block and
+# the encoder's uint64 temporaries hold
+_WRITE_BLOCK = 1 << 14
 _M63 = (1 << 63) - 1
 # the sidecar's key starts with this tag; a new tag retires every old sidecar,
 # so change it whenever the arrays a sidecar holds or their meaning change
@@ -466,21 +465,28 @@ def _parse_dataset(locations_file, rain_file) -> RainfallDataset:
 
 
 def _write_csv(path, header: list[str], *columns) -> None:
-    """Write a numeric CSV from whole columns, one line per index.
-
-    Integers are written in decimal and every other value as its ``repr``,
-    with the header in csv quoting and csv's ``\\r\\n`` line ends.  One
-    block of rows at a time is encoded (``_block_bytes``) and written.  A
-    floating column's text comes from a vectorised shortest-round-trip
-    encoder (``_shortest_texts``), with the same bytes as ``repr``."""
+    """Write a numeric CSV from whole columns, one line per index, in blocks
+    of ``_WRITE_BLOCK`` rows (``_write_blocks``)."""
     columns = [np.asarray(c) for c in columns]
     n = len(columns[0]) if columns else 0
+    _write_blocks(path, header, ([c[i:i + _WRITE_BLOCK] for c in columns]
+                                 for i in range(0, n, _WRITE_BLOCK)))
+
+
+def _write_blocks(path, header: list[str], blocks) -> None:
+    """Write a numeric CSV from an iterable of blocks of rows, each a list of
+    equal-length columns, encoding (``_block_bytes``) and writing each
+    non-empty block before the next is drawn.  Integers are written in
+    decimal and every other value as its ``repr`` (a float's from the
+    vectorised encoder ``_shortest_texts``), with the header in csv quoting
+    and csv's ``\\r\\n`` line ends."""
     head = io.StringIO()
     csv.writer(head).writerow(header)
     with open(path, "wb") as fh:
         fh.write(head.getvalue().encode())
-        for i in range(0, n, _WRITE_BLOCK):
-            fh.write(_block_bytes([c[i:i + _WRITE_BLOCK] for c in columns]))
+        for block in blocks:
+            if len(block[0]):
+                fh.write(_block_bytes(block))
 
 
 def _block_bytes(columns) -> np.ndarray:
@@ -510,9 +516,7 @@ def _encode_cells(values: np.ndarray) -> np.ndarray:
     values, so the table never outgrows the block.
     """
     if values.dtype.kind == "f" and values.dtype.itemsize <= 8:
-        x = values.astype(np.float64)
-        return np.concatenate([_shortest_texts(x[i:i + _ENCODE_BLOCK])
-                               for i in range(0, len(x), _ENCODE_BLOCK)])
+        return _shortest_texts(values.astype(np.float64))
     if values.dtype.kind not in "iu":
         return _repr_cells(values)
     lo, hi = int(values.min()), int(values.max())
@@ -569,13 +573,16 @@ def _shortest_texts(x: np.ndarray) -> np.ndarray:
         n[first].tolist(), form[first].tolist(), negative[first].tolist())]
     width = max([len(t) for t, _, _ in layouts], default=1)
     digits = np.take(digits, order, axis=0)
-    exponents = e[order, None] // [100, 10, 1] % 10 + ord("0")
+    # the exponent forms sort last, so their rows are the tail of order
+    tail = len(d) - np.count_nonzero(form >= 20)
+    exponents = e[order[tail:], None] // [100, 10, 1] % 10 + ord("0")
     texts = np.zeros((len(d), width), np.uint8)
     for (t, dcols, xcols), i, j in zip(layouts, starts,
                                        np.append(starts[1:], len(d))):
         texts[i:j, :len(t)] = t
         texts[i:j, dcols] = digits[i:j, :len(dcols)]
-        texts[i:j, xcols] = exponents[i:j, 3 - len(xcols):]
+        if len(xcols):
+            texts[i:j, xcols] = exponents[i - tail:j - tail, 3 - len(xcols):]
     out = np.empty(len(normal), np.result_type(f"S{width}", rare))
     out[np.flatnonzero(normal)[order]] = texts.view(f"S{width}")[:, 0]
     out[~normal] = rare

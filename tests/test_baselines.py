@@ -401,7 +401,8 @@ class TestFactorEmbedding:
 
     def test_k_above_the_factor_rank(self):
         # S = 2 gives a rank-3 factor, so k = 5 needs two null-space
-        # columns: the full U supplies them, as eigh's eigenvectors did
+        # columns: the QR of A V's two zero-padded columns supplies them,
+        # as eigh's eigenvectors did
         rng = np.random.default_rng(0)
         z = rng.choice(np.array([HIGH, LOW], dtype=np.int8), (20, 2))
         emb = factor_embedding(similarity_hamming(z), 5)
@@ -410,6 +411,20 @@ class TestFactorEmbedding:
         res = spectral_cluster(emb, 5, seed=0)
         assert res.labels.shape == (20,)
         assert res.labels.min() == 1
+        assert set(res.labels.tolist()) == set(range(1, res.n_clusters + 1))
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 9])
+    def test_rank_deficient_record(self, k):
+        # every day identical: the factor has rank 1 and A V's columns past
+        # the first are round-off, which the QR still makes orthonormal
+        row = np.random.default_rng(1).choice(
+            np.array([HIGH, LOW], dtype=np.int8), 8)
+        emb = factor_embedding(similarity_hamming(np.tile(row, (15, 1))), k)
+        assert emb.shape == (15, k)
+        assert np.isfinite(emb).all()
+        assert np.allclose(emb.T @ emb, np.eye(k), atol=1e-10)
+        res = spectral_cluster(emb, k, seed=0)
+        assert res.labels.shape == (15,)
         assert set(res.labels.tolist()) == set(range(1, res.n_clusters + 1))
 
 
@@ -534,6 +549,17 @@ class TestLasso:
                     assert abs(grad[j] - reg) < 1e-6
                 else:
                     assert abs(grad[j]) <= reg + 1e-6
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 6), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([0.0, 0.5, 2.0]))
+    def test_is_the_soft_threshold_bit_for_bit(self, d, n, seed, reg):
+        # the in-place threshold has the IEEE operations of the formula
+        basis = self.make_basis(d, seed=seed)
+        x = np.random.default_rng(seed).normal(3, 2, (d, n))
+        proj = basis.vectors.T @ (x.T - basis.mean).T
+        want = np.sign(proj) * np.maximum(np.abs(proj) - reg / 2, 0)
+        assert lasso_fit(x, basis, reg).tobytes() == want.tobytes()
 
     def test_negative_reg_rejected(self):
         basis = self.make_basis(3)

@@ -27,8 +27,8 @@ from rainpatterns import (LatentState, ModelParams, PatternSet,
                           extract_patterns, generate_synthetic, save_dataset)
 from rainpatterns.cli import (_load_params, _load_patterns, _write_params,
                               _write_patterns, main)
-from rainpatterns.data import (_read_table, _write_csv, make_dataset,
-                               write_state)
+from rainpatterns.data import (_read_table, _write_blocks, _write_csv,
+                               make_dataset, write_state)
 from rainpatterns.metrics import (MetricsReport, adjusted_rand_index,
                                   distance_report, read_metrics_csv)
 
@@ -562,6 +562,9 @@ class TestFixedSeedDigests:
             "953512a33aef6eaf9451d519835083b6b652fe8e77b0e0a205deee6e16fa25bc",
         "lasso_coefs.csv":
             "55ca63ecd39f4228ecacf0e7f66097204aa68295eeb44de318506e7f695c919f",
+        # mean_l2 and mean_sparsity, from the coefficients and residuals
+        "metrics.csv":
+            "2e19e645baf595314c898cf8d58b03f7f9cc69e42d7d77cf58a55af6cea87a48",
     }
     # the clustering baselines' labels, centers and report; on this record
     # both methods (and the fit) find the same partition, so the pins
@@ -908,6 +911,22 @@ class TestTableWriter:
             mp.setattr("rainpatterns.data._WRITE_BLOCK", block)
             assert self.written(header, *columns) \
                 == brute_force_csv(header, *columns)
+
+    @given(st.integers(0, 50), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_blocks_write_the_whole_tables_bytes(self, n, data):
+        # any cut of the rows into blocks, empty ones included, writes the
+        # bytes of the whole table
+        columns = data.draw(st.lists(table_columns(n), min_size=1,
+                                     max_size=4))
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=6)))
+        bounds = list(zip([0, *cuts], [*cuts, n]))
+        header = [f"c{i}" for i in range(len(columns))]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.csv"
+            _write_blocks(path, header,
+                          ([c[i:j] for c in columns] for i, j in bounds))
+            assert path.read_bytes() == brute_force_csv(header, *columns)
 
     @pytest.mark.parametrize("column", [
         np.repeat(np.array([0, 2 ** 62]), 500),
