@@ -24,10 +24,6 @@ class ClusteringResult:
     objective: float | None = None
     objective_history: np.ndarray | None = None
 
-    @property
-    def n_clusters(self) -> int:
-        return int(self.labels.max())
-
 
 @dataclass
 class EofBasis:
@@ -150,11 +146,11 @@ def derive_state_patterns(centers: np.ndarray,
     return np.where(centers > column_means[None, :], HIGH, LOW).astype(np.int8)
 
 
-def _median(values: np.ndarray) -> float:
-    """``np.median`` of a non-empty float array from one sort, without its
+def _median(v: np.ndarray) -> float:
+    """``np.median`` of a non-empty float array, sorted in place, without its
     import of ``numpy.ma``: nan if a value is nan, else the middle value or
     the middle two's sum halved, which overflows as np.median's does."""
-    v = np.sort(values)
+    v.sort()
     m = len(v) // 2
     if np.isnan(v[-1]):
         return float(v[-1])
@@ -162,24 +158,22 @@ def _median(values: np.ndarray) -> float:
 
 
 def similarity_euclidean(vectors: np.ndarray, tau: float | None = None) -> np.ndarray:
-    """exp(-distance / tau), symmetrised as (W + Wᵀ)/2; tau defaults to the
-    median distance, or 1 where that is 0.  Each step runs in place in the
-    one T×T array of distances, with the IEEE operations of the formula."""
+    """exp(-distance / tau), in [0, 1] and exactly symmetric, as ``_sq_dists``
+    of the vectors with themselves is; tau defaults to the median distance,
+    or 1 where that is 0.  Each step runs in place in the one T×T array of
+    distances, with the IEEE operations of the formula."""
     vectors = np.asarray(vectors, dtype=float)
     sq = (vectors * vectors).sum(axis=1)
     w = _sq_dists(vectors, sq, vectors)
     np.sqrt(w, out=w)
-    if tau is None:  # the triangle is freed before the copy in w += w.T
+    if tau is None:
         tau = 1.0 if len(w) < 2 else _median(
             w[np.tri(len(w), k=-1, dtype=bool).T])
         if tau <= 0:
             tau = 1.0
     np.negative(w, out=w)
     w /= tau
-    np.exp(w, out=w)
-    w += w.T
-    w /= 2.0
-    return w
+    return np.exp(w, out=w)
 
 
 def similarity_hamming(binary_vectors: np.ndarray) -> np.ndarray:
@@ -192,35 +186,22 @@ def similarity_hamming(binary_vectors: np.ndarray) -> np.ndarray:
     return factor
 
 
-def normalized_laplacian(similarity: np.ndarray) -> np.ndarray:
-    """L = I − D^-½ W D^-½ as (L + Lᵀ)/2 bit for bit, in one new array (0 − x
-    keeps a zero positive).  The CLI passes W unbound, so it is freed before
-    L's symmetrising copy.  ``np.allclose`` checks symmetry by row blocks."""
-    w = np.asarray(similarity, dtype=float)
-    n = w.shape[0]
-    if w.shape != (n, n):
-        raise ValidationError("similarity must be square")
-    if not all(np.allclose(w[i:i + 128], w[:, i:i + 128].T, atol=1e-10)
-               for i in range(0, n, 128)):
-        raise ValidationError("similarity must be symmetric")
-    if (w < 0).any():
-        raise ValidationError("similarity must be non-negative")
-    deg = w.sum(axis=1)
+def laplacian_embedding(similarity: np.ndarray, k: int) -> np.ndarray:
+    """The k lowest eigenvectors of L = I − D^-½ W D^-½ for a float,
+    symmetric, non-negative W (``similarity_euclidean``'s).  L is built as
+    (L + Lᵀ)/2 in W's own array, which it overwrites (0 − x keeps a zero
+    positive); a row of zero degree keeps its unit diagonal."""
+    lap = similarity
+    deg = lap.sum(axis=1)
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1e-300)), 0.0)
-    lap = inv_sqrt[:, None] * w
-    del similarity, w
-    lap *= inv_sqrt[None, :]
+    lap *= inv_sqrt[:, None]
+    lap *= inv_sqrt
     diag = 1.0 - lap.diagonal()
     np.subtract(0.0, lap, out=lap)
     np.fill_diagonal(lap, diag)
     lap += lap.T
     lap /= 2.0
-    return lap
-
-
-def laplacian_embedding(laplacian: np.ndarray, k: int) -> np.ndarray:
-    """The k lowest eigenvectors of a ``normalized_laplacian``, no copy made."""
-    return np.linalg.eigh(laplacian)[1][:, :k]
+    return np.linalg.eigh(lap)[1][:, :k]
 
 
 def factor_embedding(factor: np.ndarray, k: int) -> np.ndarray:

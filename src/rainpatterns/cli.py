@@ -330,7 +330,8 @@ def cmd_fit(cfg: dict) -> int:
     return 0
 
 
-def _baseline_clustering(cfg: dict, data: RainfallDataset, method: str):
+def _baseline_clustering(cfg: dict, data: RainfallDataset, method: str,
+                         states: np.ndarray):
     k = _value(cfg, "baseline", "k", int)
     if not 1 <= k <= data.n_days:
         raise ValidationError(f"config: baseline.k: the {method} baseline "
@@ -341,13 +342,12 @@ def _baseline_clustering(cfg: dict, data: RainfallDataset, method: str):
     if method == "kmeans":
         return baselines.kmeans(drvs, k, seed=seed)
     if method == "spect1":
-        emb = baselines.laplacian_embedding(baselines.normalized_laplacian(
-            baselines.similarity_euclidean(drvs, _checked(
-                cfg, "baseline", "tau", lambda v: 0 < v < math.inf,
-                "null or finite and > 0", null_ok=True))), k)
+        emb = baselines.laplacian_embedding(baselines.similarity_euclidean(
+            drvs, _checked(cfg, "baseline", "tau", lambda v: 0 < v < math.inf,
+                           "null or finite and > 0", null_ok=True)), k)
     elif method == "spect2":
         emb = baselines.factor_embedding(baselines.similarity_hamming(
-            discretize_by_mean(data).T), k)
+            states.T), k)
     else:
         raise ValidationError(f"unknown baseline method {method!r}")
     return baselines.spectral_cluster(emb, k, seed=seed)
@@ -381,9 +381,8 @@ def cmd_baseline(cfg: dict, method: str) -> int:
     if method == "eof":
         return _cmd_baseline_eof(cfg, data, out)
     min_years = _min_years(cfg)
-    result = _baseline_clustering(cfg, data, method)
-    # made after the clustering, so spect2 has freed its similarity matrix
     states = discretize_by_mean(data)
+    result = _baseline_clustering(cfg, data, method, states)
     patterns = baseline_patterns(data, states, result)
     _write_csv(out / "assign_u.csv", ["day_index", "u_mode"],
                np.arange(len(result.labels)), result.labels)

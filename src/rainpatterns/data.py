@@ -732,9 +732,11 @@ def discretize_by_mean(d: RainfallDataset) -> np.ndarray:
     """
     means = d.rain.mean(axis=1, keepdims=True)
     top = d.rain.max(axis=1, keepdims=True)
-    high = (d.rain > means) | ((d.rain == top)
-                               & (top > d.rain.min(axis=1, keepdims=True)))
-    return np.where(high, HIGH, LOW).astype(np.int8)
+    states = np.full(d.rain.shape, LOW, dtype=np.int8)
+    np.copyto(states, HIGH, where=d.rain > means)
+    np.copyto(states, HIGH, where=(d.rain == top)
+              & (top > d.rain.min(axis=1, keepdims=True)))
+    return states
 
 
 def _lattice_coords(n: int) -> np.ndarray:

@@ -28,7 +28,7 @@ from rainpatterns import (LatentState, ModelParams, PatternSet,
 from rainpatterns.cli import (_load_params, _load_patterns, _write_params,
                               _write_patterns, main)
 from rainpatterns.data import (_read_table, _write_blocks, _write_csv,
-                               make_dataset, write_state)
+                               discretize_by_mean, make_dataset, write_state)
 from rainpatterns.metrics import (MetricsReport, adjusted_rand_index,
                                   distance_report, read_metrics_csv)
 
@@ -486,6 +486,33 @@ class TestRefit:
                 == used
         for name in ("assign_u.csv", "assign_v.csv", "assign_z.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_refit_whose_every_day_overflows(self, fit_run, tmp_path,
+                                             capsys):
+        """Frozen patterns a million mm from every day's total, at a width
+        of 1e-3: every day goes to the overflow label, and the refit writes
+        nan distances over 0 scored days, with exit 0 and no RuntimeWarning
+        (which the test configuration turns into an error)."""
+        base, cfg = fit_run
+        frozen = shutil.copytree(base / "fit", tmp_path / "frozen")
+        params = json.loads((frozen / "params.json").read_text())
+        params["aggregate_mean"] = [m + 1e6 for m in params["aggregate_mean"]]
+        params["sigma"] = 1e-3
+        (frozen / "params.json").write_text(json.dumps(params))
+        out = tmp_path / "refit"
+        assert run(["refit", "--frozen", frozen, "--config", cfg,
+                    "--out", out]) == 0
+        K = len(params["aggregate_mean"])
+        T = len(read_rows(base / "fit" / "assign_u.csv")) - 1
+        assert capsys.readouterr().out == (
+            f"refit: 0 days scored against {K} frozen patterns, {T} "
+            f"overflow; outputs in {out}\n")
+        u_mode = [int(r[1]) for r in read_rows(out / "assign_u.csv")[1:]]
+        assert u_mode == [K + 1] * T
+        g, _ = read_metrics_csv(out / "metrics.csv")
+        assert all(math.isnan(g[name])
+                   for name in ("mean_l2", "mean_hamming", "mean_agg"))
+        assert (g["n_days_scored"], g["n_overflow_days"]) == (0.0, T)
 
 
 @pytest.mark.parametrize("coords", [[(0, 0)], [(0, 0), (2, 0), (0, 2)]],
@@ -1043,7 +1070,8 @@ class TestPaperSizePeaks:
         cfg = cli.load_config(None, 1, None)
         tracemalloc.start()
         try:
-            cli._baseline_clustering(cfg, paper[0], "spect2")
+            cli._baseline_clustering(cfg, paper[0], "spect2",
+                                     discretize_by_mean(paper[0]))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1051,19 +1079,25 @@ class TestPaperSizePeaks:
 
     def test_spect1_chain_peak_stays_below_17_mb(self, paper):
         """spect1's chain at the default tau, k = 10: the similarity runs
-        in place in its one T×T array of distances.
+        in place in its one T×T array of distances, and the Laplacian is
+        built in that same array.
 
         With the distances, their scaled negative, the exponential and the
         symmetrised sum each a new array, the similarity set the chain's
         peak at 26.7 MB; in place, with the whole-matrix symmetry check,
         23.9 MB.  The row-block check, the median's triangle freed before
         the similarity's symmetrising copy and the similarity freed before
-        the Laplacian's bring it to 15.3 MB: two T×T arrays, never three.
+        the Laplacian's brought it to 15.3 MB: two T×T arrays, never three.
+        With the Laplacian built in W's array, no checks of W, no
+        symmetrising of W (it is exactly symmetric) and the median's
+        triangle sorted in place, the peak is 15.3 MB still, plus the 0.35
+        MB of the states the CLI holds, and L's symmetrising copy sets it.
         """
         cfg = cli.load_config(None, 1, None)
         tracemalloc.start()
         try:
-            cli._baseline_clustering(cfg, paper[0], "spect1")
+            cli._baseline_clustering(cfg, paper[0], "spect1",
+                                     discretize_by_mean(paper[0]))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

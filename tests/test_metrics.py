@@ -112,6 +112,15 @@ class TestDistanceReport:
         rep = distance_report(rain, states, np.array([1, 2, 1]), pats)
         assert rep.n_days_scored == 2
 
+    def test_every_day_overflowing_scores_none(self):
+        # every label is past the pattern rows: the means are nan, not 0/0
+        rain = np.ones((2, 3))
+        states = np.full((2, 3), LOW, dtype=np.int8)
+        pats = make_patterns([[LOW, LOW]], T=3)
+        rep = distance_report(rain, states, np.array([2, 2, 3]), pats)
+        assert all(math.isnan(v) for v in rep[:3])
+        assert rep.n_days_scored == 0
+
 
 class TestHomogeneity:
     def test_singleton_zero(self):
@@ -333,12 +342,16 @@ class TestReportRoundtrip:
         text = report.format_table()
         assert "mean_hamming" in text
 
-    def test_a_quoted_newline_keeps_later_line_numbers(self, tmp_path):
+    @pytest.mark.parametrize("text,line", [
+        ('metric,cluster_id,value\n"a\nb",,1.0\nn_days,1,x\n', 4),
+        ("metric,cluster_id,value\nn_days,1,1.0\n\n\nn_days,2,x\n", 5)],
+        ids=["quoted-newline", "blank-lines"])
+    def test_later_line_numbers_hold(self, tmp_path, text, line):
         # the quoted name "a\nb" spans lines 2 and 3, so the bad value, in
-        # the table's third record, is on line 4
+        # the table's third record, is on line 4; blank lines 3 and 4 are
+        # skipped, and the bad value after them is on line 5
         path = tmp_path / "metrics.csv"
-        path.write_text('metric,cluster_id,value\n"a\nb",,1.0\n'
-                        "n_days,1,x\n")
+        path.write_text(text)
         with pytest.raises(ParseError) as err:
             read_metrics_csv(path)
-        assert str(err.value) == f"{path}:4: malformed field"
+        assert str(err.value) == f"{path}:{line}: malformed field"
