@@ -59,7 +59,7 @@ from .model import (HIGH, LOW, RAIN_EPS, VAR_FLOOR, LatentState, ModelParams,
                     indicator_dot, joint_log_density, log_day_cohesion,
                     log_gamma, matches, modal_patterns, mode_states, onehot)
 
-INIT_STRATEGIES = ("data", "pattern", "random")
+INIT_STRATEGIES = ("data", "random")
 
 # The lead, in nats, that makes a label draw certain.  When every rival's
 # log-weight is at least GAP below the top, _draw_label's running sum of
@@ -152,32 +152,6 @@ def _vote(kept: list) -> np.ndarray:
     return counts.argmax(axis=1)  # label 0 has no votes
 
 
-def _leader_init(states: np.ndarray, cap: int) -> np.ndarray:
-    """Group days by state-vector similarity: greedy leader clustering.
-
-    A day joins the nearest leader if it disagrees on at most a quarter of
-    the locations, else founds a new leader while fewer than ``cap`` exist.
-    Deterministic given the states.
-    """
-    S, T = states.shape
-    thresh = S / 4.0
-    leaders: list[np.ndarray] = []
-    labels = np.empty(T, dtype=np.int64)
-    for t in range(T):
-        col = states[:, t]
-        if leaders:
-            dists = np.array([(lead != col).sum() for lead in leaders])
-            best = int(dists.argmin())
-        else:
-            best = -1
-        if best >= 0 and (dists[best] <= thresh or len(leaders) >= cap):
-            labels[t] = best + 1
-        else:
-            leaders.append(col.copy())
-            labels[t] = len(leaders)
-    return labels
-
-
 def update_params_ml(data, state: LatentState):
     """Moment-matched Gamma parameters and per-cluster aggregate means.
 
@@ -191,7 +165,9 @@ def update_params_ml(data, state: LatentState):
     variance and mean absorb degenerate cells.  Rainfall so large that a
     shape or rate leaves the positive doubles is a ``NumericError`` naming
     its location.  In a sweep this is stochastic EM (Celeux & Diebolt, 1985),
-    not a draw; the whole-sweep checks hold the parameters fixed.
+    not a draw; the whole-sweep checks hold the parameters fixed.  Fitted to
+    random states, both components match one mixture, EM's symmetric fixed
+    point, so a fit starts from the mean split's fit whatever the init.
 
     Returns (shape, rate, aggregate_mean).
     """
@@ -430,7 +406,7 @@ class _GibbsEngine:
                              s_idx[:, None] << n_slots)
                             for s_idx, _ in self.color_blocks]
 
-        self._init_state(frozen)
+        mean_split = self._init_state(frozen)
         if self.frozen:
             self.patterns = replace(
                 frozen, rain_series=np.zeros((0, self.T)),
@@ -439,7 +415,7 @@ class _GibbsEngine:
                 params.aggregate_mean, dtype=float))
             self._refresh_gamma_odds()
         else:
-            self.refresh()
+            self.refresh(gamma_states=mean_split)
 
         self.trace: list[float] = []
         self.z1_count = np.zeros((self.S, self.T), dtype=np.int32)
@@ -449,14 +425,17 @@ class _GibbsEngine:
 
     # ---------------------------------------------------------------- setup
 
-    def _init_state(self, frozen: PatternSet | None) -> None:
+    def _init_state(self, frozen: PatternSet | None) -> np.ndarray:
+        """Place the starting state; return the mean split, which a fit's
+        starting Gamma is fitted to whatever the init."""
         from .data import discretize_by_mean
 
+        mean_split = discretize_by_mean(self.data)
         if self.config.init == "random":
             states = self.rng.integers(HIGH, LOW + 1,
                                        size=(self.S, self.T)).astype(np.int8)
         else:
-            states = discretize_by_mean(self.data)
+            states = mean_split
 
         k0 = math.isqrt(self.T - 1) + 1  # the starting day clusters, ~sqrt(T)
         if frozen is not None:
@@ -466,8 +445,6 @@ class _GibbsEngine:
         elif self.config.init == "random":
             day_labels = self.rng.integers(1, k0 + 1, size=self.T)
             day_labels = np.unique(day_labels, return_inverse=True)[1] + 1
-        elif self.config.init == "pattern":
-            day_labels = _leader_init(states, k0)
         else:
             # quantile-bin days on total rainfall into k0 starting bins
             ranks = np.empty(self.T, dtype=np.int64)
@@ -477,13 +454,17 @@ class _GibbsEngine:
         self.state = LatentState(states,
                                  np.asarray(day_labels, dtype=np.int64),
                                  np.ones(self.S, dtype=np.int64))
+        return mean_split
 
-    def refresh(self) -> None:
+    def refresh(self, gamma_states: np.ndarray | None = None) -> None:
         """Re-extract modal patterns (an ICM step, Besag JRSS-B 1986, not a
         draw; at η = 1, ζ = 0.5 CI's whole-sweep TVs read 0.44, 0.29, 0.083)
-        and re-estimate parameters; trace.csv's logp is the plug-in joint."""
+        and re-estimate parameters, the Gamma's from ``gamma_states`` if
+        given; trace.csv's logp is the plug-in joint."""
         self.patterns = modal_patterns(self.data, self.state)
-        shape, rate, mu = update_params_ml(self.data, self.state)
+        fit_to = self.state if gamma_states is None else replace(
+            self.state, states=gamma_states)
+        shape, rate, mu = update_params_ml(self.data, fit_to)
         self.params = replace(self.params, gamma_shape=shape,
                               gamma_rate=rate, aggregate_mean=mu)
         self._refresh_gamma_odds()

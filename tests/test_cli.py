@@ -56,7 +56,7 @@ def write_config(tmp_path, **overrides):
         "model": {"eta": 5.0, "zeta": 2.0},
         # "schedule" is a key of an older config format: it must still load
         "sampler": {"burnin": 20, "samples": 10, "seed": 0,
-                    "schedule": "checkerboard", "init": "pattern"},
+                    "schedule": "checkerboard", "init": "data"},
         "baseline": {"k": 3},
         "metrics": {"min_years": 3},
         "synth": {"S": 25, "T": 96, "K": 3, "L": 4, "noise": 0.05,
@@ -552,27 +552,27 @@ class TestFixedSeedDigests:
     NAMES = ("assign_u.csv", "assign_v.csv", "assign_z.csv")
     FIT = {
         "assign_u.csv":
-            "02720704d0f69ea57214f7527bb2b06b0f2c8c5b19dd9e19cd3ffa1dc2d5bca7",
+            "cf5ff37ce661ada6a415f75fcc3d62ae3d78f60584ef058f8f69ccf598320ba7",
         "assign_v.csv":
             "73e34c8dab4be87b830e30533deacb623432335d32c595ccf24806d531a1b2fb",
         "assign_z.csv":
-            "5dd772e3a29860317f27bba9f4a8a224ff83d278908d4eeb938a1d0efcc64470",
+            "28921cd88b08d8fbb18bcf9c8d381d0d7ce0f05b83242f5fb17189bc1a0351f7",
         # the report and the pattern tables built from the mode state
         "metrics.csv":
-            "1d3690d535afa377119faee229ac0894dcd3b89a6ea7a8a4f13acfd6b5933667",
+            "02fa84863abf57ba2d163c0ea37214b786117681d71fcb3167629f8003e70f99",
         "patterns_temporal.csv":
             "bc2b9509915d1ce499d41eb2d1cf618e1c2317d1544327448a7282f70582ec1b",
         "cluster_summary.csv":
-            "3af351199c7582188f59ab1ff516b6999b41cca125b546a05ae3060ef2783f58",
+            "bce659410c69824a6bcd3b913676695c49159be6a07bfb93344241c8c7c842d6",
     }
     # the refit keeps no frozen series, so no series term enters a cell
     REFIT = {
         "assign_u.csv":
-            "a29edf811ba0bbb72f15d235533105d5f0630356bfabf3580a7e25ef42843f23",
+            "9798ebed5517ccb4002149c1570a1cd40ccb9d0b7e59b46ed4fe31d7a0ec0a8d",
         "assign_v.csv":
             "73e34c8dab4be87b830e30533deacb623432335d32c595ccf24806d531a1b2fb",
         "assign_z.csv":
-            "a276f8703fcf78a606311d67fd9eff327cd43aa956c5e158bc531340e6e27041",
+            "a8b8d7b2fc16086eb072fd9867208933a89e4ee35d0d29bc486addedc650f49e",
     }
 
     # the bytes of the large tables, which the column writer formats
@@ -594,8 +594,8 @@ class TestFixedSeedDigests:
             "2e19e645baf595314c898cf8d58b03f7f9cc69e42d7d77cf58a55af6cea87a48",
     }
     # the clustering baselines' labels, centers and report; on this record
-    # both methods (and the fit) find the same partition, so the pins
-    # coincide
+    # both methods find the same partition, so the pins coincide (the fit
+    # finds it too, with two of its labels swapped)
     KMEANS = {
         "assign_u.csv":
             "02720704d0f69ea57214f7527bb2b06b0f2c8c5b19dd9e19cd3ffa1dc2d5bca7",
@@ -1065,7 +1065,7 @@ class TestPaperSizePeaks:
 
         With the T×T similarity and its Laplacian, the traced peak was
         23.9 MB (one 976 × 976 float64 array is 7.6 MB).  From the factor it
-        is 9.4 MB.
+        is 8.0 MB, the 0.35 MB of the states the CLI holds included.
         """
         cfg = cli.load_config(None, 1, None)
         tracemalloc.start()
@@ -1179,6 +1179,10 @@ class TestExitCodes:
         ("refit", "sampler", "samples", 0),
         ("refit", "sampler", "burnin", -1),
         ("refit", "sampler", "init", "best"),
+        # init "pattern" was removed: an old config that still names it
+        # fails cleanly rather than falling back to another start
+        ("fit", "sampler", "init", "pattern"),
+        ("refit", "sampler", "init", "pattern"),
         # synth values that ended in numpy's traceback, planted a one-year
         # record or dry cells of 0 mm, or gave an error naming no key
         ("synth", "synth", "noise", 0.7),

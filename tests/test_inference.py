@@ -18,7 +18,7 @@ from rainpatterns import inference, model
 from rainpatterns.data import make_dataset
 from rainpatterns.inference import (_GibbsEngine, _LabelTables,
                                     _draw_cell_states, _draw_label,
-                                    _leader_init, _neighbour_table, _vote)
+                                    _neighbour_table, _vote)
 from rainpatterns.metrics import adjusted_rand_index
 from rainpatterns.model import (RAIN_EPS, crp_log_prior_days,
                                 crp_log_prior_locations)
@@ -764,21 +764,22 @@ def test_align_scale_ramps_over_half_the_burnin(small_synth, small_weights):
     assert refit == [1.0] * 23
 
 
-class TestLeaderInit:
-    def test_groups_identical_columns(self):
-        states = np.array([[1, 1, 2, 2], [2, 2, 1, 1], [1, 1, 2, 2],
-                           [1, 1, 1, 1]], dtype=np.int8)
-        labels = _leader_init(states, cap=4)
-        assert labels[0] == labels[1]
-        assert labels[2] == labels[3]
-        assert labels[0] != labels[2]
-
-    def test_cap_respected(self):
-        rng = np.random.default_rng(0)
-        states = rng.integers(1, 3, (40, 30)).astype(np.int8)
-        labels = _leader_init(states, cap=5)
-        assert labels.max() <= 5
-        assert sorted(np.unique(labels)) == list(range(1, labels.max() + 1))
+def test_random_init_starts_from_the_mean_splits_gamma(small_synth,
+                                                       small_weights):
+    """``random`` init draws its states and labels but fits its starting
+    Gamma to the mean split, as ``data`` init does: the same shape and rate,
+    bit for bit, so it does not start at the Gamma step's symmetric fixed
+    point."""
+    data, _ = small_synth
+    params = ModelParams(aggregate_sd=float(data.aggregate.std()))
+    data_init, random_init = (
+        _GibbsEngine(data, small_weights, params, SamplerConfig(init=init))
+        for init in ("data", "random"))
+    assert not np.array_equal(random_init.state.states,
+                              data_init.state.states)
+    for name in ("gamma_shape", "gamma_rate"):
+        got = getattr(random_init.params, name)
+        assert got.tobytes() == getattr(data_init.params, name).tobytes()
 
 
 class TestRunGibbs:
@@ -790,8 +791,7 @@ class TestRunGibbs:
         weights = compute_spatial_weights(data)
         params = ModelParams(day_align=5.0, loc_align=2.0,
                              aggregate_sd=float(data.aggregate.std()))
-        cfg = SamplerConfig(n_burnin=60, n_samples=30, seed=0,
-                            init="pattern")
+        cfg = SamplerConfig(n_burnin=60, n_samples=30, seed=0)
         summary, pats, fitted = run_gibbs(data, weights, params, cfg)
         assert adjusted_rand_index(summary.u_mode, truth.day_labels) == 1.0
         assert np.isfinite(summary.log_density_trace).all()
@@ -933,8 +933,7 @@ class TestRefitFrozen:
         weights = compute_spatial_weights(data)
         params = ModelParams(day_align=5.0, loc_align=2.0,
                              aggregate_sd=float(data.aggregate.std()))
-        cfg = SamplerConfig(n_burnin=50, n_samples=25, seed=0,
-                            init="pattern")
+        cfg = SamplerConfig(n_burnin=50, n_samples=25, seed=0)
         summary, pats, fitted = run_gibbs(data, weights, params, cfg)
         return data, weights, summary, pats, fitted
 
