@@ -345,11 +345,9 @@ def _baseline_clustering(cfg: dict, data: RainfallDataset, method: str,
         emb = baselines.laplacian_embedding(baselines.similarity_euclidean(
             drvs, _checked(cfg, "baseline", "tau", lambda v: 0 < v < math.inf,
                            "null or finite and > 0", null_ok=True)), k)
-    elif method == "spect2":
+    else:
         emb = baselines.factor_embedding(baselines.similarity_hamming(
             states.T), k)
-    else:
-        raise ValidationError(f"unknown baseline method {method!r}")
     return baselines.spectral_cluster(emb, k, seed=seed)
 
 

@@ -476,10 +476,10 @@ def _write_csv(path, header: list[str], *columns) -> None:
 def _write_blocks(path, header: list[str], blocks) -> None:
     """Write a numeric CSV from an iterable of blocks of rows, each a list of
     equal-length columns, encoding (``_block_bytes``) and writing each
-    non-empty block before the next is drawn.  Integers are written in
-    decimal and every other value as its ``repr`` (a float's from the
-    vectorised encoder ``_shortest_texts``), with the header in csv quoting
-    and csv's ``\\r\\n`` line ends."""
+    non-empty block before the next is drawn.  The columns hold integers
+    or floats: integers are written in decimal and floats as the ``repr``
+    of their double (from the vectorised encoder ``_shortest_texts``), with
+    the header in csv quoting and csv's ``\\r\\n`` line ends."""
     head = io.StringIO()
     csv.writer(head).writerow(header)
     with open(path, "wb") as fh:
@@ -506,19 +506,17 @@ def _block_bytes(columns) -> np.ndarray:
 
 
 def _encode_cells(values: np.ndarray) -> np.ndarray:
-    """The text of each of a non-empty block of values, as NUL-padded bytes.
+    """The text of each of a non-empty block of integers or floats, as
+    NUL-padded bytes.
 
-    A float16, float32 or float64 value is cast to a double, and
-    ``_shortest_texts`` builds its ``repr``; any other non-integer is its
-    own ``repr``.
+    A float is cast to a double, and ``_shortest_texts`` builds its
+    ``repr``.
     An integer indexes a table of the decimal texts of the block's values:
     of its range when that is shorter than the block, else of its distinct
     values, so the table never outgrows the block.
     """
-    if values.dtype.kind == "f" and values.dtype.itemsize <= 8:
+    if values.dtype.kind == "f":
         return _shortest_texts(values.astype(np.float64))
-    if values.dtype.kind not in "iu":
-        return _repr_cells(values)
     lo, hi = int(values.min()), int(values.max())
     if hi - lo < len(values):
         wide = np.int64 if values.dtype.kind == "i" else np.uint64
@@ -527,10 +525,6 @@ def _encode_cells(values: np.ndarray) -> np.ndarray:
         table, index = np.unique(values, return_inverse=True)
         table = table.tolist()
     return np.array([b"%d" % v for v in table])[index]
-
-
-def _repr_cells(values: np.ndarray) -> np.ndarray:
-    return np.array([repr(v) for v in values.tolist()], dtype="S")
 
 
 def _shortest_texts(x: np.ndarray) -> np.ndarray:
@@ -543,7 +537,7 @@ def _shortest_texts(x: np.ndarray) -> np.ndarray:
     """
     a = np.abs(x)
     normal = (a >= np.finfo(np.float64).smallest_normal) & (a < np.inf)
-    rare = _repr_cells(x[~normal])
+    rare = np.array([repr(v) for v in x[~normal].tolist()], dtype="S")
     negative = np.signbit(x[normal])
     d, k = _shortest_decimals(x[normal])
     # d has 16 or 17 digits: scale it to 17, the digits D of 0.D x 10^p

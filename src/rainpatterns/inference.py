@@ -114,7 +114,8 @@ def _draw_label(cand: list, logw: list, u: float):
 
 def _draw_cell_states(odds: np.ndarray, rng) -> np.ndarray:
     """Draw one state per cell of log-odds ``odds`` (high less low), one
-    uniform each.
+    uniform each, and return the high indicator: True where the cell's
+    uniform is not below p_low.
 
     A high state ahead by more than exp's range gives p_low = 0 exactly.
     """
@@ -122,8 +123,7 @@ def _draw_cell_states(odds: np.ndarray, rng) -> np.ndarray:
         p_low = np.exp(odds)
     p_low += 1.0
     np.divide(1.0, p_low, out=p_low)
-    # a uniform below p_low draws the low state, LOW = HIGH + 1
-    return (rng.random(len(odds)) < p_low).view(np.int8) + HIGH
+    return ~(rng.random(len(odds)) < p_low)
 
 
 def _neighbour_table(w: np.ndarray) -> np.ndarray:
@@ -559,8 +559,8 @@ class _GibbsEngine:
         parts = self._day_parity_parts()
         high = parts[0]
         for b, (s_idx, d) in enumerate(self.color_blocks):
-            states = _draw_cell_states(self.cell_log_odds(b, parts), self.rng)
-            high[d][s_idx] = (states == HIGH).reshape(len(s_idx), -1)
+            high[d][s_idx] = _draw_cell_states(
+                self.cell_log_odds(b, parts), self.rng).reshape(len(s_idx), -1)
         for d, h in enumerate(high):
             self.state.states[:, d::2] = LOW - h  # HIGH = LOW - 1
 

@@ -85,10 +85,6 @@ class LatentState:
     def n_day_clusters(self) -> int:
         return int(self.day_labels.max())
 
-    @property
-    def n_loc_clusters(self) -> int:
-        return int(self.loc_labels.max())
-
     def copy(self) -> "LatentState":
         return LatentState(self.states.copy(), self.day_labels.copy(),
                            self.loc_labels.copy())

@@ -80,7 +80,8 @@ def test_c1_gibbs_exactness():
         exact = np.exp(logp - logp.max())
         exact /= exact.sum()
         rng = np.random.default_rng(100 + s * 3 + t)
-        draws = _draw_cell_states(np.full(n, cell_odds(engine, s, t)), rng)
+        draws = LOW - _draw_cell_states(np.full(n, cell_odds(engine, s, t)),
+                                        rng)
         emp = np.array([(draws == HIGH).mean(), (draws == LOW).mean()])
         worst = max(worst, tv(emp, exact))
 

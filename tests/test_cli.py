@@ -912,7 +912,6 @@ def table_columns(n):
             st.integers(info.min, info.max)))
     return st.one_of(
         *map(ints, (np.int8, np.int32, np.int64, np.uint8)),
-        hnp.arrays(np.bool_, n),
         hnp.arrays(np.float64, n,
                    elements=st.one_of(any_doubles(), st.just(np.nan))))
 
@@ -1120,6 +1119,14 @@ class TestExitCodes:
         assert run(["synth", "--config", cfg, "--out", tmp_path / "x"]) == 4
         assert capsys.readouterr().err == (
             "error: out of memory in synth: Unable to allocate 8.94 GiB\n")
+
+    def test_unplantable_synth_is_one_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, synth={"S": 4, "T": 8, "K": 2, "L": 1,
+                                            "years": 1})
+        assert run(["synth", "--config", cfg, "--out", tmp_path / "x"]) == 2
+        assert capsys.readouterr().err == (
+            "error: could not plant well-separated patterns; increase "
+            "n_loc_groups\n")
 
     def test_numeric_failure_in_a_sweep_is_one_line(self, synth_dir, capsys,
                                                     monkeypatch):

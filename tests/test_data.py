@@ -789,6 +789,16 @@ class TestSynthetic:
         assert sorted(np.unique(truth.day_labels)) == [1, 2, 3, 4]
         assert sorted(np.unique(truth.loc_labels)) == [1, 2, 3, 4, 5]
 
+    def test_unplantable_patterns_raise(self):
+        # one location group is all wet or all dry, outside the planted wet
+        # fraction's bounds, so no pattern can be drawn
+        spec = SyntheticSpec(n_locations=4, n_days=8, n_day_patterns=2,
+                             n_loc_groups=1, n_years=1)
+        spec.validate()
+        with pytest.raises(ValidationError,
+                           match="could not plant well-separated patterns"):
+            generate_synthetic(spec)
+
     def test_invalid_specs(self):
         with pytest.raises(ValidationError):
             SyntheticSpec(flip_noise=0.5).validate()

@@ -60,8 +60,8 @@ def z_conditional_by_enumeration(data, weights, state, params, pats, s, t):
 
 
 def draw_cells(engine, s, t, n, rng):
-    """n draws of cell (s, t) from the engine's conditional."""
-    return _draw_cell_states(np.full(n, cell_odds(engine, s, t)), rng)
+    """n draws of cell (s, t)'s state from the engine's conditional."""
+    return LOW - _draw_cell_states(np.full(n, cell_odds(engine, s, t)), rng)
 
 
 def draw_labels(labels, logw, n, rng):
@@ -128,7 +128,7 @@ class TestZConditional:
         engine = engine_at(data, state, fitted_params(data, state),
                            weights=weights)
         engine.state.day_labels[1] = state.n_day_clusters + 1
-        engine.state.loc_labels[2] = state.n_loc_clusters + 1
+        engine.state.loc_labels[2] = state.loc_labels.max() + 1
         for s in range(9):
             for t in range(T):
                 got, want = flip_delta(engine, s, t)
@@ -164,7 +164,7 @@ class TestZConditional:
                            weights=small_weights)
         # labels without a pattern row, as after a birth in a label sweep
         engine.state.day_labels[::7] = state.n_day_clusters + 1
-        engine.state.loc_labels[::5] = state.n_loc_clusters + 1
+        engine.state.loc_labels[::5] = state.loc_labels.max() + 1
         return engine
 
     @pytest.mark.parametrize("T", [80, 79, 2])
@@ -204,7 +204,7 @@ class TestZConditional:
             warnings.simplefilter("error")
             draws = _draw_cell_states(np.repeat(odds, 100),
                                       np.random.default_rng(0))
-        assert (draws[:100] == HIGH).all() and (draws[100:200] == LOW).all()
+        assert draws[:100].all() and not draws[100:200].any()
 
     def test_z_sweep_draws_one_uniform_per_cell(self, small_synth):
         # T = 79 gives the two day parities different lengths; the sweep
@@ -633,7 +633,7 @@ class TestDecidedItemsSkipTheDraw:
         engine.params = replace(
             engine.params, loc_concentration=math.exp(float(np.median(best))))
         fast = self.assert_same_sweeps(engine, monkeypatch)
-        assert fast.state.n_loc_clusters > engine.state.n_loc_clusters
+        assert fast.state.loc_labels.max() > engine.state.loc_labels.max()
 
     def test_frozen_refit_with_an_occupied_overflow_label(self, planted,
                                                           monkeypatch):
@@ -656,7 +656,7 @@ class TestDecidedItemsSkipTheDraw:
         state.states[:, 0] = HIGH + LOW - state.states[:, 0]
         state.states[0, 1:] = HIGH + LOW - state.states[0, 1:]
         state.day_labels[0] = state.n_day_clusters + 1
-        state.loc_labels[0] = state.n_loc_clusters + 1
+        state.loc_labels[0] = state.loc_labels.max() + 1
         engine.refresh()
         for tables in (engine._day_tables(), engine._loc_tables()):
             assert tables.decided()[0]
@@ -957,6 +957,20 @@ class TestRefitFrozen:
         cfg = SamplerConfig(n_burnin=10, n_samples=5, seed=0)
         refit = refit_frozen(data, weights, pats, params, cfg)
         assert (refit.u_mode == 1).all()
+
+    def test_no_frozen_pattern_rejected(self):
+        spec = SyntheticSpec(n_locations=16, n_days=40, n_day_patterns=1,
+                             n_loc_groups=3, n_years=4, seed=2)
+        data, truth = generate_synthetic(spec)
+        pats = extract_patterns(data, truth)
+        empty = replace(pats, **{f: getattr(pats, f)[:0] for f in (
+            "rain_patterns", "state_patterns", "day_counts", "year_counts",
+            "pattern_volume")})
+        cfg = SamplerConfig(n_burnin=2, n_samples=2, seed=0)
+        with pytest.raises(ValidationError,
+                           match="refit needs at least one frozen pattern"):
+            refit_frozen(data, compute_spatial_weights(data), empty,
+                         fitted_params(data, truth), cfg)
 
     def test_exact_pattern_day_lands_on_it(self):
         data, weights, summary, pats, fitted = self.fit_small(seed=9)

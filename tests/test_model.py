@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rainpatterns import (HIGH, LOW, LatentState, ModelParams,
+from rainpatterns import (HIGH, LOW, LatentState, ModelParams, NumericError,
                           ValidationError, compute_spatial_weights,
                           extract_patterns, joint_log_density,
                           update_params_ml)
@@ -295,6 +295,21 @@ class TestJointDensity:
         assert brute_force_log_density(data, weights, state, params, pats) \
             == pytest.approx(expect, rel=1e-12)
 
+    def test_overflowing_gamma_term_is_numeric_error(self):
+        # a shape of 1e306 is finite and positive, so the parameters are
+        # valid, but its log-Gamma term overflows the joint to -inf
+        data = make_dataset(np.array([[2.0]]), np.array([[0, 0]]),
+                            np.array([0]))
+        state = LatentState(np.array([[HIGH]], dtype=np.int8),
+                            np.array([1]), np.array([1]))
+        params = ModelParams(gamma_shape=np.array([[1e306, 1.0]]),
+                             gamma_rate=np.array([[1.5, 1.0]]))
+        params.validate()
+        with pytest.raises(NumericError,
+                           match="joint log-density is not finite"):
+            joint_log_density(data, np.zeros(0), state, params,
+                              extract_patterns(data, state))
+
     @pytest.mark.parametrize("unrowed", [False, True])
     def test_matches_brute_force(self, small_synth, small_weights, unrowed):
         """``joint_log_density`` against ``brute_force_log_density``
@@ -306,7 +321,7 @@ class TestJointDensity:
         state = truth.copy()
         if unrowed:  # labels past the pattern rows and aggregate means
             state.day_labels[::7] = truth.n_day_clusters + 1
-            state.loc_labels[::5] = truth.n_loc_clusters + 1
+            state.loc_labels[::5] = truth.loc_labels.max() + 1
         got = joint_log_density(data, small_weights, state, params, pats)
         expect = brute_force_log_density(data, small_weights, state, params,
                                          pats)
