@@ -16,16 +16,6 @@ LLOYD_MAX_ITER = 500
 
 
 @dataclass
-class ClusteringResult:
-    """Dense 1-based labels with optional cluster centers."""
-
-    labels: np.ndarray
-    centers: np.ndarray | None = None
-    objective: float | None = None
-    objective_history: np.ndarray | None = None
-
-
-@dataclass
 class EofBasis:
     """Orthonormal eigenvectors of the sample covariance, variance-ordered."""
 
@@ -105,10 +95,12 @@ def _lloyd(vectors: np.ndarray, sq: np.ndarray, centers: np.ndarray):
     return labels, centers, history
 
 
-def kmeans(vectors: np.ndarray, k: int, seed: int = 0) -> ClusteringResult:
-    """Lloyd's algorithm with k-means++ seeding, best of ``KMEANS_RESTARTS``.
-
-    One matrix product per iteration gives every distance; see ``_lloyd``.
+def kmeans(vectors: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
+    """Dense 1-based labels of Lloyd's algorithm with k-means++ seeding, the
+    best of ``KMEANS_RESTARTS`` by ``_lloyd``'s final objective.  A cluster's
+    pattern is its days' mean (``cluster_means``), which a converged run's
+    centers equal; a run stopped unconverged at ``LLOYD_MAX_ITER`` is
+    described by its final labels' means, not by its last centers.
     """
     # one C-contiguous copy: the per-cluster means gather rows from it
     vectors = np.ascontiguousarray(vectors, dtype=float)
@@ -117,18 +109,11 @@ def kmeans(vectors: np.ndarray, k: int, seed: int = 0) -> ClusteringResult:
         raise ValidationError(f"k must be in 1..{n}, got {k}")
     sq = (vectors * vectors).sum(axis=1)
     rng = np.random.default_rng(seed)
-    best = None
-    for _ in range(KMEANS_RESTARTS):
-        centers = _plusplus_seeds(vectors, sq, k, rng)
-        labels, centers, history = _lloyd(vectors, sq, centers)
-        if best is None or history[-1] < best[2][-1]:
-            best = (labels, centers, history)
-    labels, centers, history = best
+    runs = (_lloyd(vectors, sq, _plusplus_seeds(vectors, sq, k, rng))
+            for _ in range(KMEANS_RESTARTS))
+    labels = min(runs, key=lambda run: run[2][-1])[0]  # first of tied runs
     # drop empty clusters (possible only with duplicate points), keep dense ids
-    used, labels = np.unique(labels, return_inverse=True)
-    return ClusteringResult(labels=labels + 1, centers=centers[used],
-                            objective=history[-1],
-                            objective_history=np.array(history))
+    return np.unique(labels, return_inverse=True)[1] + 1
 
 
 def cluster_means(vectors: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -216,11 +201,12 @@ def factor_embedding(factor: np.ndarray, k: int) -> np.ndarray:
     return np.linalg.qr(a @ np.pad(lead, ((0, 0), (0, k - lead.shape[1]))))[0]
 
 
-def spectral_cluster(embedding: np.ndarray, k: int, seed: int = 0) -> ClusteringResult:
-    """Ng, Jordan & Weiss (NIPS 2001): k-means of an embedding's unit rows."""
+def spectral_cluster(embedding: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
+    """Ng, Jordan & Weiss (NIPS 2001): dense 1-based labels, k-means of an
+    embedding's unit rows."""
     norms = np.linalg.norm(embedding, axis=1, keepdims=True)
     emb = np.divide(embedding, norms, out=embedding.copy(), where=norms > 0)
-    return ClusteringResult(labels=kmeans(emb, k, seed=seed).labels)
+    return kmeans(emb, k, seed=seed)
 
 
 def eof_decompose(drvs: np.ndarray) -> EofBasis:

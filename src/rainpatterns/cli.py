@@ -352,20 +352,19 @@ def _baseline_clustering(cfg: dict, data: RainfallDataset, method: str,
 
 
 def baseline_patterns(data: RainfallDataset, states: np.ndarray,
-                      result: baselines.ClusteringResult) -> PatternSet:
-    """Package a day clustering of the thresholded ``states`` as a pattern
-    set (all locations one series): the method's centers, or its cluster
-    means, thresholded at each location's mean, not the state mode."""
+                      labels: np.ndarray) -> PatternSet:
+    """Package a day clustering (dense 1-based ``labels``) of the thresholded
+    ``states`` as a pattern set, all locations one series: every method's
+    rain patterns are its clusters' mean maps, and its state patterns those
+    maps thresholded at each location's mean, not the state mode."""
     state = LatentState(states=states,
-                        day_labels=np.asarray(result.labels, dtype=np.int64),
+                        day_labels=np.asarray(labels, dtype=np.int64),
                         loc_labels=np.ones(data.n_locations, dtype=np.int64))
-    centers = result.centers
-    if centers is None:
-        centers = baselines.cluster_means(data.rain.T, result.labels)
-    return replace(extract_patterns(data, state), rain_patterns=centers,
+    means = baselines.cluster_means(data.rain.T, labels)
+    return replace(extract_patterns(data, state), rain_patterns=means,
                    state_patterns=baselines.derive_state_patterns(
-                       centers, data.rain.mean(axis=1)),
-                   pattern_volume=centers.sum(axis=1))
+                       means, data.rain.mean(axis=1)),
+                   pattern_volume=means.sum(axis=1))
 
 
 def cmd_baseline(cfg: dict, method: str) -> int:
@@ -380,12 +379,12 @@ def cmd_baseline(cfg: dict, method: str) -> int:
         return _cmd_baseline_eof(cfg, data, out)
     min_years = _min_years(cfg)
     states = discretize_by_mean(data)
-    result = _baseline_clustering(cfg, data, method, states)
-    patterns = baseline_patterns(data, states, result)
+    labels = _baseline_clustering(cfg, data, method, states)
+    patterns = baseline_patterns(data, states, labels)
     _write_csv(out / "assign_u.csv", ["day_index", "u_mode"],
-               np.arange(len(result.labels)), result.labels)
+               np.arange(len(labels)), labels)
     _write_patterns(out, patterns)
-    report = build_report(data, states, result.labels, patterns,
+    report = build_report(data, states, labels, patterns,
                           method=method, min_years=min_years)
     _write_report(out, report)
     _dump_config(cfg, out, {"method": method})
@@ -430,15 +429,14 @@ def _cmd_baseline_eof(cfg: dict, data: RainfallDataset, out: Path) -> int:
     spch_state, spch_rain = spatial_coherence(cdp, lead, data.pairs)
     explained = (float(basis.eigenvalues[:k].sum() / basis.eigenvalues.sum())
                  if basis.eigenvalues.sum() > 0 else 1.0)
-    report = MetricsReport(method="eof", n_clusters=k)
-    report.global_values = {
+    report = MetricsReport(method="eof", global_values={
         "n_clusters": float(k),
         "mean_l2": float(np.linalg.norm(resid, axis=0).mean()),
         "mean_sparsity": float((coefs != 0).sum(axis=0).mean()),
         "variance_explained": explained,
         "spch_cdp": spch_state,
         "spch_crp": spch_rain,
-    }
+    })
     _write_report(out, report)
     _dump_config(cfg, out, {"method": "eof"})
     print(f"eof: {k} leading modes, variance explained {explained:.3f}; "
@@ -547,15 +545,14 @@ def cmd_refit(cfg: dict, frozen_dir: str) -> int:
     write_state(summary.as_state(), out, "assign", "mode")
     dist = distance_report(data.rain, summary.z_mode, summary.u_mode, patterns)
     overflow = int((summary.u_mode > patterns.n_day_patterns).sum())
-    report = MetricsReport(method="refit", n_clusters=patterns.n_day_patterns)
-    report.global_values = {
+    report = MetricsReport(method="refit", global_values={
         "n_clusters": float(patterns.n_day_patterns),
         "mean_l2": dist.mean_l2,
         "mean_hamming": dist.mean_hamming,
         "mean_agg": dist.mean_agg,
         "n_days_scored": float(dist.n_days_scored),
         "n_overflow_days": float(overflow),
-    }
+    })
     _write_report(out, report)
     # the model parameters are the frozen run's, whatever the config says
     _dump_config({**cfg, "model": _model_section(params)}, out,

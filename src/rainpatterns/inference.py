@@ -670,7 +670,7 @@ class _GibbsEngine:
         self.kept_u.append(self.state.day_labels.astype(np.int32))
         self.kept_v.append(self.state.loc_labels.astype(np.int32))
 
-    def run(self, on_sweep=None) -> PosteriorSummary:
+    def run(self) -> PosteriorSummary:
         total = self.config.n_burnin + self.config.n_samples
         ramp = max(1, self.config.n_burnin // 2)
         for i in range(total):
@@ -685,8 +685,6 @@ class _GibbsEngine:
             self.trace.append(logp)
             if i >= self.config.n_burnin:
                 self.retain()
-            if on_sweep is not None:
-                on_sweep(self, i)
         return self.summary()
 
     def summary(self) -> PosteriorSummary:
@@ -699,27 +697,26 @@ class _GibbsEngine:
         return PosteriorSummary(z_mode, u_mode, v_mode, np.array(self.trace))
 
 
-def run_gibbs(data, weights, params: ModelParams, config: SamplerConfig,
-              on_sweep=None):
+def run_gibbs(data, weights, params: ModelParams, config: SamplerConfig):
     """Fit the model: sample the latent state and estimate parameters.
 
     Returns (summary, patterns, fitted_params) where the patterns and the
     Gamma/aggregate parameters are recomputed from the posterior-mode state
-    so that they are mutually consistent.
+    so that they are mutually consistent: each cluster's aggregate mean is
+    its pattern's ``pattern_volume``, the one value a refit reads for both
+    its aggregate term and its aggregate distance.
     """
-    engine = _GibbsEngine(data, weights, params, config)
-    summary = engine.run(on_sweep=on_sweep)
+    summary = _GibbsEngine(data, weights, params, config).run()
     mode_state = summary.as_state()
     patterns = extract_patterns(data, mode_state)
-    shape, rate, mu = update_params_ml(data, mode_state)
+    shape, rate, _ = update_params_ml(data, mode_state)
     fitted = replace(params, gamma_shape=shape, gamma_rate=rate,
-                     aggregate_mean=mu)
+                     aggregate_mean=patterns.pattern_volume)
     return summary, patterns, fitted
 
 
 def refit_frozen(data_new, weights_new, patterns: PatternSet,
-                 params: ModelParams, config: SamplerConfig,
-                 on_sweep=None) -> PosteriorSummary:
+                 params: ModelParams, config: SamplerConfig) -> PosteriorSummary:
     """Re-infer latent variables on new data with patterns held fixed.
 
     Day labels index the frozen patterns directly (label u = frozen pattern
@@ -744,4 +741,4 @@ def refit_frozen(data_new, weights_new, patterns: PatternSet,
                               "frozen pattern")
     engine = _GibbsEngine(data_new, weights_new, params, config,
                           frozen=patterns)
-    return engine.run(on_sweep=on_sweep)
+    return engine.run()

@@ -157,10 +157,10 @@ def adjusted_rand_index(a: np.ndarray, b: np.ndarray) -> float:
 
 @dataclass
 class MetricsReport:
-    """Per-cluster and global evaluation quantities for one method run."""
+    """Per-cluster and global evaluation quantities for one method run;
+    each ``per_cluster`` array holds one value per cluster, in label order."""
 
     method: str
-    n_clusters: int
     per_cluster: dict[str, np.ndarray] = field(default_factory=dict)
     global_values: dict[str, float] = field(default_factory=dict)
 
@@ -186,7 +186,7 @@ class MetricsReport:
             names = sorted(self.per_cluster)
             lines.append("")
             lines.append("  ".join(["cluster"] + [f"{n:>18}" for n in names]))
-            for u in range(self.n_clusters):
+            for u in range(len(self.per_cluster[names[0]])):
                 cells = [f"{self.per_cluster[n][u]:>18.6g}" for n in names]
                 lines.append("  ".join([f"{u + 1:>7}"] + cells))
         return "\n".join(lines) + "\n"
@@ -252,8 +252,7 @@ def build_report(data, states: np.ndarray, day_labels: np.ndarray,
     coverage = int(patterns.day_counts[prominent].sum())
     n_pc = int(prominent.sum())
 
-    report = MetricsReport(method=method, n_clusters=K)
-    report.per_cluster = {
+    return MetricsReport(method=method, per_cluster={
         "n_days": patterns.day_counts.astype(float),
         "n_years": patterns.year_counts.astype(float),
         "prominent": prominent.astype(float),
@@ -263,8 +262,7 @@ def build_report(data, states: np.ndarray, day_labels: np.ndarray,
         "spells_per_year": spells,
         "mean_spell_length": spell_len,
         "aggregate_mm": patterns.pattern_volume,
-    }
-    report.global_values = {
+    }, global_values={
         "n_clusters": float(K),
         "n_prominent": float(n_pc),
         "pc_coverage": float(coverage),
@@ -277,5 +275,4 @@ def build_report(data, states: np.ndarray, day_labels: np.ndarray,
         "spch_crp": spch_rain,
         "aic_gaussian": aic(K, dist.mean_l2),
         "aic_hamming": aic(K, dist.mean_hamming),
-    }
-    return report
+    })

@@ -250,14 +250,14 @@ def _method_metrics(seed):
     ddv = discretize_by_mean(data)
     km = baselines.kmeans(data.rain.T, K, seed=0)
     km_pats = baseline_patterns(data, ddv, km)
-    km_dist = distance_report(data.rain, ddv, km.labels, km_pats)
+    km_dist = distance_report(data.rain, ddv, km, km_pats)
     km_spch = spatial_coherence(km_pats.state_patterns, km_pats.rain_patterns,
                                 data.pairs)[0]
 
     sp = baselines.spectral_cluster(baselines.factor_embedding(
         baselines.similarity_hamming(ddv.T), K), K, seed=0)
     sp_pats = baseline_patterns(data, ddv, sp)
-    sp_dist = distance_report(data.rain, ddv, sp.labels, sp_pats)
+    sp_dist = distance_report(data.rain, ddv, sp, sp_pats)
     return mrf_dist, km_dist, sp_dist, mrf_spch, km_spch
 
 
@@ -337,8 +337,11 @@ def test_c8_baseline_correctness():
 
     for trial in range(5):
         pts = rng.normal(0, 1, (50, 4))
-        res = baselines.kmeans(pts, int(rng.integers(2, 8)), seed=trial)
-        assert (np.diff(res.objective_history) <= 1e-9).all()
+        k = int(rng.integers(2, 8))
+        sq = (pts * pts).sum(axis=1)
+        history = baselines._lloyd(pts, sq, baselines._plusplus_seeds(
+            pts, sq, k, np.random.default_rng(trial)))[2]
+        assert (np.diff(history) <= 1e-9).all()
 
     drvs = rng.gamma(2.0, 5.0, (12, 40))
     basis = baselines.eof_decompose(drvs)
@@ -370,10 +373,10 @@ def test_c8_baseline_correctness():
     w = np.zeros((9, 9))
     w[:4, :4] = 1.0
     w[4:, 4:] = 1.0
-    res = baselines.spectral_cluster(baselines.laplacian_embedding(w, 2), 2,
-                                     seed=0)
-    assert len(set(res.labels[:4])) == 1 and len(set(res.labels[4:])) == 1
-    assert res.labels[0] != res.labels[4]
+    labels = baselines.spectral_cluster(baselines.laplacian_embedding(w, 2),
+                                        2, seed=0)
+    assert len(set(labels[:4])) == 1 and len(set(labels[4:])) == 1
+    assert labels[0] != labels[4]
     report("C8", f"kmeans monotone, EOF conserves variance, "
                  f"KKT residual {worst_kkt:.1e}, blocks recovered")
 

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rainpatterns import ValidationError
-from rainpatterns.baselines import (EofBasis, _median, _sq_dists,
-                                    cluster_means,
+from rainpatterns import (SyntheticSpec, ValidationError, baselines,
+                         generate_synthetic)
+from rainpatterns.baselines import (LLOYD_MAX_ITER, EofBasis, _lloyd, _median,
+                                    _plusplus_seeds, _sq_dists, cluster_means,
                                     derive_state_patterns, eof_decompose,
                                     factor_embedding, kmeans, lasso_fit,
                                     laplacian_embedding, similarity_euclidean,
@@ -23,21 +24,45 @@ def dense_spectral(w, k, seed=0):
     return spectral_cluster(laplacian_embedding(w, k), k, seed=seed)
 
 
+@pytest.fixture(scope="module")
+def paper_like():
+    """The days of a paper-size record (S = 357, T = 976), k-means' input."""
+    data, _ = generate_synthetic(SyntheticSpec(
+        n_locations=357, n_days=976, n_day_patterns=8, n_loc_groups=10,
+        n_years=8, seed=1))
+    return data.rain.T
+
+
+def within_cost(pts, labels):
+    """Σ‖x − mean‖² of a dense 1-based labelling, k-means' objective."""
+    diff = pts - cluster_means(pts, labels)[labels - 1]
+    return float((diff * diff).sum())
+
+
+def lloyd_run(pts, k, seed=0):
+    """One k-means restart as ``kmeans`` runs it: ``_lloyd`` from k-means++
+    seeds; returns its (0-based labels, centers, objective history)."""
+    pts = np.ascontiguousarray(pts, dtype=float)
+    sq = (pts * pts).sum(axis=1)
+    return _lloyd(pts, sq, _plusplus_seeds(pts, sq, k,
+                                           np.random.default_rng(seed)))
+
+
 class TestKmeans:
     def test_separated_clouds(self):
         rng = np.random.default_rng(0)
         a = rng.normal(0, 0.3, (20, 2))
         b = rng.normal(8, 0.3, (20, 2))
-        res = kmeans(np.vstack([a, b]), 2, seed=1)
-        assert len(set(res.labels[:20])) == 1
-        assert len(set(res.labels[20:])) == 1
-        assert res.labels[0] != res.labels[20]
+        labels = kmeans(np.vstack([a, b]), 2, seed=1)
+        assert len(set(labels[:20])) == 1
+        assert len(set(labels[20:])) == 1
+        assert labels[0] != labels[20]
 
     def test_k_equals_n_zero_objective(self):
         rng = np.random.default_rng(1)
         pts = rng.normal(0, 1, (8, 3))
-        res = kmeans(pts, 8, seed=0)
-        assert res.objective == pytest.approx(0.0, abs=1e-12)
+        labels = kmeans(pts, 8, seed=0)
+        assert within_cost(pts, labels) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_exhaustive_best_partition(self):
         # oracle: enumerate all 2-cluster partitions of six points
@@ -52,24 +77,23 @@ class TestKmeans:
             for part in (pts[sel], pts[~sel]):
                 cost += ((part - part.mean(axis=0)) ** 2).sum()
             best = min(best, cost)
-        res = kmeans(pts, 2, seed=3)
-        assert res.objective == pytest.approx(best, rel=1e-9)
+        labels = kmeans(pts, 2, seed=3)
+        assert within_cost(pts, labels) == pytest.approx(best, rel=1e-9)
 
     def test_objective_history_nonincreasing(self):
         rng = np.random.default_rng(4)
         pts = rng.normal(0, 1, (60, 5))
         for k in (2, 5, 9):
-            res = kmeans(pts, k, seed=0)
-            hist = res.objective_history
+            hist = lloyd_run(pts, k)[2]
             assert (np.diff(hist) <= 1e-9).all()
 
     def test_labels_dense(self):
         rng = np.random.default_rng(5)
         pts = rng.normal(0, 1, (30, 4))
-        res = kmeans(pts, 6, seed=0)
-        k = res.labels.max()
-        assert sorted(np.unique(res.labels)) == list(range(1, k + 1))
-        assert res.centers.shape[0] == k
+        labels = kmeans(pts, 6, seed=0)
+        k = labels.max()
+        assert sorted(np.unique(labels)) == list(range(1, k + 1))
+        assert np.isfinite(cluster_means(pts, labels)).all()
 
     def test_k_validation(self):
         with pytest.raises(ValidationError):
@@ -87,13 +111,13 @@ class TestKmeans:
         pts = np.array(data.draw(st.lists(
             st.lists(coords, min_size=dim, max_size=dim),
             min_size=n, max_size=n), label="points"))
-        res = kmeans(pts, k, seed=data.draw(st.integers(0, 3), label="seed"))
-        d2 = np.array([[((x - c) ** 2).sum() for c in res.centers]
-                       for x in pts])
-        own = d2[np.arange(n), res.labels - 1]
-        assert res.objective == pytest.approx(own.sum(), rel=1e-12)
+        labels, centers, history = lloyd_run(
+            pts, k, seed=data.draw(st.integers(0, 3), label="seed"))
+        d2 = np.array([[((x - c) ** 2).sum() for c in centers] for x in pts])
+        own = d2[np.arange(n), labels]
+        assert history[-1] == pytest.approx(own.sum(), rel=1e-12)
         # ties: the identity loses digits against |x|² + |c|², not against d²
-        scale = (pts ** 2).sum(axis=1) + (res.centers ** 2).sum(axis=1).max()
+        scale = (pts ** 2).sum(axis=1) + (centers ** 2).sum(axis=1).max()
         assert (own - d2.min(axis=1) <= 1e-9 * scale).all()
 
     def test_labels_survive_a_far_shift(self):
@@ -102,9 +126,10 @@ class TestKmeans:
         pts = np.vstack([rng.normal(m, 0.3, (15, 3)) for m in (0.0, 4.0, 8.0)])
         near = kmeans(pts, 3, seed=2)
         far = kmeans(pts + 1e4, 3, seed=2)
-        assert np.array_equal(far.labels, near.labels)
-        assert far.objective == pytest.approx(near.objective, rel=1e-6)
-        assert len(set(near.labels[:15])) == 1
+        assert np.array_equal(far, near)
+        assert within_cost(pts + 1e4, far) == pytest.approx(
+            within_cost(pts, near), rel=1e-6)
+        assert len(set(near[:15])) == 1
 
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_distances_never_negative_far_out(self, seed):
@@ -112,15 +137,46 @@ class TestKmeans:
         rng = np.random.default_rng(seed)
         pts = np.tile(rng.normal(1e4, 1, (1, 4)), (12, 1))
         pts[6:] += 1e-3
-        res = kmeans(pts, 3, seed=0)
-        assert (res.objective_history >= 0).all()
+        assert (np.array(lloyd_run(pts, 3)[2]) >= 0).all()
         assert np.isfinite(similarity_euclidean(pts)).all()
 
     def test_duplicate_points_compact(self):
         pts = np.zeros((5, 2))
-        res = kmeans(pts, 3, seed=0)
-        assert res.objective == pytest.approx(0.0)
-        assert res.labels.max() >= 1
+        labels = kmeans(pts, 3, seed=0)
+        assert within_cost(pts, labels) == pytest.approx(0.0)
+        assert labels.max() >= 1
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("k", [4, 10])
+    def test_converged_centers_are_the_cluster_means(self, paper_like, seed,
+                                                     k):
+        # a clustering baseline's patterns are cluster_means of its labels:
+        # k-means' converged centers are those means to the bit, so the
+        # pattern of a k-means run is the center it ended on
+        labels, centers, history = lloyd_run(paper_like, k, seed)
+        assert len(history) - 1 < LLOYD_MAX_ITER
+        assert centers.tobytes() \
+            == cluster_means(paper_like, labels + 1).tobytes()
+
+    def test_history_has_an_entry_per_iteration_and_a_final_one(
+            self, monkeypatch):
+        # each iteration ranks the centers with one _sq_dists call, and the
+        # final labels take one more; the benchmark counts the iterations
+        # as len(history) − 1
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return _sq_dists(*args)
+        pts = np.ascontiguousarray(
+            np.random.default_rng(7).normal(0, 1, (80, 3)))
+        sq = (pts * pts).sum(axis=1)
+        centers = _plusplus_seeds(pts, sq, 5, np.random.default_rng(0))
+        monkeypatch.setattr(baselines, "_sq_dists", counted)
+        labels, centers, history = _lloyd(pts, sq, centers)
+        assert len(history) == len(calls) >= 3
+        diff = pts - centers[labels]
+        assert history[-1] == pytest.approx((diff * diff).sum(), rel=1e-12)
 
     def test_state_pattern_derivation(self):
         centers = np.array([[1.0, 5.0], [3.0, 1.0]])
@@ -261,17 +317,16 @@ class TestSpectral:
         w = np.zeros((6, 6))
         w[:3, :3] = 1.0
         w[3:, 3:] = 1.0
-        res = dense_spectral(w, 2)
-        assert len(set(res.labels[:3])) == 1
-        assert len(set(res.labels[3:])) == 1
-        assert res.labels[0] != res.labels[3]
+        labels = dense_spectral(w, 2)
+        assert len(set(labels[:3])) == 1
+        assert len(set(labels[3:])) == 1
+        assert labels[0] != labels[3]
 
     def test_k_one(self):
         rng = np.random.default_rng(0)
         w = rng.random((5, 5))
         w = (w + w.T) / 2
-        res = dense_spectral(w, 1)
-        assert (res.labels == 1).all()
+        assert (dense_spectral(w, 1) == 1).all()
 
     def test_laplacian_eigenvalue_range_and_components(self):
         # two disconnected cliques: eigenvalue 0 with multiplicity 2
@@ -310,8 +365,7 @@ class TestSpectral:
             cuts[m] = (runs(mask), ncut(mask))
         best = min(v for _, v in cuts.values())
         best_fragmented = min(v for r, v in cuts.values() if r > 1)
-        res = dense_spectral(w.copy(), 2)
-        lab = res.labels == 1
+        lab = dense_spectral(w.copy(), 2) == 1
         got = ncut(lab)
         # contiguous halves: one boundary run, and the cut beats every
         # fragmented bipartition while sitting near the enumerated optimum
@@ -402,7 +456,7 @@ class TestFactorEmbedding:
         z = np.where(flip, HIGH + LOW - z, z).astype(np.int8)
         got = spectral_cluster(factor_embedding(similarity_hamming(z), k), k)
         want = dense_spectral(self.old_hamming(z), k)
-        assert np.array_equal(got.labels, want.labels)
+        assert np.array_equal(got, want)
 
     def test_k_above_the_factor_rank(self):
         # S = 2 gives a rank-3 factor, so k = 5 needs two null-space
@@ -413,10 +467,10 @@ class TestFactorEmbedding:
         emb = factor_embedding(similarity_hamming(z), 5)
         assert emb.shape == (20, 5)
         assert np.allclose(emb.T @ emb, np.eye(5), atol=1e-10)
-        res = spectral_cluster(emb, 5, seed=0)
-        assert res.labels.shape == (20,)
-        assert res.labels.min() == 1
-        assert set(res.labels.tolist()) == set(range(1, res.labels.max() + 1))
+        labels = spectral_cluster(emb, 5, seed=0)
+        assert labels.shape == (20,)
+        assert labels.min() == 1
+        assert set(labels.tolist()) == set(range(1, labels.max() + 1))
 
     @pytest.mark.parametrize("k", [1, 2, 5, 9])
     def test_rank_deficient_record(self, k):
@@ -428,9 +482,9 @@ class TestFactorEmbedding:
         assert emb.shape == (15, k)
         assert np.isfinite(emb).all()
         assert np.allclose(emb.T @ emb, np.eye(k), atol=1e-10)
-        res = spectral_cluster(emb, k, seed=0)
-        assert res.labels.shape == (15,)
-        assert set(res.labels.tolist()) == set(range(1, res.labels.max() + 1))
+        labels = spectral_cluster(emb, k, seed=0)
+        assert labels.shape == (15,)
+        assert set(labels.tolist()) == set(range(1, labels.max() + 1))
 
 
 class TestEof:

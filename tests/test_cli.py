@@ -312,6 +312,33 @@ class TestFit:
         b = np.array([truth[t] for t in sorted(truth)])
         assert adjusted_rand_index(a, b) >= 0.9
 
+    def test_aggregate_means_are_the_summarys_text(self, fit_run):
+        # a refit reads params.json's aggregate_mean for its aggregate term
+        # and cluster_summary.csv's aggregate_mm for its aggregate distance:
+        # one quantity, so the same text
+        base, _ = fit_run
+        params = json.loads((base / "fit" / "params.json").read_text())
+        summary = read_rows(base / "fit" / "cluster_summary.csv")
+        column = summary[0].index("aggregate_mm")
+        assert [repr(v) for v in params["aggregate_mean"]] \
+            == [row[column] for row in summary[1:]]
+
+    def test_readme_library_snippet_runs(self, tmp_path, monkeypatch,
+                                         capsys):
+        # README's Library section, as written, on a 64 x 200 synth saved
+        # under the file names it loads
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        snippet = readme.split("## Library", 1)[1].split("```python\n", 1)[1]
+        snippet = snippet.split("```", 1)[0]
+        data, _ = generate_synthetic(SyntheticSpec(
+            n_locations=64, n_days=200, n_day_patterns=4, n_loc_groups=6,
+            n_years=4, seed=1))
+        save_dataset(data, tmp_path / "locations.csv",
+                     tmp_path / "rainfall.csv")
+        monkeypatch.chdir(tmp_path)
+        exec(compile(snippet, "README.md", "exec"), {})
+        assert capsys.readouterr().out.startswith("method: mrf\n")
+
 
 class TestBaseline:
     def test_kmeans_outputs(self, synth_dir):
@@ -887,8 +914,8 @@ class TestRunFileRoundTrip:
                                                  per_cluster):
         # a per-cluster value is finite: the reader rejects any other
         assume(global_values or per_cluster)
-        report = MetricsReport("mrf", 4, {name: np.array(values) for
-                                          name, values in per_cluster.items()},
+        report = MetricsReport("mrf", {name: np.array(values) for
+                                       name, values in per_cluster.items()},
                                global_values)
         with tempfile.TemporaryDirectory() as tmp:
             report.write_csv(Path(tmp) / "metrics.csv")

@@ -748,18 +748,31 @@ def test_whole_sweep_samples_the_enumerated_cell_state_law(whole_sweep_laws):
     assert_within_iid_bound(chain[2], exact[2])
 
 
-def test_align_scale_ramps_over_half_the_burnin(small_synth, small_weights):
+def after_each_sweep(monkeypatch, record):
+    """Call ``record(engine)`` as each ``_GibbsEngine.sweep`` returns."""
+    sweep = _GibbsEngine.sweep
+
+    def recorded(engine):
+        logp = sweep(engine)
+        record(engine)
+        return logp
+    monkeypatch.setattr(_GibbsEngine, "sweep", recorded)
+
+
+def test_align_scale_ramps_over_half_the_burnin(small_synth, small_weights,
+                                                monkeypatch):
     # a floor of 0.15, a linear rise to 1 over half the burn-in, then 1.0
     # for the retained sweeps; a frozen run keeps 1.0 in every sweep
     data, truth = small_synth
     params = fitted_params(data, truth)
     config = SamplerConfig(n_burnin=20, n_samples=3, seed=0)
-    fit, refit = [], []
-    run_gibbs(data, small_weights, params, config,
-              on_sweep=lambda engine, i: fit.append(engine.align_scale))
+    scales = []
+    after_each_sweep(monkeypatch,
+                     lambda engine: scales.append(engine.align_scale))
+    run_gibbs(data, small_weights, params, config)
     refit_frozen(data, small_weights, extract_patterns(data, truth), params,
-                 config,
-                 on_sweep=lambda engine, i: refit.append(engine.align_scale))
+                 config)
+    fit, refit = scales[:23], scales[23:]
     assert fit == [0.15] + [(i + 1) / 10 for i in range(1, 10)] + [1.0] * 13
     assert refit == [1.0] * 23
 
@@ -819,19 +832,34 @@ class TestRunGibbs:
             run_gibbs(data, small_weights, ModelParams(),
                       SamplerConfig(n_burnin=0, n_samples=1, seed=-1))
 
-    def test_labels_stay_dense_every_sweep(self, small_synth, small_weights):
+    def test_labels_stay_dense_every_sweep(self, small_synth, small_weights,
+                                           monkeypatch):
         data, _ = small_synth
         params = ModelParams(day_align=3.0, loc_align=1.5,
                              aggregate_sd=float(data.aggregate.std()))
         cfg = SamplerConfig(n_burnin=6, n_samples=4, seed=1)
         seen = []
 
-        def check(engine, i):
+        def check(engine):
             engine.state.validate()
-            seen.append(i)
+            seen.append(engine)
 
-        run_gibbs(data, small_weights, params, cfg, on_sweep=check)
+        after_each_sweep(monkeypatch, check)
+        run_gibbs(data, small_weights, params, cfg)
         assert len(seen) == 10
+
+    def test_aggregate_means_are_the_pattern_volumes(self, small_synth,
+                                                     small_weights):
+        # the fitted aggregate mean of a cluster is its pattern's volume, to
+        # the bit: a refit reads one for its joint's aggregate term and the
+        # other for its aggregate distance
+        data, _ = small_synth
+        params = ModelParams(day_align=3.0, loc_align=1.5,
+                             aggregate_sd=float(data.aggregate.std()))
+        cfg = SamplerConfig(n_burnin=6, n_samples=4, seed=1)
+        _, patterns, fitted = run_gibbs(data, small_weights, params, cfg)
+        assert fitted.aggregate_mean.tobytes() \
+            == patterns.pattern_volume.tobytes()
 
     def test_checkerboard_classes_nonadjacent(self, small_synth,
                                               small_weights):
@@ -1039,17 +1067,16 @@ class TestRefitFrozen:
             assert np.array_equal(*(getattr(r, name) for r in refits)), name
 
     @LENGTHS
-    def test_every_location_stays_in_label_one(self, n_days):
+    def test_every_location_stays_in_label_one(self, n_days, monkeypatch):
         # with no frozen series there is no location label to enter
         data, weights, summary, pats, fitted = self.fit_small(seed=11)
         sub, sub_weights = self.first_days(data, n_days)
         cfg = SamplerConfig(n_burnin=15, n_samples=10, seed=5)
         labels = []
-        refit = refit_frozen(
-            sub, sub_weights, pats,
-            replace(fitted, loc_concentration=20.0), cfg,
-            on_sweep=lambda engine, i: labels.append(
-                engine.state.loc_labels.copy()))
+        after_each_sweep(monkeypatch, lambda engine: labels.append(
+            engine.state.loc_labels.copy()))
+        refit = refit_frozen(sub, sub_weights, pats,
+                             replace(fitted, loc_concentration=20.0), cfg)
         assert len(labels) == 25
         assert all((v == 1).all() for v in labels)
         assert (refit.v_mode == 1).all()
