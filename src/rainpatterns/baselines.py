@@ -98,7 +98,7 @@ def _lloyd(vectors: np.ndarray, sq: np.ndarray, centers: np.ndarray):
 def kmeans(vectors: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     """Dense 1-based labels of Lloyd's algorithm with k-means++ seeding, the
     best of ``KMEANS_RESTARTS`` by ``_lloyd``'s final objective.  A cluster's
-    pattern is its days' mean (``cluster_means``), which a converged run's
+    pattern is its days' mean (``extract_patterns``), which a converged run's
     centers equal; a run stopped unconverged at ``LLOYD_MAX_ITER`` is
     described by its final labels' means, not by its last centers.
     """
@@ -114,15 +114,6 @@ def kmeans(vectors: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     labels = min(runs, key=lambda run: run[2][-1])[0]  # first of tied runs
     # drop empty clusters (possible only with duplicate points), keep dense ids
     return np.unique(labels, return_inverse=True)[1] + 1
-
-
-def cluster_means(vectors: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Mean vector of each cluster, rows ordered by label."""
-    k = int(labels.max())
-    out = np.empty((k, vectors.shape[1]))
-    for j in range(1, k + 1):
-        out[j - 1] = vectors[labels == j].mean(axis=0)
-    return out
 
 
 def derive_state_patterns(centers: np.ndarray,

@@ -353,18 +353,15 @@ def _baseline_clustering(cfg: dict, data: RainfallDataset, method: str,
 
 def baseline_patterns(data: RainfallDataset, states: np.ndarray,
                       labels: np.ndarray) -> PatternSet:
-    """Package a day clustering (dense 1-based ``labels``) of the thresholded
-    ``states`` as a pattern set, all locations one series: every method's
-    rain patterns are its clusters' mean maps, and its state patterns those
-    maps thresholded at each location's mean, not the state mode."""
+    """``extract_patterns`` of a day clustering (dense 1-based ``labels``) of
+    the thresholded ``states``, all locations one series, but with the mean
+    maps thresholded at each location's mean as its state patterns."""
     state = LatentState(states=states,
                         day_labels=np.asarray(labels, dtype=np.int64),
                         loc_labels=np.ones(data.n_locations, dtype=np.int64))
-    means = baselines.cluster_means(data.rain.T, labels)
-    return replace(extract_patterns(data, state), rain_patterns=means,
-                   state_patterns=baselines.derive_state_patterns(
-                       means, data.rain.mean(axis=1)),
-                   pattern_volume=means.sum(axis=1))
+    pats = extract_patterns(data, state)
+    return replace(pats, state_patterns=baselines.derive_state_patterns(
+        pats.rain_patterns, data.rain.mean(axis=1)))
 
 
 def cmd_baseline(cfg: dict, method: str) -> int:
@@ -446,6 +443,10 @@ def _cmd_baseline_eof(cfg: dict, data: RainfallDataset, out: Path) -> int:
 
 def cmd_compare(cfg: dict, run_dirs: list[str]) -> int:
     out = _out_dir(cfg)
+    # the maps' coordinates are loaded and checked before anything is written
+    locations = _value(cfg, "paths", "locations", os.fspath, null_ok=True)
+    coords = (_load_locations(locations)
+              if locations and os.path.exists(locations) else None)
     methods = []
     reports = []
     patterns = []
@@ -467,10 +468,14 @@ def cmd_compare(cfg: dict, run_dirs: list[str]) -> int:
             label = f"{method}-{n}"
         methods.append(label)
         reports.append((g, per))
+        pat = None
         if (rdp / "patterns_spatial.csv").exists():
-            patterns.append(_load_patterns(rdp))
-        else:
-            patterns.append(None)
+            pat = _load_patterns(rdp)
+            S = pat.rain_patterns.shape[1]
+            if coords is not None and S != len(coords):
+                raise ValidationError(f"{locations}: {len(coords)} locations, "
+                                      f"but {label}'s patterns have {S}")
+        patterns.append(pat)
 
     metric_names = sorted({name for g, _ in reports for name in g})
     rows = []
@@ -511,16 +516,10 @@ def cmd_compare(cfg: dict, run_dirs: list[str]) -> int:
                                       [str(u + 1) for u in range(n_max)],
                                       series)
 
-    locations = _value(cfg, "paths", "locations", os.fspath, null_ok=True)
-    if locations and os.path.exists(locations):
-        coords = _load_locations(locations)
+    if coords is not None:
         for method, pat in zip(methods, patterns):
             if pat is None:
                 continue
-            if pat.rain_patterns.shape[1] != len(coords):
-                raise ValidationError(f"{locations}: {len(coords)} locations, "
-                                      f"but {method}'s patterns have "
-                                      f"{pat.rain_patterns.shape[1]}")
             ann = [f"{v:.1f} mm/day" for v in pat.pattern_volume]
             svgplot.pattern_grid(out / f"cdp_{method}.svg",
                                  f"state patterns: {method}", coords,

@@ -35,9 +35,9 @@ def distance_report(rain: np.ndarray, states: np.ndarray,
 
     Reports the mean Euclidean distance of each day's rainfall vector to its
     rain pattern, the mean Hamming distance of its state vector to its state
-    pattern, and the mean absolute error of its total rainfall against the
-    pattern volume.  Days whose label has no pattern row (refit overflow) are
-    skipped.
+    pattern, and the mean absolute error of its total, ``rain.sum(axis=0)``,
+    against the pattern volume.  Days whose label has no pattern row (refit
+    overflow) are skipped.
     """
     rows = day_labels - 1
     days = np.flatnonzero(rows < patterns.n_day_patterns)
@@ -45,31 +45,29 @@ def distance_report(rain: np.ndarray, states: np.ndarray,
     if n == 0:
         return DistanceReport(math.nan, math.nan, math.nan, 0)
     # per-day sums, a block of days at a time, so no (T, S) copy is made
-    sq, y, ham = np.empty(n), np.empty(n), 0
+    sq, ham = np.empty(n), 0
     for i in range(0, n, _DAY_BLOCK):
         t = days[i:i + _DAY_BLOCK]
-        x, r = rain[:, t], rows[t]
-        diff = x.T - patterns.rain_patterns[r]
+        r = rows[t]
+        diff = rain[:, t].T - patterns.rain_patterns[r]
         sq[i:i + len(t)] = (diff * diff).sum(axis=1)
         ham += int((states[:, t].T != patterns.state_patterns[r]).sum())
-        y[i:i + len(t)] = x.sum(axis=0)
     l2 = float(np.sqrt(sq).sum() / n)
+    y = rain.sum(axis=0)[days]
     agg = float(np.abs(y - patterns.pattern_volume[rows[days]]).sum() / n)
     return DistanceReport(l2, ham / n, agg, n)
 
 
-def cluster_homogeneity(y: np.ndarray, day_labels: np.ndarray):
-    """Per-cluster population std of total rainfall and the day-weighted mean.
-
-    Returns (per_cluster_std, pooled_std) with one entry per label 1..K.
-    """
-    K = int(day_labels.max())
-    stds = np.empty(K)
-    counts = np.empty(K)
-    for u in range(1, K + 1):
-        vals = y[day_labels == u]
-        stds[u - 1] = float(vals.std())  # population convention
-        counts[u - 1] = len(vals)
+def cluster_homogeneity(y: np.ndarray, day_labels: np.ndarray,
+                        means: np.ndarray):
+    """Per-cluster population std of the day totals ``y`` about each
+    cluster's mean total ``means[u - 1]``, and their day-weighted mean, as
+    (per_cluster_std, pooled_std) with one entry per label 1..K."""
+    rows = day_labels - 1
+    counts = np.bincount(rows, minlength=len(means))
+    dev = y - means[rows]
+    stds = np.sqrt(np.bincount(rows, weights=dev * dev,
+                               minlength=len(means)) / counts)
     pooled = float((stds * counts).sum() / counts.sum())
     return stds, pooled
 
@@ -238,16 +236,15 @@ def build_report(data, states: np.ndarray, day_labels: np.ndarray,
     their day and year counts are the clusters'; a cluster is prominent when
     its days span at least ``min_years`` distinct years.
     """
-    y = data.aggregate
     K = patterns.n_day_patterns
 
     prominent = patterns.year_counts >= min_years
     dist = distance_report(data.rain, states, day_labels, patterns)
-    stds, pooled = cluster_homogeneity(y, day_labels)
+    stds, pooled = cluster_homogeneity(data.aggregate, day_labels,
+                                       patterns.pattern_volume)
     spch_state, spch_rain = spatial_coherence(
         patterns.state_patterns, patterns.rain_patterns, data.pairs)
     spells, spell_len = spell_stats(day_labels, data.year_of_day)
-    mean_y = np.array([y[day_labels == u].mean() for u in range(1, K + 1)])
 
     coverage = int(patterns.day_counts[prominent].sum())
     n_pc = int(prominent.sum())
@@ -256,7 +253,7 @@ def build_report(data, states: np.ndarray, day_labels: np.ndarray,
         "n_days": patterns.day_counts.astype(float),
         "n_years": patterns.year_counts.astype(float),
         "prominent": prominent.astype(float),
-        "mean_y": mean_y,
+        "mean_y": patterns.pattern_volume,
         "std_y": stds,
         "wet_fraction": wet_fraction(patterns),
         "spells_per_year": spells,

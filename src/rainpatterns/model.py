@@ -242,13 +242,13 @@ def modal_patterns(data, state: LatentState) -> PatternSet:
 def extract_patterns(data, state: LatentState) -> PatternSet:
     """Build canonical patterns and series from a latent state.
 
-    Rain patterns are per-cluster means of the daily rainfall vectors, and
-    ``modal_patterns`` gives the modal states; the location-cluster series
-    are the transposed analogue over rainfall time series.
+    Rain pattern u is numpy's mean of cluster u's days, with the bits of
+    k-means' centers; ``modal_patterns`` gives the modal states, and the
+    location-cluster series are the transposed analogue over time series.
     """
     pats, rain = modal_patterns(data, state), data.rain
-    rain_patterns = ((rain @ onehot(state.day_labels).T).T
-                     / pats.day_counts[:, None])
+    rain_patterns = np.array([rain.T[state.day_labels == u].mean(axis=0)
+                              for u in range(1, pats.n_day_patterns + 1)])
     loc_onehot = onehot(state.loc_labels)
     return replace(
         pats, rain_patterns=rain_patterns,

@@ -29,6 +29,23 @@ def small_synth():
     return data, truth
 
 
+# the seed-1 planted records: the paper's size, 357 locations x 976 days (as
+# perfbench's fit-paper record), and the CLI tests' size, 25 x 96
+SEED1_SPECS = {
+    "357x976": SyntheticSpec(n_locations=357, n_days=976, n_day_patterns=8,
+                             n_loc_groups=10, n_years=8, seed=1),
+    "25x96": SyntheticSpec(n_locations=25, n_days=96, n_day_patterns=3,
+                           n_loc_groups=4, n_years=4, flip_noise=0.05,
+                           seed=1),
+}
+
+
+@pytest.fixture(scope="session", params=list(SEED1_SPECS))
+def seed1_record(request):
+    """(data, truth) of each seed-1 planted record, shared read-only."""
+    return generate_synthetic(SEED1_SPECS[request.param])
+
+
 @pytest.fixture(scope="session")
 def small_weights(small_synth):
     data, _ = small_synth

@@ -7,15 +7,18 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rainpatterns import (SyntheticSpec, ValidationError, baselines,
-                         generate_synthetic)
+from rainpatterns import (LatentState, ValidationError, baselines,
+                         extract_patterns, generate_synthetic)
 from rainpatterns.baselines import (LLOYD_MAX_ITER, EofBasis, _lloyd, _median,
-                                    _plusplus_seeds, _sq_dists, cluster_means,
+                                    _plusplus_seeds, _sq_dists,
                                     derive_state_patterns, eof_decompose,
                                     factor_embedding, kmeans, lasso_fit,
                                     laplacian_embedding, similarity_euclidean,
                                     similarity_hamming, spectral_cluster)
+from rainpatterns.data import discretize_by_mean, make_dataset
 from rainpatterns.model import HIGH, LOW, matches
+
+from conftest import SEED1_SPECS
 
 
 def dense_spectral(w, k, seed=0):
@@ -26,16 +29,20 @@ def dense_spectral(w, k, seed=0):
 
 @pytest.fixture(scope="module")
 def paper_like():
-    """The days of a paper-size record (S = 357, T = 976), k-means' input."""
-    data, _ = generate_synthetic(SyntheticSpec(
-        n_locations=357, n_days=976, n_day_patterns=8, n_loc_groups=10,
-        n_years=8, seed=1))
-    return data.rain.T
+    """A paper-size record (S = 357, T = 976), whose days are k-means'
+    input."""
+    return generate_synthetic(SEED1_SPECS["357x976"])[0]
+
+
+def label_means(pts, labels):
+    """The mean point of each label of a dense 1-based labelling."""
+    return np.array([pts[labels == u].mean(axis=0)
+                     for u in range(1, labels.max() + 1)])
 
 
 def within_cost(pts, labels):
     """Σ‖x − mean‖² of a dense 1-based labelling, k-means' objective."""
-    diff = pts - cluster_means(pts, labels)[labels - 1]
+    diff = pts - label_means(pts, labels)[labels - 1]
     return float((diff * diff).sum())
 
 
@@ -93,7 +100,7 @@ class TestKmeans:
         labels = kmeans(pts, 6, seed=0)
         k = labels.max()
         assert sorted(np.unique(labels)) == list(range(1, k + 1))
-        assert np.isfinite(cluster_means(pts, labels)).all()
+        assert np.isfinite(label_means(pts, labels)).all()
 
     def test_k_validation(self):
         with pytest.raises(ValidationError):
@@ -150,13 +157,15 @@ class TestKmeans:
     @pytest.mark.parametrize("k", [4, 10])
     def test_converged_centers_are_the_cluster_means(self, paper_like, seed,
                                                      k):
-        # a clustering baseline's patterns are cluster_means of its labels:
-        # k-means' converged centers are those means to the bit, so the
-        # pattern of a k-means run is the center it ended on
-        labels, centers, history = lloyd_run(paper_like, k, seed)
+        # a clustering baseline's rain patterns are extract_patterns' means
+        # of its labels: k-means' converged centers are those means to the
+        # bit, so the pattern of a k-means run is the center it ended on
+        labels, centers, history = lloyd_run(paper_like.rain.T, k, seed)
         assert len(history) - 1 < LLOYD_MAX_ITER
+        state = LatentState(discretize_by_mean(paper_like), labels + 1,
+                            np.ones(paper_like.n_locations, dtype=np.int64))
         assert centers.tobytes() \
-            == cluster_means(paper_like, labels + 1).tobytes()
+            == extract_patterns(paper_like, state).rain_patterns.tobytes()
 
     def test_history_has_an_entry_per_iteration_and_a_final_one(
             self, monkeypatch):
@@ -628,8 +637,12 @@ class TestLasso:
 
 class TestClusterMeans:
     def test_means_by_label(self):
-        v = np.array([[0.0, 0], [2.0, 2], [4.0, 0]])
+        # a clustering baseline's patterns are extract_patterns' mean maps
+        v = np.array([[0.0, 0], [2.0, 2], [4.0, 0]])  # three days' maps
         labels = np.array([1, 2, 1])
-        centers = cluster_means(v, labels)
+        data = make_dataset(v.T, np.array([[0, 0], [1, 0]]), np.zeros(3))
+        state = LatentState(discretize_by_mean(data), labels,
+                            np.ones(2, dtype=np.int64))
+        centers = extract_patterns(data, state).rain_patterns
         assert np.allclose(centers[0], [2.0, 0.0])
         assert np.allclose(centers[1], [2.0, 2.0])

@@ -408,6 +408,17 @@ class TestBaseline:
                     "--out", tmp_path / "x"]) == 2
         assert "error: config: baseline.k: " in capsys.readouterr().err
 
+    def test_rain_patterns_are_extract_patterns(self, seed1_record):
+        # a baseline's rain patterns and volumes are a fit's of the same
+        # labels, bit for bit; only its state patterns are its own
+        data, truth = seed1_record
+        states = discretize_by_mean(data)
+        want = extract_patterns(data, LatentState(
+            states, truth.day_labels, np.ones(data.n_locations, dtype=int)))
+        got = cli.baseline_patterns(data, states, truth.day_labels)
+        assert got.rain_patterns.tobytes() == want.rain_patterns.tobytes()
+        assert got.pattern_volume.tobytes() == want.pattern_volume.tobytes()
+
 
 class TestCompare:
     def test_self_comparison_and_svg(self, synth_dir):
@@ -586,11 +597,11 @@ class TestFixedSeedDigests:
             "28921cd88b08d8fbb18bcf9c8d381d0d7ce0f05b83242f5fb17189bc1a0351f7",
         # the report and the pattern tables built from the mode state
         "metrics.csv":
-            "02fa84863abf57ba2d163c0ea37214b786117681d71fcb3167629f8003e70f99",
+            "07ef7778e83085176e968841a8db585013e73220cc080c07fd3f9a27e2206323",
         "patterns_temporal.csv":
             "bc2b9509915d1ce499d41eb2d1cf618e1c2317d1544327448a7282f70582ec1b",
         "cluster_summary.csv":
-            "bce659410c69824a6bcd3b913676695c49159be6a07bfb93344241c8c7c842d6",
+            "ebf90021f621c1cfb8fb44902cf57bb4774c78e15ec41dcb76ddfa923c08a3d8",
     }
     # the refit keeps no frozen series, so no series term enters a cell
     REFIT = {
@@ -629,7 +640,7 @@ class TestFixedSeedDigests:
         "patterns_spatial.csv":
             "508c421780667cc4bbd1d6dbb34334cf3337344c760271b407a08063aa69821a",
         "metrics.csv":
-            "f9e27638b3d2d5685154a6882f53610fb8b428c48cff90ff778d0a3094644bdc",
+            "dfa20d21b6bd6710dc61a45be315b1dfe66b07c216f36c8ad5acad2292046438",
     }
     SPECT2 = KMEANS
     # compare's maps and charts of the kmeans, spect2 and eof runs; the eof
@@ -652,7 +663,7 @@ class TestFixedSeedDigests:
         "wet_fraction.svg":
             "107898bf12fb7ab8f8ee2d76b60981bf9a7a734c0e39b1e512158b2cd9b23213",
         "comparison.csv":
-            "c6172b3f0bba43e1c16b1152f44dc29e66cd6ce29819002baf9413787bb9387d",
+            "c621975b557d938a3ba25ad0dee8323bbda4a244ede9f1236f705abdb8c45a31",
     }
     # fit-paper's own record, 357 locations × 976 days, which the small
     # record above does not reach: the planted seed-1 record, 20 + 10
@@ -1528,9 +1539,11 @@ class TestExitCodes:
         data = shutil.copytree(base / "data", tmp_path / "data")
         damage(data / "locations.csv")
         cfg = write_config(tmp_path)
+        out = tmp_path / "out"
         assert run(["compare", base / "fit", "--config", cfg,
-                    "--out", tmp_path / "out"]) == 2
+                    "--out", out]) == 2
         assert "locations.csv" in capsys.readouterr().err
+        assert not any(out.iterdir())
 
 
 class TestConfigSections:

@@ -1,6 +1,7 @@
 """Evaluation metrics against brute-force re-derivations."""
 
 import math
+from dataclasses import replace
 from itertools import groupby
 
 import numpy as np
@@ -124,18 +125,19 @@ class TestDistanceReport:
 
 class TestHomogeneity:
     def test_singleton_zero(self):
-        stds, pooled = cluster_homogeneity(np.array([5.0]), np.array([1]))
+        stds, pooled = cluster_homogeneity(np.array([5.0]), np.array([1]),
+                                           np.array([5.0]))
         assert stds[0] == 0.0 and pooled == 0.0
 
     def test_population_convention(self):
         stds, pooled = cluster_homogeneity(np.array([4.0, 6.0]),
-                                           np.array([1, 1]))
+                                           np.array([1, 1]), np.array([5.0]))
         assert stds[0] == pytest.approx(1.0)
 
     def test_pooled_weighting(self):
         y = np.array([0.0, 2.0, 10.0, 10.0, 10.0])
         labels = np.array([1, 1, 2, 2, 2])
-        stds, pooled = cluster_homogeneity(y, labels)
+        stds, pooled = cluster_homogeneity(y, labels, np.array([1.0, 10.0]))
         assert stds[0] == pytest.approx(1.0)
         assert stds[1] == pytest.approx(0.0)
         assert pooled == pytest.approx((1.0 * 2 + 0.0 * 3) / 5)
@@ -321,6 +323,32 @@ class TestRelabelInvariance:
         assert rep1.mean_l2 == pytest.approx(rep2.mean_l2)
         assert rep1.mean_hamming == pytest.approx(rep2.mean_hamming)
         assert rep1.mean_agg == pytest.approx(rep2.mean_agg)
+
+
+class TestOneComputationEach:
+    """A cluster's mean daily total and a day's total have one value each,
+    whichever metric reads them."""
+
+    def test_mean_y_is_aggregate_mm(self, seed1_record):
+        data, truth = seed1_record
+        per = build_report(data, truth.states, truth.day_labels,
+                           extract_patterns(data, truth), "mrf").per_cluster
+        assert per["mean_y"].tobytes() == per["aggregate_mm"].tobytes()
+
+    def test_mean_agg_reads_the_dataset_day_totals(self, seed1_record):
+        data, truth = seed1_record
+        pats = extract_patterns(data, truth)
+        # the last cluster's days overflow, as a refit's can, and go unscored
+        K = pats.n_day_patterns - 1
+        pats = replace(pats, rain_patterns=pats.rain_patterns[:K],
+                       state_patterns=pats.state_patterns[:K],
+                       pattern_volume=pats.pattern_volume[:K])
+        rows = truth.day_labels - 1
+        days = rows < K
+        rep = distance_report(data.rain, truth.states, truth.day_labels, pats)
+        assert rep.n_days_scored == days.sum() < data.n_days
+        assert rep.mean_agg == float(np.mean(np.abs(
+            data.aggregate[days] - pats.pattern_volume[rows[days]])))
 
 
 class TestReportRoundtrip:
