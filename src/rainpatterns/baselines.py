@@ -86,7 +86,6 @@ def _lloyd(vectors: np.ndarray, sq: np.ndarray, centers: np.ndarray):
                 new_labels[far] = j
                 cost[far] = -1.0  # keep later reseeds off this point
         if (new_labels == labels).all() and len(history) > 1:
-            labels = new_labels
             break
         labels = new_labels
     labels = _sq_dists(vectors, sq, centers).argmin(axis=1)
@@ -209,11 +208,8 @@ def eof_decompose(drvs: np.ndarray) -> EofBasis:
     """
     x = np.asarray(drvs, dtype=float)
     mean = x.mean(axis=1)
-    if x.shape[1] > 1:
-        anom = x - mean[:, None]
-        cov = anom @ anom.T / (x.shape[1] - 1)
-    else:
-        cov = np.zeros((x.shape[0], x.shape[0]))
+    anom = x - mean[:, None]
+    cov = anom @ anom.T / max(x.shape[1] - 1, 1)
     vals, vecs = np.linalg.eigh(cov)
     order = np.argsort(vals)[::-1]
     return EofBasis(vectors=vecs[:, order],

@@ -226,64 +226,41 @@ def _load_params(path, patterns: PatternSet) -> ModelParams:
     return params
 
 
-def _load_cluster_table(path, header: list[str]):
-    """A per-cluster pattern CSV as (K, n) value and state arrays.
+def _load_patterns(run_dir: Path) -> PatternSet:
+    """A run's day maps as read back: ``patterns_spatial.csv``'s rain and
+    state patterns, each volume its map's sum.
 
-    Clusters 1..K must each list every index 0..n-1 once, with state 1 or
+    Clusters 1..K must each list every loc_id 0..S-1 once, with state 1 or
     2, so a truncated or edited file is rejected rather than padded.
     """
+    path = run_dir / "patterns_spatial.csv"
+
     def checks(t):
-        u, i, state = t[header[0]], t[header[1]], t[header[3]]
+        u, s, state = t["cluster_id"], t["loc_id"], t["cdp_state"]
         pair = (np.unique(u, return_inverse=True)[1] * len(t)
-                + np.unique(i, return_inverse=True)[1])
+                + np.unique(s, return_inverse=True)[1])
         return [(_repeats(pair),
-                 lambda r: f"repeated cluster {u[r]}, {header[1]} {i[r]}"),
-                (~np.isfinite(t[header[2]]),
-                 lambda r: f"non-finite {header[2]}"),
+                 lambda r: f"repeated cluster {u[r]}, loc_id {s[r]}"),
+                (~np.isfinite(t["crp_value"]),
+                 lambda r: "non-finite crp_value"),
                 ((state != HIGH) & (state != LOW),
                  lambda r: f"state {state[r]} is not 1 or 2")]
 
-    table = _read_table(path, header, [np.int64, np.int64, float, np.int64],
-                        checks)
+    table = _read_table(path, PATTERNS_SPATIAL_HEADER,
+                        [np.int64, np.int64, float, np.int64], checks)
     if len(table) == 0:
         raise ValidationError(f"{path}: no pattern rows")
-    u, i = table[header[0]], table[header[1]]
-    K, n = int(u.max()), int(i.max()) + 1
-    # distinct (cluster, index) pairs fill 1..K x 0..n-1 only if K·n of them
-    if u.min() < 1 or i.min() < 0 or len(table) != K * n:
+    u, s = table["cluster_id"], table["loc_id"]
+    K, S = int(u.max()), int(s.max()) + 1
+    # distinct (cluster, location) pairs fill 1..K x 0..S-1 only if K·S of them
+    if u.min() < 1 or s.min() < 0 or len(table) != K * S:
         raise ValidationError(f"{path}: expected clusters 1..{K} each listing "
-                              f"{header[1]} 0..{n - 1}")
-    cells = np.empty((K, n), dtype=table.dtype)
-    cells[u - 1, i] = table
-    return cells[header[2]].copy(), cells[header[3]].astype(np.int8)
-
-
-def _load_patterns(run_dir: Path) -> PatternSet:
-    crp, cdp = _load_cluster_table(run_dir / "patterns_spatial.csv",
-                                   PATTERNS_SPATIAL_HEADER)
-    cts, cds = _load_cluster_table(run_dir / "patterns_temporal.csv",
-                                   PATTERNS_TEMPORAL_HEADER)
-    path = run_dir / "cluster_summary.csv"
-
-    def checks(t):
-        u = t["cluster_id"]
-        return [(_repeats(u), lambda r: f"repeated cluster {u[r]}"),
-                (~np.isfinite(t["aggregate_mm"]),
-                 lambda r: "non-finite aggregate_mm")]
-
-    table = _read_table(path, CLUSTER_SUMMARY_HEADER,
-                        [np.int64] * 3 + [float], checks)
-    u, K = table["cluster_id"], len(crp)
-    # distinct cluster ids are exactly 1..K only if K of them lie in 1..K
-    if len(u) != K or u.min() < 1 or u.max() > K:
-        raise ValidationError(f"{path}: expected one row for each cluster "
-                              f"1..{K}")
-    summary = np.empty_like(table)
-    summary[u - 1] = table
-    return PatternSet(
-        rain_patterns=crp, state_patterns=cdp, rain_series=cts,
-        state_series=cds, day_counts=summary["n_days"],
-        year_counts=summary["n_years"], pattern_volume=summary["aggregate_mm"])
+                              f"loc_id 0..{S - 1}")
+    cells = np.empty((K, S), dtype=table.dtype)
+    cells[u - 1, s] = table
+    crp = cells["crp_value"].copy()
+    return PatternSet(crp, cells["cdp_state"].astype(np.int8), None, None,
+                      None, None, crp.sum(axis=1))
 
 
 def _write_report(out: Path, report: MetricsReport) -> None:

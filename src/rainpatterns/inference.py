@@ -53,6 +53,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from .data import discretize_by_mean
 from .errors import NumericError, ValidationError
 from .model import (HIGH, LOW, RAIN_EPS, VAR_FLOOR, LatentState, ModelParams,
                     PatternSet, check_fields, days_per_year, extract_patterns,
@@ -428,8 +429,6 @@ class _GibbsEngine:
     def _init_state(self, frozen: PatternSet | None) -> np.ndarray:
         """Place the starting state; return the mean split, which a fit's
         starting Gamma is fitted to whatever the init."""
-        from .data import discretize_by_mean
-
         mean_split = discretize_by_mean(self.data)
         if self.config.init == "random":
             states = self.rng.integers(HIGH, LOW + 1,

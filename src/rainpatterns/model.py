@@ -168,15 +168,16 @@ class PatternSet:
     ``state_patterns`` its element-wise modal state map (ties resolve to the
     low state).  ``rain_series`` / ``state_series`` are the analogous canonical
     time series per location cluster.  ``pattern_volume`` is the total mm/day
-    of each rain pattern; ``modal_patterns`` leaves the rain fields None.
+    of each rain pattern; ``modal_patterns`` leaves the rain fields None.  A
+    run read back from its files holds only its day maps and their volumes.
     """
 
     rain_patterns: np.ndarray | None   # (K, S) float
     state_patterns: np.ndarray         # (K, S) in {1, 2}
     rain_series: np.ndarray | None     # (L, T) float
-    state_series: np.ndarray           # (L, T) in {1, 2}
-    day_counts: np.ndarray             # (K,)
-    year_counts: np.ndarray            # (K,)
+    state_series: np.ndarray | None    # (L, T) in {1, 2}
+    day_counts: np.ndarray | None      # (K,)
+    year_counts: np.ndarray | None     # (K,)
     pattern_volume: np.ndarray | None  # (K,)
 
     @property

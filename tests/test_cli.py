@@ -31,6 +31,7 @@ from rainpatterns.data import (_read_table, _write_blocks, _write_csv,
                                discretize_by_mean, make_dataset, write_state)
 from rainpatterns.metrics import (MetricsReport, adjusted_rand_index,
                                   distance_report, read_metrics_csv)
+from rainpatterns.model import pattern_columns
 
 from conftest import brute_force_csv, fail_the_first_refresh
 
@@ -142,13 +143,8 @@ PARAMS_DAMAGES = [
 def run_dir_damages():
     """(command, file, damage, exit code) for every file refit or compare
     reads from a run directory."""
-    tables = ["patterns_spatial.csv", "patterns_temporal.csv",
-              "cluster_summary.csv"]
-    beyond_k = edit_lines(lambda lines: lines + [f"{len(lines)},1,1,1.0\n"])
-    cases = [(cmd, name, label, damage, 2) for cmd in ("refit", "compare")
-             for name in tables for label, damage in CSV_DAMAGES]
-    cases += [(cmd, "cluster_summary.csv", "cluster-k-plus-1", beyond_k, 2)
-              for cmd in ("refit", "compare")]
+    cases = [(cmd, "patterns_spatial.csv", label, damage, 2)
+             for cmd in ("refit", "compare") for label, damage in CSV_DAMAGES]
     cases += [("refit", "params.json", label, damage, 2)
               for label, damage in PARAMS_DAMAGES]
     cases += [("compare", "metrics.csv", label, damage, 2)
@@ -157,8 +153,9 @@ def run_dir_damages():
               for label, damage in PARAMS_DAMAGES[:2]]
     # compare reads patterns_spatial.csv and config.json only if present
     cases += [(cmd, name, "missing", lambda path: path.unlink(), 4)
-              for cmd, names in (("refit", tables + ["params.json"]),
-                                 ("compare", tables[1:] + ["metrics.csv"]))
+              for cmd, names in (("refit", ["patterns_spatial.csv",
+                                            "params.json"]),
+                                 ("compare", ["metrics.csv"]))
               for name in names]
     return [pytest.param(cmd, name, damage, code, id=f"{cmd}-{name}-{label}")
             for cmd, name, label, damage, code in cases]
@@ -193,18 +190,12 @@ def edits(*steps):
 
 
 # (file, damage, line, message) of a run table; the fit's patterns_spatial.csv
-# lists cluster 1's 25 locations first, patterns_temporal.csv its 96 days
+# lists cluster 1's 25 locations first
 RUN_TABLE_FAULTS = [
     pytest.param("patterns_spatial.csv", edits(copy_line(2, 3)), 3,
                  "repeated cluster 1, loc_id 0", id="spatial-repeated-pair"),
-    pytest.param("patterns_temporal.csv", edits(copy_line(7, 9)), 9,
-                 "repeated cluster 1, day_index 5", id="temporal-repeated-pair"),
     pytest.param("patterns_spatial.csv", edits(set_field(5, 3, "3")), 5,
                  "state 3 is not 1 or 2", id="spatial-state-3"),
-    pytest.param("patterns_temporal.csv", edits(set_field(40, 3, "0")), 40,
-                 "state 0 is not 1 or 2", id="temporal-state-0"),
-    pytest.param("cluster_summary.csv", edits(copy_line(2, 4)), 4,
-                 "repeated cluster 1", id="summary-repeated-cluster"),
     # two faults on one row: the pair check runs before the state check
     pytest.param("patterns_spatial.csv",
                  edits(copy_line(2, 3), set_field(3, 3, "3")), 3,
@@ -213,15 +204,9 @@ RUN_TABLE_FAULTS = [
     pytest.param("patterns_spatial.csv",
                  edits(set_field(4, 3, "3"), copy_line(2, 8)), 4,
                  "state 3 is not 1 or 2", id="state-then-repeated-pair"),
-    pytest.param("patterns_temporal.csv",
-                 edits(copy_line(2, 3), set_field(10, 3, "0")), 3,
-                 "repeated cluster 1, day_index 0", id="repeated-pair-then-state"),
     pytest.param("patterns_spatial.csv",
                  edits(set_field(4, 3, "3"), set_field(9, 2, "x")), 4,
                  "state 3 is not 1 or 2", id="state-then-malformed"),
-    pytest.param("cluster_summary.csv",
-                 edits(copy_line(3, 4), set_field(2, 1, "x")), 2,
-                 "malformed field", id="malformed-then-repeated-cluster"),
     # a blank line is not a row but still counts as a line
     pytest.param("patterns_spatial.csv",
                  edits(insert_line(3, "\n"), set_field(6, 3, "3")), 6,
@@ -229,17 +214,46 @@ RUN_TABLE_FAULTS = [
     # a non-finite value crashed compare's maps or gave refit a nan metric
     pytest.param("patterns_spatial.csv", edits(set_field(6, 2, "nan")), 6,
                  "non-finite crp_value", id="spatial-nan-value"),
-    pytest.param("patterns_temporal.csv", edits(set_field(12, 2, "-inf")),
-                 12, "non-finite cts_value", id="temporal-inf-value"),
-    pytest.param("cluster_summary.csv", edits(set_field(3, 3, "nan")), 3,
-                 "non-finite aggregate_mm", id="summary-nan-aggregate"),
-    # a byte that is not UTF-8 raised UnicodeDecodeError
-    pytest.param("patterns_temporal.csv", edits(set_field(7, 2, "0.\udcff5")),
-                 7, "malformed field", id="temporal-undecodable-value"),
-    pytest.param("cluster_summary.csv", edits(set_field(1, 0, "cluster_\udcff")),
-                 1, "expected header cluster_id,n_days,n_years,aggregate_mm",
-                 id="summary-undecodable-header"),
 ]
+
+
+def unread_table_damages():
+    """(command, file, damage) of the series and summary tables, which
+    ``refit`` and ``compare`` do not read: the CSV damages, a cluster past
+    K, line faults of the kinds above, and a missing file."""
+    tables = ["patterns_temporal.csv", "cluster_summary.csv"]
+    beyond_k = edit_lines(lambda lines: lines + [f"{len(lines)},1,1,1.0\n"])
+    # the fit's patterns_temporal.csv lists cluster 1's 96 days first
+    cases = [(name, label, damage) for name in tables
+             for label, damage in CSV_DAMAGES]
+    cases += [("cluster_summary.csv", "cluster-k-plus-1", beyond_k)]
+    cases += [(name, "missing", lambda path: path.unlink())
+              for name in tables]
+    cases += [
+        ("patterns_temporal.csv", "temporal-repeated-pair",
+         edits(copy_line(7, 9))),
+        ("patterns_temporal.csv", "temporal-state-0",
+         edits(set_field(40, 3, "0"))),
+        ("cluster_summary.csv", "summary-repeated-cluster",
+         edits(copy_line(2, 4))),
+        ("patterns_temporal.csv", "repeated-pair-then-state",
+         edits(copy_line(2, 3), set_field(10, 3, "0"))),
+        ("cluster_summary.csv", "malformed-then-repeated-cluster",
+         edits(copy_line(3, 4), set_field(2, 1, "x"))),
+        ("patterns_temporal.csv", "temporal-inf-value",
+         edits(set_field(12, 2, "-inf"))),
+        ("cluster_summary.csv", "summary-nan-aggregate",
+         edits(set_field(3, 3, "nan"))),
+        ("patterns_temporal.csv", "temporal-undecodable-value",
+         edits(set_field(7, 2, "0.\udcff5"))),
+        ("cluster_summary.csv", "summary-undecodable-header",
+         edits(set_field(1, 0, "cluster_\udcff"))),
+    ]
+    return [pytest.param(cmd, name, damage, id=f"{cmd}-{name}-{label}")
+            for cmd in ("refit", "compare") for name, label, damage in cases]
+
+
+UNREAD_TABLE_DAMAGES = unread_table_damages()
 
 
 def read_rows(path):
@@ -314,7 +328,8 @@ class TestFit:
 
     def test_aggregate_means_are_the_summarys_text(self, fit_run):
         # a refit reads params.json's aggregate_mean for its aggregate term
-        # and cluster_summary.csv's aggregate_mm for its aggregate distance:
+        # and each rain map's sum, which the fit writes as
+        # cluster_summary.csv's aggregate_mm, for its aggregate distance:
         # one quantity, so the same text
         base, _ = fit_run
         params = json.loads((base / "fit" / "params.json").read_text())
@@ -551,6 +566,41 @@ class TestRefit:
         assert all(math.isnan(g[name])
                    for name in ("mean_l2", "mean_hamming", "mean_agg"))
         assert (g["n_days_scored"], g["n_overflow_days"]) == (0.0, T)
+
+
+def read_back_outputs(command, run_dir, cfg, out):
+    """What ``refit`` or ``compare`` of ``run_dir`` writes, by file name;
+    ``config.json``, which records the paths, as None."""
+    args = (["refit", "--frozen", run_dir] if command == "refit"
+            else ["compare", run_dir])
+    assert run(args + ["--config", cfg, "--out", out]) == 0
+    return {p.name: None if p.name == "config.json" else p.read_bytes()
+            for p in out.iterdir()}
+
+
+@pytest.mark.parametrize("command", ["refit", "compare"])
+def test_run_read_back_is_its_day_maps(fit_run, tmp_path, command):
+    """``refit`` and ``compare`` read a run's day maps and take each volume
+    as its rain map's sum: without the series and summary tables they write
+    the same bytes."""
+    base, cfg = fit_run
+    maps_only = shutil.copytree(base / "fit", tmp_path / "maps_only")
+    for name in ("patterns_temporal.csv", "cluster_summary.csv"):
+        (maps_only / name).unlink()
+    assert read_back_outputs(command, base / "fit", cfg, tmp_path / "full") \
+        == read_back_outputs(command, maps_only, cfg, tmp_path / "maps_out")
+
+
+@pytest.mark.parametrize("command,name,damage", UNREAD_TABLE_DAMAGES)
+def test_unread_table_damage_changes_nothing(fit_run, tmp_path, command,
+                                             name, damage):
+    """A damaged or missing series or summary table leaves ``refit`` and
+    ``compare`` at exit 0 with the bytes of the undamaged run."""
+    base, cfg = fit_run
+    run_dir = shutil.copytree(base / "fit", tmp_path / "run")
+    damage(run_dir / name)
+    assert read_back_outputs(command, base / "fit", cfg, tmp_path / "clean") \
+        == read_back_outputs(command, run_dir, cfg, tmp_path / "damaged")
 
 
 @pytest.mark.parametrize("coords", [[(0, 0)], [(0, 0), (2, 0), (0, 2)]],
@@ -834,18 +884,45 @@ def read_columns(path, header, kinds):
 
 class TestRunFileRoundTrip:
     """What a fit writes, ``refit`` and ``compare`` read back bit for bit;
-    the assignment and trace tables through the checked CSV reader."""
+    the tables they do not read through the checked CSV reader."""
 
     @given(pattern_sets())
     @settings(max_examples=60, deadline=None)
     def test_patterns_round_trip_is_bit_identical(self, patterns):
-        with tempfile.TemporaryDirectory() as tmp:
+        # the day maps through the loader, each volume its rain map's sum
+        # (inf where doubles near the largest overflow it); the series and
+        # the summary, which no command reads, as the writer wrote them
+        tables = [("patterns_temporal.csv", cli.PATTERNS_TEMPORAL_HEADER,
+                   [np.int64, np.int64, float, np.int8]),
+                  ("cluster_summary.csv", cli.CLUSTER_SUMMARY_HEADER,
+                   [np.int64] * 3 + [float])]
+        with tempfile.TemporaryDirectory() as tmp, np.errstate(over="ignore"):
             _write_patterns(Path(tmp), patterns)
             loaded = _load_patterns(Path(tmp))
-        for name in PatternSet.__dataclass_fields__:
-            a, b = getattr(patterns, name), getattr(loaded, name)
+            volume = patterns.rain_patterns.sum(axis=1)
+            read = [column for name, header, kinds in tables
+                    for column in read_columns(Path(tmp) / name, header,
+                                               kinds)]
+        want = [patterns.rain_patterns, patterns.state_patterns, volume,
+                *(c for cols in pattern_columns(patterns)[1:] for c in cols)]
+        got = [loaded.rain_patterns, loaded.state_patterns,
+               loaded.pattern_volume, *read]
+        names = ["rain_patterns", "state_patterns", "pattern_volume",
+                 *(f for _, header, _ in tables for f in header)]
+        for name, a, b in zip(names, want, got, strict=True):
             assert (a.dtype, a.shape, a.tobytes()) \
                 == (b.dtype, b.shape, b.tobytes()), name
+
+    def test_aggregate_mm_is_each_rain_maps_sum(self, seed1_record, tmp_path):
+        # a run read back takes each volume as its rain map's sum, in place
+        # of the aggregate_mm the fit wrote: one number, bit for bit
+        data, truth = seed1_record
+        _write_patterns(tmp_path, extract_patterns(data, truth))
+        *_, written = read_columns(tmp_path / "cluster_summary.csv",
+                                   cli.CLUSTER_SUMMARY_HEADER,
+                                   [np.int64] * 3 + [float])
+        volume = _load_patterns(tmp_path).pattern_volume
+        assert written.tobytes() == volume.tobytes()
 
     @given(st.integers(1, 6), st.integers(1, 4), st.data())
     @settings(max_examples=60, deadline=None)
@@ -1500,8 +1577,8 @@ class TestExitCodes:
     def test_damaged_run_table_names_its_first_faulty_line(
             self, fit_run, tmp_path, capsys, command, name, damage, line,
             message):
-        """The exact ``file:line: message`` of damaged pattern and summary
-        tables, from ``refit`` and from ``compare``."""
+        """The exact ``file:line: message`` of a damaged pattern table,
+        from ``refit`` and from ``compare``."""
         base, cfg = fit_run
         run_dir = shutil.copytree(base / "fit", tmp_path / "run")
         damage(run_dir / name)
