@@ -11,8 +11,7 @@ from .data import (RainfallDataset, SyntheticSpec, compute_spatial_weights,
                    discretize_by_mean, generate_synthetic, load_dataset,
                    save_dataset)
 from .errors import NumericError, ParseError, ValidationError
-from .inference import (PosteriorSummary, SamplerConfig, refit_frozen,
-                        run_gibbs, update_params_ml)
+from .inference import SamplerConfig, refit_frozen, run_gibbs, update_params_ml
 from .model import (HIGH, LOW, LatentState, ModelParams, PatternSet,
                     extract_patterns, joint_log_density)
 
@@ -20,7 +19,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "HIGH", "LOW", "LatentState", "ModelParams", "NumericError", "ParseError",
-    "PatternSet", "PosteriorSummary", "RainfallDataset", "SamplerConfig",
+    "PatternSet", "RainfallDataset", "SamplerConfig",
     "SyntheticSpec", "ValidationError",
     "compute_spatial_weights", "discretize_by_mean", "extract_patterns",
     "generate_synthetic", "joint_log_density", "load_dataset", "refit_frozen",

@@ -288,16 +288,15 @@ def cmd_fit(cfg: dict) -> int:
     weights = compute_spatial_weights(data)
     params = _section(cfg, "model",
                       aggregate_sd=float(data.aggregate.std()) or 1.0)
-    summary, patterns, fitted = run_gibbs(data, weights, params, sampler)
+    mode, trace, patterns, fitted = run_gibbs(data, weights, params, sampler)
 
     out = _out_dir(cfg)
-    write_state(summary.as_state(), out, "assign", "mode")
+    write_state(mode, out, "assign", "mode")
     _write_patterns(out, patterns)
     _write_params(out, fitted)
-    trace = summary.log_density_trace
     _write_csv(out / "trace.csv", ["sweep", "logp"], np.arange(len(trace)),
                trace)
-    report = build_report(data, summary.z_mode, summary.u_mode, patterns,
+    report = build_report(data, mode.states, mode.day_labels, patterns,
                           method="mrf", min_years=min_years)
     _write_report(out, report)
     _dump_config(cfg, out, {"method": "mrf", "model": _model_section(params)})
@@ -515,12 +514,12 @@ def cmd_refit(cfg: dict, frozen_dir: str) -> int:
     params = _load_params(frozen / "params.json", patterns)
     data = _load_data(cfg)
     weights = compute_spatial_weights(data)
-    summary = refit_frozen(data, weights, patterns, params, sampler)
+    mode = refit_frozen(data, weights, patterns, params, sampler)
 
     out = _out_dir(cfg)
-    write_state(summary.as_state(), out, "assign", "mode")
-    dist = distance_report(data.rain, summary.z_mode, summary.u_mode, patterns)
-    overflow = int((summary.u_mode > patterns.n_day_patterns).sum())
+    write_state(mode, out, "assign", "mode")
+    dist = distance_report(data.rain, mode.states, mode.day_labels, patterns)
+    overflow = int((mode.day_labels > patterns.n_day_patterns).sum())
     report = MetricsReport(method="refit", global_values={
         "n_clusters": float(patterns.n_day_patterns),
         "mean_l2": dist.mean_l2,

@@ -93,19 +93,6 @@ class SamplerConfig:
         check_fields(self, self._RULES, where, keys)
 
 
-@dataclass
-class PosteriorSummary:
-    """Per-variable modes over retained sweeps plus the log-density trace."""
-
-    z_mode: np.ndarray
-    u_mode: np.ndarray
-    v_mode: np.ndarray
-    log_density_trace: np.ndarray
-
-    def as_state(self) -> LatentState:
-        return LatentState(self.z_mode, self.u_mode, self.v_mode).copy()
-
-
 def _draw_label(cand: list, logw: list, u: float):
     """The candidate that uniform ``u`` picks with probability ∝ exp(logw)."""
     top = max(logw)
@@ -669,7 +656,7 @@ class _GibbsEngine:
         self.kept_u.append(self.state.day_labels.astype(np.int32))
         self.kept_v.append(self.state.loc_labels.astype(np.int32))
 
-    def run(self) -> PosteriorSummary:
+    def run(self) -> tuple[LatentState, np.ndarray]:
         total = self.config.n_burnin + self.config.n_samples
         ramp = max(1, self.config.n_burnin // 2)
         for i in range(total):
@@ -684,38 +671,38 @@ class _GibbsEngine:
             self.trace.append(logp)
             if i >= self.config.n_burnin:
                 self.retain()
-        return self.summary()
+        return self.summary(), np.array(self.trace)
 
-    def summary(self) -> PosteriorSummary:
-        z_mode = mode_states(self.z1_count, len(self.kept_u))
-        u_mode, v_mode = _vote(self.kept_u), _vote(self.kept_v)
+    def summary(self) -> LatentState:
+        """The mode of the retained sweeps, in arrays of its own."""
+        states = mode_states(self.z1_count, len(self.kept_u))
+        day_labels, loc_labels = _vote(self.kept_u), _vote(self.kept_v)
         if not self.frozen:
             # compact the per-variable modes to dense labels
-            u_mode = np.unique(u_mode, return_inverse=True)[1] + 1
-            v_mode = np.unique(v_mode, return_inverse=True)[1] + 1
-        return PosteriorSummary(z_mode, u_mode, v_mode, np.array(self.trace))
+            day_labels = np.unique(day_labels, return_inverse=True)[1] + 1
+            loc_labels = np.unique(loc_labels, return_inverse=True)[1] + 1
+        return LatentState(states, day_labels, loc_labels)
 
 
 def run_gibbs(data, weights, params: ModelParams, config: SamplerConfig):
     """Fit the model: sample the latent state and estimate parameters.
 
-    Returns (summary, patterns, fitted_params) where the patterns and the
-    Gamma/aggregate parameters are recomputed from the posterior-mode state
-    so that they are mutually consistent: each cluster's aggregate mean is
-    its pattern's ``pattern_volume``, the one value a refit reads for both
-    its aggregate term and its aggregate distance.
+    Returns (mode, trace, patterns, fitted_params): the posterior-mode state,
+    the log-density after each sweep, and the patterns and Gamma/aggregate
+    parameters recomputed from the mode so that they are mutually consistent:
+    each cluster's aggregate mean is its pattern's ``pattern_volume``, the one
+    value a refit reads for both its aggregate term and its aggregate distance.
     """
-    summary = _GibbsEngine(data, weights, params, config).run()
-    mode_state = summary.as_state()
-    patterns = extract_patterns(data, mode_state)
-    shape, rate, _ = update_params_ml(data, mode_state)
+    mode, trace = _GibbsEngine(data, weights, params, config).run()
+    patterns = extract_patterns(data, mode)
+    shape, rate, _ = update_params_ml(data, mode)
     fitted = replace(params, gamma_shape=shape, gamma_rate=rate,
                      aggregate_mean=patterns.pattern_volume)
-    return summary, patterns, fitted
+    return mode, trace, patterns, fitted
 
 
 def refit_frozen(data_new, weights_new, patterns: PatternSet,
-                 params: ModelParams, config: SamplerConfig) -> PosteriorSummary:
+                 params: ModelParams, config: SamplerConfig) -> LatentState:
     """Re-infer latent variables on new data with patterns held fixed.
 
     Day labels index the frozen patterns directly (label u = frozen pattern
@@ -738,6 +725,5 @@ def refit_frozen(data_new, weights_new, patterns: PatternSet,
             or len(params.aggregate_mean) != patterns.n_day_patterns:
         raise ValidationError("frozen runs need one aggregate mean per "
                               "frozen pattern")
-    engine = _GibbsEngine(data_new, weights_new, params, config,
-                          frozen=patterns)
-    return engine.run()
+    return _GibbsEngine(data_new, weights_new, params, config,
+                        frozen=patterns).run()[0]

@@ -222,7 +222,7 @@ def matches(rows: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
 
 def mode_states(ones_count: np.ndarray, totals: np.ndarray) -> np.ndarray:
     """Element-wise mode over {1, 2} given counts of ones; ties go to 2."""
-    return np.where(2 * ones_count > totals, HIGH, LOW).astype(np.int8)
+    return np.where(2 * ones_count > totals, np.int8(HIGH), np.int8(LOW))
 
 
 def modal_patterns(data, state: LatentState) -> PatternSet:

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from .model import HIGH
+
 _PALETTE = ["#4477aa", "#ee6677", "#228833", "#ccbb44", "#66ccee",
             "#aa3377", "#bbbbbb"]
 WET_COLOR = "#2166ac"
@@ -114,7 +116,7 @@ def pattern_grid(path, title: str, coords: np.ndarray, patterns: np.ndarray,
         xt = [_fmt(v) for v in (ox + ux * CELL).tolist()]
         yt = [_fmt(v) for v in (oy + uy * CELL).tolist()]
         if kind == "state":
-            colors = np.where(pat == 1, WET_COLOR, DRY_COLOR).tolist()
+            colors = np.where(pat == HIGH, WET_COLOR, DRY_COLOR).tolist()
         else:
             colors = _ramp(pat / (float(np.max(pat)) or 1.0))
         body += [f'<rect x="{xt[a]}" y="{yt[b]}" width="{side}" '

@@ -38,8 +38,8 @@ def fit_synth(spec, eta=5.0, burnin=80, samples=40, fit_seed=0,
                          aggregate_sd=float(data.aggregate.std()))
     cfg = SamplerConfig(n_burnin=burnin, n_samples=samples, seed=fit_seed,
                         init=init)
-    summary, patterns, fitted = run_gibbs(data, weights, params, cfg)
-    return data, truth, weights, summary, patterns, fitted
+    mode, _, patterns, fitted = run_gibbs(data, weights, params, cfg)
+    return data, truth, weights, mode, patterns, fitted
 
 
 def test_c1_gibbs_exactness():
@@ -203,8 +203,8 @@ def c3_fit():
 
 def cell_agreement(fit):
     """The share of cells whose mode state is the planted state."""
-    data, truth, weights, summary, patterns, fitted = fit
-    return float((summary.z_mode == truth.states).mean())
+    data, truth, weights, mode, patterns, fitted = fit
+    return float((mode.states == truth.states).mean())
 
 
 @pytest.mark.parametrize("init", ["data", "random"])
@@ -214,8 +214,8 @@ def test_c3_planted_pattern_recovery(c3_fit, init):
     is within 0.01 of ``data`` init's."""
     start = time.time()
     fit = c3_fit(init)
-    data, truth, weights, summary, patterns, fitted = fit
-    ari = adjusted_rand_index(summary.u_mode, truth.day_labels)
+    data, truth, weights, mode, patterns, fitted = fit
+    ari = adjusted_rand_index(mode.day_labels, truth.day_labels)
     agree = cell_agreement(fit)
     gap = agree - cell_agreement(c3_fit("data"))
     planted = extract_patterns(data, truth)
@@ -240,9 +240,9 @@ def _method_metrics(seed):
     spec = SyntheticSpec(n_locations=64, n_days=400, n_day_patterns=4,
                          n_loc_groups=6, n_years=8, flip_noise=0.15,
                          seed=100 + seed)
-    data, truth, weights, summary, patterns, fitted = fit_synth(spec)
+    data, truth, weights, mode, patterns, fitted = fit_synth(spec)
     K = patterns.n_day_patterns
-    mrf_dist = distance_report(data.rain, summary.z_mode, summary.u_mode,
+    mrf_dist = distance_report(data.rain, mode.states, mode.day_labels,
                                patterns)
     mrf_spch = spatial_coherence(patterns.state_patterns,
                                  patterns.rain_patterns, data.pairs)[0]
@@ -302,14 +302,14 @@ def test_c6_frozen_pattern_generalization():
     params = ModelParams(day_align=5.0, loc_align=2.0,
                          aggregate_sd=float(train.aggregate.std()))
     cfg = SamplerConfig(n_burnin=80, n_samples=40, seed=0)
-    summary, patterns, fitted = run_gibbs(train, weights, params, cfg)
-    train_ham = distance_report(train.rain, summary.z_mode, summary.u_mode,
+    mode, _, patterns, fitted = run_gibbs(train, weights, params, cfg)
+    train_ham = distance_report(train.rain, mode.states, mode.day_labels,
                                 patterns).mean_hamming
 
     rcfg = SamplerConfig(n_burnin=40, n_samples=20, seed=1)
     refit = refit_frozen(test, compute_spatial_weights(test), patterns,
                          fitted, rcfg)
-    test_ham = distance_report(test.rain, refit.z_mode, refit.u_mode,
+    test_ham = distance_report(test.rain, refit.states, refit.day_labels,
                                patterns).mean_hamming
     rel = abs(test_ham - train_ham) / train_ham
     assert rel <= 0.25
@@ -323,9 +323,9 @@ def test_c7_prominence_robustness():
                          n_loc_groups=8, n_years=8, flip_noise=0.1, seed=11)
     counts = {}
     for eta in (5.0, 7.0, 9.0):
-        data, truth, weights, summary, patterns, fitted = fit_synth(
+        data, truth, weights, mode, patterns, fitted = fit_synth(
             spec, eta=eta)
-        # the patterns are extracted from the mode state, u_mode's clusters
+        # the patterns are extracted from the mode state's day clusters
         counts[eta] = int((patterns.year_counts >= 5).sum())
         assert 5 <= counts[eta] <= 7
     report("C7", f"prominent counts {counts} for 6 planted patterns")

@@ -310,10 +310,11 @@ class TestGammaGuard:
 
         monkeypatch.setattr(_GibbsEngine, "_refresh_gamma_odds", check_all)
         got = run_gibbs(data, small_weights, params, cfg)
-        for name in ("z_mode", "u_mode", "v_mode", "log_density_trace"):
+        for name in ("states", "day_labels", "loc_labels"):
             assert np.array_equal(getattr(got[0], name),
                                   getattr(expect[0], name))
-        assert np.array_equal(got[2].gamma_rate, expect[2].gamma_rate)
+        assert np.array_equal(got[1], expect[1])
+        assert np.array_equal(got[3].gamma_rate, expect[3].gamma_rate)
 
     def test_a_failure_in_a_sweep_names_the_sweep(
             self, small_synth, small_weights, monkeypatch):
@@ -805,9 +806,9 @@ class TestRunGibbs:
         params = ModelParams(day_align=5.0, loc_align=2.0,
                              aggregate_sd=float(data.aggregate.std()))
         cfg = SamplerConfig(n_burnin=60, n_samples=30, seed=0)
-        summary, pats, fitted = run_gibbs(data, weights, params, cfg)
-        assert adjusted_rand_index(summary.u_mode, truth.day_labels) == 1.0
-        assert np.isfinite(summary.log_density_trace).all()
+        mode, trace, pats, fitted = run_gibbs(data, weights, params, cfg)
+        assert adjusted_rand_index(mode.day_labels, truth.day_labels) == 1.0
+        assert np.isfinite(trace).all()
 
     def test_determinism(self, small_synth, small_weights):
         data, _ = small_synth
@@ -816,10 +817,10 @@ class TestRunGibbs:
         cfg = SamplerConfig(n_burnin=8, n_samples=4, seed=11)
         a = run_gibbs(data, small_weights, params, cfg)
         b = run_gibbs(data, small_weights, params, cfg)
-        assert np.array_equal(a[0].z_mode, b[0].z_mode)
-        assert np.array_equal(a[0].u_mode, b[0].u_mode)
-        assert np.array_equal(a[0].v_mode, b[0].v_mode)
-        assert np.array_equal(a[0].log_density_trace, b[0].log_density_trace)
+        assert np.array_equal(a[0].states, b[0].states)
+        assert np.array_equal(a[0].day_labels, b[0].day_labels)
+        assert np.array_equal(a[0].loc_labels, b[0].loc_labels)
+        assert np.array_equal(a[1], b[1])
 
     def test_negative_seed_is_a_validation_error(self, small_synth,
                                                  small_weights):
@@ -857,7 +858,7 @@ class TestRunGibbs:
         params = ModelParams(day_align=3.0, loc_align=1.5,
                              aggregate_sd=float(data.aggregate.std()))
         cfg = SamplerConfig(n_burnin=6, n_samples=4, seed=1)
-        _, patterns, fitted = run_gibbs(data, small_weights, params, cfg)
+        _, _, patterns, fitted = run_gibbs(data, small_weights, params, cfg)
         assert fitted.aggregate_mean.tobytes() \
             == patterns.pattern_volume.tobytes()
 
@@ -932,19 +933,19 @@ class TestRunGibbs:
             engine.state.day_labels[:] = np.resize(row, T)
             engine.state.loc_labels[:] = np.resize(row[::-1], S)
             engine.retain()
-        summary = engine.summary()
-        assert summary.u_mode.tolist() == np.resize([3, 1, 3, 2], T).tolist()
-        assert summary.v_mode.tolist() == np.resize([2, 3, 1, 3], S).tolist()
+        mode = engine.summary()
+        assert mode.day_labels.tolist() == np.resize([3, 1, 3, 2], T).tolist()
+        assert mode.loc_labels.tolist() == np.resize([2, 3, 1, 3], S).tolist()
 
     def test_mode_patterns_consistent(self, small_synth, small_weights):
         data, _ = small_synth
         params = ModelParams(day_align=4.0, loc_align=2.0,
                              aggregate_sd=float(data.aggregate.std()))
         cfg = SamplerConfig(n_burnin=10, n_samples=6, seed=2)
-        summary, pats, fitted = run_gibbs(data, small_weights, params, cfg)
-        assert pats.n_day_patterns == summary.u_mode.max()
+        mode, _, pats, fitted = run_gibbs(data, small_weights, params, cfg)
+        assert pats.n_day_patterns == mode.day_labels.max()
         assert fitted.aggregate_mean.shape == (pats.n_day_patterns,)
-        expect = extract_patterns(data, summary.as_state())
+        expect = extract_patterns(data, mode)
         assert np.array_equal(expect.state_patterns, pats.state_patterns)
 
 
@@ -962,16 +963,16 @@ class TestRefitFrozen:
         params = ModelParams(day_align=5.0, loc_align=2.0,
                              aggregate_sd=float(data.aggregate.std()))
         cfg = SamplerConfig(n_burnin=50, n_samples=25, seed=0)
-        summary, pats, fitted = run_gibbs(data, weights, params, cfg)
-        return data, weights, summary, pats, fitted
+        mode, _, pats, fitted = run_gibbs(data, weights, params, cfg)
+        return data, weights, mode, pats, fitted
 
     def test_self_consistency(self):
-        data, weights, summary, pats, fitted = self.fit_small()
+        data, weights, mode, pats, fitted = self.fit_small()
         cfg = SamplerConfig(n_burnin=20, n_samples=10, seed=3)
         refit = refit_frozen(data, weights, pats, fitted, cfg)
-        frac = (refit.z_mode != summary.z_mode).mean()
+        frac = (refit.states != mode.states).mean()
         assert frac <= 0.05
-        agree = (refit.u_mode == summary.u_mode).mean()
+        agree = (refit.day_labels == mode.day_labels).mean()
         assert agree >= 0.9
 
     def test_single_pattern_forces_label_one(self):
@@ -984,7 +985,7 @@ class TestRefitFrozen:
         params = fitted_params(data, truth, day_align=5.0)
         cfg = SamplerConfig(n_burnin=10, n_samples=5, seed=0)
         refit = refit_frozen(data, weights, pats, params, cfg)
-        assert (refit.u_mode == 1).all()
+        assert (refit.day_labels == 1).all()
 
     def test_no_frozen_pattern_rejected(self):
         spec = SyntheticSpec(n_locations=16, n_days=40, n_day_patterns=1,
@@ -1001,18 +1002,18 @@ class TestRefitFrozen:
                          fitted_params(data, truth), cfg)
 
     def test_exact_pattern_day_lands_on_it(self):
-        data, weights, summary, pats, fitted = self.fit_small(seed=9)
+        data, weights, mode, pats, fitted = self.fit_small(seed=9)
         fitted = replace(fitted, day_align=50.0)
         cfg = SamplerConfig(n_burnin=15, n_samples=10, seed=1)
         refit = refit_frozen(data, weights, pats, fitted, cfg)
         # days whose refit state map equals a frozen pattern get that label
         for t in range(data.n_days):
             for u in range(pats.n_day_patterns):
-                if np.array_equal(refit.z_mode[:, t], pats.state_patterns[u]):
-                    assert refit.u_mode[t] == u + 1
+                if np.array_equal(refit.states[:, t], pats.state_patterns[u]):
+                    assert refit.day_labels[t] == u + 1
 
     def test_location_mismatch_rejected(self):
-        data, weights, summary, pats, fitted = self.fit_small()
+        data, weights, mode, pats, fitted = self.fit_small()
         spec = SyntheticSpec(n_locations=16, n_days=40, n_day_patterns=2,
                              n_loc_groups=3, n_years=4, seed=1)
         other, _ = generate_synthetic(spec)
@@ -1022,7 +1023,7 @@ class TestRefitFrozen:
                          cfg)
 
     def test_gamma_row_count_mismatch_rejected(self):
-        data, weights, summary, pats, fitted = self.fit_small()
+        data, weights, mode, pats, fitted = self.fit_small()
         cfg = SamplerConfig(n_burnin=2, n_samples=2, seed=0)
         for name in ("gamma_shape", "gamma_rate"):
             short = replace(fitted, **{name: getattr(fitted, name)[:-1]})
@@ -1030,7 +1031,7 @@ class TestRefitFrozen:
                 refit_frozen(data, weights, pats, short, cfg)
 
     def test_missing_frozen_parameters_rejected(self):
-        data, weights, summary, pats, fitted = self.fit_small()
+        data, weights, mode, pats, fitted = self.fit_small()
         cfg = SamplerConfig(n_burnin=2, n_samples=2, seed=0)
         for change, message in [
                 ({"gamma_shape": None}, "need Gamma parameters"),
@@ -1056,20 +1057,20 @@ class TestRefitFrozen:
     def test_frozen_series_do_not_steer_the_refit(self, n_days):
         # frozen series are indexed by the training days, so a refit keeps
         # none, whatever its record's length: flipping them changes nothing
-        data, weights, summary, pats, fitted = self.fit_small(seed=11)
+        data, weights, mode, pats, fitted = self.fit_small(seed=11)
         sub, sub_weights = self.first_days(data, n_days)
         flipped = replace(pats, state_series=(
             HIGH + LOW - pats.state_series).astype(np.int8))
         cfg = SamplerConfig(n_burnin=15, n_samples=10, seed=5)
         refits = [refit_frozen(sub, sub_weights, p, fitted, cfg)
                   for p in (pats, flipped)]
-        for name in ("z_mode", "u_mode", "v_mode"):
+        for name in ("states", "day_labels", "loc_labels"):
             assert np.array_equal(*(getattr(r, name) for r in refits)), name
 
     @LENGTHS
     def test_every_location_stays_in_label_one(self, n_days, monkeypatch):
         # with no frozen series there is no location label to enter
-        data, weights, summary, pats, fitted = self.fit_small(seed=11)
+        data, weights, mode, pats, fitted = self.fit_small(seed=11)
         sub, sub_weights = self.first_days(data, n_days)
         cfg = SamplerConfig(n_burnin=15, n_samples=10, seed=5)
         labels = []
@@ -1079,12 +1080,12 @@ class TestRefitFrozen:
                              replace(fitted, loc_concentration=20.0), cfg)
         assert len(labels) == 25
         assert all((v == 1).all() for v in labels)
-        assert (refit.v_mode == 1).all()
+        assert (refit.loc_labels == 1).all()
 
     def test_labels_not_compacted(self):
         # refit labels index the frozen patterns even when some go unused
-        data, weights, summary, pats, fitted = self.fit_small(seed=11)
+        data, weights, mode, pats, fitted = self.fit_small(seed=11)
         sub, sub_weights = self.first_days(data, data.n_days // 2)
         cfg = SamplerConfig(n_burnin=15, n_samples=10, seed=5)
         refit = refit_frozen(sub, sub_weights, pats, fitted, cfg)
-        assert refit.u_mode.max() <= pats.n_day_patterns + 1
+        assert refit.day_labels.max() <= pats.n_day_patterns + 1

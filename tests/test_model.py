@@ -1,6 +1,7 @@
 """Cluster priors, pattern extraction, joint density, parameter updates."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,7 @@ from rainpatterns.data import make_dataset
 from rainpatterns.model import (RAIN_EPS, VAR_FLOOR, agreement_counts,
                                 crp_log_prior_days, crp_log_prior_locations,
                                 indicator_dot, log_gamma, modal_patterns,
-                                patterns_to_rows)
+                                mode_states, patterns_to_rows)
 from conftest import (brute_force_agreements, brute_force_log_density,
                       fitted_params)
 
@@ -204,6 +205,24 @@ class TestExtractPatterns:
         got = patterns_to_rows(pats)
         assert typed(got) == typed(want)
         assert [type(rows) for rows in got] == [list] * 3
+
+
+def test_mode_states_votes_without_an_int64_plane():
+    """The cell vote over 40 retained sweeps at paper size, int32 counts of
+    shape (357, 976) as the sampler keeps them, peaks below 2.2 MB traced:
+    its int8 result and the doubled counts, with no int64 (S, T) plane of
+    the states (2.8 MB).  A tie goes to LOW."""
+    counts = np.random.default_rng(0).integers(0, 41, (357, 976),
+                                               dtype=np.int32)
+    tracemalloc.start()
+    try:
+        got = mode_states(counts, 40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.dtype == np.int8
+    assert np.array_equal(got, np.where(counts > 20, HIGH, LOW))
+    assert peak < 2.2e6
 
 
 @given(hnp.arrays(np.int64, st.integers(1, 8), elements=st.integers(1, 6)))
