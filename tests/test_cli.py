@@ -661,6 +661,9 @@ class TestFixedSeedDigests:
             "73e34c8dab4be87b830e30533deacb623432335d32c595ccf24806d531a1b2fb",
         "assign_z.csv":
             "a8b8d7b2fc16086eb072fd9867208933a89e4ee35d0d29bc486addedc650f49e",
+        # the report of the refit's mode against the frozen patterns
+        "metrics.csv":
+            "98ff6fc078502ecb8927f609a1a7ed76ca8552d6a26057153ed988b26475ab70",
     }
 
     # the bytes of the large tables, which the column writer formats
@@ -675,6 +678,10 @@ class TestFixedSeedDigests:
     EOF = {
         "eof_vectors.csv":
             "953512a33aef6eaf9451d519835083b6b652fe8e77b0e0a205deee6e16fa25bc",
+        "eof_eigenvalues.csv":
+            "d6311beffeeb2c6247311831dea16572bc85a57fda03409f66e1c8cdb4d86562",
+        "eof_mean.csv":
+            "2a2bae450e9fa3f244b2a474573922a3f85df4bcf1e9e6955a7a8134a1183d37",
         "lasso_coefs.csv":
             "55ca63ecd39f4228ecacf0e7f66097204aa68295eeb44de318506e7f695c919f",
         # mean_l2 and mean_sparsity, from the coefficients and residuals
@@ -802,7 +809,7 @@ class TestFixedSeedDigests:
         n_patterns = len(read_rows(fit / "cluster_summary.csv")) - 1
         u_mode = [int(r[1]) for r in read_rows(refit / "assign_u.csv")[1:]]
         assert max(u_mode) == n_patterns + 1
-        assert self.digests(refit) == self.REFIT
+        assert self.digests(refit, self.REFIT) == self.REFIT
 
     def test_fit_at_paper_size(self, tmp_path):
         """The assignments of a fit of the fit-paper benchmark's own
