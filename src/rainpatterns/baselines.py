@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ValidationError
@@ -13,15 +11,6 @@ from .model import HIGH, LOW
 # most this many Lloyd iterations
 KMEANS_RESTARTS = 10
 LLOYD_MAX_ITER = 500
-
-
-@dataclass
-class EofBasis:
-    """Orthonormal eigenvectors of the sample covariance, variance-ordered."""
-
-    vectors: np.ndarray      # (D, D), columns are modes
-    eigenvalues: np.ndarray  # (D,), descending, non-negative
-    mean: np.ndarray         # (D,)
 
 
 def _sq_dists(vectors: np.ndarray, sq: np.ndarray,
@@ -199,12 +188,14 @@ def spectral_cluster(embedding: np.ndarray, k: int, seed: int = 0) -> np.ndarray
     return kmeans(emb, k, seed=seed)
 
 
-def eof_decompose(drvs: np.ndarray) -> EofBasis:
+def eof_decompose(drvs: np.ndarray):
     """Eigendecompose the spatial sample covariance of the daily vectors.
 
     ``drvs`` is the (locations x days) matrix; covariance is taken over days
-    with the n-1 convention.  Eigenvalues come out descending with tiny
-    negative round-off clipped to zero.
+    with the n-1 convention.  Returns ``(vectors, eigenvalues, mean)``: the
+    (S, S) orthonormal modes as columns, variance-ordered, their eigenvalues
+    descending with tiny negative round-off clipped to zero, and the (S,)
+    mean the anomalies are taken about.
     """
     x = np.asarray(drvs, dtype=float)
     mean = x.mean(axis=1)
@@ -212,23 +203,22 @@ def eof_decompose(drvs: np.ndarray) -> EofBasis:
     cov = anom @ anom.T / max(x.shape[1] - 1, 1)
     vals, vecs = np.linalg.eigh(cov)
     order = np.argsort(vals)[::-1]
-    return EofBasis(vectors=vecs[:, order],
-                    eigenvalues=np.maximum(vals[order], 0.0),
-                    mean=mean)
+    return vecs[:, order], np.maximum(vals[order], 0.0), mean
 
 
-def lasso_fit(target: np.ndarray, basis: EofBasis, reg: float) -> np.ndarray:
+def lasso_fit(target: np.ndarray, vectors: np.ndarray, mean: np.ndarray,
+              reg: float) -> np.ndarray:
     """L1-regularised regression of daily vectors on the EOF modes.
 
-    Minimises ||r - Φc||² + reg·||c||₁ for the mean-removed target r.  The
-    basis Φ is orthonormal, so the solution is the soft-thresholded
-    projection Φᵀr at reg/2 (Tibshirani, JRSS-B 1996).  ``target`` is one
-    (S,) vector or an (S, n) matrix of n days, one column each; the
-    coefficients come back in the same layout.
+    Minimises ||r - Φc||² + reg·||c||₁ for r the target less ``mean``, Φ
+    the orthonormal ``vectors`` (both from ``eof_decompose``), so the
+    solution is the soft-thresholded projection Φᵀr at reg/2 (Tibshirani,
+    JRSS-B 1996).  ``target`` is one (S,) vector or an (S, n) matrix of n
+    days, one column each; the coefficients come back in the same layout.
     """
     if reg < 0:
         raise ValidationError("regularisation weight must be non-negative")
     target = np.asarray(target, dtype=float)
-    proj = basis.vectors.T @ (target.T - basis.mean).T
+    proj = vectors.T @ (target.T - mean).T
     coefs = np.maximum(np.abs(proj) - reg / 2.0, 0.0)
     return np.multiply(np.sign(proj, out=proj), coefs, out=coefs)

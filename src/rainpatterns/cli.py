@@ -227,8 +227,7 @@ def _load_params(path, patterns: PatternSet) -> ModelParams:
 
 
 def _load_patterns(run_dir: Path) -> PatternSet:
-    """A run's day maps as read back: ``patterns_spatial.csv``'s rain and
-    state patterns, each volume its map's sum.
+    """A run's day maps, ``patterns_spatial.csv``'s rain and state patterns.
 
     Clusters 1..K must each list every loc_id 0..S-1 once, with state 1 or
     2, so a truncated or edited file is rejected rather than padded.
@@ -260,7 +259,7 @@ def _load_patterns(run_dir: Path) -> PatternSet:
     cells[u - 1, s] = table
     crp = cells["crp_value"].copy()
     return PatternSet(crp, cells["cdp_state"].astype(np.int8), None, None,
-                      None, None, crp.sum(axis=1))
+                      None, None)
 
 
 def _write_report(out: Path, report: MetricsReport) -> None:
@@ -375,18 +374,17 @@ def _cmd_baseline_eof(cfg: dict, data: RainfallDataset, out: Path) -> int:
                               f"modes, got k={k}")
     reg = _checked(cfg, "baseline", "lasso_reg", lambda v: 0 <= v < math.inf,
                    "finite and >= 0")
-    basis = baselines.eof_decompose(data.rain)
+    vectors, eigenvalues, mean = baselines.eof_decompose(data.rain)
     _write_csv(out / "eof_eigenvalues.csv", ["mode_id", "eigenvalue"],
-               np.arange(S), basis.eigenvalues)
+               np.arange(S), eigenvalues)
     j, s = _cell_indices((S, S))
     _write_csv(out / "eof_vectors.csv", ["mode_id", "loc_id", "value"],
-               j, s, basis.vectors.T.ravel())
-    _write_csv(out / "eof_mean.csv", ["loc_id", "mean_mm"], np.arange(S),
-               basis.mean)
+               j, s, vectors.T.ravel())
+    _write_csv(out / "eof_mean.csv", ["loc_id", "mean_mm"], np.arange(S), mean)
 
-    coefs = baselines.lasso_fit(data.rain, basis, reg)  # (modes, days)
-    resid = data.rain - basis.mean[:, None]
-    resid -= basis.vectors @ coefs
+    coefs = baselines.lasso_fit(data.rain, vectors, mean, reg)  # (modes, days)
+    resid = data.rain - mean[:, None]
+    resid -= vectors @ coefs
     days = max(1, _WRITE_BLOCK // S)  # whole days, at most _WRITE_BLOCK cells
 
     def day_blocks():
@@ -397,11 +395,11 @@ def _cmd_baseline_eof(cfg: dict, data: RainfallDataset, out: Path) -> int:
                   day_blocks())
 
     # leading modes, binarised by sign, stand in as the method's patterns
-    lead = basis.vectors[:, :k].T
+    lead = vectors[:, :k].T
     cdp = np.where(lead > 0, HIGH, LOW).astype(np.int8)
     spch_state, spch_rain = spatial_coherence(cdp, lead, data.pairs)
-    explained = (float(basis.eigenvalues[:k].sum() / basis.eigenvalues.sum())
-                 if basis.eigenvalues.sum() > 0 else 1.0)
+    explained = (float(eigenvalues[:k].sum() / eigenvalues.sum())
+                 if eigenvalues.sum() > 0 else 1.0)
     report = MetricsReport(method="eof", global_values={
         "n_clusters": float(k),
         "mean_l2": float(np.linalg.norm(resid, axis=0).mean()),
@@ -518,21 +516,22 @@ def cmd_refit(cfg: dict, frozen_dir: str) -> int:
 
     out = _out_dir(cfg)
     write_state(mode, out, "assign", "mode")
-    dist = distance_report(data.rain, mode.states, mode.day_labels, patterns)
+    l2, ham, agg, n_scored = distance_report(
+        data.rain, mode.states, mode.day_labels, patterns)
     overflow = int((mode.day_labels > patterns.n_day_patterns).sum())
     report = MetricsReport(method="refit", global_values={
         "n_clusters": float(patterns.n_day_patterns),
-        "mean_l2": dist.mean_l2,
-        "mean_hamming": dist.mean_hamming,
-        "mean_agg": dist.mean_agg,
-        "n_days_scored": float(dist.n_days_scored),
+        "mean_l2": l2,
+        "mean_hamming": ham,
+        "mean_agg": agg,
+        "n_days_scored": float(n_scored),
         "n_overflow_days": float(overflow),
     })
     _write_report(out, report)
     # the model parameters are the frozen run's, whatever the config says
     _dump_config({**cfg, "model": _model_section(params)}, out,
                  {"method": "refit", "frozen_run": str(frozen)})
-    print(f"refit: {dist.n_days_scored} days scored against "
+    print(f"refit: {n_scored} days scored against "
           f"{patterns.n_day_patterns} frozen patterns, {overflow} overflow; "
           f"outputs in {out}")
     return 0

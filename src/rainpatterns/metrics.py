@@ -9,7 +9,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -22,28 +21,21 @@ MIN_YEARS = 5  # the distinct years a prominent cluster's days span
 _DAY_BLOCK = 64  # days whose distances distance_report takes at once
 
 
-class DistanceReport(NamedTuple):
-    mean_l2: float
-    mean_hamming: float
-    mean_agg: float
-    n_days_scored: int
-
-
 def distance_report(rain: np.ndarray, states: np.ndarray,
-                    day_labels: np.ndarray, patterns: PatternSet) -> DistanceReport:
-    """Mean distances between daily vectors and their cluster's patterns.
+                    day_labels: np.ndarray, patterns: PatternSet):
+    """Mean distances between daily vectors and their cluster's patterns,
+    ``(mean_l2, mean_hamming, mean_agg, n_days_scored)``.
 
-    Reports the mean Euclidean distance of each day's rainfall vector to its
-    rain pattern, the mean Hamming distance of its state vector to its state
-    pattern, and the mean absolute error of its total, ``rain.sum(axis=0)``,
-    against the pattern volume.  Days whose label has no pattern row (refit
-    overflow) are skipped.
+    Each mean is over the scored days, of a day's Euclidean distance from
+    its rain pattern, its states' Hamming distance from its state pattern
+    and its total's (``rain.sum(axis=0)``) absolute error against the pattern
+    volume.  Days whose label has no pattern row (refit overflow) are skipped.
     """
     rows = day_labels - 1
     days = np.flatnonzero(rows < patterns.n_day_patterns)
     n = len(days)
     if n == 0:
-        return DistanceReport(math.nan, math.nan, math.nan, 0)
+        return math.nan, math.nan, math.nan, 0
     # per-day sums, a block of days at a time, so no (T, S) copy is made
     sq, ham = np.empty(n), 0
     for i in range(0, n, _DAY_BLOCK):
@@ -55,7 +47,7 @@ def distance_report(rain: np.ndarray, states: np.ndarray,
     l2 = float(np.sqrt(sq).sum() / n)
     y = rain.sum(axis=0)[days]
     agg = float(np.abs(y - patterns.pattern_volume[rows[days]]).sum() / n)
-    return DistanceReport(l2, ham / n, agg, n)
+    return l2, ham / n, agg, n
 
 
 def cluster_homogeneity(y: np.ndarray, day_labels: np.ndarray,
@@ -239,7 +231,7 @@ def build_report(data, states: np.ndarray, day_labels: np.ndarray,
     K = patterns.n_day_patterns
 
     prominent = patterns.year_counts >= min_years
-    dist = distance_report(data.rain, states, day_labels, patterns)
+    l2, ham, agg, _ = distance_report(data.rain, states, day_labels, patterns)
     stds, pooled = cluster_homogeneity(data.aggregate, day_labels,
                                        patterns.pattern_volume)
     spch_state, spch_rain = spatial_coherence(
@@ -264,12 +256,12 @@ def build_report(data, states: np.ndarray, day_labels: np.ndarray,
         "n_prominent": float(n_pc),
         "pc_coverage": float(coverage),
         "avg_days_per_pc": coverage / n_pc if n_pc else 0.0,
-        "mean_l2": dist.mean_l2,
-        "mean_hamming": dist.mean_hamming,
-        "mean_agg": dist.mean_agg,
+        "mean_l2": l2,
+        "mean_hamming": ham,
+        "mean_agg": agg,
         "pooled_std_y": pooled,
         "spch_cdp": spch_state,
         "spch_crp": spch_rain,
-        "aic_gaussian": aic(K, dist.mean_l2),
-        "aic_hamming": aic(K, dist.mean_hamming),
+        "aic_gaussian": aic(K, l2),
+        "aic_hamming": aic(K, ham),
     })

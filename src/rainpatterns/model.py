@@ -169,7 +169,7 @@ class PatternSet:
     low state).  ``rain_series`` / ``state_series`` are the analogous canonical
     time series per location cluster.  ``pattern_volume`` is the total mm/day
     of each rain pattern; ``modal_patterns`` leaves the rain fields None.  A
-    run read back from its files holds only its day maps and their volumes.
+    run read back from its files holds only its day maps.
     """
 
     rain_patterns: np.ndarray | None   # (K, S) float
@@ -178,7 +178,10 @@ class PatternSet:
     state_series: np.ndarray | None    # (L, T) in {1, 2}
     day_counts: np.ndarray | None      # (K,)
     year_counts: np.ndarray | None     # (K,)
-    pattern_volume: np.ndarray | None  # (K,)
+
+    @property
+    def pattern_volume(self) -> np.ndarray:
+        return self.rain_patterns.sum(axis=1)
 
     @property
     def n_day_patterns(self) -> int:
@@ -237,7 +240,7 @@ def modal_patterns(data, state: LatentState) -> PatternSet:
     loc_wet = indicator_dot(loc_onehot, z1)
     return PatternSet(None, mode_states(day_wet, day_counts[:, None]), None,
                       mode_states(loc_wet, loc_onehot.sum(axis=1)[:, None]),
-                      day_counts, (per_year > 0).sum(axis=1), None)
+                      day_counts, (per_year > 0).sum(axis=1))
 
 
 def extract_patterns(data, state: LatentState) -> PatternSet:
@@ -253,8 +256,7 @@ def extract_patterns(data, state: LatentState) -> PatternSet:
     loc_onehot = onehot(state.loc_labels)
     return replace(
         pats, rain_patterns=rain_patterns,
-        rain_series=loc_onehot @ rain / loc_onehot.sum(axis=1)[:, None],
-        pattern_volume=rain_patterns.sum(axis=1))
+        rain_series=loc_onehot @ rain / loc_onehot.sum(axis=1)[:, None])
 
 
 def days_per_year(day_labels: np.ndarray, years: np.ndarray) -> np.ndarray:

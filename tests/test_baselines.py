@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rainpatterns import (LatentState, ValidationError, baselines,
                          extract_patterns, generate_synthetic)
-from rainpatterns.baselines import (LLOYD_MAX_ITER, EofBasis, _lloyd, _median,
+from rainpatterns.baselines import (LLOYD_MAX_ITER, _lloyd, _median,
                                     _plusplus_seeds, _sq_dists,
                                     derive_state_patterns, eof_decompose,
                                     factor_embedding, kmeans, lasso_fit,
@@ -500,32 +500,31 @@ class TestEof:
     def test_two_days_rank_one(self):
         rng = np.random.default_rng(0)
         drvs = rng.normal(5, 2, (6, 2))
-        basis = eof_decompose(drvs)
-        assert (basis.eigenvalues > 1e-10).sum() == 1
+        _, vals, _ = eof_decompose(drvs)
+        assert (vals > 1e-10).sum() == 1
 
     def test_single_day_has_zero_covariance(self):
         # one day has no n-1 covariance: it is zero, not 0/0, and the day
         # itself is the mean
         drvs = np.array([[3.0], [1.0], [2.0]])
-        basis = eof_decompose(drvs)
-        assert (basis.eigenvalues == 0.0).all()
-        assert np.array_equal(basis.mean, drvs[:, 0])
-        assert np.allclose(basis.vectors.T @ basis.vectors, np.eye(3))
+        vecs, vals, mean = eof_decompose(drvs)
+        assert (vals == 0.0).all()
+        assert np.array_equal(mean, drvs[:, 0])
+        assert np.allclose(vecs.T @ vecs, np.eye(3))
 
     def test_full_reconstruction(self):
         rng = np.random.default_rng(1)
         drvs = rng.gamma(2, 3, (5, 12))
-        basis = eof_decompose(drvs)
+        vecs, _, mean = eof_decompose(drvs)
         for t in range(12):
-            anom = drvs[:, t] - basis.mean
-            recon = basis.vectors @ (basis.vectors.T @ anom)
+            anom = drvs[:, t] - mean
+            recon = vecs @ (vecs.T @ anom)
             assert np.allclose(recon, anom, atol=1e-8)
 
     def test_orthonormal_columns(self):
         rng = np.random.default_rng(2)
-        basis = eof_decompose(rng.normal(0, 1, (7, 30)))
-        assert np.allclose(basis.vectors.T @ basis.vectors, np.eye(7),
-                           atol=1e-8)
+        vecs, _, _ = eof_decompose(rng.normal(0, 1, (7, 30)))
+        assert np.allclose(vecs.T @ vecs, np.eye(7), atol=1e-8)
 
     def test_hand_covariance_eigenpairs(self):
         # oracle: characteristic polynomial roots of the 3x3 covariance,
@@ -541,75 +540,73 @@ class TestEof:
                + c[0, 2] * (c[0, 1] * c[1, 2] - c[1, 1] * c[0, 2]))
         roots = sorted(np.roots([1.0, -np.trace(c), c2, -det]).real,
                        reverse=True)
-        basis = eof_decompose(drvs)
-        assert np.allclose(basis.eigenvalues, roots, rtol=1e-8)
+        vecs, vals, _ = eof_decompose(drvs)
+        assert np.allclose(vals, roots, rtol=1e-8)
         for j in range(3):
-            v = basis.vectors[:, j]
-            assert np.allclose(c @ v, basis.eigenvalues[j] * v, atol=1e-8)
+            v = vecs[:, j]
+            assert np.allclose(c @ v, vals[j] * v, atol=1e-8)
 
     def test_variance_conservation(self):
         rng = np.random.default_rng(4)
         for trial in range(5):
             drvs = rng.gamma(2, 3, (8, 25))
-            basis = eof_decompose(drvs)
+            _, vals, _ = eof_decompose(drvs)
             c = np.cov(drvs, ddof=1)
-            assert basis.eigenvalues.sum() == pytest.approx(np.trace(c),
-                                                            rel=1e-8)
+            assert vals.sum() == pytest.approx(np.trace(c), rel=1e-8)
 
     def test_eigenvalues_descending(self):
         rng = np.random.default_rng(5)
-        basis = eof_decompose(rng.normal(0, 1, (6, 40)))
-        assert (np.diff(basis.eigenvalues) <= 1e-12).all()
-        assert (basis.eigenvalues >= 0).all()
+        _, vals, _ = eof_decompose(rng.normal(0, 1, (6, 40)))
+        assert (np.diff(vals) <= 1e-12).all()
+        assert (vals >= 0).all()
 
 
 class TestLasso:
     def make_basis(self, d, seed=0):
+        """Orthonormal modes and a mean, ``lasso_fit``'s two arrays."""
         rng = np.random.default_rng(seed)
         q, _ = np.linalg.qr(rng.normal(0, 1, (d, d)))
-        mean = rng.normal(3, 1, d)
-        vals = np.sort(rng.random(d))[::-1]
-        return EofBasis(vectors=q, eigenvalues=vals, mean=mean)
+        return q, rng.normal(3, 1, d)
 
     def test_zero_reg_exact_projection(self):
-        basis = self.make_basis(6)
+        q, mean = self.make_basis(6)
         rng = np.random.default_rng(1)
         x = rng.normal(0, 2, 6)
-        coef = lasso_fit(x, basis, 0.0)
-        recon = basis.mean + basis.vectors @ coef
+        coef = lasso_fit(x, q, mean, 0.0)
+        recon = mean + q @ coef
         assert np.allclose(recon, x, atol=1e-10)
-        assert np.allclose(coef, basis.vectors.T @ (x - basis.mean))
+        assert np.allclose(coef, q.T @ (x - mean))
 
     def test_large_reg_all_zero(self):
-        basis = self.make_basis(5)
+        q, mean = self.make_basis(5)
         rng = np.random.default_rng(2)
         x = rng.normal(0, 2, 5)
-        proj = basis.vectors.T @ (x - basis.mean)
+        proj = q.T @ (x - mean)
         reg = 2.0 * np.abs(proj).max() + 1e-9
-        assert (lasso_fit(x, basis, reg) == 0.0).all()
+        assert (lasso_fit(x, q, mean, reg) == 0.0).all()
         # just under the bound, something survives
         reg = 2.0 * np.abs(proj).max() * 0.99
-        assert (lasso_fit(x, basis, reg) != 0.0).any()
+        assert (lasso_fit(x, q, mean, reg) != 0.0).any()
 
     def test_sparsity_monotone_in_reg(self):
-        basis = self.make_basis(8, seed=3)
+        q, mean = self.make_basis(8, seed=3)
         rng = np.random.default_rng(3)
         x = rng.normal(0, 3, 8)
         last = 9
         for reg in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0):
-            nz = int((lasso_fit(x, basis, reg) != 0).sum())
+            nz = int((lasso_fit(x, q, mean, reg) != 0).sum())
             assert nz <= last
             last = nz
 
     def test_kkt_conditions(self):
-        basis = self.make_basis(7, seed=4)
+        q, mean = self.make_basis(7, seed=4)
         rng = np.random.default_rng(4)
         for trial in range(10):
             x = rng.normal(0, 2, 7)
             reg = float(rng.random() * 4)
-            coef = lasso_fit(x, basis, reg)
-            resid = (x - basis.mean) - basis.vectors @ coef
-            grad = -2.0 * (basis.vectors.T @ resid)
+            coef = lasso_fit(x, q, mean, reg)
+            resid = (x - mean) - q @ coef
+            grad = -2.0 * (q.T @ resid)
             for j in range(7):
                 if coef[j] > 0:
                     assert abs(grad[j] + reg) < 1e-6
@@ -623,16 +620,16 @@ class TestLasso:
            st.sampled_from([0.0, 0.5, 2.0]))
     def test_is_the_soft_threshold_bit_for_bit(self, d, n, seed, reg):
         # the in-place threshold has the IEEE operations of the formula
-        basis = self.make_basis(d, seed=seed)
+        q, mean = self.make_basis(d, seed=seed)
         x = np.random.default_rng(seed).normal(3, 2, (d, n))
-        proj = basis.vectors.T @ (x.T - basis.mean).T
+        proj = q.T @ (x.T - mean).T
         want = np.sign(proj) * np.maximum(np.abs(proj) - reg / 2, 0)
-        assert lasso_fit(x, basis, reg).tobytes() == want.tobytes()
+        assert lasso_fit(x, q, mean, reg).tobytes() == want.tobytes()
 
     def test_negative_reg_rejected(self):
-        basis = self.make_basis(3)
+        q, mean = self.make_basis(3)
         with pytest.raises(ValidationError):
-            lasso_fit(np.zeros(3), basis, -1.0)
+            lasso_fit(np.zeros(3), q, mean, -1.0)
 
 
 class TestClusterMeans:

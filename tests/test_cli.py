@@ -879,8 +879,7 @@ def pattern_sets(draw):
                       state_patterns=draw(states((K, S))),
                       rain_series=draw(values((L, T))),
                       state_series=draw(states((L, T))),
-                      day_counts=draw(counts()), year_counts=draw(counts()),
-                      pattern_volume=draw(values(K)))
+                      day_counts=draw(counts()), year_counts=draw(counts()))
 
 
 def read_columns(path, header, kinds):
@@ -910,10 +909,11 @@ class TestRunFileRoundTrip:
             read = [column for name, header, kinds in tables
                     for column in read_columns(Path(tmp) / name, header,
                                                kinds)]
-        want = [patterns.rain_patterns, patterns.state_patterns, volume,
-                *(c for cols in pattern_columns(patterns)[1:] for c in cols)]
-        got = [loaded.rain_patterns, loaded.state_patterns,
-               loaded.pattern_volume, *read]
+            want = [patterns.rain_patterns, patterns.state_patterns, volume,
+                    *(c for cols in pattern_columns(patterns)[1:]
+                      for c in cols)]
+            got = [loaded.rain_patterns, loaded.state_patterns,
+                   loaded.pattern_volume, *read]
         names = ["rain_patterns", "state_patterns", "pattern_volume",
                  *(f for _, header, _ in tables for f in header)]
         for name, a, b in zip(names, want, got, strict=True):
@@ -948,7 +948,7 @@ class TestRunFileRoundTrip:
             aggregate_mean=data.draw(arrays(K, elements=st.one_of(
                 doubles(), doubles().map(lambda x: -x)))))
         shape = PatternSet(np.zeros((K, S)), np.ones((K, S), dtype=np.int8),
-                           *[np.zeros((1, 1))] * 2, *[np.zeros(K)] * 3)
+                           *[np.zeros((1, 1))] * 2, *[np.zeros(K)] * 2)
         with tempfile.TemporaryDirectory() as tmp:
             _write_params(Path(tmp), params)
             loaded = _load_params(Path(tmp) / "params.json", shape)

@@ -993,8 +993,7 @@ class TestRefitFrozen:
         data, truth = generate_synthetic(spec)
         pats = extract_patterns(data, truth)
         empty = replace(pats, **{f: getattr(pats, f)[:0] for f in (
-            "rain_patterns", "state_patterns", "day_counts", "year_counts",
-            "pattern_volume")})
+            "rain_patterns", "state_patterns", "day_counts", "year_counts")})
         cfg = SamplerConfig(n_burnin=2, n_samples=2, seed=0)
         with pytest.raises(ValidationError,
                            match="refit needs at least one frozen pattern"):

@@ -34,8 +34,7 @@ def make_patterns(state_rows, rain_rows=None, T=4):
         rain_series=np.ones((1, T)),
         state_series=np.full((1, T), LOW, dtype=np.int8),
         day_counts=np.ones(K, dtype=np.int64),
-        year_counts=np.ones(K, dtype=np.int64),
-        pattern_volume=rain_rows.sum(axis=1))
+        year_counts=np.ones(K, dtype=np.int64))
 
 
 def coherence(pats, pairs):
@@ -76,10 +75,10 @@ class TestDistanceReport:
         rain = np.array([[1.0, 1.0], [2.0, 2.0]])
         states = np.array([[HIGH, HIGH], [LOW, LOW]], dtype=np.int8)
         pats = make_patterns([[HIGH, LOW]], [[1.0, 2.0]], T=2)
-        rep = distance_report(rain, states, np.array([1, 1]), pats)
-        assert rep.mean_l2 == pytest.approx(0.0)
-        assert rep.mean_hamming == pytest.approx(0.0)
-        assert rep.mean_agg == pytest.approx(0.0)
+        l2, ham, agg, _ = distance_report(rain, states, np.array([1, 1]), pats)
+        assert l2 == pytest.approx(0.0)
+        assert ham == pytest.approx(0.0)
+        assert agg == pytest.approx(0.0)
 
     def test_single_bit_flip(self):
         S = 357
@@ -87,8 +86,8 @@ class TestDistanceReport:
         states = np.full((S, 1), LOW, dtype=np.int8)
         states[5, 0] = HIGH
         pats = make_patterns([np.full(S, LOW)], [np.ones(S)], T=1)
-        rep = distance_report(rain, states, np.array([1]), pats)
-        assert rep.mean_hamming == pytest.approx(1.0)
+        _, ham, _, _ = distance_report(rain, states, np.array([1]), pats)
+        assert ham == pytest.approx(1.0)
 
     def test_two_day_hand_case(self):
         # oracle: direct arithmetic on a 2-location, 2-day instance
@@ -97,30 +96,30 @@ class TestDistanceReport:
         labels = np.array([1, 2])
         pats = make_patterns([[HIGH, LOW], [HIGH, HIGH]],
                              [[2.0, 1.0], [1.0, 1.0]], T=2)
-        rep = distance_report(rain, states, labels, pats)
+        l2, ham, agg, _ = distance_report(rain, states, labels, pats)
         l2_day0 = math.sqrt((3 - 2) ** 2 + (0 - 1) ** 2)
         l2_day1 = math.sqrt((1 - 1) ** 2 + (2 - 1) ** 2)
-        assert rep.mean_l2 == pytest.approx((l2_day0 + l2_day1) / 2)
-        assert rep.mean_hamming == pytest.approx((0 + 1) / 2)
+        assert l2 == pytest.approx((l2_day0 + l2_day1) / 2)
+        assert ham == pytest.approx((0 + 1) / 2)
         agg_day0 = abs(3.0 - 3.0)
         agg_day1 = abs(3.0 - 2.0)
-        assert rep.mean_agg == pytest.approx((agg_day0 + agg_day1) / 2)
+        assert agg == pytest.approx((agg_day0 + agg_day1) / 2)
 
     def test_overflow_days_skipped(self):
         rain = np.ones((2, 3))
         states = np.full((2, 3), LOW, dtype=np.int8)
         pats = make_patterns([[LOW, LOW]], T=3)
-        rep = distance_report(rain, states, np.array([1, 2, 1]), pats)
-        assert rep.n_days_scored == 2
+        *_, n = distance_report(rain, states, np.array([1, 2, 1]), pats)
+        assert n == 2
 
     def test_every_day_overflowing_scores_none(self):
         # every label is past the pattern rows: the means are nan, not 0/0
         rain = np.ones((2, 3))
         states = np.full((2, 3), LOW, dtype=np.int8)
         pats = make_patterns([[LOW, LOW]], T=3)
-        rep = distance_report(rain, states, np.array([2, 2, 3]), pats)
-        assert all(math.isnan(v) for v in rep[:3])
-        assert rep.n_days_scored == 0
+        *means, n = distance_report(rain, states, np.array([2, 2, 3]), pats)
+        assert all(math.isnan(v) for v in means)
+        assert n == 0
 
 
 class TestHomogeneity:
@@ -313,16 +312,17 @@ class TestRelabelInvariance:
     def test_distances_invariant(self, small_synth):
         data, truth = small_synth
         pats = extract_patterns(data, truth)
-        rep1 = distance_report(data.rain, truth.states, truth.day_labels,
-                               pats)
+        l2, ham, agg, _ = distance_report(data.rain, truth.states,
+                                          truth.day_labels, pats)
         perm = {1: 2, 2: 1}
         swapped_labels = np.array([perm[u] for u in truth.day_labels])
         swapped = LatentState(truth.states, swapped_labels, truth.loc_labels)
         pats2 = extract_patterns(data, swapped)
-        rep2 = distance_report(data.rain, truth.states, swapped_labels, pats2)
-        assert rep1.mean_l2 == pytest.approx(rep2.mean_l2)
-        assert rep1.mean_hamming == pytest.approx(rep2.mean_hamming)
-        assert rep1.mean_agg == pytest.approx(rep2.mean_agg)
+        l2_2, ham_2, agg_2, _ = distance_report(data.rain, truth.states,
+                                                swapped_labels, pats2)
+        assert l2 == pytest.approx(l2_2)
+        assert ham == pytest.approx(ham_2)
+        assert agg == pytest.approx(agg_2)
 
 
 class TestOneComputationEach:
@@ -341,14 +341,25 @@ class TestOneComputationEach:
         # the last cluster's days overflow, as a refit's can, and go unscored
         K = pats.n_day_patterns - 1
         pats = replace(pats, rain_patterns=pats.rain_patterns[:K],
-                       state_patterns=pats.state_patterns[:K],
-                       pattern_volume=pats.pattern_volume[:K])
+                       state_patterns=pats.state_patterns[:K])
         rows = truth.day_labels - 1
         days = rows < K
-        rep = distance_report(data.rain, truth.states, truth.day_labels, pats)
-        assert rep.n_days_scored == days.sum() < data.n_days
-        assert rep.mean_agg == float(np.mean(np.abs(
+        _, _, agg, n = distance_report(data.rain, truth.states,
+                                       truth.day_labels, pats)
+        assert n == days.sum() < data.n_days
+        assert agg == float(np.mean(np.abs(
             data.aggregate[days] - pats.pattern_volume[rows[days]])))
+
+    def test_volume_follows_the_maps(self, seed1_record):
+        # a volume is its rain map's row sum, so one cut of the maps keeps
+        # them together
+        data, truth = seed1_record
+        pats = extract_patterns(data, truth)
+        K = pats.n_day_patterns - 1
+        pats = replace(pats, rain_patterns=pats.rain_patterns[:K],
+                       state_patterns=pats.state_patterns[:K])
+        assert pats.pattern_volume.tobytes() \
+            == pats.rain_patterns.sum(axis=1).tobytes()
 
 
 class TestReportRoundtrip:

@@ -176,7 +176,6 @@ class TestExtractPatterns:
                      "year_counts"):
             assert np.array_equal(getattr(modal, name), getattr(full, name))
         assert modal.rain_patterns is modal.rain_series is None
-        assert modal.pattern_volume is None
         assert (modal.n_day_patterns, modal.n_loc_series) == (
             full.n_day_patterns, full.n_loc_series)
 
