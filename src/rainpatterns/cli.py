@@ -56,7 +56,7 @@ SECTIONS = {
         "dry_shape": "dry_shape", "dry_rate": "dry_rate",
         "noise": "flip_noise", "seed": "seed", "years": "n_years"}),
 }
-# params.json holds the ``model`` keys and these estimated arrays
+# params.json's estimated arrays; a refit reads the Gamma's, the first two
 PARAM_ARRAYS = ("gamma_shape", "gamma_rate", "aggregate_mean")
 
 DEFAULT_CONFIG = {
@@ -204,13 +204,13 @@ def _floats(value, where: str):
 
 
 def _load_params(path, patterns: PatternSet) -> ModelParams:
-    """The frozen run's parameters, shaped to its locations and patterns;
+    """The frozen run's model scalars and Gamma, shaped to its locations;
     its numbers, also those within the arrays, read as a config's."""
     doc, keys = _read_json(path), SECTIONS["model"][1]
     try:
         scalars = {f: _convert(doc[k], float, f"{path}: {k}")
                    for k, f in keys.items()}
-        arrays = {f: _floats(doc[f], f"{path}: {f}") for f in PARAM_ARRAYS}
+        arrays = {f: _floats(doc[f], f"{path}: {f}") for f in PARAM_ARRAYS[:2]}
     except KeyError as exc:
         raise ValidationError(f"{path}: missing key {exc}") from None
     try:
@@ -218,9 +218,9 @@ def _load_params(path, patterns: PatternSet) -> ModelParams:
     except ValueError as exc:  # a ragged array
         raise ValidationError(f"{path}: malformed value ({exc})") from None
     params = ModelParams(**scalars, **arrays)
-    S, K = patterns.rain_patterns.shape[1], patterns.n_day_patterns
-    for f, shape in zip(PARAM_ARRAYS, [(S, 2), (S, 2), (K,)]):
-        if getattr(params, f).shape != shape:
+    shape = (patterns.rain_patterns.shape[1], 2)
+    for f, a in arrays.items():
+        if a.shape != shape:
             raise ValidationError(f"{path}: {f} must have shape {shape}")
     params.validate(f"{path}: ", keys)
     return params
@@ -230,7 +230,8 @@ def _load_patterns(run_dir: Path) -> PatternSet:
     """A run's day maps, ``patterns_spatial.csv``'s rain and state patterns.
 
     Clusters 1..K must each list every loc_id 0..S-1 once, with state 1 or
-    2, so a truncated or edited file is rejected rather than padded.
+    2, so a truncated or edited file is rejected rather than padded.  Each
+    map's sum, its volume and a refit's aggregate mean, must be finite.
     """
     path = run_dir / "patterns_spatial.csv"
 
@@ -258,6 +259,11 @@ def _load_patterns(run_dir: Path) -> PatternSet:
     cells = np.empty((K, S), dtype=table.dtype)
     cells[u - 1, s] = table
     crp = cells["crp_value"].copy()
+    with np.errstate(over="ignore"):
+        overflows = np.flatnonzero(~np.isfinite(crp.sum(axis=1)))
+    if len(overflows):
+        raise ValidationError(f"{path}: cluster {overflows[0] + 1}'s "
+                              "crp_value sum is not finite")
     return PatternSet(crp, cells["cdp_state"].astype(np.int8), None, None,
                       None, None)
 

@@ -37,11 +37,12 @@ Every conditional has one implementation: ``cell_log_odds`` on the
 engine for cells, and for labels ``_LabelTables.log_weights``, whose class
 also owns the counts, the skip and the sweep.  The sweeps draw from them
 and the exactness tests check them.  A frozen refit holds a fit's patterns
-and parameters: no merge, no refresh, ``align_scale`` 1 with no ramp.  Each
-day starts at its best-matching frozen pattern; its candidates are those
-patterns, enterable while empty, and one overflow label for what fits none,
-and the labels are not compacted.  The series, indexed by the training days,
-are dropped: every location stays in label 1, with no series term.
+and parameters, each cluster's aggregate mean its rain map's sum: no merge,
+no refresh, ``align_scale`` 1 with no ramp.  Each day starts at its
+best-matching frozen pattern; its candidates are those patterns, enterable
+while empty, and one overflow label for what fits none, and the labels are
+not compacted.  The series, indexed by the training days, are dropped:
+every location stays in label 1, with no series term.
 """
 
 from __future__ import annotations
@@ -399,8 +400,7 @@ class _GibbsEngine:
             self.patterns = replace(
                 frozen, rain_series=np.zeros((0, self.T)),
                 state_series=np.zeros((0, self.T), dtype=np.int8))
-            self.params = replace(params, aggregate_mean=np.asarray(
-                params.aggregate_mean, dtype=float))
+            self.params = replace(params, aggregate_mean=frozen.pattern_volume)
             self._refresh_gamma_odds()
         else:
             self.refresh(gamma_states=mean_split)
@@ -690,8 +690,8 @@ def run_gibbs(data, weights, params: ModelParams, config: SamplerConfig):
     Returns (mode, trace, patterns, fitted_params): the posterior-mode state,
     the log-density after each sweep, and the patterns and Gamma/aggregate
     parameters recomputed from the mode so that they are mutually consistent:
-    each cluster's aggregate mean is its pattern's ``pattern_volume``, the one
-    value a refit reads for both its aggregate term and its aggregate distance.
+    each cluster's aggregate mean is its pattern's ``pattern_volume``, the
+    rain map's sum that a refit takes for its aggregate term and its distance.
     """
     mode, trace = _GibbsEngine(data, weights, params, config).run()
     patterns = extract_patterns(data, mode)
@@ -710,6 +710,7 @@ def refit_frozen(data_new, weights_new, patterns: PatternSet,
     conform to no pattern can collect in one overflow label,
     ``patterns.n_day_patterns + 1``.  No merge, refresh or burn-in ramp runs,
     and the frozen series are dropped: every location stays in label 1.
+    Each aggregate mean is its ``pattern_volume``, whatever ``params`` holds.
     """
     if patterns.n_day_patterns < 1:
         raise ValidationError("refit needs at least one frozen pattern")
@@ -721,9 +722,5 @@ def refit_frozen(data_new, weights_new, patterns: PatternSet,
         raise ValidationError("gamma_shape/gamma_rate need one row per location")
     if params.gamma_shape is None or params.gamma_rate is None:
         raise ValidationError("frozen runs need Gamma parameters")
-    if params.aggregate_mean is None \
-            or len(params.aggregate_mean) != patterns.n_day_patterns:
-        raise ValidationError("frozen runs need one aggregate mean per "
-                              "frozen pattern")
     return _GibbsEngine(data_new, weights_new, params, config,
                         frozen=patterns).run()[0]

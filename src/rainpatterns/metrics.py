@@ -185,9 +185,10 @@ class MetricsReport:
 def read_metrics_csv(path):
     """Load a metrics CSV back into (global_values, per_cluster) dicts.
 
-    An empty table, a repeated (metric, cluster_id), a non-number or a
-    non-finite per-cluster value (``compare`` charts those) fails; a global
-    value may be nan, as a refit whose every day overflows writes it.
+    An empty table, a repeated (metric, cluster_id), a non-number, a
+    non-finite per-cluster value (``compare`` charts those) or a per-cluster
+    metric whose ids are not 1..K fails; a global value may be nan, as a
+    refit whose every day overflows writes it.
     """
     global_values: dict[str, float] = {}
     per_cluster: dict[str, dict[int, float]] = {}
@@ -216,6 +217,10 @@ def read_metrics_csv(path):
             values[key] = value
     if not (global_values or per_cluster):
         raise ValidationError(f"{path}: no metric rows")
+    for name, values in per_cluster.items():
+        if sorted(values) != list(range(1, len(values) + 1)):
+            raise ValidationError(f"{path}: {name}: cluster ids are not "
+                                  f"1..{len(values)}")
     return global_values, per_cluster
 
 
@@ -250,7 +255,6 @@ def build_report(data, states: np.ndarray, day_labels: np.ndarray,
         "wet_fraction": wet_fraction(patterns),
         "spells_per_year": spells,
         "mean_spell_length": spell_len,
-        "aggregate_mm": patterns.pattern_volume,
     }, global_values={
         "n_clusters": float(K),
         "n_prominent": float(n_pc),

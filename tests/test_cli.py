@@ -29,6 +29,7 @@ from rainpatterns.cli import (_load_params, _load_patterns, _write_params,
                               _write_patterns, main)
 from rainpatterns.data import (_read_table, _write_blocks, _write_csv,
                                discretize_by_mean, make_dataset, write_state)
+from rainpatterns.errors import ValidationError
 from rainpatterns.metrics import (MetricsReport, adjusted_rand_index,
                                   distance_report, read_metrics_csv)
 from rainpatterns.model import pattern_columns
@@ -131,8 +132,6 @@ PARAMS_DAMAGES = [
     ("dropped-field", drop_key("sigma")),
     ("gamma-shape-row-short", edit_json(lambda doc: doc["gamma_shape"].pop())),
     ("gamma-rate-ragged", edit_json(lambda doc: doc["gamma_rate"][0].pop())),
-    ("aggregate-mean-short",
-     edit_json(lambda doc: doc["aggregate_mean"].pop())),
     # a JSON boolean is no number, as in a config
     ("f-true", edit_json(lambda doc: doc.update(f=True))),
     ("gamma-shape-true",
@@ -140,15 +139,27 @@ PARAMS_DAMAGES = [
 ]
 
 
+def set_row(prefix, text):
+    """A damage setting the line that starts with ``prefix`` to ``text``."""
+    return edit_lines(lambda lines: [text + "\n" if line.startswith(prefix)
+                                     else line for line in lines])
+
+
 def run_dir_damages():
     """(command, file, damage, exit code) for every file refit or compare
     reads from a run directory."""
+    # two of cluster 1's cells at 1e308: its map's sum, its volume, overflows
+    overflow = edits(set_field(2, 2, "1e308"), set_field(3, 2, "1e308"))
     cases = [(cmd, "patterns_spatial.csv", label, damage, 2)
-             for cmd in ("refit", "compare") for label, damage in CSV_DAMAGES]
+             for cmd in ("refit", "compare")
+             for label, damage in CSV_DAMAGES + [("sum-overflows", overflow)]]
     cases += [("refit", "params.json", label, damage, 2)
               for label, damage in PARAMS_DAMAGES]
+    # the fit finds 3 clusters, so each per-cluster metric lists 1, 2 and 3
     cases += [("compare", "metrics.csv", label, damage, 2)
-              for label, damage in CSV_DAMAGES]
+              for label, damage in CSV_DAMAGES + [
+                  (f"cluster-{cid}", set_row("mean_y,2,", f"mean_y,{cid},1.0"))
+                  for cid in (7, 0, -3)]]
     cases += [("compare", "config.json", label, damage, 2)
               for label, damage in PARAMS_DAMAGES[:2]]
     # compare reads patterns_spatial.csv and config.json only if present
@@ -220,7 +231,9 @@ RUN_TABLE_FAULTS = [
 def unread_table_damages():
     """(command, file, damage) of the series and summary tables, which
     ``refit`` and ``compare`` do not read: the CSV damages, a cluster past
-    K, line faults of the kinds above, and a missing file."""
+    K, line faults of the kinds above, and a missing file; and of
+    ``params.json``'s ``aggregate_mean``, which ``refit`` takes from the
+    rain maps: short, non-finite, a million mm off, or missing."""
     tables = ["patterns_temporal.csv", "cluster_summary.csv"]
     beyond_k = edit_lines(lambda lines: lines + [f"{len(lines)},1,1,1.0\n"])
     # the fit's patterns_temporal.csv lists cluster 1's 96 days first
@@ -249,8 +262,20 @@ def unread_table_damages():
         ("cluster_summary.csv", "summary-undecodable-header",
          edits(set_field(1, 0, "cluster_\udcff"))),
     ]
+    means = [
+        ("aggregate-mean-short",
+         edit_json(lambda doc: doc["aggregate_mean"].pop())),
+        ("aggregate-mean-inf", edit_json(
+            lambda doc: doc["aggregate_mean"].__setitem__(0, float("inf")))),
+        ("aggregate-mean-plus-1e6", edit_json(lambda doc: doc.update(
+            aggregate_mean=[m + 1e6 for m in doc["aggregate_mean"]]))),
+        ("aggregate-mean-missing", drop_key("aggregate_mean")),
+    ]
     return [pytest.param(cmd, name, damage, id=f"{cmd}-{name}-{label}")
-            for cmd in ("refit", "compare") for name, label, damage in cases]
+            for cmd in ("refit", "compare") for name, label, damage in cases
+            ] + [pytest.param("refit", "params.json", damage,
+                              id=f"refit-params.json-{label}")
+                 for label, damage in means]
 
 
 UNREAD_TABLE_DAMAGES = unread_table_damages()
@@ -327,10 +352,10 @@ class TestFit:
         assert adjusted_rand_index(a, b) >= 0.9
 
     def test_aggregate_means_are_the_summarys_text(self, fit_run):
-        # a refit reads params.json's aggregate_mean for its aggregate term
-        # and each rain map's sum, which the fit writes as
-        # cluster_summary.csv's aggregate_mm, for its aggregate distance:
-        # one quantity, so the same text
+        # params.json's aggregate_mean and cluster_summary.csv's
+        # aggregate_mm, which no command reads back, are each rain map's
+        # sum, which a refit takes for its aggregate term and its aggregate
+        # distance: one quantity, so the same text
         base, _ = fit_run
         params = json.loads((base / "fit" / "params.json").read_text())
         summary = read_rows(base / "fit" / "cluster_summary.csv")
@@ -549,13 +574,18 @@ class TestRefit:
         base, cfg = fit_run
         frozen = shutil.copytree(base / "fit", tmp_path / "frozen")
         params = json.loads((frozen / "params.json").read_text())
-        params["aggregate_mean"] = [m + 1e6 for m in params["aggregate_mean"]]
         params["sigma"] = 1e-3
         (frozen / "params.json").write_text(json.dumps(params))
+        # each map's volume is its sum: 1e6 / S more in each of its S cells
+        header, *rows = read_rows(frozen / "patterns_spatial.csv")
+        S = len({row[1] for row in rows})
+        with open(frozen / "patterns_spatial.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows([header] + [
+                [u, s, repr(float(v) + 1e6 / S), z] for u, s, v, z in rows])
         out = tmp_path / "refit"
         assert run(["refit", "--frozen", frozen, "--config", cfg,
                     "--out", out]) == 0
-        K = len(params["aggregate_mean"])
+        K = len(rows) // S
         T = len(read_rows(base / "fit" / "assign_u.csv")) - 1
         assert capsys.readouterr().out == (
             f"refit: 0 days scored against {K} frozen patterns, {T} "
@@ -594,7 +624,8 @@ def test_run_read_back_is_its_day_maps(fit_run, tmp_path, command):
 @pytest.mark.parametrize("command,name,damage", UNREAD_TABLE_DAMAGES)
 def test_unread_table_damage_changes_nothing(fit_run, tmp_path, command,
                                              name, damage):
-    """A damaged or missing series or summary table leaves ``refit`` and
+    """A damaged or missing series or summary table, or a damaged or
+    missing ``aggregate_mean`` in ``params.json``, leaves ``refit`` and
     ``compare`` at exit 0 with the bytes of the undamaged run."""
     base, cfg = fit_run
     run_dir = shutil.copytree(base / "fit", tmp_path / "run")
@@ -647,7 +678,7 @@ class TestFixedSeedDigests:
             "28921cd88b08d8fbb18bcf9c8d381d0d7ce0f05b83242f5fb17189bc1a0351f7",
         # the report and the pattern tables built from the mode state
         "metrics.csv":
-            "07ef7778e83085176e968841a8db585013e73220cc080c07fd3f9a27e2206323",
+            "fd0eef807c118691bda0a0590dbd19d1bf47bbe1612c7f56e382449e2e587240",
         "patterns_temporal.csv":
             "bc2b9509915d1ce499d41eb2d1cf618e1c2317d1544327448a7282f70582ec1b",
         "cluster_summary.csv":
@@ -697,7 +728,7 @@ class TestFixedSeedDigests:
         "patterns_spatial.csv":
             "508c421780667cc4bbd1d6dbb34334cf3337344c760271b407a08063aa69821a",
         "metrics.csv":
-            "dfa20d21b6bd6710dc61a45be315b1dfe66b07c216f36c8ad5acad2292046438",
+            "4970958c2e7056237780d4caa8ae981d274b4b10c58fc4697f45a6ada74f182f",
     }
     SPECT2 = KMEANS
     # compare's maps and charts of the kmeans, spect2 and eof runs; the eof
@@ -896,16 +927,19 @@ class TestRunFileRoundTrip:
     @settings(max_examples=60, deadline=None)
     def test_patterns_round_trip_is_bit_identical(self, patterns):
         # the day maps through the loader, each volume its rain map's sum
-        # (inf where doubles near the largest overflow it); the series and
-        # the summary, which no command reads, as the writer wrote them
+        # (maps whose sum overflows are rejected, as the next test shows);
+        # the series and the summary, which no command reads, as the writer
+        # wrote them
+        with np.errstate(over="ignore"):
+            volume = patterns.rain_patterns.sum(axis=1)
+        assume(np.isfinite(volume).all())
         tables = [("patterns_temporal.csv", cli.PATTERNS_TEMPORAL_HEADER,
                    [np.int64, np.int64, float, np.int8]),
                   ("cluster_summary.csv", cli.CLUSTER_SUMMARY_HEADER,
                    [np.int64] * 3 + [float])]
-        with tempfile.TemporaryDirectory() as tmp, np.errstate(over="ignore"):
+        with tempfile.TemporaryDirectory() as tmp:
             _write_patterns(Path(tmp), patterns)
             loaded = _load_patterns(Path(tmp))
-            volume = patterns.rain_patterns.sum(axis=1)
             read = [column for name, header, kinds in tables
                     for column in read_columns(Path(tmp) / name, header,
                                                kinds)]
@@ -919,6 +953,23 @@ class TestRunFileRoundTrip:
         for name, a, b in zip(names, want, got, strict=True):
             assert (a.dtype, a.shape, a.tobytes()) \
                 == (b.dtype, b.shape, b.tobytes()), name
+
+    @given(pattern_sets(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_map_whose_sum_overflows_is_rejected(self, patterns, data):
+        # two cells at the largest double: the map has no finite volume, so
+        # the loader names the first such cluster and its file
+        crp = patterns.rain_patterns
+        assume(crp.shape[1] >= 2)
+        crp[data.draw(st.integers(0, len(crp) - 1)), :2] = np.finfo(float).max
+        with np.errstate(over="ignore"):
+            first = np.flatnonzero(~np.isfinite(crp.sum(axis=1)))[0] + 1
+        with tempfile.TemporaryDirectory() as tmp, np.errstate(over="ignore"):
+            _write_patterns(Path(tmp), patterns)
+            with pytest.raises(ValidationError,
+                               match=f"patterns_spatial.csv: cluster "
+                                     f"{first}'s crp_value sum is not finite"):
+                _load_patterns(Path(tmp))
 
     def test_aggregate_mm_is_each_rain_maps_sum(self, seed1_record, tmp_path):
         # a run read back takes each volume as its rain map's sum, in place
@@ -952,7 +1003,10 @@ class TestRunFileRoundTrip:
         with tempfile.TemporaryDirectory() as tmp:
             _write_params(Path(tmp), params)
             loaded = _load_params(Path(tmp) / "params.json", shape)
-        for name in ModelParams.__dataclass_fields__:
+        # a refit takes its aggregate means from the rain maps
+        assert loaded.aggregate_mean is None
+        for name in ModelParams.__dataclass_fields__.keys() - {
+                "aggregate_mean"}:
             a = np.asarray(getattr(params, name))
             b = np.asarray(getattr(loaded, name))
             assert (a.dtype, a.shape, a.tobytes()) \
@@ -1367,8 +1421,6 @@ class TestExitCodes:
                      id="eta-nan"),
         pytest.param("gamma_shape", lambda doc: doc["gamma_shape"][3]
                      .__setitem__(1, float("nan")), id="gamma_shape-nan"),
-        pytest.param("aggregate_mean", lambda doc: doc["aggregate_mean"]
-                     .__setitem__(0, float("inf")), id="aggregate_mean-inf"),
     ])
     def test_nonfinite_frozen_value_names_it(self, fit_run, tmp_path, capsys,
                                             key, edit):
@@ -1649,6 +1701,15 @@ class TestConfigSections:
                     for name, (cls, keys) in cli.SECTIONS.items()}
         expected["model"]["sigma"] = None  # the sd of the daily totals
         assert {name: doc[name] for name in expected} == expected
+
+    def test_readme_config_block_is_the_defaults(self):
+        # README's Config file block, which it calls the defaults
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("### Config file", 1)[1].split("```json\n", 1)[1]
+        doc = json.loads(block.split("```", 1)[0])
+        assert sorted(doc) == sorted(cli.DEFAULT_CONFIG)
+        for name, section in cli.DEFAULT_CONFIG.items():
+            assert doc[name] == section, name
 
     @pytest.mark.parametrize("argv,name,args", [
         (["synth"], "cmd_synth", ()),

@@ -1034,10 +1034,7 @@ class TestRefitFrozen:
         cfg = SamplerConfig(n_burnin=2, n_samples=2, seed=0)
         for change, message in [
                 ({"gamma_shape": None}, "need Gamma parameters"),
-                ({"gamma_rate": None}, "need Gamma parameters"),
-                ({"aggregate_mean": None}, "one aggregate mean per"),
-                ({"aggregate_mean": fitted.aggregate_mean[:-1]},
-                 "one aggregate mean per")]:
+                ({"gamma_rate": None}, "need Gamma parameters")]:
             with pytest.raises(ValidationError, match=message):
                 refit_frozen(data, weights, pats, replace(fitted, **change),
                              cfg)

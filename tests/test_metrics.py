@@ -329,11 +329,13 @@ class TestOneComputationEach:
     """A cluster's mean daily total and a day's total have one value each,
     whichever metric reads them."""
 
-    def test_mean_y_is_aggregate_mm(self, seed1_record):
+    def test_mean_y_is_the_pattern_volume_written_once(self, seed1_record):
         data, truth = seed1_record
-        per = build_report(data, truth.states, truth.day_labels,
-                           extract_patterns(data, truth), "mrf").per_cluster
-        assert per["mean_y"].tobytes() == per["aggregate_mm"].tobytes()
+        pats = extract_patterns(data, truth)
+        per = build_report(data, truth.states, truth.day_labels, pats,
+                           "mrf").per_cluster
+        assert per["mean_y"].tobytes() == pats.pattern_volume.tobytes()
+        assert "aggregate_mm" not in per
 
     def test_mean_agg_reads_the_dataset_day_totals(self, seed1_record):
         data, truth = seed1_record
