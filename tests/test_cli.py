@@ -679,6 +679,8 @@ class TestFixedSeedDigests:
         # the report and the pattern tables built from the mode state
         "metrics.csv":
             "fd0eef807c118691bda0a0590dbd19d1bf47bbe1612c7f56e382449e2e587240",
+        "metrics.txt":
+            "05e256e0b4dfd62fa87dbc8fd5649c91751a9822933b737237886621188d2a54",
         "patterns_temporal.csv":
             "bc2b9509915d1ce499d41eb2d1cf618e1c2317d1544327448a7282f70582ec1b",
         "cluster_summary.csv":
@@ -695,6 +697,8 @@ class TestFixedSeedDigests:
         # the report of the refit's mode against the frozen patterns
         "metrics.csv":
             "98ff6fc078502ecb8927f609a1a7ed76ca8552d6a26057153ed988b26475ab70",
+        "metrics.txt":
+            "cc6eba43a94c96dbe71d8c50f2c0b6042c78dc61558cc8155c1af01173ea665d",
     }
 
     # the bytes of the large tables, which the column writer formats
@@ -718,10 +722,12 @@ class TestFixedSeedDigests:
         # mean_l2 and mean_sparsity, from the coefficients and residuals
         "metrics.csv":
             "2e19e645baf595314c898cf8d58b03f7f9cc69e42d7d77cf58a55af6cea87a48",
+        "metrics.txt":
+            "641ce502eb09886222c9e125cd4ddc5079bdf5854787c488c9ce25c12182eeb7",
     }
     # the clustering baselines' labels, centers and report; on this record
     # both methods find the same partition, so the pins coincide (the fit
-    # finds it too, with two of its labels swapped)
+    # finds it too, with two of its labels swapped), all
     KMEANS = {
         "assign_u.csv":
             "02720704d0f69ea57214f7527bb2b06b0f2c8c5b19dd9e19cd3ffa1dc2d5bca7",
@@ -729,8 +735,15 @@ class TestFixedSeedDigests:
             "508c421780667cc4bbd1d6dbb34334cf3337344c760271b407a08063aa69821a",
         "metrics.csv":
             "4970958c2e7056237780d4caa8ae981d274b4b10c58fc4697f45a6ada74f182f",
+        "metrics.txt":
+            "04dc4baf2adc08c050a177749003c07b60d778807bb1cfb5594814af17721aae",
     }
-    SPECT2 = KMEANS
+    # but metrics.txt, which opens with the method's name
+    SPECT2 = {
+        **KMEANS,
+        "metrics.txt":
+            "245d17517aa7c0e82c3b0f795d9863e75d505f6c1fa137be6c716c60c22bb33b",
+    }
     # compare's maps and charts of the kmeans, spect2 and eof runs; the eof
     # run adds a column but no maps
     COMPARE = {
@@ -752,6 +765,8 @@ class TestFixedSeedDigests:
             "107898bf12fb7ab8f8ee2d76b60981bf9a7a734c0e39b1e512158b2cd9b23213",
         "comparison.csv":
             "c621975b557d938a3ba25ad0dee8323bbda4a244ede9f1236f705abdb8c45a31",
+        "comparison.txt":
+            "8673db4aa9579775d1af33cafdd23d1bec5cf1b3aeb3b7fa75421dbf1b17b345",
     }
     # fit-paper's own record, 357 locations × 976 days, which the small
     # record above does not reach: the planted seed-1 record, 20 + 10
