@@ -27,8 +27,8 @@ from .data import (_WRITE_BLOCK, RainfallDataset, SyntheticSpec,
                    save_dataset, write_state)
 from .errors import NumericError, ValidationError
 from .inference import SamplerConfig, refit_frozen, run_gibbs
-from .metrics import (MIN_YEARS, MetricsReport, build_report,
-                      distance_report, read_metrics_csv, spatial_coherence)
+from .metrics import (MIN_YEARS, build_report, distance_report,
+                      read_metrics_csv, spatial_coherence, write_report)
 from .model import (HIGH, LOW, LatentState, ModelParams, PatternSet,
                     extract_patterns, pattern_columns)
 
@@ -268,12 +268,6 @@ def _load_patterns(run_dir: Path) -> PatternSet:
                       None, None)
 
 
-def _write_report(out: Path, report: MetricsReport) -> None:
-    report.write_csv(out / "metrics.csv")
-    with open(out / "metrics.txt", "w") as fh:
-        fh.write(report.format_table())
-
-
 def cmd_synth(cfg: dict) -> int:
     spec = _section(cfg, "synth")
     data, truth = generate_synthetic(spec)
@@ -301,12 +295,12 @@ def cmd_fit(cfg: dict) -> int:
     _write_params(out, fitted)
     _write_csv(out / "trace.csv", ["sweep", "logp"], np.arange(len(trace)),
                trace)
-    report = build_report(data, mode.states, mode.day_labels, patterns,
-                          method="mrf", min_years=min_years)
-    _write_report(out, report)
+    g, per = build_report(data, mode.states, mode.day_labels, patterns,
+                          min_years)
+    write_report(out, "mrf", g, per)
     _dump_config(cfg, out, {"method": "mrf", "model": _model_section(params)})
     print(f"fit: {patterns.n_day_patterns} day clusters, "
-          f"{int(report.global_values['n_prominent'])} prominent; "
+          f"{int(g['n_prominent'])} prominent; "
           f"outputs in {out}")
     return 0
 
@@ -362,12 +356,11 @@ def cmd_baseline(cfg: dict, method: str) -> int:
     _write_csv(out / "assign_u.csv", ["day_index", "u_mode"],
                np.arange(len(labels)), labels)
     _write_patterns(out, patterns)
-    report = build_report(data, states, labels, patterns,
-                          method=method, min_years=min_years)
-    _write_report(out, report)
+    g, per = build_report(data, states, labels, patterns, min_years)
+    write_report(out, method, g, per)
     _dump_config(cfg, out, {"method": method})
     print(f"{method}: {patterns.n_day_patterns} clusters, "
-          f"{int(report.global_values['n_prominent'])} prominent; "
+          f"{int(g['n_prominent'])} prominent; "
           f"outputs in {out}")
     return 0
 
@@ -406,7 +399,7 @@ def _cmd_baseline_eof(cfg: dict, data: RainfallDataset, out: Path) -> int:
     spch_state, spch_rain = spatial_coherence(cdp, lead, data.pairs)
     explained = (float(eigenvalues[:k].sum() / eigenvalues.sum())
                  if eigenvalues.sum() > 0 else 1.0)
-    report = MetricsReport(method="eof", global_values={
+    write_report(out, "eof", {
         "n_clusters": float(k),
         "mean_l2": float(np.linalg.norm(resid, axis=0).mean()),
         "mean_sparsity": float((coefs != 0).sum(axis=0).mean()),
@@ -414,7 +407,6 @@ def _cmd_baseline_eof(cfg: dict, data: RainfallDataset, out: Path) -> int:
         "spch_cdp": spch_state,
         "spch_crp": spch_rain,
     })
-    _write_report(out, report)
     _dump_config(cfg, out, {"method": "eof"})
     print(f"eof: {k} leading modes, variance explained {explained:.3f}; "
           f"outputs in {out}")
@@ -488,9 +480,8 @@ def cmd_compare(cfg: dict, run_dirs: list[str]) -> int:
         n_max = 0
         for method, (_, per) in zip(methods, reports):
             if metric in per:
-                vals = [per[metric][u] for u in sorted(per[metric])]
-                series.append((method, np.array(vals)))
-                n_max = max(n_max, len(vals))
+                series.append((method, per[metric]))
+                n_max = max(n_max, len(per[metric]))
         if series:
             svgplot.grouped_bar_chart(out / fname, title,
                                       [str(u + 1) for u in range(n_max)],
@@ -525,7 +516,7 @@ def cmd_refit(cfg: dict, frozen_dir: str) -> int:
     l2, ham, agg, n_scored = distance_report(
         data.rain, mode.states, mode.day_labels, patterns)
     overflow = int((mode.day_labels > patterns.n_day_patterns).sum())
-    report = MetricsReport(method="refit", global_values={
+    write_report(out, "refit", {
         "n_clusters": float(patterns.n_day_patterns),
         "mean_l2": l2,
         "mean_hamming": ham,
@@ -533,7 +524,6 @@ def cmd_refit(cfg: dict, frozen_dir: str) -> int:
         "n_days_scored": float(n_scored),
         "n_overflow_days": float(overflow),
     })
-    _write_report(out, report)
     # the model parameters are the frozen run's, whatever the config says
     _dump_config({**cfg, "model": _model_section(params)}, out,
                  {"method": "refit", "frozen_run": str(frozen)})

@@ -553,14 +553,23 @@ class _GibbsEngine:
     # -------------------------------------------------------- label sweeps
 
     def _day_tables(self) -> _LabelTables:
+        """The day labels' tables; an aggregate term that is not finite is a
+        ``NumericError`` naming its cluster and day."""
         p, pats = self.params, self.patterns
-        dev = (self.y[None, :] - p.aggregate_mean[:, None]) / p.aggregate_sd
+        with np.errstate(over="ignore"):
+            dev = (self.y - p.aggregate_mean[:, None]) / p.aggregate_sd
+            aggregate = -0.5 * dev * dev
+        finite = np.isfinite(aggregate)
+        if not finite.all():
+            u, t = np.unravel_index(finite.argmin(), finite.shape)
+            raise NumericError(f"cluster {u + 1}, day {t}: the aggregate "
+                               "term is not finite")
         return _LabelTables(
             self.state.day_labels, pats.n_day_patterns,
             p.day_align * self.align_scale
             * matches(pats.state_patterns, self.state.states),
             self.year_idx, p.day_concentration,
-            pats.n_day_patterns if self.frozen else None, -0.5 * dev * dev)
+            pats.n_day_patterns if self.frozen else None, aggregate)
 
     def _loc_tables(self) -> _LabelTables:
         p, pats = self.params, self.patterns

@@ -1,19 +1,19 @@
 """Evaluation metrics for one clustering run: prominence, fit, coherence.
 
 All distance-style metrics are reported as per-day means and are invariant
-under cluster relabelling.
+under cluster relabelling.  A run's report is the two dicts that
+``write_report`` writes and ``read_metrics_csv`` gives back.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import _check_header
-from .errors import ParseError, ValidationError
+from .errors import NumericError, ParseError, ValidationError
 from .model import HIGH, RAIN_EPS, PatternSet
 
 METRICS_HEADER = ["metric", "cluster_id", "value"]
@@ -30,6 +30,8 @@ def distance_report(rain: np.ndarray, states: np.ndarray,
     its rain pattern, its states' Hamming distance from its state pattern
     and its total's (``rain.sum(axis=0)``) absolute error against the pattern
     volume.  Days whose label has no pattern row (refit overflow) are skipped.
+    A day whose squared distance is not finite is a ``NumericError`` naming
+    it and its cluster.
     """
     rows = day_labels - 1
     days = np.flatnonzero(rows < patterns.n_day_patterns)
@@ -41,9 +43,15 @@ def distance_report(rain: np.ndarray, states: np.ndarray,
     for i in range(0, n, _DAY_BLOCK):
         t = days[i:i + _DAY_BLOCK]
         r = rows[t]
-        diff = rain[:, t].T - patterns.rain_patterns[r]
-        sq[i:i + len(t)] = (diff * diff).sum(axis=1)
+        with np.errstate(over="ignore"):
+            diff = rain[:, t].T - patterns.rain_patterns[r]
+            sq[i:i + len(t)] = (diff * diff).sum(axis=1)
         ham += int((states[:, t].T != patterns.state_patterns[r]).sum())
+    finite = np.isfinite(sq)
+    if not finite.all():
+        t = days[finite.argmin()]
+        raise NumericError(f"cluster {rows[t] + 1}, day {t}: the squared "
+                           "distance from its rain pattern is not finite")
     l2 = float(np.sqrt(sq).sum() / n)
     y = rain.sum(axis=0)[days]
     agg = float(np.abs(y - patterns.pattern_volume[rows[days]]).sum() / n)
@@ -145,50 +153,45 @@ def adjusted_rand_index(a: np.ndarray, b: np.ndarray) -> float:
     return float((sum_ij - expected) / (max_index - expected))
 
 
-@dataclass
-class MetricsReport:
-    """Per-cluster and global evaluation quantities for one method run;
-    each ``per_cluster`` array holds one value per cluster, in label order."""
+def format_table(method: str, global_values: dict, per_cluster: dict) -> str:
+    """``metrics.txt``'s text: the global values, then a row per cluster."""
+    lines = [f"method: {method}", "", "global:"]
+    for k, v in sorted(global_values.items()):
+        lines.append(f"  {k:<22} {v:.6g}")
+    if per_cluster:
+        names = sorted(per_cluster)
+        lines.append("")
+        lines.append("  ".join(["cluster"] + [f"{n:>18}" for n in names]))
+        for u in range(len(per_cluster[names[0]])):
+            cells = [f"{per_cluster[n][u]:>18.6g}" for n in names]
+            lines.append("  ".join([f"{u + 1:>7}"] + cells))
+    return "\n".join(lines) + "\n"
 
-    method: str
-    per_cluster: dict[str, np.ndarray] = field(default_factory=dict)
-    global_values: dict[str, float] = field(default_factory=dict)
 
-    def to_rows(self):
-        rows = [(k, "", v) for k, v in sorted(self.global_values.items())]
-        for name in sorted(self.per_cluster):
-            arr = self.per_cluster[name]
-            rows.extend((name, u + 1, float(arr[u])) for u in range(len(arr)))
-        return rows
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(METRICS_HEADER)
-            for name, cid, val in self.to_rows():
-                w.writerow([name, cid, repr(float(val))])
-
-    def format_table(self) -> str:
-        lines = [f"method: {self.method}", "", "global:"]
-        for k, v in sorted(self.global_values.items()):
-            lines.append(f"  {k:<22} {v:.6g}")
-        if self.per_cluster:
-            names = sorted(self.per_cluster)
-            lines.append("")
-            lines.append("  ".join(["cluster"] + [f"{n:>18}" for n in names]))
-            for u in range(len(self.per_cluster[names[0]])):
-                cells = [f"{self.per_cluster[n][u]:>18.6g}" for n in names]
-                lines.append("  ".join([f"{u + 1:>7}"] + cells))
-        return "\n".join(lines) + "\n"
+def write_report(folder, method: str, global_values: dict, per_cluster={}):
+    """Write a run's ``metrics.csv``, a row per global value and then one
+    per (metric, cluster) in label order, and ``metrics.txt``."""
+    with open(folder / "metrics.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(METRICS_HEADER)
+        for name, value in sorted(global_values.items()):
+            w.writerow([name, "", repr(float(value))])
+        for name, values in sorted(per_cluster.items()):
+            for u, value in enumerate(values, 1):
+                w.writerow([name, u, repr(float(value))])
+    with open(folder / "metrics.txt", "w") as fh:
+        fh.write(format_table(method, global_values, per_cluster))
 
 
 def read_metrics_csv(path):
-    """Load a metrics CSV back into (global_values, per_cluster) dicts.
+    """Load a metrics CSV back into ``build_report``'s (global_values,
+    per_cluster): floats, and (K,) float arrays in label order.
 
     An empty table, a repeated (metric, cluster_id), a non-number, a
-    non-finite per-cluster value (``compare`` charts those) or a per-cluster
-    metric whose ids are not 1..K fails; a global value may be nan, as a
-    refit whose every day overflows writes it.
+    non-finite per-cluster value (``compare`` charts those), a per-cluster
+    metric whose ids are not 1..K or one whose K is not the first's fails;
+    a global value may be nan, as a refit whose every day overflows writes
+    it.
     """
     global_values: dict[str, float] = {}
     per_cluster: dict[str, dict[int, float]] = {}
@@ -217,17 +220,23 @@ def read_metrics_csv(path):
             values[key] = value
     if not (global_values or per_cluster):
         raise ValidationError(f"{path}: no metric rows")
+    first = next(iter(per_cluster), None)
     for name, values in per_cluster.items():
-        if sorted(values) != list(range(1, len(values) + 1)):
+        K = len(values)
+        if sorted(values) != list(range(1, K + 1)):
             raise ValidationError(f"{path}: {name}: cluster ids are not "
-                                  f"1..{len(values)}")
+                                  f"1..{K}")
+        if K != len(per_cluster[first]):
+            raise ValidationError(f"{path}: {name} lists {K} clusters, "
+                                  f"{first} {len(per_cluster[first])}")
+        per_cluster[name] = np.array([values[u] for u in range(1, K + 1)])
     return global_values, per_cluster
 
 
 def build_report(data, states: np.ndarray, day_labels: np.ndarray,
-                 patterns: PatternSet, method: str,
-                 min_years: int = MIN_YEARS) -> MetricsReport:
-    """Assemble the full evaluation report for one run.
+                 patterns: PatternSet, min_years: int = MIN_YEARS):
+    """The evaluation report of one run, (global_values, per_cluster): a
+    dict of floats and one of (K,) float arrays in label order.
 
     ``patterns`` are extracted from ``day_labels`` (dense labels 1..K), so
     their day and year counts are the clusters'; a cluster is prominent when
@@ -246,16 +255,7 @@ def build_report(data, states: np.ndarray, day_labels: np.ndarray,
     coverage = int(patterns.day_counts[prominent].sum())
     n_pc = int(prominent.sum())
 
-    return MetricsReport(method=method, per_cluster={
-        "n_days": patterns.day_counts.astype(float),
-        "n_years": patterns.year_counts.astype(float),
-        "prominent": prominent.astype(float),
-        "mean_y": patterns.pattern_volume,
-        "std_y": stds,
-        "wet_fraction": wet_fraction(patterns),
-        "spells_per_year": spells,
-        "mean_spell_length": spell_len,
-    }, global_values={
+    return {
         "n_clusters": float(K),
         "n_prominent": float(n_pc),
         "pc_coverage": float(coverage),
@@ -268,4 +268,13 @@ def build_report(data, states: np.ndarray, day_labels: np.ndarray,
         "spch_crp": spch_rain,
         "aic_gaussian": aic(K, l2),
         "aic_hamming": aic(K, ham),
-    })
+    }, {
+        "n_days": patterns.day_counts.astype(float),
+        "n_years": patterns.year_counts.astype(float),
+        "prominent": prominent.astype(float),
+        "mean_y": patterns.pattern_volume,
+        "std_y": stds,
+        "wet_fraction": wet_fraction(patterns),
+        "spells_per_year": spells,
+        "mean_spell_length": spell_len,
+    }

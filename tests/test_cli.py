@@ -30,8 +30,8 @@ from rainpatterns.cli import (_load_params, _load_patterns, _write_params,
 from rainpatterns.data import (_read_table, _write_blocks, _write_csv,
                                discretize_by_mean, make_dataset, write_state)
 from rainpatterns.errors import ValidationError
-from rainpatterns.metrics import (MetricsReport, adjusted_rand_index,
-                                  distance_report, read_metrics_csv)
+from rainpatterns.metrics import (adjusted_rand_index, distance_report,
+                                  read_metrics_csv, write_report)
 from rainpatterns.model import pattern_columns
 
 from conftest import brute_force_csv, fail_the_first_refresh
@@ -145,6 +145,12 @@ def set_row(prefix, text):
                                      else line for line in lines])
 
 
+def drop_rows(prefix):
+    """A damage dropping the lines that start with ``prefix``."""
+    return edit_lines(lambda lines: [line for line in lines
+                                     if not line.startswith(prefix)])
+
+
 def run_dir_damages():
     """(command, file, damage, exit code) for every file refit or compare
     reads from a run directory."""
@@ -159,7 +165,8 @@ def run_dir_damages():
     cases += [("compare", "metrics.csv", label, damage, 2)
               for label, damage in CSV_DAMAGES + [
                   (f"cluster-{cid}", set_row("mean_y,2,", f"mean_y,{cid},1.0"))
-                  for cid in (7, 0, -3)]]
+                  for cid in (7, 0, -3)] + [
+                  ("unequal-k", drop_rows("wet_fraction,3,"))]]
     cases += [("compare", "config.json", label, damage, 2)
               for label, damage in PARAMS_DAMAGES[:2]]
     # compare reads patterns_spatial.csv and config.json only if present
@@ -726,8 +733,9 @@ class TestFixedSeedDigests:
             "641ce502eb09886222c9e125cd4ddc5079bdf5854787c488c9ce25c12182eeb7",
     }
     # the clustering baselines' labels, centers and report; on this record
-    # both methods find the same partition, so the pins coincide (the fit
-    # finds it too, with two of its labels swapped), all
+    # both methods find the same partition, so the pins coincide but for
+    # metrics.txt, which opens with the method's name (the fit finds the
+    # partition too, with two of its labels swapped)
     KMEANS = {
         "assign_u.csv":
             "02720704d0f69ea57214f7527bb2b06b0f2c8c5b19dd9e19cd3ffa1dc2d5bca7",
@@ -738,7 +746,6 @@ class TestFixedSeedDigests:
         "metrics.txt":
             "04dc4baf2adc08c050a177749003c07b60d778807bb1cfb5594814af17721aae",
     }
-    # but metrics.txt, which opens with the method's name
     SPECT2 = {
         **KMEANS,
         "metrics.txt":
@@ -1067,10 +1074,12 @@ class TestRunFileRoundTrip:
         assert sweep.tolist() == list(range(len(trace)))
         assert read.tobytes() == trace.tobytes()
 
+    # every per-cluster metric lists the same K clusters: the reader
+    # rejects any other
     @given(st.dictionaries(metric_names(), any_doubles()),
-           st.dictionaries(metric_names(),
-                           st.lists(any_doubles().filter(math.isfinite),
-                                    min_size=1, max_size=4)))
+           st.integers(1, 4).flatmap(lambda K: st.dictionaries(
+               metric_names(), st.lists(any_doubles().filter(math.isfinite),
+                                        min_size=K, max_size=K))))
     # U+FFFD, the replacement character, is a name like any other
     @example({"\ufffd": -0.0}, {"a\ufffd": [1.0]})
     @settings(max_examples=60, deadline=None)
@@ -1078,18 +1087,16 @@ class TestRunFileRoundTrip:
                                                  per_cluster):
         # a per-cluster value is finite: the reader rejects any other
         assume(global_values or per_cluster)
-        report = MetricsReport("mrf", {name: np.array(values) for
-                                       name, values in per_cluster.items()},
-                               global_values)
         with tempfile.TemporaryDirectory() as tmp:
-            report.write_csv(Path(tmp) / "metrics.csv")
+            write_report(Path(tmp), "mrf", global_values,
+                         {name: np.array(values)
+                          for name, values in per_cluster.items()})
             read_global, read_per = read_metrics_csv(Path(tmp) / "metrics.csv")
         assert {name: value.hex() for name, value in read_global.items()} \
             == {name: value.hex() for name, value in global_values.items()}
-        assert {name: {cid: value.hex() for cid, value in values.items()}
+        assert {name: [value.hex() for value in values.tolist()]
                 for name, values in read_per.items()} \
-            == {name: {cid: value.hex() for cid, value in
-                       enumerate(values, start=1)}
+            == {name: [value.hex() for value in values]
                 for name, values in per_cluster.items()}
 
 
@@ -1637,6 +1644,21 @@ class TestExitCodes:
             == f"error: {path}:{line}: non-finite value\n"
         assert not any(out.iterdir())
 
+    def test_compare_rejects_metrics_of_unequal_cluster_counts(
+            self, fit_run, tmp_path, capsys):
+        # wet_fraction cut to 2 of the fit's 3 clusters was charted as 2
+        # bars beside the other metrics' 3, with exit 0
+        base, cfg = fit_run
+        run_dir = shutil.copytree(base / "fit", tmp_path / "run")
+        path = run_dir / "metrics.csv"
+        drop_rows("wet_fraction,3,")(path)
+        out = tmp_path / "out"
+        assert run(["compare", run_dir, "--config", cfg, "--out", out]) == 2
+        assert capsys.readouterr().err == (f"error: {path}: wet_fraction "
+                                           "lists 2 clusters, "
+                                           "mean_spell_length 3\n")
+        assert not any(out.iterdir())
+
     def test_compare_keeps_a_nan_global_value(self, fit_run, tmp_path):
         # a refit whose every day overflows writes a nan mean_l2
         base, cfg = fit_run
@@ -1757,6 +1779,46 @@ import sys
 from rainpatterns.cli import main
 sys.exit(main(["fit", "--config", sys.argv[1], "--out", sys.argv[2]]))
 """
+
+    REFIT = """
+import sys
+from rainpatterns.cli import main
+frozen, cfg, out = sys.argv[1:]
+sys.exit(main(["refit", "--frozen", frozen, "--config", cfg, "--out", out]))
+"""
+
+    # a crp_value of 1e200 overflows its cluster's aggregate term; with
+    # sigma Infinity, which turns that term off, its days' squared distances
+    # from the map; and sigma 1e-300 every aggregate term.  Each refit ran
+    # to exit 0 after numpy's overflow warning
+    @pytest.mark.parametrize("crp,sigma,fault", [
+        ("1e200", None, "sweep 0: cluster 1, day 0: the aggregate term"),
+        ("1e200", math.inf,
+         "cluster 1, day 0: the squared distance from its rain pattern"),
+        (None, 1e-300, "sweep 0: cluster 1, day 0: the aggregate term")],
+        ids=["crp-1e200", "crp-1e200-sigma-inf", "sigma-1e-300"])
+    def test_refit_overflow_is_numeric_failure(self, fit_run, tmp_path, crp,
+                                               sigma, fault):
+        base, cfg = fit_run
+        frozen = shutil.copytree(base / "fit", tmp_path / "frozen")
+        if crp:
+            edits(set_field(2, 2, crp))(frozen / "patterns_spatial.csv")
+        if sigma:
+            edit_json(lambda doc: doc.update(sigma=sigma))(
+                frozen / "params.json")
+        res = run_fresh(self.REFIT, frozen, cfg, tmp_path / "refit")
+        assert (res.returncode, res.stderr) \
+            == (3, f"numeric failure: {fault} is not finite\n")
+
+    def test_fit_whose_aggregate_term_overflows(self, synth_dir):
+        # it exited 3 only after five RuntimeWarnings: the label tables',
+        # the merge's and the joint density's
+        tmp_path, _ = synth_dir
+        cfg = write_config(tmp_path, model={"sigma": 1e-300})
+        res = run_fresh(self.FIT, cfg, tmp_path / "fit")
+        assert (res.returncode, res.stderr) == (
+            3, "numeric failure: sweep 0: cluster 1, day 0: the aggregate "
+            "term is not finite\n")
 
     def test_pipeline_imports_no_scipy(self, tmp_path):
         cfg = write_config(tmp_path, sampler={"burnin": 1, "samples": 1})

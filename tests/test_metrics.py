@@ -15,9 +15,9 @@ from rainpatterns import (LatentState, ParseError, ValidationError,
 from rainpatterns.data import discretize_by_mean, make_dataset
 from rainpatterns.metrics import (adjusted_rand_index, aic,
                                   build_report, cluster_homogeneity,
-                                  distance_report, read_metrics_csv,
-                                  spatial_coherence, spell_stats,
-                                  wet_fraction)
+                                  distance_report, format_table,
+                                  read_metrics_csv, spatial_coherence,
+                                  spell_stats, wet_fraction, write_report)
 from rainpatterns.model import HIGH, LOW, PatternSet
 
 from conftest import neighbour_lists
@@ -52,10 +52,9 @@ class TestProminence:
         states = discretize_by_mean(data)
         state = LatentState(states, np.array(labels),
                             np.ones(4, dtype=np.int64))
-        report = build_report(data, states, state.day_labels,
-                              extract_patterns(data, state), "test",
-                              min_years)
-        return report.per_cluster["prominent"].tolist()
+        _, per = build_report(data, states, state.day_labels,
+                              extract_patterns(data, state), min_years)
+        return per["prominent"].tolist()
 
     def test_five_year_span(self):
         # cluster 1 has a day in each of five years, cluster 2 five in one
@@ -332,8 +331,7 @@ class TestOneComputationEach:
     def test_mean_y_is_the_pattern_volume_written_once(self, seed1_record):
         data, truth = seed1_record
         pats = extract_patterns(data, truth)
-        per = build_report(data, truth.states, truth.day_labels, pats,
-                           "mrf").per_cluster
+        _, per = build_report(data, truth.states, truth.day_labels, pats)
         assert per["mean_y"].tobytes() == pats.pattern_volume.tobytes()
         assert "aggregate_mm" not in per
 
@@ -368,20 +366,32 @@ class TestReportRoundtrip:
     def test_build_and_csv(self, small_synth, tmp_path):
         data, truth = small_synth
         pats = extract_patterns(data, truth)
-        report = build_report(data, truth.states, truth.day_labels, pats,
-                              method="mrf", min_years=2)
-        assert report.global_values["n_clusters"] == 2
-        assert report.global_values["pc_coverage"] <= data.n_days
-        assert report.global_values["n_prominent"] <= 2
-        path = tmp_path / "metrics.csv"
-        report.write_csv(path)
-        g, per = read_metrics_csv(path)
-        for k, v in report.global_values.items():
+        global_values, per_cluster = build_report(
+            data, truth.states, truth.day_labels, pats, min_years=2)
+        assert global_values["n_clusters"] == 2
+        assert global_values["pc_coverage"] <= data.n_days
+        assert global_values["n_prominent"] <= 2
+        write_report(tmp_path, "mrf", global_values, per_cluster)
+        g, per = read_metrics_csv(tmp_path / "metrics.csv")
+        for k, v in global_values.items():
             assert g[k] == pytest.approx(v)
-        assert per["n_days"][1] == pytest.approx(
+        assert per["n_days"][0] == pytest.approx(
             float(pats.day_counts[0]))
-        text = report.format_table()
+        text = format_table("mrf", global_values, per_cluster)
         assert "mean_hamming" in text
+
+    def test_read_back_is_the_built_report(self, seed1_record, tmp_path):
+        # what write_report writes, read_metrics_csv gives back: the same
+        # two dicts, each per-cluster array its bytes
+        data, truth = seed1_record
+        built = build_report(data, truth.states, truth.day_labels,
+                             extract_patterns(data, truth))
+        write_report(tmp_path, "mrf", *built)
+        g, per = read_metrics_csv(tmp_path / "metrics.csv")
+        assert {k: v.hex() for k, v in g.items()} \
+            == {k: v.hex() for k, v in built[0].items()}
+        assert {k: v.tobytes() for k, v in per.items()} \
+            == {k: v.tobytes() for k, v in built[1].items()}
 
     @pytest.mark.parametrize("text,line", [
         ('metric,cluster_id,value\n"a\nb",,1.0\nn_days,1,x\n', 4),
