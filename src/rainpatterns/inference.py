@@ -1,8 +1,7 @@
-"""Gibbs sampling of the latent state interleaved with ML parameter updates.
-
-Each sweep resamples every cell state, then every day label, then every
-location label, then refreshes the canonical patterns and the estimated
-parameters from the current assignment.  The posterior point estimate is
+"""Gibbs sampling of the latent state under a Gamma fitted once, to the mean
+split.  Each sweep resamples every cell state, then every day label, then
+every location label, then refreshes the canonical patterns and each
+cluster's aggregate mean from the current assignment.  The point estimate is
 voted from the labellings kept at the retained sweeps: each day and location
 takes its most frequent label, the lowest of tied labels, and each cell its
 majority state.
@@ -153,10 +152,10 @@ def update_params_ml(data, state: LatentState):
     order moved ``params.json`` in its trailing digits only.  Floors on the
     variance and mean absorb degenerate cells.  Rainfall so large that a
     shape or rate leaves the positive doubles is a ``NumericError`` naming
-    its location.  In a sweep this is stochastic EM (Celeux & Diebolt, 1985),
-    not a draw; the whole-sweep checks hold the parameters fixed.  Fitted to
-    random states, both components match one mixture, EM's symmetric fixed
-    point, so a fit starts from the mean split's fit whatever the init.
+    its location.  A fit calls it once, on the mean split whatever the init,
+    and holds the Gamma through every sweep.  Refitted to each sweep's states
+    (stochastic EM; Celeux & Diebolt, 1985) the components blur under the η
+    pull; fitted to random states, both match one mixture.
 
     Returns (shape, rate, aggregate_mean).
     """
@@ -185,12 +184,13 @@ def update_params_ml(data, state: LatentState):
     if bad.any():
         raise data.numeric_error(int(bad.argmax()),
                                  "gives non-finite Gamma parameters")
-    y = data.aggregate
-    K = state.n_day_clusters
-    counts = np.bincount(state.day_labels - 1, minlength=K)
-    sums = np.bincount(state.day_labels - 1, weights=y, minlength=K)
-    mu = sums / counts
-    return shape, rate, mu
+    return shape, rate, _aggregate_means(data, state.day_labels)
+
+
+def _aggregate_means(data, day_labels: np.ndarray) -> np.ndarray:
+    """Each day cluster's mean daily total, labels 1..K in order."""
+    rows = day_labels - 1
+    return np.bincount(rows, weights=data.aggregate) / np.bincount(rows)
 
 
 class _LabelTables:
@@ -401,9 +401,11 @@ class _GibbsEngine:
                 frozen, rain_series=np.zeros((0, self.T)),
                 state_series=np.zeros((0, self.T), dtype=np.int8))
             self.params = replace(params, aggregate_mean=frozen.pattern_volume)
-            self._refresh_gamma_odds()
         else:
-            self.refresh(gamma_states=mean_split)
+            shape, rate, _ = update_params_ml(data, mean_split)
+            self.params = replace(params, gamma_shape=shape, gamma_rate=rate)
+            self.refresh()
+        self._refresh_gamma_odds()
 
         self.trace: list[float] = []
         self.z1_count = np.zeros((self.S, self.T), dtype=np.int32)
@@ -413,9 +415,9 @@ class _GibbsEngine:
 
     # ---------------------------------------------------------------- setup
 
-    def _init_state(self, frozen: PatternSet | None) -> np.ndarray:
-        """Place the starting state; return the mean split, which a fit's
-        starting Gamma is fitted to whatever the init."""
+    def _init_state(self, frozen: PatternSet | None) -> LatentState:
+        """Place the starting state; return it with the mean split's states,
+        which a fit's Gamma is fitted to whatever the init."""
         mean_split = discretize_by_mean(self.data)
         if self.config.init == "random":
             states = self.rng.integers(HIGH, LOW + 1,
@@ -440,20 +442,16 @@ class _GibbsEngine:
         self.state = LatentState(states,
                                  np.asarray(day_labels, dtype=np.int64),
                                  np.ones(self.S, dtype=np.int64))
-        return mean_split
+        return replace(self.state, states=mean_split)
 
-    def refresh(self, gamma_states: np.ndarray | None = None) -> None:
+    def refresh(self) -> None:
         """Re-extract modal patterns (an ICM step, Besag JRSS-B 1986, not a
         draw; at η = 1, ζ = 0.5 CI's whole-sweep TVs read 0.44, 0.29, 0.083)
-        and re-estimate parameters, the Gamma's from ``gamma_states`` if
-        given; trace.csv's logp is the plug-in joint."""
+        and the aggregate means; the Gamma stays at its setup fit.
+        trace.csv's logp is the plug-in joint."""
         self.patterns = modal_patterns(self.data, self.state)
-        fit_to = self.state if gamma_states is None else replace(
-            self.state, states=gamma_states)
-        shape, rate, mu = update_params_ml(self.data, fit_to)
-        self.params = replace(self.params, gamma_shape=shape,
-                              gamma_rate=rate, aggregate_mean=mu)
-        self._refresh_gamma_odds()
+        self.params = replace(self.params, aggregate_mean=_aggregate_means(
+            self.data, self.state.day_labels))
 
     def _refresh_gamma_odds(self) -> None:
         """The Gamma term's log-odds coefficients, (S, 1) each and high less
@@ -697,16 +695,15 @@ def run_gibbs(data, weights, params: ModelParams, config: SamplerConfig):
     """Fit the model: sample the latent state and estimate parameters.
 
     Returns (mode, trace, patterns, fitted_params): the posterior-mode state,
-    the log-density after each sweep, and the patterns and Gamma/aggregate
-    parameters recomputed from the mode so that they are mutually consistent:
-    each cluster's aggregate mean is its pattern's ``pattern_volume``, the
-    rain map's sum that a refit takes for its aggregate term and its distance.
+    the log-density after each sweep, the mode's patterns, and ``params``
+    with the Gamma the chain sampled under, which a refit conditions on, and
+    each cluster's aggregate mean its ``pattern_volume``, the rain map's sum
+    that a refit takes for its aggregate term and its distance.
     """
-    mode, trace = _GibbsEngine(data, weights, params, config).run()
+    engine = _GibbsEngine(data, weights, params, config)
+    mode, trace = engine.run()
     patterns = extract_patterns(data, mode)
-    shape, rate, _ = update_params_ml(data, mode)
-    fitted = replace(params, gamma_shape=shape, gamma_rate=rate,
-                     aggregate_mean=patterns.pattern_volume)
+    fitted = replace(engine.params, aggregate_mean=patterns.pattern_volume)
     return mode, trace, patterns, fitted
 
 

@@ -82,19 +82,14 @@ def fitted_params(data, state, **kw):
                        **base)
 
 
-def fail_the_first_refresh(monkeypatch):
-    """Make ``update_params_ml`` raise a NumericError on its second call,
-    the first sweep's refresh (the first is the engine's setup)."""
-    update = inference.update_params_ml
-    calls = []
+def fail_the_first_sweep(monkeypatch):
+    """Make the sampler's ``joint_log_density``, the last step of every
+    sweep and of none of the setup, raise the NumericError the joint raises
+    when it is not finite."""
+    def not_finite(*args):
+        raise NumericError("joint log-density is not finite")
 
-    def update_once(data, state):
-        calls.append(None)
-        if len(calls) == 2:
-            raise NumericError("location 0 gives non-finite Gamma parameters")
-        return update(data, state)
-
-    monkeypatch.setattr(inference, "update_params_ml", update_once)
+    monkeypatch.setattr(inference, "joint_log_density", not_finite)
 
 
 def engine_at(data, state, params, patterns=None, weights=None):

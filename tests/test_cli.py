@@ -34,7 +34,7 @@ from rainpatterns.metrics import (adjusted_rand_index, distance_report,
                                   read_metrics_csv, write_report)
 from rainpatterns.model import pattern_columns
 
-from conftest import brute_force_csv, fail_the_first_refresh
+from conftest import brute_force_csv, fail_the_first_sweep
 
 
 def run(args):
@@ -682,12 +682,12 @@ class TestFixedSeedDigests:
         "assign_v.csv":
             "73e34c8dab4be87b830e30533deacb623432335d32c595ccf24806d531a1b2fb",
         "assign_z.csv":
-            "28921cd88b08d8fbb18bcf9c8d381d0d7ce0f05b83242f5fb17189bc1a0351f7",
+            "3676099b2105af08ed165f4d68a6dedf2a510d8933e49eac8be87160197b1356",
         # the report and the pattern tables built from the mode state
         "metrics.csv":
-            "fd0eef807c118691bda0a0590dbd19d1bf47bbe1612c7f56e382449e2e587240",
+            "b26fd2e4ea5a52e84ddec9845ea46e8e22f0c473d806c3b0b4d288cb98cc3823",
         "metrics.txt":
-            "05e256e0b4dfd62fa87dbc8fd5649c91751a9822933b737237886621188d2a54",
+            "d38207fe7e0e65c55f29bfe347ecb4cef0c69bcaa170d5cb6bc89e3135d39425",
         "patterns_temporal.csv":
             "bc2b9509915d1ce499d41eb2d1cf618e1c2317d1544327448a7282f70582ec1b",
         "cluster_summary.csv":
@@ -696,16 +696,16 @@ class TestFixedSeedDigests:
     # the refit keeps no frozen series, so no series term enters a cell
     REFIT = {
         "assign_u.csv":
-            "9798ebed5517ccb4002149c1570a1cd40ccb9d0b7e59b46ed4fe31d7a0ec0a8d",
+            "4008f17469ffdcaf39d6c5c8690ff814cb9072f765d9aa33eb2f38fcf2eb83f1",
         "assign_v.csv":
             "73e34c8dab4be87b830e30533deacb623432335d32c595ccf24806d531a1b2fb",
         "assign_z.csv":
-            "a8b8d7b2fc16086eb072fd9867208933a89e4ee35d0d29bc486addedc650f49e",
+            "ee2c51986a991cd362b7a28ca94bcb04711607d4d4a131ef3985077f74c14f55",
         # the report of the refit's mode against the frozen patterns
         "metrics.csv":
-            "98ff6fc078502ecb8927f609a1a7ed76ca8552d6a26057153ed988b26475ab70",
+            "f9e15db3f32369bf7a80421a5cf6fdf01b2997f8137ef8541c74ed83b5319187",
         "metrics.txt":
-            "cc6eba43a94c96dbe71d8c50f2c0b6042c78dc61558cc8155c1af01173ea665d",
+            "63643641855c7c14b74ac6cf9887fc9f6e2dc6be620d1b5cef9e9c51e1f7dc95",
     }
 
     # the bytes of the large tables, which the column writer formats
@@ -784,7 +784,7 @@ class TestFixedSeedDigests:
         "assign_v.csv":
             "6660cb999a6f04da35768a876f3f562e8b1f59237a23a24f601ece8be98d1841",
         "assign_z.csv":
-            "e56bf940c73062a10b30dd779c91a950e037f226c0228ff1eabcbfe00ed71314",
+            "fc787d005359115d845033e8f2cdec7eccb6e3b2d385e6d052c22ccee0fe1568",
     }
 
     # spect1's and spect2's labels on that record at k = 10, seed 1, where
@@ -1328,15 +1328,15 @@ class TestExitCodes:
 
     def test_numeric_failure_in_a_sweep_is_one_line(self, synth_dir, capsys,
                                                     monkeypatch):
-        """With ``update_params_ml`` made to raise a ``NumericError`` in
-        the first sweep's refresh, ``fit``, run in process, exits 3 with the
-        one line ``numeric failure: sweep 0: ...``."""
+        """With ``joint_log_density`` made to raise a ``NumericError`` in
+        the first sweep, ``fit``, run in process, exits 3 with the one line
+        ``numeric failure: sweep 0: ...``."""
         tmp_path, cfg = synth_dir
-        fail_the_first_refresh(monkeypatch)
+        fail_the_first_sweep(monkeypatch)
         assert run(["fit", "--config", cfg, "--out", tmp_path / "fit"]) == 3
         assert capsys.readouterr().err == ("numeric failure: sweep 0: "
-                                           "location 0 gives non-finite "
-                                           "Gamma parameters\n")
+                                           "joint log-density is not "
+                                           "finite\n")
 
     def test_bad_config_is_validation_error(self, tmp_path):
         bad = tmp_path / "bad.json"

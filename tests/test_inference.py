@@ -13,9 +13,9 @@ from rainpatterns import (HIGH, LOW, LatentState, ModelParams, NumericError,
                           SamplerConfig, SyntheticSpec, ValidationError,
                           compute_spatial_weights, extract_patterns,
                           generate_synthetic, joint_log_density, refit_frozen,
-                          run_gibbs)
+                          run_gibbs, update_params_ml)
 from rainpatterns import inference, model
-from rainpatterns.data import make_dataset
+from rainpatterns.data import discretize_by_mean, make_dataset
 from rainpatterns.inference import (_GibbsEngine, _LabelTables,
                                     _draw_cell_states, _draw_label,
                                     _neighbour_table, _vote)
@@ -25,7 +25,7 @@ from rainpatterns.model import (RAIN_EPS, crp_log_prior_days,
 from conftest import (DroppingLabelTables, brute_force_neighbour_table,
                       cell_odds, chain_whole_sweep_laws, day_order_block_odds,
                       engine_at, exact_whole_sweep_laws,
-                      fail_the_first_refresh, fitted_params,
+                      fail_the_first_sweep, fitted_params,
                       flip_delta, label_log_weights, neighbour_lists,
                       total_variation, whole_sweep_setup)
 
@@ -318,13 +318,37 @@ class TestGammaGuard:
 
     def test_a_failure_in_a_sweep_names_the_sweep(
             self, small_synth, small_weights, monkeypatch):
-        """With ``update_params_ml`` made to raise a ``NumericError`` in
-        the first sweep's refresh, ``run_gibbs`` raises ``sweep 0: ...``."""
+        """With ``joint_log_density`` made to raise a ``NumericError`` in
+        the first sweep, ``run_gibbs`` raises ``sweep 0: ...``."""
         data, _ = small_synth
-        fail_the_first_refresh(monkeypatch)
-        with pytest.raises(NumericError, match="^sweep 0: location 0 "):
+        fail_the_first_sweep(monkeypatch)
+        with pytest.raises(NumericError,
+                           match="^sweep 0: joint log-density is not finite$"):
             run_gibbs(data, small_weights, ModelParams(),
                       SamplerConfig(n_burnin=2, n_samples=1))
+
+
+@pytest.mark.parametrize("init", inference.INIT_STRATEGIES)
+def test_a_fit_samples_and_returns_the_mean_splits_gamma(
+        small_synth, small_weights, monkeypatch, init):
+    """A fit moment-matches the Gamma once, to the mean split, and builds
+    its log-odds once, both at setup; the Gamma it returns is that fit, bit
+    for bit, whatever the init."""
+    data, truth = small_synth
+    calls = []
+    update, odds = update_params_ml, _GibbsEngine._refresh_gamma_odds
+    monkeypatch.setattr(inference, "update_params_ml",
+                        lambda *args: calls.append("update") or update(*args))
+    monkeypatch.setattr(_GibbsEngine, "_refresh_gamma_odds",
+                        lambda engine: calls.append("odds") or odds(engine))
+    fitted = run_gibbs(data, small_weights,
+                       ModelParams(aggregate_sd=float(data.aggregate.std())),
+                       SamplerConfig(n_burnin=4, n_samples=2, init=init))[3]
+    assert calls == ["update", "odds"]
+    shape, rate, _ = update(data, replace(truth,
+                                          states=discretize_by_mean(data)))
+    assert np.array_equal(fitted.gamma_shape, shape)
+    assert np.array_equal(fitted.gamma_rate, rate)
 
 
 class TestUDayConditional:
@@ -780,10 +804,9 @@ def test_align_scale_ramps_over_half_the_burnin(small_synth, small_weights,
 
 def test_random_init_starts_from_the_mean_splits_gamma(small_synth,
                                                        small_weights):
-    """``random`` init draws its states and labels but fits its starting
-    Gamma to the mean split, as ``data`` init does: the same shape and rate,
-    bit for bit, so it does not start at the Gamma step's symmetric fixed
-    point."""
+    """``random`` init draws its states and labels but fits its Gamma to
+    the mean split, as ``data`` init does: the same shape and rate, bit for
+    bit, so it does not sample under one mixture fitted to both states."""
     data, _ = small_synth
     params = ModelParams(aggregate_sd=float(data.aggregate.std()))
     data_init, random_init = (
