@@ -18,11 +18,11 @@ Colored Fields to Thin Junction Trees").  A cell is drawn from its
 log-odds, high less low.  The z-sweep works on the cells' high indicators
 split by day parity, z[:, 0::2] and z[:, 1::2], so a block's rows and its
 spatial neighbours' rows are contiguous and its two temporal neighbours are
-shifted slices of the other parity.  A block builds its log-odds when it
-is drawn: the Gamma term from per-location coefficients and the block's
-rain, the alignment terms from per-label rows, its temporal count and, per
-location, one entry of a table that holds the spatial log-odds of every
-mask of high neighbours.
+shifted slices of the other parity.  The Gamma is held, so each block's
+Gamma term is built once per run, as one plane in the block's own order.
+A block adds the rest when it is drawn: the alignment terms from per-label
+rows, its temporal count and, per location, one entry of a table that
+holds the spatial log-odds of every mask of high neighbours.
 
 A label sweep draws all of its uniforms at once (the same stream as one
 draw per label) and picks each label in plain Python from a handful of
@@ -85,6 +85,8 @@ class SamplerConfig:
 
     _RULES = ((("n_burnin", "seed"), lambda v: v >= 0, ">= 0"),
               (("n_samples",), lambda v: v >= 1, ">= 1"),
+              # the kept labels are int32; a count of 1e300 would never end
+              (("n_burnin", "n_samples"), lambda v: v < 2 ** 31, "below 2^31"),
               (("init",), lambda v: v in INIT_STRATEGIES,
                f"one of {INIT_STRATEGIES}"))
 
@@ -365,9 +367,6 @@ class _GibbsEngine:
 
         self.S, self.T = data.rain.shape
         self.y = data.aggregate
-        self._gamma_scale = (  # each location's max |log x| and max x
-            np.maximum(data.log_rain.max(1), -data.log_rain.min(1))[:, None],
-            data.rain_floored.max(axis=1)[:, None])
         self.log_tf = math.log(params.temporal_factor)
         self.year_idx = np.unique(data.year_of_day, return_inverse=True)[1]
 
@@ -408,7 +407,8 @@ class _GibbsEngine:
         self._refresh_gamma_odds()
 
         self.trace: list[float] = []
-        self.z1_count = np.zeros((self.S, self.T), dtype=np.int32)
+        votes = np.min_scalar_type(config.n_samples)  # < 2^31, see validate
+        self.z1_count = np.zeros((self.S, self.T), dtype=votes)
         # the day and location labellings of the retained sweeps
         self.kept_u: list[np.ndarray] = []
         self.kept_v: list[np.ndarray] = []
@@ -454,28 +454,26 @@ class _GibbsEngine:
             self.data, self.state.day_labels))
 
     def _refresh_gamma_odds(self) -> None:
-        """The Gamma term's log-odds coefficients, (S, 1) each and high less
-        low: Δa, Δb and Δc = Δ(a·log b − log Γ(a)).
-
-        A cell's term is Δa·log x − Δb·x + Δc at the floored rain x, as the
-        joint density reads it.  A non-finite term is a ``NumericError``
-        naming its location; only a location whose |Δa|·max |log x| +
-        |Δb|·max x + |Δc| is not below 2^1021 can have one and is checked.
+        """Each colour block's Gamma term, high less low, built once at setup
+        as the Gamma is held: ``gamma_odds[b]`` is block b's (locations,
+        days) plane of Δa·log x − Δb·x + Δc at the floored rain x, as the
+        joint density reads it, with Δc = Δ(a·log b − log Γ(a)).  A
+        non-finite term is a ``NumericError`` naming the lowest location
+        with one.
         """
-        a, b = self.params.gamma_shape, self.params.gamma_rate
-        max_log, max_x = self._gamma_scale
+        a, b, data = self.params.gamma_shape, self.params.gamma_rate, self.data
+        self.gamma_odds, bad = [], []
         with np.errstate(over="ignore", invalid="ignore"):
-            self.gamma_deltas = da, db, dc = [v[:, :1] - v[:, 1:] for v in (
+            da, db, dc = [v[:, :1] - v[:, 1:] for v in (
                 a, b, a * np.log(b) - log_gamma(a))]
-            bound = abs(da) * max_log + abs(db) * max_x + abs(dc)
-            loose = np.flatnonzero(~(bound < 2.0 ** 1021))
-            terms = da[loose] * self.data.log_rain[loose]
-            terms -= db[loose] * self.data.rain_floored[loose]
-            terms += dc[loose]
-        finite = np.isfinite(terms).all(axis=1)
-        if not finite.all():
-            raise self.data.numeric_error(int(loose[finite.argmin()]),
-                                          "gives a non-finite Gamma term")
+            for s_idx, d in self.color_blocks:
+                odds = da[s_idx] * data.log_rain[s_idx, d::2]
+                odds -= db[s_idx] * data.rain_floored[s_idx, d::2]
+                odds += dc[s_idx]
+                self.gamma_odds.append(odds)
+                bad += s_idx[~np.isfinite(odds).all(axis=1)].tolist()
+        if bad:
+            raise data.numeric_error(min(bad), "gives a non-finite Gamma term")
 
     # -------------------------------------------------------------- Z sweep
 
@@ -504,18 +502,16 @@ class _GibbsEngine:
         Block b is ``color_blocks[b]`` = (locations, day parity d), its cells
         those locations × the days d, d + 2, ....  ``parts`` is what
         ``_day_parity_parts`` returns.  Returns one log-odds per cell in
-        row-major (location, day) order, the Gamma, pattern, series, temporal
-        and spatial terms added in turn; a missing temporal neighbour adds 0.
+        row-major (location, day) order: the block's ``gamma_odds`` plane
+        plus the pattern term, summed into a fresh C-ordered array so that
+        the series, temporal and spatial terms then add in place contiguous;
+        a missing temporal neighbour adds 0.
         """
         high, pat, ser, rows_u, rows_v = parts
         s_idx, d = self.color_blocks[b]
         own, other = high[d], high[1 - d]
         n_d = own.shape[1]
-        da, db, dc = (v[s_idx] for v in self.gamma_deltas)
-        odds = da * self.data.log_rain[s_idx, d::2]
-        odds -= db * self.data.rain_floored[s_idx, d::2]
-        odds += dc
-        odds += pat[s_idx][:, rows_u[d::2]]
+        odds = self.gamma_odds[b] + pat[s_idx][:, rows_u[d::2]]
         odds += ser[rows_v[s_idx], d::2]
 
         # temporal edges: log f per agreeing neighbour day, so log f times

@@ -224,8 +224,10 @@ def matches(rows: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
 
 
 def mode_states(ones_count: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    """Element-wise mode over {1, 2} given counts of ones; ties go to 2."""
-    return np.where(2 * ones_count > totals, np.int8(HIGH), np.int8(LOW))
+    """Element-wise mode over {1, 2} given integer-valued counts of ones
+    and totals; ties go to 2.  c > n // 2 is 2·c > n without doubling the
+    counts, so a narrow count type cannot wrap."""
+    return np.where(ones_count > totals // 2, np.int8(HIGH), np.int8(LOW))
 
 
 def modal_patterns(data, state: LatentState) -> PatternSet:

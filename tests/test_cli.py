@@ -41,14 +41,15 @@ def run(args):
     return main([str(a) for a in args])
 
 
-def run_fresh(code, *args):
+def run_fresh(code, *args, timeout=300):
     """Run ``code`` in a new interpreter that imports this package, with
-    ``args`` as ``sys.argv[1:]``; return the finished process."""
+    ``args`` as ``sys.argv[1:]``; return the finished process, or raise
+    ``subprocess.TimeoutExpired`` after ``timeout`` seconds."""
     src = str(Path(rainpatterns.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", code, *map(str, args)],
                           env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=300)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def write_config(tmp_path, **overrides):
@@ -1809,6 +1810,17 @@ sys.exit(main(["refit", "--frozen", frozen, "--config", cfg, "--out", out]))
         res = run_fresh(self.REFIT, frozen, cfg, tmp_path / "refit")
         assert (res.returncode, res.stderr) \
             == (3, f"numeric failure: {fault} is not finite\n")
+
+    def test_fit_with_a_burnin_of_1e300_stops_at_once(self, synth_dir):
+        # 1e300 is an integral float, so it passed as an int and the fit
+        # never ended; a fresh process bounds the wait
+        tmp_path, _ = synth_dir
+        cfg = write_config(tmp_path, sampler={"burnin": 1e300})
+        res = run_fresh(self.FIT, cfg, tmp_path / "fit", timeout=10)
+        assert res.returncode == 2
+        [line] = res.stderr.splitlines()
+        assert line.startswith("error: config: sampler.burnin: must be "
+                               "below 2^31, got 1000000")
 
     def test_fit_whose_aggregate_term_overflows(self, synth_dir):
         # it exited 3 only after five RuntimeWarnings: the label tables',

@@ -255,26 +255,27 @@ class TestZConditional:
 
 
 class TestGammaGuard:
-    """A location's Gamma terms are built and checked only when its bound
-    |Δa|·max |log x| + |Δb|·max x + |Δc| is not below 2^1021."""
+    """Each block's Gamma plane is checked as it is built, at setup: a
+    non-finite term names the lowest location with one."""
 
     @staticmethod
-    def engine(small_synth, small_weights, rate_high, shape=1.0):
-        # location 3 has rates (rate_high, 1), ``shape`` in both states and
-        # 100 mm on its wettest day, so its Δb·x peaks at rate_high·100
+    def engine(small_synth, small_weights, rate_high, shape=1.0, at=(3,)):
+        # each location of ``at`` has rates (rate_high, 1), ``shape`` in both
+        # states and 100 mm on its wettest day, so its Δb·x peaks at
+        # rate_high·100
         full, truth = small_synth
+        at = list(at)
         rain = full.rain.copy()
-        rain[3] *= 100.0 / rain[3].max()
+        rain[at] *= 100.0 / rain[at].max(axis=1, keepdims=True)
         data = make_dataset(rain, full.grid_coords, full.year_of_day)
         params = fitted_params(data, truth)
-        params.gamma_shape[3] = shape
-        params.gamma_rate[3] = (rate_high, 1.0)
+        params.gamma_shape[at] = shape
+        params.gamma_rate[at] = (rate_high, 1.0)
         return engine_at(data, truth, params, weights=small_weights)
 
-    def test_a_failed_bound_over_finite_terms_is_no_failure(
+    def test_finite_terms_near_overflow_are_no_failure(
             self, small_synth, small_weights):
-        # Δb·max x = 1e308 fails the bound, yet every term is finite
-        assert (1e306 - 1.0) * 100.0 >= 2.0 ** 1021
+        # Δb·max x = 1e308, near the largest double, yet every term is finite
         engine = self.engine(small_synth, small_weights, 1e306)
         parts = engine._day_parity_parts()
         for b in range(len(engine.color_blocks)):
@@ -284,8 +285,7 @@ class TestGammaGuard:
         engine.z_sweep()
         assert (engine.state.states[3] == LOW).all()
 
-    # Δb·x overflows; or log Γ(a) overflows in both states, so that Δc and
-    # with it the bound are nan
+    # Δb·x overflows; or log Γ(a) overflows in both states, so that Δc is nan
     @pytest.mark.parametrize("rate_high,shape", [(1e307, 1.0), (2.0, 1e306)])
     def test_a_non_finite_term_names_its_location(self, small_synth,
                                                   small_weights, rate_high,
@@ -294,27 +294,17 @@ class TestGammaGuard:
                            ".* gives a non-finite Gamma term$"):
             self.engine(small_synth, small_weights, rate_high, shape)
 
-    def test_checking_every_location_changes_no_draw(
-            self, small_synth, small_weights, monkeypatch):
-        data, _ = small_synth
-        params = ModelParams(day_align=4.0, loc_align=2.0,
-                             aggregate_sd=float(data.aggregate.std()))
-        cfg = SamplerConfig(n_burnin=8, n_samples=4, seed=11)
-        expect = run_gibbs(data, small_weights, params, cfg)
-        check = _GibbsEngine._refresh_gamma_odds
-
-        def check_all(engine):
-            # an infinite scale fails every location's bound
-            engine._gamma_scale = (np.full((engine.S, 1), np.inf),) * 2
-            check(engine)
-
-        monkeypatch.setattr(_GibbsEngine, "_refresh_gamma_odds", check_all)
-        got = run_gibbs(data, small_weights, params, cfg)
-        for name in ("states", "day_labels", "loc_labels"):
-            assert np.array_equal(getattr(got[0], name),
-                                  getattr(expect[0], name))
-        assert np.array_equal(got[1], expect[1])
-        assert np.array_equal(got[3].gamma_rate, expect[3].gamma_rate)
+    def test_the_lowest_bad_location_is_named(self, small_synth,
+                                              small_weights):
+        # lo's block is built after hi's, yet the error names lo
+        coords = small_synth[0].grid_coords
+        parity = coords[:, 0] % 2 * 2 + coords[:, 1] % 2
+        lo = int(np.flatnonzero(parity == 3)[0])
+        hi = int(np.flatnonzero(parity == 0)[-1])
+        assert lo < hi
+        with pytest.raises(NumericError, match=f"^location {lo}, day [0-9]+: "
+                           ".* gives a non-finite Gamma term$"):
+            self.engine(small_synth, small_weights, 1e307, at=(lo, hi))
 
     def test_a_failure_in_a_sweep_names_the_sweep(
             self, small_synth, small_weights, monkeypatch):
@@ -332,23 +322,66 @@ class TestGammaGuard:
 def test_a_fit_samples_and_returns_the_mean_splits_gamma(
         small_synth, small_weights, monkeypatch, init):
     """A fit moment-matches the Gamma once, to the mean split, and builds
-    its log-odds once, both at setup; the Gamma it returns is that fit, bit
-    for bit, whatever the init."""
+    its log-odds planes once, both at setup; the Gamma it returns is that
+    fit, bit for bit, whatever the init.  A refit builds the planes once, at
+    setup, and no sweep of either rebuilds them."""
     data, truth = small_synth
     calls = []
     update, odds = update_params_ml, _GibbsEngine._refresh_gamma_odds
+    sweep = _GibbsEngine.sweep
     monkeypatch.setattr(inference, "update_params_ml",
                         lambda *args: calls.append("update") or update(*args))
     monkeypatch.setattr(_GibbsEngine, "_refresh_gamma_odds",
                         lambda engine: calls.append("odds") or odds(engine))
-    fitted = run_gibbs(data, small_weights,
-                       ModelParams(aggregate_sd=float(data.aggregate.std())),
-                       SamplerConfig(n_burnin=4, n_samples=2, init=init))[3]
-    assert calls == ["update", "odds"]
+    monkeypatch.setattr(_GibbsEngine, "sweep",
+                        lambda engine: calls.append("sweep") or sweep(engine))
+    _, _, patterns, fitted = run_gibbs(
+        data, small_weights,
+        ModelParams(aggregate_sd=float(data.aggregate.std())),
+        SamplerConfig(n_burnin=4, n_samples=2, init=init))
+    assert calls == ["update", "odds"] + ["sweep"] * 6
     shape, rate, _ = update(data, replace(truth,
                                           states=discretize_by_mean(data)))
     assert np.array_equal(fitted.gamma_shape, shape)
     assert np.array_equal(fitted.gamma_rate, rate)
+    calls.clear()
+    refit_frozen(data, small_weights, patterns, fitted,
+                 SamplerConfig(n_burnin=2, n_samples=3, init=init))
+    assert calls == ["odds"] + ["sweep"] * 5
+
+
+@pytest.mark.parametrize("n_samples,dtype", [(255, np.uint8),
+                                             (256, np.uint16)])
+def test_a_narrow_vote_counter_gives_the_int32_mode(
+        small_synth, small_weights, monkeypatch, n_samples, dtype):
+    """The cell votes are counted in the narrowest type that holds
+    n_samples, uint8 up to 255 retained sweeps: the mode is that of int32
+    counts, at each side of the uint8/uint16 boundary."""
+    data, _ = small_synth
+    params = ModelParams(day_align=4.0, loc_align=2.0,
+                         aggregate_sd=float(data.aggregate.std()))
+    cfg = SamplerConfig(n_burnin=0, n_samples=n_samples, seed=3)
+    seen = []
+
+    class Votes(_GibbsEngine):
+        def summary(self):
+            seen.append(self.z1_count.dtype)
+            return super().summary()
+
+    class Int32Votes(_GibbsEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.z1_count = self.z1_count.astype(np.int32)
+
+    monkeypatch.setattr(inference, "_GibbsEngine", Votes)
+    narrow = run_gibbs(data, small_weights, params, cfg)[0]
+    monkeypatch.setattr(inference, "_GibbsEngine", Int32Votes)
+    wide = run_gibbs(data, small_weights, params, cfg)[0]
+    assert seen == [dtype]
+    # a cell held high through most sweeps counts past 127, where a doubled
+    # uint8 count would wrap
+    assert (narrow.states == HIGH).any()
+    assert np.array_equal(narrow.states, wide.states)
 
 
 class TestUDayConditional:
@@ -855,6 +888,15 @@ class TestRunGibbs:
         with pytest.raises(ValidationError, match="seed: must be >= 0"):
             run_gibbs(data, small_weights, ModelParams(),
                       SamplerConfig(n_burnin=0, n_samples=1, seed=-1))
+
+    @pytest.mark.parametrize("field", ["n_burnin", "n_samples"])
+    def test_a_sweep_count_is_below_2_31(self, field):
+        # 10**300 passed, and a fit with that many sweeps never ended
+        SamplerConfig(**{field: 2 ** 31 - 1}).validate()
+        for count in (2 ** 31, 10 ** 300):
+            with pytest.raises(ValidationError, match=f"^{field}: must be "
+                               r"below 2\^31, got [0-9]+$"):
+                SamplerConfig(**{field: count}).validate()
 
     def test_labels_stay_dense_every_sweep(self, small_synth, small_weights,
                                            monkeypatch):

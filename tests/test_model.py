@@ -224,6 +224,21 @@ def test_mode_states_votes_without_an_int64_plane():
     assert peak < 2.2e6
 
 
+@given(st.sampled_from([np.uint8, np.uint16]), st.integers(1, 300),
+       st.sampled_from([int, float]), st.data())
+def test_mode_states_on_narrow_counts_is_the_int64_vote(dtype, n, kind,
+                                                        data):
+    """Counts of ones as the sampler keeps them, uint8 or uint16, vote as
+    2·c > n in int64 does, whether the total is an int or a float."""
+    top = min(n, np.iinfo(dtype).max)
+    counts = data.draw(hnp.arrays(dtype, st.integers(1, 16),
+                                  elements=st.integers(0, top)))
+    want = np.where(2 * counts.astype(np.int64) > n, HIGH, LOW)
+    got = mode_states(counts, kind(n))
+    assert got.dtype == np.int8
+    assert np.array_equal(got, want)
+
+
 @given(hnp.arrays(np.int64, st.integers(1, 8), elements=st.integers(1, 6)))
 def test_validate_rejects_labels_that_skip_one(labels):
     state = LatentState(np.ones((2, len(labels)), dtype=np.int8), labels,
