@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import os
+import reprlib
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -104,7 +105,8 @@ def load_config(path: str | None, seed: int | None, out: str | None) -> dict:
 
 
 def _convert(value, kind, where: str):
-    """A JSON value converted by ``kind``; an error names ``where``."""
+    """A JSON value converted by ``kind``; an error names ``where`` and
+    echoes the value, a long one cut short by ``reprlib.repr``."""
     try:
         # a number takes no JSON boolean, an int no fraction
         if (kind in (int, float) and isinstance(value, bool)
@@ -113,7 +115,8 @@ def _convert(value, kind, where: str):
             raise ValueError
         return kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{where}: cannot use {value!r}") from None
+        raise ValidationError(f"{where}: cannot use "
+                              f"{reprlib.repr(value)}") from None
 
 
 def _value(cfg: dict, section: str, key: str, kind=float, null_ok=False):
@@ -134,7 +137,7 @@ def _checked(cfg: dict, section: str, key: str, ok, rule: str, kind=float,
     value = _value(cfg, section, key, kind, null_ok)
     if value is not None and not ok(value):
         raise ValidationError(f"config: {section}.{key}: must be {rule}, "
-                              f"got {value!r}")
+                              f"got {reprlib.repr(value)}")
     return value
 
 
@@ -310,7 +313,8 @@ def _baseline_clustering(cfg: dict, data: RainfallDataset, method: str,
     k = _value(cfg, "baseline", "k", int)
     if not 1 <= k <= data.n_days:
         raise ValidationError(f"config: baseline.k: the {method} baseline "
-                              f"clusters {data.n_days} days, got k={k}")
+                              f"clusters {data.n_days} days, "
+                              f"got k={reprlib.repr(k)}")
     seed = _value(cfg, "sampler", "seed", int)
     SamplerConfig(seed=seed).validate("config: sampler.")
     drvs = data.rain.T  # (T, S)
@@ -342,7 +346,7 @@ def baseline_patterns(data: RainfallDataset, states: np.ndarray,
 def cmd_baseline(cfg: dict, method: str) -> int:
     data = _load_data(cfg)
     with np.errstate(over="ignore"):  # (S + T)·Σx² bounds every sum taken
-        sq = data.rain_sq_total
+        sq = np.einsum("st,st->s", data.rain, data.rain)
         if not np.isfinite((data.n_locations + data.n_days) * sq.sum()):
             raise data.numeric_error(int(sq.argmax()), "overflows the "
                                      "baselines' sums of squares")
@@ -370,7 +374,7 @@ def _cmd_baseline_eof(cfg: dict, data: RainfallDataset, out: Path) -> int:
     k = _value(cfg, "baseline", "k", int)
     if not 1 <= k <= S:
         raise ValidationError(f"config: baseline.k: the EOF baseline has {S} "
-                              f"modes, got k={k}")
+                              f"modes, got k={reprlib.repr(k)}")
     reg = _checked(cfg, "baseline", "lasso_reg", lambda v: 0 <= v < math.inf,
                    "finite and >= 0")
     vectors, eigenvalues, mean = baselines.eof_decompose(data.rain)

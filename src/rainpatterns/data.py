@@ -76,7 +76,8 @@ class RainfallDataset:
     def n_days(self) -> int:
         return self.rain.shape[1]
 
-    # per-record constants, computed on first use and read-only
+    # per-record constants the sampler reads every sweep (the last four in
+    # joint_log_density), computed on first use and read-only
 
     @cached_property
     def aggregate(self) -> np.ndarray:
@@ -92,20 +93,6 @@ class RainfallDataset:
     def log_rain(self) -> np.ndarray:
         """Log of :attr:`rain_floored`."""
         return _locked(np.log(self.rain_floored))
-
-    # per-location totals over all days, (S,): the high state's Gamma sums
-    # are row products with the high indicator, the low state's these less
-    # the high state's
-
-    @cached_property
-    def rain_total(self) -> np.ndarray:
-        """Σx of each location's rainfall."""
-        return _locked(self.rain.sum(axis=1))
-
-    @cached_property
-    def rain_sq_total(self) -> np.ndarray:
-        """Σx² of each location's rainfall."""
-        return _locked(np.einsum("st,st->s", self.rain, self.rain))
 
     @cached_property
     def log_rain_total(self) -> np.ndarray:
@@ -155,9 +142,12 @@ class SyntheticSpec:
 
     def validate(self, where: str = "", keys: dict | None = None) -> None:
         """Reject a spec that cannot be planted (see ``check_fields``)."""
+        counts = ("n_locations", "n_days", "n_day_patterns", "n_loc_groups",
+                  "n_years")
         check_fields(self, (
-            (("n_locations", "n_days", "n_day_patterns", "n_loc_groups",
-              "n_years"), lambda v: v >= 1, ">= 1"),
+            (counts, lambda v: v >= 1, ">= 1"),
+            # numpy raises a ValueError, not a MemoryError, on 1e300 cells
+            (counts, lambda v: v < 2 ** 31, "below 2^31"),
             (("seed",), lambda v: v >= 0, ">= 0"),
             (("flip_noise",), lambda v: 0.0 <= v < 0.5, "in [0, 0.5)"),
             (("wet_shape", "wet_rate", "dry_shape", "dry_rate"),

@@ -149,15 +149,14 @@ def update_params_ml(data, state: LatentState):
     mean and variance of the member rainfall values (variance with n-1
     denominator; zero when fewer than two members).  The high state's Σx and
     Σx² are row products of the rain with the high indicator, and the low
-    state's are the location's all-day totals (cached on the dataset) less
-    the high state's, so no masked (S, T) plane is built; this summation
-    order moved ``params.json`` in its trailing digits only.  Floors on the
-    variance and mean absorb degenerate cells.  Rainfall so large that a
-    shape or rate leaves the positive doubles is a ``NumericError`` naming
-    its location.  A fit calls it once, on the mean split whatever the init,
-    and holds the Gamma through every sweep.  Refitted to each sweep's states
-    (stochastic EM; Celeux & Diebolt, 1985) the components blur under the η
-    pull; fitted to random states, both match one mixture.
+    state's are the location's all-day totals less the high state's, so no
+    masked (S, T) plane is built.  Floors on the variance and mean absorb
+    degenerate cells.  Rainfall so large that a shape or rate leaves the
+    positive doubles is a ``NumericError`` naming its location.  A fit calls
+    it once, on the mean split whatever the init, and holds the Gamma through
+    every sweep.  Refitted to each sweep's states (stochastic EM; Celeux &
+    Diebolt, 1985) the components blur under the η pull; fitted to random
+    states, both match one mixture.
 
     Returns (shape, rate, aggregate_mean).
     """
@@ -171,8 +170,8 @@ def update_params_ml(data, state: LatentState):
     sx[:, 0] = np.einsum("st,st->s", rain, high)
     sxx[:, 0] = np.einsum("st,st,st->s", rain, rain, high)
     with np.errstate(over="ignore", invalid="ignore"):
-        sx[:, 1] = data.rain_total - sx[:, 0]
-        sxx[:, 1] = data.rain_sq_total - sxx[:, 0]
+        sx[:, 1] = rain.sum(axis=1) - sx[:, 0]
+        sxx[:, 1] = np.einsum("st,st->s", rain, rain) - sxx[:, 0]
         m = np.divide(sx, n, out=np.zeros((S, 2)), where=n > 0)
         v = np.zeros((S, 2))
         two = n >= 2

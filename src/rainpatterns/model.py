@@ -25,6 +25,7 @@ the joint density and the tests' reference share it.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -103,13 +104,15 @@ def check_fields(obj, rules, where: str = "", keys: dict | None = None):
     """Reject the first field of ``obj`` that fails its test: ``rules``
     holds (fields, test, rule) triples, and the error names the field after
     ``where``, by its key where ``keys`` maps keys to fields, and states its
-    rule, in which ``{field}`` stands for that field's name."""
+    rule, in which ``{field}`` stands for that field's name, and echoes a
+    scalar value, a long one cut short by ``reprlib.repr``."""
     name = {f: f for f in vars(obj)} | {f: k for k, f in (keys or {}).items()}
     for fields, ok, rule in rules:
         for f in fields:
             value = getattr(obj, f)
             if not ok(value):
-                got = f", got {value!r}" if np.ndim(value) == 0 else ""
+                got = (f", got {reprlib.repr(value)}" if np.ndim(value) == 0
+                       else "")
                 raise ValidationError(f"{where}{name[f]}: must be "
                                       f"{rule.format_map(name)}{got}")
 

@@ -1822,6 +1822,47 @@ sys.exit(main(["refit", "--frozen", frozen, "--config", cfg, "--out", out]))
         assert line.startswith("error: config: sampler.burnin: must be "
                                "below 2^31, got 1000000")
 
+    CLI = """
+import sys
+from rainpatterns.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+    # each error echoed the value whole: 357 to 6038 characters on one line
+    @pytest.mark.parametrize("command,section,key,value", [
+        ("fit", "sampler", "burnin", 1e300),
+        ("fit", "sampler", "init", "x" * 3000),
+        ("fit", "model", "eta", [0] * 2000),
+        ("fit", "metrics", "min_years", -10 ** 400),
+        ("kmeans", "baseline", "k", 1e300),
+        ("eof", "baseline", "k", 1e300)], ids=[
+            "burnin-1e300", "init-3000-chars", "eta-2000-items",
+            "min_years-400-digits", "kmeans-k-1e300", "eof-k-1e300"])
+    def test_an_echoed_value_is_cut_short(self, synth_dir, command, section,
+                                          key, value):
+        tmp_path, _ = synth_dir
+        cfg = write_config(tmp_path, **{section: {key: value}})
+        args = (["fit"] if command == "fit"
+                else ["baseline", "--method", command])
+        res = run_fresh(self.CLI, *args, "--config", cfg,
+                        "--out", tmp_path / "out", timeout=60)
+        assert res.returncode == 2
+        [line] = res.stderr.splitlines()
+        assert line.startswith(f"error: config: {section}.{key}: ")
+        assert len(line) <= 120 and "..." in line
+
+    @pytest.mark.parametrize("key", ["S", "T"])
+    def test_a_synth_count_of_1e300_is_rejected(self, tmp_path, key):
+        # it passed every rule, and numpy's planting raised a ValueError
+        cfg = write_config(tmp_path, synth={key: 1e300})
+        res = run_fresh(self.CLI, "synth", "--config", cfg,
+                        "--out", tmp_path / "data", timeout=60)
+        assert res.returncode == 2
+        [line] = res.stderr.splitlines()
+        assert line.startswith(f"error: config: synth.{key}: must be below "
+                               "2^31, got 1000")
+        assert "Traceback" not in res.stderr
+
     def test_fit_whose_aggregate_term_overflows(self, synth_dir):
         # it exited 3 only after five RuntimeWarnings: the label tables',
         # the merge's and the joint density's

@@ -806,3 +806,14 @@ class TestSynthetic:
             SyntheticSpec(n_day_patterns=0).validate()
         with pytest.raises(ValidationError):
             SyntheticSpec(n_loc_groups=100, n_locations=10).validate()
+
+    @pytest.mark.parametrize("field", ["n_locations", "n_days",
+                                       "n_day_patterns", "n_loc_groups",
+                                       "n_years"])
+    def test_a_count_is_below_2_31(self, field):
+        # 1e300 passed every rule, and numpy raised on the planting; no
+        # spec here is planted
+        for count in (2 ** 31, 10 ** 300):
+            with pytest.raises(ValidationError, match=f"^{field}: must be "
+                               r"below 2\^31, got [0-9]+(\.\.\.[0-9]+)?$"):
+                SyntheticSpec(**{field: count}).validate()

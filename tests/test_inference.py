@@ -895,7 +895,7 @@ class TestRunGibbs:
         SamplerConfig(**{field: 2 ** 31 - 1}).validate()
         for count in (2 ** 31, 10 ** 300):
             with pytest.raises(ValidationError, match=f"^{field}: must be "
-                               r"below 2\^31, got [0-9]+$"):
+                               r"below 2\^31, got [0-9]+(\.\.\.[0-9]+)?$"):
                 SamplerConfig(**{field: count}).validate()
 
     def test_labels_stay_dense_every_sweep(self, small_synth, small_weights,
