@@ -36,6 +36,11 @@ from .model import (HIGH, LOW, LatentState, ModelParams, PatternSet,
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
+# the longest file name of Linux and macOS in bytes, the bound of a map name
+NAME_MAX = 255
+# an i/o error echoes a file name of up to 72 characters whole
+_PATH_REPR = reprlib.Repr()
+_PATH_REPR.maxstring = 72
 
 PATTERNS_SPATIAL_HEADER = ["cluster_id", "loc_id", "crp_value", "cdp_state"]
 PATTERNS_TEMPORAL_HEADER = ["cluster_id", "day_index", "cts_value",
@@ -418,8 +423,8 @@ def _cmd_baseline_eof(cfg: dict, data: RainfallDataset, out: Path) -> int:
 
 
 def cmd_compare(cfg: dict, run_dirs: list[str]) -> int:
-    out = _out_dir(cfg)
-    # the maps' coordinates are loaded and checked before anything is written
+    # every run and the maps' coordinates are loaded and checked before the
+    # output directory is made
     locations = _value(cfg, "paths", "locations", os.fspath, null_ok=True)
     coords = (_load_locations(locations)
               if locations and os.path.exists(locations) else None)
@@ -436,12 +441,18 @@ def cmd_compare(cfg: dict, run_dirs: list[str]) -> int:
         # a label names the run's maps, so it must be a plain file name; a
         # repeated method is labelled mrf-2, mrf-3, ... in columns and maps
         label, n = str(method), 1
-        if label in ("", ".", "..") or os.path.basename(label) != label:
+        if (label in ("", ".", "..") or "\0" in label
+                or os.path.basename(label) != label):
             raise ValidationError(f"{rdp / 'config.json'}: method "
-                                  f"{label!r} is not a plain file name")
+                                  f"{reprlib.repr(label)} is not a plain "
+                                  "file name")
         while label in methods:
             n += 1
             label = f"{method}-{n}"
+        if len(os.fsencode(f"cdp_{label}.svg")) > NAME_MAX:
+            raise ValidationError(f"{rdp / 'config.json'}: method "
+                                  f"{reprlib.repr(label)} is too long: its "
+                                  f"map's file name is over {NAME_MAX} bytes")
         methods.append(label)
         reports.append((g, per))
         pat = None
@@ -453,6 +464,7 @@ def cmd_compare(cfg: dict, run_dirs: list[str]) -> int:
                                       f"but {label}'s patterns have {S}")
         patterns.append(pat)
 
+    out = _out_dir(cfg)
     metric_names = sorted({name for g, _ in reports for name in g})
     rows = []
     for name in metric_names:
@@ -583,7 +595,10 @@ def main(argv=None) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
+        # the system's message and the file name, a long name cut short
+        name = ("" if exc.filename is None
+                else f": {_PATH_REPR.repr(exc.filename)}")
+        print(f"i/o error: {exc.strerror or exc}{name}", file=sys.stderr)
         return EXIT_IO
     except MemoryError as exc:
         print(f"error: out of memory in {args.command}: {exc}",

@@ -299,17 +299,6 @@ def crp_log_prior_days(day_labels: np.ndarray, years: np.ndarray,
                                   concentration).sum())
 
 
-def crp_log_prior_locations(loc_labels: np.ndarray, concentration: float) -> float:
-    """Log-mass of a location labelling under the Chinese-restaurant prior.
-
-    The day prior's cohesions on a single year, normalised by
-    α(α + 1)···(α + S − 1); exchangeable, like the day prior.
-    """
-    sizes = np.unique(loc_labels, return_counts=True)[1]
-    return float(log_day_cohesion(sizes[:, None], concentration).sum()
-                 - np.log(concentration + np.arange(sizes.sum())).sum())
-
-
 def agreement_counts(state: LatentState, patterns: PatternSet,
                      ei: np.ndarray, ej: np.ndarray):
     """The joint density's integer terms, as (temporal, spatial, day, loc).
@@ -341,11 +330,14 @@ def agreement_counts(state: LatentState, patterns: PatternSet,
 
 def joint_log_density(data, weights, state: LatentState, params: ModelParams,
                       patterns: PatternSet) -> float:
-    """Log of the joint density of (states, labels, rainfall).
+    """Log of the joint density of (states, labels, rainfall), up to a
+    constant: the sampler reads only its differences, so the normalisers of
+    the field, the two priors and the aggregate term are left out.
 
-    Sums the two clustering priors, every temporal and spatial edge counted
-    once, the pattern-alignment terms, the per-cell Gamma data terms, and the
-    per-day aggregate-rainfall terms.  Labels beyond the pattern rows (or the
+    Sums the two clustering priors (the locations' is the day prior on one
+    year), every temporal and spatial edge counted once, the
+    pattern-alignment terms, the per-cell Gamma data terms, and the per-day
+    aggregate-rainfall terms.  Labels beyond the pattern rows (or the
     aggregate means) contribute neutrally, mirroring the sampling rules.
 
     ``weights`` holds one weight per pair of ``data.pairs``; a spatial edge
@@ -367,7 +359,8 @@ def joint_log_density(data, weights, state: LatentState, params: ModelParams,
 
     logp = crp_log_prior_days(state.day_labels, data.year_of_day,
                               params.day_concentration)
-    logp += crp_log_prior_locations(state.loc_labels, params.loc_concentration)
+    logp += crp_log_prior_days(state.loc_labels, np.zeros_like(state.loc_labels),
+                               params.loc_concentration)
     logp += math.log(params.temporal_factor) * temporal
     logp += float(np.maximum(weights[half], 0.0) @ spatial)
     logp += params.day_align * day

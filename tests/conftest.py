@@ -16,8 +16,7 @@ from rainpatterns import (HIGH, LOW, LatentState, ModelParams, NumericError,
 from rainpatterns import inference
 from rainpatterns.data import make_dataset
 from rainpatterns.inference import _GibbsEngine
-from rainpatterns.model import (RAIN_EPS, crp_log_prior_days,
-                                crp_log_prior_locations, log_gamma)
+from rainpatterns.model import RAIN_EPS, crp_log_prior_days, log_gamma
 
 
 @pytest.fixture(scope="session")
@@ -194,8 +193,9 @@ def brute_force_log_density(data, weights, state, params, pats):
     z = state.states
     total = crp_log_prior_days(state.day_labels, data.year_of_day,
                                params.day_concentration)
-    total += crp_log_prior_locations(state.loc_labels,
-                                     params.loc_concentration)
+    total += crp_log_prior_days(state.loc_labels,
+                                np.zeros_like(state.loc_labels),
+                                params.loc_concentration)
     temporal, spatial, day, loc = brute_force_agreements(data, state, pats)
     total += math.log(params.temporal_factor) * temporal
     nbs, values = neighbour_lists(data), neighbour_lists(data, weights)

@@ -41,15 +41,17 @@ def run(args):
     return main([str(a) for a in args])
 
 
-def run_fresh(code, *args, timeout=300):
+def run_fresh(code, *args, timeout=300, cwd=None):
     """Run ``code`` in a new interpreter that imports this package, with
-    ``args`` as ``sys.argv[1:]``; return the finished process, or raise
+    ``args`` as ``sys.argv[1:]``, in the directory ``cwd`` (default: this
+    one); return the finished process, or raise
     ``subprocess.TimeoutExpired`` after ``timeout`` seconds."""
     src = str(Path(rainpatterns.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", code, *map(str, args)],
                           env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=timeout)
+                          capture_output=True, text=True, timeout=timeout,
+                          cwd=cwd)
 
 
 def write_config(tmp_path, **overrides):
@@ -526,6 +528,26 @@ class TestCompare:
         assert read_rows(out / "comparison.csv")[0] == ["metric", "mine"]
         assert sorted(p.name for p in out.glob("c[dr]p_*.svg")) \
             == ["cdp_mine.svg", "crp_mine.svg"]
+
+    @pytest.mark.parametrize("method,ok", [
+        ("x" * 247, True), ("x" * 248, False), ("\u00e9" * 124, False)],
+        ids=["247-bytes", "248-bytes", "124-two-byte-chars"])
+    def test_a_label_must_leave_its_map_names_within_255_bytes(
+            self, fit_run, tmp_path, capsys, method, ok):
+        # a 3000-character label wrote the table and the charts, and then
+        # exited 4 on cdp_<label>.svg: "File name too long"
+        base, cfg = fit_run
+        run_dir = shutil.copytree(base / "fit", tmp_path / "run")
+        edit_json(lambda doc: doc.update(method=method))(
+            run_dir / "config.json")
+        out = tmp_path / "cmp"
+        code = run(["compare", "--config", cfg, "--out", out, run_dir])
+        if ok:
+            assert code == 0
+            assert (out / f"cdp_{method}.svg").exists()
+        else:
+            assert code == 2 and not out.exists()
+            assert "is too long" in capsys.readouterr().err
 
     def test_mrf_beats_kmeans_on_hamming(self, synth_dir):
         tmp_path, cfg = synth_dir
@@ -1643,7 +1665,7 @@ class TestExitCodes:
         assert run(["compare", run_dir, "--config", cfg, "--out", out]) == 2
         assert capsys.readouterr().err \
             == f"error: {path}:{line}: non-finite value\n"
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_compare_rejects_metrics_of_unequal_cluster_counts(
             self, fit_run, tmp_path, capsys):
@@ -1658,7 +1680,7 @@ class TestExitCodes:
         assert capsys.readouterr().err == (f"error: {path}: wet_fraction "
                                            "lists 2 clusters, "
                                            "mean_spell_length 3\n")
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_compare_keeps_a_nan_global_value(self, fit_run, tmp_path):
         # a refit whose every day overflows writes a nan mean_l2
@@ -1685,10 +1707,12 @@ class TestExitCodes:
         assert capsys.readouterr().err \
             == f"error: {run_dir / name}:{line}: {message}\n"
 
-    @pytest.mark.parametrize("method", ["a/b", "/abs", "", ".", ".."])
+    @pytest.mark.parametrize("method", ["a/b", "/abs", "", ".", "..",
+                                        "a\0b"])
     def test_compare_label_that_is_no_file_name_names_it(
             self, fit_run, tmp_path, capsys, method):
-        # "a/b" wrote the tables and charts and then failed on cdp_a/b.svg
+        # "a/b" wrote the tables and charts and then failed on cdp_a/b.svg;
+        # "a\0b" did the same and ended in a ValueError traceback
         base, cfg = fit_run
         run_dir = shutil.copytree(base / "fit", tmp_path / "run")
         edit_json(lambda doc: doc.update(method=method))(
@@ -1698,7 +1722,7 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: {run_dir / 'config.json'}: method {method!r} is not a "
             f"plain file name\n")
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("damage", [
         pytest.param(edit_lines(lambda lines: lines[:1] + ["0,1\n"]
@@ -1717,7 +1741,7 @@ class TestExitCodes:
         assert run(["compare", base / "fit", "--config", cfg,
                     "--out", out]) == 2
         assert "locations.csv" in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
 
 class TestConfigSections:
@@ -1849,6 +1873,32 @@ sys.exit(main(sys.argv[1:]))
         assert res.returncode == 2
         [line] = res.stderr.splitlines()
         assert line.startswith(f"error: config: {section}.{key}: ")
+        assert len(line) <= 120 and "..." in line
+
+    def test_a_compare_label_is_cut_short(self, fit_run, tmp_path):
+        # the label error echoed all 3002 characters of the method; the
+        # run is named relative to the process's directory, so the line's
+        # length does not hang on the temporary directory's
+        base, cfg = fit_run
+        run_dir = shutil.copytree(base / "fit", tmp_path / "run")
+        edit_json(lambda doc: doc.update(method="a/" + "x" * 3000))(
+            run_dir / "config.json")
+        res = run_fresh(self.CLI, "compare", "--config", cfg,
+                        "--out", "cmp", "run", timeout=60, cwd=tmp_path)
+        assert res.returncode == 2
+        [line] = res.stderr.splitlines()
+        assert line.startswith("error: run/config.json: method 'a/xxx")
+        assert line.endswith("is not a plain file name")
+        assert len(line) <= 120 and "..." in line
+
+    def test_an_io_error_cuts_a_long_file_name_short(self, tmp_path):
+        # the OSError was printed whole, its 3000-character path with it
+        cfg = write_config(tmp_path)
+        res = run_fresh(self.CLI, "synth", "--config", cfg,
+                        "--out", tmp_path / ("x" * 3000), timeout=60)
+        assert res.returncode == 4
+        [line] = res.stderr.splitlines()
+        assert line.startswith("i/o error: File name too long: ")
         assert len(line) <= 120 and "..." in line
 
     @pytest.mark.parametrize("key", ["S", "T"])

@@ -20,8 +20,7 @@ from rainpatterns.inference import (_GibbsEngine, _LabelTables,
                                     _draw_cell_states, _draw_label,
                                     _neighbour_table, _vote)
 from rainpatterns.metrics import adjusted_rand_index
-from rainpatterns.model import (RAIN_EPS, crp_log_prior_days,
-                                crp_log_prior_locations)
+from rainpatterns.model import RAIN_EPS, crp_log_prior_days
 from conftest import (DroppingLabelTables, brute_force_neighbour_table,
                       cell_odds, chain_whole_sweep_laws, day_order_block_odds,
                       engine_at, exact_whole_sweep_laws,
@@ -476,7 +475,7 @@ class TestVLocationConditional:
         ([1, 1, 1, 1], 0, 1e6), ([1, 2, 2, 3], 0, 0.3)])
     def test_prior_weights_enumerate_the_prior(self, labels, s, conc):
         # with neutral alignment the weights are the location prior's
-        # conditional, found by enumerating crp_log_prior_locations
+        # conditional, found by enumerating the day prior on one year
         S = len(labels)
         data = make_dataset(np.ones((S, 2)),
                             np.array([[i, 0] for i in range(S)]),
@@ -491,7 +490,8 @@ class TestVLocationConditional:
         for v in cand:
             moved = np.array(labels)
             moved[s] = v
-            enum.append(crp_log_prior_locations(moved, conc))
+            enum.append(crp_log_prior_days(moved, np.zeros_like(moved),
+                                           conc))
         np.testing.assert_allclose(np.array(logw) - logw[-1],
                                    np.array(enum) - enum[-1],
                                    rtol=1e-12, atol=1e-12)

@@ -16,8 +16,7 @@ from rainpatterns import (HIGH, LOW, LatentState, ModelParams, NumericError,
                           update_params_ml)
 from rainpatterns.data import make_dataset
 from rainpatterns.model import (RAIN_EPS, VAR_FLOOR, agreement_counts,
-                                crp_log_prior_days, crp_log_prior_locations,
-                                indicator_dot, log_gamma, modal_patterns,
+                                crp_log_prior_days, indicator_dot, log_gamma, modal_patterns,
                                 mode_states, patterns_to_rows)
 from conftest import (brute_force_agreements, brute_force_log_density,
                       fitted_params)
@@ -45,21 +44,37 @@ class TestLogGamma:
         assert got.ravel().tolist() == [math.lgamma(v) for v in x.tolist()]
 
 
-class TestClusterPriors:
-    """Hand values of the day and location priors; the day prior is
-    unchanged when the days are permuted with their years, and on one year
-    it equals the location prior up to a constant."""
+def one_year_eppf(labels, conc):
+    """The day prior on one year, the location prior of the joint, less
+    its normaliser log Γ(α + n) − log Γ(α) = Σ_{i<n} log(α + i): the
+    log-EPPF of the plain Chinese-restaurant process."""
+    labels = np.array(labels)
+    return (crp_log_prior_days(labels, np.zeros_like(labels), conc)
+            - sum(math.log(conc + i) for i in range(len(labels))))
 
-    def test_plain_crp_matches_eppf(self):
-        # oracle: exchangeable partition probability for the plain process
-        lam = 1.3
-        labels = np.array([1, 2, 1, 3, 2, 1])
-        sizes = [3, 2, 1]
+
+class TestClusterPriors:
+    """Hand values of the day prior; it is unchanged when the days are
+    permuted with their years, and on one year it is the Ewens partition
+    probability up to log Γ(α + n) − log Γ(α)."""
+
+    @given(st.lists(st.integers(1, 5), min_size=1, max_size=60),
+           st.sampled_from([1, 7]), st.floats(0.05, 20.0))
+    @example([1, 2, 1, 3, 2, 1], 1, 1.3)
+    @example([3], 1, 1.0)  # a single location
+    @example([2] * 9, 7, 0.5)  # one cluster
+    @settings(max_examples=200, deadline=None)
+    def test_plain_crp_matches_eppf(self, labels, stretch, lam):
+        # oracle: exchangeable partition probability for the plain process;
+        # stretch 7 spaces the labels out: 7, 14, ... are not dense
+        labels = np.array(labels) * stretch
+        sizes = np.unique(labels, return_counts=True)[1].tolist()
         K, n = len(sizes), len(labels)
         eppf = (K * math.log(lam)
                 + sum(math.lgamma(sz) for sz in sizes)
                 - sum(math.log(lam + i) for i in range(n)))
-        assert crp_log_prior_locations(labels, lam) == pytest.approx(eppf)
+        assert one_year_eppf(labels, lam) == pytest.approx(
+            eppf, rel=1e-12, abs=1e-12)
 
     def test_relabelling_invariance(self):
         labels = np.array([2, 1, 2, 3, 1])
@@ -67,11 +82,9 @@ class TestClusterPriors:
         years = np.array([0, 0, 1, 1, 1])
         assert crp_log_prior_days(labels, years, 0.8) == pytest.approx(
             crp_log_prior_days(relab, years, 0.8))
-        assert crp_log_prior_locations(labels, 0.8) == pytest.approx(
-            crp_log_prior_locations(relab, 0.8))
 
     def test_single_item_mass_one(self):
-        assert crp_log_prior_locations(np.array([1]), 5.0) == 0.0
+        assert one_year_eppf([1], 5.0) == 0.0
 
     @pytest.mark.parametrize("labels,years,conc,expect", [
         # one cluster of one day: α·Γ(1)·1!
@@ -104,12 +117,6 @@ class TestClusterPriors:
         order = np.random.default_rng(seed).permutation(len(days))
         assert crp_log_prior_days(labels[order], years[order], conc) \
             == pytest.approx(logp, rel=1e-12, abs=1e-12)
-        # within one year it is the plain prior, up to log α(α+1)...(α+T-1)
-        one_year = crp_log_prior_days(labels, np.zeros_like(years), conc)
-        rising = sum(math.log(conc + i) for i in range(len(days)))
-        assert one_year == pytest.approx(
-            crp_log_prior_locations(labels, conc) + rising, rel=1e-12,
-            abs=1e-12)
 
 
 class TestExtractPatterns:
